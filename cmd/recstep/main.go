@@ -66,7 +66,7 @@ func main() {
 		naive       = flag.Bool("naive", false, "disable semi-naive evaluation")
 		noUIE       = flag.Bool("no-uie", false, "disable unified IDB evaluation")
 		oofMode     = flag.String("oof", "selective", "statistics mode: selective|none|full")
-		dsdMode     = flag.String("dsd", "dynamic", "set-difference policy: dynamic|opsd|tpsd")
+		dsdMode     = flag.String("dsd", "dynamic", "set-difference policy: dynamic (cost model per iteration, and a resident index on R once rescans repay it) | opsd | tpsd (the paper's per-iteration tables, forced)")
 		dedup       = flag.String("dedup", "gscht", "dedup strategy: gscht|lockmap|sort")
 		noEOST      = flag.Bool("no-eost", false, "commit after every query (spills to a temp dir)")
 		partitions  = flag.Int("partitions", 0, "radix partition count for hash builds (0 = auto 1/16/64/256, 1 = off)")
@@ -242,6 +242,9 @@ func main() {
 		res.Stats.TuplesScattered, res.Stats.TuplesAdopted, res.Stats.FlatMaterializations)
 	log.Printf("join builds: %d served from carried/cached partitions, %d paid a scatter",
 		res.Stats.JoinBuildScattersAvoided, res.Stats.JoinBuildScatters)
+	log.Printf("resident: set-difference index served %d passes (%d seeds), cached builds served %d joins; rows re-read: %d by set difference, %d by join probes",
+		res.Stats.ResidentIndexHits, res.Stats.ResidentIndexReseeds, res.Stats.CachedBuildHits,
+		res.Stats.SetDiffRowsScanned, res.Stats.JoinProbeRows)
 	log.Printf("planner: %d empty-∆ arms skipped, peak join intermediate %d rows, wcoj rules %v",
 		res.Stats.ArmsSkipped, res.Stats.PeakJoinIntermediate, res.Stats.WCOJRules)
 	if *verbose {

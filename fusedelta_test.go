@@ -42,9 +42,34 @@ func fuseTestEDBs(program string) map[string]*storage.Relation {
 	panic("no EDB builder for program " + program)
 }
 
-// The fused partition-native delta pipeline is a physical rewrite only:
-// for every benchmark program, every relation it derives must be identical
-// under fuse-delta on/off at every radix fan-out.
+// longTestEDBs builds, for the programs whose input can be stretched, an
+// instance whose fixpoint runs several times optimizer.ResidentAmortise
+// iterations: a long path under the random graph, long dataflow chains. On
+// these the default configuration seeds a resident set-difference index and
+// caches join builds on the base relations part-way through; the small
+// instances of fuseTestEDBs converge before either pays.
+func longTestEDBs(program string) map[string]*storage.Relation {
+	const path = 150
+	arc := graphs.GnP(40, 0.05, 17)
+	for i := 0; i < path; i++ {
+		arc.Append([]int32{int32(100 + i), int32(101 + i)})
+	}
+	switch program {
+	case "tc", "ntc", "gtc":
+		return map[string]*storage.Relation{"arc": arc}
+	case "reach":
+		return map[string]*storage.Relation{"arc": arc, "id": graphs.SingleSource(100)}
+	case "csda":
+		return pa.CSDASized(4, 200, 4, 3)
+	}
+	return nil
+}
+
+// The fused partition-native delta pipeline, and under it the choice between
+// a resident set-difference index (default DSD) and the paper's transient
+// OPSD/TPSD tables (forced DSD), are physical rewrites only: for every
+// benchmark program, every relation it derives must be identical under
+// fuse-delta on/off, at every radix fan-out, under every DSD mode.
 func TestFusedMatchesStagedAcrossPrograms(t *testing.T) {
 	names := make([]string, 0, len(programs.ByName))
 	for name := range programs.ByName {
@@ -53,43 +78,60 @@ func TestFusedMatchesStagedAcrossPrograms(t *testing.T) {
 	sort.Strings(names)
 
 	for _, name := range names {
-		t.Run(name, func(t *testing.T) {
-			prog, err := programs.Get(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			edbs := fuseTestEDBs(name)
-
-			run := func(fuse bool, parts int) map[string][]int32 {
-				t.Helper()
-				opts := core.DefaultOptions()
-				opts.Workers = 4
-				opts.FuseDelta = fuse
-				opts.Partitions = parts
-				res, err := core.New(opts).Run(prog, edbs)
-				if err != nil {
-					t.Fatal(err)
+		prog, err := programs.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs := map[string]map[string]*storage.Relation{name: fuseTestEDBs(name)}
+		if long := longTestEDBs(name); long != nil {
+			inputs[name+"-long"] = long
+		}
+		for label, edbs := range inputs {
+			t.Run(label, func(t *testing.T) {
+				run := func(fuse bool, parts int, dsd core.DSDMode) (map[string][]int32, core.Stats) {
+					t.Helper()
+					opts := core.DefaultOptions()
+					opts.Workers = 4
+					opts.FuseDelta = fuse
+					opts.Partitions = parts
+					opts.DSD = dsd
+					res, err := core.New(opts).Run(prog, edbs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out := make(map[string][]int32, len(res.Relations))
+					for rel, r := range res.Relations {
+						out[rel] = r.SortedRows()
+					}
+					return out, res.Stats
 				}
-				out := make(map[string][]int32, len(res.Relations))
-				for rel, r := range res.Relations {
-					out[rel] = r.SortedRows()
-				}
-				return out
-			}
 
-			want := run(false, 1) // staged, unpartitioned: the reference
-			for _, fuse := range []bool{true, false} {
-				for _, parts := range []int{1, 16, 64} {
-					got := run(fuse, parts)
-					for rel, rows := range want {
-						if !reflect.DeepEqual(got[rel], rows) {
-							t.Fatalf("fuse=%v parts=%d: %s (%d rows) diverges from staged serial (%d rows)",
-								fuse, parts, rel, len(got[rel]), len(rows))
+				want, _ := run(false, 1, core.DSDAlwaysOPSD) // staged, unpartitioned, one-phase: the reference
+				for _, fuse := range []bool{true, false} {
+					for _, parts := range []int{1, 16, 64} {
+						for _, dsd := range []core.DSDMode{core.DSDDynamic, core.DSDAlwaysOPSD, core.DSDAlwaysTPSD} {
+							got, stats := run(fuse, parts, dsd)
+							for rel, rows := range want {
+								if !reflect.DeepEqual(got[rel], rows) {
+									t.Fatalf("fuse=%v parts=%d dsd=%d: %s (%d rows) diverges from staged serial (%d rows)",
+										fuse, parts, dsd, rel, len(got[rel]), len(rows))
+								}
+							}
+							// Only the fused default may keep an index, and only on
+							// the long instances does one pay; unpartitioned they
+							// all get there (a partitioned pass re-reads just the
+							// partitions ∆ lands in, so a trickle repays later).
+							resident := stats.ResidentIndexHits > 0
+							may := fuse && dsd == core.DSDDynamic && label != name
+							if resident && !may || !resident && may && parts == 1 {
+								t.Fatalf("fuse=%v parts=%d dsd=%d: resident index used=%v (%d hits)",
+									fuse, parts, dsd, resident, stats.ResidentIndexHits)
+							}
 						}
 					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

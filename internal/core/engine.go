@@ -192,9 +192,11 @@ type IterInfo struct {
 	TmpTuples int
 	Delta     int
 	Algo      exec.DiffAlgorithm
-	// Copy holds this step's copy-accounting deltas: tuples scattered into
-	// partitions, tuples adopted without copy, and flat materializations of
-	// pipeline intermediates (zero per iteration under the fused pipeline).
+	// Copy holds this step's copy- and rescan-accounting deltas: tuples
+	// scattered into partitions, tuples adopted without copy, flat
+	// materializations of pipeline intermediates (zero per iteration under
+	// the fused pipeline), rows of R and of join probe sides re-read, and
+	// whether a resident index or a cached build served the step.
 	Copy exec.CopySnapshot
 	// Mem is a point-in-time reading of the memory manager after the step:
 	// live pool bytes by category, budget headroom, spill/fault counters.
@@ -244,6 +246,21 @@ type Stats struct {
 	JoinOrdersByRule map[string]quickstep.PlanChoice
 	// WCOJRules lists the arms evaluated by the leapfrog join.
 	WCOJRules []string
+	// Rescan accounting — the counts behind "one iteration costs
+	// O(|∆| + |join output|)", exact at one worker and independent of the
+	// clock. SetDiffRowsScanned is the rows of full relations set difference
+	// read or re-inserted (|R| per transient pass or index re-seed, nothing
+	// for a pass a resident index served); JoinProbeRows the probe-side rows
+	// hash joins scanned. ResidentIndexHits/ResidentIndexReseeds split the
+	// fused delta passes that ran against a resident index by whether it was
+	// already there; CachedBuildHits counts joins served by a build table
+	// cached on an iteration-invariant relation. IterInfo.Copy carries the
+	// same five per step.
+	SetDiffRowsScanned   int64
+	JoinProbeRows        int64
+	ResidentIndexHits    int64
+	ResidentIndexReseeds int64
+	CachedBuildHits      int64
 	// ArmsSkipped counts UNION ALL arms skipped across the run because
 	// their seeding ∆ relation was empty (the early-exit arm filter).
 	ArmsSkipped int64
@@ -324,6 +341,9 @@ func (e *Engine) RunContext(ctx context.Context, prog *ast.Program, edbs map[str
 	for _, name := range run.res.IDBNames() {
 		rel := run.db.Catalog().MustGet(name)
 		rel.Restore()
+		// The caller gets tuples, not the fixpoint's working structures: a
+		// resident index would ride along at three times the relation's size.
+		rel.DropAttachments()
 		out.Relations[name] = rel
 	}
 	// Restoring results is itself fallible I/O: a fault failure here is
@@ -458,6 +478,11 @@ func (r *runState) collectStats() {
 	r.stats.JoinBuildScattersAvoided = copySnap.BuildScattersAvoided
 	r.stats.SecondaryScattered = copySnap.SecondaryScattered
 	r.stats.JoinBuildsByKeyset = copySnap.BuildDetail
+	r.stats.SetDiffRowsScanned = copySnap.SetDiffRowsScanned
+	r.stats.JoinProbeRows = copySnap.JoinProbeRows
+	r.stats.ResidentIndexHits = copySnap.ResidentIndexHits
+	r.stats.ResidentIndexReseeds = copySnap.ResidentIndexReseeds
+	r.stats.CachedBuildHits = copySnap.CachedBuildHits
 	r.stats.JoinOrdersByRule = r.db.PlanChoices()
 	for name, pc := range r.stats.JoinOrdersByRule {
 		if pc.Strategy == "wcoj" {
@@ -954,11 +979,14 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit quer
 			// to the duplicate-inclusive |Rt|, biasing the choice toward
 			// OPSD — one more way stale statistics degrade plans, exactly
 			// the regime that ablation studies.
+			// Under DSDDynamic the substrate may keep the set-difference table
+			// on R as a resident index and serve the pass from it; the forced
+			// modes keep the paper's per-iteration tables (Section 5 figures).
+			// The call also merges ∆R into R, so the index can follow it.
 			algo = r.chooseAlgo(st, fullStats.NumTuples, est)
-			if sec.Parts > 1 {
-				delta = r.db.DeltaStepDual(tmp, full, algo, part, sec, est, q.Delta)
-			} else {
-				delta = r.db.DeltaStep(tmp, full, algo, part, est, q.Delta)
+			delta, algo, err = r.db.DeltaStep(tmp, q.Pred, algo, part, sec, est, q.Delta, r.opts().DSD == DSDDynamic)
+			if err != nil {
+				return 0, err
 			}
 			st.chooser.Observe(est, est-delta.NumTuples())
 		} else {
@@ -971,6 +999,9 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit quer
 			// Epoch reclamation: Rδ is dead the moment ∆R exists (the fused
 			// pipeline never materializes it at all).
 			rdelta.Release()
+			if err := r.db.AppendTo(q.Pred, delta); err != nil {
+				return 0, err
+			}
 		}
 		if algo == exec.OPSD {
 			r.stats.DiffOPSD++
@@ -983,9 +1014,6 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit quer
 			} else {
 				r.em.diffTPSD.Add(1)
 			}
-		}
-		if err := r.db.AppendTo(q.Pred, delta); err != nil {
-			return 0, err
 		}
 	}
 

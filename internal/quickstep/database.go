@@ -128,6 +128,12 @@ type Database struct {
 	// delta step. Guarded by hintMu (registered outside the query lock).
 	hintMu   sync.Mutex
 	outParts map[string]storage.Partitioning
+	// setDiff tallies, per full relation, the rows set difference re-read so
+	// far for want of a resident index, and whether that debt has repaid one
+	// (see optimizer.ResidentAmortise). Keyed by predicate, not by relation
+	// object: R mutates every iteration, and the history is the predicate's.
+	// Guarded by hintMu.
+	setDiff map[string]*setDiffDebt
 
 	// plans records the latest join order and strategy per branch (branches
 	// of one query run concurrently, hence the lock). peakJoinRows is a
@@ -136,6 +142,12 @@ type Database struct {
 	planMu       sync.Mutex
 	plans        map[string]*PlanChoice
 	peakJoinRows atomic.Int64
+}
+
+// setDiffDebt is one predicate's entry in Database.setDiff.
+type setDiffDebt struct {
+	rescanned int64
+	repaid    bool
 }
 
 // notePlan records the strategy and order chosen for a branch; single-table
@@ -294,14 +306,17 @@ func (db *Database) MarkSpillable(table string) {
 
 // EndIteration is the engine's epoch hook, called once per fixpoint
 // iteration at a quiescent point (no query in flight): retired view copies
-// from superseded PartitionedViews are recycled, the spill LRU epoch
-// advances, and any budget overshoot is reclaimed. Eviction order under
-// pressure: secondary carried views are dropped first — they are pure
-// redundancy (a second scatter copy of data the primary layout already
-// holds), so shedding one costs at most a future re-scatter, while spilling
-// a primary partition (EndEpoch's fallback) costs a disk write plus a
-// fault. The quiescent point is what makes the drop safe to release this
-// epoch: no in-flight operator can still be scanning the view's blocks.
+// from superseded PartitionedViews and stale attachments are recycled, the
+// spill LRU epoch advances, and any budget overshoot is reclaimed. Eviction
+// order under pressure, each stage only if the one before left the run over
+// budget: attachments first (resident set-difference indexes and cached join
+// builds — derived from the relation's own contents, several times its
+// bytes, and without them the engine merely runs yesterday's transient
+// tables), then secondary carried views (a second scatter copy of data the
+// primary layout already holds: shedding one costs at most a future
+// re-scatter), and only then primary partitions (EndEpoch's fallback: a disk
+// write plus a fault each). The quiescent point is what makes the drops safe
+// to release this epoch: no in-flight operator can still hold them.
 func (db *Database) EndIteration() {
 	// Recycle this iteration's retired garbage *before* reading the budget
 	// signal: superseded view copies still count in the live gauge until
@@ -315,6 +330,13 @@ func (db *Database) EndIteration() {
 			// iteration; coalescing bounds the per-partition block count so
 			// pool-class padding never dominates R's footprint.
 			r.CoalescePartitions()
+		}
+	}
+	if db.mem.OverBudget() {
+		for _, name := range db.cat.Names() {
+			if r, ok := db.cat.Get(name); ok && r.DropAttachments() > 0 {
+				db.mem.NoteAttachmentDrop()
+			}
 		}
 	}
 	if db.mem.OverBudget() {
@@ -698,13 +720,18 @@ func (db *Database) runBranch(br *plan.Branch, name string, part *storage.Partit
 		if fuseFinal && step == len(ord.Steps)-1 {
 			stepProjs = projs
 		}
-		buildLeft, buildTuples := db.chooseBuildSide(cur, br, order[0], step, right, js)
+		// Only step 0's left side can be a base relation (later steps join an
+		// accumulated intermediate), and a pre-filtered input is a transient
+		// of this query: neither can hold a table across iterations.
+		leftBase := step == 0 && !owned[order[0]]
+		buildLeft, buildTuples, cacheBuild := db.chooseBuildSide(cur, br, order[0], step, right, js, leftBase, !owned[js.Right])
 		spec := exec.JoinSpec{
 			LeftKeys:    js.LeftKeys,
 			RightKeys:   js.RightKeys,
 			BuildLeft:   buildLeft,
 			Partitions:  db.partitionsFor(buildTuples),
 			BuildSerial: db.opts.BuildSerial,
+			CacheBuild:  cacheBuild,
 			Residual:    js.Residual,
 			Projs:       stepProjs,
 			OutName:     fmt.Sprintf("%s_j%d", name, step),
@@ -895,9 +922,18 @@ func (db *Database) runBranchWCOJ(br *plan.Branch, inputs []*storage.Relation, o
 // override: when the sizes are close, the side already carrying a
 // partitioning on exactly its join keys builds — in-place table
 // construction over slightly more tuples beats a scatter pass over slightly
-// fewer. It returns the decision plus the chosen side's cardinality
-// estimate, which also drives the radix partition count.
-func (db *Database) chooseBuildSide(cur *storage.Relation, br *plan.Branch, seed, step int, right *storage.Relation, js plan.JoinStep) (buildLeft bool, buildTuples int) {
+// fewer. On top of both sits the resident-table rule for base relations
+// (leftBase/rightBase: the side is a cataloged relation, not a transient of
+// this query): a side already holding a current cached build table builds at
+// zero cost whatever its size, and a side that has not changed while the rows
+// re-read from it — by rebuilds or by probe scans, NoteRescan keeps the
+// tally and any mutation zeroes it — reached optimizer.ResidentAmortise
+// times its size becomes the build side with its table kept. ∆ relations are
+// replaced and R is appended to every iteration, so in a fixpoint only EDBs
+// and lower strata ever get there. It returns the decision, the chosen
+// side's cardinality estimate (which also drives the radix partition count),
+// and whether the build table is cached on the build relation.
+func (db *Database) chooseBuildSide(cur *storage.Relation, br *plan.Branch, seed, step int, right *storage.Relation, js plan.JoinStep, leftBase, rightBase bool) (buildLeft bool, buildTuples int, cacheBuild bool) {
 	var leftTuples int
 	if step == 0 {
 		leftTuples = db.statTuples(br.Tables[seed], cur)
@@ -913,10 +949,45 @@ func (db *Database) chooseBuildSide(cur *storage.Relation, br *plan.Branch, seed
 		leftCarried = step == 0 && db.carriedMatch(cur, js.LeftKeys)
 		rightCarried = db.carriedMatch(right, js.RightKeys)
 	}
-	if optimizer.PreferCarriedBuild(leftTuples, rightTuples, leftCarried, rightCarried) {
-		return true, leftTuples
+	sides := [2]struct {
+		rel    *storage.Relation
+		keys   []int
+		tuples int
+		base   bool
+	}{
+		{right, js.RightKeys, rightTuples, rightBase},
+		{cur, js.LeftKeys, leftTuples, leftBase},
 	}
-	return false, rightTuples
+	var keys [2]string
+	for i, s := range sides {
+		if !s.base {
+			continue
+		}
+		keys[i] = exec.BuildCacheKey(s.keys)
+		if _, ok := s.rel.Attachment(keys[i]); ok {
+			return i == 1, s.tuples, true
+		}
+	}
+	for i, s := range sides {
+		if !s.base {
+			continue
+		}
+		n := s.rel.NumTuples()
+		if optimizer.RepaysResident(s.rel.NoteRescan(keys[i], n), n) && db.hasHeadroom(exec.BuildTableBytes(n)) {
+			return i == 1, s.tuples, true
+		}
+	}
+	if optimizer.PreferCarriedBuild(leftTuples, rightTuples, leftCarried, rightCarried) {
+		return true, leftTuples, false
+	}
+	return false, rightTuples, false
+}
+
+// hasHeadroom reports whether a structure of the given size may be kept
+// resident: always without a budget, otherwise only in the room left under
+// it — under pressure it would be the first thing evicted again.
+func (db *Database) hasHeadroom(bytes int64) bool {
+	return db.opts.MemBudgetBytes <= 0 || db.mem.Headroom() >= bytes
 }
 
 // carriedMatch reports whether the relation carries a multi-partition view
@@ -1026,32 +1097,108 @@ func (db *Database) Diff(rdelta, r *storage.Relation, algo exec.DiffAlgorithm, o
 	return exec.SetDifferencePartitioned(db.pool, rdelta, r, algo, db.partitionsFor(build), outName)
 }
 
-// DeltaStep fuses Algorithm 1's dedup(Rt) + (Rδ − R) sequence into one
-// per-partition pass over part's radix partitions — the partition-native
-// replacement for the staged Dedup + Diff call pair. part must match the
-// output partitioning registered for Rt's producing query so the carried
-// partitions are consumed without a re-scatter; its key columns may be a
-// join-key subset of the tuple (any keyset co-locates equal tuples), in
-// which case the returned ∆R exits already scattered on the columns the
-// next iteration's hash builds key on. ∆R carries the same partitioning, so
-// AppendTo(R, ∆R) keeps R partition-native for the next iteration.
-// estDistinct is the OOF estimate of |Rδ| (dedup pre-sizing, exactly as in
-// Dedup).
-func (db *Database) DeltaStep(tmp, full *storage.Relation, algo exec.DiffAlgorithm, part storage.Partitioning, estDistinct int, outName string) *storage.Relation {
-	return exec.DeltaStep(db.pool, tmp, full, algo, part, estDistinct, outName)
+// residentIndexKey names the set-difference index among a full relation's
+// attachments.
+const residentIndexKey = "setdiff"
+
+// DeltaStep fuses Algorithm 1's dedup(Rt) + (Rδ − R) sequence and the merge
+// R ← R ⊎ ∆R into one call over part's radix partitions — the
+// partition-native replacement for the staged Dedup + Diff + AppendTo
+// sequence. part must match the output partitioning registered for Rt's
+// producing query so the carried partitions are consumed without a
+// re-scatter; its key columns may be a join-key subset of the tuple (any
+// keyset co-locates equal tuples), in which case the returned ∆R exits
+// already scattered on the columns the next iteration's hash builds key on.
+// ∆R carries the same partitioning, so the merge keeps R partition-native
+// for the next iteration. sec, when it names a multi-partition layout (and
+// SecondaryCarry is on), makes accepted rows land in both layouts and ∆R
+// carry sec as its secondary view — the maintenance half of secondary
+// carrying for conflicting-keyset predicates. estDistinct is the OOF
+// estimate of |Rδ| (dedup pre-sizing, exactly as in Dedup).
+//
+// The pass and the merge are one call because the set-difference table may
+// outlive them: with keepIndex (the engine passes it under DSDDynamic; the
+// forced DSD modes reproduce the paper's per-iteration tables) the GSCHT set
+// over R is kept on R as a resident index once set difference has re-read R
+// optimizer.ResidentAmortise times over, and a pass that finds it is a single
+// insert-if-absent of Rt — no scan of R, no re-seed — after which the merge
+// re-attaches it as covering R ⊎ ∆R. Any other mutation of R, or a shift of
+// part, drops it and the next pass re-seeds at the OPSD pass's cost. Under a
+// memory budget with no headroom for the index the pass releases it and runs
+// transient. Whenever no index serves the pass, algo picks the transient
+// flavour. The returned algorithm is the one that ran (OPSD for a resident
+// pass: it is the one-phase algorithm whose build was paid earlier).
+func (db *Database) DeltaStep(tmp *storage.Relation, pred string, algo exec.DiffAlgorithm, part, sec storage.Partitioning, estDistinct int, outName string, keepIndex bool) (*storage.Relation, exec.DiffAlgorithm, error) {
+	full, ok := db.cat.Get(pred)
+	if !ok {
+		return nil, algo, fmt.Errorf("quickstep: delta step over unknown table %q", pred)
+	}
+	if !db.opts.SecondaryCarry {
+		sec = storage.Partitioning{}
+	}
+	var idx *exec.ResidentIndex
+	if att, ok := full.TakeAttachment(residentIndexKey); ok {
+		idx = att.(*exec.ResidentIndex)
+	}
+	if keepIndex && exec.ResidentCapable(db.pool, full.Arity()) && db.indexWorthKeeping(pred, full, idx, part, estDistinct) {
+		delta, kept, v := exec.DeltaStepResident(db.pool, tmp, full, idx, part, sec, estDistinct, outName)
+		if err := db.Err(); err != nil {
+			// An aborted pass leaves the index holding rows R never received.
+			kept.Release()
+			delta.Release()
+			return nil, exec.OPSD, err
+		}
+		if !full.AppendRelationAttaching(delta, residentIndexKey, kept, v) {
+			kept.Release()
+		}
+		db.pool.Copy.Adopted.Add(int64(delta.NumTuples()))
+		return delta, exec.OPSD, db.afterMutation(pred)
+	}
+	if idx != nil {
+		idx.Release()
+	}
+	before := db.pool.Copy.SetDiffRowsScanned.Load()
+	delta := exec.DeltaStepDual(db.pool, tmp, full, algo, part, sec, estDistinct, outName)
+	db.hintMu.Lock()
+	db.setDiffDebtLocked(pred).rescanned += db.pool.Copy.SetDiffRowsScanned.Load() - before
+	db.hintMu.Unlock()
+	if err := db.Err(); err != nil {
+		delta.Release()
+		return nil, algo, err
+	}
+	return delta, algo, db.AppendTo(pred, delta)
 }
 
-// DeltaStepDual is DeltaStep with a secondary carried partitioning: accepted
-// ∆R rows are scattered into both layouts inside the same fused pass, and
-// the returned relation carries sec as its secondary view alongside part —
-// the maintenance half of secondary carrying for conflicting-keyset
-// predicates. With SecondaryCarry disabled (the ablation) it degrades to
-// the plain DeltaStep.
-func (db *Database) DeltaStepDual(tmp, full *storage.Relation, algo exec.DiffAlgorithm, part, sec storage.Partitioning, estDistinct int, outName string) *storage.Relation {
-	if !db.opts.SecondaryCarry {
-		return exec.DeltaStep(db.pool, tmp, full, algo, part, estDistinct, outName)
+func (db *Database) setDiffDebtLocked(pred string) *setDiffDebt {
+	d := db.setDiff[pred]
+	if d == nil {
+		if db.setDiff == nil {
+			db.setDiff = make(map[string]*setDiffDebt)
+		}
+		d = &setDiffDebt{}
+		db.setDiff[pred] = d
 	}
-	return exec.DeltaStepDual(db.pool, tmp, full, algo, part, sec, estDistinct, outName)
+	return d
+}
+
+// indexWorthKeeping decides whether this pass runs against a resident index:
+// one that serves the pass is kept while the budget has room for what the
+// pass adds to it; a missing or unserving one is (re-)seeded only once the
+// predicate's rescans have repaid an index — a decision that sticks, so a
+// drop by deletion or fan-out shift re-seeds at the very next pass — and
+// the budget has room for all of it.
+func (db *Database) indexWorthKeeping(pred string, full *storage.Relation, idx *exec.ResidentIndex, part storage.Partitioning, estDistinct int) bool {
+	arity := full.Arity()
+	if idx != nil && idx.Serves(arity, part) {
+		return db.hasHeadroom(exec.ResidentIndexBytes(estDistinct, arity))
+	}
+	rows := full.NumTuples()
+	db.hintMu.Lock()
+	d := db.setDiffDebtLocked(pred)
+	d.repaid = d.repaid || optimizer.RepaysResident(d.rescanned, rows)
+	repaid := d.repaid
+	db.hintMu.Unlock()
+	return repaid && db.hasHeadroom(exec.ResidentIndexBytes(rows+estDistinct, arity))
 }
 
 // EnsureSecondaryCarry makes a table carry a secondary partitioned view on

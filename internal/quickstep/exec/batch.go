@@ -336,24 +336,68 @@ func deltaPartitionBatch(pool *Pool, lc storage.Lifecycle, tmpBlocks, rBlocks []
 
 // deltaSharedBatch is deltaShared on the batch path: the same shared
 // latch-free table semantics, with the concurrent batched inserts and bulk
-// block emission replacing the per-row closures.
-func deltaSharedBatch(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, arity, estDistinct int, outName string) *storage.Relation {
+// block emission replacing the per-row closures. With res set the shared
+// table is the resident index's: seeded from R only if this is its first
+// pass, grown in place otherwise, and left alive holding R ∪ ∆R.
+func deltaSharedBatch(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, arity, estDistinct int, outName string, res *ResidentIndex) *storage.Relation {
 	tmpBlocks := tmp.Blocks()
 	tmpRows, rRows := tmp.NumTuples(), full.NumTuples()
 	// A one-worker pool runs every task on a single goroutine, so the shared
 	// table has exactly one writer and the batch kernels can drop the CAS
 	// publish — the Local fast path the scalar shared loop has no analogue of.
 	local := pool.Workers() == 1
-
-	dedupEmit := func(set *tupleSet) *storage.Relation {
-		col := newCollector(pool, storage.CatDelta, arity, len(tmpBlocks))
-		pool.Run(len(tmpBlocks), func(task int) {
+	arenas := make([]setArena, pool.Workers())
+	if res != nil {
+		arenas = res.arenas
+	}
+	// perBlock runs fn over every block with the claiming worker's arena and
+	// a borrowed scratch buffer.
+	perBlock := func(blocks []*storage.Block, fn func(task int, ar *setArena, buf *batchBuf)) {
+		pool.runTasksPerWorker(len(blocks), func(w, task int) {
 			buf := getBatchBuf()
 			defer putBatchBuf(buf)
-			var ar setArena
-			batchInsertBlocks(set, tmpBlocks[task:task+1], arity, &ar, local, false, buf, col.sinkBulk(task))
+			fn(task, &arenas[w], buf)
+		})
+	}
+	dedupEmit := func(set *tupleSet) *storage.Relation {
+		col := newCollector(pool, storage.CatDelta, arity, len(tmpBlocks))
+		perBlock(tmpBlocks, func(task int, ar *setArena, buf *batchBuf) {
+			batchInsertBlocks(set, tmpBlocks[task:task+1], arity, ar, local, false, buf, col.sinkBulk(task))
 		})
 		return col.into(outName, tmp.ColNames())
+	}
+	// seed inserts all of R into set — the OPSD build. useCols reads R's
+	// blocks through their cached column layout, which pays only when the
+	// same blocks are re-read every iteration (the transient table).
+	seed := func(set *tupleSet, useCols bool) {
+		rBlocks := full.Blocks()
+		perBlock(rBlocks, func(task int, ar *setArena, buf *batchBuf) {
+			if local {
+				// One worker ⇒ single writer, and R is duplicate-free: the
+				// seed can bulk-build without dup checks.
+				batchBuildBlocks(set, rBlocks[task:task+1], arity, ar, useCols, buf)
+			} else {
+				batchInsertBlocks(set, rBlocks[task:task+1], arity, ar, false, useCols, buf, nil)
+			}
+		})
+		pool.Copy.SetDiffRowsScanned.Add(int64(rRows))
+	}
+
+	if res != nil {
+		set := res.sets[0]
+		if set == nil {
+			set = newTupleSetIn(pool.alloc, storage.CatIndex, arity, rRows+estDistinct)
+			res.sets[0] = set
+			if rRows > 0 {
+				seed(set, false)
+			}
+		} else {
+			set.grow()
+		}
+		if tmpRows == 0 {
+			return storage.NewRelation(outName, tmp.ColNames())
+		}
+		return dedupEmit(set)
 	}
 
 	switch {
@@ -368,21 +412,16 @@ func deltaSharedBatch(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorith
 	case algo == TPSD && tmpRows < rRows:
 		dset := newTupleSet(pool.alloc, arity, min(tmpRows, estDistinct))
 		candCol := newCollector(pool, storage.CatIntermediate, arity, len(tmpBlocks))
-		pool.Run(len(tmpBlocks), func(task int) {
-			buf := getBatchBuf()
-			defer putBatchBuf(buf)
-			var ar setArena
-			batchInsertBlocks(dset, tmpBlocks[task:task+1], arity, &ar, local, false, buf, candCol.sinkBulk(task))
+		perBlock(tmpBlocks, func(task int, ar *setArena, buf *batchBuf) {
+			batchInsertBlocks(dset, tmpBlocks[task:task+1], arity, ar, local, false, buf, candCol.sinkBulk(task))
 		})
 		cand := candCol.into(outName, tmp.ColNames())
 		inter := newTupleSet(pool.alloc, arity, min(cand.NumTuples(), rRows))
 		rBlocks := full.Blocks()
-		pool.Run(len(rBlocks), func(task int) {
-			buf := getBatchBuf()
-			defer putBatchBuf(buf)
-			var ar setArena
-			batchIntersect(dset, inter, rBlocks[task:task+1], arity, &ar, local, true, buf)
+		perBlock(rBlocks, func(task int, ar *setArena, buf *batchBuf) {
+			batchIntersect(dset, inter, rBlocks[task:task+1], arity, ar, local, true, buf)
 		})
+		pool.Copy.SetDiffRowsScanned.Add(int64(rRows))
 		pool.observeChains(dset)
 		dset.release()
 		out := antiProbe(pool, cand, inter, outName)
@@ -391,19 +430,7 @@ func deltaSharedBatch(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorith
 		return out
 	default:
 		set := newTupleSet(pool.alloc, arity, rRows+estDistinct)
-		rBlocks := full.Blocks()
-		pool.Run(len(rBlocks), func(task int) {
-			buf := getBatchBuf()
-			defer putBatchBuf(buf)
-			var ar setArena
-			if local {
-				// One worker ⇒ single writer, and R is duplicate-free: the
-				// seed can bulk-build without dup checks.
-				batchBuildBlocks(set, rBlocks[task:task+1], arity, &ar, true, buf)
-			} else {
-				batchInsertBlocks(set, rBlocks[task:task+1], arity, &ar, false, true, buf, nil)
-			}
-		})
+		seed(set, true)
 		out := dedupEmit(set)
 		pool.observeChains(set)
 		set.release()

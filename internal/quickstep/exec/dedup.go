@@ -61,16 +61,45 @@ type setArena struct {
 // newTupleSet allocates a set through lc (nil = Go heap), so engine dedup
 // tables are budget-accounted and their arrays recycled on release.
 func newTupleSet(lc storage.Lifecycle, arity, estDistinct int) *tupleSet {
+	return newTupleSetIn(lc, storage.CatIntermediate, arity, estDistinct)
+}
+
+// newTupleSetIn is newTupleSet charged to cat (resident indexes account
+// under their own category so their bytes show as a gauge).
+func newTupleSetIn(lc storage.Lifecycle, cat storage.Category, arity, estDistinct int) *tupleSet {
 	s := &tupleSet{arity: arity}
 	switch {
 	case arity <= 2:
-		s.t64 = gscht.NewTable64In(lc, storage.CatIntermediate, estDistinct)
+		s.t64 = gscht.NewTable64In(lc, cat, estDistinct)
 	case arity <= 4:
-		s.t128 = gscht.NewTable128In(lc, storage.CatIntermediate, estDistinct)
+		s.t128 = gscht.NewTable128In(lc, cat, estDistinct)
 	default:
 		s.generic = make(map[string]struct{}, estDistinct)
 	}
 	return s
+}
+
+// grow doubles a compact-key table's buckets until they outnumber its keys
+// again. Quiescent points only — between the passes of a set that outlives
+// them.
+func (s *tupleSet) grow() {
+	for s.t64 != nil && s.t64.NeedsGrow() {
+		s.t64.Grow()
+	}
+	for s.t128 != nil && s.t128.NeedsGrow() {
+		s.t128.Grow()
+	}
+}
+
+// bytes is the set's pool footprint (zero for the heap-backed generic map).
+func (s *tupleSet) bytes() int64 {
+	switch {
+	case s.t64 != nil:
+		return s.t64.Bytes()
+	case s.t128 != nil:
+		return s.t128.Bytes()
+	}
+	return 0
 }
 
 // release returns the set's table memory to its lifecycle pool. The set must

@@ -48,7 +48,7 @@ import (
 // result. Per-partition passes are scheduled partition-affine, so the same
 // worker revisits the same partition of R every iteration.
 func DeltaStep(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, part storage.Partitioning, estDistinct int, outName string) *storage.Relation {
-	return deltaStep(pool, tmp, full, algo, part, storage.Partitioning{}, estDistinct, outName)
+	return deltaStep(pool, tmp, full, algo, part, storage.Partitioning{}, estDistinct, outName, nil)
 }
 
 // DeltaStepDual is DeltaStep with a *secondary* carried partitioning: every
@@ -64,19 +64,35 @@ func DeltaStep(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, part
 // routings, an empty sec keyset or an unpartitioned pass degrade to the
 // plain DeltaStep.
 func DeltaStepDual(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, part, sec storage.Partitioning, estDistinct int, outName string) *storage.Relation {
-	return deltaStep(pool, tmp, full, algo, part, sec, estDistinct, outName)
+	return deltaStep(pool, tmp, full, algo, part, sec, estDistinct, outName, nil)
 }
 
-func deltaStep(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, part, sec storage.Partitioning, estDistinct int, outName string) *storage.Relation {
+// normalizeDeltaPartitioning resolves a pass's partitioning descriptor: the
+// fan-out clamped to a power of two, an empty keyset meaning the whole tuple,
+// and every unpartitioned pass (fan-out ≤ 1 routes nothing) collapsing to the
+// same descriptor.
+func normalizeDeltaPartitioning(arity int, part storage.Partitioning) (keyCols []int, norm storage.Partitioning) {
+	parts := storage.NormalizePartitions(part.Parts)
+	keyCols = part.KeyCols
+	if len(keyCols) == 0 {
+		keyCols = storage.AllCols(arity)
+	}
+	if parts <= 1 {
+		return keyCols, storage.Partitioning{Parts: 1}
+	}
+	return keyCols, storage.Partitioning{KeyCols: keyCols, Parts: parts}
+}
+
+// deltaStep is the pass behind DeltaStep, DeltaStepDual and
+// DeltaStepResident. res, when set, is the resident index the pass runs
+// against instead of building transient tables (algo is then moot).
+func deltaStep(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, part, sec storage.Partitioning, estDistinct int, outName string, res *ResidentIndex) *storage.Relation {
 	if tmp.Arity() != full.Arity() {
 		panic("exec: delta step arity mismatch")
 	}
 	arity := tmp.Arity()
-	parts := storage.NormalizePartitions(part.Parts)
-	keyCols := part.KeyCols
-	if len(keyCols) == 0 {
-		keyCols = storage.AllCols(arity)
-	}
+	keyCols, norm := normalizeDeltaPartitioning(arity, part)
+	parts := norm.Parts
 	if !(storage.Partitioning{KeyCols: keyCols, Parts: parts}).CoLocatesEqualTuples(arity) {
 		panic(fmt.Sprintf("exec: delta partitioning %v incompatible with arity %d", keyCols, arity))
 	}
@@ -85,7 +101,7 @@ func deltaStep(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, part
 	}
 
 	if parts <= 1 {
-		return deltaShared(pool, tmp, full, algo, arity, estDistinct, outName)
+		return deltaShared(pool, tmp, full, algo, arity, estDistinct, outName, res)
 	}
 
 	secParts := storage.NormalizePartitions(sec.Parts)
@@ -104,10 +120,12 @@ func deltaStep(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, part
 	batch := pool.batch && arity <= 4
 	pool.RunPartitions(parts, func(p int) {
 		defer pool.phase(obs.PhaseDelta, p)()
+		if res == nil && tv.Rows(p) > 0 {
+			// Either transient flavour reads all of R's partition.
+			pool.Copy.SetDiffRowsScanned.Add(int64(rv.Rows(p)))
+		}
 		if batch {
-			// Batch route: kernel-at-a-time pass with a pass-private magazine
-			// lifecycle and bulk ∆R emission.
-			lc, done := pool.passAlloc()
+			// Batch route: kernel-at-a-time pass with bulk ∆R emission.
 			emitBulk := col.sinkPartBulk(p, p)
 			if pool.om != nil {
 				// Count accepted ∆ rows for the per-partition skew histogram.
@@ -130,6 +148,13 @@ func deltaStep(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, part
 				}
 				defer func() { secOut[p] = w.out }()
 			}
+			if res != nil {
+				res.passPartition(pool, p, tv.Blocks(p), tv.Rows(p), rv, estPart, emitBulk)
+				return
+			}
+			// Transient tables live and die inside this pass, on this worker:
+			// a pass-private magazine lifecycle serves them.
+			lc, done := pool.passAlloc()
 			deltaPartitionBatch(pool, lc, tv.Blocks(p), rv.Blocks(p), tv.Rows(p), rv.Rows(p),
 				algo, arity, estPart, emitBulk)
 			done()
@@ -188,28 +213,34 @@ func deltaStep(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, part
 // dedup-table-doubles-as-anti-probe semantics over one shared latch-free
 // table, block-parallel on the pool. Partitioning off must not also mean
 // parallelism off — the staged pipeline this replaces ran its dedup and
-// anti-probe concurrently, so the fused fallback does too.
-func deltaShared(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, arity, estDistinct int, outName string) *storage.Relation {
+// anti-probe concurrently, so the fused fallback does too. Arenas are per
+// worker, not per block task: seeding from a fragmented R would otherwise
+// claim one slab chunk per small block.
+func deltaShared(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, arity, estDistinct int, outName string, res *ResidentIndex) *storage.Relation {
 	defer pool.phase(obs.PhaseDelta, -1)()
 	if pool.batch && arity <= 4 {
-		return deltaSharedBatch(pool, tmp, full, algo, arity, estDistinct, outName)
+		return deltaSharedBatch(pool, tmp, full, algo, arity, estDistinct, outName, res)
 	}
 	tmpBlocks := tmp.Blocks()
 	tmpRows, rRows := tmp.NumTuples(), full.NumTuples()
+	if tmpRows > 0 {
+		pool.Copy.SetDiffRowsScanned.Add(int64(rRows))
+	}
+	arenas := make([]setArena, pool.Workers())
 
 	// dedupEmit inserts every tmp tuple into set concurrently, emitting
 	// fresh inserts — pure dedup when set starts empty, dedup + anti-probe
 	// when it was seeded with R.
 	dedupEmit := func(set *tupleSet) *storage.Relation {
 		col := newCollector(pool, storage.CatDelta, arity, len(tmpBlocks))
-		pool.Run(len(tmpBlocks), func(task int) {
+		pool.runTasksPerWorker(len(tmpBlocks), func(w, task int) {
 			b := tmpBlocks[task]
 			emit := col.sink(task)
-			var ar setArena
+			ar := &arenas[w]
 			n := b.Rows()
 			for i := 0; i < n; i++ {
 				row := b.Row(i)
-				if set.insert(row, &ar) {
+				if set.insert(row, ar) {
 					emit(row)
 				}
 			}
@@ -232,14 +263,14 @@ func deltaShared(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, ar
 		// anti-probe the candidates.
 		dset := newTupleSet(pool.alloc, arity, min(tmpRows, estDistinct))
 		candCol := newCollector(pool, storage.CatIntermediate, arity, len(tmpBlocks))
-		pool.Run(len(tmpBlocks), func(task int) {
+		pool.runTasksPerWorker(len(tmpBlocks), func(w, task int) {
 			b := tmpBlocks[task]
 			emit := candCol.sink(task)
-			var ar setArena
+			ar := &arenas[w]
 			n := b.Rows()
 			for i := 0; i < n; i++ {
 				row := b.Row(i)
-				if dset.insert(row, &ar) {
+				if dset.insert(row, ar) {
 					emit(row)
 				}
 			}
@@ -247,14 +278,14 @@ func deltaShared(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, ar
 		cand := candCol.into(outName, tmp.ColNames())
 		inter := newTupleSet(pool.alloc, arity, min(cand.NumTuples(), rRows))
 		rBlocks := full.Blocks()
-		pool.Run(len(rBlocks), func(task int) {
+		pool.runTasksPerWorker(len(rBlocks), func(w, task int) {
 			b := rBlocks[task]
-			var ar setArena
+			ar := &arenas[w]
 			n := b.Rows()
 			for i := 0; i < n; i++ {
 				row := b.Row(i)
-				if dset.contains(row, &ar) {
-					inter.insert(row, &ar)
+				if dset.contains(row, ar) {
+					inter.insert(row, ar)
 				}
 			}
 		})
@@ -269,12 +300,12 @@ func deltaShared(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, ar
 		// insert-if-absent per Rt tuple answers dedup and diff at once.
 		set := newTupleSet(pool.alloc, arity, rRows+estDistinct)
 		rBlocks := full.Blocks()
-		pool.Run(len(rBlocks), func(task int) {
+		pool.runTasksPerWorker(len(rBlocks), func(w, task int) {
 			b := rBlocks[task]
-			var ar setArena
+			ar := &arenas[w]
 			n := b.Rows()
 			for i := 0; i < n; i++ {
-				set.insert(b.Row(i), &ar)
+				set.insert(b.Row(i), ar)
 			}
 		})
 		out := dedupEmit(set)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strconv"
 
 	"recstep/internal/obs"
 	"recstep/internal/quickstep/expr"
@@ -27,10 +28,17 @@ type JoinSpec struct {
 	// shared table — the ablation that reproduces the paper's contention on
 	// QuickStep's global join hash table.
 	BuildSerial bool
-	Residual    []expr.Cmp
-	Projs       []expr.Expr
-	OutName     string
-	OutCols     []string
+	// CacheBuild keeps the build table alive on the build relation, and
+	// reuses the one already there: set by the planner for a build side that
+	// does not change between the iterations of a fixpoint (a base relation,
+	// a lower stratum), once rebuilding or rescanning it every iteration has
+	// cost more than holding the table. A cached table fixes its own fan-out;
+	// Partitions then applies only to the build that populates the cache.
+	CacheBuild bool
+	Residual   []expr.Cmp
+	Projs      []expr.Expr
+	OutName    string
+	OutCols    []string
 	// OutPartitioning, when set, makes the probe phase emit its output rows
 	// scattered directly into radix partitions of the *output* layout — the
 	// fused scatter. The result relation carries the partitioning, so the
@@ -200,6 +208,63 @@ type joinTable struct {
 	parts  int
 	single *buildTable   // parts == 1
 	tables []*buildTable // parts > 1, indexed by partition
+	rows   int
+}
+
+// buildTableBytesPerRow is the resident cost of one build row in a Go-map
+// build table, for headroom decisions: the map slot (key, slice header,
+// overhead) plus the locator list's backing array — about six times the
+// 8 bytes of the binary tuple it indexes.
+const buildTableBytesPerRow = 48
+
+// Release implements storage.Attachment. A join table is plain heap data
+// (maps over locators into the relation's own blocks); the collector
+// reclaims it.
+func (jt *joinTable) Release() {}
+
+// Bytes implements storage.Attachment with an estimate (see
+// buildTableBytesPerRow); the maps are not pool-accounted.
+func (jt *joinTable) Bytes() int64 { return BuildTableBytes(jt.rows) }
+
+// BuildTableBytes estimates the resident footprint of a cached build table
+// over rows build rows.
+func BuildTableBytes(rows int) int64 { return int64(rows) * buildTableBytesPerRow }
+
+// BuildCacheKey names, among a relation's attachments and rescan tallies,
+// the build table keyed on the given columns. It runs once or twice per join
+// per iteration, on the path where nothing else is left to pay: no fmt.
+func BuildCacheKey(keys []int) string {
+	b := append(make([]byte, 0, 16), "build"...)
+	for _, k := range keys {
+		b = strconv.AppendInt(append(b, ':'), int64(k), 10)
+	}
+	return string(b)
+}
+
+// HasCachedBuild reports whether r holds a current cached build table keyed
+// on keys — a build side whose cost is zero.
+func HasCachedBuild(r *storage.Relation, keys []int) bool {
+	_, ok := r.Attachment(BuildCacheKey(keys))
+	return ok
+}
+
+// joinBuild returns the join's build table: the cached one when the spec
+// allows caching and the build relation still holds a current one, a fresh
+// build (attached for the next join when caching) otherwise. The table
+// addresses rows by block position, so the attachment is layout-bound.
+func joinBuild(pool *Pool, build *storage.Relation, keys []int, spec JoinSpec) *joinTable {
+	if !spec.CacheBuild {
+		return buildJoinTable(pool, build, keys, spec.Partitions, spec.BuildSerial)
+	}
+	key := BuildCacheKey(keys)
+	if a, ok := build.Attachment(key); ok {
+		pool.Copy.CachedBuildHits.Add(1)
+		return a.(*joinTable)
+	}
+	v := build.Version() // before the build snapshots the blocks
+	jt := buildJoinTable(pool, build, keys, spec.Partitions, spec.BuildSerial)
+	build.Attach(key, jt, v, true)
+	return jt
 }
 
 // buildJoinTable constructs the build side of a join. With parts > 1 and not
@@ -216,7 +281,7 @@ func buildJoinTable(pool *Pool, r *storage.Relation, keys []int, parts int, seri
 	parts = storage.NormalizePartitions(parts)
 	if serial || parts <= 1 {
 		defer pool.phase(obs.PhaseBuild, -1)()
-		return &joinTable{parts: 1, single: buildHash(r, keys)}
+		return &joinTable{parts: 1, single: buildHash(r, keys), rows: r.NumTuples()}
 	}
 	view, scattered := partitionRelation(pool, r, keys, parts, false)
 	if scattered {
@@ -225,7 +290,7 @@ func buildJoinTable(pool *Pool, r *storage.Relation, keys []int, parts int, seri
 		pool.Copy.BuildScattersAvoided.Add(1)
 	}
 	pool.Copy.NoteBuild(r.Name(), keys, scattered)
-	jt := &joinTable{parts: parts, tables: make([]*buildTable, parts)}
+	jt := &joinTable{parts: parts, tables: make([]*buildTable, parts), rows: view.NumTuples()}
 	arity := r.Arity()
 	pool.RunPartitions(parts, func(p int) {
 		defer pool.phase(obs.PhaseBuild, p)()
@@ -267,10 +332,11 @@ func HashJoin(pool *Pool, left, right *storage.Relation, spec JoinSpec) *storage
 		build, probe = right, left
 		buildKeys, probeKeys = spec.RightKeys, spec.LeftKeys
 	}
-	jt := buildJoinTable(pool, build, buildKeys, spec.Partitions, spec.BuildSerial)
+	jt := joinBuild(pool, build, buildKeys, spec)
 
 	idx, plainCols := colIndexes(spec.Projs)
 	blocks := probe.Blocks()
+	pool.Copy.JoinProbeRows.Add(int64(probe.NumTuples()))
 	col := outCollector(pool, spec.OutPartitioning, len(spec.Projs), len(blocks))
 	batchProbe := pool.batch && len(probeKeys) <= 4
 	endProbe := pool.phase(obs.PhaseProbe, -1)

@@ -21,11 +21,14 @@ import (
 	"recstep/internal/quickstep/storage"
 )
 
-// CopyCounters is the copy-accounting instrumentation of the partition-native
-// pipeline: it tracks how tuples move between operators so the fused-scatter
-// refactor's win (fewer materializations per fixpoint iteration) is directly
-// measurable. One instance lives on each Pool; operators update it with
-// per-operator totals (never per-tuple atomics).
+// CopyCounters is the copy- and rescan-accounting instrumentation of the
+// partition-native pipeline: it tracks how tuples move between operators so
+// the fused-scatter refactor's win (fewer materializations per fixpoint
+// iteration) is directly measurable, and how many rows operators re-read
+// that a resident structure would have spared them — the counts that make
+// "one iteration costs O(|∆|)" checkable without a clock. One instance lives
+// on each Pool; operators update it with per-operator totals (never
+// per-tuple atomics).
 // The fields are obs.Counter (which embeds atomic.Int64, so update sites
 // are unchanged) and can be registered on a metrics registry via Register,
 // making the same atomics scrapeable mid-fixpoint.
@@ -55,6 +58,21 @@ type CopyCounters struct {
 	// conflicting-keyset predicate pays so both of its join shapes build
 	// scatter-free.
 	SecondaryScattered obs.Counter
+	// SetDiffRowsScanned counts rows of the full relation R that set
+	// difference read or re-inserted: |R| per transient OPSD/TPSD pass and
+	// per (re-)seed of a resident index, zero for a pass served by one.
+	SetDiffRowsScanned obs.Counter
+	// JoinProbeRows counts probe-side rows hash joins scanned.
+	JoinProbeRows obs.Counter
+	// ResidentIndexHits counts fused delta passes served by a resident
+	// set-difference index; ResidentIndexReseeds counts passes that had to
+	// seed one from R first (no index yet, or a mutation, fan-out or keyset
+	// shift dropped it).
+	ResidentIndexHits    obs.Counter
+	ResidentIndexReseeds obs.Counter
+	// CachedBuildHits counts hash joins served by a build table cached on an
+	// iteration-invariant relation.
+	CachedBuildHits obs.Counter
 
 	// buildDetail breaks the build counters down by (relation, keyset) so
 	// the copy-accounting experiments can show exactly which predicate and
@@ -100,6 +118,10 @@ type CopySnapshot struct {
 	Scattered, Adopted, FlatMats        int64
 	BuildScatters, BuildScattersAvoided int64
 	SecondaryScattered                  int64
+	SetDiffRowsScanned, JoinProbeRows   int64
+	ResidentIndexHits                   int64
+	ResidentIndexReseeds                int64
+	CachedBuildHits                     int64
 	// BuildDetail maps BuildKey(relation, keyset) to that pair's build
 	// tallies.
 	BuildDetail map[string]BuildCount
@@ -114,6 +136,11 @@ func (c *CopyCounters) Snapshot() CopySnapshot {
 		BuildScatters:        c.BuildScatters.Load(),
 		BuildScattersAvoided: c.BuildScattersAvoided.Load(),
 		SecondaryScattered:   c.SecondaryScattered.Load(),
+		SetDiffRowsScanned:   c.SetDiffRowsScanned.Load(),
+		JoinProbeRows:        c.JoinProbeRows.Load(),
+		ResidentIndexHits:    c.ResidentIndexHits.Load(),
+		ResidentIndexReseeds: c.ResidentIndexReseeds.Load(),
+		CachedBuildHits:      c.CachedBuildHits.Load(),
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -136,6 +163,11 @@ func (s CopySnapshot) Sub(o CopySnapshot) CopySnapshot {
 		BuildScatters:        s.BuildScatters - o.BuildScatters,
 		BuildScattersAvoided: s.BuildScattersAvoided - o.BuildScattersAvoided,
 		SecondaryScattered:   s.SecondaryScattered - o.SecondaryScattered,
+		SetDiffRowsScanned:   s.SetDiffRowsScanned - o.SetDiffRowsScanned,
+		JoinProbeRows:        s.JoinProbeRows - o.JoinProbeRows,
+		ResidentIndexHits:    s.ResidentIndexHits - o.ResidentIndexHits,
+		ResidentIndexReseeds: s.ResidentIndexReseeds - o.ResidentIndexReseeds,
+		CachedBuildHits:      s.CachedBuildHits - o.CachedBuildHits,
 	}
 	for k, v := range s.BuildDetail {
 		v.Scatters -= o.BuildDetail[k].Scatters
@@ -168,6 +200,16 @@ func (c *CopyCounters) Register(reg *obs.Registry) {
 		"Hash-join builds served in place from a carried or cached partitioned view.", &c.BuildScattersAvoided)
 	reg.RegisterCounter("recstep_secondary_tuples_scattered_total",
 		"Tuples copied into secondary carried views for conflicting-keyset predicates.", &c.SecondaryScattered)
+	reg.RegisterCounter("recstep_setdiff_rows_scanned_total",
+		"Rows of full relations read or re-inserted by set difference (0 for passes served by a resident index).", &c.SetDiffRowsScanned)
+	reg.RegisterCounter("recstep_join_probe_rows_total",
+		"Probe-side rows scanned by hash joins.", &c.JoinProbeRows)
+	reg.RegisterCounter("recstep_resident_index_hits_total",
+		"Fused delta passes served by a resident set-difference index.", &c.ResidentIndexHits)
+	reg.RegisterCounter("recstep_resident_index_reseeds_total",
+		"Fused delta passes that seeded a resident set-difference index from R first.", &c.ResidentIndexReseeds)
+	reg.RegisterCounter("recstep_cached_build_hits_total",
+		"Hash joins served by a build table cached on an iteration-invariant relation.", &c.CachedBuildHits)
 	reg.RegisterSampleFunc("recstep_join_builds_total",
 		"Partitioned hash builds by (relation,keyset) build key and kind (scatter vs in_place).",
 		"counter", func() []obs.Sample {
@@ -603,6 +645,28 @@ func (p *Pool) RunPartitions(parts int, fn func(part int)) {
 	wg.Wait()
 }
 
+// runTasksPerWorker executes fn(worker, task) for every task in
+// [0, numTasks), tasks claimed from a shared counter by at most Workers()
+// goroutines. worker identifies the claiming goroutine's slot in
+// [0, Workers()), so an operator keeps one arena, scratch buffer or output
+// sink per worker instead of one per task.
+func (p *Pool) runTasksPerWorker(numTasks int, fn func(worker, task int)) {
+	if numTasks <= 0 {
+		return
+	}
+	var next atomic.Int64
+	p.RunWorkers(numTasks, func(worker, _ int) {
+		for {
+			t := int(next.Add(1)) - 1
+			if t >= numTasks || p.Aborted() {
+				return
+			}
+			p.checkInject()
+			fn(worker, t)
+		}
+	})
+}
+
 // RunWorkers executes fn(worker) once per worker slot (exactly n goroutines,
 // n = min(Workers, maxWorkers)). Operators that maintain per-worker state
 // (arenas, output buffers) and do their own work distribution use this form.
@@ -759,17 +823,12 @@ func scatterRun(pool *Pool, col *collector, blocks []*storage.Block, fn func(b *
 		pool.Run(len(blocks), func(task int) { fn(blocks[task], col.sink(task)) })
 		return
 	}
-	var next atomic.Int64
-	pool.RunWorkers(len(blocks), func(worker, _ int) {
-		emit := col.sink(worker)
-		for {
-			t := int(next.Add(1)) - 1
-			if t >= len(blocks) || pool.Aborted() {
-				return
-			}
-			pool.checkInject()
-			fn(blocks[t], emit)
+	emits := make([]func(row []int32), pool.Workers())
+	pool.runTasksPerWorker(len(blocks), func(worker, t int) {
+		if emits[worker] == nil {
+			emits[worker] = col.sink(worker)
 		}
+		fn(blocks[t], emits[worker])
 	})
 }
 

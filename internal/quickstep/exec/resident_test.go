@@ -1,0 +1,272 @@
+package exec
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"recstep/internal/quickstep/expr"
+	"recstep/internal/quickstep/memory"
+	"recstep/internal/quickstep/storage"
+)
+
+const testIndexKey = "setdiff"
+
+// poolOn returns a pool allocating through a fresh memory manager, so tests
+// can assert that everything a pass allocated came back.
+func poolOn(workers int) (*Pool, *memory.Manager) {
+	m := memory.NewManager(memory.Config{})
+	p := NewPool(workers)
+	p.SetAlloc(m)
+	return p, m
+}
+
+// randomTmp draws a duplicate-heavy join output over a domain wide enough
+// that part of it is new to a relation drawn from the same domain.
+func randomTmp(rng *rand.Rand, arity, n, domain int) *storage.Relation {
+	tmp := storage.NewRelation("tmp", storage.NumberedColumns(arity))
+	rows := make([]int32, 0, arity*n)
+	for i := 0; i < n; i++ {
+		for c := 0; c < arity; c++ {
+			rows = append(rows, int32(rng.Intn(domain)))
+		}
+		if rng.Intn(4) == 0 && i > 0 {
+			rows = append(rows, rows[len(rows)-arity:]...)
+			i++
+		}
+	}
+	tmp.AppendRows(rows)
+	return tmp
+}
+
+// A fixpoint-shaped sequence of passes — R ← R ⊎ ∆R after each — must give
+// the same ∆R whether each pass builds transient tables (either flavour) or
+// runs against one resident index that is seeded once and then only extended;
+// the index must follow R exactly, and release everything it allocated.
+func TestResidentDeltaStepMatchesTransient(t *testing.T) {
+	for _, tc := range []struct {
+		arity, workers, parts int
+		sec                   []int
+	}{
+		{2, 1, 1, nil}, {2, 4, 1, nil}, {2, 4, 16, nil}, {2, 4, 16, []int{1}},
+		{3, 4, 1, nil}, {4, 4, 64, nil}, {1, 2, 16, nil},
+	} {
+		t.Run(fmt.Sprintf("arity%d-w%d-parts%d-sec%v", tc.arity, tc.workers, tc.parts, tc.sec), func(t *testing.T) {
+			pool, mem := poolOn(tc.workers)
+			rng := rand.New(rand.NewSource(int64(31*tc.arity + tc.parts)))
+			part := storage.Partitioning{KeyCols: []int{0}, Parts: tc.parts}
+			sec := storage.Partitioning{KeyCols: tc.sec, Parts: tc.parts}
+			newR := func(name string) *storage.Relation {
+				r := storage.NewRelation(name, storage.NumberedColumns(tc.arity))
+				r.SetLifecycle(mem, storage.CatIDB)
+				return r
+			}
+			resident, transient := newR("resident"), newR("transient")
+			var idx *ResidentIndex
+			for iter := 0; iter < 12; iter++ {
+				// A growing domain keeps producing new tuples; the middle
+				// passes are small, like iterations near convergence.
+				n := 3000
+				if iter%3 == 1 {
+					n = 40
+				}
+				tmp := randomTmp(rng, tc.arity, n, 20+6*iter)
+				algo := []DiffAlgorithm{OPSD, TPSD}[iter%2]
+				want := DeltaStepDual(pool, tmp, transient, algo, part, sec, tmp.NumTuples(), "delta")
+				transient.AppendRelation(want)
+
+				var got *storage.Relation
+				var v storage.Version
+				got, idx, v = DeltaStepResident(pool, tmp, resident, idx, part, sec, tmp.NumTuples(), "delta")
+				if !reflect.DeepEqual(got.SortedRows(), want.SortedRows()) {
+					t.Fatalf("iter %d: resident ∆R (%d rows) diverges from transient %s (%d rows)",
+						iter, got.NumTuples(), algo, want.NumTuples())
+				}
+				if gp, _ := got.Partitioning(); tc.parts > 1 && !gp.Equal(part) {
+					t.Fatalf("iter %d: resident ∆R carries %v, want %v", iter, gp, part)
+				}
+				if _, ok := got.SecondaryPartitioning(); ok != (tc.sec != nil) {
+					t.Fatalf("iter %d: secondary view present=%v, want %v", iter, ok, tc.sec != nil)
+				}
+				if !resident.AppendRelationAttaching(got, testIndexKey, idx, v) {
+					t.Fatalf("iter %d: index refused by an unchanged relation", iter)
+				}
+				a, ok := resident.TakeAttachment(testIndexKey)
+				if !ok || a != storage.Attachment(idx) {
+					t.Fatalf("iter %d: index not attached after the merge", iter)
+				}
+				if n := idx.len(); n != resident.NumTuples() {
+					t.Fatalf("iter %d: index holds %d keys, R holds %d tuples", iter, n, resident.NumTuples())
+				}
+				want.Release()
+				got.Release()
+				tmp.Release()
+			}
+			snap := pool.Copy.Snapshot()
+			if snap.ResidentIndexReseeds != 1 || snap.ResidentIndexHits != 11 {
+				t.Fatalf("reseeds=%d hits=%d, want 1 and 11", snap.ResidentIndexReseeds, snap.ResidentIndexHits)
+			}
+			if idx.Bytes() <= 0 || idx.Bytes() != mem.Snapshot().IndexBytes {
+				t.Fatalf("index reports %d bytes, manager accounts %d under CatIndex", idx.Bytes(), mem.Snapshot().IndexBytes)
+			}
+			idx.Release()
+			resident.Release()
+			transient.Release()
+			if live := mem.Snapshot().LiveTotal; live != 0 {
+				t.Fatalf("%d pool bytes live after releasing everything", live)
+			}
+		})
+	}
+}
+
+// len is the number of keys across the index's tables.
+func (x *ResidentIndex) len() int {
+	n := 0
+	for _, s := range x.sets {
+		switch {
+		case s == nil:
+		case s.t64 != nil:
+			n += s.t64.Len()
+		default:
+			n += s.t128.Len()
+		}
+	}
+	return n
+}
+
+// An index built for another fan-out or keyset is replaced, not reused, and
+// what it held is returned to the pool.
+func TestResidentIndexReseedsOnPartitioningShift(t *testing.T) {
+	pool, mem := poolOn(2)
+	rng := rand.New(rand.NewSource(5))
+	full := storage.NewRelation("r", storage.NumberedColumns(2))
+	full.SetLifecycle(mem, storage.CatIDB)
+	var idx *ResidentIndex
+	step := func(part storage.Partitioning) {
+		tmp := randomTmp(rng, 2, 2000, 80)
+		delta, x, v := DeltaStepResident(pool, tmp, full, idx, part, storage.Partitioning{}, 2000, "d")
+		idx = x
+		full.AppendRelationAttaching(delta, testIndexKey, idx, v)
+		full.TakeAttachment(testIndexKey)
+		delta.Release()
+		tmp.Release()
+	}
+	shapes := []storage.Partitioning{
+		{Parts: 1}, {Parts: 1, KeyCols: []int{1}}, // fan-out ≤ 1 ignores the keyset
+		{Parts: 16}, {Parts: 16, KeyCols: []int{0, 1}}, // the whole tuple, spelled out
+		{Parts: 16, KeyCols: []int{1}}, {Parts: 64, KeyCols: []int{1}},
+	}
+	wantReseeds := []int64{1, 1, 2, 2, 3, 4}
+	for i, part := range shapes {
+		step(part)
+		if got := pool.Copy.ResidentIndexReseeds.Load(); got != wantReseeds[i] {
+			t.Fatalf("after pass %d (%v): %d reseeds, want %d", i, part, got, wantReseeds[i])
+		}
+		if idx.len() != full.NumTuples() {
+			t.Fatalf("after pass %d: index holds %d keys, R %d tuples", i, idx.len(), full.NumTuples())
+		}
+	}
+	idx.Release()
+	full.Release()
+	if live := mem.Snapshot().LiveTotal; live != 0 {
+		t.Fatalf("%d pool bytes live after releasing everything", live)
+	}
+}
+
+// Seeding the shared table from a fragmented R — hundreds of blocks of a few
+// rows, what a long fixpoint's R looks like before coalescing — must claim
+// node slabs per worker, not per block.
+func TestSharedSeedClaimsSlabsPerWorker(t *testing.T) {
+	const blocks, workers = 600, 2
+	for _, batch := range []bool{true, false} {
+		pool, mem := poolOn(workers)
+		pool.SetBatch(batch)
+		full := storage.NewRelation("r", storage.NumberedColumns(2))
+		for i := 0; i < blocks; i++ {
+			b := storage.NewBlock(2)
+			for j := 0; j < 8; j++ {
+				b.Append([]int32{int32(i), int32(j)})
+			}
+			full.AdoptBlock(b)
+		}
+		tmp := storage.NewRelation("tmp", storage.NumberedColumns(2))
+		tmp.AppendRows([]int32{0, 0, -1, -1})
+		delta := DeltaStep(pool, tmp, full, OPSD, wtp(1), 2, "delta")
+		if delta.NumTuples() != 1 {
+			t.Fatalf("batch=%v: delta has %d tuples, want 1", batch, delta.NumTuples())
+		}
+		// 4800 keys fit five 16 KiB slab chunks; one chunk per block would be
+		// 600 of them (9.8 MB).
+		if peak := mem.Snapshot().PeakLive; peak > 1<<20 {
+			t.Fatalf("batch=%v: seeding %d small blocks peaked at %d pool bytes", batch, blocks, peak)
+		}
+	}
+}
+
+// A join told to cache its build keeps the table on the build relation and
+// the next join probes it without rebuilding; a mutation of the relation or a
+// rewrite of its blocks drops it.
+func TestJoinCachedBuild(t *testing.T) {
+	pool := NewPool(2)
+	arc := storage.NewRelation("arc", storage.NumberedColumns(2))
+	for i := 0; i < 40; i++ {
+		rows := make([]int32, 0, 16)
+		for j := 0; j < 8; j++ {
+			rows = append(rows, int32(8*i+j), int32(8*i+j+1))
+		}
+		arc.AdoptBlock(storage.BlockFromRows(2, rows))
+	}
+	delta := storage.NewRelation("d", storage.NumberedColumns(2))
+	delta.AppendRows([]int32{100, 7, 100, 300, 100, 999})
+	spec := JoinSpec{
+		LeftKeys: []int{1}, RightKeys: []int{0},
+		Projs:   []expr.Expr{expr.Col{Index: 0}, expr.Col{Index: 3}},
+		OutName: "j",
+	}
+	want := HashJoin(pool, delta, arc, spec).SortedRows()
+	if len(want) != 4 {
+		t.Fatalf("reference join has %d rows, want 2", len(want)/2)
+	}
+	join := func() {
+		t.Helper()
+		cached := spec
+		cached.CacheBuild = true
+		if got := HashJoin(pool, delta, arc, cached).SortedRows(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cached-build join = %v, want %v", got, want)
+		}
+	}
+	hits := func() int64 { return pool.Copy.CachedBuildHits.Load() }
+
+	join()
+	if !HasCachedBuild(arc, []int{0}) || hits() != 0 {
+		t.Fatalf("first join: cached=%v hits=%d, want a fresh table kept", HasCachedBuild(arc, []int{0}), hits())
+	}
+	join()
+	if hits() != 1 {
+		t.Fatalf("second join: %d cache hits, want 1", hits())
+	}
+	if HasCachedBuild(arc, []int{1}) {
+		t.Fatal("a table keyed on column 0 serves a join keyed on column 1")
+	}
+
+	arc.CoalescePartitions() // 40 blocks of 8 rows: rewritten
+	if HasCachedBuild(arc, []int{0}) {
+		t.Fatal("build table survived a rewrite of the blocks it addresses")
+	}
+	join()
+	join()
+	if hits() != 2 {
+		t.Fatalf("after the rewrite: %d cache hits, want 2 (rebuild, then hit)", hits())
+	}
+
+	arc.Append([]int32{7, 555})
+	if HasCachedBuild(arc, []int{0}) {
+		t.Fatal("build table survived an append to its relation")
+	}
+	want = HashJoin(pool, delta, arc, spec).SortedRows()
+	join()
+	if len(want) != 6 {
+		t.Fatalf("join after the append has %d rows, want 3", len(want)/2)
+	}
+}

@@ -88,9 +88,12 @@ type Manager struct {
 	spills         obs.Counter
 	faults         obs.Counter
 	secondaryDrops obs.Counter
-	spilledBytes   obs.Counter
-	spilledNow     obs.Gauge
-	fileSeq        atomic.Int64
+	// attachmentDrops counts relations whose attachments (resident indexes,
+	// cached join builds) were shed under budget pressure.
+	attachmentDrops obs.Counter
+	spilledBytes    obs.Counter
+	spilledNow      obs.Gauge
+	fileSeq         atomic.Int64
 
 	// obsExec/obsTracer/obsStep feed spill/fault phase attribution; all nil
 	// when observability is off.
@@ -262,6 +265,7 @@ func (m *Manager) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("recstep_mem_spills_total", "Cold partitions spilled to disk under budget pressure.", &m.spills)
 	reg.RegisterCounter("recstep_mem_faults_total", "Spilled partitions faulted back in on demand.", &m.faults)
 	reg.RegisterCounter("recstep_mem_secondary_drops_total", "Secondary carried views dropped under budget pressure.", &m.secondaryDrops)
+	reg.RegisterCounter("recstep_mem_attachment_drops_total", "Relations whose resident indexes and cached join builds were shed under budget pressure.", &m.attachmentDrops)
 	reg.RegisterCounter("recstep_mem_spilled_bytes_total", "Cumulative bytes written to spill files.", &m.spilledBytes)
 	reg.RegisterGauge("recstep_mem_spilled_now_bytes", "Bytes currently held in spill files on disk.", &m.spilledNow)
 	reg.RegisterCounter("recstep_mem_spill_retries_total", "Retried spill-write and fault-read I/O attempts (transient failures, backed off exponentially).", &m.spillRetries)
@@ -429,6 +433,10 @@ func (m *Manager) OverBudget() bool {
 // pressure — the eviction that must precede any primary-partition spill.
 func (m *Manager) NoteSecondaryDrop() { m.secondaryDrops.Add(1) }
 
+// NoteAttachmentDrop records one relation's attachments shed under budget
+// pressure — the eviction that precedes even the secondary views.
+func (m *Manager) NoteAttachmentDrop() { m.attachmentDrops.Add(1) }
+
 // StopSpilling permanently disables eviction — the engine calls it when the
 // fixpoint is done, before restoring result relations: without it, faulting
 // one result back in could push the budget over and re-evict another result
@@ -460,16 +468,31 @@ func (m *Manager) reclaimTo(target int64) {
 	if m.sealed.Load() {
 		return
 	}
-	// Eviction order: secondary carried views go first. They are pure
-	// redundancy — a second scatter copy of data the primary layout already
-	// holds — so they are retired (recycled at the next quiescent epoch,
-	// since an in-flight operator may still scan them) before any primary
-	// partition pays a disk write. Dropping also keeps the dual-route
-	// pipeline from rebuilding them while pressure lasts: a relation whose
-	// secondary is gone ignores incoming ∆R secondaries on merge.
+	// Eviction order: what can be rebuilt goes before what must be written,
+	// and each stage runs only if the one before left the target unmet.
+	// First the attachments (resident set-difference indexes): derived from
+	// the relation's own contents, three or more times its bytes, freed on
+	// the spot — nothing holds an attached index — and their absence only
+	// restores the transient per-iteration tables; the engine seeds an index
+	// again only with headroom for it. Then the secondary carried views — a
+	// second scatter copy of data the primary layout already holds — which
+	// are retired (recycled at the next quiescent epoch, since an in-flight
+	// operator may still scan them), so the headroom this allocation needs
+	// still has to come from the third stage, cold primary partitions paying
+	// a disk write; but the copy is gone from the working set one epoch
+	// later, and a relation whose secondary is gone ignores incoming ∆R
+	// secondaries on merge, so it is not rebuilt while pressure lasts.
 	m.regMu.Lock()
 	spillables := append([]*storage.Relation(nil), m.spillables...)
 	m.regMu.Unlock()
+	for _, r := range spillables {
+		if r.TryDropAttachments() > 0 {
+			m.attachmentDrops.Add(1)
+		}
+	}
+	if m.liveTotal.Load() <= target {
+		return
+	}
 	for _, r := range spillables {
 		if r.TryDropSecondaryView() {
 			m.secondaryDrops.Add(1)
@@ -655,7 +678,13 @@ type Snapshot struct {
 	SpilledBytes, SpilledNowBytes int64
 	// SecondaryDrops counts secondary carried views dropped under budget
 	// pressure — the eviction step that runs before any partition spills.
-	SecondaryDrops int64
+	// AttachmentDrops counts the step before that: relations whose resident
+	// indexes and cached join builds were shed.
+	SecondaryDrops  int64
+	AttachmentDrops int64
+	// IndexBytes is the live pool bytes held by resident set-difference
+	// indexes (LiveBytes[storage.CatIndex]).
+	IndexBytes int64
 	// SpillRetries counts retried spill-write/fault-read I/O attempts;
 	// SpillsParked reports in-memory degraded mode after a persistent
 	// spill-write failure.
@@ -681,6 +710,7 @@ func (m *Manager) Snapshot() Snapshot {
 		Spills:          m.spills.Load(),
 		Faults:          m.faults.Load(),
 		SecondaryDrops:  m.secondaryDrops.Load(),
+		AttachmentDrops: m.attachmentDrops.Load(),
 		SpillRetries:    m.spillRetries.Load(),
 		SpillsParked:    m.parked.Load(),
 		SpilledBytes:    m.spilledBytes.Load(),
@@ -690,6 +720,7 @@ func (m *Manager) Snapshot() Snapshot {
 	for c := range s.LiveBytes {
 		s.LiveBytes[c] = m.live[c].Load()
 	}
+	s.IndexBytes = s.LiveBytes[storage.CatIndex]
 	return s
 }
 
@@ -707,6 +738,7 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 	d.Spills -= o.Spills
 	d.Faults -= o.Faults
 	d.SecondaryDrops -= o.SecondaryDrops
+	d.AttachmentDrops -= o.AttachmentDrops
 	d.SpillRetries -= o.SpillRetries
 	d.SpilledBytes -= o.SpilledBytes
 	return d

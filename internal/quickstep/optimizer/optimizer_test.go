@@ -274,3 +274,27 @@ func TestUseBatchKernels(t *testing.T) {
 		}
 	}
 }
+
+// The keep-it-resident rule is ski rental in row reads: pay per use until
+// the payments reach ResidentAmortise times the rows the structure holds.
+func TestRepaysResident(t *testing.T) {
+	for _, tc := range []struct {
+		rescanned int64
+		rows      int
+		want      bool
+	}{
+		{0, 0, false},
+		{ResidentAmortise - 1, 0, false}, // an empty relation prices like one row
+		{ResidentAmortise, 0, true},
+		{ResidentAmortise*1000 - 1, 1000, false},
+		{ResidentAmortise * 1000, 1000, true},
+		// cc_rmat: 8 iterations re-read the 1.3 M-row arc 8 times — no.
+		{8 * 1310720, 1310720, false},
+		// csda_chain: iteration 33 has re-read the 7996-row arc 33 times — yes.
+		{33 * 7996, 7996, true},
+	} {
+		if got := RepaysResident(tc.rescanned, tc.rows); got != tc.want {
+			t.Errorf("RepaysResident(%d, %d) = %v, want %v", tc.rescanned, tc.rows, got, tc.want)
+		}
+	}
+}

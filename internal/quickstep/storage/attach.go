@@ -1,0 +1,205 @@
+package storage
+
+import "fmt"
+
+// Attachments. In one process a relation can keep alive the structures a
+// client/server engine rebuilds per query: the set-difference index over a
+// full relation R (a GSCHT tuple set that R ⊎ ∆R extends instead of
+// re-seeding) and hash-join build tables over relations that do not change
+// while a stratum's fixpoint runs. Both are derived data, so the relation
+// guards them with the version they were derived from and never serves a
+// stale one:
+//
+//   - Gen advances on every mutation of the contents or of the carried
+//     partitioning (append, delete, adopt, carried-view promotion). Every
+//     attachment dies with it — except through AppendRelationAttaching, where
+//     the caller certifies the structure already covers the appended rows.
+//   - Layout advances when blocks are rewritten or evicted without a logical
+//     change (coalescing, partition spill). Only layout-bound attachments —
+//     those that address rows by block position, like a join build table —
+//     die with it; a set of keys does not care where the rows live.
+//
+// Custody decides who may release. A structure that is only ever read —
+// concurrent joins probing one cached build table — is shared through
+// Attachment and must tolerate Release while readers still hold it (a heap
+// structure the collector reclaims qualifies). A structure that is mutated,
+// or whose memory goes back to a pool, is used through TakeAttachment only:
+// while attached nobody holds it, so the relation may release it at any
+// moment — when it goes stale, when the memory reclaimer wants its bytes
+// mid-query, when the relation itself is released.
+
+// Attachment is a derived structure a relation keeps alive between queries.
+type Attachment interface {
+	// Release frees the structure's memory. The relation calls it exactly
+	// once; a caller that took or was refused custody calls it itself.
+	Release()
+	// Bytes is the structure's resident footprint.
+	Bytes() int64
+}
+
+// Version identifies the relation state an attachment is derived from.
+type Version struct {
+	Gen, Layout uint64
+}
+
+type attachment struct {
+	a           Attachment
+	v           Version
+	layoutBound bool
+}
+
+// Version returns the relation's current version. Read it before deriving a
+// structure from a snapshot and hand it back to Attach, so a mutation that
+// interleaved with the build is detected.
+func (r *Relation) Version() Version {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return Version{Gen: r.gen, Layout: r.layout}
+}
+
+func (r *Relation) currentLocked(e attachment) bool {
+	return e.v.Gen == r.gen && (!e.layoutBound || e.v.Layout == r.layout)
+}
+
+// Attach keeps a alive on the relation under key, replacing (and releasing)
+// whatever was attached there. v is the version a was derived from;
+// layoutBound marks structures that address rows by block position. A stale
+// v is refused — false is returned and the caller keeps custody.
+func (r *Relation) Attach(key string, a Attachment, v Version, layoutBound bool) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e := attachment{a: a, v: v, layoutBound: layoutBound}
+	if !r.currentLocked(e) {
+		return false
+	}
+	r.attachLocked(key, e)
+	return true
+}
+
+func (r *Relation) attachLocked(key string, e attachment) {
+	if old, ok := r.atts[key]; ok && old.a != e.a {
+		old.a.Release()
+	}
+	if r.atts == nil {
+		r.atts = make(map[string]attachment)
+	}
+	r.atts[key] = e
+}
+
+// lookupLocked returns the current attachment under key; a stale one is
+// released on the way.
+func (r *Relation) lookupLocked(key string) (Attachment, bool) {
+	e, ok := r.atts[key]
+	if !ok {
+		return nil, false
+	}
+	if !r.currentLocked(e) {
+		delete(r.atts, key)
+		e.a.Release()
+		return nil, false
+	}
+	return e.a, true
+}
+
+// Attachment returns the structure attached under key if it still describes
+// the relation. The relation keeps custody: concurrent readers may share it.
+func (r *Relation) Attachment(key string) (Attachment, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.lookupLocked(key)
+}
+
+// TakeAttachment detaches and returns the structure under key if it still
+// describes the relation. Custody moves to the caller — the form for a
+// structure the caller is about to mutate: nothing (not even the memory
+// reclaimer) can reach it meanwhile. Hand it back with
+// AppendRelationAttaching, or Release it.
+func (r *Relation) TakeAttachment(key string) (Attachment, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	a, ok := r.lookupLocked(key)
+	if ok {
+		delete(r.atts, key)
+	}
+	return a, ok
+}
+
+// AppendRelationAttaching is AppendRelation for a caller that maintains an
+// attachment incrementally: a must describe exactly the relation's contents
+// at version v plus other's tuples (the resident set-difference index after
+// the pass that produced other = ∆R). If the relation is still at v, a is
+// attached under key at the post-append version and true is returned;
+// otherwise the append still happens, but a is refused and stays with the
+// caller.
+func (r *Relation) AppendRelationAttaching(other *Relation, key string, a Attachment, v Version) bool {
+	if other.Arity() != r.Arity() {
+		panic(fmt.Sprintf("storage: arity mismatch appending %q to %q", other.name, r.name))
+	}
+	blocks, view, secView := other.snapshot()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	unchanged := v.Gen == r.gen
+	r.appendSnapshotLocked(blocks, view, secView)
+	if unchanged {
+		r.attachLocked(key, attachment{a: a, v: Version{Gen: r.gen, Layout: r.layout}})
+	}
+	return unchanged
+}
+
+// DropAttachments releases every attachment, current or not, and returns the
+// bytes freed — the first stage of eviction under memory pressure.
+func (r *Relation) DropAttachments() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.releaseAttachmentsLocked()
+}
+
+// TryDropAttachments is DropAttachments for the memory reclaimer's mid-query
+// path, with the TryLock discipline of TryDropSecondaryView: the reclaimer
+// may be running under an allocation that already holds this relation's
+// mutex.
+func (r *Relation) TryDropAttachments() int64 {
+	if !r.mu.TryLock() {
+		return 0
+	}
+	defer r.mu.Unlock()
+	return r.releaseAttachmentsLocked()
+}
+
+// sweepAttachmentsLocked releases the attachments gone stale since they were
+// attached. Part of ReclaimRetired.
+func (r *Relation) sweepAttachmentsLocked() {
+	for key, e := range r.atts {
+		if !r.currentLocked(e) {
+			delete(r.atts, key)
+			e.a.Release()
+		}
+	}
+}
+
+func (r *Relation) releaseAttachmentsLocked() int64 {
+	var bytes int64
+	for _, e := range r.atts {
+		bytes += e.a.Bytes()
+		e.a.Release()
+	}
+	r.atts = nil
+	return bytes
+}
+
+// NoteRescan adds rows to the tally, kept under key, of rows of this
+// relation that operators re-read since it last changed for want of a
+// resident structure, and returns the new tally. Any mutation zeroes every
+// tally: a relation that keeps changing never accumulates one, so only
+// relations that stay put across iterations — base relations, lower strata
+// — can ever repay a structure built over them.
+func (r *Relation) NoteRescan(key string, rows int) int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.rescanGen != r.gen || r.rescans == nil {
+		r.rescans = make(map[string]int64)
+		r.rescanGen = r.gen
+	}
+	r.rescans[key] += int64(rows)
+	return r.rescans[key]
+}

@@ -45,6 +45,9 @@ const (
 	// CatDelta is ∆R data produced by the delta step of the current
 	// iteration. Delta blocks adopted into R are re-categorized as CatIDB.
 	CatDelta
+	// CatIndex is a resident set-difference index: a GSCHT tuple set over R
+	// kept alive on the relation between fixpoint iterations (see attach.go).
+	CatIndex
 	// NumCategories bounds per-category accounting arrays.
 	NumCategories
 )
@@ -60,6 +63,8 @@ func (c Category) String() string {
 		return "idb"
 	case CatDelta:
 		return "delta"
+	case CatIndex:
+		return "index"
 	}
 	return "unknown"
 }

@@ -94,9 +94,8 @@ func (r *Relation) deletePartitionedLocked(tomb *tombstoneSet) int {
 			continue
 		}
 		removed += dropped
-		for _, b := range live.blocks[p] {
-			b.Release()
-		}
+		// Retired, not released: a concurrent scan may hold the old list.
+		r.retired = append(r.retired, live.blocks[p]...)
 		live.blocks[p] = kept
 		live.rows[p] -= dropped
 	}
@@ -127,9 +126,8 @@ func (r *Relation) deleteFlatLocked(tomb *tombstoneSet) int {
 	if !hit {
 		return 0
 	}
-	for _, b := range r.blocks {
-		b.Release()
-	}
+	// Retired, not released: a concurrent scan may hold the old list.
+	r.retired = append(r.retired, r.blocks...)
 	r.blocks = kept
 	r.open = nil
 	r.rows -= dropped
@@ -139,7 +137,7 @@ func (r *Relation) deleteFlatLocked(tomb *tombstoneSet) int {
 
 // compactBlocks returns a replacement block list with every tombstoned row
 // removed, retaining untouched blocks as-is (no copy, one extra reference
-// each — the caller releases its references to the *old* list wholesale).
+// each — the caller retires its references to the *old* list wholesale).
 // hit reports whether any block contained a tombstoned row; when false the
 // inputs are untouched and no references moved.
 func compactBlocks(lc Lifecycle, cat Category, tomb *tombstoneSet, blocks []*Block) (kept []*Block, dropped int, hit bool) {

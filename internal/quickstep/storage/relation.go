@@ -74,6 +74,14 @@ type Relation struct {
 	// failed partition's data is unreachable, so the run must abort, but the
 	// relation stays usable for its resident partitions in the meantime.
 	faultErr error
+	// Attachments (see attach.go): derived structures kept alive between
+	// queries, each guarded by the version it was derived from. layout counts
+	// physical rewrites that leave the contents unchanged; rescans tallies
+	// rows re-read since generation rescanGen.
+	atts      map[string]attachment
+	layout    uint64
+	rescans   map[string]int64
+	rescanGen uint64
 }
 
 // NewRelation creates an empty relation. colNames fixes the arity; names are
@@ -249,6 +257,11 @@ func (r *Relation) AppendRelation(other *Relation) {
 	blocks, view, secView := other.snapshot()
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.appendSnapshotLocked(blocks, view, secView)
+}
+
+// appendSnapshotLocked appends another relation's snapshot (see snapshot).
+func (r *Relation) appendSnapshotLocked(blocks []*Block, view, secView *PartitionedView) {
 	r.sealLocked()
 	wasEmpty := r.rows == 0
 	mergeable := view != nil &&
@@ -485,6 +498,7 @@ func (r *Relation) Clear() {
 	r.blocks, r.open, r.rows = nil, nil, 0
 	r.invalidatePartitionsLocked()
 	r.reclaimRetiredLocked()
+	r.releaseAttachmentsLocked()
 }
 
 // Release frees every block the relation owns — flat contents, scatter
@@ -524,6 +538,7 @@ func (r *Relation) reclaimRetiredLocked() {
 		b.Release()
 	}
 	r.retired = nil
+	r.sweepAttachmentsLocked()
 }
 
 // Rows materializes every tuple into one row-major slice. Intended for tests,

@@ -332,7 +332,8 @@ func (r *Relation) SpillPartition(p int, pg Pager) (freed int64, ok bool) {
 	}
 	r.slots[p] = &spillSlot{token: token, rows: rows, bytes: bytes}
 	// De-list the evicted blocks from the flat list and the partition, then
-	// release them.
+	// release them; structures addressing rows by block position die here.
+	r.layout++
 	inEvict := make(map[*Block]struct{}, len(evict))
 	for _, b := range evict {
 		inEvict[b] = struct{}{}
@@ -363,201 +364,164 @@ func (r *Relation) SpillPartition(p int, pg Pager) (freed int64, ok bool) {
 	return freedBytes, true
 }
 
-// Partition coalescing. A long fixpoint adopts one small ∆R block per
-// partition per iteration; left alone, a partition becomes a list of
-// hundreds of near-empty blocks whose pool-class padding dominates the
-// relation's footprint. At epoch boundaries the engine coalesces each
-// partition's small resident blocks into one; a coalesced block stops
+// Block coalescing. A long fixpoint adopts one small ∆R block per partition
+// (or, unpartitioned, one per iteration) into R; left alone, a block list
+// becomes hundreds of near-empty blocks whose pool-class padding dominates
+// the relation's footprint. At epoch boundaries the engine coalesces each
+// list's small resident blocks into one; a coalesced block stops
 // participating once it reaches coalesceSmallRows, so every tuple is copied
 // O(coalesceSmallRows / (coalesceMinRun · |small block|)) times — constant —
 // over the whole run.
 const (
-	// coalesceMinRun is the number of small blocks a partition accumulates
+	// coalesceMinRun is the number of small blocks a list accumulates
 	// before a coalesce pass rewrites them.
 	coalesceMinRun = 16
-	// coalesceSmallRows is the row count above which a block is left alone.
+	// coalesceSmallRows is the row count at which a block is left alone, and
+	// the size merged chunks are filled to: well below a full block, to
+	// bound the transient footprint of one chunk-copy step, and a power of
+	// two, so that a chunk that stops participating fills its pool class
+	// exactly (arities 1, 2 and 4) instead of padding the next one up.
 	coalesceSmallRows = 1024
 )
 
-// CoalescePartitions rewrites partitions of the carried view that have
-// accumulated many small blocks. Must run at a quiescent point (no operator
-// holds block lists of this relation). Small blocks are detached under the
+// CoalescePartitions rewrites the block lists that have accumulated many
+// small blocks: every partition of the carried view and of the secondary
+// view, or — for a relation that carries no view, as every relation does at
+// fan-out 1 — the flat list itself. Must run at a quiescent point (no
+// operator holds block lists of this relation).
+func (r *Relation) CoalescePartitions() {
+	r.mu.Lock()
+	parts, secParts := 0, 0
+	if r.live != nil {
+		parts = r.live.parts
+	}
+	if r.sec != nil {
+		secParts = r.sec.parts
+	}
+	r.mu.Unlock()
+
+	if parts == 0 {
+		r.coalesceList(false, func() *[]*Block {
+			if r.live != nil {
+				return nil
+			}
+			return &r.blocks
+		})
+	}
+	for p := 0; p < parts; p++ {
+		ok := r.coalesceList(true, func() *[]*Block {
+			if r.live == nil || r.live.parts != parts {
+				return nil
+			}
+			return &r.live.blocks[p]
+		})
+		if !ok {
+			break
+		}
+	}
+	// The secondary view fragments exactly like the primary — one small ∆R
+	// scatter block adopted per partition per iteration — but its blocks live
+	// outside the flat list.
+	for p := 0; p < secParts; p++ {
+		ok := r.coalesceList(false, func() *[]*Block {
+			if r.sec == nil || r.sec.parts != secParts {
+				return nil
+			}
+			return &r.sec.blocks[p]
+		})
+		if !ok {
+			break
+		}
+	}
+}
+
+// coalesceList rewrites one block list. list runs with r.mu held and returns
+// the list, or nil once the layout it belongs to is gone (false is then
+// returned); alsoFlat marks lists whose blocks are also members of the flat
+// list (the carried view's partitions). Small blocks are detached under the
 // lock, but the chunk allocation and copying run with the relation unlocked:
 // the coalescer's own allocations may exceed the memory budget, and the
 // reclaimer then needs this relation's mutex to evict cold partitions.
-func (r *Relation) CoalescePartitions() {
+func (r *Relation) coalesceList(alsoFlat bool, list func() *[]*Block) bool {
 	r.mu.Lock()
-	if r.live == nil {
+	l := list()
+	if l == nil {
 		r.mu.Unlock()
-		return
+		return false
 	}
-	arity := len(r.colNames)
-	parts := r.live.parts
-	r.mu.Unlock()
-
-	// Merged chunks are capped well below a full block to bound the
-	// transient footprint of one chunk-copy step.
-	const chunkRows = 2 * coalesceSmallRows
-	for p := 0; p < parts; p++ {
-		// Detach this partition's exclusively-owned small blocks.
-		r.mu.Lock()
-		if r.live == nil || r.live.parts != parts {
-			r.mu.Unlock()
-			return
+	var smalls, keep []*Block
+	for _, b := range *l {
+		// Shared blocks (refs > 1 — the newest ∆R, still held by the delta
+		// table) are left alone: copying them frees nothing while the merged
+		// chunk adds net footprint. They become coalescable one epoch later,
+		// when the engine releases the old delta table.
+		if b.Rows() < coalesceSmallRows && b.Refs() == 1 {
+			smalls = append(smalls, b)
+		} else {
+			keep = append(keep, b)
 		}
-		var smalls []*Block
-		var keep []*Block
-		for _, b := range r.live.blocks[p] {
-			// Shared blocks (refs > 1 — the newest ∆R, still held by the
-			// delta table) are left alone: copying them frees nothing while
-			// the merged chunk adds net footprint. They become coalescable
-			// one epoch later, when the engine releases the old delta table.
-			if b.Rows() < coalesceSmallRows && b.Refs() == 1 {
-				smalls = append(smalls, b)
-			} else {
-				keep = append(keep, b)
-			}
-		}
-		if len(smalls) < coalesceMinRun {
-			r.mu.Unlock()
-			continue
-		}
-		r.live.blocks[p] = keep
+	}
+	if len(smalls) < coalesceMinRun {
+		r.mu.Unlock()
+		return true
+	}
+	r.sealLocked() // the open tail block may be among the rewritten ones
+	*l = keep
+	if alsoFlat {
 		dropped := make(map[*Block]struct{}, len(smalls))
 		for _, b := range smalls {
 			dropped[b] = struct{}{}
 		}
 		kept := r.blocks[:0]
 		for _, b := range r.blocks {
-			if _, drop := dropped[b]; drop {
-				continue
+			if _, drop := dropped[b]; !drop {
+				kept = append(kept, b)
 			}
-			kept = append(kept, b)
 		}
 		r.blocks = kept
-		r.mu.Unlock()
-
-		// Copy into merged chunks and release originals, unlocked.
-		rows := 0
-		for _, b := range smalls {
-			rows += b.Rows()
-		}
-		var merged []*Block
-		var cur *Block
-		for _, b := range smalls {
-			if cur == nil || cur.Rows()+b.Rows() > chunkRows {
-				if cur != nil {
-					cur.Compact()
-				}
-				hint := rows
-				if hint > chunkRows {
-					hint = chunkRows
-				}
-				cur = NewBlockIn(r.lc, r.cat, arity, hint)
-				merged = append(merged, cur)
-			}
-			cur.AppendBulk(b.Data())
-			rows -= b.Rows()
-			// Release as soon as the rows are copied, so the pass never
-			// doubles more than one chunk's worth of data.
-			b.Release()
-		}
-		if cur != nil {
-			cur.Compact()
-		}
-
-		// Reattach the merged chunks.
-		r.mu.Lock()
-		if r.live != nil && r.live.parts == parts {
-			r.live.blocks[p] = append(r.live.blocks[p], merged...)
-			r.blocks = append(r.blocks, merged...)
-		} else {
-			for _, b := range merged {
-				b.Release()
-			}
-		}
-		r.mu.Unlock()
 	}
-	r.coalesceSecondary()
-}
-
-// coalesceSecondary applies the same small-block rewrite to the secondary
-// carried view. Its partitions fragment exactly like the primary's — one
-// small ∆R scatter block adopted per partition per iteration — but its
-// blocks live outside the flat list, so the pass only rewrites the view's
-// own lists. Same quiescence requirement as CoalescePartitions.
-func (r *Relation) coalesceSecondary() {
-	r.mu.Lock()
-	if r.sec == nil {
-		r.mu.Unlock()
-		return
-	}
+	// Structures that address rows by block position die with the rewrite.
+	r.layout++
 	arity := len(r.colNames)
-	parts := r.sec.parts
 	r.mu.Unlock()
 
-	const chunkRows = 2 * coalesceSmallRows
-	for p := 0; p < parts; p++ {
-		r.mu.Lock()
-		if r.sec == nil || r.sec.parts != parts {
-			r.mu.Unlock()
-			return
-		}
-		var smalls []*Block
-		var keep []*Block
-		for _, b := range r.sec.blocks[p] {
-			// Shared blocks (the newest ∆R secondary scatter, still held by
-			// the delta table's own secondary view) are skipped, exactly as
-			// in the primary pass.
-			if b.Rows() < coalesceSmallRows && b.Refs() == 1 {
-				smalls = append(smalls, b)
-			} else {
-				keep = append(keep, b)
-			}
-		}
-		if len(smalls) < coalesceMinRun {
-			r.mu.Unlock()
-			continue
-		}
-		r.sec.blocks[p] = keep
-		r.mu.Unlock()
-
-		rows := 0
-		for _, b := range smalls {
-			rows += b.Rows()
-		}
-		var merged []*Block
-		var cur *Block
-		for _, b := range smalls {
-			if cur == nil || cur.Rows()+b.Rows() > chunkRows {
-				if cur != nil {
-					cur.Compact()
-				}
-				hint := rows
-				if hint > chunkRows {
-					hint = chunkRows
-				}
-				cur = NewBlockIn(r.lc, r.cat, arity, hint)
+	// Copy into merged chunks and release originals, unlocked.
+	rows := 0
+	for _, b := range smalls {
+		rows += b.Rows()
+	}
+	var merged []*Block
+	var cur *Block
+	for _, b := range smalls {
+		for data := b.Data(); len(data) > 0; {
+			if cur == nil || cur.Rows() == coalesceSmallRows {
+				cur = NewBlockIn(r.lc, r.cat, arity, min(rows, coalesceSmallRows))
 				merged = append(merged, cur)
 			}
-			cur.AppendBulk(b.Data())
-			rows -= b.Rows()
+			n := min(len(data), (coalesceSmallRows-cur.Rows())*arity)
+			cur.AppendBulk(data[:n])
+			data = data[n:]
+			rows -= n / arity
+		}
+		// Release as soon as the rows are copied, so the pass never doubles
+		// more than one chunk's worth of data.
+		b.Release()
+	}
+	cur.Compact()
+
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if l = list(); l == nil {
+		for _, b := range merged {
 			b.Release()
 		}
-		if cur != nil {
-			cur.Compact()
-		}
-
-		r.mu.Lock()
-		if r.sec != nil && r.sec.parts == parts {
-			r.sec.blocks[p] = append(r.sec.blocks[p], merged...)
-		} else {
-			for _, b := range merged {
-				b.Release()
-			}
-		}
-		r.mu.Unlock()
+		return false
 	}
+	*l = append(*l, merged...)
+	if alsoFlat {
+		r.blocks = append(r.blocks, merged...)
+	}
+	return true
 }
 
 // SpilledPartitions reports how many partitions are currently on disk.

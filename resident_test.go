@@ -1,0 +1,430 @@
+package recstep
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"testing"
+
+	"recstep/internal/core"
+	"recstep/internal/faultinject"
+	"recstep/internal/programs"
+	"recstep/internal/quickstep"
+	"recstep/internal/quickstep/exec"
+	"recstep/internal/quickstep/expr"
+	"recstep/internal/quickstep/storage"
+)
+
+// csdaChains is the CSDA shape with nothing left to chance: chains parallel
+// dataflow chains of the given length, one null source entering each head.
+// The fixpoint takes length iterations of chains new tuples each and derives
+// exactly chains × length of them.
+func csdaChains(chains, length int) map[string]*storage.Relation {
+	arc := storage.NewRelation("arc", storage.NumberedColumns(2))
+	nullEdge := storage.NewRelation("nullEdge", storage.NumberedColumns(2))
+	var arcs, nulls []int32
+	for c := 0; c < chains; c++ {
+		for i := 0; i < length-1; i++ {
+			arcs = append(arcs, int32(c*length+i), int32(c*length+i+1))
+		}
+		nulls = append(nulls, int32(1_000_000+c), int32(c*length))
+	}
+	arc.AppendRows(arcs)
+	nullEdge.AppendRows(nulls)
+	return map[string]*storage.Relation{"arc": arc, "nullEdge": nullEdge}
+}
+
+// The complexity claim, as counts: on the CSDA shape the rows that set
+// difference and the join probes re-read grow linearly with the chain length
+// — one iteration costs O(|∆| + |join output|) once the resident index and
+// the cached build on arc are in place — where the per-iteration tables of
+// the forced DSD modes re-read all of R and all of arc every iteration, so
+// doubling the chain quadruples their work. Exact at one worker, no clock.
+func TestCSDAWorkIsDeltaProportional(t *testing.T) {
+	prog := programs.MustParse(programs.CSDA)
+	work := func(dsd core.DSDMode, length int) (int64, core.Stats) {
+		t.Helper()
+		opts := core.DefaultOptions()
+		opts.Workers = 1
+		opts.DSD = dsd
+		res, err := core.New(opts).Run(prog, csdaChains(4, length))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Relations["null"].NumTuples(); got != 4*length {
+			t.Fatalf("length %d: derived %d tuples, want %d", length, got, 4*length)
+		}
+		if res.Stats.Iterations < length {
+			t.Fatalf("length %d: %d iterations", length, res.Stats.Iterations)
+		}
+		return res.Stats.SetDiffRowsScanned + res.Stats.JoinProbeRows, res.Stats
+	}
+	const length = 400
+	w1, s1 := work(core.DSDDynamic, length)
+	w2, s2 := work(core.DSDDynamic, 2*length)
+	if w2 > 2*w1 {
+		t.Fatalf("doubling the chain took rows re-read from %d to %d (×%.2f), want at most ×2",
+			w1, w2, float64(w2)/float64(w1))
+	}
+	for _, s := range []core.Stats{s1, s2} {
+		if s.ResidentIndexReseeds != 1 || s.ResidentIndexHits < int64(s.Iterations)*9/10-70 {
+			t.Fatalf("resident index: %d reseeds, %d hits over %d iterations", s.ResidentIndexReseeds, s.ResidentIndexHits, s.Iterations)
+		}
+		if s.CachedBuildHits < int64(s.Iterations)*9/10-40 {
+			t.Fatalf("cached build on arc: %d hits over %d iterations", s.CachedBuildHits, s.Iterations)
+		}
+		if s.DiffTPSD > 70 {
+			t.Fatalf("%d transient TPSD passes; the index should have taken over within a few dozen iterations", s.DiffTPSD)
+		}
+	}
+	t.Logf("dynamic: %d → %d rows re-read (×%.2f)", w1, w2, float64(w2)/float64(w1))
+
+	// The transient tables stay what the paper describes, and the counters
+	// measure them: forced TPSD re-reads R (and the cache, arc) every
+	// iteration. Only the set-difference half is forced; the join cache is
+	// not a DSD matter, so compare that half.
+	_, f1 := work(core.DSDAlwaysTPSD, length)
+	_, f2 := work(core.DSDAlwaysTPSD, 2*length)
+	if f1.ResidentIndexHits+f1.ResidentIndexReseeds != 0 {
+		t.Fatal("forced TPSD ran against a resident index")
+	}
+	if f2.SetDiffRowsScanned < 3*f1.SetDiffRowsScanned {
+		t.Fatalf("forced TPSD scanned %d then %d rows of R; the transient path should be quadratic", f1.SetDiffRowsScanned, f2.SetDiffRowsScanned)
+	}
+}
+
+// The other side of the selection: a fixpoint that converges within
+// optimizer.ResidentAmortise iterations re-reads no relation often enough to
+// repay a resident structure, so it keeps none — no index bytes on the pool
+// peak, no build table over a large base relation on the heap — and runs the
+// per-iteration tables exactly as before.
+func TestShortFixpointsKeepNothingResident(t *testing.T) {
+	for _, name := range []string{"tc", "cc", "cspa"} {
+		prog, err := programs.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := core.DefaultOptions()
+		opts.Workers = 2
+		res, err := core.New(opts).Run(prog, fuseTestEDBs(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := res.Stats
+		if s.Iterations >= 32 {
+			t.Fatalf("%s: %d iterations; the instance is not a short fixpoint", name, s.Iterations)
+		}
+		if s.ResidentIndexReseeds+s.ResidentIndexHits+s.CachedBuildHits != 0 || s.Mem.IndexBytes != 0 {
+			t.Fatalf("%s (%d iterations): reseeds=%d hits=%d cachedBuildHits=%d indexBytes=%d, want nothing kept",
+				name, s.Iterations, s.ResidentIndexReseeds, s.ResidentIndexHits, s.CachedBuildHits, s.Mem.IndexBytes)
+		}
+	}
+}
+
+// Forcing the one-phase algorithm seeds a transient table from all of R every
+// iteration. With one arena per worker that costs a slab chunk or two, not
+// one per block of a fragmented R: the forced mode's pool peak stays within
+// 2× the default's on a 500-step chain (it was 60× with per-block arenas).
+func TestForcedOPSDPeakOnChain(t *testing.T) {
+	prog := programs.MustParse(programs.CSDA)
+	peak := func(dsd core.DSDMode) int64 {
+		t.Helper()
+		opts := core.DefaultOptions()
+		opts.Workers = 2
+		opts.DSD = dsd
+		res, err := core.New(opts).Run(prog, csdaChains(4, 500))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats.Mem.PeakLive
+	}
+	def, forced := peak(core.DSDDynamic), peak(core.DSDAlwaysOPSD)
+	if forced > 2*def {
+		t.Fatalf("forced OPSD peaked at %d pool bytes, default at %d", forced, def)
+	}
+	t.Logf("peak pool bytes: default %d, forced OPSD %d", def, forced)
+}
+
+// chaosLongCSDA runs a CSDA fixpoint long enough that the resident index on
+// null and the cached build on arc are both live, and reports through seen
+// whether a step served by both was observed before the run ended.
+func chaosLongCSDA(t *testing.T, opts core.Options, ctx context.Context, hook func(core.IterInfo)) (res *core.Result, err error, seen bool) {
+	t.Helper()
+	opts.Workers = 4
+	opts.IterHook = func(ii core.IterInfo) {
+		if ii.Copy.ResidentIndexHits > 0 && ii.Copy.CachedBuildHits > 0 {
+			seen = true
+		}
+		if hook != nil {
+			hook(ii)
+		}
+	}
+	res, err = core.New(opts).RunContext(ctx, programs.MustParse(programs.CSDA), csdaChains(4, 300))
+	return res, err, seen
+}
+
+// Aborting a fixpoint while an index and a cached build are live — by
+// cancellation, by a worker panic — must tear down to zero pool bytes like
+// any other abort: the structures are released with their relations.
+func TestAbortWithResidentStructuresLeaksNothing(t *testing.T) {
+	t.Run("cancel", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		res, err, seen := chaosLongCSDA(t, core.DefaultOptions(), ctx, func(ii core.IterInfo) {
+			if ii.Iteration == 150 {
+				cancel()
+			}
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("error %v is not context.Canceled", err)
+		}
+		if !seen {
+			t.Fatal("cancelled before the resident structures were live; the case tests nothing")
+		}
+		if res == nil || res.Stats.Mem.LiveTotal != 0 {
+			t.Fatalf("cancelled run leaked pool bytes: %+v", res)
+		}
+	})
+	t.Run("worker-panic", func(t *testing.T) {
+		in := faultinject.New(7)
+		// Far enough into the task stream that both structures exist; the
+		// run makes several tasks per iteration.
+		in.FailNth(faultinject.WorkerPanic, 1200)
+		opts := core.DefaultOptions()
+		opts.FaultInject = in
+		res, err, seen := chaosLongCSDA(t, opts, context.Background(), nil)
+		if err == nil || !errors.Is(err, faultinject.ErrInjected) {
+			t.Fatalf("error %v does not carry the injected panic", err)
+		}
+		if !seen {
+			t.Fatal("panicked before the resident structures were live; the case tests nothing")
+		}
+		if res == nil || res.Stats.Mem.LiveTotal != 0 {
+			t.Fatalf("panicked run leaked pool bytes: %+v", res)
+		}
+	})
+}
+
+// A resident database keeps the index across ApplyDelta calls: an insertion
+// runs its seeded fixpoint without re-reading R at all; a deletion rewrites R
+// behind the index's back, which drops it, and the next pass re-seeds once.
+// Close releases it with everything else.
+func TestResidentIndexAcrossApplyDelta(t *testing.T) {
+	const n = 150
+	arcs := make([][]int32, 0, n)
+	arc := storage.NewRelation("arc", storage.NumberedColumns(2))
+	for i := 0; i < n-1; i++ {
+		arcs = append(arcs, []int32{int32(i), int32(i + 1)})
+		arc.Append(arcs[i])
+	}
+	var hits, reseeds, scanned int64
+	opts := core.DefaultOptions()
+	opts.Workers = 2
+	opts.IterHook = func(ii core.IterInfo) {
+		hits += ii.Copy.ResidentIndexHits
+		reseeds += ii.Copy.ResidentIndexReseeds
+		scanned += ii.Copy.SetDiffRowsScanned
+	}
+	prog := programs.MustParse(programs.TC)
+	d, err := core.New(opts).RunIncremental(context.Background(), prog, map[string]*storage.Relation{"arc": arc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reseeds != 1 || hits == 0 {
+		t.Fatalf("initial load of a %d-step chain: %d reseeds, %d hits; want the index seeded once and used", n, reseeds, hits)
+	}
+	check := func(when string) {
+		t.Helper()
+		ref, err := core.New(core.DefaultOptions()).Run(prog, relsFrom(map[string][][]int32{"arc": arcs}, map[string]int{"arc": 2}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc, _ := d.Relation("tc")
+		if !reflect.DeepEqual(tc.SortedRows(), ref.Relations["tc"].SortedRows()) {
+			t.Fatalf("%s: resident tc diverges from a from-scratch run", when)
+		}
+	}
+
+	hits, reseeds, scanned = 0, 0, 0
+	arcs = append(arcs, []int32{n - 1, n})
+	if _, err := d.ApplyDelta("arc", arcs[len(arcs)-1:], nil); err != nil {
+		t.Fatal(err)
+	}
+	if hits == 0 || reseeds != 0 || scanned != 0 {
+		t.Fatalf("insert: %d hits, %d reseeds, %d rows of R re-read; want the index to serve every pass", hits, reseeds, scanned)
+	}
+	check("after insert")
+
+	// Delete an arc near the end: DRed over-deletes and rewrites tc in place.
+	hits, reseeds, scanned = 0, 0, 0
+	gone := arcs[n-3]
+	arcs = append(arcs[:n-3:n-3], arcs[n-2:]...)
+	if _, err := d.ApplyDelta("arc", nil, [][]int32{gone}); err != nil {
+		t.Fatal(err)
+	}
+	check("after delete")
+	arcs = append(arcs, []int32{n, n + 1})
+	if _, err := d.ApplyDelta("arc", arcs[len(arcs)-1:], nil); err != nil {
+		t.Fatal(err)
+	}
+	if reseeds != 1 {
+		t.Fatalf("insert after a delete: %d reseeds, want exactly the one that replaces the dropped index", reseeds)
+	}
+	check("after re-seed")
+	if idx := d.MemSnapshot().IndexBytes; idx == 0 {
+		t.Fatal("no index bytes accounted while the resident index is live")
+	}
+
+	snap, err := d.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.LiveTotal != 0 {
+		t.Fatalf("close leaked %d pool bytes with a resident index live", snap.LiveTotal)
+	}
+}
+
+// Eviction order under a memory budget, one stage per over-budget epoch:
+// attachments (the resident index, the cached join build) go before the
+// secondary carried view, which goes before any primary partition spills.
+func TestAttachmentsEvictBeforeSecondaryBeforeSpill(t *testing.T) {
+	rows := make([]int32, 0, 2*60000)
+	for i := int32(0); i < 60000; i++ {
+		rows = append(rows, i, i*7)
+	}
+	joinSpec := exec.JoinSpec{
+		LeftKeys: []int{0}, RightKeys: []int{0}, CacheBuild: true,
+		Projs: []expr.Expr{expr.Col{Index: 0}}, OutName: "j",
+	}
+	type fixture struct {
+		db   *quickstep.Database
+		r, e *storage.Relation
+	}
+	build := func(budget int64) fixture {
+		db, err := quickstep.Open(quickstep.Options{
+			Workers: 1, DisableIO: true, CarryJoinParts: true, SecondaryCarry: true, Columnar: true,
+			MemBudgetBytes: budget, SpillDir: t.TempDir(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := storage.NewRelation("r", storage.NumberedColumns(2))
+		r.SetLifecycle(db.Alloc(), storage.CatIDB)
+		r.AppendRows(rows)
+		if err := db.Install(r); err != nil {
+			t.Fatal(err)
+		}
+		db.MarkSpillable("r")
+		part := storage.Partitioning{KeyCols: []int{1}, Parts: 16}
+		exec.PartitionRelationCarried(db.Pool(), r, part.KeyCols, part.Parts)
+		exec.EnsureSecondaryCarry(db.Pool(), r, []int{0}, 16)
+		r.ReclaimRetired()
+		// The resident index, seeded by an empty pass and handed to r.
+		empty := storage.NewRelation("tmp", storage.NumberedColumns(2))
+		delta, idx, v := exec.DeltaStepResident(db.Pool(), empty, r, nil, part, storage.Partitioning{}, 0, "d")
+		if !r.Attach("setdiff", idx, v, false) {
+			t.Fatal("index refused")
+		}
+		delta.Release()
+		// A cached build on a base relation.
+		e := storage.NewRelation("e", storage.NumberedColumns(2))
+		e.AppendRows(rows[:2000])
+		if err := db.Install(e); err != nil {
+			t.Fatal(err)
+		}
+		probe := storage.NewRelation("p", storage.NumberedColumns(2))
+		probe.AppendRows(rows[:20])
+		exec.HashJoin(db.Pool(), probe, e, joinSpec).Release()
+		if !exec.HasCachedBuild(e, []int{0}) {
+			t.Fatal("join left no cached build")
+		}
+		return fixture{db, r, e}
+	}
+
+	// Calibrate the three footprints.
+	cal := build(0)
+	withAll := cal.db.MemSnapshot().LiveTotal
+	cal.r.DropAttachments()
+	withoutAtt := cal.db.MemSnapshot().LiveTotal
+	cal.r.DropSecondaryView()
+	cal.r.ReclaimRetired()
+	withoutSec := cal.db.MemSnapshot().LiveTotal
+	cal.db.ReleaseAll()
+	cal.db.Close()
+	if !(withAll > withoutAtt && withoutAtt > withoutSec) {
+		t.Fatalf("calibration: %d with everything, %d without attachments, %d without the secondary", withAll, withoutAtt, withoutSec)
+	}
+
+	// Room for everything, barely: the fixture builds without pressure and
+	// each stage below is pushed over the budget by one allocation.
+	const slack = 32 << 10
+	budget := withAll + slack
+	f := build(budget)
+	defer f.db.Close()
+	want := f.r.SortedRows()
+	push := func(name string, bytes int64) *storage.Relation {
+		t.Helper()
+		// A flat scan marks every partition of r hot for this epoch, so the
+		// allocation that crosses the budget cannot spill its way out.
+		f.r.Blocks()
+		x := storage.NewRelation(name, storage.NumberedColumns(2))
+		x.SetLifecycle(f.db.Alloc(), storage.CatIntermediate)
+		x.AppendRows(make([]int32, bytes/8*2))
+		return x
+	}
+
+	// Stage 1, over by less than the index holds: the allocation that crosses
+	// the budget takes the index — an attached index is nobody's, so it is
+	// freed on the spot — and that suffices. Nothing else goes, not even the
+	// cached build, which holds no pool bytes.
+	x1 := push("x1", 2*slack)
+	f.db.EndIteration()
+	snap := f.db.MemSnapshot()
+	if snap.AttachmentDrops != 1 || snap.IndexBytes != 0 {
+		t.Fatalf("stage 1: the index survived: drops=%d indexBytes=%d", snap.AttachmentDrops, snap.IndexBytes)
+	}
+	if _, ok := f.r.Attachment("setdiff"); ok {
+		t.Fatal("stage 1: dropped index still served")
+	}
+	if _, ok := f.r.SecondaryPartitioning(); !ok || snap.SecondaryDrops != 0 || snap.Spills != 0 {
+		t.Fatalf("stage 1 went past the attachments: secondaryDrops=%d spills=%d", snap.SecondaryDrops, snap.Spills)
+	}
+	if snap.LiveTotal > budget || !exec.HasCachedBuild(f.e, []int{0}) {
+		t.Fatalf("stage 1: live %d against budget %d, cached build kept=%v", snap.LiveTotal, budget, exec.HasCachedBuild(f.e, []int{0}))
+	}
+
+	// Stage 2, over again by less than the secondary view holds: it goes,
+	// nothing spills.
+	x2 := push("x2", budget-snap.LiveTotal+slack)
+	f.db.EndIteration()
+	snap = f.db.MemSnapshot()
+	if _, ok := f.r.SecondaryPartitioning(); ok || snap.SecondaryDrops == 0 {
+		t.Fatal("stage 2: secondary view survived")
+	}
+	if snap.Spills != 0 || snap.LiveTotal > budget {
+		t.Fatalf("stage 2: %d partitions spilled while a secondary view was droppable (live %d, budget %d)", snap.Spills, snap.LiveTotal, budget)
+	}
+
+	// Stage 3: nothing pool-resident is redundant any more. The epoch sheds
+	// what is left of the attachments — the cached build — and only then
+	// spills primary partitions.
+	x3 := push("x3", budget-snap.LiveTotal+slack)
+	f.db.EndIteration()
+	snap = f.db.MemSnapshot()
+	if exec.HasCachedBuild(f.e, []int{0}) || snap.AttachmentDrops != 2 {
+		t.Fatalf("stage 3: cached build survived an epoch that spilled (drops=%d)", snap.AttachmentDrops)
+	}
+	if snap.Spills == 0 {
+		t.Fatal("stage 3: over budget with nothing redundant left, but nothing spilled")
+	}
+	if !reflect.DeepEqual(f.r.SortedRows(), want) {
+		t.Fatal("relation contents diverged across eviction")
+	}
+	x1.Release()
+	x2.Release()
+	x3.Release()
+	f.db.ReleaseAll()
+	if live := f.db.MemSnapshot().LiveTotal; live != 0 {
+		t.Fatalf("%d pool bytes live after releasing everything", live)
+	}
+}
