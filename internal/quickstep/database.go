@@ -128,12 +128,11 @@ type Database struct {
 	// delta step. Guarded by hintMu (registered outside the query lock).
 	hintMu   sync.Mutex
 	outParts map[string]storage.Partitioning
-	// setDiff tallies, per full relation, the rows set difference re-read so
-	// far for want of a resident index, and whether that debt has repaid one
-	// (see optimizer.ResidentAmortise). Keyed by predicate, not by relation
-	// object: R mutates every iteration, and the history is the predicate's.
-	// Guarded by hintMu.
-	setDiff map[string]*setDiffDebt
+	// rescans is the one ledger behind both resident structures: per (table,
+	// structure) the rows operators re-read for want of that structure, which
+	// optimizer.RepaysResident weighs against the rows it would hold. Guarded
+	// by hintMu.
+	rescans map[rescanKey]*rescanDebt
 
 	// plans records the latest join order and strategy per branch (branches
 	// of one query run concurrently, hence the lock). peakJoinRows is a
@@ -144,10 +143,52 @@ type Database struct {
 	peakJoinRows atomic.Int64
 }
 
-// setDiffDebt is one predicate's entry in Database.setDiff.
-type setDiffDebt struct {
-	rescanned int64
-	repaid    bool
+// rescanKey names one structure that could be kept resident: the table it
+// would sit on and its attachment key (residentIndexKey, exec.BuildCacheKey).
+type rescanKey struct{ table, structure string }
+
+// rescanDebt is one entry of Database.rescans. A join build's tally describes
+// one state of one relation (rel at generation gen) and starts over when
+// either moves on: a relation that keeps changing — ∆R is replaced and R
+// appended to every iteration — never accumulates one, so only relations that
+// stay put across iterations can repay a table built over them. The
+// set-difference tally is the predicate's (rel stays nil): R changes with
+// every pass by construction, and once its rescans have repaid an index the
+// verdict sticks, so an index dropped by a deletion or a fan-out shift is
+// re-seeded at the very next pass.
+type rescanDebt struct {
+	rows   int64
+	repaid bool
+	rel    *storage.Relation
+	gen    uint64
+}
+
+// rescanDebtLocked returns the ledger entry for key; callers hold hintMu.
+func (db *Database) rescanDebtLocked(key rescanKey) *rescanDebt {
+	d := db.rescans[key]
+	if d == nil {
+		if db.rescans == nil {
+			db.rescans = make(map[rescanKey]*rescanDebt)
+		}
+		d = &rescanDebt{}
+		db.rescans[key] = d
+	}
+	return d
+}
+
+// noteBuildRescan records that a join is about to re-read all of r for want
+// of a build table under structure, and reports whether the rows re-read
+// since r last changed have repaid one.
+func (db *Database) noteBuildRescan(r *storage.Relation, structure string) bool {
+	rows, gen := r.NumTuples(), r.Generation()
+	db.hintMu.Lock()
+	defer db.hintMu.Unlock()
+	d := db.rescanDebtLocked(rescanKey{r.Name(), structure})
+	if d.rel != r || d.gen != gen {
+		*d = rescanDebt{rel: r, gen: gen}
+	}
+	d.rows += int64(rows)
+	return optimizer.RepaysResident(d.rows, rows)
 }
 
 // notePlan records the strategy and order chosen for a branch; single-table
@@ -926,11 +967,13 @@ func (db *Database) runBranchWCOJ(br *plan.Branch, inputs []*storage.Relation, o
 // (leftBase/rightBase: the side is a cataloged relation, not a transient of
 // this query): a side already holding a current cached build table builds at
 // zero cost whatever its size, and a side that has not changed while the rows
-// re-read from it — by rebuilds or by probe scans, NoteRescan keeps the
+// re-read from it — by rebuilds or by probe scans, noteBuildRescan keeps the
 // tally and any mutation zeroes it — reached optimizer.ResidentAmortise
 // times its size becomes the build side with its table kept. ∆ relations are
 // replaced and R is appended to every iteration, so in a fixpoint only EDBs
-// and lower strata ever get there. It returns the decision, the chosen
+// and lower strata ever get there. The memory budget does not cover a build
+// table (Go heap, exec.BuildTableBytes); a new one is only refused while the
+// pool has less headroom than that, and kept ones go first under pressure. It returns the decision, the chosen
 // side's cardinality estimate (which also drives the radix partition count),
 // and whether the build table is cached on the build relation.
 func (db *Database) chooseBuildSide(cur *storage.Relation, br *plan.Branch, seed, step int, right *storage.Relation, js plan.JoinStep, leftBase, rightBase bool) (buildLeft bool, buildTuples int, cacheBuild bool) {
@@ -972,8 +1015,7 @@ func (db *Database) chooseBuildSide(cur *storage.Relation, br *plan.Branch, seed
 		if !s.base {
 			continue
 		}
-		n := s.rel.NumTuples()
-		if optimizer.RepaysResident(s.rel.NoteRescan(keys[i], n), n) && db.hasHeadroom(exec.BuildTableBytes(n)) {
+		if db.noteBuildRescan(s.rel, keys[i]) && db.hasHeadroom(exec.BuildTableBytes(s.rel.NumTuples())) {
 			return i == 1, s.tuples, true
 		}
 	}
@@ -1160,25 +1202,13 @@ func (db *Database) DeltaStep(tmp *storage.Relation, pred string, algo exec.Diff
 	before := db.pool.Copy.SetDiffRowsScanned.Load()
 	delta := exec.DeltaStepDual(db.pool, tmp, full, algo, part, sec, estDistinct, outName)
 	db.hintMu.Lock()
-	db.setDiffDebtLocked(pred).rescanned += db.pool.Copy.SetDiffRowsScanned.Load() - before
+	db.rescanDebtLocked(rescanKey{pred, residentIndexKey}).rows += db.pool.Copy.SetDiffRowsScanned.Load() - before
 	db.hintMu.Unlock()
 	if err := db.Err(); err != nil {
 		delta.Release()
 		return nil, algo, err
 	}
 	return delta, algo, db.AppendTo(pred, delta)
-}
-
-func (db *Database) setDiffDebtLocked(pred string) *setDiffDebt {
-	d := db.setDiff[pred]
-	if d == nil {
-		if db.setDiff == nil {
-			db.setDiff = make(map[string]*setDiffDebt)
-		}
-		d = &setDiffDebt{}
-		db.setDiff[pred] = d
-	}
-	return d
 }
 
 // indexWorthKeeping decides whether this pass runs against a resident index:
@@ -1194,8 +1224,8 @@ func (db *Database) indexWorthKeeping(pred string, full *storage.Relation, idx *
 	}
 	rows := full.NumTuples()
 	db.hintMu.Lock()
-	d := db.setDiffDebtLocked(pred)
-	d.repaid = d.repaid || optimizer.RepaysResident(d.rescanned, rows)
+	d := db.rescanDebtLocked(rescanKey{pred, residentIndexKey})
+	d.repaid = d.repaid || optimizer.RepaysResident(d.rows, rows)
 	repaid := d.repaid
 	db.hintMu.Unlock()
 	return repaid && db.hasHeadroom(exec.ResidentIndexBytes(rows+estDistinct, arity))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"recstep/internal/quickstep/exec"
+	"recstep/internal/quickstep/optimizer"
 	"recstep/internal/quickstep/stats"
 	"recstep/internal/quickstep/storage"
 )
@@ -445,5 +446,44 @@ func TestCarriedBuildPartsOverride(t *testing.T) {
 	d := db.CopySnapshot().Sub(before)
 	if d.BuildScattersAvoided != 1 || d.BuildScatters != 0 {
 		t.Fatalf("carried join build: avoided=%d scatters=%d, want 1/0", d.BuildScattersAvoided, d.BuildScatters)
+	}
+}
+
+// The rescan ledger is the database's alone: a join input's tally belongs to
+// one relation at one generation, so only a relation that stays put across
+// ResidentAmortise re-reads repays a build table, and a same-named
+// replacement (∆R every iteration) or any mutation starts it over.
+func TestBuildRescanLedgerFollowsTheRelation(t *testing.T) {
+	db := openTest(t)
+	mk := func() *storage.Relation {
+		r := storage.NewRelation("e", storage.NumberedColumns(2))
+		r.AppendRows([]int32{1, 2, 3, 4})
+		return r
+	}
+	e := mk()
+	reads := func(r *storage.Relation, key string) (n int) {
+		for n = 1; !db.noteBuildRescan(r, key); n++ {
+			if n > 10*optimizer.ResidentAmortise {
+				t.Fatal("re-reads never repaid a build")
+			}
+		}
+		return n
+	}
+	if got := reads(e, "build:0"); got != optimizer.ResidentAmortise {
+		t.Fatalf("build repaid after %d re-reads of an unchanged relation, want %d", got, optimizer.ResidentAmortise)
+	}
+	if db.noteBuildRescan(e, "build:1") {
+		t.Fatal("re-reads under one keyset repaid a table on another")
+	}
+	e.Append([]int32{5, 6})
+	if db.noteBuildRescan(e, "build:0") {
+		t.Fatal("tally survived a mutation of the relation")
+	}
+	// A fresh relation of the same name and the same generation count, as ∆R
+	// is every iteration, is not the relation the tally describes.
+	for i := 0; i < 3*optimizer.ResidentAmortise; i++ {
+		if db.noteBuildRescan(mk(), "build:0") {
+			t.Fatalf("replacement %d of the relation inherited its predecessors' re-reads", i)
+		}
 	}
 }

@@ -208,13 +208,11 @@ type joinTable struct {
 	parts  int
 	single *buildTable   // parts == 1
 	tables []*buildTable // parts > 1, indexed by partition
-	rows   int
 }
 
-// buildTableBytesPerRow is the resident cost of one build row in a Go-map
-// build table, for headroom decisions: the map slot (key, slice header,
-// overhead) plus the locator list's backing array — about six times the
-// 8 bytes of the binary tuple it indexes.
+// buildTableBytesPerRow is the heap cost of one build row in a Go-map build
+// table: the map slot (key, slice header, overhead) plus the locator list's
+// backing array — about six times the 8 bytes of the binary tuple it indexes.
 const buildTableBytesPerRow = 48
 
 // Release implements storage.Attachment. A join table is plain heap data
@@ -222,12 +220,14 @@ const buildTableBytesPerRow = 48
 // reclaims it.
 func (jt *joinTable) Release() {}
 
-// Bytes implements storage.Attachment with an estimate (see
-// buildTableBytesPerRow); the maps are not pool-accounted.
-func (jt *joinTable) Bytes() int64 { return BuildTableBytes(jt.rows) }
+// Bytes implements storage.Attachment: none of a join table is
+// pool-accounted, so the memory budget neither sees it nor gets anything
+// back when it is dropped. What it costs the heap is BuildTableBytes.
+func (jt *joinTable) Bytes() int64 { return 0 }
 
-// BuildTableBytes estimates the resident footprint of a cached build table
-// over rows build rows.
+// BuildTableBytes estimates the heap footprint of a cached build table over
+// rows build rows. The budget does not cover it; the planner only refuses to
+// start keeping one while the pool has less room than this left.
 func BuildTableBytes(rows int) int64 { return int64(rows) * buildTableBytesPerRow }
 
 // BuildCacheKey names, among a relation's attachments and rescan tallies,
@@ -241,23 +241,18 @@ func BuildCacheKey(keys []int) string {
 	return string(b)
 }
 
-// HasCachedBuild reports whether r holds a current cached build table keyed
-// on keys — a build side whose cost is zero.
-func HasCachedBuild(r *storage.Relation, keys []int) bool {
-	_, ok := r.Attachment(BuildCacheKey(keys))
-	return ok
-}
-
 // joinBuild returns the join's build table: the cached one when the spec
 // allows caching and the build relation still holds a current one, a fresh
 // build (attached for the next join when caching) otherwise. The table
-// addresses rows by block position, so the attachment is layout-bound.
+// addresses rows by block position, so the attachment is layout-bound, and a
+// hit pins the build relation's partitions for this epoch the way the block
+// reads of a rebuild would have.
 func joinBuild(pool *Pool, build *storage.Relation, keys []int, spec JoinSpec) *joinTable {
 	if !spec.CacheBuild {
 		return buildJoinTable(pool, build, keys, spec.Partitions, spec.BuildSerial)
 	}
 	key := BuildCacheKey(keys)
-	if a, ok := build.Attachment(key); ok {
+	if a, ok := build.PinAttachment(key); ok {
 		pool.Copy.CachedBuildHits.Add(1)
 		return a.(*joinTable)
 	}
@@ -281,7 +276,7 @@ func buildJoinTable(pool *Pool, r *storage.Relation, keys []int, parts int, seri
 	parts = storage.NormalizePartitions(parts)
 	if serial || parts <= 1 {
 		defer pool.phase(obs.PhaseBuild, -1)()
-		return &joinTable{parts: 1, single: buildHash(r, keys), rows: r.NumTuples()}
+		return &joinTable{parts: 1, single: buildHash(r, keys)}
 	}
 	view, scattered := partitionRelation(pool, r, keys, parts, false)
 	if scattered {
@@ -290,7 +285,7 @@ func buildJoinTable(pool *Pool, r *storage.Relation, keys []int, parts int, seri
 		pool.Copy.BuildScattersAvoided.Add(1)
 	}
 	pool.Copy.NoteBuild(r.Name(), keys, scattered)
-	jt := &joinTable{parts: parts, tables: make([]*buildTable, parts), rows: view.NumTuples()}
+	jt := &joinTable{parts: parts, tables: make([]*buildTable, parts)}
 	arity := r.Arity()
 	pool.RunPartitions(parts, func(p int) {
 		defer pool.phase(obs.PhaseBuild, p)()

@@ -204,6 +204,11 @@ func TestSharedSeedClaimsSlabsPerWorker(t *testing.T) {
 	}
 }
 
+func hasCachedBuild(r *storage.Relation, keys []int) bool {
+	_, ok := r.Attachment(BuildCacheKey(keys))
+	return ok
+}
+
 // A join told to cache its build keeps the table on the build relation and
 // the next join probes it without rebuilding; a mutation of the relation or a
 // rewrite of its blocks drops it.
@@ -239,19 +244,19 @@ func TestJoinCachedBuild(t *testing.T) {
 	hits := func() int64 { return pool.Copy.CachedBuildHits.Load() }
 
 	join()
-	if !HasCachedBuild(arc, []int{0}) || hits() != 0 {
-		t.Fatalf("first join: cached=%v hits=%d, want a fresh table kept", HasCachedBuild(arc, []int{0}), hits())
+	if !hasCachedBuild(arc, []int{0}) || hits() != 0 {
+		t.Fatalf("first join: cached=%v hits=%d, want a fresh table kept", hasCachedBuild(arc, []int{0}), hits())
 	}
 	join()
 	if hits() != 1 {
 		t.Fatalf("second join: %d cache hits, want 1", hits())
 	}
-	if HasCachedBuild(arc, []int{1}) {
+	if hasCachedBuild(arc, []int{1}) {
 		t.Fatal("a table keyed on column 0 serves a join keyed on column 1")
 	}
 
 	arc.CoalescePartitions() // 40 blocks of 8 rows: rewritten
-	if HasCachedBuild(arc, []int{0}) {
+	if hasCachedBuild(arc, []int{0}) {
 		t.Fatal("build table survived a rewrite of the blocks it addresses")
 	}
 	join()
@@ -261,12 +266,70 @@ func TestJoinCachedBuild(t *testing.T) {
 	}
 
 	arc.Append([]int32{7, 555})
-	if HasCachedBuild(arc, []int{0}) {
+	if hasCachedBuild(arc, []int{0}) {
 		t.Fatal("build table survived an append to its relation")
 	}
 	want = HashJoin(pool, delta, arc, spec).SortedRows()
 	join()
 	if len(want) != 6 {
 		t.Fatalf("join after the append has %d rows, want 3", len(want)/2)
+	}
+}
+
+// A cached build table addresses rows in the build relation's own blocks, so
+// a probe through it must keep those blocks resident exactly as a rebuild
+// would: under a memory budget the join output pushes the pool over, the
+// reclaimer looks for cold partitions, and the partitions under a cached table
+// that was built epochs ago must not look cold to it.
+func TestJoinCachedBuildUnderBudget(t *testing.T) {
+	const baseRows, probeRows, parts = 20000, 60000, 16
+	run := func(budget int64, cache bool) (rows int, snap memory.Snapshot) {
+		mem := memory.NewManager(memory.Config{BudgetBytes: budget, SpillDir: t.TempDir()})
+		defer mem.Close()
+		pool := NewPool(2)
+		pool.SetAlloc(mem)
+		base := storage.NewRelation("base", storage.NumberedColumns(2))
+		base.SetLifecycle(mem, storage.CatIDB)
+		data := make([]int32, 0, 2*baseRows)
+		for i := 0; i < baseRows; i++ {
+			data = append(data, int32(i), int32(i+1))
+		}
+		base.AppendRows(data)
+		PartitionRelationCarried(pool, base, []int{0}, parts)
+		base.ReclaimRetired()
+		mem.Register(base)
+		probe := storage.NewRelation("probe", storage.NumberedColumns(2))
+		data = data[:0]
+		for i := 0; i < probeRows; i++ {
+			data = append(data, int32(i), int32(i%baseRows))
+		}
+		probe.AppendRows(data)
+		spec := JoinSpec{
+			LeftKeys: []int{1}, RightKeys: []int{0}, Partitions: parts, CacheBuild: cache,
+			Projs:   []expr.Expr{expr.Col{Index: 0}, expr.Col{Index: 3}},
+			OutName: "j",
+		}
+		warm := storage.NewRelation("warm", storage.NumberedColumns(2))
+		warm.AppendRows([]int32{0, 0})
+		HashJoin(pool, warm, base, spec).Release() // builds (and, cached, keeps) the table
+		mem.EndEpoch()
+		mem.EndEpoch()
+		if budget == 0 {
+			return 0, mem.Snapshot()
+		}
+		out := HashJoin(pool, probe, base, spec)
+		defer out.Release()
+		return out.NumTuples(), mem.Snapshot()
+	}
+	_, unbudgeted := run(0, false)
+	budget := unbudgeted.LiveTotal + 64<<10
+	for _, cache := range []bool{false, true} {
+		rows, snap := run(budget, cache)
+		if rows != probeRows {
+			t.Errorf("cache=%v: join under budget %d returned %d rows, want %d (spills=%d)", cache, budget, rows, probeRows, snap.Spills)
+		}
+		if snap.Spills != 0 {
+			t.Errorf("cache=%v: %d partitions spilled from under a running probe", cache, snap.Spills)
+		}
 	}
 }

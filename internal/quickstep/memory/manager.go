@@ -88,8 +88,9 @@ type Manager struct {
 	spills         obs.Counter
 	faults         obs.Counter
 	secondaryDrops obs.Counter
-	// attachmentDrops counts relations whose attachments (resident indexes,
-	// cached join builds) were shed under budget pressure.
+	// attachmentDrops counts relations whose attachments gave pool bytes back
+	// when shed under budget pressure (resident indexes; a cached join build
+	// is Go heap and is not counted).
 	attachmentDrops obs.Counter
 	spilledBytes    obs.Counter
 	spilledNow      obs.Gauge
@@ -265,7 +266,7 @@ func (m *Manager) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("recstep_mem_spills_total", "Cold partitions spilled to disk under budget pressure.", &m.spills)
 	reg.RegisterCounter("recstep_mem_faults_total", "Spilled partitions faulted back in on demand.", &m.faults)
 	reg.RegisterCounter("recstep_mem_secondary_drops_total", "Secondary carried views dropped under budget pressure.", &m.secondaryDrops)
-	reg.RegisterCounter("recstep_mem_attachment_drops_total", "Relations whose resident indexes and cached join builds were shed under budget pressure.", &m.attachmentDrops)
+	reg.RegisterCounter("recstep_mem_attachment_drops_total", "Relations whose pool-accounted attachments (resident set-difference indexes) were shed under budget pressure.", &m.attachmentDrops)
 	reg.RegisterCounter("recstep_mem_spilled_bytes_total", "Cumulative bytes written to spill files.", &m.spilledBytes)
 	reg.RegisterGauge("recstep_mem_spilled_now_bytes", "Bytes currently held in spill files on disk.", &m.spilledNow)
 	reg.RegisterCounter("recstep_mem_spill_retries_total", "Retried spill-write and fault-read I/O attempts (transient failures, backed off exponentially).", &m.spillRetries)
@@ -678,8 +679,8 @@ type Snapshot struct {
 	SpilledBytes, SpilledNowBytes int64
 	// SecondaryDrops counts secondary carried views dropped under budget
 	// pressure — the eviction step that runs before any partition spills.
-	// AttachmentDrops counts the step before that: relations whose resident
-	// indexes and cached join builds were shed.
+	// AttachmentDrops counts the step before that: relations whose
+	// pool-accounted attachments (resident indexes) were shed.
 	SecondaryDrops  int64
 	AttachmentDrops int64
 	// IndexBytes is the live pool bytes held by resident set-difference

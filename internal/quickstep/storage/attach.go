@@ -15,13 +15,14 @@ import "fmt"
 //     attachment dies with it — except through AppendRelationAttaching, where
 //     the caller certifies the structure already covers the appended rows.
 //   - Layout advances when blocks are rewritten or evicted without a logical
-//     change (coalescing, partition spill). Only layout-bound attachments —
-//     those that address rows by block position, like a join build table —
-//     die with it; a set of keys does not care where the rows live.
+//     change (coalescing, partition spill, a dropped secondary view). Only
+//     layout-bound attachments — those that address rows by block position,
+//     like a join build table — die with it; a set of keys does not care
+//     where the rows live.
 //
 // Custody decides who may release. A structure that is only ever read —
 // concurrent joins probing one cached build table — is shared through
-// Attachment and must tolerate Release while readers still hold it (a heap
+// PinAttachment and must tolerate Release while readers still hold it (a heap
 // structure the collector reclaims qualifies). A structure that is mutated,
 // or whose memory goes back to a pool, is used through TakeAttachment only:
 // while attached nobody holds it, so the relation may release it at any
@@ -33,7 +34,9 @@ type Attachment interface {
 	// Release frees the structure's memory. The relation calls it exactly
 	// once; a caller that took or was refused custody calls it itself.
 	Release()
-	// Bytes is the structure's resident footprint.
+	// Bytes is the pool-accounted memory Release gives back — what the
+	// memory budget sees of the structure. A structure on the Go heap
+	// reports 0: dropping it frees nothing the budget counts.
 	Bytes() int64
 }
 
@@ -103,10 +106,32 @@ func (r *Relation) lookupLocked(key string) (Attachment, bool) {
 
 // Attachment returns the structure attached under key if it still describes
 // the relation. The relation keeps custody: concurrent readers may share it.
+// A caller about to read the relation's blocks through the structure uses
+// PinAttachment instead.
 func (r *Relation) Attachment(key string) (Attachment, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.lookupLocked(key)
+}
+
+// PinAttachment is Attachment for a layout-bound structure an operator is
+// about to read the relation's blocks through (a probe of a cached join build
+// table). The structure holds bare block pointers, and the only thing that
+// keeps the memory reclaimer from spilling a partition under a running
+// operator is the touch that Blocks and PartitionedView.Blocks record; an
+// operator that skips them because the structure is already there would read
+// freed blocks as soon as its own output pushed the pool over budget. So the
+// lookup records that touch for every partition, under the same lock hold: a
+// spill before it has advanced Layout and the lookup misses, a spill after it
+// finds the partitions in this epoch's working set and leaves them alone.
+func (r *Relation) PinAttachment(key string) (Attachment, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	a, ok := r.lookupLocked(key)
+	if ok {
+		r.touchAllLocked()
+	}
+	return a, ok
 }
 
 // TakeAttachment detaches and returns the structure under key if it still
@@ -147,7 +172,7 @@ func (r *Relation) AppendRelationAttaching(other *Relation, key string, a Attach
 }
 
 // DropAttachments releases every attachment, current or not, and returns the
-// bytes freed — the first stage of eviction under memory pressure.
+// pool bytes freed — the first stage of eviction under memory pressure.
 func (r *Relation) DropAttachments() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -185,21 +210,4 @@ func (r *Relation) releaseAttachmentsLocked() int64 {
 	}
 	r.atts = nil
 	return bytes
-}
-
-// NoteRescan adds rows to the tally, kept under key, of rows of this
-// relation that operators re-read since it last changed for want of a
-// resident structure, and returns the new tally. Any mutation zeroes every
-// tally: a relation that keeps changing never accumulates one, so only
-// relations that stay put across iterations — base relations, lower strata
-// — can ever repay a structure built over them.
-func (r *Relation) NoteRescan(key string, rows int) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.rescanGen != r.gen || r.rescans == nil {
-		r.rescans = make(map[string]int64)
-		r.rescanGen = r.gen
-	}
-	r.rescans[key] += int64(rows)
-	return r.rescans[key]
 }

@@ -213,7 +213,7 @@ func TestAppendRelationAttaching(t *testing.T) {
 	}
 }
 
-func TestDropAttachmentsAndRescanTally(t *testing.T) {
+func TestDropAttachments(t *testing.T) {
 	r := fillRelation(nil, "r", 10, 1)
 	a := &fakeAttachment{bytes: 64}
 	r.Attach("a", a, r.Version(), true)
@@ -223,12 +223,87 @@ func TestDropAttachmentsAndRescanTally(t *testing.T) {
 	if r.DropAttachments() != 0 {
 		t.Fatal("second drop found something")
 	}
+}
 
-	if r.NoteRescan("k", 10) != 10 || r.NoteRescan("k", 10) != 20 || r.NoteRescan("other", 3) != 3 {
-		t.Fatal("rescan tallies do not accumulate per key")
+// countingPager is the least a Pager can be: an epoch clock and a spill that
+// keeps nothing.
+type countingPager struct {
+	epoch  int64
+	spills int
+}
+
+func (p *countingPager) Epoch() int64 { return p.epoch }
+func (p *countingPager) SpillBlocks(int, []*Block) (any, int64, error) {
+	p.spills++
+	return p.spills, 0, nil
+}
+func (p *countingPager) FaultBlocks(any, Lifecycle, Category, int) ([]*Block, error) {
+	return nil, nil
+}
+func (p *countingPager) DropSpill(any) {}
+
+// A layout-bound attachment holds bare pointers into the relation's blocks:
+// reading through it must put the partitions into the epoch's working set as
+// a scan would, a partition spilled in between must make the lookup miss, and
+// so must the loss of the secondary view such a structure may be built over.
+func TestPinAttachmentGuardsTheBlocksItAddresses(t *testing.T) {
+	lc := newPoisonLifecycle()
+	rows := make([]int32, 0, 400)
+	for i := int32(0); i < 200; i++ {
+		rows = append(rows, i, i+1)
 	}
-	r.Append([]int32{0, 0})
-	if got := r.NoteRescan("k", 11); got != 11 {
-		t.Fatalf("tally after a mutation = %d, want it restarted at 11", got)
+	r := deltaLike(lc, "r", rows, []int{0}, []int{1}, 4)
+	pg := &countingPager{}
+	r.EnableSpill(pg)
+	table := &fakeAttachment{}
+	r.Attach("table", table, r.Version(), true)
+
+	// Two epochs on, every partition is cold and the reclaimer may take one.
+	pg.epoch = 2
+	if _, _, _, ok := r.ColdestPartition(pg.epoch); !ok {
+		t.Fatal("setup: no cold partition two epochs after the last touch")
+	}
+	if _, ok := r.Attachment("table"); !ok {
+		t.Fatal("a plain lookup lost the attachment")
+	}
+	if _, _, _, ok := r.ColdestPartition(pg.epoch); !ok {
+		t.Fatal("a plain lookup pinned the partitions")
+	}
+	if a, ok := r.PinAttachment("table"); !ok || a != Attachment(table) {
+		t.Fatal("current attachment not served")
+	}
+	if p, _, _, ok := r.ColdestPartition(pg.epoch); ok {
+		t.Fatalf("partition %d evictable under a reader of the attachment", p)
+	}
+	if _, ok := r.SpillPartition(0, pg); ok || pg.spills != 0 {
+		t.Fatal("partition spilled under a reader of the attachment")
+	}
+
+	// Next epoch nobody reads through it; a partition goes, and the structure
+	// that addressed its blocks is not served again.
+	pg.epoch = 3
+	if _, ok := r.SpillPartition(0, pg); !ok {
+		t.Fatal("cold partition refused to spill")
+	}
+	if _, ok := r.PinAttachment("table"); ok {
+		t.Fatal("attachment served after a partition it addresses was spilled")
+	}
+	if table.released != 1 {
+		t.Fatalf("stale attachment released %d times, want 1", table.released)
+	}
+
+	// Built over the secondary view's blocks, dropped with the view.
+	onSec := &fakeAttachment{}
+	keys := &fakeAttachment{}
+	r.Attach("table", onSec, r.Version(), true)
+	r.Attach("keys", keys, r.Version(), false)
+	if !r.DropSecondaryView() {
+		t.Fatal("no secondary view to drop")
+	}
+	if _, ok := r.PinAttachment("table"); ok {
+		t.Fatal("attachment served after the secondary view it may address was retired")
+	}
+	if _, ok := r.Attachment("keys"); !ok {
+		t.Fatal("a set of keys died with the secondary view")
 	}
 }

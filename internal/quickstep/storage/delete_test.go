@@ -174,6 +174,77 @@ func TestDeleteRowsConcurrentScan(t *testing.T) {
 	}
 }
 
+// A scan holds the block list it snapshotted, not the relation's lock, so the
+// blocks a deletion rewrites must outlive the call: DeleteRows retires them
+// and the next quiescent ReclaimRetired recycles them, exactly once. (This is
+// what TestDeleteRowsConcurrentScan catches only some of the time.)
+func TestDeleteRowsRetiresReplacedBlocks(t *testing.T) {
+	check := func(t *testing.T, lc *poisonLifecycle, r *Relation, held []*Block, victim []int32) {
+		t.Helper()
+		var hit *Block
+		for _, b := range held {
+			for i := 0; i < b.Rows(); i++ {
+				if reflect.DeepEqual(b.Row(i), victim) {
+					hit = b
+				}
+			}
+		}
+		if hit == nil {
+			t.Fatalf("fixture: %v not in the held blocks", victim)
+		}
+		want := append([]int32(nil), hit.Data()...)
+		rows := r.NumTuples()
+		if n, err := r.DeleteRows([][]int32{victim}); err != nil || n != 1 {
+			t.Fatalf("removed=%d err=%v, want 1 removed", n, err)
+		}
+		if !reflect.DeepEqual(hit.Data(), want) {
+			t.Fatal("block rewritten by the deletion was recycled under a reader holding it")
+		}
+		live := lc.outstanding()
+		r.ReclaimRetired()
+		if lc.outstanding() >= live {
+			t.Fatal("ReclaimRetired did not recycle the rewritten block")
+		}
+		if reflect.DeepEqual(hit.Data(), want) {
+			t.Fatal("rewritten block still intact after the quiescent reclaim: it leaked")
+		}
+		if got := r.NumTuples(); got != rows-1 {
+			t.Fatalf("%d tuples after deleting one of %d", got, rows)
+		}
+		r.ForEach(func(row []int32) {
+			if reflect.DeepEqual(row, victim) || row[0] == -0x5EED {
+				t.Fatalf("scan after the reclaim saw %v", row)
+			}
+		})
+		r.Release()
+		if n := lc.outstanding(); n != 0 {
+			t.Fatalf("%d arrays leaked after release", n)
+		}
+	}
+	t.Run("flat", func(t *testing.T) {
+		lc := newPoisonLifecycle()
+		r := fillRelation(lc, "r", 2000, 1)
+		check(t, lc, r, r.Blocks(), []int32{8, 15})
+	})
+	t.Run("partitioned", func(t *testing.T) {
+		lc := newPoisonLifecycle()
+		rows := make([]int32, 0, 400)
+		for i := int32(0); i < 200; i++ {
+			rows = append(rows, i, i+1)
+		}
+		r := NewRelation("r", NumberedColumns(2))
+		r.SetLifecycle(lc, CatIDB)
+		r.AdoptPartitioned(scatterRows(lc, CatIDB, rows, []int{0}, 4))
+		view, ok := r.CarriedView([]int{0}, 4)
+		if !ok {
+			t.Fatal("fixture carries no view")
+		}
+		victim := []int32{17, 18}
+		p := PartitionOf(PartitionHash(victim, []int{0}), 4)
+		check(t, lc, r, view.Blocks(p), victim)
+	})
+}
+
 // packTuple/unpackTuple must roundtrip any tuple, including negative values.
 func TestPackTupleRoundtrip(t *testing.T) {
 	f := func(a, b, c int32) bool {

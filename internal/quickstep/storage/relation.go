@@ -76,12 +76,9 @@ type Relation struct {
 	faultErr error
 	// Attachments (see attach.go): derived structures kept alive between
 	// queries, each guarded by the version it was derived from. layout counts
-	// physical rewrites that leave the contents unchanged; rescans tallies
-	// rows re-read since generation rescanGen.
-	atts      map[string]attachment
-	layout    uint64
-	rescans   map[string]int64
-	rescanGen uint64
+	// physical rewrites that leave the contents unchanged.
+	atts   map[string]attachment
+	layout uint64
 }
 
 // NewRelation creates an empty relation. colNames fixes the arity; names are
@@ -447,6 +444,8 @@ func (r *Relation) retireSecondaryLocked() {
 	}
 	r.retireViewBlocksLocked(r.sec)
 	r.sec = nil
+	// A join build table keyed on the secondary keyset addresses these blocks.
+	r.layout++
 }
 
 // DropSecondaryView detaches the secondary carried view, if any, reporting

@@ -156,10 +156,7 @@ func (r *Relation) faultAllLocked() {
 	// A flat scan reads every partition: mark them all hot even when nothing
 	// is currently spilled, or the reclaimer would evict blocks out from
 	// under the running scan.
-	now := r.pager.Epoch()
-	for i := range r.touch {
-		r.touch[i] = now
-	}
+	r.touchAllLocked()
 	for len(r.slots) > 0 {
 		if r.faultErr != nil {
 			// A fault already failed: don't keep hammering a broken spill
@@ -193,6 +190,18 @@ func (r *Relation) faultAllLocked() {
 			r.live.blocks[p] = append(blocks, r.live.blocks[p]...)
 			r.blocks = append(r.blocks, blocks...)
 		}
+	}
+}
+
+// touchAllLocked marks every partition of the carried view as part of the
+// current epoch's working set.
+func (r *Relation) touchAllLocked() {
+	if r.pager == nil {
+		return
+	}
+	now := r.pager.Epoch()
+	for i := range r.touch {
+		r.touch[i] = now
 	}
 }
 

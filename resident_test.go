@@ -284,6 +284,70 @@ func TestResidentIndexAcrossApplyDelta(t *testing.T) {
 	}
 }
 
+// A lower-stratum IDB is both things at once: invariant while the stratum
+// above it iterates, so it gets a cached build, and a full relation, so under
+// a budget it is spillable. The reclaimer and the probes through the cached
+// table must agree on which of its partitions are in use; whatever the
+// budget, the result is the unbudgeted one.
+func TestCachedBuildOnSpillableLowerStratum(t *testing.T) {
+	prog := programs.MustParse(`
+hop(x,y) :- arc(x,y).
+w(s,y) :- seed(s,y).
+w(s,y) :- w(s,x), hop(x,y).
+`)
+	edbs := func() map[string]*storage.Relation {
+		const chains, length, sources = 20, 120, 15
+		arc := storage.NewRelation("arc", storage.NumberedColumns(2))
+		seed := storage.NewRelation("seed", storage.NumberedColumns(2))
+		var a, s []int32
+		for c := 0; c < chains; c++ {
+			for i := 0; i < length-1; i++ {
+				a = append(a, int32(c*length+i), int32(c*length+i+1))
+			}
+			for k := 0; k < sources; k++ {
+				s = append(s, int32(1_000_000+c*sources+k), int32(c*length))
+			}
+		}
+		arc.AppendRows(a)
+		seed.AppendRows(s)
+		return map[string]*storage.Relation{"arc": arc, "seed": seed}
+	}
+	run := func(budget int64) *core.Result {
+		t.Helper()
+		opts := core.DefaultOptions()
+		opts.Workers = 2
+		opts.Partitions = 16
+		opts.MemBudgetBytes = budget
+		if budget > 0 {
+			opts.SpillDir = t.TempDir()
+		}
+		res, err := core.New(opts).Run(prog, edbs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	ref := run(0)
+	want := ref.Relations["w"].SortedRows()
+	if ref.Stats.CachedBuildHits == 0 {
+		t.Fatal("unbudgeted run kept no build table on hop")
+	}
+	for _, pct := range []int64{90, 30} {
+		got := run(ref.Stats.Mem.PeakLive * pct / 100)
+		if !reflect.DeepEqual(got.Relations["w"].SortedRows(), want) {
+			t.Errorf("budget at %d%% of the unbudgeted peak: w differs from the unbudgeted result", pct)
+		}
+		if s := got.Stats; pct == 30 && (s.CachedBuildHits == 0 || s.Mem.Spills == 0) {
+			t.Errorf("budget at 30%%: %d cached-build hits, %d spills; the run no longer mixes the two", s.CachedBuildHits, s.Mem.Spills)
+		}
+	}
+}
+
+func hasCachedBuild(r *storage.Relation, keys []int) bool {
+	_, ok := r.Attachment(exec.BuildCacheKey(keys))
+	return ok
+}
+
 // Eviction order under a memory budget, one stage per over-budget epoch:
 // attachments (the resident index, the cached join build) go before the
 // secondary carried view, which goes before any primary partition spills.
@@ -335,7 +399,7 @@ func TestAttachmentsEvictBeforeSecondaryBeforeSpill(t *testing.T) {
 		probe := storage.NewRelation("p", storage.NumberedColumns(2))
 		probe.AppendRows(rows[:20])
 		exec.HashJoin(db.Pool(), probe, e, joinSpec).Release()
-		if !exec.HasCachedBuild(e, []int{0}) {
+		if !hasCachedBuild(e, []int{0}) {
 			t.Fatal("join left no cached build")
 		}
 		return fixture{db, r, e}
@@ -389,8 +453,8 @@ func TestAttachmentsEvictBeforeSecondaryBeforeSpill(t *testing.T) {
 	if _, ok := f.r.SecondaryPartitioning(); !ok || snap.SecondaryDrops != 0 || snap.Spills != 0 {
 		t.Fatalf("stage 1 went past the attachments: secondaryDrops=%d spills=%d", snap.SecondaryDrops, snap.Spills)
 	}
-	if snap.LiveTotal > budget || !exec.HasCachedBuild(f.e, []int{0}) {
-		t.Fatalf("stage 1: live %d against budget %d, cached build kept=%v", snap.LiveTotal, budget, exec.HasCachedBuild(f.e, []int{0}))
+	if snap.LiveTotal > budget || !hasCachedBuild(f.e, []int{0}) {
+		t.Fatalf("stage 1: live %d against budget %d, cached build kept=%v", snap.LiveTotal, budget, hasCachedBuild(f.e, []int{0}))
 	}
 
 	// Stage 2, over again by less than the secondary view holds: it goes,
@@ -411,8 +475,11 @@ func TestAttachmentsEvictBeforeSecondaryBeforeSpill(t *testing.T) {
 	x3 := push("x3", budget-snap.LiveTotal+slack)
 	f.db.EndIteration()
 	snap = f.db.MemSnapshot()
-	if exec.HasCachedBuild(f.e, []int{0}) || snap.AttachmentDrops != 2 {
-		t.Fatalf("stage 3: cached build survived an epoch that spilled (drops=%d)", snap.AttachmentDrops)
+	if hasCachedBuild(f.e, []int{0}) {
+		t.Fatal("stage 3: cached build survived an epoch that spilled")
+	}
+	if snap.AttachmentDrops != 1 {
+		t.Fatalf("stage 3: %d attachment drops, want 1: shedding a heap-only build table gives the pool nothing back and is not one", snap.AttachmentDrops)
 	}
 	if snap.Spills == 0 {
 		t.Fatal("stage 3: over budget with nothing redundant left, but nothing spilled")
