@@ -248,6 +248,9 @@ func main() {
 	log.Printf("planner: %d empty-∆ arms skipped, peak join intermediate %d rows, wcoj rules %v",
 		res.Stats.ArmsSkipped, res.Stats.PeakJoinIntermediate, res.Stats.WCOJRules)
 	if *verbose {
+		log.Printf("join output: %d rows expanded, %d dropped by the duplicate filter, %d reached tmp tables (%d kept as ∆); %d windows ran with the filter switched off",
+			res.Stats.JoinRowsExpanded, res.Stats.DupSuppressed, res.Stats.TmpTuples, res.Stats.DeltaTuples,
+			res.Stats.DupFilterBypassed)
 		rules := make([]string, 0, len(res.Stats.JoinOrdersByRule))
 		for name := range res.Stats.JoinOrdersByRule {
 			rules = append(rules, name)
@@ -262,6 +265,9 @@ func main() {
 	log.Printf("memory: peak pool %d bytes, %d/%d block allocs recycled, %d spills / %d faults",
 		res.Stats.Mem.PeakLive, res.Stats.Mem.PoolHits, res.Stats.Mem.PoolHits+res.Stats.Mem.PoolMisses,
 		res.Stats.Mem.Spills, res.Stats.Mem.Faults)
+	if *verbose {
+		log.Printf("memory: the peak was made of: %s", res.Stats.Mem.PeakComposition())
+	}
 	if *verbose {
 		if len(res.Stats.PhaseDurations) > 0 {
 			log.Printf("phases (worker-time, overlaps): [%s]", phaseMapString(res.Stats.PhaseDurations))

@@ -261,6 +261,16 @@ type Stats struct {
 	ResidentIndexHits    int64
 	ResidentIndexReseeds int64
 	CachedBuildHits      int64
+	// Join-output accounting. JoinRowsExpanded is the rows hash joins produced
+	// before the duplicate filter of a set-valued output, DupSuppressed the
+	// rows that filter dropped before they were written anywhere, and
+	// DupFilterBypassed the output windows flushed after a worker had switched
+	// its filter off for want of hits. TmpTuples above stays what reached the
+	// tmp tables; DupSuppressed / JoinRowsExpanded is the filter's hit share.
+	// IterInfo.Copy carries the same three per step.
+	JoinRowsExpanded  int64
+	DupSuppressed     int64
+	DupFilterBypassed int64
 	// ArmsSkipped counts UNION ALL arms skipped across the run because
 	// their seeding ∆ relation was empty (the early-exit arm filter).
 	ArmsSkipped int64
@@ -483,6 +493,9 @@ func (r *runState) collectStats() {
 	r.stats.ResidentIndexHits = copySnap.ResidentIndexHits
 	r.stats.ResidentIndexReseeds = copySnap.ResidentIndexReseeds
 	r.stats.CachedBuildHits = copySnap.CachedBuildHits
+	r.stats.JoinRowsExpanded = copySnap.JoinRowsExpanded
+	r.stats.DupSuppressed = copySnap.DupSuppressed
+	r.stats.DupFilterBypassed = copySnap.DupFilterBypassed
 	r.stats.JoinOrdersByRule = r.db.PlanChoices()
 	for name, pc := range r.stats.JoinOrdersByRule {
 		if pc.Strategy == "wcoj" {
@@ -920,17 +933,21 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit quer
 					st.secDelivered, st.lastSecParts = true, part.Parts
 				}
 			}
-			r.db.SetOutputPartitioning(q.Tmp, part)
-			defer r.db.ClearOutputPartitioning(q.Tmp)
 		}
+		// The fused delta step dedups Rt before anything else reads it, so the
+		// joins producing it are told their output is a set. Only here: an
+		// aggregate needs every candidate, and the staged pipeline and the
+		// FAST-DEDUP baselines measure the bag.
+		r.db.SetOutputHint(q.Tmp, quickstep.OutputHint{Part: part, Set: true})
+		defer r.db.ClearOutputHint(q.Tmp)
 	} else if st.agg != nil {
 		// Partition-parallel aggregate merge: once the state fan-out is
 		// fixed (first merge), candidates land pre-scattered on the group
 		// columns and ∆R exits carrying that partitioning for the next
 		// iteration's joins.
 		if ap, ok := st.agg.partitioning(); ok {
-			r.db.SetOutputPartitioning(q.Tmp, ap)
-			defer r.db.ClearOutputPartitioning(q.Tmp)
+			r.db.SetOutputHint(q.Tmp, quickstep.OutputHint{Part: ap})
+			defer r.db.ClearOutputHint(q.Tmp)
 		}
 	}
 

@@ -12,6 +12,7 @@ import (
 	"recstep/internal/datalog/ast"
 	"recstep/internal/datalog/querygen"
 	"recstep/internal/obs"
+	"recstep/internal/quickstep"
 	"recstep/internal/quickstep/exec"
 	"recstep/internal/quickstep/memory"
 	"recstep/internal/quickstep/storage"
@@ -804,6 +805,13 @@ func (u *updateRun) runUnit(tmp string, arity int, unit querygen.UnitQueries) (*
 	}
 	if _, err := r.db.ExecSQL(fmt.Sprintf("CREATE TABLE %s (%s)", tmp, columnsSQL(arity))); err != nil {
 		return nil, err
+	}
+	// Every caller hands the result straight to db.Dedup, so the joins may
+	// treat it as a set — unless that dedup is a FAST-DEDUP baseline, which is
+	// there to be measured on the full bag (the rule evalIDB follows).
+	if r.opts().Dedup == exec.DedupGSCHT {
+		r.db.SetOutputHint(tmp, quickstep.OutputHint{Set: true})
+		defer r.db.ClearOutputHint(tmp)
 	}
 	if _, err := r.db.ExecSQL(unit.Unified); err != nil {
 		u.dropTmp(tmp)

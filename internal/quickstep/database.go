@@ -122,12 +122,11 @@ type Database struct {
 	mu      sync.Mutex // one query at a time, as in QuickStep
 	queries atomic.Int64
 
-	// outParts maps destination-table names to the partitioning the final
-	// operator of an INSERT … SELECT into them should emit — the hook the
-	// engine uses to make the join output land pre-partitioned for the fused
-	// delta step. Guarded by hintMu (registered outside the query lock).
+	// outHints maps destination-table names to what the engine has said about
+	// the output of an INSERT … SELECT into them (see OutputHint). Guarded by
+	// hintMu (registered outside the query lock).
 	hintMu   sync.Mutex
-	outParts map[string]storage.Partitioning
+	outHints map[string]OutputHint
 	// rescans is the one ledger behind both resident structures: per (table,
 	// structure) the rows operators re-read for want of that structure, which
 	// optimizer.RepaysResident weighs against the rows it would hold. Guarded
@@ -446,33 +445,55 @@ func (db *Database) QueriesIssued() int64 { return db.queries.Load() }
 // run on this database's pool.
 func (db *Database) CopySnapshot() exec.CopySnapshot { return db.pool.Copy.Snapshot() }
 
-// SetOutputPartitioning asks the next INSERT … SELECT into table to emit its
-// result pre-partitioned: the final operator of every branch scatters its
-// output rows by part and the materialized result carries the partitioning.
-// The hint persists until cleared or overwritten (the engine re-registers it
-// per iteration as the chosen fan-out shifts).
-func (db *Database) SetOutputPartitioning(table string, part storage.Partitioning) {
-	db.hintMu.Lock()
-	defer db.hintMu.Unlock()
-	if db.outParts == nil {
-		db.outParts = make(map[string]storage.Partitioning)
+// OutputHint is what the consumer of an INSERT … SELECT's result tells the
+// producer about it — the one door through which knowledge of the next
+// operator reaches a query's final operator.
+type OutputHint struct {
+	// Part, with more than one partition, asks the final operator of every
+	// branch to scatter its output rows by it; the materialized result then
+	// carries the partitioning, landing pre-partitioned for the fused delta
+	// step or the partitioned aggregate merge.
+	Part storage.Partitioning
+	// Set says the consumer reads the result as a set: it removes duplicates
+	// before anything else sees the rows. A branch's last join may then drop a
+	// row equal to one the same operator call already emitted. Only a consumer
+	// that dedups unconditionally may say so — an aggregate, or a pipeline that
+	// measures the duplicates, must see the full bag.
+	Set bool
+}
+
+// part returns the partitioning to emit by, nil for a flat result.
+func (h OutputHint) part() *storage.Partitioning {
+	if h.Part.Parts > 1 {
+		return &h.Part
 	}
-	db.outParts[table] = part
+	return nil
 }
 
-// ClearOutputPartitioning removes a table's output-partitioning hint.
-func (db *Database) ClearOutputPartitioning(table string) {
+// SetOutputHint registers h for the INSERT … SELECTs into table. It persists
+// until cleared or overwritten (the engine re-registers it per iteration as
+// the chosen fan-out shifts).
+func (db *Database) SetOutputHint(table string, h OutputHint) {
 	db.hintMu.Lock()
 	defer db.hintMu.Unlock()
-	delete(db.outParts, table)
+	if db.outHints == nil {
+		db.outHints = make(map[string]OutputHint)
+	}
+	db.outHints[table] = h
 }
 
-// outputPartitioning looks up the hint for a destination table.
-func (db *Database) outputPartitioning(table string) (storage.Partitioning, bool) {
+// ClearOutputHint removes a table's output hint.
+func (db *Database) ClearOutputHint(table string) {
 	db.hintMu.Lock()
 	defer db.hintMu.Unlock()
-	p, ok := db.outParts[table]
-	return p, ok
+	delete(db.outHints, table)
+}
+
+// outputHint looks up the hint for a destination table (zero when none).
+func (db *Database) outputHint(table string) OutputHint {
+	db.hintMu.Lock()
+	defer db.hintMu.Unlock()
+	return db.outHints[table]
 }
 
 // FilteredSuffix names the transient relations runBranch materializes for
@@ -571,11 +592,9 @@ func (db *Database) execStatement(st plan.Statement) (*storage.Relation, error) 
 		if !ok {
 			return nil, fmt.Errorf("quickstep: INSERT into unknown table %q", s.Table)
 		}
-		var hint *storage.Partitioning
-		if p, ok := db.outputPartitioning(s.Table); ok && p.Parts > 1 {
-			hint = &p
-		}
-		res, err := db.runQuery(s.Query, s.Table+"_ins", hint)
+		out := db.outputHint(s.Table)
+		hint := out.part()
+		res, err := db.runQuery(s.Query, s.Table+"_ins", out)
 		if err != nil {
 			return nil, err
 		}
@@ -595,7 +614,7 @@ func (db *Database) execStatement(st plan.Statement) (*storage.Relation, error) 
 		}
 		return nil, db.afterMutation(s.Table)
 	case plan.SelectStmt:
-		return db.runQuery(s.Query, "result", nil)
+		return db.runQuery(s.Query, "result", OutputHint{})
 	}
 	return nil, fmt.Errorf("quickstep: unhandled statement %T", st)
 }
@@ -614,7 +633,7 @@ func (db *Database) afterMutation(table string) error {
 // all cores busy without inter-query coordination. With an output
 // partitioning, every branch emits pre-partitioned and the union merges the
 // per-partition block lists, so the combined result still carries it.
-func (db *Database) runQuery(q *plan.Query, name string, part *storage.Partitioning) (*storage.Relation, error) {
+func (db *Database) runQuery(q *plan.Query, name string, out OutputHint) (*storage.Relation, error) {
 	results := make([]*storage.Relation, len(q.Branches))
 	errs := make([]error, len(q.Branches))
 	var wg sync.WaitGroup
@@ -632,7 +651,7 @@ func (db *Database) runQuery(q *plan.Query, name string, part *storage.Partition
 					errs[i] = err
 				}
 			}()
-			results[i], errs[i] = db.runBranch(br, fmt.Sprintf("%s_b%d", name, i), part)
+			results[i], errs[i] = db.runBranch(br, fmt.Sprintf("%s_b%d", name, i), out)
 		}(i, br)
 	}
 	wg.Wait()
@@ -652,14 +671,15 @@ func (db *Database) runQuery(q *plan.Query, name string, part *storage.Partition
 	if len(outCols) != results[0].Arity() {
 		outCols = storage.NumberedColumns(results[0].Arity())
 	}
-	out := exec.UnionAll(name, outCols, results...)
+	union := exec.UnionAll(name, outCols, results...)
 	for _, br := range results {
-		br.Release() // branch shells are dead; out retains their blocks
+		br.Release() // branch shells are dead; union retains their blocks
 	}
-	return out, nil
+	return union, nil
 }
 
-func (db *Database) runBranch(br *plan.Branch, name string, part *storage.Partitioning) (*storage.Relation, error) {
+func (db *Database) runBranch(br *plan.Branch, name string, hint OutputHint) (*storage.Relation, error) {
+	part := hint.part()
 	// Resolve and pre-filter base tables. owned marks relations this branch
 	// materialized itself (filtered inputs, join intermediates): they are
 	// released — blocks recycled — as soon as the next operator has consumed
@@ -788,8 +808,10 @@ func (db *Database) runBranch(br *plan.Branch, name string, part *storage.Partit
 		}
 		if fuseFinal && step == len(ord.Steps)-1 {
 			// Fused scatter: the probe emits the branch output directly into
-			// the partitions the delta step consumes.
+			// the partitions the delta step consumes — and, told the consumer
+			// dedups, need not emit what it has just emitted.
 			spec.OutPartitioning = part
+			spec.OutSet = hint.Set
 		}
 		if fuseAgg && step == len(ord.Steps)-1 {
 			est := cur.NumTuples()

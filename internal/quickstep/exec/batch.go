@@ -559,53 +559,74 @@ func batchSelectProject(pool *Pool, col *collector, blocks []*storage.Block, pre
 	})
 }
 
-// batchJoinProbe drives one probe block through the join's build maps in
-// kernel-sized windows: the key columns are gathered into contiguous
-// scratch columns, packed and partition-hashed in batch loops, so the
-// per-row residue is only the map lookup and the match expansion. fn
-// receives each matching probe row with its build table and locator list.
-func batchJoinProbe(jt *joinTable, b *storage.Block, probeKeys []int, buf *batchBuf, fn func(row []int32, bt *buildTable, matches []int32)) {
-	n := b.Rows()
-	if n == 0 {
-		return
-	}
-	arity := b.Arity()
-	data := b.Data()
-	nk := len(probeKeys)
-	use64 := nk <= 2
+// probeWindows walks one probe block through the join's build maps in
+// kernel-sized windows: the key columns are gathered into contiguous scratch
+// columns, packed and partition-hashed in batch loops, so the per-row residue
+// is only the map lookup and the match expansion.
+type probeWindows struct {
+	jt        *joinTable
+	probeKeys []int
+	buf       *batchBuf
+	kcols     [][]int32
+	use64     bool
+}
+
+func newProbeWindows(jt *joinTable, probeKeys []int, buf *batchBuf) probeWindows {
 	kcols := buf.cols[:0]
-	for j := 0; j < nk; j++ {
+	for j := range probeKeys {
 		kcols = append(kcols, buf.gather[j*kernels.BatchRows:(j+1)*kernels.BatchRows])
 	}
 	buf.cols = kcols
+	return probeWindows{jt: jt, probeKeys: probeKeys, buf: buf, kcols: kcols, use64: len(probeKeys) <= 2}
+}
+
+// pack prepares rows [off, off+bn) of a block's row-major data for lookup.
+func (pw *probeWindows) pack(data []int32, arity, off, bn int) {
+	buf, kcols := pw.buf, pw.kcols
+	for j, c := range pw.probeKeys {
+		dst := kcols[j][:bn]
+		for i := range dst {
+			dst[i] = data[(off+i)*arity+c]
+		}
+		kcols[j] = dst
+	}
+	if pw.use64 {
+		kernels.PackKeyCols(kcols, buf.keys)
+	} else {
+		kernels.PackKeyCols128(kcols, buf.hi, buf.lo)
+	}
+	if pw.jt.parts > 1 {
+		kernels.HashColumns(kcols, buf.hash)
+	}
+}
+
+// lookup returns the build table and locator list of the packed window's
+// i-th row.
+func (pw *probeWindows) lookup(i int) (*buildTable, []int32) {
+	jt, buf := pw.jt, pw.buf
+	bt := jt.single
+	if jt.parts > 1 {
+		bt = jt.tables[storage.PartitionOf(buf.hash[i], jt.parts)]
+	}
+	if pw.use64 {
+		return bt, bt.by64[buf.keys[i]]
+	}
+	return bt, bt.by128[gscht.Key128{Hi: buf.hi[i], Lo: buf.lo[i]}]
+}
+
+// batchJoinProbe hands fn each matching probe row of b with its build table
+// and locator list — the probe half of a join whose matches need the
+// combined row (residual predicates, computed projections).
+func batchJoinProbe(jt *joinTable, b *storage.Block, probeKeys []int, buf *batchBuf, fn func(row []int32, bt *buildTable, matches []int32)) {
+	n := b.Rows()
+	arity := b.Arity()
+	data := b.Data()
+	pw := newProbeWindows(jt, probeKeys, buf)
 	for off := 0; off < n; off += kernels.BatchRows {
 		bn := min(kernels.BatchRows, n-off)
-		for j, c := range probeKeys {
-			dst := kcols[j][:bn]
-			for i := range dst {
-				dst[i] = data[(off+i)*arity+c]
-			}
-			kcols[j] = dst
-		}
-		if use64 {
-			kernels.PackKeyCols(kcols, buf.keys)
-		} else {
-			kernels.PackKeyCols128(kcols, buf.hi, buf.lo)
-		}
-		if jt.parts > 1 {
-			kernels.HashColumns(kcols, buf.hash)
-		}
+		pw.pack(data, arity, off, bn)
 		for i := 0; i < bn; i++ {
-			bt := jt.single
-			if jt.parts > 1 {
-				bt = jt.tables[storage.PartitionOf(buf.hash[i], jt.parts)]
-			}
-			var matches []int32
-			if use64 {
-				matches = bt.by64[buf.keys[i]]
-			} else {
-				matches = bt.by128[gscht.Key128{Hi: buf.hi[i], Lo: buf.lo[i]}]
-			}
+			bt, matches := pw.lookup(i)
 			if len(matches) == 0 {
 				continue
 			}

@@ -45,6 +45,11 @@ type JoinSpec struct {
 	// next consumer keyed the same way (the fused delta step, a downstream
 	// build) skips its own re-partition pass entirely.
 	OutPartitioning *storage.Partitioning
+	// OutSet says the consumer of the output treats it as a set — it removes
+	// duplicates before anything else reads the rows — so the join may drop a
+	// row equal to one this call has already emitted (see dupfilter.go). It
+	// need not: the mark permits, the join decides from what it observes.
+	OutSet bool
 }
 
 // blockShift packs a (block, row) build-row locator into one int32:
@@ -335,10 +340,24 @@ func HashJoin(pool *Pool, left, right *storage.Relation, spec JoinSpec) *storage
 	col := outCollector(pool, spec.OutPartitioning, len(spec.Projs), len(blocks))
 	batchProbe := pool.batch && len(probeKeys) <= 4
 	endProbe := pool.phase(obs.PhaseProbe, -1)
+	if batchProbe && plainCols && len(spec.Residual) == 0 && windowRows(len(idx)) > 0 {
+		// Plain columns and nothing to test per match: the expansion kernel.
+		jo := newJoinOutput(pool, col, idx, la, spec.BuildLeft, spec.OutSet)
+		pool.runTasksPerWorker(len(blocks), func(worker, t int) {
+			pool.observeBatch(blocks[t].Rows())
+			jo.probeBlock(&jo.workers[worker], jt, blocks[t], probeKeys)
+		})
+		jo.finish()
+		endProbe()
+		return col.into(spec.OutName, spec.OutCols)
+	}
+	// Residual predicates or computed projections (and the whole join under
+	// -columnar=false) go match by match through the combined row.
 	scatterRun(pool, col, blocks, func(b *storage.Block, emit func(row []int32)) {
 		pool.observeBatch(b.Rows())
 		combined := make([]int32, la+ra)
 		outRow := make([]int32, len(spec.Projs))
+		emitted := 0
 		// expand materializes one probe row's matches: probe half laid in
 		// once, then per match the build half, residual and projection.
 		expand := func(pr []int32, bt *buildTable, matches []int32) {
@@ -367,24 +386,24 @@ func HashJoin(pool *Pool, left, right *storage.Relation, spec JoinSpec) *storage
 					}
 				}
 				emit(outRow)
+				emitted++
 			}
 		}
 		if batchProbe {
 			buf := getBatchBuf()
 			batchJoinProbe(jt, b, probeKeys, buf, expand)
 			putBatchBuf(buf)
-			return
-		}
-		keyBuf := make([]byte, 4*len(probeKeys))
-		n := b.Rows()
-		for i := 0; i < n; i++ {
-			pr := b.Row(i)
-			bt, matches := jt.lookup(pr, probeKeys, keyBuf)
-			if len(matches) == 0 {
-				continue
+		} else {
+			keyBuf := make([]byte, 4*len(probeKeys))
+			n := b.Rows()
+			for i := 0; i < n; i++ {
+				pr := b.Row(i)
+				if bt, matches := jt.lookup(pr, probeKeys, keyBuf); len(matches) != 0 {
+					expand(pr, bt, matches)
+				}
 			}
-			expand(pr, bt, matches)
 		}
+		pool.Copy.JoinRowsExpanded.Add(int64(emitted))
 	})
 	endProbe()
 	return col.into(spec.OutName, spec.OutCols)

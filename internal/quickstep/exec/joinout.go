@@ -1,0 +1,384 @@
+package exec
+
+import (
+	"sync"
+
+	"recstep/internal/quickstep/kernels"
+	"recstep/internal/quickstep/storage"
+)
+
+// The output half of a hash join whose projections are plain columns and
+// that tests nothing per match — every join a delta rule compiles to. Each
+// output column is resolved once per join to (probe row | build row, offset);
+// a probe row's own values are read once and every match is written straight
+// into a row-major window private to the worker, which is flushed in bulk: a
+// block-sized copy for a flat output, the window-at-a-time counting-sort
+// scatter for a partitioned one. When the output is set-valued the window
+// passes the duplicate filter on its way out.
+
+// colSrc says where one output column comes from.
+type colSrc struct {
+	build bool // the build row, else the probe row
+	off   int  // column within that row
+}
+
+// joinOutput is the output state of one HashJoin call.
+type joinOutput struct {
+	pool    *Pool
+	col     *collector
+	width   int
+	winRows int
+	src     []colSrc
+	srcBuf  [4]colSrc // backs src up to four columns
+	// filter says the output is set-valued and narrow enough to pack; the
+	// tuning points are read once so one call sees one setting.
+	filter   bool
+	activate int
+	minHits  int
+	workers  []joinWorker
+}
+
+// joinWorker is one worker's share of a joinOutput. Everything it points to
+// is taken on first use: a join that matches nothing takes nothing.
+type joinWorker struct {
+	// probe is the key-packing scratch of the probe half; out holds the
+	// window (its gather) and the scatter's scratch. Two buffers because both
+	// halves use buf.hash and a window can flush mid-probe.
+	probe, out *batchBuf
+	win        []int32
+	n          int // rows in the window
+	// passed counts the leading window rows the filter has already let
+	// through (a filtered window keeps filling until it is worth flushing).
+	passed int
+	flat   bulkSink
+	part   *partWriter
+
+	filt    *dupFilter
+	filtOff bool
+	emitted int // rows this worker has flushed in this join
+	// seen and hits are the rows the borrowed filter has been shown and those
+	// it dropped — the hit share the bypass rule judges.
+	seen, hits int
+
+	expanded, bypassed int64
+
+	_ [48]byte // workers sit side by side in one slice: pad to three cache lines
+}
+
+// windowRows is the row capacity of an output window of the given width
+// inside a batchBuf's gather scratch: a full kernel batch up to four columns,
+// as many whole rows as fit beyond that.
+func windowRows(width int) int {
+	if width <= 4 {
+		return kernels.BatchRows
+	}
+	return 4 * kernels.BatchRows / width
+}
+
+// joinOutputs recycles joinOutput values, worker slots and the scratch
+// buffers they have taken included: a fixpoint of few-row iterations runs
+// thousands of joins that never fill a window, and their output state should
+// cost them no allocation and no second trip to a buffer pool.
+var joinOutputs = sync.Pool{New: func() any { return new(joinOutput) }}
+
+// newJoinOutput resolves the projection idx (columns of left ++ right, la of
+// them left) against the physical sides. finish gives the value back.
+func newJoinOutput(pool *Pool, col *collector, idx []int, la int, buildLeft, set bool) *joinOutput {
+	jo := joinOutputs.Get().(*joinOutput)
+	workers := jo.workers[:0]
+	if cap(workers) < pool.Workers() {
+		workers = make([]joinWorker, 0, pool.Workers())
+	}
+	*jo = joinOutput{
+		pool:     pool,
+		col:      col,
+		width:    len(idx),
+		winRows:  windowRows(len(idx)),
+		filter:   set && len(idx) <= dupFilterWidth,
+		activate: int(dupFilterActivate.Load()),
+		minHits:  int(dupFilterMinHits.Load()),
+		workers:  workers[:pool.Workers()],
+	}
+	jo.src = jo.srcBuf[:0]
+	for _, c := range idx {
+		left := c < la
+		if !left {
+			c -= la
+		}
+		jo.src = append(jo.src, colSrc{build: left == buildLeft, off: c})
+	}
+	// finish left every slot holding nothing but its scratch buffers.
+	for i := range jo.workers {
+		jo.workers[i].flat = bulkSink{c: col, slot: i}
+	}
+	return jo
+}
+
+// probeBlock joins one probe block against the build tables.
+func (jo *joinOutput) probeBlock(w *joinWorker, jt *joinTable, b *storage.Block, probeKeys []int) {
+	n := b.Rows()
+	if n == 0 {
+		return
+	}
+	if w.probe == nil {
+		w.probe = getBatchBuf()
+	}
+	arity := b.Arity()
+	data := b.Data()
+	pw := newProbeWindows(jt, probeKeys, w.probe)
+	for off := 0; off < n; off += kernels.BatchRows {
+		bn := min(kernels.BatchRows, n-off)
+		pw.pack(data, arity, off, bn)
+		for i := 0; i < bn; i++ {
+			bt, matches := pw.lookup(i)
+			if len(matches) == 0 {
+				continue
+			}
+			r := (off + i) * arity
+			jo.expand(w, data[r:r+arity:r+arity], bt, matches)
+		}
+	}
+}
+
+// expand writes one probe row's matches into the worker's window, making
+// room whenever it fills.
+func (jo *joinOutput) expand(w *joinWorker, pr []int32, bt *buildTable, matches []int32) {
+	if w.win == nil {
+		if w.out == nil {
+			w.out = getBatchBuf()
+		}
+		w.win = w.out.gather[:jo.winRows*jo.width]
+	}
+	w.expanded += int64(len(matches))
+	for len(matches) > 0 {
+		k := min(jo.winRows-w.n, len(matches))
+		if k == 0 {
+			jo.windowFull(w)
+			continue
+		}
+		jo.expandInto(w.win[w.n*jo.width:], pr, bt, matches[:k])
+		w.n += k
+		matches = matches[k:]
+	}
+}
+
+// expandInto writes len(matches) output rows to the front of win. The
+// per-width cases keep the row in registers: the probe-side values are loaded
+// once before the loop and the column-source tests inside it never change
+// direction, so a match costs its build-row loads and its stores.
+func (jo *joinOutput) expandInto(win []int32, pr []int32, bt *buildTable, matches []int32) {
+	const rowMask = storage.DefaultBlockRows - 1
+	blocks, ba := bt.blocks, bt.arity
+	src := jo.src
+	switch len(src) {
+	case 1:
+		s0 := src[0]
+		if !s0.build {
+			v := pr[s0.off]
+			for j := range matches {
+				win[j] = v
+			}
+			return
+		}
+		for j, m := range matches {
+			win[j] = blocks[m>>blockShift].Data()[(int(m)&rowMask)*ba+s0.off]
+		}
+	case 2:
+		s0, s1 := src[0], src[1]
+		var v0, v1 int32
+		if !s0.build {
+			v0 = pr[s0.off]
+		}
+		if !s1.build {
+			v1 = pr[s1.off]
+		}
+		win = win[:2*len(matches)]
+		for j, m := range matches {
+			br := blocks[m>>blockShift].Data()[(int(m)&rowMask)*ba:]
+			if s0.build {
+				v0 = br[s0.off]
+			}
+			if s1.build {
+				v1 = br[s1.off]
+			}
+			win[2*j], win[2*j+1] = v0, v1
+		}
+	case 3:
+		s0, s1, s2 := src[0], src[1], src[2]
+		var v0, v1, v2 int32
+		if !s0.build {
+			v0 = pr[s0.off]
+		}
+		if !s1.build {
+			v1 = pr[s1.off]
+		}
+		if !s2.build {
+			v2 = pr[s2.off]
+		}
+		win = win[:3*len(matches)]
+		for j, m := range matches {
+			br := blocks[m>>blockShift].Data()[(int(m)&rowMask)*ba:]
+			if s0.build {
+				v0 = br[s0.off]
+			}
+			if s1.build {
+				v1 = br[s1.off]
+			}
+			if s2.build {
+				v2 = br[s2.off]
+			}
+			win[3*j], win[3*j+1], win[3*j+2] = v0, v1, v2
+		}
+	case 4:
+		s0, s1, s2, s3 := src[0], src[1], src[2], src[3]
+		var v0, v1, v2, v3 int32
+		if !s0.build {
+			v0 = pr[s0.off]
+		}
+		if !s1.build {
+			v1 = pr[s1.off]
+		}
+		if !s2.build {
+			v2 = pr[s2.off]
+		}
+		if !s3.build {
+			v3 = pr[s3.off]
+		}
+		win = win[:4*len(matches)]
+		for j, m := range matches {
+			br := blocks[m>>blockShift].Data()[(int(m)&rowMask)*ba:]
+			if s0.build {
+				v0 = br[s0.off]
+			}
+			if s1.build {
+				v1 = br[s1.off]
+			}
+			if s2.build {
+				v2 = br[s2.off]
+			}
+			if s3.build {
+				v3 = br[s3.off]
+			}
+			win[4*j], win[4*j+1], win[4*j+2], win[4*j+3] = v0, v1, v2, v3
+		}
+	default:
+		width := len(src)
+		for j, m := range matches {
+			br := blocks[m>>blockShift].Data()[(int(m)&rowMask)*ba:]
+			row := win[j*width : (j+1)*width]
+			for c, s := range src {
+				if s.build {
+					row[c] = br[s.off]
+				} else {
+					row[c] = pr[s.off]
+				}
+			}
+		}
+	}
+}
+
+// windowFull makes room in a full window: the rows not yet filtered go
+// through the duplicate filter, and the window is flushed unless the filter
+// left it under half full — then it keeps filling, so that neither the
+// filter pass nor the flush ever runs over a handful of rows.
+func (jo *joinOutput) windowFull(w *joinWorker) {
+	jo.borrowFilter(w)
+	if w.filt != nil {
+		jo.filterWindow(w)
+		if w.n < jo.winRows/2 {
+			return
+		}
+	}
+	jo.flush(w)
+}
+
+// borrowFilter takes a filter for the worker once the rows it has emitted in
+// this join, the window's included, reach the activation point: clearing a
+// table costs about what emitting its slot count in rows does, so a join that
+// stays under that never pays for one.
+func (jo *joinOutput) borrowFilter(w *joinWorker) {
+	if jo.filter && w.filt == nil && !w.filtOff && w.emitted+w.n >= jo.activate {
+		w.filt = jo.pool.borrowDupFilter(jo.width)
+	}
+}
+
+// filterWindow passes the window's new rows through the worker's filter and
+// then applies the bypass rule: once the filter has been shown as many rows
+// as earn it its borrowing, a hit share under the minimum means the repeats
+// lie further apart than the table reaches, and the worker gives the filter
+// up for the rest of the join. The share is the filter's whole record in this
+// join, not one window's — a CSPA join emits thousands of new tuples in a row
+// between stretches that are nearly all repeats.
+func (jo *joinOutput) filterWindow(w *joinWorker) {
+	if w.n == w.passed {
+		return
+	}
+	kept := w.filt.compact(w.win, jo.width, w.passed, w.n)
+	w.seen += w.n - w.passed
+	w.hits += w.n - kept
+	w.n, w.passed = kept, kept
+	if w.seen >= jo.activate && w.hits*kernels.BatchRows < jo.minHits*w.seen {
+		jo.pool.returnDupFilter(w.filt)
+		w.filt, w.filtOff = nil, true
+	}
+}
+
+// flush hands the window's rows to the collector.
+func (jo *joinOutput) flush(w *joinWorker) {
+	if w.n == 0 {
+		return
+	}
+	rows := w.win[:w.n*jo.width]
+	if jo.col.part == nil {
+		w.flat.write(rows)
+	} else {
+		if w.part == nil {
+			w.part = jo.col.partSink(w.flat.slot)
+		}
+		if jo.width <= 4 {
+			batchScatterBlock(w.part, rows, jo.width, w.out)
+		} else {
+			for off := 0; off < len(rows); off += jo.width {
+				w.part.write(rows[off : off+jo.width])
+			}
+		}
+	}
+	w.emitted += w.n
+	w.n, w.passed = 0, 0
+	if w.filtOff {
+		w.bypassed++
+	}
+}
+
+// finish runs on the calling goroutine once every worker has returned: the
+// partial windows are filtered and flushed (unless the run is aborting — its
+// output is discarded and a worker may have stopped mid-window), and every
+// worker's scratch, filter and counts go back where they came from.
+func (jo *joinOutput) finish() {
+	aborted := jo.pool.Aborted()
+	var expanded, suppressed, bypassed int64
+	for i := range jo.workers {
+		w := &jo.workers[i]
+		if !aborted && w.n > 0 {
+			jo.borrowFilter(w)
+			if w.filt != nil {
+				jo.filterWindow(w)
+			}
+			jo.flush(w)
+		}
+		if w.filt != nil {
+			jo.pool.returnDupFilter(w.filt)
+		}
+		expanded += w.expanded
+		suppressed += int64(w.hits)
+		bypassed += w.bypassed
+		// Only the scratch buffers stay with the slot.
+		*w = joinWorker{probe: w.probe, out: w.out}
+	}
+	c := &jo.pool.Copy
+	c.JoinRowsExpanded.Add(expanded)
+	c.DupSuppressed.Add(suppressed)
+	c.DupFilterBypassed.Add(bypassed)
+	*jo = joinOutput{workers: jo.workers}
+	joinOutputs.Put(jo)
+}

@@ -1,0 +1,382 @@
+package exec
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"recstep/internal/quickstep/expr"
+	"recstep/internal/quickstep/storage"
+)
+
+// forceDupFilter makes every set-valued join borrow a filter at its first
+// full window and never give it up, for the length of the test.
+func forceDupFilter(t *testing.T) {
+	t.Helper()
+	t.Cleanup(SetDupFilterTuningForTest(1, 0))
+}
+
+// randRel draws n rows of the given arity with values in [0, domain).
+func randRel(name string, arity, n, domain int, rng *rand.Rand) *storage.Relation {
+	r := storage.NewRelation(name, storage.NumberedColumns(arity))
+	rows := make([]int32, 0, n*arity)
+	for i := 0; i < n*arity; i++ {
+		rows = append(rows, int32(rng.Intn(domain)))
+	}
+	r.AppendRows(rows)
+	return r
+}
+
+// tupleCounts returns the bag of r's tuples (arity ≤ 6; unused columns −1).
+func tupleCounts(r *storage.Relation) map[[6]int32]int {
+	m := make(map[[6]int32]int)
+	r.ForEach(func(t []int32) {
+		k := [6]int32{-1, -1, -1, -1, -1, -1}
+		copy(k[:], t)
+		m[k]++
+	})
+	return m
+}
+
+// TestDupFilterEmptySlotMatchesNothing covers the tuples whose packed form is
+// the empty marker of some slot: shown once to an emptied table each must be
+// kept, shown again at once each must be dropped.
+func TestDupFilterEmptySlotMatchesNothing(t *testing.T) {
+	if dupSlot64(0) != 0 || dupSlot64(1) == 0 || dupSlot128(0, 0) != 0 || dupSlot128(0, 1) == 0 {
+		t.Fatalf("slot function moved: the empty markers of reset() no longer hash away from their slots (%d %d %d %d)",
+			dupSlot64(0), dupSlot64(1), dupSlot128(0, 0), dupSlot128(0, 1))
+	}
+	cases := map[int][][]int32{
+		1: {{0}, {1}, {-1}},
+		2: {{0, 0}, {0, 1}, {-1, -1}, {0, -1}, {-1, 0}, {1, 0}},
+		3: {{0, 0, 0}, {0, 0, 1}, {-1, -1, -1}, {0, -1, 0}, {-1, 0, 0}, {0, 0, -1}, {1, 0, 0}},
+		4: {{0, 0, 0, 0}, {0, 0, 0, 1}, {-1, -1, -1, -1}, {0, 0, -1, -1}, {-1, -1, 0, 0}, {0, 1, 0, 0}, {1, 0, 0, 0}},
+	}
+	for w, tuples := range cases {
+		f := newDupFilter(w > 2)
+		f.reset()
+		for _, tup := range tuples {
+			win := append([]int32(nil), tup...)
+			if n := f.compact(win, w, 0, 1); n != 1 || !reflect.DeepEqual(win, tup) {
+				t.Fatalf("width %d: fresh filter dropped or mangled %v (kept %d, window %v)", w, tup, n, win)
+			}
+			if n := f.compact(win, w, 0, 1); n != 0 {
+				t.Fatalf("width %d: %v shown twice in a row was kept twice", w, tup)
+			}
+		}
+		// A table that only ever saw resets holds no tuple either.
+		f.reset()
+		for _, tup := range tuples {
+			win := append([]int32(nil), tup...)
+			if n := f.compact(win, w, 0, 1); n != 1 {
+				t.Fatalf("width %d: %v dropped by a table that was just reset", w, tup)
+			}
+		}
+	}
+}
+
+// TestDupFilterSharedSlotAlternates shows two tuples of one slot to the table
+// in turn: each evicts the other, neither is ever dropped.
+func TestDupFilterSharedSlotAlternates(t *testing.T) {
+	a := []int32{7, 11}
+	var b []int32
+	want := dupSlot64(uint64(uint32(a[0]))<<32 | uint64(uint32(a[1])))
+	for v := int32(0); b == nil; v++ {
+		if k := uint64(uint32(a[0]))<<32 | uint64(uint32(v)); v != a[1] && dupSlot64(k) == want {
+			b = []int32{a[0], v}
+		}
+	}
+	f := newDupFilter(false)
+	f.reset()
+	win := make([]int32, 0, 16)
+	for i := 0; i < 4; i++ {
+		win = append(win, a...)
+		win = append(win, b...)
+	}
+	if n := f.compact(win, 2, 0, 8); n != 8 {
+		t.Fatalf("tuples %v and %v share slot %d and alternate: kept %d of 8", a, b, want, n)
+	}
+	// The same stream with each tuple doubled loses exactly the doubles.
+	win = win[:0]
+	for i := 0; i < 4; i++ {
+		win = append(win, a...)
+		win = append(win, a...)
+		win = append(win, b...)
+	}
+	f.reset()
+	if n := f.compact(win, 2, 0, 12); n != 8 {
+		t.Fatalf("kept %d of 12, want the 8 non-adjacent ones", n)
+	}
+}
+
+// TestDupFilterCompactKeepsPrefix checks the window contract: rows before
+// from are untouched, survivors stay in order right behind them.
+func TestDupFilterCompactKeepsPrefix(t *testing.T) {
+	f := newDupFilter(false)
+	f.reset()
+	win := []int32{1, 1, 1, 1, 2, 2, 1, 1, 3, 3, 2, 2}
+	n := f.compact(win, 2, 2, 6)
+	if want := []int32{1, 1, 1, 1, 2, 2, 1, 1, 3, 3}; n != 5 || !reflect.DeepEqual(win[:10], want) {
+		t.Fatalf("compact from row 2 = %d rows %v, want 5 rows %v", n, win[:2*n], want)
+	}
+}
+
+// TestBorrowedDupFilterCarriesNothingOver: a table goes back to the free list
+// with its contents and comes out empty, so the tuple one join emitted is not
+// missing from the next join's (different) output.
+func TestBorrowedDupFilterCarriesNothingOver(t *testing.T) {
+	pool := NewPool(1)
+	f := pool.borrowDupFilter(2)
+	win := []int32{5, 9}
+	f.compact(win, 2, 0, 1)
+	pool.returnDupFilter(f)
+	g := pool.borrowDupFilter(2)
+	if g != f {
+		t.Fatal("free list did not hand the returned table back")
+	}
+	if n := g.compact(win, 2, 0, 1); n != 1 {
+		t.Fatal("a borrowed table still held its previous borrower's tuple")
+	}
+	pool.returnDupFilter(g)
+
+	forceDupFilter(t)
+	l := rel("l", 2, []int32{1, 2})
+	var rrows [][]int32
+	for i := 0; i < 3000; i++ { // enough matches to fill windows and borrow
+		rrows = append(rrows, []int32{2, 3})
+	}
+	r := rel("r", 2, rrows...)
+	spec := JoinSpec{LeftKeys: []int{1}, RightKeys: []int{0}, Projs: []expr.Expr{expr.Col{Index: 0}, expr.Col{Index: 3}}, OutSet: true}
+	emitted := 0
+	for i, name := range []string{"first", "second"} {
+		spec.OutName = name
+		out := HashJoin(pool, l, r, spec)
+		got := tupleCounts(out)
+		if got[[6]int32{1, 3, -1, -1, -1, -1}] < 1 || len(got) != 1 {
+			t.Fatalf("join %d lost its tuple: %v", i, got)
+		}
+		if out.NumTuples() >= 3000 {
+			t.Fatalf("join %d: the forced filter dropped nothing (%d rows)", i, out.NumTuples())
+		}
+		emitted += out.NumTuples()
+	}
+	if s := pool.Copy.Snapshot(); s.JoinRowsExpanded != 6000 || s.DupSuppressed != int64(6000-emitted) {
+		t.Fatalf("two joins of 3000 matches emitted %d rows but counted %d expanded, %d suppressed",
+			emitted, s.JoinRowsExpanded, s.DupSuppressed)
+	}
+}
+
+// joinCase is one random join shape of the equivalence test.
+type joinCase struct {
+	la, ra     int
+	keys       int
+	outCols    []int
+	buildLeft  bool
+	parts      int // build fan-out
+	outParts   int // 0 = flat output
+	outKeyCols []int
+}
+
+// TestJoinKernelMatchesClosurePath runs random plain-column joins through the
+// expansion kernel (batch pool) and through the match-by-match closure path
+// (-columnar=false pool): output arity 1–6, either build side, flat and
+// partitioned outputs, one and four workers. Unmarked outputs must agree as
+// bags; set-valued ones, with the filter forced on, as sets and never with
+// more copies of a tuple than the bag holds.
+func TestJoinKernelMatchesClosurePath(t *testing.T) {
+	forceDupFilter(t)
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 60; trial++ {
+		c := joinCase{la: 1 + rng.Intn(3), ra: 1 + rng.Intn(3), buildLeft: rng.Intn(2) == 0}
+		c.keys = 1 + rng.Intn(min(c.la, c.ra))
+		width := 1 + trial%6
+		for j := 0; j < width; j++ {
+			c.outCols = append(c.outCols, rng.Intn(c.la+c.ra))
+		}
+		c.parts = []int{1, 16}[rng.Intn(2)]
+		if rng.Intn(2) == 0 {
+			c.outParts = []int{16, 64}[rng.Intn(2)]
+			c.outKeyCols = []int{rng.Intn(width)}
+		}
+		// A small domain and about a thousand rows a side: tens of thousands
+		// of matches, so windows fill, flush and (when marked) filter dozens
+		// of times per join.
+		left := randRel("l", c.la, 600+rng.Intn(800), 25, rng)
+		right := randRel("r", c.ra, 600+rng.Intn(800), 25, rng)
+		spec := JoinSpec{BuildLeft: c.buildLeft, Partitions: c.parts, OutName: "out"}
+		for k := 0; k < c.keys; k++ {
+			spec.LeftKeys = append(spec.LeftKeys, k)
+			spec.RightKeys = append(spec.RightKeys, c.ra-1-k)
+		}
+		for _, oc := range c.outCols {
+			spec.Projs = append(spec.Projs, expr.Col{Index: oc})
+		}
+		if c.outParts > 0 {
+			spec.OutPartitioning = &storage.Partitioning{KeyCols: c.outKeyCols, Parts: c.outParts}
+		}
+
+		scalar := NewPool(2)
+		scalar.SetBatch(false)
+		ref := HashJoin(scalar, left, right, spec)
+		want := tupleCounts(ref)
+
+		for _, workers := range []int{1, 4} {
+			pool := NewPool(workers)
+			got := HashJoin(pool, left, right, spec)
+			if !reflect.DeepEqual(tupleCounts(got), want) {
+				t.Fatalf("trial %d %+v workers=%d: kernel output (%d rows) is not the closure path's bag (%d rows)",
+					trial, c, workers, got.NumTuples(), ref.NumTuples())
+			}
+			if c.outParts > 0 {
+				if p, ok := got.Partitioning(); !ok || !p.Equal(*spec.OutPartitioning) {
+					t.Fatalf("trial %d: partitioned output does not carry its partitioning", trial)
+				}
+			}
+			if s := pool.Copy.Snapshot(); s.JoinRowsExpanded != int64(ref.NumTuples()) || s.DupSuppressed != 0 {
+				t.Fatalf("trial %d: unmarked join counted %d expanded, %d suppressed for %d rows", trial, s.JoinRowsExpanded, s.DupSuppressed, ref.NumTuples())
+			}
+
+			marked := spec
+			marked.OutSet = true
+			set := HashJoin(pool, left, right, marked)
+			gotSet := tupleCounts(set)
+			if len(gotSet) != len(want) {
+				t.Fatalf("trial %d %+v workers=%d: set-valued output has %d distinct tuples, want %d", trial, c, workers, len(gotSet), len(want))
+			}
+			for tup, n := range gotSet {
+				if n > want[tup] {
+					t.Fatalf("trial %d: set-valued output holds %v %d times, the bag only %d", trial, tup, n, want[tup])
+				}
+			}
+			s := pool.Copy.Snapshot()
+			if dropped := int64(ref.NumTuples() - set.NumTuples()); s.DupSuppressed != dropped {
+				t.Fatalf("trial %d: DupSuppressed = %d, rows missing from the output = %d", trial, s.DupSuppressed, dropped)
+			}
+			if width <= dupFilterWidth && ref.NumTuples() > 4*len(want) && s.DupSuppressed == 0 {
+				t.Fatalf("trial %d: %d rows over %d distinct tuples and the forced filter dropped none", trial, ref.NumTuples(), len(want))
+			}
+			if width > dupFilterWidth && s.DupSuppressed != 0 {
+				t.Fatalf("trial %d: output of %d columns was filtered", trial, width)
+			}
+		}
+	}
+}
+
+// TestDupFilterBypassSwitchesOff forces the hit minimum above anything a
+// duplicate-free output can reach: the worker must give the filter up, count
+// the windows it then flushes unfiltered, and still emit every row.
+func TestDupFilterBypassSwitchesOff(t *testing.T) {
+	t.Cleanup(SetDupFilterTuningForTest(1, 1024))
+	var lrows, rrows [][]int32
+	for i := 0; i < 10000; i++ {
+		lrows = append(lrows, []int32{int32(i), int32(i % 10)})
+	}
+	for i := 0; i < 10; i++ {
+		rrows = append(rrows, []int32{int32(i), int32(i)})
+	}
+	pool := NewPool(1)
+	out := HashJoin(pool, rel("l", 2, lrows...), rel("r", 2, rrows...), JoinSpec{
+		LeftKeys: []int{1}, RightKeys: []int{0},
+		Projs:   []expr.Expr{expr.Col{Index: 0}, expr.Col{Index: 3}},
+		OutName: "o", OutSet: true,
+	})
+	s := pool.Copy.Snapshot()
+	if out.NumTuples() != 10000 || s.DupSuppressed != 0 || s.DupFilterBypassed == 0 {
+		t.Fatalf("distinct output under an unreachable hit minimum: %d rows, %d suppressed, %d bypassed windows",
+			out.NumTuples(), s.DupSuppressed, s.DupFilterBypassed)
+	}
+	if len(pool.dupFree[0]) != 1 {
+		t.Fatalf("the filter given up mid-join is not back on the free list (%d there)", len(pool.dupFree[0]))
+	}
+}
+
+// TestDupFilterSharedPoolRace runs two set-valued joins — the arms of one
+// UNION ALL — at once on one pool, each with its own workers borrowing from
+// the same free list. Run under -race in CI.
+func TestDupFilterSharedPoolRace(t *testing.T) {
+	forceDupFilter(t)
+	rng := rand.New(rand.NewSource(3))
+	left := randRel("l", 2, 6000, 30, rng)
+	right := randRel("r", 2, 6000, 30, rng)
+	spec := JoinSpec{LeftKeys: []int{1}, RightKeys: []int{0}, Partitions: 16, OutSet: true,
+		Projs: []expr.Expr{expr.Col{Index: 0}, expr.Col{Index: 3}}}
+	scalar := NewPool(1)
+	scalar.SetBatch(false)
+	want := tupleCounts(HashJoin(scalar, left, right, spec))
+
+	pool := NewPool(4)
+	for round := 0; round < 3; round++ {
+		var wg sync.WaitGroup
+		outs := make([]*storage.Relation, 2)
+		for arm := range outs {
+			wg.Add(1)
+			go func(arm int) {
+				defer wg.Done()
+				s := spec
+				s.OutName = fmt.Sprintf("arm%d", arm)
+				if arm == 1 {
+					s.OutPartitioning = &storage.Partitioning{KeyCols: []int{0}, Parts: 16}
+				}
+				outs[arm] = HashJoin(pool, left, right, s)
+			}(arm)
+		}
+		wg.Wait()
+		for arm, out := range outs {
+			got := tupleCounts(out)
+			if len(got) != len(want) {
+				t.Fatalf("round %d arm %d: %d distinct tuples, want %d", round, arm, len(got), len(want))
+			}
+			for tup := range want {
+				if got[tup] == 0 {
+					t.Fatalf("round %d arm %d lost %v", round, arm, tup)
+				}
+			}
+		}
+	}
+	if pool.Copy.DupSuppressed.Load() == 0 {
+		t.Fatal("no arm's filter dropped anything")
+	}
+}
+
+// TestSmallJoinAllocations holds the output half to the satellite's budget: a
+// 10-row ⋈ 10-row join fills no window, so it must not allocate more than the
+// closure chain it replaced did (39 allocations per call at the parent commit,
+// measured with this very function).
+func TestSmallJoinAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	var lrows, rrows [][]int32
+	for i := 0; i < 10; i++ {
+		lrows = append(lrows, []int32{int32(i), int32(i + 1)})
+		rrows = append(rrows, []int32{int32(i + 1), int32(i + 2)})
+	}
+	l, r := rel("l", 2, lrows...), rel("r", 2, rrows...)
+	pool := NewPool(1)
+	spec := JoinSpec{LeftKeys: []int{1}, RightKeys: []int{0}, OutName: "o", OutSet: true,
+		Projs: []expr.Expr{expr.Col{Index: 0}, expr.Col{Index: 3}}}
+	allocs := testing.AllocsPerRun(200, func() {
+		out := HashJoin(pool, l, r, spec)
+		if out.NumTuples() != 10 {
+			t.Fatalf("10-row chain join produced %d rows", out.NumTuples())
+		}
+		out.Release()
+	})
+	const parent = 39
+	if allocs > parent {
+		t.Fatalf("a 10 ⋈ 10 join allocates %.0f times per call, the parent commit %d", allocs, parent)
+	}
+	if n := len(pool.dupFree[0]) + len(pool.dupFree[1]); n != 0 {
+		t.Fatalf("a join that never filled a window borrowed %d filters", n)
+	}
+}
+
+// TestJoinWorkerSlotsKeepTheirCacheLines pins the padding of joinWorker.
+func TestJoinWorkerSlotsKeepTheirCacheLines(t *testing.T) {
+	if sz := unsafe.Sizeof(joinWorker{}); sz%64 != 0 {
+		t.Fatalf("joinWorker is %d bytes: neighbouring workers share a cache line", sz)
+	}
+}

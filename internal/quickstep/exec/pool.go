@@ -73,6 +73,15 @@ type CopyCounters struct {
 	// CachedBuildHits counts hash joins served by a build table cached on an
 	// iteration-invariant relation.
 	CachedBuildHits obs.Counter
+	// JoinRowsExpanded counts the rows hash joins produced (matches expanded,
+	// past any residual) before the duplicate filter of a set-valued output;
+	// DupSuppressed counts those the filter dropped, so their difference is
+	// what the joins wrote to output blocks. DupFilterBypassed counts output
+	// windows flushed after their worker had switched the filter off for want
+	// of hits.
+	JoinRowsExpanded  obs.Counter
+	DupSuppressed     obs.Counter
+	DupFilterBypassed obs.Counter
 
 	// buildDetail breaks the build counters down by (relation, keyset) so
 	// the copy-accounting experiments can show exactly which predicate and
@@ -122,6 +131,8 @@ type CopySnapshot struct {
 	ResidentIndexHits                   int64
 	ResidentIndexReseeds                int64
 	CachedBuildHits                     int64
+	JoinRowsExpanded, DupSuppressed     int64
+	DupFilterBypassed                   int64
 	// BuildDetail maps BuildKey(relation, keyset) to that pair's build
 	// tallies.
 	BuildDetail map[string]BuildCount
@@ -141,6 +152,9 @@ func (c *CopyCounters) Snapshot() CopySnapshot {
 		ResidentIndexHits:    c.ResidentIndexHits.Load(),
 		ResidentIndexReseeds: c.ResidentIndexReseeds.Load(),
 		CachedBuildHits:      c.CachedBuildHits.Load(),
+		JoinRowsExpanded:     c.JoinRowsExpanded.Load(),
+		DupSuppressed:        c.DupSuppressed.Load(),
+		DupFilterBypassed:    c.DupFilterBypassed.Load(),
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -168,6 +182,9 @@ func (s CopySnapshot) Sub(o CopySnapshot) CopySnapshot {
 		ResidentIndexHits:    s.ResidentIndexHits - o.ResidentIndexHits,
 		ResidentIndexReseeds: s.ResidentIndexReseeds - o.ResidentIndexReseeds,
 		CachedBuildHits:      s.CachedBuildHits - o.CachedBuildHits,
+		JoinRowsExpanded:     s.JoinRowsExpanded - o.JoinRowsExpanded,
+		DupSuppressed:        s.DupSuppressed - o.DupSuppressed,
+		DupFilterBypassed:    s.DupFilterBypassed - o.DupFilterBypassed,
 	}
 	for k, v := range s.BuildDetail {
 		v.Scatters -= o.BuildDetail[k].Scatters
@@ -210,6 +227,12 @@ func (c *CopyCounters) Register(reg *obs.Registry) {
 		"Fused delta passes that seeded a resident set-difference index from R first.", &c.ResidentIndexReseeds)
 	reg.RegisterCounter("recstep_cached_build_hits_total",
 		"Hash joins served by a build table cached on an iteration-invariant relation.", &c.CachedBuildHits)
+	reg.RegisterCounter("recstep_join_rows_expanded_total",
+		"Rows hash joins produced before the duplicate filter of a set-valued output.", &c.JoinRowsExpanded)
+	reg.RegisterCounter("recstep_join_dup_suppressed_total",
+		"Join output rows the duplicate filter dropped before they reached an output block.", &c.DupSuppressed)
+	reg.RegisterCounter("recstep_join_dup_filter_bypassed_total",
+		"Join output windows flushed after their worker switched the duplicate filter off for want of hits.", &c.DupFilterBypassed)
 	reg.RegisterSampleFunc("recstep_join_builds_total",
 		"Partitioned hash builds by (relation,keyset) build key and kind (scatter vs in_place).",
 		"counter", func() []obs.Sample {
@@ -277,6 +300,11 @@ type Pool struct {
 	// inject is the chaos-test fault injector (nil in production); its
 	// worker.panic site fires between tasks in the worker loops.
 	inject *faultinject.Injector
+
+	// dupFree is the free list of join duplicate filters (see dupfilter.go),
+	// narrow tables at index 0 and wide ones at 1.
+	dupMu   sync.Mutex
+	dupFree [2][]*dupFilter
 }
 
 // runFailure is the first-error-wins record of a failed run.
@@ -755,9 +783,9 @@ func (w *partWriter) writeBulk(p int, rows []int32) {
 // partitioning set, every sink routes rows into sink-private per-partition
 // block lists (the fused scatter: the operator's single output copy lands
 // directly in the partition the next consumer wants), and into() assembles a
-// relation that carries the partitioning. Partitioned sinks are handed out
-// per *worker* (see scatterRun), so the scatter keeps at most
-// workers × parts open blocks regardless of how many block tasks feed it.
+// relation that carries the partitioning. Operators hand sinks out per
+// *worker* (see scatterRun), so a scatter keeps at most workers × parts open
+// blocks regardless of how many block tasks feed it.
 type collector struct {
 	arity  int
 	pool   *Pool
@@ -803,26 +831,25 @@ func (c *collector) sink(task int) func(row []int32) {
 			room--
 		}
 	}
-	w := newPartWriter(c.pool, c.cat, c.arity, c.part.KeyCols, c.part.Parts)
-	c.parted[task] = w.out
-	return w.write
+	return c.partSink(task).write
 }
 
-// scatterRun executes fn once per input block, handing each execution a
-// collector sink. Flat collectors keep one sink per block task (the original
-// per-task layout, deterministic block order); partitioned collectors keep
-// one sink per worker, bounding the scatter's open blocks by workers × parts
+// partSink returns the scatter writer of one sink slot of a partitioned
+// collector, for callers that route whole windows through it.
+func (c *collector) partSink(task int) *partWriter {
+	w := newPartWriter(c.pool, c.cat, c.arity, c.part.KeyCols, c.part.Parts)
+	c.parted[task] = w.out
+	return w
+}
+
+// scatterRun executes fn once per input block, handing each execution the
+// collector sink of the worker that claimed the block. One sink per worker,
+// not per block task, bounds a scatter's open blocks by workers × parts
 // instead of blocks × parts — over a long fixpoint that is the difference
 // between adopting a handful of well-filled partition blocks per iteration
-// and fragmenting relations into thousands of tiny ones.
+// and fragmenting relations into thousands of tiny ones — and a flat output
+// by one open block per worker.
 func scatterRun(pool *Pool, col *collector, blocks []*storage.Block, fn func(b *storage.Block, emit func(row []int32))) {
-	if len(blocks) == 0 {
-		return
-	}
-	if col.part == nil {
-		pool.Run(len(blocks), func(task int) { fn(blocks[task], col.sink(task)) })
-		return
-	}
 	emits := make([]func(row []int32), pool.Workers())
 	pool.runTasksPerWorker(len(blocks), func(worker, t int) {
 		if emits[worker] == nil {
@@ -850,26 +877,35 @@ func (c *collector) sinkPart(task, p int) func(row []int32) {
 	}
 }
 
-// sinkBulk returns the bulk counterpart of sink for flat collectors: the
-// emit function takes a row-major run of whole rows (a gathered batch) and
-// appends it across open blocks in block-sized copies instead of one Append
-// per row.
-func (c *collector) sinkBulk(task int) func(rows []int32) {
-	var cur *storage.Block
-	return func(rows []int32) {
-		for len(rows) > 0 {
-			if cur == nil || cur.Full() {
-				cur = c.pool.newBlock(c.arity, c.cat, scatterHint)
-				c.byTask[task] = append(c.byTask[task], cur)
-			}
-			n := (storage.DefaultBlockRows - cur.Rows()) * c.arity
-			if n > len(rows) {
-				n = len(rows)
-			}
-			cur.AppendBulk(rows[:n])
-			rows = rows[n:]
+// bulkSink appends row-major runs of whole rows to one sink slot of a flat
+// collector in block-sized copies — the bulk counterpart of sink, as a value
+// an operator can keep per worker without a closure.
+type bulkSink struct {
+	c    *collector
+	slot int
+	cur  *storage.Block
+}
+
+func (s *bulkSink) write(rows []int32) {
+	c := s.c
+	for len(rows) > 0 {
+		if s.cur == nil || s.cur.Full() {
+			s.cur = c.pool.newBlock(c.arity, c.cat, scatterHint)
+			c.byTask[s.slot] = append(c.byTask[s.slot], s.cur)
 		}
+		n := (storage.DefaultBlockRows - s.cur.Rows()) * c.arity
+		if n > len(rows) {
+			n = len(rows)
+		}
+		s.cur.AppendBulk(rows[:n])
+		rows = rows[n:]
 	}
+}
+
+// sinkBulk returns the bulk emit function of one sink slot of a flat
+// collector: it takes a row-major run of whole rows (a gathered batch).
+func (c *collector) sinkBulk(task int) func(rows []int32) {
+	return (&bulkSink{c: c, slot: task}).write
 }
 
 // sinkPartBulk is the bulk counterpart of sinkPart: whole gathered batches

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,6 +71,12 @@ type Manager struct {
 	live      [storage.NumCategories]atomic.Int64
 	liveTotal obs.Gauge
 	peak      obs.Gauge
+	// peakBy is the per-category composition of the live bytes when peak was
+	// last raised (at total peakAt). Guarded by peakMu, taken only by an
+	// allocation that sets a new peak.
+	peakMu sync.Mutex
+	peakAt int64
+	peakBy [storage.NumCategories]int64
 
 	poolHits   obs.Counter
 	poolMisses obs.Counter
@@ -351,10 +358,25 @@ func (m *Manager) accountAlloc(cat storage.Category, bytes int64) {
 	total := m.liveTotal.Add(bytes)
 	for {
 		p := m.peak.Load()
-		if total <= p || m.peak.CompareAndSwap(p, total) {
+		if total <= p {
+			return
+		}
+		if m.peak.CompareAndSwap(p, total) {
 			break
 		}
 	}
+	// This allocation raised the peak: record what the peak is made of. Racing
+	// raisers may get here out of order, so only the highest total's reading
+	// is kept; other workers' allocations between the two loads can make the
+	// categories sum to slightly off PeakLive.
+	m.peakMu.Lock()
+	if total >= m.peakAt {
+		m.peakAt = total
+		for c := range m.peakBy {
+			m.peakBy[c] = m.live[c].Load()
+		}
+	}
+	m.peakMu.Unlock()
 }
 
 // accountFree credits a free against the live gauges.
@@ -662,6 +684,9 @@ type Snapshot struct {
 	LiveBytes [storage.NumCategories]int64
 	// LiveTotal and PeakLive aggregate across categories.
 	LiveTotal, PeakLive int64
+	// PeakBytes is what PeakLive was made of: the per-category live bytes read
+	// at the instant the peak was last raised.
+	PeakBytes [storage.NumCategories]int64
 	// Budget echoes the configured budget (0 = unlimited).
 	Budget int64
 	// PoolHits/PoolMisses count recycled vs fresh block-array allocations;
@@ -722,7 +747,26 @@ func (m *Manager) Snapshot() Snapshot {
 		s.LiveBytes[c] = m.live[c].Load()
 	}
 	s.IndexBytes = s.LiveBytes[storage.CatIndex]
+	m.peakMu.Lock()
+	s.PeakBytes = m.peakBy
+	m.peakMu.Unlock()
 	return s
+}
+
+// PeakComposition renders PeakBytes for a log line or a test failure:
+// "intermediate=… delta=… idb=…", categories with no bytes omitted.
+func (s Snapshot) PeakComposition() string {
+	var b strings.Builder
+	for c, n := range s.PeakBytes {
+		if n == 0 {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s=%d", storage.Category(c), n)
+	}
+	return b.String()
 }
 
 // Sub returns counter deltas since an earlier snapshot (gauges are copied

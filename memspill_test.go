@@ -136,8 +136,8 @@ func TestBudgetedTCPeakWithinBudget(t *testing.T) {
 		// Under -race the detector's scheduling distortion widens the
 		// windows in which the reclaimer cannot evict; the strict bound is
 		// asserted only on the normal build.
-		t.Fatalf("peak live pool bytes %d exceed budget %d (unbudgeted peak %d)",
-			m.PeakLive, opts.MemBudgetBytes, leanRef.Stats.Mem.PeakLive)
+		t.Fatalf("peak live pool bytes %d exceed budget %d (unbudgeted peak %d); the peak was made of: %s",
+			m.PeakLive, opts.MemBudgetBytes, leanRef.Stats.Mem.PeakLive, m.PeakComposition())
 	}
 	t.Logf("unbudgeted peak %d, budget %d, budgeted peak %d, spills %d, faults %d",
 		leanRef.Stats.Mem.PeakLive, opts.MemBudgetBytes, m.PeakLive, m.Spills, m.Faults)
