@@ -41,9 +41,11 @@ type joinOutput struct {
 // joinWorker is one worker's share of a joinOutput. Everything it points to
 // is taken on first use: a join that matches nothing takes nothing.
 type joinWorker struct {
-	// probe is the key-packing scratch of the probe half; out holds the
-	// window (its gather) and the scatter's scratch. Two buffers because both
-	// halves use buf.hash and a window can flush mid-probe.
+	// probe is the scratch of the probe half (key columns in its gather,
+	// packed keys, partition hashes) and lends its otherwise idle scat to the
+	// window; out is the scratch of the partitioned flush, which needs a
+	// buffer of its own because it too uses buf.hash and a window can flush in
+	// the middle of a probed one. A flat output never takes it.
 	probe, out *batchBuf
 	win        []int32
 	n          int // rows in the window
@@ -65,8 +67,14 @@ type joinWorker struct {
 	_ [48]byte // workers sit side by side in one slice: pad to three cache lines
 }
 
+// scatterBatchMin is the window size from which a partitioned flush goes
+// through the counting-sort scatter: below it the per-partition passes cost
+// more than routing the rows one by one, and the join is spared the second
+// scratch buffer.
+const scatterBatchMin = kernels.BatchRows / 16
+
 // windowRows is the row capacity of an output window of the given width
-// inside a batchBuf's gather scratch: a full kernel batch up to four columns,
+// inside a batchBuf's scat scratch: a full kernel batch up to four columns,
 // as many whole rows as fit beyond that.
 func windowRows(width int) int {
 	if width <= 4 {
@@ -75,10 +83,9 @@ func windowRows(width int) int {
 	return 4 * kernels.BatchRows / width
 }
 
-// joinOutputs recycles joinOutput values, worker slots and the scratch
-// buffers they have taken included: a fixpoint of few-row iterations runs
-// thousands of joins that never fill a window, and their output state should
-// cost them no allocation and no second trip to a buffer pool.
+// joinOutputs recycles joinOutput values, worker slots included: a fixpoint
+// of few-row iterations runs thousands of joins that never fill a window, and
+// their output state should cost them no allocation.
 var joinOutputs = sync.Pool{New: func() any { return new(joinOutput) }}
 
 // newJoinOutput resolves the projection idx (columns of left ++ right, la of
@@ -107,7 +114,7 @@ func newJoinOutput(pool *Pool, col *collector, idx []int, la int, buildLeft, set
 		}
 		jo.src = append(jo.src, colSrc{build: left == buildLeft, off: c})
 	}
-	// finish left every slot holding nothing but its scratch buffers.
+	// finish left every slot empty.
 	for i := range jo.workers {
 		jo.workers[i].flat = bulkSink{c: col, slot: i}
 	}
@@ -144,10 +151,7 @@ func (jo *joinOutput) probeBlock(w *joinWorker, jt *joinTable, b *storage.Block,
 // room whenever it fills.
 func (jo *joinOutput) expand(w *joinWorker, pr []int32, bt *buildTable, matches []int32) {
 	if w.win == nil {
-		if w.out == nil {
-			w.out = getBatchBuf()
-		}
-		w.win = w.out.gather[:jo.winRows*jo.width]
+		w.win = w.probe.scat[:jo.winRows*jo.width]
 	}
 	w.expanded += int64(len(matches))
 	for len(matches) > 0 {
@@ -335,7 +339,10 @@ func (jo *joinOutput) flush(w *joinWorker) {
 		if w.part == nil {
 			w.part = jo.col.partSink(w.flat.slot)
 		}
-		if jo.width <= 4 {
+		if jo.width <= 4 && w.n >= scatterBatchMin {
+			if w.out == nil {
+				w.out = getBatchBuf()
+			}
 			batchScatterBlock(w.part, rows, jo.width, w.out)
 		} else {
 			for off := 0; off < len(rows); off += jo.width {
@@ -372,8 +379,13 @@ func (jo *joinOutput) finish() {
 		expanded += w.expanded
 		suppressed += int64(w.hits)
 		bypassed += w.bypassed
-		// Only the scratch buffers stay with the slot.
-		*w = joinWorker{probe: w.probe, out: w.out}
+		if w.probe != nil {
+			putBatchBuf(w.probe)
+		}
+		if w.out != nil {
+			putBatchBuf(w.out)
+		}
+		*w = joinWorker{}
 	}
 	c := &jo.pool.Copy
 	c.JoinRowsExpanded.Add(expanded)
