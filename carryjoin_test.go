@@ -1,11 +1,14 @@
 package recstep
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"recstep/internal/core"
+	"recstep/internal/datalog/querygen"
 	"recstep/internal/graphs"
 	"recstep/internal/programs"
 	"recstep/internal/quickstep/storage"
@@ -81,72 +84,132 @@ func TestCarriedMatchesRescatterAcrossPrograms(t *testing.T) {
 	}
 }
 
-// With carrying on, a TC fixpoint must never re-scatter the delta for a
-// join build: ∆R exits the delta step carrying the join-key partitioning
-// the next build wants, so across the whole run the only permissible build
-// scatter is the EDB's one-time view-cache fill (it happens the first
-// iteration the optimizer picks arc as the build side). The ablation must
-// keep paying per-iteration delta re-scatters — otherwise the counters
-// measure nothing.
+// With carrying on, a TC fixpoint re-scatters the delta for a join build
+// only when the carried keyset is not the build's. At one worker tc is
+// carried on its join column, so across the whole run the only permissible
+// build scatter is the EDB's one-time view-cache fill (the first iteration
+// the optimizer picks arc as the build side). Under several workers tc is
+// carried on its pass-through column instead, and the iterations in which the
+// small ∆ is the build side re-scatter it — once each, and nothing else does;
+// what that buys is join output written in place. The ablation must keep
+// paying per-iteration delta re-scatters at one worker and in-place output
+// nowhere — otherwise the counters measure nothing.
 func TestCarriedZeroDeltaBuildScatters(t *testing.T) {
 	arc := graphs.GnP(150, 0.05, 23)
 	prog := programs.MustParse(programs.TC)
 	edbs := map[string]*storage.Relation{"arc": arc}
 
-	run := func(carry bool) core.Stats {
+	// run returns the run's stats and how many of its iterations built a
+	// hash table over ∆.
+	run := func(workers int, carry bool) (core.Stats, int) {
 		opts := core.DefaultOptions()
-		opts.Workers = 4
+		opts.Workers = workers
 		opts.Partitions = 16
 		opts.CarryJoinParts = carry
+		deltaBuilds := 0
+		opts.IterHook = func(ii core.IterInfo) {
+			for key := range ii.Copy.BuildDetail {
+				if strings.HasPrefix(key, querygen.DeltaTable("tc")+"[") {
+					deltaBuilds++
+				}
+			}
+		}
 		res, err := core.New(opts).Run(prog, edbs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Stats
+		return res.Stats, deltaBuilds
 	}
 
-	stats := run(true)
+	one, _ := run(1, true)
 	// One EDB (arc) ⇒ at most one build scatter the whole run; every delta
 	// build must be served in place.
-	if stats.JoinBuildScatters > 1 {
-		t.Fatalf("carried run paid %d join-build scatters, want ≤ 1 (the EDB cache fill)", stats.JoinBuildScatters)
+	if one.JoinBuildScatters > 1 {
+		t.Fatalf("carried one-worker run paid %d join-build scatters, want ≤ 1 (the EDB cache fill)", one.JoinBuildScatters)
 	}
-	if stats.JoinBuildScattersAvoided == 0 {
+	if one.JoinBuildScattersAvoided == 0 {
 		t.Fatal("carried run reports no builds served from carried partitions; the counter is not measuring")
 	}
+	if abl, _ := run(1, false); abl.JoinBuildScatters <= one.JoinBuildScatters {
+		t.Fatalf("one-worker ablation build scatters %d not above carried run's %d",
+			abl.JoinBuildScatters, one.JoinBuildScatters)
+	}
 
-	abl := run(false)
-	if abl.JoinBuildScatters <= stats.JoinBuildScatters {
-		t.Fatalf("ablation build scatters %d not above carried run's %d",
-			abl.JoinBuildScatters, stats.JoinBuildScatters)
+	four, deltaBuilds := run(4, true)
+	if arcScatters := four.JoinBuildsByKeyset["arc[0]"].Scatters; arcScatters > 1 {
+		t.Fatalf("arc paid %d build scatters, want ≤ 1 (its cache fill)", arcScatters)
+	}
+	if four.JoinBuildScatters > int64(1+deltaBuilds) {
+		t.Fatalf("four-worker run paid %d join-build scatters, want ≤ 1 + %d (arc's cache fill, one per ∆ build)",
+			four.JoinBuildScatters, deltaBuilds)
+	}
+	abl, _ := run(4, false)
+	if four.OutputInPlace == 0 || abl.OutputInPlace != 0 {
+		t.Fatalf("join output written in place: %d carried, %d under the ablation; want some, and none",
+			four.OutputInPlace, abl.OutputInPlace)
+	}
+	if four.TuplesScattered >= abl.TuplesScattered {
+		t.Fatalf("carried four-worker run scattered %d tuples, the ablation %d", four.TuplesScattered, abl.TuplesScattered)
 	}
 }
 
-// The carried keyset must be chosen per stratum and reported consistently:
-// ∆R and R of a linear-TC predicate end the run carrying a partitioning
-// keyed on the join column, not the whole tuple.
+// The carried keyset is chosen per stratum from the rules and the worker
+// count, reported in Stats.Carry, and is what R ends the run carrying. A
+// linear predicate whose recursive rule copies column 0 of its body atom to
+// the head (tc, csda's null) is carried on that column under several workers
+// and on its join column at one; predicates without such a column keep their
+// join keys (ranked, with a secondary view on conflict); the state of a
+// recursive aggregate is the merge's own layout on its group column.
 func TestCarriedKeysetIsJoinKeyed(t *testing.T) {
-	arc := graphs.GnP(120, 0.05, 29)
-	prog := programs.MustParse(programs.TC)
-	opts := core.DefaultOptions()
-	opts.Workers = 4
-	opts.Partitions = 16
-	res, err := core.New(opts).Run(prog, map[string]*storage.Relation{"arc": arc})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		program, pred string
+		workers       int
+		keys, sec     []int
+		rule          string
+	}{
+		{"tc", "tc", 4, []int{0}, nil, "output"},
+		{"tc", "tc", 1, []int{1}, nil, "join"},
+		{"csda", "null", 4, []int{0}, nil, "output"},
+		{"csda", "null", 1, []int{1}, nil, "join"},
+		{"cspa", "valueFlow", 4, []int{0}, []int{1}, "join"},
+		{"cspa", "valueFlow", 1, []int{0}, []int{1}, "join"},
+		{"aa", "pointsTo", 4, []int{0}, []int{1}, "join"},
+		{"sg", "sg", 4, []int{0}, []int{1}, "join"},
+		{"reach", "reach", 4, []int{0}, nil, "join"},
+		{"cc", "cc3", 4, []int{0}, nil, ""},
+		{"sssp", "sssp2", 4, []int{0}, nil, ""},
 	}
-	tc := res.Relations["tc"]
-	p, ok := tc.Partitioning()
-	if !ok {
-		t.Fatal("tc does not carry a partitioning at fixpoint")
-	}
-	// tc(x,y) :- tc(x,z), arc(z,y): the delta enters its join keyed on
-	// column 1, so that is what the carried partitioning must route on.
-	if want := []int32{1}; len(p.KeyCols) != 1 || p.KeyCols[0] != 1 {
-		t.Fatalf("tc carries keyset %v, want %v", p.KeyCols, want)
-	}
-	if p.Parts != 16 {
-		t.Fatalf("tc carries %d partitions, want 16", p.Parts)
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%s/W%d", c.program, c.workers), func(t *testing.T) {
+			prog, err := programs.Get(c.program)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := core.DefaultOptions()
+			opts.Workers = c.workers
+			opts.Partitions = 16
+			res, err := core.New(opts).Run(prog, fuseTestEDBs(c.program))
+			if err != nil {
+				t.Fatal(err)
+			}
+			choice, reported := res.Stats.Carry[c.pred]
+			if c.rule == "" {
+				if reported {
+					t.Fatalf("aggregate state %s reported as carried: %v", c.pred, choice)
+				}
+			} else if want := (core.CarryChoice{Keys: c.keys, Secondary: c.sec, Rule: c.rule}); !reflect.DeepEqual(choice, want) {
+				t.Fatalf("%s carry choice %v, want %v", c.pred, choice, want)
+			}
+			rel := res.Relations[c.pred]
+			p, ok := rel.Partitioning()
+			if !ok || !reflect.DeepEqual(p.KeyCols, c.keys) || p.Parts != 16 {
+				t.Fatalf("%s carries %v at fixpoint, want keyset %v over 16 partitions", c.pred, p, c.keys)
+			}
+			s, ok := rel.SecondaryPartitioning()
+			if ok != (c.sec != nil) || (ok && !reflect.DeepEqual(s.KeyCols, c.sec)) {
+				t.Fatalf("%s carries secondary %v (%v), want %v", c.pred, s, ok, c.sec)
+			}
+		})
 	}
 }
 

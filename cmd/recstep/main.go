@@ -185,9 +185,9 @@ func main() {
 
 	if *verbose {
 		opts.IterHook = func(ii core.IterInfo) {
-			log.Printf("stratum %d iter %d %s: tmp=%d delta=%d (%s) armsSkipped=%d scattered=%d (sec=%d) adopted=%d flat=%d buildsInPlace=%d buildScatters=%d phases=[%s]",
+			log.Printf("stratum %d iter %d %s: tmp=%d delta=%d (%s) armsSkipped=%d scattered=%d (sec=%d) outputInPlace=%d adopted=%d flat=%d buildsInPlace=%d buildScatters=%d phases=[%s]",
 				ii.Stratum, ii.Iteration, ii.Pred, ii.TmpTuples, ii.Delta, ii.Algo, ii.ArmsSkipped,
-				ii.Copy.Scattered, ii.Copy.SecondaryScattered, ii.Copy.Adopted, ii.Copy.FlatMats,
+				ii.Copy.Scattered, ii.Copy.SecondaryScattered, ii.Copy.OutputInPlace, ii.Copy.Adopted, ii.Copy.FlatMats,
 				ii.Copy.BuildScattersAvoided, ii.Copy.BuildScatters, phaseString(ii.Phase))
 		}
 	}
@@ -248,9 +248,23 @@ func main() {
 	log.Printf("planner: %d empty-∆ arms skipped, peak join intermediate %d rows, wcoj rules %v",
 		res.Stats.ArmsSkipped, res.Stats.PeakJoinIntermediate, res.Stats.WCOJRules)
 	if *verbose {
-		log.Printf("join output: %d rows expanded, %d dropped by the duplicate filter, %d reached tmp tables (%d kept as ∆); %d windows ran with the filter switched off",
-			res.Stats.JoinRowsExpanded, res.Stats.DupSuppressed, res.Stats.TmpTuples, res.Stats.DeltaTuples,
-			res.Stats.DupFilterBypassed)
+		hitShare := 0.0
+		if res.Stats.JoinRowsExpanded > 0 {
+			hitShare = float64(res.Stats.DupSuppressed) / float64(res.Stats.JoinRowsExpanded)
+		}
+		log.Printf("join output: %d rows expanded, %d dropped by the duplicate filter (hit share %.1f%%), %d reached tmp tables (%d kept as ∆); %d windows ran with the filter switched off; %d rows written in place without a scatter",
+			res.Stats.JoinRowsExpanded, res.Stats.DupSuppressed, 100*hitShare, res.Stats.TmpTuples, res.Stats.DeltaTuples,
+			res.Stats.DupFilterBypassed, res.Stats.OutputInPlace)
+		preds := make([]string, 0, len(res.Stats.Carry))
+		for pred := range res.Stats.Carry {
+			preds = append(preds, pred)
+		}
+		sort.Strings(preds)
+		carry := make([]string, len(preds))
+		for i, pred := range preds {
+			carry[i] = pred + " " + res.Stats.Carry[pred].String()
+		}
+		log.Printf("carry: %s", strings.Join(carry, "; "))
 		rules := make([]string, 0, len(res.Stats.JoinOrdersByRule))
 		for name := range res.Stats.JoinOrdersByRule {
 			rules = append(rules, name)

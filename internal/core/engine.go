@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -271,6 +272,15 @@ type Stats struct {
 	JoinRowsExpanded  int64
 	DupSuppressed     int64
 	DupFilterBypassed int64
+	// OutputInPlace is the join output rows written straight into their probe
+	// row's partition — the probe side carried the output's partitioning
+	// through the projection — with no scatter; they are not in
+	// TuplesScattered. IterInfo.Copy carries it per step.
+	OutputInPlace int64
+	// Carry records, per IDB predicate evaluated by the delta pipeline, the
+	// keysets its carried partitioning routed on and the rule that chose
+	// them (the last stratum evaluation's choice).
+	Carry map[string]CarryChoice
 	// ArmsSkipped counts UNION ALL arms skipped across the run because
 	// their seeding ∆ relation was empty (the early-exit arm filter).
 	ArmsSkipped int64
@@ -292,6 +302,24 @@ type Stats struct {
 	// observability is disabled. Phases overlap across pool workers, so the
 	// sum can exceed Duration.
 	PhaseDurations map[string]time.Duration
+}
+
+// CarryChoice is one predicate's carried keysets: Keys routes the delta
+// pipeline, R and ∆R; Secondary, when set, is the second carried view; Rule
+// says what chose them — "output" (pass-through columns, several workers),
+// "join" (the keys its hash builds use) or "whole-tuple".
+type CarryChoice struct {
+	Keys, Secondary []int
+	Rule            string
+}
+
+// String renders the choice the way recstep -v prints it, e.g. "[0] (output)"
+// or "[0] +[1] (join)".
+func (c CarryChoice) String() string {
+	if len(c.Secondary) > 0 {
+		return fmt.Sprintf("%v +%v (%s)", c.Keys, c.Secondary, c.Rule)
+	}
+	return fmt.Sprintf("%v (%s)", c.Keys, c.Rule)
 }
 
 // Result is the outcome of evaluating a program.
@@ -496,6 +524,7 @@ func (r *runState) collectStats() {
 	r.stats.JoinRowsExpanded = copySnap.JoinRowsExpanded
 	r.stats.DupSuppressed = copySnap.DupSuppressed
 	r.stats.DupFilterBypassed = copySnap.DupFilterBypassed
+	r.stats.OutputInPlace = copySnap.OutputInPlace
 	r.stats.JoinOrdersByRule = r.db.PlanChoices()
 	for name, pc := range r.stats.JoinOrdersByRule {
 		if pc.Strategy == "wcoj" {
@@ -712,32 +741,45 @@ func (r *runState) evalStratumWith(s analysis.Stratum, seed map[string]querygen.
 	// (its delta feeds other predicates' rules too). The keyset must stay
 	// stable across iterations: R ⊎ ∆R merges carried views only when their
 	// partitionings match.
-	if r.opts().CarryJoinParts && r.opts().FuseDelta && !r.opts().Naive {
-		usage := make(map[string][][]int)
-		for i := range queries {
-			if queries[i].Rec.Unified == "" {
-				continue
-			}
-			u, err := r.db.PlanJoinKeys(queries[i].Rec.Unified)
-			if err != nil {
-				return err
-			}
-			for table, keysets := range u {
-				usage[table] = append(usage[table], keysets...)
-			}
+	// With more than one worker, a linear recursive predicate that passes
+	// columns of its body atom through to the head is carried on those
+	// instead (optimizer.ChooseCarry): each worker's join output then lands in
+	// the partition of ∆ it probes.
+	carrying := r.opts().CarryJoinParts && r.opts().FuseDelta && !r.opts().Naive
+	usage := make(map[string][][]int)
+	for i := range queries {
+		if !carrying || queries[i].Rec.Unified == "" {
+			continue
 		}
-		for _, st := range states {
+		u, err := r.db.PlanJoinKeys(queries[i].Rec.Unified)
+		if err != nil {
+			return err
+		}
+		for table, keysets := range u {
+			usage[table] = append(usage[table], keysets...)
+		}
+	}
+	for _, st := range states {
+		c := CarryChoice{Keys: storage.AllCols(st.q.Arity), Rule: string(optimizer.CarryWholeTuple)}
+		if carrying {
 			keysets := append(append([][]int{}, usage[st.q.Pred]...), usage[st.q.Delta]...)
-			if r.opts().SecondaryCarry {
-				// Ranked choice: route the delta pipeline on the keyset
-				// serving the most builds and maintain the runner-up as a
-				// secondary carried view, instead of punting conflicting
-				// predicates to the whole-tuple layout.
-				st.keyCols, st.secCols = optimizer.ChooseCarryKeysets(st.q.Arity, keysets)
-			} else {
-				st.keyCols = optimizer.ChooseJoinKeyCols(st.q.Arity, keysets)
+			var passed []int
+			if st.agg == nil {
+				passed = r.passThroughCols(s, st.q.Pred)
 			}
+			var rule optimizer.CarryRule
+			st.keyCols, st.secCols, rule = optimizer.ChooseCarry(st.q.Arity, keysets, passed,
+				r.db.Pool().Workers(), r.opts().SecondaryCarry)
+			c = CarryChoice{Keys: st.keyCols, Secondary: st.secCols, Rule: string(rule)}
 		}
+		if st.agg != nil {
+			// Aggregate state is bucketed on its group columns by the merge.
+			continue
+		}
+		if r.stats.Carry == nil {
+			r.stats.Carry = make(map[string]CarryChoice)
+		}
+		r.stats.Carry[st.q.Pred] = c
 	}
 
 	for iter := 1; ; iter++ {
@@ -823,9 +865,11 @@ type idbState struct {
 	agg             *aggMerge
 	rebuildEachIter bool
 	// keyCols is the stratum-stable keyset the predicate's carried
-	// partitioning routes on — the join-key columns when every recursive
-	// build agrees on one keyset, the whole tuple otherwise (or when the
-	// carry-join-parts ablation is off). Nil selects the whole tuple.
+	// partitioning routes on — the pass-through columns of a linear
+	// predicate under several workers, else the join-key columns when the
+	// recursive builds agree on (or rank) a keyset, the whole tuple otherwise
+	// (or when the carry-join-parts ablation is off). Nil selects the whole
+	// tuple.
 	keyCols []int
 	// secCols is the runner-up keyset of a conflicting-keyset predicate,
 	// maintained as a secondary carried view by the dual-route delta step.
@@ -955,12 +999,24 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit quer
 	if err != nil {
 		return 0, err
 	}
-	defer r.dropTmp(q)
-	r.stats.TmpTuples += int64(tmp.NumTuples())
-	if r.em != nil {
-		r.em.tmpTuples.Add(int64(tmp.NumTuples()))
+	// Rt is dead once the delta step, the aggregate merge or the staged dedup
+	// has read it: it is dropped right there, so what follows — installing
+	// and analyzing ∆R, the step hook's memory reading — never sees it live.
+	// The deferred call covers the error paths.
+	tmpLive := true
+	consumeTmp := func() {
+		if tmpLive {
+			tmpLive = false
+			r.dropTmp(q)
+		}
 	}
-	st.lastTmp = tmp.NumTuples()
+	defer consumeTmp()
+	tmpRows := tmp.NumTuples()
+	r.stats.TmpTuples += int64(tmpRows)
+	if r.em != nil {
+		r.em.tmpTuples.Add(int64(tmpRows))
+	}
+	st.lastTmp = tmpRows
 
 	// analyze(Rt): OOF collects per-iteration statistics; OOF-NA refreshes
 	// only on the first iteration, leaving later iterations with stale data.
@@ -974,6 +1030,7 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit quer
 	algo := exec.OPSD
 	if st.agg != nil {
 		delta = st.agg.merge(r.db.Pool(), r.db.Alloc(), tmp, q.Delta)
+		consumeTmp()
 		if st.rebuildEachIter {
 			if err := r.installAggFull(st, q.Pred); err != nil {
 				return 0, err
@@ -985,7 +1042,7 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit quer
 		// is free even without ANALYZE.
 		est := tmpStats.DistinctEst
 		if est <= 0 {
-			est = tmp.NumTuples()
+			est = tmpRows
 		}
 		fullStats := r.fullStats(q.Pred, full, mode)
 		if fuse {
@@ -1005,9 +1062,11 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit quer
 			if err != nil {
 				return 0, err
 			}
+			consumeTmp()
 			st.chooser.Observe(est, est-delta.NumTuples())
 		} else {
 			rdelta := r.db.Dedup(tmp, est, q.Pred+"_rdelta")
+			consumeTmp()
 			// analyze(Rδ, R) ahead of the set-difference decision.
 			rdeltaStats := r.db.AnalyzeRelation(rdelta, mode)
 			algo = r.chooseAlgo(st, fullStats.NumTuples, rdeltaStats.NumTuples)
@@ -1052,7 +1111,7 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit quer
 	if r.em != nil {
 		r.em.deltaTuples.Add(int64(n))
 	}
-	r.hook(s, iter, q.Pred, tmp.NumTuples(), n, algo, r.db.CopySnapshot().Sub(copyBase), skipped)
+	r.hook(s, iter, q.Pred, tmpRows, n, algo, r.db.CopySnapshot().Sub(copyBase), skipped)
 	// The SQL path surfaces aborts through ExecSQL; the direct kernel calls
 	// (fused delta step, aggregate merge) drain silently with partial output.
 	// Check here so a step that aborted mid-kernel fails the iteration
@@ -1173,6 +1232,60 @@ func (r *runState) uieval(q *querygen.IDBQueries, unit querygen.UnitQueries) (*s
 
 func (r *runState) dropTmp(q *querygen.IDBQueries) {
 	_, _ = r.db.ExecSQL("DROP TABLE IF EXISTS " + q.Tmp)
+}
+
+// passThroughCols returns the columns K a predicate P of stratum s may be
+// carried on so that every row a recursive arm emits from ∆P's partition p
+// lies in Rt's partition p: every rule of the stratum that reads P is a rule
+// of P with exactly one body atom from the stratum — P itself — and every
+// such rule copies column k of that atom to head position k for each k in K.
+// Nil when P has no recursive rule or K is empty.
+func (r *runState) passThroughCols(s analysis.Stratum, pred string) []int {
+	var keys []int
+	recursive := false
+	for _, ri := range s.RuleIdx {
+		rule := r.res.Program.Rules[ri]
+		var self []ast.Atom
+		others := 0
+		for _, a := range rule.Body {
+			if pi, ok := r.res.Preds[a.Pred]; !ok || !pi.IsIDB || pi.Stratum != s.Index {
+				continue
+			}
+			if a.Pred == pred {
+				self = append(self, a)
+			} else {
+				others++
+			}
+		}
+		if rule.HeadPred != pred {
+			if len(self) > 0 {
+				return nil // another predicate's rule reads P's full relation
+			}
+			continue
+		}
+		if len(self) == 0 && others == 0 {
+			continue // an initial rule
+		}
+		if len(self) != 1 || others != 0 {
+			return nil // not linear in P
+		}
+		var passed []int
+		for k, t := range self[0].Args {
+			if t.IsConst || t.IsWild || k >= len(rule.HeadTerms) {
+				continue
+			}
+			if v, ok := rule.HeadTerms[k].Expr.(ast.Var); ok && rule.HeadTerms[k].Agg == "" && v.Name == t.Var {
+				if !recursive || slices.Contains(keys, k) {
+					passed = append(passed, k)
+				}
+			}
+		}
+		keys, recursive = passed, true
+		if len(keys) == 0 {
+			return nil
+		}
+	}
+	return keys
 }
 
 // aggNeedsFullRebuild reports whether a recursive-aggregate predicate is

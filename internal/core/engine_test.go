@@ -571,3 +571,26 @@ func TestEOSTEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// Rt is dead once the fused delta step has read it: the memory reading the
+// step hook sees must not count it as live intermediate bytes.
+func TestConsumedTmpIsNotLiveAtTheHook(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Workers = 2
+	opts.Partitions = 16
+	checked := 0
+	opts.IterHook = func(ii IterInfo) {
+		rt := int64(ii.TmpTuples) * 2 * 4 // binary tuples of int32
+		if ii.TmpTuples < 10000 {
+			return
+		}
+		checked++
+		if live := ii.Mem.LiveBytes[storage.CatIntermediate]; live >= rt/2 {
+			t.Errorf("iteration %d: %d intermediate bytes live after the step, Rt alone is %d", ii.Iteration, live, rt)
+		}
+	}
+	runProg(t, opts, programs.TC, map[string]*storage.Relation{"arc": arcRel(randomEdges(300, 1800, 5))})
+	if checked == 0 {
+		t.Fatal("no step produced an Rt worth checking")
+	}
+}

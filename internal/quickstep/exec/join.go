@@ -337,16 +337,22 @@ func HashJoin(pool *Pool, left, right *storage.Relation, spec JoinSpec) *storage
 	idx, plainCols := colIndexes(spec.Projs)
 	blocks := probe.Blocks()
 	pool.Copy.JoinProbeRows.Add(int64(probe.NumTuples()))
-	col := outCollector(pool, spec.OutPartitioning, len(spec.Projs), len(blocks))
+	// One sink per worker: the probe hands them out by worker slot, and its
+	// tasks may be more than the probe's blocks (a carried view's blocks).
+	col := outCollector(pool, spec.OutPartitioning, len(spec.Projs), pool.Workers())
 	batchProbe := pool.batch && len(probeKeys) <= 4
 	endProbe := pool.phase(obs.PhaseProbe, -1)
 	if batchProbe && plainCols && len(spec.Residual) == 0 && windowRows(len(idx)) > 0 {
 		// Plain columns and nothing to test per match: the expansion kernel.
 		jo := newJoinOutput(pool, col, idx, la, spec.BuildLeft, spec.OutSet)
-		pool.runTasksPerWorker(len(blocks), func(worker, t int) {
-			pool.observeBatch(blocks[t].Rows())
-			jo.probeBlock(&jo.workers[worker], jt, blocks[t], probeKeys)
-		})
+		if view := jo.probeView(probe); view != nil {
+			jo.probeInPlace(jt, view, probeKeys)
+		} else {
+			pool.runTasksPerWorker(len(blocks), func(worker, t int) {
+				pool.observeBatch(blocks[t].Rows())
+				jo.probeBlock(&jo.workers[worker], jt, blocks[t], probeKeys)
+			})
+		}
 		jo.finish()
 		endProbe()
 		return col.into(spec.OutName, spec.OutCols)

@@ -13,8 +13,10 @@ import (
 // a probe row's own values are read once and every match is written straight
 // into a row-major window private to the worker, which is flushed in bulk: a
 // block-sized copy for a flat output, the window-at-a-time counting-sort
-// scatter for a partitioned one. When the output is set-valued the window
-// passes the duplicate filter on its way out.
+// scatter for a partitioned one — or, when the probe side carries the output's
+// partitioning through the projection, a block-sized copy into the partition
+// the probe rows came from. When the output is set-valued the window passes
+// the duplicate filter on its way out.
 
 // colSrc says where one output column comes from.
 type colSrc struct {
@@ -35,7 +37,12 @@ type joinOutput struct {
 	filter   bool
 	activate int
 	minHits  int
-	workers  []joinWorker
+	// inPlace says the probe runs over a carried view whose partition p
+	// yields only rows of output partition p (see probeView): a worker's
+	// window then holds rows of one partition, its p, and is written there
+	// whole.
+	inPlace bool
+	workers []joinWorker
 }
 
 // joinWorker is one worker's share of a joinOutput. Everything it points to
@@ -54,6 +61,7 @@ type joinWorker struct {
 	passed int
 	flat   bulkSink
 	part   *partWriter
+	p      int // the output partition of the window's rows, when in place
 
 	filt    *dupFilter
 	filtOff bool
@@ -62,9 +70,9 @@ type joinWorker struct {
 	// it dropped — the hit share the bypass rule judges.
 	seen, hits int
 
-	expanded, bypassed int64
+	expanded, bypassed, inPlace int64
 
-	_ [48]byte // workers sit side by side in one slice: pad to three cache lines
+	_ [32]byte // workers sit side by side in one slice: pad to three cache lines
 }
 
 // scatterBatchMin is the window size from which a partitioned flush goes
@@ -119,6 +127,56 @@ func newJoinOutput(pool *Pool, col *collector, idx []int, la int, buildLeft, set
 		jo.workers[i].flat = bulkSink{c: col, slot: i}
 	}
 	return jo
+}
+
+// probeView returns the probe side's carried view of which this join's
+// output partitioning is the image through the projection: the view routed,
+// at the output's fan-out, on the probe columns the output's key columns are
+// copied from. PartitionHash then gives an output row the hash of the probe
+// row it came from, so view partition p yields only rows of output partition
+// p. Nil when the output is flat or no carried view qualifies.
+func (jo *joinOutput) probeView(probe *storage.Relation) *storage.PartitionedView {
+	part := jo.col.part
+	if part == nil {
+		return nil
+	}
+	keys := make([]int, len(part.KeyCols))
+	for i, c := range part.KeyCols {
+		if jo.src[c].build {
+			return nil
+		}
+		keys[i] = jo.src[c].off
+	}
+	v, _ := probe.CarriedView(keys, part.Parts)
+	return v
+}
+
+// probeInPlace probes the view's blocks as (partition, block) tasks; a worker
+// moving to another partition flushes its window first, so every flush
+// writes one partition's rows into that partition.
+func (jo *joinOutput) probeInPlace(jt *joinTable, view *storage.PartitionedView, probeKeys []int) {
+	type task struct {
+		p int
+		b *storage.Block
+	}
+	var tasks []task
+	for p := 0; p < view.Parts(); p++ {
+		for _, b := range view.Blocks(p) {
+			if b.Rows() > 0 {
+				tasks = append(tasks, task{p, b})
+			}
+		}
+	}
+	jo.inPlace = true
+	jo.pool.runTasksPerWorker(len(tasks), func(worker, t int) {
+		w, tk := &jo.workers[worker], tasks[t]
+		if w.p != tk.p {
+			jo.drain(w)
+			w.p = tk.p
+		}
+		jo.pool.observeBatch(tk.b.Rows())
+		jo.probeBlock(w, jt, tk.b, probeKeys)
+	})
 }
 
 // probeBlock joins one probe block against the build tables.
@@ -296,6 +354,18 @@ func (jo *joinOutput) windowFull(w *joinWorker) {
 	jo.flush(w)
 }
 
+// drain filters and flushes whatever the window holds.
+func (jo *joinOutput) drain(w *joinWorker) {
+	if w.n == 0 {
+		return
+	}
+	jo.borrowFilter(w)
+	if w.filt != nil {
+		jo.filterWindow(w)
+	}
+	jo.flush(w)
+}
+
 // borrowFilter takes a filter for the worker once the rows it has emitted in
 // this join, the window's included, reach the activation point: clearing a
 // table costs about what emitting its slot count in rows does, so a join that
@@ -339,12 +409,16 @@ func (jo *joinOutput) flush(w *joinWorker) {
 		if w.part == nil {
 			w.part = jo.col.partSink(w.flat.slot)
 		}
-		if jo.width <= 4 && w.n >= scatterBatchMin {
+		switch {
+		case jo.inPlace:
+			w.part.writeBulk(w.p, rows)
+			w.inPlace += int64(w.n)
+		case jo.width <= 4 && w.n >= scatterBatchMin:
 			if w.out == nil {
 				w.out = getBatchBuf()
 			}
 			batchScatterBlock(w.part, rows, jo.width, w.out)
-		} else {
+		default:
 			for off := 0; off < len(rows); off += jo.width {
 				w.part.write(rows[off : off+jo.width])
 			}
@@ -363,15 +437,11 @@ func (jo *joinOutput) flush(w *joinWorker) {
 // worker's scratch, filter and counts go back where they came from.
 func (jo *joinOutput) finish() {
 	aborted := jo.pool.Aborted()
-	var expanded, suppressed, bypassed int64
+	var expanded, suppressed, bypassed, inPlace int64
 	for i := range jo.workers {
 		w := &jo.workers[i]
-		if !aborted && w.n > 0 {
-			jo.borrowFilter(w)
-			if w.filt != nil {
-				jo.filterWindow(w)
-			}
-			jo.flush(w)
+		if !aborted {
+			jo.drain(w)
 		}
 		if w.filt != nil {
 			jo.pool.returnDupFilter(w.filt)
@@ -379,6 +449,7 @@ func (jo *joinOutput) finish() {
 		expanded += w.expanded
 		suppressed += int64(w.hits)
 		bypassed += w.bypassed
+		inPlace += w.inPlace
 		if w.probe != nil {
 			putBatchBuf(w.probe)
 		}
@@ -391,6 +462,8 @@ func (jo *joinOutput) finish() {
 	c.JoinRowsExpanded.Add(expanded)
 	c.DupSuppressed.Add(suppressed)
 	c.DupFilterBypassed.Add(bypassed)
+	c.OutputInPlace.Add(inPlace)
+	jo.col.inPlace = inPlace
 	*jo = joinOutput{workers: jo.workers}
 	joinOutputs.Put(jo)
 }

@@ -380,3 +380,154 @@ func TestJoinWorkerSlotsKeepTheirCacheLines(t *testing.T) {
 		t.Fatalf("joinWorker is %d bytes: neighbouring workers share a cache line", sz)
 	}
 }
+
+// partitionBags returns, per partition of r's carried view on part, the bag of
+// its tuples, after checking that every tuple there routes to that partition.
+func partitionBags(t *testing.T, r *storage.Relation, part storage.Partitioning) []map[[6]int32]int {
+	t.Helper()
+	v, ok := r.CarriedView(part.KeyCols, part.Parts)
+	if !ok {
+		t.Fatalf("output does not carry %v", part)
+	}
+	bags := make([]map[[6]int32]int, part.Parts)
+	for p := range bags {
+		bags[p] = make(map[[6]int32]int)
+		for _, b := range v.Blocks(p) {
+			for i := 0; i < b.Rows(); i++ {
+				row := b.Row(i)
+				if q := storage.PartitionOf(storage.PartitionHash(row, part.KeyCols), part.Parts); q != p {
+					t.Fatalf("tuple %v sits in partition %d but routes to %d", row, p, q)
+				}
+				k := [6]int32{-1, -1, -1, -1, -1, -1}
+				copy(k[:], row)
+				bags[p][k]++
+			}
+		}
+	}
+	return bags
+}
+
+// carriedCopy returns a copy of r carrying a partitioning on keys.
+func carriedCopy(pool *Pool, r *storage.Relation, keys []int, parts int) *storage.Relation {
+	c := storage.NewRelation(r.Name()+"_carried", r.ColNames())
+	c.AppendRelation(r)
+	PartitionRelationCarried(pool, c, keys, parts)
+	return c
+}
+
+// TestInPlaceFlushMatchesScatter runs random plain-column joins whose output
+// partitioning copies one probe column, once with the probe side uncarried
+// (the window scatter) and once carried on that column at the output's
+// fan-out (the in-place flush): output arity 1–4, either build side, the
+// filter forced on or not marked, four workers. Both must place the same
+// tuples in the same partitions — as bags unmarked, as sets marked — and the
+// in-place run must write every row in place and scatter none.
+func TestInPlaceFlushMatchesScatter(t *testing.T) {
+	forceDupFilter(t)
+	rng := rand.New(rand.NewSource(11))
+	pool := NewPool(4)
+	for trial := 0; trial < 48; trial++ {
+		buildLeft, marked := trial%2 == 0, trial%4 >= 2
+		la, ra := 1+rng.Intn(3), 1+rng.Intn(3)
+		left := randRel("l", la, 600+rng.Intn(800), 25, rng)
+		right := randRel("r", ra, 600+rng.Intn(800), 25, rng)
+		spec := JoinSpec{BuildLeft: buildLeft, Partitions: []int{1, 16}[rng.Intn(2)], OutName: "out", OutSet: marked}
+		for k := 0; k < 1+rng.Intn(min(la, ra)); k++ {
+			spec.LeftKeys = append(spec.LeftKeys, k)
+			spec.RightKeys = append(spec.RightKeys, ra-1-k)
+		}
+		// The probe side is the one that does not build; its columns start at
+		// offset la of the combined row when it is the right input.
+		probeArity, probeOff := la, 0
+		if buildLeft {
+			probeArity, probeOff = ra, la
+		}
+		width := 1 + trial%4
+		kin, kout := rng.Intn(probeArity), rng.Intn(width)
+		for j := 0; j < width; j++ {
+			c := rng.Intn(la + ra)
+			if j == kout {
+				c = probeOff + kin
+			}
+			spec.Projs = append(spec.Projs, expr.Col{Index: c})
+		}
+		part := storage.Partitioning{KeyCols: []int{kout}, Parts: []int{16, 64}[rng.Intn(2)]}
+		spec.OutPartitioning = &part
+
+		before := pool.Copy.Snapshot()
+		ref := HashJoin(pool, left, right, spec)
+		if s := pool.Copy.Snapshot().Sub(before); s.OutputInPlace != 0 {
+			t.Fatalf("trial %d: uncarried probe side wrote %d rows in place", trial, s.OutputInPlace)
+		}
+		cl, cr := left, right
+		if buildLeft {
+			cr = carriedCopy(pool, right, []int{kin}, part.Parts)
+		} else {
+			cl = carriedCopy(pool, left, []int{kin}, part.Parts)
+		}
+		before = pool.Copy.Snapshot()
+		got := HashJoin(pool, cl, cr, spec)
+		s := pool.Copy.Snapshot().Sub(before)
+		if s.OutputInPlace != int64(got.NumTuples()) || s.Scattered != 0 {
+			t.Fatalf("trial %d: carried probe side wrote %d of %d rows in place and scattered %d",
+				trial, s.OutputInPlace, got.NumTuples(), s.Scattered)
+		}
+		want, have := partitionBags(t, ref, part), partitionBags(t, got, part)
+		for p := range want {
+			if !marked {
+				if !reflect.DeepEqual(have[p], want[p]) {
+					t.Fatalf("trial %d: partition %d holds %d distinct tuples in place, %d scattered", trial, p, len(have[p]), len(want[p]))
+				}
+				continue
+			}
+			for tup := range want[p] {
+				if have[p][tup] == 0 {
+					t.Fatalf("trial %d: partition %d lost %v in place", trial, p, tup)
+				}
+			}
+			if len(have[p]) != len(want[p]) {
+				t.Fatalf("trial %d: partition %d holds %d distinct tuples in place, %d scattered", trial, p, len(have[p]), len(want[p]))
+			}
+		}
+	}
+}
+
+// TestInPlaceFlushNeedsTheImage: the probe side carries the output's keyset
+// only through a projection that copies the carried column to the output's
+// key position at the same fan-out. A projection that moves the key column, a
+// key column from the build side or another fan-out takes the scatter path.
+func TestInPlaceFlushNeedsTheImage(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pool := NewPool(4)
+	left := carriedCopy(pool, randRel("l", 2, 2000, 40, rng), []int{0}, 16)
+	right := randRel("r", 2, 2000, 40, rng)
+	base := JoinSpec{LeftKeys: []int{1}, RightKeys: []int{0}, OutName: "out"}
+	for _, c := range []struct {
+		name    string
+		projs   []int // columns of left ++ right
+		part    storage.Partitioning
+		inPlace bool
+	}{
+		{"image", []int{0, 3}, storage.Partitioning{KeyCols: []int{0}, Parts: 16}, true},
+		{"key column moved", []int{3, 0}, storage.Partitioning{KeyCols: []int{0}, Parts: 16}, false},
+		{"other probe column", []int{1, 3}, storage.Partitioning{KeyCols: []int{0}, Parts: 16}, false},
+		{"build-side key", []int{0, 3}, storage.Partitioning{KeyCols: []int{1}, Parts: 16}, false},
+		{"other fan-out", []int{0, 3}, storage.Partitioning{KeyCols: []int{0}, Parts: 64}, false},
+	} {
+		spec := base
+		for _, p := range c.projs {
+			spec.Projs = append(spec.Projs, expr.Col{Index: p})
+		}
+		spec.OutPartitioning = &c.part
+		before := pool.Copy.Snapshot()
+		out := HashJoin(pool, left, right, spec)
+		s := pool.Copy.Snapshot().Sub(before)
+		if (s.OutputInPlace > 0) != c.inPlace || out.NumTuples() == 0 {
+			t.Fatalf("%s: %d of %d rows written in place, want in place %v", c.name, s.OutputInPlace, out.NumTuples(), c.inPlace)
+		}
+		if !c.inPlace && s.Scattered != int64(out.NumTuples()) {
+			t.Fatalf("%s: scattered %d of %d rows", c.name, s.Scattered, out.NumTuples())
+		}
+		partitionBags(t, out, c.part)
+	}
+}

@@ -82,6 +82,11 @@ type CopyCounters struct {
 	JoinRowsExpanded  obs.Counter
 	DupSuppressed     obs.Counter
 	DupFilterBypassed obs.Counter
+	// OutputInPlace counts join output rows written into the partition of
+	// the probe row they came from — the probe side carried the output's
+	// partitioning through the projection — with no hash and no counting
+	// sort. They are not in Scattered.
+	OutputInPlace obs.Counter
 
 	// buildDetail breaks the build counters down by (relation, keyset) so
 	// the copy-accounting experiments can show exactly which predicate and
@@ -132,7 +137,7 @@ type CopySnapshot struct {
 	ResidentIndexReseeds                int64
 	CachedBuildHits                     int64
 	JoinRowsExpanded, DupSuppressed     int64
-	DupFilterBypassed                   int64
+	DupFilterBypassed, OutputInPlace    int64
 	// BuildDetail maps BuildKey(relation, keyset) to that pair's build
 	// tallies.
 	BuildDetail map[string]BuildCount
@@ -155,6 +160,7 @@ func (c *CopyCounters) Snapshot() CopySnapshot {
 		JoinRowsExpanded:     c.JoinRowsExpanded.Load(),
 		DupSuppressed:        c.DupSuppressed.Load(),
 		DupFilterBypassed:    c.DupFilterBypassed.Load(),
+		OutputInPlace:        c.OutputInPlace.Load(),
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -185,6 +191,7 @@ func (s CopySnapshot) Sub(o CopySnapshot) CopySnapshot {
 		JoinRowsExpanded:     s.JoinRowsExpanded - o.JoinRowsExpanded,
 		DupSuppressed:        s.DupSuppressed - o.DupSuppressed,
 		DupFilterBypassed:    s.DupFilterBypassed - o.DupFilterBypassed,
+		OutputInPlace:        s.OutputInPlace - o.OutputInPlace,
 	}
 	for k, v := range s.BuildDetail {
 		v.Scatters -= o.BuildDetail[k].Scatters
@@ -233,6 +240,8 @@ func (c *CopyCounters) Register(reg *obs.Registry) {
 		"Join output rows the duplicate filter dropped before they reached an output block.", &c.DupSuppressed)
 	reg.RegisterCounter("recstep_join_dup_filter_bypassed_total",
 		"Join output windows flushed after their worker switched the duplicate filter off for want of hits.", &c.DupFilterBypassed)
+	reg.RegisterCounter("recstep_join_output_in_place_total",
+		"Join output rows written into their probe row's partition without a scatter.", &c.OutputInPlace)
 	reg.RegisterSampleFunc("recstep_join_builds_total",
 		"Partitioned hash builds by (relation,keyset) build key and kind (scatter vs in_place).",
 		"counter", func() []obs.Sample {
@@ -794,6 +803,9 @@ type collector struct {
 	copy   *CopyCounters
 	byTask [][]*storage.Block   // flat mode: [sink] -> blocks
 	parted [][][]*storage.Block // partitioned mode: [sink][partition] -> blocks
+	// inPlace is how many of the partitioned rows their producer wrote into
+	// the partition they came from, without a scatter (set before into).
+	inPlace int64
 }
 
 func newCollector(pool *Pool, cat storage.Category, arity, tasks int) *collector {
@@ -964,7 +976,7 @@ func (c *collector) into(name string, colNames []string) *storage.Relation {
 		}
 	}
 	if c.copy != nil {
-		c.copy.Scattered.Add(scattered)
+		c.copy.Scattered.Add(scattered - c.inPlace)
 	}
 	out.AdoptPartitioned(storage.NewPartitionedView(c.part.KeyCols, c.part.Parts, merged))
 	return out

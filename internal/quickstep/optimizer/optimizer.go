@@ -194,46 +194,6 @@ func ChooseUpdateDeltaPartitioning(carried storage.Partitioning, hasCarried bool
 	return storage.Partitioning{KeyCols: storage.AllCols(arity), Parts: parts}
 }
 
-// ChooseJoinKeyCols reconciles the delta pipeline's partitioning keyset with
-// the join builds of the coming iterations: given the join-key column sets
-// under which a recursive predicate's relations (∆R and R) enter hash
-// builds directly (collected from the bound recursive plans, once per
-// stratum), it picks the key columns the carried partitioning should route
-// on. Any non-empty keyset co-locates equal tuples, so the delta step's
-// dedup and set difference are correct under every candidate; the choice is
-// purely about which downstream build gets served scatter-free:
-//
-//   - One keyset used everywhere → carry exactly it. ∆R exits the delta
-//     step scattered on the keys the next iteration's build probes, and the
-//     build indexes the carried blocks in place (zero re-scatter — the
-//     FlowLog observation that carrying index structure across incremental
-//     iterations beats rebuilding it).
-//   - Conflicting keysets (the predicate joins on different columns in
-//     different rules, e.g. same-generation's sg(p,q) joined on p and on q)
-//     → fall back to the whole-tuple layout: no single partitioning can
-//     serve both builds, and whole-tuple routing at least spreads skewed
-//     key values across partitions for the delta pass itself.
-//   - No direct join usage → whole-tuple layout.
-func ChooseJoinKeyCols(arity int, keysets [][]int) []int {
-	var chosen []int
-	for _, ks := range keysets {
-		if len(ks) == 0 {
-			continue
-		}
-		if chosen == nil {
-			chosen = ks
-			continue
-		}
-		if !storage.KeyColsEqual(chosen, ks) {
-			return storage.AllCols(arity)
-		}
-	}
-	if chosen == nil {
-		return storage.AllCols(arity)
-	}
-	return append([]int(nil), chosen...)
-}
-
 // RankJoinKeysets returns the distinct non-empty keysets of a predicate's
 // direct hash-build usage, ranked by how many builds each serves per
 // iteration (occurrence count, descending; ties keep first-appearance
@@ -276,32 +236,68 @@ func RankJoinKeysets(keysets [][]int) [][]int {
 	return out
 }
 
-// ChooseCarryKeysets is the ranked, two-view generalization of
-// ChooseJoinKeyCols: instead of falling back to the whole-tuple layout when
-// a predicate's recursive joins build on conflicting keysets, it selects up
-// to two of them — the primary (most builds served), which routes the delta
-// pipeline and becomes R's carried partitioning, and a secondary, which R
-// and ∆R maintain as an extra carried view via the dual-route delta step.
+// CarryRule names the rule that chose a recursive predicate's carried
+// keysets.
+type CarryRule string
+
+const (
+	// CarryOutput: the keyset is the predicate's pass-through columns — every
+	// recursive rule copies them unchanged from its one body atom of the
+	// predicate to the head — so a join probing ∆'s partition p emits only
+	// rows of the join output's partition p.
+	CarryOutput CarryRule = "output"
+	// CarryJoin: the keysets the predicate's hash builds key on.
+	CarryJoin CarryRule = "join"
+	// CarryWholeTuple: no keyset applies, or carrying is off.
+	CarryWholeTuple CarryRule = "whole-tuple"
+)
+
+// ChooseCarry picks the keysets a recursive predicate's carried partitioning
+// routes on for one stratum: the primary routes the delta pipeline and
+// becomes R's carried partitioning, the secondary (nil for none) is an extra
+// carried view R and ∆R maintain through the dual-route delta step. Any
+// non-empty keyset co-locates equal tuples, so the delta step's dedup and set
+// difference are correct under every choice; the choice only decides which
+// later operator gets its input without moving a tuple.
 //
-// The cost cutoff comes from copy accounting: maintaining a secondary view
-// costs one extra scatter copy of ∆R per iteration (the dual route) plus one
-// initial scatter of R, while every build it serves saves a scatter of the
-// *build side* (R or ∆R, both at least ∆R-sized) per iteration. A secondary
-// keyset with at least one direct build use therefore always at least breaks
-// even, and strictly wins whenever the build side is the accumulated R —
-// so the cutoff is one use; keysets ranked third or lower stay unserved
-// (their builds re-scatter, exactly as under the whole-tuple fallback).
-// With no conflict the choice degenerates to ChooseJoinKeyCols: primary =
-// the consensus keyset (or the whole tuple), no secondary.
-func ChooseCarryKeysets(arity int, keysets [][]int) (primary, secondary []int) {
-	ranked := RankJoinKeysets(keysets)
-	if len(ranked) == 0 {
-		return storage.AllCols(arity), nil
+// outputKeys are the predicate's pass-through columns (nil when its rules
+// have none). With more than one worker they win: every repeat of an output
+// tuple then comes out of one partition of ∆, so the worker probing that
+// partition sees all of them and its duplicate filter catches them, and the
+// join writes its output into the probe row's own partition without a
+// scatter. The predicate's builds on its join keys then re-scatter ∆ — the
+// price of owning the output, paid on the smaller side. One worker already
+// owns the whole output, so there the join keys decide.
+//
+// joinKeysets are the key column sets under which the predicate's relations
+// (∆R and R) enter hash builds directly, collected from the bound recursive
+// plans, ranked by RankJoinKeysets:
+//
+//   - One keyset → carry exactly it. ∆R exits the delta step scattered on the
+//     keys the next iteration's build probes, and the build indexes the
+//     carried blocks in place (the FlowLog observation that carrying index
+//     structure across incremental iterations beats rebuilding it).
+//   - Conflicting keysets (e.g. same-generation's sg(p,q) joined on p and on
+//     q) → the top-ranked as primary, the runner-up as secondary. A secondary
+//     costs one extra scatter of ∆R per iteration plus one initial scatter of
+//     R, while every build it serves saves a scatter of a build side at least
+//     ∆R-sized, so one use breaks even; keysets ranked third or lower stay
+//     unserved. With secondary off, no single partitioning serves both
+//     builds and the choice falls back to the whole tuple, which at least
+//     spreads skewed key values across partitions for the delta pass.
+//   - No direct join usage → the whole tuple.
+func ChooseCarry(arity int, joinKeysets [][]int, outputKeys []int, workers int, secondary bool) (primary, sec []int, rule CarryRule) {
+	if workers > 1 && len(outputKeys) > 0 {
+		return append([]int(nil), outputKeys...), nil, CarryOutput
 	}
-	if len(ranked) == 1 {
-		return ranked[0], nil
+	ranked := RankJoinKeysets(joinKeysets)
+	switch {
+	case len(ranked) == 0 || len(ranked) > 1 && !secondary:
+		return storage.AllCols(arity), nil, CarryWholeTuple
+	case len(ranked) > 1:
+		return ranked[0], ranked[1], CarryJoin
 	}
-	return ranked[0], ranked[1]
+	return ranked[0], nil, CarryJoin
 }
 
 // ChooseDeltaPartitions picks the whole-tuple radix fan-out one recursive

@@ -131,33 +131,6 @@ func TestChoosePartitionsTiers(t *testing.T) {
 	}
 }
 
-func TestChooseJoinKeyCols(t *testing.T) {
-	cases := []struct {
-		name    string
-		arity   int
-		keysets [][]int
-		want    []int
-	}{
-		{"consensus single col", 2, [][]int{{1}, {1}}, []int{1}},
-		{"conflict falls back to whole tuple", 2, [][]int{{0}, {1}}, []int{0, 1}},
-		{"no usage falls back", 3, nil, []int{0, 1, 2}},
-		{"empty keysets ignored", 2, [][]int{{}, {1}}, []int{1}},
-		{"multi-col consensus", 3, [][]int{{0, 2}, {0, 2}}, []int{0, 2}},
-		{"order conflict falls back", 2, [][]int{{0, 1}, {1, 0}}, []int{0, 1}},
-	}
-	for _, c := range cases {
-		got := ChooseJoinKeyCols(c.arity, c.keysets)
-		if len(got) != len(c.want) {
-			t.Fatalf("%s: got %v, want %v", c.name, got, c.want)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("%s: got %v, want %v", c.name, got, c.want)
-			}
-		}
-	}
-}
-
 func keysetsEqual(a, b [][]int) bool {
 	if len(a) != len(b) {
 		return false
@@ -197,37 +170,45 @@ func TestRankJoinKeysets(t *testing.T) {
 	}
 }
 
-func TestChooseCarryKeysets(t *testing.T) {
+func TestChooseCarry(t *testing.T) {
 	cases := []struct {
 		name          string
 		arity         int
 		keysets       [][]int
+		outputKeys    []int
+		workers       int
+		secondary     bool
 		wantPrimary   []int
 		wantSecondary []int
+		wantRule      CarryRule
 	}{
-		{"no usage falls back to whole tuple, no secondary", 3, nil, []int{0, 1, 2}, nil},
-		{"consensus keeps single keyset, no secondary", 2, [][]int{{1}, {1}}, []int{1}, nil},
+		// tc(x,y) :- tc(x,z), arc(z,y): builds on column 1, passes column 0.
+		{"output keys win at several workers", 2, [][]int{{1}}, []int{0}, 4, true, []int{0}, nil, CarryOutput},
+		{"one worker keeps the join keys", 2, [][]int{{1}}, []int{0}, 1, true, []int{1}, nil, CarryJoin},
+		{"no output keys: ranked join keysets", 2, [][]int{{0}, {0}, {1}}, nil, 4, true, []int{0}, []int{1}, CarryJoin},
+		{"no usage is whole-tuple", 3, nil, nil, 4, true, []int{0, 1, 2}, nil, CarryWholeTuple},
+		{"consensus keeps single keyset, no secondary", 2, [][]int{{1}, {1}}, nil, 1, true, []int{1}, nil, CarryJoin},
 		// The CSPA valueFlow shape: column 0 serves four builds per
 		// iteration, column 1 serves two — rank picks 0 as the delta route
 		// and maintains 1 as the secondary carried view.
-		{"conflict ranks by builds served", 2, [][]int{{0}, {0}, {1}, {0}, {1}, {0}}, []int{0}, []int{1}},
-		{"tie breaks by first appearance", 2, [][]int{{1}, {0}}, []int{1}, []int{0}},
+		{"conflict ranks by builds served", 2, [][]int{{0}, {0}, {1}, {0}, {1}, {0}}, nil, 1, true, []int{0}, []int{1}, CarryJoin},
+		{"tie breaks by first appearance", 2, [][]int{{1}, {0}}, nil, 1, true, []int{1}, []int{0}, CarryJoin},
 		// Third-ranked keysets stay unserved: only the top two carry.
-		{"only top two carry", 2, [][]int{{0}, {0}, {1}, {1}, {0, 1}}, []int{0}, []int{1}},
+		{"only top two carry", 2, [][]int{{0}, {0}, {1}, {1}, {0, 1}}, nil, 1, true, []int{0}, []int{1}, CarryJoin},
+		// With secondary carrying off a conflict falls back to the whole tuple.
+		{"consensus without secondary", 2, [][]int{{1}, {1}}, nil, 4, false, []int{1}, nil, CarryJoin},
+		{"conflict without secondary is whole-tuple", 2, [][]int{{0}, {1}}, nil, 4, false, []int{0, 1}, nil, CarryWholeTuple},
+		{"no usage without secondary", 3, nil, nil, 1, false, []int{0, 1, 2}, nil, CarryWholeTuple},
+		{"empty keysets ignored", 2, [][]int{{}, {1}}, nil, 1, false, []int{1}, nil, CarryJoin},
+		{"multi-col consensus", 3, [][]int{{0, 2}, {0, 2}}, nil, 1, false, []int{0, 2}, nil, CarryJoin},
+		{"order conflict falls back", 2, [][]int{{0, 1}, {1, 0}}, nil, 1, false, []int{0, 1}, nil, CarryWholeTuple},
 	}
 	for _, c := range cases {
-		p, s := ChooseCarryKeysets(c.arity, c.keysets)
-		got := [][]int{p}
-		want := [][]int{c.wantPrimary}
-		if s != nil {
-			got = append(got, s)
-		}
-		if c.wantSecondary != nil {
-			want = append(want, c.wantSecondary)
-		}
-		if !keysetsEqual(got, want) {
-			t.Fatalf("%s: ChooseCarryKeysets(%d, %v) = (%v, %v), want (%v, %v)",
-				c.name, c.arity, c.keysets, p, s, c.wantPrimary, c.wantSecondary)
+		p, s, rule := ChooseCarry(c.arity, c.keysets, c.outputKeys, c.workers, c.secondary)
+		if !keysetsEqual([][]int{p}, [][]int{c.wantPrimary}) || len(s) != len(c.wantSecondary) ||
+			(s != nil && !keysetsEqual([][]int{s}, [][]int{c.wantSecondary})) || rule != c.wantRule {
+			t.Fatalf("%s: ChooseCarry = (%v, %v, %s), want (%v, %v, %s)",
+				c.name, p, s, rule, c.wantPrimary, c.wantSecondary, c.wantRule)
 		}
 	}
 }
