@@ -82,9 +82,7 @@ func (g *Magazine) AllocData(cat storage.Category, capInt32s int) []int32 {
 		arr = make([]int32, 0, classCap(c))
 		g.m.poolMisses.Add(1)
 	}
-	bytes := int64(cap(arr)) * 4
-	g.m.ensureHeadroom(bytes)
-	g.m.accountAlloc(cat, bytes)
+	g.m.accountAlloc(cat, int64(cap(arr))*4)
 	return arr
 }
 

@@ -46,6 +46,16 @@ const (
 	ioBackoffBase = 200 * time.Microsecond
 )
 
+// Reclaim retry policy: a reclaimer that finds no victim, or loses a
+// relation's mutex to an operator, retries up to reclaimRetries times before
+// the allocation proceeds over budget; a contended retry first sleeps, from
+// reclaimBackoff doubling up to reclaimBackoffMax (a few milliseconds in all).
+const (
+	reclaimRetries    = 8
+	reclaimBackoff    = 20 * time.Microsecond
+	reclaimBackoffMax = time.Millisecond
+)
+
 // errSpillParked is returned by SpillBlocks while spilling is parked after a
 // persistent write failure; the engine keeps running in-memory.
 var errSpillParked = errors.New("memory: spilling parked after persistent spill-write failure")
@@ -313,7 +323,9 @@ func (m *Manager) AllocData(cat storage.Category, capInt32s int) []int32 {
 	if c := classOf(capInt32s); c >= 0 {
 		sizeBytes = int64(classCap(c)) * 4
 	}
-	m.ensureHeadroom(sizeBytes)
+	// Charged before the array is fetched, so the arrays an eviction frees
+	// are back in the pool for this very allocation.
+	m.accountAlloc(cat, sizeBytes)
 	var arr []int32
 	if c := classOf(capInt32s); c >= 0 {
 		want := classCap(c)
@@ -337,12 +349,12 @@ func (m *Manager) AllocData(cat storage.Category, capInt32s int) []int32 {
 		arr = make([]int32, 0, capInt32s)
 		m.poolMisses.Add(1)
 	}
-	m.accountAlloc(cat, int64(cap(arr))*4)
 	return arr
 }
 
-// accountAlloc charges an allocation to the live gauges and records the
-// peak. Shared by the direct path and the per-worker magazines. It is also
+// accountAlloc charges an allocation to the live gauges — reclaiming
+// headroom for it first under a budget — and records the peak. Shared by the
+// direct path and the per-worker magazines. It is also
 // the alloc fault-injection choke point: an injected allocation failure is
 // recorded as the fatal run error — the allocation itself still succeeds
 // (no mid-kernel unwind, so no pass-private state leaks) and the fixpoint
@@ -354,8 +366,8 @@ func (m *Manager) accountAlloc(cat storage.Category, bytes int64) {
 			m.noteRunErr(fmt.Errorf("memory: block allocation failed: %w", err))
 		}
 	}
+	total := m.admit(bytes)
 	m.live[cat].Add(bytes)
-	total := m.liveTotal.Add(bytes)
 	for {
 		p := m.peak.Load()
 		if total <= p {
@@ -385,30 +397,49 @@ func (m *Manager) accountFree(cat storage.Category, bytes int64) {
 	m.liveTotal.Add(-bytes)
 }
 
-// ensureHeadroom evicts cold partitions until the budget has room for an
-// allocation of want bytes. Over-budget allocators serialize on the reclaim
-// mutex — compounding a burst of concurrent allocations on top of an
-// in-flight eviction is exactly how a peak overshoots the budget. The wait
-// is bounded: a reclaimer that finds nothing evictable returns, and the
-// allocation proceeds over budget (correctness first — the budget is a
-// target the engine sheds toward, not a hard failure).
-func (m *Manager) ensureHeadroom(want int64) {
+// admit adds an allocation of want bytes to the live total and returns the
+// new total. Under a budget the bytes are admitted only while they fit: the
+// fit check and the add are one compare-and-swap, so concurrent allocators
+// cannot each see the same headroom and overshoot the budget together. One
+// that does not fit evicts cold partitions first; over-budget allocators
+// serialize on the reclaim mutex, and one whose freed headroom a faster
+// allocator took reclaims again. The wait is bounded: a reclaimer that finds
+// nothing evictable gives up, and the allocation proceeds over budget
+// (correctness first — the budget is a target the engine sheds toward, not a
+// hard failure).
+func (m *Manager) admit(want int64) int64 {
 	if m.budget <= 0 {
-		return
+		return m.liveTotal.Add(want)
 	}
-	target := m.budget - want
-	if target < 0 {
-		target = 0
-	}
-	if m.liveTotal.Load() <= target {
-		return
+	if total, ok := m.tryAdmit(want); ok {
+		return total
 	}
 	m.reclaimMu.Lock()
 	defer m.reclaimMu.Unlock()
-	if m.liveTotal.Load() <= target {
-		return
+	target := max(m.budget-want, 0)
+	for {
+		if total, ok := m.tryAdmit(want); ok {
+			return total
+		}
+		if !m.reclaimTo(target) {
+			return m.liveTotal.Add(want)
+		}
 	}
-	m.reclaimTo(target)
+}
+
+// tryAdmit adds want bytes to the live total if the result stays within the
+// budget (an allocation larger than the whole budget fits an empty pool).
+func (m *Manager) tryAdmit(want int64) (int64, bool) {
+	for {
+		cur := m.liveTotal.Load()
+		total := cur + want
+		if total > m.budget && cur > 0 {
+			return 0, false
+		}
+		if m.liveTotal.CompareAndSwap(cur, total) {
+			return total, true
+		}
+	}
 }
 
 // FreeData implements storage.Lifecycle: return an array to the pool (or the
@@ -483,13 +514,14 @@ func (m *Manager) EndEpoch() {
 func (m *Manager) Epoch() int64 { return m.epoch.Load() }
 
 // reclaimTo evicts least-recently-probed partitions until live bytes drop
-// to target or nothing evictable remains. Callers hold reclaimMu;
+// to target or nothing evictable remains, and reports whether the target was
+// reached. Callers hold reclaimMu;
 // TryLock-style relation locking inside ColdestPartition/SpillPartition
 // keeps it deadlock-free against allocators that already hold a relation
 // mutex (they skip that relation and move on).
-func (m *Manager) reclaimTo(target int64) {
+func (m *Manager) reclaimTo(target int64) bool {
 	if m.sealed.Load() {
-		return
+		return false
 	}
 	// Eviction order: what can be rebuilt goes before what must be written,
 	// and each stage runs only if the one before left the target unmet.
@@ -514,7 +546,7 @@ func (m *Manager) reclaimTo(target int64) {
 		}
 	}
 	if m.liveTotal.Load() <= target {
-		return
+		return true
 	}
 	for _, r := range spillables {
 		if r.TryDropSecondaryView() {
@@ -525,13 +557,17 @@ func (m *Manager) reclaimTo(target int64) {
 	// Candidate scans use TryLock against relations an operator may be
 	// touching right now; a miss is usually transient contention, not a lack
 	// of cold data, so retry briefly before concluding nothing is evictable.
+	// A contended miss sleeps, with a doubling backoff, rather than yields:
+	// the holder may be a worker the scheduler (or the OS) has descheduled
+	// mid-section, and a spinning reclaimer cannot out-wait that.
 	misses := 0
+	backoff := reclaimBackoff
 	for m.liveTotal.Load() > target {
 		if m.parked.Load() {
 			// Spill writes keep failing: secondary drops above were the last
 			// reclaim lever. The allocation proceeds over budget — degraded
 			// but correct.
-			return
+			return false
 		}
 		m.regMu.Lock()
 		rels := append([]*storage.Relation(nil), m.spillables...)
@@ -539,8 +575,10 @@ func (m *Manager) reclaimTo(target int64) {
 		var victim *storage.Relation
 		victimPart := -1
 		var victimTouch int64
+		busy := false
 		for _, r := range rels {
-			p, touch, bytes, ok := r.ColdestPartition(cur)
+			p, touch, bytes, ok, contended := r.ColdestPartition(cur)
+			busy = busy || contended
 			if !ok || bytes == 0 {
 				continue
 			}
@@ -551,17 +589,24 @@ func (m *Manager) reclaimTo(target int64) {
 		ok := false
 		if victim != nil {
 			_, ok = victim.SpillPartition(victimPart, m)
+			busy = busy || !ok
 		}
 		if ok {
-			misses = 0
+			misses, backoff = 0, reclaimBackoff
 			continue
 		}
 		misses++
-		if misses > 8 {
-			return
+		if misses > reclaimRetries {
+			return false
 		}
-		runtime.Gosched()
+		if busy {
+			time.Sleep(backoff)
+			backoff = min(2*backoff, reclaimBackoffMax)
+		} else {
+			runtime.Gosched()
+		}
 	}
+	return true
 }
 
 // SpillBlocks implements storage.Pager: persist one partition's blocks to a

@@ -170,39 +170,22 @@ func TestRankJoinKeysets(t *testing.T) {
 	}
 }
 
-func TestChooseCarry(t *testing.T) {
-	cases := []struct {
-		name          string
-		arity         int
-		keysets       [][]int
-		outputKeys    []int
-		workers       int
-		secondary     bool
-		wantPrimary   []int
-		wantSecondary []int
-		wantRule      CarryRule
-	}{
-		// tc(x,y) :- tc(x,z), arc(z,y): builds on column 1, passes column 0.
-		{"output keys win at several workers", 2, [][]int{{1}}, []int{0}, 4, true, []int{0}, nil, CarryOutput},
-		{"one worker keeps the join keys", 2, [][]int{{1}}, []int{0}, 1, true, []int{1}, nil, CarryJoin},
-		{"no output keys: ranked join keysets", 2, [][]int{{0}, {0}, {1}}, nil, 4, true, []int{0}, []int{1}, CarryJoin},
-		{"no usage is whole-tuple", 3, nil, nil, 4, true, []int{0, 1, 2}, nil, CarryWholeTuple},
-		{"consensus keeps single keyset, no secondary", 2, [][]int{{1}, {1}}, nil, 1, true, []int{1}, nil, CarryJoin},
-		// The CSPA valueFlow shape: column 0 serves four builds per
-		// iteration, column 1 serves two — rank picks 0 as the delta route
-		// and maintains 1 as the secondary carried view.
-		{"conflict ranks by builds served", 2, [][]int{{0}, {0}, {1}, {0}, {1}, {0}}, nil, 1, true, []int{0}, []int{1}, CarryJoin},
-		{"tie breaks by first appearance", 2, [][]int{{1}, {0}}, nil, 1, true, []int{1}, []int{0}, CarryJoin},
-		// Third-ranked keysets stay unserved: only the top two carry.
-		{"only top two carry", 2, [][]int{{0}, {0}, {1}, {1}, {0, 1}}, nil, 1, true, []int{0}, []int{1}, CarryJoin},
-		// With secondary carrying off a conflict falls back to the whole tuple.
-		{"consensus without secondary", 2, [][]int{{1}, {1}}, nil, 4, false, []int{1}, nil, CarryJoin},
-		{"conflict without secondary is whole-tuple", 2, [][]int{{0}, {1}}, nil, 4, false, []int{0, 1}, nil, CarryWholeTuple},
-		{"no usage without secondary", 3, nil, nil, 1, false, []int{0, 1, 2}, nil, CarryWholeTuple},
-		{"empty keysets ignored", 2, [][]int{{}, {1}}, nil, 1, false, []int{1}, nil, CarryJoin},
-		{"multi-col consensus", 3, [][]int{{0, 2}, {0, 2}}, nil, 1, false, []int{0, 2}, nil, CarryJoin},
-		{"order conflict falls back", 2, [][]int{{0, 1}, {1, 0}}, nil, 1, false, []int{0, 1}, nil, CarryWholeTuple},
-	}
+// carryCase is one ChooseCarry decision: its inputs, the carried primary and
+// secondary keysets and the rule that must win.
+type carryCase struct {
+	name          string
+	arity         int
+	keysets       [][]int
+	outputKeys    []int
+	workers       int
+	secondary     bool
+	wantPrimary   []int
+	wantSecondary []int
+	wantRule      CarryRule
+}
+
+func checkChooseCarry(t *testing.T, cases []carryCase) {
+	t.Helper()
 	for _, c := range cases {
 		p, s, rule := ChooseCarry(c.arity, c.keysets, c.outputKeys, c.workers, c.secondary)
 		if !keysetsEqual([][]int{p}, [][]int{c.wantPrimary}) || len(s) != len(c.wantSecondary) ||
@@ -211,6 +194,46 @@ func TestChooseCarry(t *testing.T) {
 				c.name, p, s, rule, c.wantPrimary, c.wantSecondary, c.wantRule)
 		}
 	}
+}
+
+// With secondary carrying off, the join keysets must agree on one keyset or
+// the predicate is carried whole-tuple.
+func TestChooseJoinKeyCols(t *testing.T) {
+	checkChooseCarry(t, []carryCase{
+		{"consensus single col", 2, [][]int{{1}, {1}}, nil, 4, false, []int{1}, nil, CarryJoin},
+		{"conflict falls back to whole tuple", 2, [][]int{{0}, {1}}, nil, 4, false, []int{0, 1}, nil, CarryWholeTuple},
+		{"no usage falls back", 3, nil, nil, 1, false, []int{0, 1, 2}, nil, CarryWholeTuple},
+		{"empty keysets ignored", 2, [][]int{{}, {1}}, nil, 1, false, []int{1}, nil, CarryJoin},
+		{"multi-col consensus", 3, [][]int{{0, 2}, {0, 2}}, nil, 1, false, []int{0, 2}, nil, CarryJoin},
+		{"order conflict falls back", 2, [][]int{{0, 1}, {1, 0}}, nil, 1, false, []int{0, 1}, nil, CarryWholeTuple},
+	})
+}
+
+// With secondary carrying on and no output keys, the two top-ranked join
+// keysets are carried.
+func TestChooseCarryKeysets(t *testing.T) {
+	checkChooseCarry(t, []carryCase{
+		{"no usage falls back to whole tuple, no secondary", 3, nil, nil, 4, true, []int{0, 1, 2}, nil, CarryWholeTuple},
+		{"consensus keeps single keyset, no secondary", 2, [][]int{{1}, {1}}, nil, 1, true, []int{1}, nil, CarryJoin},
+		// The CSPA valueFlow shape: column 0 serves four builds per
+		// iteration, column 1 serves two — rank picks 0 as the delta route
+		// and maintains 1 as the secondary carried view.
+		{"conflict ranks by builds served", 2, [][]int{{0}, {0}, {1}, {0}, {1}, {0}}, nil, 1, true, []int{0}, []int{1}, CarryJoin},
+		{"tie breaks by first appearance", 2, [][]int{{1}, {0}}, nil, 1, true, []int{1}, []int{0}, CarryJoin},
+		// Third-ranked keysets stay unserved: only the top two carry.
+		{"only top two carry", 2, [][]int{{0}, {0}, {1}, {1}, {0, 1}}, nil, 1, true, []int{0}, []int{1}, CarryJoin},
+	})
+}
+
+// Output keys take over the carry at several workers only.
+func TestChooseCarry(t *testing.T) {
+	checkChooseCarry(t, []carryCase{
+		// tc(x,y) :- tc(x,z), arc(z,y): builds on column 1, passes column 0.
+		{"output keys win at several workers", 2, [][]int{{1}}, []int{0}, 4, true, []int{0}, nil, CarryOutput},
+		{"one worker keeps the join keys", 2, [][]int{{1}}, []int{0}, 1, true, []int{1}, nil, CarryJoin},
+		{"no output keys: ranked join keysets", 2, [][]int{{0}, {0}, {1}}, nil, 4, true, []int{0}, []int{1}, CarryJoin},
+		{"no usage is whole-tuple", 3, nil, nil, 4, true, []int{0, 1, 2}, nil, CarryWholeTuple},
+	})
 }
 
 func TestPreferCarriedBuild(t *testing.T) {

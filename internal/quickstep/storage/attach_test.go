@@ -260,19 +260,19 @@ func TestPinAttachmentGuardsTheBlocksItAddresses(t *testing.T) {
 
 	// Two epochs on, every partition is cold and the reclaimer may take one.
 	pg.epoch = 2
-	if _, _, _, ok := r.ColdestPartition(pg.epoch); !ok {
+	if _, _, _, ok, _ := r.ColdestPartition(pg.epoch); !ok {
 		t.Fatal("setup: no cold partition two epochs after the last touch")
 	}
 	if _, ok := r.Attachment("table"); !ok {
 		t.Fatal("a plain lookup lost the attachment")
 	}
-	if _, _, _, ok := r.ColdestPartition(pg.epoch); !ok {
+	if _, _, _, ok, _ := r.ColdestPartition(pg.epoch); !ok {
 		t.Fatal("a plain lookup pinned the partitions")
 	}
 	if a, ok := r.PinAttachment("table"); !ok || a != Attachment(table) {
 		t.Fatal("current attachment not served")
 	}
-	if p, _, _, ok := r.ColdestPartition(pg.epoch); ok {
+	if p, _, _, ok, _ := r.ColdestPartition(pg.epoch); ok {
 		t.Fatalf("partition %d evictable under a reader of the attachment", p)
 	}
 	if _, ok := r.SpillPartition(0, pg); ok || pg.spills != 0 {

@@ -107,38 +107,42 @@ func (r *Relation) partitionBlocks(v *PartitionedView, p int) []*Block {
 			r.mu.Lock()
 			continue
 		}
-		slot.faulting = true
-		slot.done = make(chan struct{})
-		// Read the spill file and allocate its blocks with the relation
-		// unlocked: the allocations may push the manager over budget, and
-		// reclaiming then needs this relation's mutex to spill *other*
-		// (already cooled) partitions.
-		r.mu.Unlock()
-		blocks, err := r.pager.FaultBlocks(slot.token, r.lc, r.cat, len(r.colNames))
-		r.mu.Lock()
-		if err != nil {
-			// Environmental failure, not an invariant violation: record it
-			// (first-wins), roll the slot back to "spilled, idle" so waiters
-			// are not stranded, and serve the resident blocks. The pager has
-			// already escalated the error to the run; the partition's data
-			// stays on disk, and the relation's *other* partitions remain
-			// fully usable.
-			r.noteFaultErrLocked(err)
-			slot.faulting = false
-			close(slot.done)
-			break
-		}
-		delete(r.slots, p)
-		// r.live may have been merge-replaced meanwhile; partition indexing
-		// is preserved by merges, so install into the current live view.
-		r.live.blocks[p] = append(blocks, r.live.blocks[p]...)
-		r.blocks = append(r.blocks, blocks...)
-		close(slot.done)
+		r.faultSlotLocked(p, slot)
 		break
 	}
 	blocks := r.live.blocks[p]
 	r.mu.Unlock()
 	return blocks
+}
+
+// faultSlotLocked restores spilled partition p, marking its slot faulting so
+// other readers of p wait on slot.done. Callers hold r.mu; it is released
+// while the spill file is read and its blocks allocated: the allocations may
+// push the manager over budget, and reclaiming then needs this relation's
+// mutex to spill *other* (already cooled) partitions.
+func (r *Relation) faultSlotLocked(p int, slot *spillSlot) {
+	slot.faulting = true
+	slot.done = make(chan struct{})
+	r.mu.Unlock()
+	blocks, err := r.pager.FaultBlocks(slot.token, r.lc, r.cat, len(r.colNames))
+	r.mu.Lock()
+	if err != nil {
+		// Environmental failure, not an invariant violation: record it
+		// (first-wins), roll the slot back to "spilled, idle" so waiters are
+		// not stranded, and serve the resident blocks. The pager has already
+		// escalated the error to the run; the partition's data stays on disk,
+		// and the relation's *other* partitions remain fully usable.
+		r.noteFaultErrLocked(err)
+		slot.faulting = false
+		close(slot.done)
+		return
+	}
+	delete(r.slots, p)
+	// r.live may have been merge-replaced meanwhile; partition indexing is
+	// preserved by merges, so install into the current live view.
+	r.live.blocks[p] = append(blocks, r.live.blocks[p]...)
+	r.blocks = append(r.blocks, blocks...)
+	close(slot.done)
 }
 
 // faultAllLocked restores every spilled partition — the prelude to any flat
@@ -165,31 +169,25 @@ func (r *Relation) faultAllLocked() {
 			// fault-error branch, and the run is aborting regardless.
 			return
 		}
+		// Fault an idle slot the way partitionBlocks does, with the relation
+		// unlocked; only when every remaining slot is mid-fault, wait one out.
+		// Either way the slot map changes under us, so re-scan.
 		var inFlight chan struct{}
-		for _, slot := range r.slots {
-			if slot.faulting {
-				inFlight = slot.done
+		idle := -1
+		for p, slot := range r.slots {
+			if !slot.faulting {
+				idle = p
 				break
 			}
+			inFlight = slot.done
 		}
-		if inFlight != nil {
-			r.mu.Unlock()
-			<-inFlight
-			r.mu.Lock()
-			continue // the slot map changed under us; re-scan
+		if idle >= 0 {
+			r.faultSlotLocked(idle, r.slots[idle])
+			continue
 		}
-		for p, slot := range r.slots {
-			blocks, err := r.pager.FaultBlocks(slot.token, r.lc, r.cat, len(r.colNames))
-			if err != nil {
-				// Record and stop; the failed slot stays spilled. See the
-				// identical branch in partitionBlocks.
-				r.noteFaultErrLocked(err)
-				return
-			}
-			delete(r.slots, p)
-			r.live.blocks[p] = append(blocks, r.live.blocks[p]...)
-			r.blocks = append(r.blocks, blocks...)
-		}
+		r.mu.Unlock()
+		<-inFlight
+		r.mu.Lock()
 	}
 }
 
@@ -269,16 +267,16 @@ func (r *Relation) spillableBlocksLocked(p int) (evict []*Block, bytes int64) {
 // ColdestPartition reports the least-recently-touched partition eligible for
 // eviction: not already spilled, not touched in the current epoch, and with
 // exclusively-owned resident blocks worth freeing. Returns ok=false when
-// nothing is evictable — including when the relation's mutex is contended,
-// since the reclaimer must never block an allocation path that may already
-// hold it.
-func (r *Relation) ColdestPartition(curEpoch int64) (part int, lastTouch int64, bytes int64, ok bool) {
+// nothing is evictable, and also — with busy set — when the relation's mutex
+// is contended, since the reclaimer must never block an allocation path that
+// may already hold it.
+func (r *Relation) ColdestPartition(curEpoch int64) (part int, lastTouch int64, bytes int64, ok, busy bool) {
 	if !r.mu.TryLock() {
-		return 0, 0, 0, false
+		return 0, 0, 0, false, true
 	}
 	defer r.mu.Unlock()
 	if r.pager == nil || r.live == nil {
-		return 0, 0, 0, false
+		return 0, 0, 0, false, false
 	}
 	best := -1
 	var bestTouch int64
@@ -300,9 +298,9 @@ func (r *Relation) ColdestPartition(curEpoch int64) (part int, lastTouch int64, 
 		best, bestTouch, bestBytes = p, r.touch[p], sz
 	}
 	if best == -1 {
-		return 0, 0, 0, false
+		return 0, 0, 0, false, false
 	}
-	return best, bestTouch, bestBytes, true
+	return best, bestTouch, bestBytes, true, false
 }
 
 // SpillPartition evicts the exclusively-owned blocks of one partition of the
