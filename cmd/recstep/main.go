@@ -265,6 +265,12 @@ func main() {
 			carry[i] = pred + " " + res.Stats.Carry[pred].String()
 		}
 		log.Printf("carry: %s", strings.Join(carry, "; "))
+		collapse := 0.0
+		if res.Stats.AggGroupsOut > 0 {
+			collapse = float64(res.Stats.AggRowsIn) / float64(res.Stats.AggGroupsOut)
+		}
+		log.Printf("aggregate: %d rows in, %d groups out (%.1f rows per group)",
+			res.Stats.AggRowsIn, res.Stats.AggGroupsOut, collapse)
 		rules := make([]string, 0, len(res.Stats.JoinOrdersByRule))
 		for name := range res.Stats.JoinOrdersByRule {
 			rules = append(rules, name)

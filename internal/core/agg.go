@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"recstep/internal/datalog/analysis"
 	"recstep/internal/quickstep/exec"
@@ -19,14 +18,14 @@ import (
 //
 // The state is radix-partitioned on the group columns: a group's rows all
 // route to one partition, so each partition merges against its private
-// best-map with no locks — the partition-parallel aggregate merge that lets
-// CC and SSSP run the partition-native pipeline instead of the staged
+// group table with no locks — the partition-parallel aggregate merge that
+// lets CC and SSSP run the partition-native pipeline instead of the staged
 // serial one. The fan-out is fixed at the first merge (re-bucketing the
 // state would re-hash every group) and both ∆R and the materialized full
 // relation are emitted as carried partitioned relations, so the next
 // iteration's candidate query lands pre-partitioned (fused scatter) and its
 // hash builds over ∆R reuse the carried partitions in place. parallel=false
-// keeps the serial single-map path (the staged ablation).
+// keeps the serial single-table path (the staged ablation).
 type aggMerge struct {
 	spec     *analysis.AggSpec
 	arity    int
@@ -37,11 +36,20 @@ type aggMerge struct {
 	fixedParts int
 	// parts is the state fan-out: 0 = not yet chosen, 1 = serial.
 	parts int
-	// best maps the packed group key to the current aggregate value;
-	// groups retains the group column values for materialization. One map
-	// pair per partition (index 0 holds everything on the serial path).
-	best   []map[string]int32
-	groups []map[string][]int32
+	// state holds one group table per partition (index 0 holds everything
+	// on the serial path).
+	state []*aggPart
+	// epoch numbers the merges; a group stamped with the current epoch was
+	// created or improved by this merge.
+	epoch uint32
+}
+
+// aggPart is one partition's state: the group table plus, parallel to its
+// group indices, each group's best value and the epoch that last changed it.
+type aggPart struct {
+	groups *exec.GroupTable
+	best   []int32
+	stamp  []uint32
 }
 
 func newAggMerge(spec *analysis.AggSpec, arity int) *aggMerge {
@@ -82,12 +90,7 @@ func (m *aggMerge) ensureState(candTuples, workers int) {
 	}
 	if m.parts == 0 {
 		m.parts = want
-		m.best = make([]map[string]int32, m.parts)
-		m.groups = make([]map[string][]int32, m.parts)
-		for p := 0; p < m.parts; p++ {
-			m.best[p] = make(map[string]int32)
-			m.groups[p] = make(map[string][]int32)
-		}
+		m.state = m.newState(want)
 		return
 	}
 	if want > m.parts {
@@ -95,95 +98,78 @@ func (m *aggMerge) ensureState(candTuples, workers int) {
 	}
 }
 
-// rebucket re-hashes every tracked group into a wider partition layout.
-func (m *aggMerge) rebucket(parts int) {
-	best := make([]map[string]int32, parts)
-	groups := make([]map[string][]int32, parts)
-	for p := 0; p < parts; p++ {
-		best[p] = make(map[string]int32)
-		groups[p] = make(map[string][]int32)
+func (m *aggMerge) newState(parts int) []*aggPart {
+	state := make([]*aggPart, parts)
+	for p := range state {
+		state[p] = &aggPart{groups: exec.NewGroupTable(len(m.spec.GroupPos))}
 	}
-	row := make([]int32, m.arity)
-	for p := 0; p < m.parts; p++ {
-		for k, vals := range m.groups[p] {
-			for i, gp := range m.spec.GroupPos {
-				row[gp] = vals[i]
-			}
-			np := storage.PartitionOf(storage.PartitionHash(row, m.spec.GroupPos), parts)
-			best[np][k] = m.best[p][k]
-			groups[np][k] = vals
+	return state
+}
+
+// rebucket re-inserts every tracked group into a wider partition layout.
+func (m *aggMerge) rebucket(parts int) {
+	state := m.newState(parts)
+	ident := storage.AllCols(len(m.spec.GroupPos))
+	for _, old := range m.state {
+		for g := 0; g < old.groups.Len(); g++ {
+			key := old.groups.Key(g)
+			dst := state[storage.PartitionOf(storage.PartitionHash(key, ident), parts)]
+			dst.groups.Insert(key)
+			dst.best = append(dst.best, old.best[g])
+			dst.stamp = append(dst.stamp, old.stamp[g])
 		}
 	}
 	m.parts = parts
-	m.best = best
-	m.groups = groups
-}
-
-func (m *aggMerge) key(row []int32, buf []byte) string {
-	buf = buf[:0]
-	for _, p := range m.spec.GroupPos {
-		v := uint32(row[p])
-		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return string(buf)
-}
-
-// candBest is the best candidate value seen for one group this iteration.
-type candBest struct {
-	vals []int32
-	v    int32
+	m.state = state
 }
 
 // mergePartition folds the candidate rows of one partition into that
-// partition's state maps and returns the improved groups as row-major delta
-// data, deterministically ordered. All state touched is partition-private.
-func (m *aggMerge) mergePartition(p int, forEach func(func(row []int32))) []int32 {
-	perGroup := make(map[string]*candBest)
-	buf := make([]byte, 0, 4*len(m.spec.GroupPos))
-	// Pass 1: best candidate per group (subqueries pre-aggregate, but
-	// different UNION ALL arms can emit the same group).
-	forEach(func(row []int32) {
-		k := m.key(row, buf)
-		v := row[m.spec.Pos]
-		cb, ok := perGroup[k]
-		if !ok {
-			vals := make([]int32, len(m.spec.GroupPos))
-			for i, gp := range m.spec.GroupPos {
-				vals[i] = row[gp]
+// partition's state in one pass and returns the groups the merge created or
+// improved as row-major delta data, in the order they first changed. All
+// state touched is partition-private.
+func (m *aggMerge) mergePartition(p int, blocks []*storage.Block) []int32 {
+	st, epoch := m.state[p], m.epoch
+	gp, pos := m.spec.GroupPos, m.spec.Pos
+	var changed []int32
+	for _, b := range blocks {
+		arity, data := b.Arity(), b.Data()
+		for off := 0; off < len(data); off += arity {
+			row := data[off : off+arity : off+arity]
+			v := row[pos]
+			g, fresh := st.groups.InsertRow(row, gp)
+			switch {
+			case fresh:
+				st.best = append(st.best, v)
+				st.stamp = append(st.stamp, epoch)
+			case m.better(v, st.best[g]):
+				st.best[g] = v
+				if st.stamp[g] == epoch {
+					continue
+				}
+				st.stamp[g] = epoch
+			default:
+				continue
 			}
-			perGroup[k] = &candBest{vals: vals, v: v}
-			return
+			changed = append(changed, int32(g))
 		}
-		if m.better(v, cb.v) {
-			cb.v = v
-		}
-	})
+	}
+	out := make([]int32, 0, len(changed)*m.arity)
+	for _, g := range changed {
+		out = m.appendRow(out, st, int(g))
+	}
+	return out
+}
 
-	// Pass 2: apply improvements, emitting delta rows deterministically.
-	keys := make([]string, 0, len(perGroup))
-	for k := range perGroup {
-		keys = append(keys, k)
+// appendRow appends group g of st as a full row: group columns in place,
+// the best value at the aggregate position.
+func (m *aggMerge) appendRow(out []int32, st *aggPart, g int) []int32 {
+	n := len(out)
+	out = append(out, make([]int32, m.arity)...)
+	row, key := out[n:], st.groups.Key(g)
+	for i, c := range m.spec.GroupPos {
+		row[c] = key[i]
 	}
-	sort.Strings(keys)
-	best, groups := m.best[p], m.groups[p]
-	out := make([]int32, 0, len(keys)*m.arity)
-	row := make([]int32, m.arity)
-	for _, k := range keys {
-		cb := perGroup[k]
-		cur, ok := best[k]
-		if ok && !m.better(cb.v, cur) {
-			continue
-		}
-		best[k] = cb.v
-		if !ok {
-			groups[k] = cb.vals
-		}
-		for i, gp := range m.spec.GroupPos {
-			row[gp] = cb.vals[i]
-		}
-		row[m.spec.Pos] = cb.v
-		out = append(out, row...)
-	}
+	row[m.spec.Pos] = st.best[g]
 	return out
 }
 
@@ -197,8 +183,9 @@ func (m *aggMerge) mergePartition(p int, forEach func(func(row []int32))) []int3
 // it need no scatter.
 func (m *aggMerge) merge(pool *exec.Pool, lc storage.Lifecycle, cand *storage.Relation, deltaName string) *storage.Relation {
 	m.ensureState(cand.NumTuples(), pool.Workers())
+	m.epoch++
 	if m.parts <= 1 {
-		rows := m.mergePartition(0, cand.ForEach)
+		rows := m.mergePartition(0, cand.Blocks())
 		delta := storage.NewRelation(deltaName, storage.NumberedColumns(m.arity))
 		delta.SetLifecycle(lc, storage.CatDelta)
 		delta.AppendRows(rows)
@@ -209,14 +196,7 @@ func (m *aggMerge) merge(pool *exec.Pool, lc storage.Lifecycle, cand *storage.Re
 	blocks := make([][]*storage.Block, m.parts)
 	scattered := int64(0)
 	pool.RunPartitions(m.parts, func(p int) {
-		rows := m.mergePartition(p, func(fn func(row []int32)) {
-			for _, b := range view.Blocks(p) {
-				n := b.Rows()
-				for i := 0; i < n; i++ {
-					fn(b.Row(i))
-				}
-			}
-		})
+		rows := m.mergePartition(p, view.Blocks(p))
 		blocks[p] = storage.BlocksFromRows(lc, storage.CatDelta, m.arity, rows)
 	})
 	for _, bs := range blocks {
@@ -239,10 +219,10 @@ func (m *aggMerge) better(a, b int32) bool {
 }
 
 // materialize builds the predicate's full relation from the state: one row
-// per group holding the current best value. On the partitioned path the
-// relation is emitted partition-native and carries the group partitioning,
-// so joins against the full relation (programs that rebuild it every
-// iteration) reuse the partitions in place too.
+// per group holding the current best value, in table order. On the
+// partitioned path the relation is emitted partition-native and carries the
+// group partitioning, so joins against the full relation (programs that
+// rebuild it every iteration) reuse the partitions in place too.
 func (m *aggMerge) materialize(lc storage.Lifecycle, name string) *storage.Relation {
 	rel := storage.NewRelation(name, storage.NumberedColumns(m.arity))
 	rel.SetLifecycle(lc, storage.CatIDB)
@@ -250,21 +230,10 @@ func (m *aggMerge) materialize(lc storage.Lifecycle, name string) *storage.Relat
 		return rel
 	}
 	emit := func(p int) []int32 {
-		best, groups := m.best[p], m.groups[p]
-		keys := make([]string, 0, len(best))
-		for k := range best {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		out := make([]int32, 0, len(keys)*m.arity)
-		row := make([]int32, m.arity)
-		for _, k := range keys {
-			vals := groups[k]
-			for i, gp := range m.spec.GroupPos {
-				row[gp] = vals[i]
-			}
-			row[m.spec.Pos] = best[k]
-			out = append(out, row...)
+		st := m.state[p]
+		out := make([]int32, 0, st.groups.Len()*m.arity)
+		for g := 0; g < st.groups.Len(); g++ {
+			out = m.appendRow(out, st, g)
 		}
 		return out
 	}
@@ -278,13 +247,4 @@ func (m *aggMerge) materialize(lc storage.Lifecycle, name string) *storage.Relat
 	}
 	rel.AdoptPartitioned(storage.NewPartitionedView(m.spec.GroupPos, m.parts, blocks))
 	return rel
-}
-
-// Size returns the number of groups tracked.
-func (m *aggMerge) Size() int {
-	n := 0
-	for _, b := range m.best {
-		n += len(b)
-	}
-	return n
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -30,8 +33,8 @@ func TestAggMergeFirstIterationEmitsAll(t *testing.T) {
 	if delta.NumTuples() != 2 {
 		t.Fatalf("delta = %d tuples, want 2", delta.NumTuples())
 	}
-	if m.Size() != 2 {
-		t.Fatalf("Size = %d, want 2", m.Size())
+	if n := m.materialize(nil, "full").NumTuples(); n != 2 {
+		t.Fatalf("%d groups tracked, want 2", n)
 	}
 }
 
@@ -159,5 +162,146 @@ func TestAggMergeUpgradesFanoutAndRebuckets(t *testing.T) {
 	ref.merge(aggPool, nil, candRel([]int32{0, 3}), "r2")
 	if !reflect.DeepEqual(m.materialize(nil, "a").SortedRows(), ref.materialize(nil, "b").SortedRows()) {
 		t.Fatal("upgraded partitioned state diverges from serial reference")
+	}
+}
+
+// refFold is the reference the merge must agree with: a plain map from the
+// group values to the best value, folded one candidate at a time.
+type refFold struct {
+	spec  *analysis.AggSpec
+	arity int
+	best  map[[3]int32]int32
+}
+
+func (r *refFold) key(row []int32) [3]int32 {
+	var k [3]int32
+	for i, c := range r.spec.GroupPos {
+		k[i] = row[c]
+	}
+	return k
+}
+
+func (r *refFold) row(k [3]int32, v int32) []int32 {
+	row := make([]int32, r.arity)
+	for i, c := range r.spec.GroupPos {
+		row[c] = k[i]
+	}
+	row[r.spec.Pos] = v
+	return row
+}
+
+// merge folds rows and returns ∆: each group created or improved, with its
+// value after the batch.
+func (r *refFold) merge(rows [][]int32) *storage.Relation {
+	changed := map[[3]int32]bool{}
+	for _, row := range rows {
+		k, v := r.key(row), row[r.spec.Pos]
+		cur, ok := r.best[k]
+		if !ok || (r.spec.Func == "MIN" && v < cur) || (r.spec.Func == "MAX" && v > cur) {
+			r.best[k] = v
+			changed[k] = true
+		}
+	}
+	delta := storage.NewRelation("ref", storage.NumberedColumns(r.arity))
+	for k := range changed {
+		delta.Append(r.row(k, r.best[k]))
+	}
+	return delta
+}
+
+func (r *refFold) materialize() *storage.Relation {
+	full := storage.NewRelation("ref", storage.NumberedColumns(r.arity))
+	for k, v := range r.best {
+		full.Append(r.row(k, v))
+	}
+	return full
+}
+
+// One seeded sequence of 20 candidate batches, folded by the merge and by
+// the reference map: ∆ and the materialized state must agree after every
+// batch, for MIN and MAX over 1–3 group columns placed around the aggregate,
+// across the fan-out upgrade a large batch in the middle forces.
+func TestAggMergeMatchesReferenceFold(t *testing.T) {
+	wide := exec.NewPool(4)
+	for _, fn := range []string{"MIN", "MAX"} {
+		for width := 1; width <= 3; width++ {
+			t.Run(fmt.Sprintf("%s-width%d", fn, width), func(t *testing.T) {
+				arity := width + 1
+				pos := width / 2
+				var groupPos []int
+				for c := arity - 1; c >= 0; c-- {
+					if c != pos {
+						groupPos = append(groupPos, c)
+					}
+				}
+				spec := &analysis.AggSpec{Func: fn, Pos: pos, GroupPos: groupPos}
+				m := newAggMerge(spec, arity)
+				m.parallel = true
+				ref := &refFold{spec: spec, arity: arity, best: map[[3]int32]int32{}}
+				rng := rand.New(rand.NewSource(int64(7*width + len(fn))))
+				upgraded := false
+				for batch := 0; batch < 20; batch++ {
+					n := 50 + rng.Intn(200)
+					if batch == 10 {
+						n = 1 << 15
+					}
+					rows := make([][]int32, n)
+					cand := storage.NewRelation("cand", storage.NumberedColumns(arity))
+					for i := range rows {
+						row := make([]int32, arity)
+						for c := range row {
+							row[c] = int32(rng.Intn(40) - 20)
+						}
+						row[pos] = int32(rng.Intn(1 << 20))
+						if rng.Intn(50) == 0 {
+							row[pos] = []int32{math.MinInt32, math.MaxInt32}[rng.Intn(2)]
+						}
+						rows[i] = row
+						cand.Append(row)
+					}
+					parts := m.parts
+					got := m.merge(wide, nil, cand, "d")
+					upgraded = upgraded || (parts > 0 && m.parts > parts)
+					want := ref.merge(rows)
+					if !reflect.DeepEqual(got.SortedRows(), want.SortedRows()) {
+						t.Fatalf("batch %d: ∆ has %d rows, reference %d", batch, got.NumTuples(), want.NumTuples())
+					}
+					if !reflect.DeepEqual(m.materialize(nil, "full").SortedRows(), ref.materialize().SortedRows()) {
+						t.Fatalf("batch %d: materialized state diverges from the reference", batch)
+					}
+				}
+				if !upgraded {
+					t.Fatalf("the large batch did not re-bucket the state (parts = %d)", m.parts)
+				}
+			})
+		}
+	}
+}
+
+// A merge whose candidates improve no group — repeats of the current best,
+// worse values, or nothing at all — emits an empty ∆ on either path.
+func TestAggMergeNoImprovementEmitsEmptyDelta(t *testing.T) {
+	for _, fn := range []string{"MIN", "MAX"} {
+		for _, parallel := range []bool{false, true} {
+			m := newAggMerge(&analysis.AggSpec{Func: fn, Pos: 1, GroupPos: []int{0}}, 2)
+			m.parallel, m.fixedParts = parallel, 16
+			first := candRel([]int32{1, 10}, []int32{2, 20}, []int32{3, 30})
+			if got := m.merge(aggPool, nil, first, "d0").NumTuples(); got != 3 {
+				t.Fatalf("%s parallel=%v: first merge emitted %d rows, want 3", fn, parallel, got)
+			}
+			worse := int32(1)
+			if fn == "MIN" {
+				worse = 100
+			}
+			for i, cand := range []*storage.Relation{
+				first,
+				candRel([]int32{1, worse}, []int32{2, worse}, []int32{3, 30}),
+				candRel(),
+			} {
+				if got := m.merge(aggPool, nil, cand, "d").NumTuples(); got != 0 {
+					t.Fatalf("%s parallel=%v: non-improving merge %d emitted %d rows", fn, parallel, i, got)
+				}
+			}
+		}
 	}
 }

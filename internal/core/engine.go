@@ -277,6 +277,11 @@ type Stats struct {
 	// through the projection — with no scatter; they are not in
 	// TuplesScattered. IterInfo.Copy carries it per step.
 	OutputInPlace int64
+	// AggRowsIn is the rows the aggregate operator folded into its group
+	// tables and AggGroupsOut the groups it emitted; both read 0 on a
+	// program without aggregates. IterInfo.Copy carries both per step.
+	AggRowsIn    int64
+	AggGroupsOut int64
 	// Carry records, per IDB predicate evaluated by the delta pipeline, the
 	// keysets its carried partitioning routed on and the rule that chose
 	// them (the last stratum evaluation's choice).
@@ -525,6 +530,8 @@ func (r *runState) collectStats() {
 	r.stats.DupSuppressed = copySnap.DupSuppressed
 	r.stats.DupFilterBypassed = copySnap.DupFilterBypassed
 	r.stats.OutputInPlace = copySnap.OutputInPlace
+	r.stats.AggRowsIn = copySnap.AggRowsIn
+	r.stats.AggGroupsOut = copySnap.AggGroupsOut
 	r.stats.JoinOrdersByRule = r.db.PlanChoices()
 	for name, pc := range r.stats.JoinOrdersByRule {
 		if pc.Strategy == "wcoj" {

@@ -3,11 +3,11 @@ package exec
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"recstep/internal/obs"
 	"recstep/internal/quickstep/expr"
+	"recstep/internal/quickstep/kernels"
 	"recstep/internal/quickstep/storage"
 )
 
@@ -47,117 +47,164 @@ type AggSpec struct {
 	Arg  expr.Expr
 }
 
-// aggState accumulates one aggregate for one group.
-type aggState struct {
-	min, max   int32
-	sum, count int64
-}
-
-func newAggState() aggState {
-	return aggState{min: math.MaxInt32, max: math.MinInt32}
-}
-
-func (s *aggState) add(v int32) {
-	if v < s.min {
-		s.min = v
-	}
-	if v > s.max {
-		s.max = v
-	}
-	s.sum += int64(v)
-	s.count++
-}
-
-func (s *aggState) merge(o aggState) {
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.sum += o.sum
-	s.count += o.count
-}
-
-func (s *aggState) final(f AggFunc) int32 {
+// add folds one value into f's state: one int64 word, or the sum and the
+// count for AVG.
+func (f AggFunc) add(st []int64, v int32) {
 	switch f {
 	case AggMin:
-		return s.min
+		st[0] = min(st[0], int64(v))
 	case AggMax:
-		return s.max
+		st[0] = max(st[0], int64(v))
 	case AggSum:
-		return int32(s.sum)
+		st[0] += int64(v)
 	case AggCount:
-		return int32(s.count)
+		st[0]++
 	case AggAvg:
-		if s.count == 0 {
+		st[0] += int64(v)
+		st[1]++
+	}
+}
+
+// merge folds another partial state of f into st.
+func (f AggFunc) merge(st, o []int64) {
+	switch f {
+	case AggMin:
+		st[0] = min(st[0], o[0])
+	case AggMax:
+		st[0] = max(st[0], o[0])
+	case AggSum, AggCount:
+		st[0] += o[0]
+	case AggAvg:
+		st[0] += o[0]
+		st[1] += o[1]
+	}
+}
+
+// final renders f's state as the aggregate's value.
+func (f AggFunc) final(st []int64) int32 {
+	switch f {
+	case AggMin, AggMax, AggSum, AggCount:
+		return int32(st[0])
+	case AggAvg:
+		if st[1] == 0 {
 			return 0
 		}
-		return int32(s.sum / s.count) // integer AVG, like QuickStep over INT columns
+		return int32(st[0] / st[1]) // integer AVG, like QuickStep over INT columns
 	}
 	panic(fmt.Sprintf("exec: unknown aggregate %d", f))
 }
 
-// groupState holds the group key values plus one state per aggregate.
-type groupState struct {
-	vals   []int32
-	states []aggState
+// aggTable is one group table with its aggregate states: group g's states
+// sit at states[g*width:], aggregate j's at offset offs[j] within them. A
+// plain-column argument is read straight from the row (argCols[j] >= 0)
+// instead of through expr.Eval. folded counts the rows folded in.
+type aggTable struct {
+	groups  *GroupTable
+	groupBy []int
+	aggs    []AggSpec
+	argCols []int
+	offs    []int
+	init    []int64 // one group's initial states
+	states  []int64
+	folded  int64
 }
 
-// accumulateBlocks folds one block list into a local group table. The scan
-// walks each block's flat data directly in arity-strided chunks — the
-// grouping map dominates, but the chunked walk drops the per-row accessor
-// call and its bounds re-check.
-func accumulateBlocks(blocks []*storage.Block, groupBy []int, aggs []AggSpec, local map[string]*groupState, keyBuf []byte) {
+func newAggTable(groupBy []int, aggs []AggSpec) *aggTable {
+	t := &aggTable{groups: NewGroupTable(len(groupBy)), groupBy: groupBy, aggs: aggs,
+		argCols: make([]int, len(aggs)), offs: make([]int, len(aggs))}
+	for j, a := range aggs {
+		t.argCols[j] = -1
+		if c, ok := a.Arg.(expr.Col); ok {
+			t.argCols[j] = c.Index
+		}
+		t.offs[j] = len(t.init)
+		switch a.Func { // the identity of the fold
+		case AggMin:
+			t.init = append(t.init, math.MaxInt32)
+		case AggMax:
+			t.init = append(t.init, math.MinInt32)
+		case AggAvg:
+			t.init = append(t.init, 0, 0)
+		default:
+			t.init = append(t.init, 0)
+		}
+	}
+	return t
+}
+
+// group returns the states of row's group, creating the group if needed.
+func (t *aggTable) group(row []int32) []int64 {
+	w := len(t.init)
+	g, fresh := t.groups.InsertRow(row, t.groupBy)
+	if fresh {
+		t.states = append(growTo(t.states, t.groups.Cap()*w), t.init...)
+	}
+	return t.states[g*w : g*w+w : g*w+w]
+}
+
+// fold accumulates every row of blocks. The scan walks each block's flat
+// data directly in arity-strided chunks.
+func (t *aggTable) fold(blocks []*storage.Block) {
 	for _, b := range blocks {
 		arity := b.Arity()
 		data := b.Data()
 		for off := 0; off < len(data); off += arity {
 			row := data[off : off+arity : off+arity]
-			k := packColsString(row, groupBy, keyBuf)
-			g, ok := local[k]
-			if !ok {
-				vals := make([]int32, len(groupBy))
-				for j, c := range groupBy {
-					vals[j] = row[c]
+			st := t.group(row)
+			for j, a := range t.aggs {
+				var v int32
+				if c := t.argCols[j]; c >= 0 {
+					v = row[c]
+				} else {
+					v = a.Arg.Eval(row)
 				}
-				states := make([]aggState, len(aggs))
-				for j := range states {
-					states[j] = newAggState()
-				}
-				g = &groupState{vals: vals, states: states}
-				local[k] = g
+				a.Func.add(st[t.offs[j]:], v)
 			}
-			for j, a := range aggs {
-				g.states[j].add(a.Arg.Eval(row))
-			}
+		}
+		t.folded += int64(b.Rows())
+	}
+}
+
+// absorb merges another table's groups into t, table to table.
+func (t *aggTable) absorb(o *aggTable) {
+	w := len(t.init)
+	for g := 0; g < o.groups.Len(); g++ {
+		mg, fresh := t.groups.Insert(o.groups.Key(g))
+		src := o.states[g*w : g*w+w]
+		if fresh {
+			t.states = append(growTo(t.states, t.groups.Cap()*w), src...)
+			continue
+		}
+		for j, a := range t.aggs {
+			a.Func.merge(t.states[mg*w+t.offs[j]:], src[t.offs[j]:])
 		}
 	}
 }
 
-// emitGroups appends finalized groups in sorted key order (deterministic
-// output within one grouping table).
-func emitGroups(groups map[string]*groupState, groupBy []int, aggs []AggSpec, emit func(row []int32)) {
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	row := make([]int32, len(groupBy)+len(aggs))
-	for _, k := range keys {
-		g := groups[k]
-		copy(row, g.vals)
-		for j, a := range aggs {
-			row[len(groupBy)+j] = g.states[j].final(a.Func)
+// emit writes the finalized groups, in group order, as row-major batches.
+func (t *aggTable) emit(write func(rows []int32)) {
+	n, w := t.groups.Len(), len(t.init)
+	buf := make([]int32, 0, min(n, kernels.BatchRows)*(len(t.groupBy)+len(t.aggs)))
+	for g := 0; g < n; g++ {
+		buf = append(buf, t.groups.Key(g)...)
+		for j, a := range t.aggs {
+			buf = append(buf, a.Func.final(t.states[g*w+t.offs[j]:]))
 		}
-		emit(row)
+		if len(buf) == cap(buf) {
+			write(buf)
+			buf = buf[:0]
+		}
+	}
+	if len(buf) > 0 {
+		write(buf)
 	}
 }
 
 // HashAggregate groups in by the groupBy column positions and computes aggs
 // per group. Output columns are the group columns followed by one column per
-// aggregate. Runs with per-worker partial tables merged at the end, so group
-// updates never contend.
+// aggregate, in no particular row order. Runs with per-worker group tables
+// merged table to table at the end, so group updates never contend; the
+// output blocks are pool-accounted intermediates.
 func HashAggregate(pool *Pool, in *storage.Relation, groupBy []int, aggs []AggSpec, outName string, outCols []string) *storage.Relation {
 	if len(aggs) == 0 {
 		panic("exec: HashAggregate requires at least one aggregate")
@@ -165,53 +212,45 @@ func HashAggregate(pool *Pool, in *storage.Relation, groupBy []int, aggs []AggSp
 	defer pool.phase(obs.PhaseAggregate, -1)()
 	blocks := in.Blocks()
 	workers := pool.Workers()
-	partials := make([]map[string]*groupState, workers)
+	partials := make([]*aggTable, workers)
 
 	var nextBlock atomic.Int64
 	pool.RunWorkers(workers, func(worker, numWorkers int) {
-		local := make(map[string]*groupState)
+		local := newAggTable(groupBy, aggs)
 		partials[worker] = local
-		keyBuf := make([]byte, 4*len(groupBy))
 		for {
 			t := int(nextBlock.Add(1)) - 1
 			if t >= len(blocks) || pool.Aborted() {
 				return
 			}
-			accumulateBlocks(blocks[t:t+1], groupBy, aggs, local, keyBuf)
+			local.fold(blocks[t : t+1])
 		}
 	})
 
-	// Merge partials (serial; group cardinality is small relative to input).
-	merged := make(map[string]*groupState)
+	var merged *aggTable
 	for _, local := range partials {
 		if local == nil {
 			continue
 		}
-		for k, g := range local {
-			m, ok := merged[k]
-			if !ok {
-				merged[k] = g
-				continue
-			}
-			for j := range m.states {
-				m.states[j].merge(g.states[j])
-			}
+		pool.Copy.AggRowsIn.Add(local.folded)
+		if merged == nil {
+			merged = local
+		} else {
+			merged.absorb(local)
 		}
 	}
-
-	if outCols == nil {
-		outCols = storage.NumberedColumns(len(groupBy) + len(aggs))
+	col := newCollector(pool, storage.CatIntermediate, len(groupBy)+len(aggs), 1)
+	if merged != nil {
+		pool.Copy.AggGroupsOut.Add(int64(merged.groups.Len()))
+		merged.emit(col.sinkBulk(0))
 	}
-	out := storage.NewRelation(outName, outCols)
-	// Deterministic output order helps tests and output files.
-	emitGroups(merged, groupBy, aggs, func(row []int32) { out.Append(row) })
-	return out
+	return col.into(outName, outCols)
 }
 
 // HashAggregatePartitioned is HashAggregate over parts radix partitions of
 // the input on its group-by columns. A group's rows all land in the same
-// partition, so each partition aggregates and finalizes independently —
-// no cross-worker merge phase at all. Global aggregation (no group-by) and
+// partition, so each partition aggregates and finalizes its own table — no
+// cross-worker merge phase at all. Global aggregation (no group-by) and
 // parts <= 1 fall back to the merge-based path.
 func HashAggregatePartitioned(pool *Pool, in *storage.Relation, groupBy []int, aggs []AggSpec, parts int, outName string, outCols []string) *storage.Relation {
 	parts = storage.NormalizePartitions(parts)
@@ -225,10 +264,11 @@ func HashAggregatePartitioned(pool *Pool, in *storage.Relation, groupBy []int, a
 	col := newCollector(pool, storage.CatIntermediate, len(groupBy)+len(aggs), parts)
 	pool.RunPartitions(parts, func(p int) {
 		defer pool.phase(obs.PhaseAggregate, p)()
-		local := make(map[string]*groupState)
-		keyBuf := make([]byte, 4*len(groupBy))
-		accumulateBlocks(view.Blocks(p), groupBy, aggs, local, keyBuf)
-		emitGroups(local, groupBy, aggs, col.sink(p))
+		local := newAggTable(groupBy, aggs)
+		local.fold(view.Blocks(p))
+		pool.Copy.AggRowsIn.Add(local.folded)
+		pool.Copy.AggGroupsOut.Add(int64(local.groups.Len()))
+		local.emit(col.sinkBulk(p))
 	})
 	return col.into(outName, outCols)
 }

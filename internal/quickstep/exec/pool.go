@@ -87,6 +87,12 @@ type CopyCounters struct {
 	// partitioning through the projection — with no hash and no counting
 	// sort. They are not in Scattered.
 	OutputInPlace obs.Counter
+	// AggRowsIn counts rows HashAggregate folded into its group tables;
+	// AggGroupsOut counts the groups it emitted. Their ratio is how far the
+	// aggregate collapses its input. The recursive MIN/MAX merge, whose
+	// input is already aggregated, counts in neither.
+	AggRowsIn    obs.Counter
+	AggGroupsOut obs.Counter
 
 	// buildDetail breaks the build counters down by (relation, keyset) so
 	// the copy-accounting experiments can show exactly which predicate and
@@ -138,6 +144,7 @@ type CopySnapshot struct {
 	CachedBuildHits                     int64
 	JoinRowsExpanded, DupSuppressed     int64
 	DupFilterBypassed, OutputInPlace    int64
+	AggRowsIn, AggGroupsOut             int64
 	// BuildDetail maps BuildKey(relation, keyset) to that pair's build
 	// tallies.
 	BuildDetail map[string]BuildCount
@@ -161,6 +168,8 @@ func (c *CopyCounters) Snapshot() CopySnapshot {
 		DupSuppressed:        c.DupSuppressed.Load(),
 		DupFilterBypassed:    c.DupFilterBypassed.Load(),
 		OutputInPlace:        c.OutputInPlace.Load(),
+		AggRowsIn:            c.AggRowsIn.Load(),
+		AggGroupsOut:         c.AggGroupsOut.Load(),
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -192,6 +201,8 @@ func (s CopySnapshot) Sub(o CopySnapshot) CopySnapshot {
 		DupSuppressed:        s.DupSuppressed - o.DupSuppressed,
 		DupFilterBypassed:    s.DupFilterBypassed - o.DupFilterBypassed,
 		OutputInPlace:        s.OutputInPlace - o.OutputInPlace,
+		AggRowsIn:            s.AggRowsIn - o.AggRowsIn,
+		AggGroupsOut:         s.AggGroupsOut - o.AggGroupsOut,
 	}
 	for k, v := range s.BuildDetail {
 		v.Scatters -= o.BuildDetail[k].Scatters
@@ -242,6 +253,10 @@ func (c *CopyCounters) Register(reg *obs.Registry) {
 		"Join output windows flushed after their worker switched the duplicate filter off for want of hits.", &c.DupFilterBypassed)
 	reg.RegisterCounter("recstep_join_output_in_place_total",
 		"Join output rows written into their probe row's partition without a scatter.", &c.OutputInPlace)
+	reg.RegisterCounter("recstep_aggregate_rows_in_total",
+		"Rows the aggregate operator folded into its group tables.", &c.AggRowsIn)
+	reg.RegisterCounter("recstep_aggregate_groups_out_total",
+		"Groups emitted by aggregates.", &c.AggGroupsOut)
 	reg.RegisterSampleFunc("recstep_join_builds_total",
 		"Partitioned hash builds by (relation,keyset) build key and kind (scatter vs in_place).",
 		"counter", func() []obs.Sample {
