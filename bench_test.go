@@ -1,5 +1,6 @@
 // Benchmarks regenerating each table and figure of the paper's evaluation
-// (see DESIGN.md's per-experiment index). Every BenchmarkFigN/BenchmarkTableN
+// (docs/BENCHMARKS.md, "Running benchrunner", lists the exhibits). Every
+// BenchmarkFigN/BenchmarkTableN
 // measures the workload behind the corresponding exhibit at bench scale;
 // `go run ./cmd/benchrunner all` prints the full rows/series.
 package recstep
@@ -343,16 +344,16 @@ func BenchmarkEngineTC(b *testing.B) {
 // the build side is the transitive closure of a mid-density graph, indexed
 // on both columns (the shape of the engine's delta-cancellation joins, where
 // every probe matches at most one build row, so hash construction dominates
-// the measurement). The serial arm reproduces the shared-hash-table limiter
-// the paper identifies; the partitioned arm is the radix-partitioned
-// contention-free build; the carried arm hands the build a relation already
+// the measurement). The serial arm (Partitions 1, one shared table)
+// reproduces the shared-hash-table limiter the paper identifies; the
+// partitioned arm is the radix-partitioned contention-free build that
+// scatters its input; the carried arm hands the build a relation already
 // carrying the join-key partitioning — the state ∆R is in when it exits the
 // fused delta step — so the per-partition tables index the carried blocks
-// in place with zero scatter (compare against partitioned, which is the
-// -carry-join-parts=false regime). Each iteration re-wraps the build side
-// in a fresh relation (block-sharing, no copy) so no cached view persists
-// across iterations; the carried arm rebuilds its carried state per
-// iteration outside the timer.
+// in place with zero scatter. Each iteration re-wraps the build side in a
+// fresh relation (block-sharing, no copy) so no cached view persists across
+// iterations; the carried arm rebuilds its carried state per iteration
+// outside the timer.
 func BenchmarkJoinBuildScaling(b *testing.B) {
 	arc := graphs.GnP(900, 0.02, 5)
 	tc := native.TC(arc, 0)
@@ -370,7 +371,7 @@ func BenchmarkJoinBuildScaling(b *testing.B) {
 			s := spec
 			switch mode {
 			case "serial":
-				s.BuildSerial = true
+				s.Partitions = 1
 			default:
 				s.Partitions = optimizer.ChoosePartitions(tc.NumTuples(), workers)
 			}
@@ -401,16 +402,15 @@ func BenchmarkJoinBuildScaling(b *testing.B) {
 // the staged Dedup + SetDifference pipeline it replaces, across worker
 // counts and radix fan-outs, plus a fused-carried arm where both inputs
 // arrive already scattered on a join-key partitioning (the fused-scatter
-// steady state with -carry-join-parts): the pass consumes the carried
-// partitions in place. A fused-row arm runs the same fused pass with batch
-// kernels off (-columnar=false) — the row-layout tuple-at-a-time ablation
-// the batched columnar inner loops are measured against. The join output is
-// a duplicate-heavy TC-shaped
-// relation; R overlaps about half of it (the mid-fixpoint regime where the
-// delta pipeline dominates iteration cost). Inputs are re-wrapped in fresh
-// relations every iteration so no carried or cached partitioning persists
-// across iterations; the carried arm rebuilds its carried state per
-// iteration outside the timer.
+// steady state): the pass consumes the carried partitions in place. A
+// fused-row arm runs the same fused pass with the row kernels forced
+// (Pool.SetBatch(false)) — the tuple-at-a-time loops the batched columnar
+// inner loops are measured against. The join output is a duplicate-heavy
+// TC-shaped relation; R overlaps about half of it (the mid-fixpoint regime
+// where the delta pipeline dominates iteration cost). Inputs are re-wrapped
+// in fresh relations every iteration so no carried or cached partitioning
+// persists across iterations; the carried arm rebuilds its carried state
+// per iteration outside the timer.
 func BenchmarkDeltaStep(b *testing.B) {
 	arc := graphs.GnP(900, 0.02, 5)
 	tc := native.TC(arc, 0)
@@ -456,9 +456,9 @@ func BenchmarkDeltaStep(b *testing.B) {
 						case "fused":
 							delta = exec.DeltaStep(pool, tmp, full, exec.OPSD, storage.Partitioning{Parts: parts}, tc.NumTuples(), "delta")
 						case "fused-row":
-							// The -columnar=false ablation: same fused pass,
-							// row-layout tuple-at-a-time inner loops instead
-							// of batch kernels over columnar slabs.
+							// Same fused pass, row-layout tuple-at-a-time
+							// inner loops instead of batch kernels over
+							// columnar slabs.
 							pool.SetBatch(false)
 							delta = exec.DeltaStep(pool, tmp, full, exec.OPSD, storage.Partitioning{Parts: parts}, tc.NumTuples(), "delta")
 							pool.SetBatch(true)

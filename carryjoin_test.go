@@ -3,7 +3,6 @@ package recstep
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -14,86 +13,16 @@ import (
 	"recstep/internal/quickstep/storage"
 )
 
-// Join-key-carried partitionings are a physical rewrite only: for every
-// benchmark program, every relation it derives must be identical with
-// carrying on and off, at every radix fan-out. The staged serial run is the
-// reference, exactly as in the fused-vs-staged equivalence suite.
-func TestCarriedMatchesRescatterAcrossPrograms(t *testing.T) {
-	names := make([]string, 0, len(programs.ByName))
-	for name := range programs.ByName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	for _, name := range names {
-		t.Run(name, func(t *testing.T) {
-			prog, err := programs.Get(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			edbs := fuseTestEDBs(name)
-
-			run := func(carry bool, parts int) map[string][]int32 {
-				t.Helper()
-				opts := core.DefaultOptions()
-				opts.Workers = 4
-				opts.CarryJoinParts = carry
-				opts.Partitions = parts
-				res, err := core.New(opts).Run(prog, edbs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out := make(map[string][]int32, len(res.Relations))
-				for rel, r := range res.Relations {
-					out[rel] = r.SortedRows()
-				}
-				return out
-			}
-
-			staged := func() map[string][]int32 {
-				t.Helper()
-				opts := core.DefaultOptions()
-				opts.Workers = 4
-				opts.FuseDelta = false
-				opts.CarryJoinParts = false
-				opts.Partitions = 1
-				res, err := core.New(opts).Run(prog, edbs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out := make(map[string][]int32, len(res.Relations))
-				for rel, r := range res.Relations {
-					out[rel] = r.SortedRows()
-				}
-				return out
-			}
-
-			want := staged()
-			for _, carry := range []bool{true, false} {
-				for _, parts := range []int{1, 16, 64} {
-					got := run(carry, parts)
-					for rel, rows := range want {
-						if !reflect.DeepEqual(got[rel], rows) {
-							t.Fatalf("carry=%v parts=%d: %s (%d rows) diverges from staged serial (%d rows)",
-								carry, parts, rel, len(got[rel]), len(rows))
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// With carrying on, a TC fixpoint re-scatters the delta for a join build
-// only when the carried keyset is not the build's. At one worker tc is
-// carried on its join column, so across the whole run the only permissible
-// build scatter is the EDB's one-time view-cache fill (the first iteration
-// the optimizer picks arc as the build side). Under several workers tc is
-// carried on its pass-through column instead, and the iterations in which the
-// small ∆ is the build side re-scatter it — once each, and nothing else does;
-// what that buys is join output written in place. The ablation must keep
-// paying per-iteration delta re-scatters at one worker and in-place output
-// nowhere — otherwise the counters measure nothing.
+// A TC fixpoint re-scatters the delta for a join build only when the carried
+// keyset is not the build's. At one worker tc is carried on its join column,
+// so across the whole run the only permissible build scatter is the EDB's
+// one-time view-cache fill (the first iteration the optimizer picks arc as
+// the build side). Under several workers tc is carried on its pass-through
+// column instead, and the iterations in which the small ∆ is the build side
+// re-scatter it — once each, and nothing else does; what that buys is join
+// output written in place. Naive evaluation carries nothing: it must keep
+// paying build scatters every iteration and write no output in place —
+// otherwise the counters measure nothing.
 func TestCarriedZeroDeltaBuildScatters(t *testing.T) {
 	arc := graphs.GnP(150, 0.05, 23)
 	prog := programs.MustParse(programs.TC)
@@ -101,11 +30,11 @@ func TestCarriedZeroDeltaBuildScatters(t *testing.T) {
 
 	// run returns the run's stats and how many of its iterations built a
 	// hash table over ∆.
-	run := func(workers int, carry bool) (core.Stats, int) {
+	run := func(workers int, naive bool) (core.Stats, int) {
 		opts := core.DefaultOptions()
 		opts.Workers = workers
 		opts.Partitions = 16
-		opts.CarryJoinParts = carry
+		opts.Naive = naive
 		deltaBuilds := 0
 		opts.IterHook = func(ii core.IterInfo) {
 			for key := range ii.Copy.BuildDetail {
@@ -121,7 +50,7 @@ func TestCarriedZeroDeltaBuildScatters(t *testing.T) {
 		return res.Stats, deltaBuilds
 	}
 
-	one, _ := run(1, true)
+	one, _ := run(1, false)
 	// One EDB (arc) ⇒ at most one build scatter the whole run; every delta
 	// build must be served in place.
 	if one.JoinBuildScatters > 1 {
@@ -130,12 +59,12 @@ func TestCarriedZeroDeltaBuildScatters(t *testing.T) {
 	if one.JoinBuildScattersAvoided == 0 {
 		t.Fatal("carried run reports no builds served from carried partitions; the counter is not measuring")
 	}
-	if abl, _ := run(1, false); abl.JoinBuildScatters <= one.JoinBuildScatters {
-		t.Fatalf("one-worker ablation build scatters %d not above carried run's %d",
-			abl.JoinBuildScatters, one.JoinBuildScatters)
+	if naive, _ := run(1, true); naive.JoinBuildScatters <= one.JoinBuildScatters {
+		t.Fatalf("one-worker naive build scatters %d not above carried run's %d",
+			naive.JoinBuildScatters, one.JoinBuildScatters)
 	}
 
-	four, deltaBuilds := run(4, true)
+	four, deltaBuilds := run(4, false)
 	if arcScatters := four.JoinBuildsByKeyset["arc[0]"].Scatters; arcScatters > 1 {
 		t.Fatalf("arc paid %d build scatters, want ≤ 1 (its cache fill)", arcScatters)
 	}
@@ -143,13 +72,13 @@ func TestCarriedZeroDeltaBuildScatters(t *testing.T) {
 		t.Fatalf("four-worker run paid %d join-build scatters, want ≤ 1 + %d (arc's cache fill, one per ∆ build)",
 			four.JoinBuildScatters, deltaBuilds)
 	}
-	abl, _ := run(4, false)
-	if four.OutputInPlace == 0 || abl.OutputInPlace != 0 {
-		t.Fatalf("join output written in place: %d carried, %d under the ablation; want some, and none",
-			four.OutputInPlace, abl.OutputInPlace)
+	naive, _ := run(4, true)
+	if four.OutputInPlace == 0 || naive.OutputInPlace != 0 {
+		t.Fatalf("join output written in place: %d carried, %d under naive evaluation; want some, and none",
+			four.OutputInPlace, naive.OutputInPlace)
 	}
-	if four.TuplesScattered >= abl.TuplesScattered {
-		t.Fatalf("carried four-worker run scattered %d tuples, the ablation %d", four.TuplesScattered, abl.TuplesScattered)
+	if four.TuplesScattered >= naive.TuplesScattered {
+		t.Fatalf("carried four-worker run scattered %d tuples, naive evaluation %d", four.TuplesScattered, naive.TuplesScattered)
 	}
 }
 
@@ -215,7 +144,8 @@ func TestCarriedKeysetIsJoinKeyed(t *testing.T) {
 
 // Recursive aggregates ride the same machinery: with the partition-parallel
 // merge the CC state, ∆R and the materialized relation are bucketed on the
-// group column, and the equivalence with the serial merge must be exact.
+// group column, and the equivalence with the serial merge (one partition)
+// must be exact.
 func TestAggMergePartitionedMatchesSerial(t *testing.T) {
 	arc := graphs.Undirected(graphs.GnP(150, 0.04, 31))
 	for _, name := range []string{"cc", "sssp"} {
@@ -232,14 +162,10 @@ func TestAggMergePartitionedMatchesSerial(t *testing.T) {
 				}
 			}
 			var want map[string][]int32
-			for _, cfg := range []struct {
-				fuse  bool
-				parts int
-			}{{false, 1}, {true, 1}, {true, 16}, {true, 64}} {
+			for _, parts := range []int{1, 16, 64} {
 				opts := core.DefaultOptions()
 				opts.Workers = 4
-				opts.FuseDelta = cfg.fuse
-				opts.Partitions = cfg.parts
+				opts.Partitions = parts
 				res, err := core.New(opts).Run(prog, edbs)
 				if err != nil {
 					t.Fatal(err)
@@ -254,8 +180,8 @@ func TestAggMergePartitionedMatchesSerial(t *testing.T) {
 				}
 				for rel, rows := range want {
 					if !reflect.DeepEqual(got[rel], rows) {
-						t.Fatalf("fuse=%v parts=%d: %s diverges from serial merge (%d vs %d rows)",
-							cfg.fuse, cfg.parts, rel, len(got[rel])/2, len(rows)/2)
+						t.Fatalf("parts=%d: %s diverges from serial merge (%d vs %d rows)",
+							parts, rel, len(got[rel])/2, len(rows)/2)
 					}
 				}
 			}

@@ -1,6 +1,7 @@
 // Command benchrunner regenerates the tables and figures of the paper's
-// evaluation section (see DESIGN.md's per-experiment index). Each
-// subcommand prints the corresponding rows/series; `all` runs everything.
+// evaluation section, plus the engine experiments (see docs/BENCHMARKS.md,
+// "Running benchrunner"). Each subcommand prints the corresponding
+// rows/series; `all` runs everything.
 //
 // Usage:
 //
@@ -28,17 +29,7 @@ func main() {
 		workers     = flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
 		budget      = flag.Int64("budget", 0, "simulated memory budget in bytes (0 = 1 GiB)")
 		partitions  = flag.Int("partitions", 0, "radix partition count for hash builds (0 = auto 1/16/64/256, 1 = off)")
-		buildSerial = flag.Bool("build-serial", false, "force the serial shared-table join build (partitioning ablation)")
-		fuseDelta   = flag.Bool("fuse-delta", true, "fused partition-native delta pipeline; false selects the staged dedup+diff ablation")
-		carryJoin   = flag.Bool("carry-join-parts", true, "carry join-key partitionings across iterations so hash builds reuse ∆R/R partitions in place; false re-scatters every build (ablation)")
-		secondary   = flag.Bool("secondary-carry", true, "carry a second partitioned view for predicates whose recursive joins use conflicting keysets; false falls back to whole-tuple partitioning (ablation)")
 		memBudget   = flag.Int64("mem-budget", 0, "live block-pool byte budget; cold partitions of full relations spill under pressure (0 = unlimited)")
-		columnar    = flag.Bool("columnar", true, "batch-at-a-time kernels over columnar block slabs; false selects the row-layout tuple-at-a-time ablation")
-		joinOrder   = flag.Bool("join-order", true, "connectivity-driven greedy join ordering per rule arm, re-planned each iteration; false selects the textual FROM-order ablation")
-		wcoj        = flag.Bool("wcoj", true, "leapfrog worst-case-optimal join for cyclic rule bodies of >=3 atoms; false routes them through the pairwise hash-join chain")
-		benchOut    = flag.String("bench-out", "BENCH_PR5.json", "path the benchjson experiment writes its machine-readable report to")
-		batchOut    = flag.String("batch-out", "BENCH_PR6.json", "path the benchbatch experiment writes its machine-readable report to")
-		joinOut     = flag.String("joinorder-out", "BENCH_PR7.json", "path the benchjoinorder experiment writes its machine-readable report to")
 		obsOut      = flag.String("obs-out", "BENCH_PR8.json", "path the benchobs experiment writes its machine-readable report to")
 		obsLimit    = flag.Float64("obs-threshold", 2.0, "benchobs fails when metrics-on overhead exceeds this percentage (min-of-trials; <0 disables the assertion)")
 		incrOut     = flag.String("incr-out", "BENCH_PR10.json", "path the benchincr experiment writes its machine-readable report to")
@@ -54,17 +45,8 @@ func main() {
 		Workers:            *workers,
 		MemBudgetBytes:     *budget,
 		Partitions:         *partitions,
-		BuildSerial:        *buildSerial,
-		StagedDelta:        !*fuseDelta,
-		NoCarryJoinParts:   !*carryJoin,
-		NoSecondaryCarry:   !*secondary,
-		NoColumnar:         !*columnar,
-		NoJoinOrder:        !*joinOrder,
-		NoWCOJ:             !*wcoj,
 		ManagedBudgetBytes: *memBudget,
 		NoObs:              !*enableObs,
-		CPUProfile:         *cpuProfile,
-		MemProfile:         *memProfile,
 	}
 	if *metricsAddr != "" {
 		// One registry for the whole process; each engine run re-binds its
@@ -77,7 +59,7 @@ func main() {
 		}
 		log.Printf("serving /metrics, /statusz and /debug/pprof on http://%s", addr)
 	}
-	stopProfiles, err := cfg.StartProfiles()
+	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -118,14 +100,12 @@ func main() {
 		"fig14":   experiments.Fig14,
 		"fig15":   experiments.Fig15,
 		"fig16":   experiments.Fig16,
-		"copies":  experiments.CopyAccounting,
 		"peakmem": experiments.PeakMem,
 	}
 	order := []string{
 		"table1", "table3", "fig2", "fig3", "fig4", "fig6", "fig7", "fig8",
 		"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "table4",
-		"copies", "peakmem", "benchjson", "benchbatch", "benchjoinorder", "benchobs",
-		"benchincr",
+		"peakmem", "benchobs", "benchincr",
 	}
 
 	args := flag.Args()
@@ -137,33 +117,6 @@ func main() {
 		args = order
 	}
 	for _, name := range args {
-		if name == "benchjson" {
-			rep := experiments.BenchCarry(cfg)
-			if err := experiments.WriteBenchReport(*benchOut, rep); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println(experiments.BenchCarryTable(rep))
-			log.Printf("wrote %s", *benchOut)
-			continue
-		}
-		if name == "benchbatch" {
-			rep := experiments.BenchBatch(cfg)
-			if err := experiments.WriteBenchBatchReport(*batchOut, rep); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println(experiments.BenchBatchTable(rep))
-			log.Printf("wrote %s", *batchOut)
-			continue
-		}
-		if name == "benchjoinorder" {
-			rep := experiments.BenchJoinOrder(cfg)
-			if err := experiments.WriteBenchJoinOrderReport(*joinOut, rep); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println(experiments.BenchJoinOrderTable(rep))
-			log.Printf("wrote %s", *joinOut)
-			continue
-		}
 		if name == "benchobs" {
 			rep, err := experiments.BenchObs(cfg)
 			if err != nil {

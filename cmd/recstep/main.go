@@ -7,8 +7,9 @@
 //	recstep -program tc.datalog -facts arc=arc.tsv -out results/ \
 //	        [-workers N] [-naive] [-no-uie] [-oof selective|none|full] \
 //	        [-dsd dynamic|opsd|tpsd] [-dedup gscht|lockmap|sort] [-no-eost] \
-//	        [-partitions N] [-build-serial] [-fuse-delta=false] \
-//	        [-timeout 30s] [-metrics-addr :9090] [-trace out.json] [-obs=false]
+//	        [-partitions N] [-mem-budget BYTES] [-incremental script] \
+//	        [-timeout 30s] [-metrics-addr :9090] [-trace out.json] [-obs=false] \
+//	        [-cpuprofile FILE] [-memprofile FILE] [-v]
 //
 // SIGINT/SIGTERM (and -timeout) cancel the run context: the fixpoint aborts
 // at the next iteration boundary, partial stats are printed, the -trace file
@@ -34,7 +35,6 @@ import (
 	"recstep/internal/core"
 	"recstep/internal/datalog/ast"
 	"recstep/internal/datalog/parser"
-	"recstep/internal/experiments"
 	"recstep/internal/obs"
 	"recstep/internal/quickstep/exec"
 	"recstep/internal/quickstep/stats"
@@ -70,14 +70,7 @@ func main() {
 		dedup       = flag.String("dedup", "gscht", "dedup strategy: gscht|lockmap|sort")
 		noEOST      = flag.Bool("no-eost", false, "commit after every query (spills to a temp dir)")
 		partitions  = flag.Int("partitions", 0, "radix partition count for hash builds (0 = auto 1/16/64/256, 1 = off)")
-		buildSerial = flag.Bool("build-serial", false, "force the serial shared-table join build (partitioning ablation)")
-		fuseDelta   = flag.Bool("fuse-delta", true, "fused partition-native delta pipeline; false selects the staged dedup+diff ablation")
-		carryJoin   = flag.Bool("carry-join-parts", true, "carry join-key partitionings across iterations so hash builds reuse ∆R/R partitions in place; false re-scatters every build (ablation)")
-		secondary   = flag.Bool("secondary-carry", true, "carry a second partitioned view for predicates whose recursive joins use conflicting keysets; false falls back to whole-tuple partitioning (ablation)")
 		memBudget   = flag.Int64("mem-budget", 0, "live block-pool byte budget; cold partitions of full relations spill to temp files under pressure (0 = unlimited)")
-		columnar    = flag.Bool("columnar", true, "batch-at-a-time kernels over columnar block slabs with per-worker pool magazines; false selects the row-layout tuple-at-a-time ablation")
-		joinOrder   = flag.Bool("join-order", true, "connectivity-driven greedy join ordering per rule arm, re-planned each iteration from live ∆ cardinalities; false selects the textual FROM-order ablation")
-		wcoj        = flag.Bool("wcoj", true, "leapfrog worst-case-optimal join for cyclic rule bodies of >=3 atoms; false routes them through the pairwise hash-join chain")
 		timeout     = flag.Duration("timeout", 0, "abort the run after this duration (0 = no deadline); partial stats are still printed")
 		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile  = flag.String("memprofile", "", "write a pprof allocation profile of the run to this file")
@@ -153,13 +146,6 @@ func main() {
 		opts.DisableIO = false
 	}
 	opts.Partitions = *partitions
-	opts.BuildSerial = *buildSerial
-	opts.FuseDelta = *fuseDelta
-	opts.CarryJoinParts = *carryJoin
-	opts.SecondaryCarry = *secondary
-	opts.Columnar = *columnar
-	opts.JoinOrder = *joinOrder
-	opts.WCOJ = *wcoj
 	opts.MemBudgetBytes = *memBudget
 
 	// One Observer outlives the Run so the HTTP listener keeps serving its
@@ -192,7 +178,7 @@ func main() {
 		}
 	}
 
-	stopProfiles, err := experiments.Config{CPUProfile: *cpuProfile, MemProfile: *memProfile}.StartProfiles()
+	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,8 @@ import (
 	"recstep/internal/graphs"
 	"recstep/internal/pa"
 	"recstep/internal/programs"
+	"recstep/internal/quickstep"
+	"recstep/internal/quickstep/exec"
 	"recstep/internal/quickstep/storage"
 )
 
@@ -65,11 +67,15 @@ func longTestEDBs(program string) map[string]*storage.Relation {
 	return nil
 }
 
-// The fused partition-native delta pipeline, and under it the choice between
-// a resident set-difference index (default DSD) and the paper's transient
-// OPSD/TPSD tables (forced DSD), are physical rewrites only: for every
-// benchmark program, every relation it derives must be identical under
-// fuse-delta on/off, at every radix fan-out, under every DSD mode.
+// Every physical choice the engine makes is a rewrite only. For every
+// benchmark program, and for the stretched inputs on which resident
+// structures pay, every relation it derives must be identical to the staged
+// lock-map run (unpartitioned, one-phase set difference) at every radix
+// fan-out, under every DSD mode, at one and four workers, and with the row
+// kernels forced in place of the batch kernels. Inside these runs sit the
+// fused delta step, carried keysets and secondary views, greedy join order,
+// the leapfrog join, and the choice between a resident set-difference index
+// (default DSD) and the paper's transient OPSD/TPSD tables (forced DSD).
 func TestFusedMatchesStagedAcrossPrograms(t *testing.T) {
 	names := make([]string, 0, len(programs.ByName))
 	for name := range programs.ByName {
@@ -88,13 +94,8 @@ func TestFusedMatchesStagedAcrossPrograms(t *testing.T) {
 		}
 		for label, edbs := range inputs {
 			t.Run(label, func(t *testing.T) {
-				run := func(fuse bool, parts int, dsd core.DSDMode) (map[string][]int32, core.Stats) {
+				run := func(opts core.Options) (map[string][]int32, core.Stats) {
 					t.Helper()
-					opts := core.DefaultOptions()
-					opts.Workers = 4
-					opts.FuseDelta = fuse
-					opts.Partitions = parts
-					opts.DSD = dsd
 					res, err := core.New(opts).Run(prog, edbs)
 					if err != nil {
 						t.Fatal(err)
@@ -105,42 +106,62 @@ func TestFusedMatchesStagedAcrossPrograms(t *testing.T) {
 					}
 					return out, res.Stats
 				}
+				base := core.DefaultOptions()
+				base.Workers = 4
 
-				want, _ := run(false, 1, core.DSDAlwaysOPSD) // staged, unpartitioned, one-phase: the reference
-				for _, fuse := range []bool{true, false} {
-					for _, parts := range []int{1, 16, 64} {
-						for _, dsd := range []core.DSDMode{core.DSDDynamic, core.DSDAlwaysOPSD, core.DSDAlwaysTPSD} {
-							got, stats := run(fuse, parts, dsd)
-							for rel, rows := range want {
-								if !reflect.DeepEqual(got[rel], rows) {
-									t.Fatalf("fuse=%v parts=%d dsd=%d: %s (%d rows) diverges from staged serial (%d rows)",
-										fuse, parts, dsd, rel, len(got[rel]), len(rows))
-								}
-							}
-							// Only the fused default may keep an index, and only on
+				ref := base
+				ref.Dedup = exec.DedupLockMap
+				ref.Partitions = 1
+				ref.DSD = core.DSDAlwaysOPSD
+				want, _ := run(ref)
+				check := func(opts core.Options, what string) core.Stats {
+					t.Helper()
+					got, stats := run(opts)
+					for rel, rows := range want {
+						if !reflect.DeepEqual(got[rel], rows) {
+							t.Fatalf("%s: %s (%d values) diverges from the staged lock-map run (%d values)",
+								what, rel, len(got[rel]), len(rows))
+						}
+					}
+					return stats
+				}
+
+				for _, parts := range []int{1, 16, 64} {
+					for _, dsd := range []core.DSDMode{core.DSDDynamic, core.DSDAlwaysOPSD, core.DSDAlwaysTPSD} {
+						for _, workers := range []int{1, 4} {
+							opts := base
+							opts.Workers, opts.Partitions, opts.DSD = workers, parts, dsd
+							what := fmt.Sprintf("parts=%d dsd=%d workers=%d", parts, dsd, workers)
+							stats := check(opts, what)
+							// Only the default DSD may keep an index, and only on
 							// the long instances does one pay; unpartitioned they
 							// all get there (a partitioned pass re-reads just the
 							// partitions ∆ lands in, so a trickle repays later).
 							resident := stats.ResidentIndexHits > 0
-							may := fuse && dsd == core.DSDDynamic && label != name
+							may := dsd == core.DSDDynamic && label != name
 							if resident && !may || !resident && may && parts == 1 {
-								t.Fatalf("fuse=%v parts=%d dsd=%d: resident index used=%v (%d hits)",
-									fuse, parts, dsd, resident, stats.ResidentIndexHits)
+								t.Fatalf("%s: resident index used=%v (%d hits)", what, resident, stats.ResidentIndexHits)
 							}
 						}
 					}
+					// The row kernels: arity > 4 and residual joins run them in
+					// every configuration; here they serve every operator.
+					opts := base
+					opts.Partitions = parts
+					opts.OnDB = func(db *quickstep.Database) { db.Pool().SetBatch(false) }
+					check(opts, fmt.Sprintf("parts=%d row kernels", parts))
 				}
 			})
 		}
 	}
 }
 
-// With fusion enabled, a TC fixpoint must run with zero flat
+// Under the default GSCHT dedup a TC fixpoint must run with zero flat
 // materializations of tmp/Rδ — the join output lands pre-partitioned, the
 // fused delta step consumes it in place, and Rδ never exists — while the
-// staged ablation pays one flat dedup materialization per iteration. This is
-// the acceptance check for the partition-native pipeline, verified through
-// the engine's copy-accounting counters.
+// staged lock-map pipeline pays one flat dedup materialization per iteration.
+// This is the acceptance check for the partition-native pipeline, verified
+// through the engine's copy-accounting counters.
 func TestFusedPipelineZeroFlatMaterializations(t *testing.T) {
 	arc := graphs.GnP(150, 0.05, 23)
 	prog := programs.MustParse(programs.TC)
@@ -161,13 +182,13 @@ func TestFusedPipelineZeroFlatMaterializations(t *testing.T) {
 			}
 
 			stagedOpts := fusedOpts
-			stagedOpts.FuseDelta = false
+			stagedOpts.Dedup = exec.DedupLockMap
 			staged, err := core.New(stagedOpts).Run(prog, edbs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if staged.Stats.FlatMaterializations == 0 {
-				t.Fatal("staged ablation reports zero flat materializations; the counter is not measuring")
+				t.Fatal("staged lock-map run reports zero flat materializations; the counter is not measuring")
 			}
 			if !reflect.DeepEqual(fused.Relations["tc"].SortedRows(), staged.Relations["tc"].SortedRows()) {
 				t.Fatal("fused and staged tc diverge")
@@ -200,5 +221,35 @@ func TestIterHookReportsCopyAccounting(t *testing.T) {
 	}
 	if res.Stats.TuplesAdopted < adopted {
 		t.Fatalf("run total %d adopted < per-iteration sum %d", res.Stats.TuplesAdopted, adopted)
+	}
+}
+
+// The columnar slab is a cache, not a copy the engine depends on: a fixpoint
+// that appends to its full relations every iteration must keep the slab
+// coherent (stale slabs are rebuilt, never served). A TC run under the batch
+// kernels must agree with the row kernels tuple for tuple — this pins the
+// invalidation path specifically, with appends landing mid-run on blocks
+// whose slabs were already built by earlier delta steps.
+func TestColumnarSlabCoherentUnderAppends(t *testing.T) {
+	arc := graphs.GnP(200, 0.04, 11)
+	prog := programs.MustParse(programs.TC)
+	edbs := map[string]*storage.Relation{"arc": arc}
+
+	run := func(batch bool) []int32 {
+		opts := core.DefaultOptions()
+		opts.Workers = 4
+		opts.Partitions = 16
+		opts.OnDB = func(db *quickstep.Database) { db.Pool().SetBatch(batch) }
+		res, err := core.New(opts).Run(prog, edbs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Relations["tc"].SortedRows()
+	}
+
+	batch, row := run(true), run(false)
+	if !reflect.DeepEqual(batch, row) {
+		t.Fatalf("batch kernels derive %d tc rows, row kernels %d; slab coherence broken",
+			len(batch)/2, len(row)/2)
 	}
 }

@@ -1,7 +1,8 @@
 // Package native is the "Soufflé-like" comparator: hand-specialized,
 // compiled-style parallel evaluators for each benchmark program, standing in
 // for the native C++ code Soufflé synthesizes (the real system cannot be
-// run offline, see DESIGN.md substitution 2). Each evaluator works directly
+// run offline; docs/ARCHITECTURE.md lists the comparators under "`cmd`,
+// `examples`, `internal/experiments`"). Each evaluator works directly
 // on indexed in-memory structures with semi-naive frontiers — no SQL, no
 // per-iteration catalog work — so it exhibits Soufflé's profile: excellent
 // straight-line speed, workload-dependent parallelism.

@@ -24,13 +24,11 @@ import (
 // state would re-hash every group) and both ∆R and the materialized full
 // relation are emitted as carried partitioned relations, so the next
 // iteration's candidate query lands pre-partitioned (fused scatter) and its
-// hash builds over ∆R reuse the carried partitions in place. parallel=false
-// keeps the serial single-table path (the staged ablation).
+// hash builds over ∆R reuse the carried partitions in place.
 type aggMerge struct {
-	spec     *analysis.AggSpec
-	arity    int
-	isMin    bool
-	parallel bool
+	spec  *analysis.AggSpec
+	arity int
+	isMin bool
 	// fixedParts pins the fan-out (the -partitions override); 0 = choose
 	// from the first candidate's cardinality.
 	fixedParts int
@@ -81,7 +79,7 @@ func (m *aggMerge) partitioning() (storage.Partitioning, bool) {
 // downgrades never happen — the carried ∆R partitioning must not thrash.
 func (m *aggMerge) ensureState(candTuples, workers int) {
 	want := 1
-	if m.parallel && len(m.spec.GroupPos) > 0 {
+	if len(m.spec.GroupPos) > 0 {
 		if m.fixedParts > 0 {
 			want = storage.NormalizePartitions(m.fixedParts)
 		} else {

@@ -130,7 +130,6 @@ func TestAggMergeMultiColumnGroups(t *testing.T) {
 func TestAggMergeUpgradesFanoutAndRebuckets(t *testing.T) {
 	wide := exec.NewPool(4)
 	m := newAggMerge(minSpec(), 2)
-	m.parallel = true
 
 	// Tiny first candidate: state starts serial.
 	m.merge(wide, nil, candRel([]int32{0, 0}), "d0")
@@ -157,6 +156,7 @@ func TestAggMergeUpgradesFanoutAndRebuckets(t *testing.T) {
 	}
 	// And the materialized state must equal a serial reference merge.
 	ref := newAggMerge(minSpec(), 2)
+	ref.fixedParts = 1
 	ref.merge(aggPool, nil, candRel([]int32{0, 0}), "r0")
 	ref.merge(aggPool, nil, big, "r1")
 	ref.merge(aggPool, nil, candRel([]int32{0, 3}), "r2")
@@ -236,7 +236,6 @@ func TestAggMergeMatchesReferenceFold(t *testing.T) {
 				}
 				spec := &analysis.AggSpec{Func: fn, Pos: pos, GroupPos: groupPos}
 				m := newAggMerge(spec, arity)
-				m.parallel = true
 				ref := &refFold{spec: spec, arity: arity, best: map[[3]int32]int32{}}
 				rng := rand.New(rand.NewSource(int64(7*width + len(fn))))
 				upgraded := false
@@ -279,15 +278,15 @@ func TestAggMergeMatchesReferenceFold(t *testing.T) {
 }
 
 // A merge whose candidates improve no group — repeats of the current best,
-// worse values, or nothing at all — emits an empty ∆ on either path.
+// worse values, or nothing at all — emits an empty ∆ serial or partitioned.
 func TestAggMergeNoImprovementEmitsEmptyDelta(t *testing.T) {
 	for _, fn := range []string{"MIN", "MAX"} {
-		for _, parallel := range []bool{false, true} {
+		for _, parts := range []int{1, 16} {
 			m := newAggMerge(&analysis.AggSpec{Func: fn, Pos: 1, GroupPos: []int{0}}, 2)
-			m.parallel, m.fixedParts = parallel, 16
+			m.fixedParts = parts
 			first := candRel([]int32{1, 10}, []int32{2, 20}, []int32{3, 30})
 			if got := m.merge(aggPool, nil, first, "d0").NumTuples(); got != 3 {
-				t.Fatalf("%s parallel=%v: first merge emitted %d rows, want 3", fn, parallel, got)
+				t.Fatalf("%s parts=%d: first merge emitted %d rows, want 3", fn, parts, got)
 			}
 			worse := int32(1)
 			if fn == "MIN" {
@@ -299,7 +298,7 @@ func TestAggMergeNoImprovementEmitsEmptyDelta(t *testing.T) {
 				candRel(),
 			} {
 				if got := m.merge(aggPool, nil, cand, "d").NumTuples(); got != 0 {
-					t.Fatalf("%s parallel=%v: non-improving merge %d emitted %d rows", fn, parallel, i, got)
+					t.Fatalf("%s parts=%d: non-improving merge %d emitted %d rows", fn, parts, i, got)
 				}
 			}
 		}

@@ -65,61 +65,16 @@ type Options struct {
 	DSD DSDMode
 	// EOST defers write-back to a single final commit.
 	EOST bool
-	// Dedup selects the deduplication implementation.
+	// Dedup selects the deduplication implementation. GSCHT runs the fused
+	// partition-native delta step: the join output is scattered at the source
+	// into radix partitions and one per-partition pass replaces dedup, set
+	// difference and the delta materialization. The lock-map and sort
+	// baselines run the staged pipeline, which materializes Rδ.
 	Dedup exec.DedupStrategy
 	// Partitions fixes the radix partition count for hash builds (joins,
 	// set difference, aggregation): 0 lets the optimizer pick 1/16/64/256
 	// per operator from cardinality estimates, 1 disables partitioning.
 	Partitions int
-	// BuildSerial forces the serial shared-table join build (the
-	// partitioning ablation; compare against the radix-partitioned default).
-	BuildSerial bool
-	// FuseDelta runs the partition-native delta pipeline: the join output is
-	// scattered at the source into radix partitions and a single fused
-	// per-partition pass (DeltaStep) replaces the staged dedup +
-	// set-difference + delta materialization, so Rδ never exists as a flat
-	// relation. False selects the staged pipeline (the -fuse-delta=false
-	// ablation). Fusion requires the GSCHT dedup strategy (the fused pass
-	// embeds it); the lock-map and sort baselines always run staged.
-	FuseDelta bool
-	// CarryJoinParts keys the carried partitioning of each recursive
-	// predicate on the columns its joins build on (learned from the bound
-	// recursive plans once per stratum), instead of the whole tuple: ∆R
-	// exits the fused delta step already scattered on the keys the next
-	// iteration's hash builds probe, and those builds index the carried
-	// partition blocks in place — zero per-join re-scatter of the delta.
-	// False is the -carry-join-parts=false ablation (whole-tuple carrying,
-	// the PR 2/3 behaviour). Only meaningful with FuseDelta.
-	CarryJoinParts bool
-	// SecondaryCarry generalizes CarryJoinParts to predicates whose
-	// recursive rules join the same relation on *conflicting* keysets
-	// (CSPA's valueFlow joins on column 0 in some rules and column 1 in
-	// others): instead of falling back to whole-tuple partitioning, the
-	// optimizer ranks the keysets by builds served, the delta pipeline
-	// routes on the top one, and a second carried view on the runner-up is
-	// maintained by the dual-route delta step — one extra scatter copy of
-	// ∆R per iteration buys zero per-iteration build scatters for both join
-	// shapes. False is the -secondary-carry=false ablation (whole-tuple
-	// fallback on conflict, the PR 4 behaviour). Only meaningful with
-	// CarryJoinParts and FuseDelta.
-	SecondaryCarry bool
-	// Columnar enables the batch-at-a-time kernel paths in the engine:
-	// columnar layouts for re-read blocks, batched GSCHT inserts/probes,
-	// selection-vector filters, bulk block emission and per-worker pool
-	// magazines. False is the -columnar=false ablation — the row-layout
-	// tuple-at-a-time inner loops.
-	Columnar bool
-	// JoinOrder enables the connectivity-driven greedy join-ordering pass:
-	// every rule arm's join chain is re-seeded from the most selective
-	// literal and grown by shared-variable connectivity, re-planned each
-	// iteration as ∆ cardinalities change, with early termination of arms
-	// whose intermediate comes back empty. False is the -join-order=false
-	// ablation — the textual FROM-order chain.
-	JoinOrder bool
-	// WCOJ routes cyclic rule bodies of ≥3 atoms (triangles, cliques) to
-	// the leapfrog worst-case-optimal join. False is the -wcoj=false
-	// ablation — cyclic bodies fall back to the (ordered) pairwise chain.
-	WCOJ bool
 	// Alpha is the calibrated build/probe cost ratio for DSD (0 = default).
 	Alpha float64
 	// Naive disables semi-naive evaluation: every iteration re-evaluates
@@ -169,19 +124,13 @@ type Options struct {
 // calls "RecStep".
 func DefaultOptions() Options {
 	return Options{
-		UIE:            true,
-		OOF:            stats.ModeSelective,
-		DSD:            DSDDynamic,
-		EOST:           true,
-		Dedup:          exec.DedupGSCHT,
-		FuseDelta:      true,
-		CarryJoinParts: true,
-		SecondaryCarry: true,
-		Columnar:       true,
-		JoinOrder:      true,
-		WCOJ:           true,
-		MaxIterations:  1 << 20,
-		DisableIO:      true,
+		UIE:           true,
+		OOF:           stats.ModeSelective,
+		DSD:           DSDDynamic,
+		EOST:          true,
+		Dedup:         exec.DedupGSCHT,
+		MaxIterations: 1 << 20,
+		DisableIO:     true,
 	}
 }
 
@@ -243,7 +192,7 @@ type Stats struct {
 	JoinBuildsByKeyset map[string]exec.BuildCount
 	// JoinOrdersByRule records, per rule arm (branch name), the atoms in
 	// textual order, the join order the optimizer last chose, the strategy
-	// (textual / greedy / wcoj) and how many iterations ran it.
+	// (greedy / wcoj) and how many iterations ran it.
 	JoinOrdersByRule map[string]quickstep.PlanChoice
 	// WCOJRules lists the arms evaluated by the leapfrog join.
 	WCOJRules []string
@@ -436,13 +385,7 @@ func (e *Engine) prepare(ctx context.Context, prog *ast.Program) (*runState, err
 		SpillDir:       e.opts.SpillDir,
 		DisableIO:      e.opts.DisableIO,
 		Partitions:     e.opts.Partitions,
-		BuildSerial:    e.opts.BuildSerial,
 		MemBudgetBytes: e.opts.MemBudgetBytes,
-		CarryJoinParts: e.opts.CarryJoinParts,
-		SecondaryCarry: e.opts.SecondaryCarry,
-		Columnar:       e.opts.Columnar,
-		JoinOrder:      e.opts.JoinOrder,
-		WCOJ:           e.opts.WCOJ,
 		Obs:            ob,
 		FaultInject:    e.opts.FaultInject,
 	})
@@ -728,9 +671,6 @@ func (r *runState) evalStratumWith(s analysis.Stratum, seed map[string]querygen.
 		}
 		if q.RecursiveAgg {
 			st.agg = newAggMerge(r.res.Preds[q.Pred].Agg, q.Arity)
-			// The partition-parallel merge rides the fused pipeline flag:
-			// the staged ablation keeps the serial single-map merge.
-			st.agg.parallel = r.opts().FuseDelta
 			st.agg.fixedParts = r.opts().Partitions
 			// Naive evaluation always reads the full relation, so the
 			// aggregate's materialization must track every iteration.
@@ -752,7 +692,7 @@ func (r *runState) evalStratumWith(s analysis.Stratum, seed map[string]querygen.
 	// columns of its body atom through to the head is carried on those
 	// instead (optimizer.ChooseCarry): each worker's join output then lands in
 	// the partition of ∆ it probes.
-	carrying := r.opts().CarryJoinParts && r.opts().FuseDelta && !r.opts().Naive
+	carrying := !r.opts().Naive
 	usage := make(map[string][][]int)
 	for i := range queries {
 		if !carrying || queries[i].Rec.Unified == "" {
@@ -776,7 +716,7 @@ func (r *runState) evalStratumWith(s analysis.Stratum, seed map[string]querygen.
 			}
 			var rule optimizer.CarryRule
 			st.keyCols, st.secCols, rule = optimizer.ChooseCarry(st.q.Arity, keysets, passed,
-				r.db.Pool().Workers(), r.opts().SecondaryCarry)
+				r.db.Pool().Workers())
 			c = CarryChoice{Keys: st.keyCols, Secondary: st.secCols, Rule: string(rule)}
 		}
 		if st.agg != nil {
@@ -875,12 +815,11 @@ type idbState struct {
 	// partitioning routes on — the pass-through columns of a linear
 	// predicate under several workers, else the join-key columns when the
 	// recursive builds agree on (or rank) a keyset, the whole tuple otherwise
-	// (or when the carry-join-parts ablation is off). Nil selects the whole
-	// tuple.
+	// (or under naive evaluation). Nil selects the whole tuple.
 	keyCols []int
 	// secCols is the runner-up keyset of a conflicting-keyset predicate,
 	// maintained as a secondary carried view by the dual-route delta step.
-	// Nil when there is no conflict or secondary carrying is off.
+	// Nil when there is no conflict.
 	secCols []int
 	// secDelivered/lastSecParts record that the previous iteration ran the
 	// dual route at that fan-out; secCooldown parks the rebuild path after
@@ -936,7 +875,7 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit quer
 	// a per-partition CCK-GSCHT-style dedup, so the FAST-DEDUP baselines
 	// (lock-map, sort) force the staged pipeline — otherwise their ablation
 	// would silently measure nothing.
-	fuse := r.opts().FuseDelta && st.agg == nil && r.opts().Dedup == exec.DedupGSCHT
+	fuse := st.agg == nil && r.opts().Dedup == exec.DedupGSCHT
 	part := storage.Partitioning{Parts: 1}
 	var sec storage.Partitioning
 	if fuse {

@@ -2,8 +2,10 @@
 // evaluation (Section 6). Each figure function returns a printable Table
 // whose rows mirror the series the paper plots; cmd/benchrunner prints them
 // and bench_test.go wraps them as testing.B benchmarks. Datasets are the
-// scaled families described in DESIGN.md (substitution 3); engine names map
-// to the comparator substitutes of DESIGN.md (substitution 2).
+// scaled synthetic families of workloads.go; engine names map to the
+// comparator stand-ins of internal/baselines (docs/ARCHITECTURE.md, "`cmd`,
+// `examples`, `internal/experiments`"; docs/BENCHMARKS.md, "Running
+// benchrunner", lists the exhibits).
 package experiments
 
 import (
@@ -77,39 +79,6 @@ type Config struct {
 	// Partitions fixes the radix partition count for hash builds (0 = let
 	// the optimizer pick from cardinality, 1 = off).
 	Partitions int
-	// BuildSerial forces the serial shared-table join build (the
-	// partitioning ablation).
-	BuildSerial bool
-	// StagedDelta disables the fused partition-native delta pipeline and
-	// runs the staged dedup + set-difference sequence instead (the
-	// -fuse-delta=false ablation; zero value keeps fusion on).
-	StagedDelta bool
-	// NoCarryJoinParts disables join-key-carried partitionings: every
-	// partitioned hash build re-scatters its input instead of reusing the
-	// partitions ∆R/R already carry (the -carry-join-parts=false ablation;
-	// zero value keeps carrying on).
-	NoCarryJoinParts bool
-	// NoSecondaryCarry disables secondary carried views: predicates whose
-	// recursive joins use conflicting keysets fall back to whole-tuple
-	// partitioning and the losing keyset's builds re-scatter (the
-	// -secondary-carry=false ablation; zero value keeps secondary carrying
-	// on).
-	NoSecondaryCarry bool
-	// NoJoinOrder disables the connectivity-driven greedy join-ordering
-	// pass: UNION ALL arms join in textual FROM order regardless of
-	// cardinalities (the -join-order=false ablation; zero value keeps
-	// ordering on).
-	NoJoinOrder bool
-	// NoWCOJ disables the leapfrog worst-case-optimal join escape hatch:
-	// cyclic bodies run the pairwise hash-join pipeline (the -wcoj=false
-	// ablation; zero value keeps the escape hatch on).
-	NoWCOJ bool
-	// NoColumnar disables the batch-at-a-time kernel paths: the fixpoint
-	// inner loops run tuple-at-a-time over the row-major layout, with no
-	// batched GSCHT inserts/probes, no selection vectors, no bulk block
-	// emission and no per-worker pool magazines (the -columnar=false
-	// ablation; zero value keeps batch kernels on).
-	NoColumnar bool
 	// ManagedBudgetBytes bounds the engine's live block-pool bytes (the
 	// -mem-budget flag): exceeding it spills cold partitions of full
 	// relations. Distinct from MemBudgetBytes, which models the *simulated*
@@ -124,10 +93,6 @@ type Config struct {
 	// then makes a private Observer per run). The benchobs experiment
 	// measures the difference.
 	NoObs bool
-	// CPUProfile and MemProfile name files to receive pprof profiles of the
-	// run (the -cpuprofile/-memprofile flags); empty disables profiling.
-	CPUProfile string
-	MemProfile string
 }
 
 func (c Config) workers() int {
@@ -338,13 +303,6 @@ func evaluateWithSampler(engine Engine, w Workload, cfg Config, sampler *metrics
 		opts := core.DefaultOptions()
 		opts.Workers = workers
 		opts.Partitions = cfg.Partitions
-		opts.BuildSerial = cfg.BuildSerial
-		opts.FuseDelta = !cfg.StagedDelta
-		opts.CarryJoinParts = !cfg.NoCarryJoinParts
-		opts.SecondaryCarry = !cfg.NoSecondaryCarry
-		opts.Columnar = !cfg.NoColumnar
-		opts.JoinOrder = !cfg.NoJoinOrder
-		opts.WCOJ = !cfg.NoWCOJ
 		opts.MemBudgetBytes = cfg.ManagedBudgetBytes
 		opts.Obs = cfg.Obs
 		opts.DisableObs = cfg.NoObs
@@ -356,13 +314,6 @@ func evaluateWithSampler(engine Engine, w Workload, cfg Config, sampler *metrics
 		opts := core.DefaultOptions()
 		opts.Workers = workers
 		opts.Partitions = cfg.Partitions
-		opts.BuildSerial = cfg.BuildSerial
-		opts.FuseDelta = !cfg.StagedDelta
-		opts.CarryJoinParts = !cfg.NoCarryJoinParts
-		opts.SecondaryCarry = !cfg.NoSecondaryCarry
-		opts.Columnar = !cfg.NoColumnar
-		opts.JoinOrder = !cfg.NoJoinOrder
-		opts.WCOJ = !cfg.NoWCOJ
 		opts.MemBudgetBytes = cfg.ManagedBudgetBytes
 		opts.Obs = cfg.Obs
 		opts.DisableObs = cfg.NoObs

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"recstep/internal/bitmatrix"
@@ -43,12 +42,12 @@ func AblationConfigs(workers int) []struct {
 		{"DSD-off", mk(func(o *core.Options) { o.DSD = core.DSDAlwaysOPSD })},
 		{"OOF-FA", mk(func(o *core.Options) { o.OOF = stats.ModeFull })},
 		{"EOST-off", mk(func(o *core.Options) { o.EOST = false; o.DisableIO = false })},
-		// FAST-DEDUP off also turns the fused delta pipeline off (explicitly
-		// here, and enforced by the engine): the fused pass *embeds* the
-		// CCK-GSCHT dedup, so "the engine without its fast dedup" loses both
-		// the structure and the fusion built on it — the bar measures that
+		// FAST-DEDUP off also turns the fused delta pipeline off (the engine
+		// runs it only under GSCHT): the fused pass *embeds* the CCK-GSCHT
+		// dedup, so "the engine without its fast dedup" loses both the
+		// structure and the fusion built on it — the bar measures that
 		// combined regression, as the real system would experience it.
-		{"FASTDEDUP-off", mk(func(o *core.Options) { o.Dedup = exec.DedupLockMap; o.FuseDelta = false })},
+		{"FASTDEDUP-off", mk(func(o *core.Options) { o.Dedup = exec.DedupLockMap })},
 		{"OOF-NA", mk(func(o *core.Options) { o.OOF = stats.ModeNone })},
 		{"NO-OP", mk(func(o *core.Options) {
 			o.UIE = false
@@ -57,7 +56,6 @@ func AblationConfigs(workers int) []struct {
 			o.EOST = false
 			o.DisableIO = false
 			o.Dedup = exec.DedupLockMap
-			o.FuseDelta = false
 		})},
 	}
 }
@@ -458,129 +456,5 @@ func Fig16(cfg Config) Table {
 		}
 	}
 	tbl.Notes = append(tbl.Notes, "native engine uses raw goroutines (no instrumented pool): utilization not sampled")
-	return tbl
-}
-
-// copyWorkloads are the copy-accounting subjects: linear TC (single-keyset
-// consensus — the PR 4 case), SG (same-generation; its delta enters every
-// build on one keyset) and CSPA (valueFlow is joined on column 0 by some
-// rules and column 1 by others — the conflicting-keyset case secondary
-// carried views exist for).
-func copyWorkloads(cfg Config) []Workload {
-	spec := GnpSpec{Label: "G1K-0.05", N: 1000, P: 0.05}
-	sgSpec := GnpSpec{Label: "G300-0.03", N: 300, P: 0.03}
-	if cfg.Quick {
-		spec = GnpSpec{Label: "G200", N: 200, P: 0.05}
-		sgSpec = GnpSpec{Label: "G120-0.05", N: 120, P: 0.05}
-	}
-	quickCfg := cfg
-	quickCfg.Quick = true // CSPA at synthetic scale either way; real inputs belong to fig15/16
-	return []Workload{TCWorkload(spec), SGWorkload(sgSpec), CSPAWorkload("synthetic", quickCfg)}
-}
-
-// RecurringBuildScatters sums, per (relation, keyset) build shape, the
-// scatters beyond the first — the first is the unavoidable one-time fill of
-// a view cache or carried view; everything after it is a per-iteration cost
-// the carried partitionings exist to eliminate. Only *carried-capable*
-// relations count: the recursive predicates, their deltas and the EDBs.
-// Builds over per-query join-prefix intermediates (tmp-table shapes,
-// pre-filtered inputs — quickstep.FilteredSuffix names) are excluded — no
-// carried partitioning could ever serve those, so they would drown the
-// signal the counter exists to show: whether the carried relations stop
-// paying per-iteration scatters. This is the acceptance metric of the
-// copies experiment and the secondary-carry tests.
-func RecurringBuildScatters(detail map[string]exec.BuildCount) int64 {
-	var n int64
-	for key, bc := range detail {
-		if strings.Contains(key, querygen.TmpSuffix) || strings.Contains(key, quickstep.FilteredSuffix+"[") {
-			continue
-		}
-		if bc.Scatters > 1 {
-			n += bc.Scatters - 1
-		}
-	}
-	return n
-}
-
-// CopyAccounting measures the data movement of the partition-native delta
-// pipeline across TC, SG and CSPA: fused vs staged, join-key carrying on and
-// off, and secondary carried views on and off, reporting runtime alongside
-// the engine's copy counters. Under fusion the flat-materialization column
-// is zero — tmp lands pre-partitioned and Rδ never exists; under carrying
-// the carried relations' builds stop scattering; and under secondary
-// carrying the *conflicting-keyset* predicate (CSPA's valueFlow) reaches
-// zero steady-state build scatters on both keysets, paying one extra ∆R
-// scatter copy per iteration (the "sec scattered" column) for it.
-func CopyAccounting(cfg Config) Table {
-	tbl := Table{
-		Title: "Copy accounting — secondary carry vs carried join-key partitions vs re-scatter vs staged",
-		Header: []string{"workload", "pipeline", "time", "iters", "scattered", "sec scattered",
-			"adopted", "flat mats", "builds in place", "build scatters", "per-iter carried scatters"},
-	}
-	allModes := []struct {
-		name                 string
-		staged, carry, secnd bool
-	}{
-		{"fused+carry+sec", false, true, true},
-		{"fused+carry", false, true, false},
-		{"fused", false, false, false},
-		{"staged", true, false, false},
-	}
-	// The ablation flags prune the matrix: a -secondary-carry=false (or
-	// -carry-join-parts=false, -fuse-delta=false) run measures the world
-	// without that mechanism, so the rows that depend on it disappear.
-	modes := allModes[:0]
-	for _, m := range allModes {
-		if (m.secnd && cfg.NoSecondaryCarry) || (m.carry && cfg.NoCarryJoinParts) || (!m.staged && cfg.StagedDelta) {
-			continue
-		}
-		modes = append(modes, m)
-	}
-	// The experiment measures the partition pipeline, so a fan-out is forced
-	// when none is requested: the auto policy would run these (deliberately
-	// small) datasets unpartitioned on small machines and every counter
-	// would read zero.
-	parts := cfg.Partitions
-	if parts == 0 {
-		parts = 16
-	}
-	for _, w := range copyWorkloads(cfg) {
-		prog := programs.MustParse(programs.ByName[w.Program])
-		for _, mode := range modes {
-			opts := core.DefaultOptions()
-			opts.Workers = cfg.workers()
-			opts.Partitions = parts
-			opts.BuildSerial = cfg.BuildSerial
-			opts.FuseDelta = !mode.staged
-			opts.CarryJoinParts = mode.carry
-			opts.SecondaryCarry = mode.secnd
-			opts.Columnar = !cfg.NoColumnar
-			opts.JoinOrder = !cfg.NoJoinOrder
-			opts.WCOJ = !cfg.NoWCOJ
-			res, err := core.New(opts).Run(prog, w.EDBs)
-			if err != nil {
-				tbl.Rows = append(tbl.Rows, []string{w.Name, mode.name, "error", "-", "-", "-", "-", "-", "-", "-", "-"})
-				continue
-			}
-			s := res.Stats
-			tbl.Rows = append(tbl.Rows, []string{
-				w.Name,
-				mode.name,
-				fmtDuration(s.Duration),
-				fmt.Sprintf("%d", s.Iterations),
-				fmt.Sprintf("%d", s.TuplesScattered),
-				fmt.Sprintf("%d", s.SecondaryScattered),
-				fmt.Sprintf("%d", s.TuplesAdopted),
-				fmt.Sprintf("%d", s.FlatMaterializations),
-				fmt.Sprintf("%d", s.JoinBuildScattersAvoided),
-				fmt.Sprintf("%d", s.JoinBuildScatters),
-				fmt.Sprintf("%d", RecurringBuildScatters(s.JoinBuildsByKeyset)),
-			})
-		}
-	}
-	tbl.Notes = append(tbl.Notes,
-		"scattered = tuples copied into radix partitions; sec scattered = subset copied into secondary carried views; adopted = tuples installed by block adoption (no copy); flat mats = flat materializations of tmp/Rδ",
-		"builds in place = hash builds served from carried/cached partitions; build scatters = hash builds that re-partitioned their input",
-		"per-iter carried scatters = build scatters beyond each shape's one-time fill, over relations a carried view could serve (predicates, deltas, EDBs; per-query join intermediates excluded) — 0 for SG and CSPA under fused+carry+sec")
 	return tbl
 }

@@ -72,9 +72,6 @@ func PeakMem(cfg Config) Table {
 		opts := core.DefaultOptions()
 		opts.Workers = cfg.workers()
 		opts.Partitions = cfg.Partitions
-		opts.BuildSerial = cfg.BuildSerial
-		opts.FuseDelta = !cfg.StagedDelta
-		opts.CarryJoinParts = !cfg.NoCarryJoinParts
 		opts.MemBudgetBytes = cfg.ManagedBudgetBytes
 
 		runtime.GC()

@@ -1,4 +1,4 @@
-package experiments
+package obs
 
 import (
 	"fmt"
@@ -7,15 +7,15 @@ import (
 	"runtime/pprof"
 )
 
-// StartProfiles starts the pprof captures named by the config's CPUProfile
-// and MemProfile fields (the cmds' -cpuprofile/-memprofile flags) and
-// returns a stop function to run when the measured work completes: it ends
-// the CPU profile and writes the allocation profile. With both fields empty
-// the returned stop is a no-op, so callers can defer it unconditionally.
-func (c Config) StartProfiles() (stop func() error, err error) {
+// StartProfiles starts the pprof captures the commands' -cpuprofile and
+// -memprofile flags name and returns a stop function to run when the
+// measured work completes: it ends the CPU profile and writes the allocation
+// profile. With both paths empty the returned stop is a no-op, so callers can
+// defer it unconditionally.
+func StartProfiles(cpu, mem string) (stop func() error, err error) {
 	var cpuFile *os.File
-	if c.CPUProfile != "" {
-		cpuFile, err = os.Create(c.CPUProfile)
+	if cpu != "" {
+		cpuFile, err = os.Create(cpu)
 		if err != nil {
 			return nil, fmt.Errorf("create cpu profile: %w", err)
 		}
@@ -24,7 +24,6 @@ func (c Config) StartProfiles() (stop func() error, err error) {
 			return nil, fmt.Errorf("start cpu profile: %w", err)
 		}
 	}
-	memPath := c.MemProfile
 	return func() error {
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
@@ -32,10 +31,10 @@ func (c Config) StartProfiles() (stop func() error, err error) {
 				return err
 			}
 		}
-		if memPath == "" {
+		if mem == "" {
 			return nil
 		}
-		f, err := os.Create(memPath)
+		f, err := os.Create(mem)
 		if err != nil {
 			return fmt.Errorf("create mem profile: %w", err)
 		}

@@ -108,9 +108,9 @@ clique4(a, b, c, d) :- arc(a, b), arc(a, c), arc(a, d), arc(b, c), arc(b, d), ar
 
 // AAWide is Andersen's points-to with a deliberately hostile textual atom
 // order: every rule leads with the big recursive pointsTo atoms and buries
-// the small EDB filter atom last. Same fixpoint as Andersen; exists to make
-// the join-ordering pass measurable (the textual-order ablation must seed
-// each join chain from the largest relation).
+// the small EDB filter atom last. Same fixpoint as Andersen; exists to check
+// that the join-ordering pass re-seeds each chain from the smallest relation
+// whatever the textual order.
 const AAWide = `
 pointsTo(y, x) :- addressOf(y, x).
 pointsTo(y, x) :- pointsTo(z, x), assign(y, z).

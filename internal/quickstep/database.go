@@ -43,10 +43,6 @@ type Options struct {
 	// set difference, aggregation): 0 lets the optimizer pick 1/16/64/256
 	// per operator from cardinality estimates, 1 disables partitioning.
 	Partitions int
-	// BuildSerial forces the serial shared-table join build — the ablation
-	// reproducing the contention-limited scaling the paper observes on
-	// QuickStep's global join hash table.
-	BuildSerial bool
 	// DisableIO skips the transaction manager entirely (no disk touched);
 	// used by unit tests and benchmarks that measure pure compute.
 	DisableIO bool
@@ -55,38 +51,6 @@ type Options struct {
 	// optimizer shrinks radix fan-out. 0 disables the budget (block
 	// recycling and accounting stay on).
 	MemBudgetBytes int64
-	// CarryJoinParts lets a hash-join build reuse a partitioning the build
-	// side already carries on exactly the join keys: the join's fan-out is
-	// overridden to the carried one, so the per-partition tables are built
-	// straight over the carried blocks with zero tuple movement. False is
-	// the -carry-join-parts=false ablation: every partitioned build
-	// re-scatters its input (the PR 2/3 behaviour).
-	CarryJoinParts bool
-	// SecondaryCarry lets a relation carry a *second* partitioned view on a
-	// different keyset — the dual-route delta step maintains it for
-	// predicates whose recursive joins build on conflicting key columns, so
-	// both join shapes are served from carried partitions. False is the
-	// -secondary-carry=false ablation: conflicting-keyset predicates keep
-	// only a single carried view and the losing keyset's builds re-scatter
-	// (the PR 4 behaviour). Only meaningful with CarryJoinParts.
-	SecondaryCarry bool
-	// Columnar enables the batch-at-a-time kernel paths: columnar block
-	// layouts for re-read blocks, batched GSCHT inserts/probes, selection
-	// vectors, bulk block emission and per-worker pool magazines. False is
-	// the -columnar=false ablation — the row-layout tuple-at-a-time inner
-	// loops of PR 5 and earlier.
-	Columnar bool
-	// JoinOrder enables the connectivity-driven greedy join-ordering pass:
-	// each branch's chain is re-seeded from the most selective literal and
-	// grown by shared-variable connectivity, re-planned every iteration as
-	// ∆ cardinalities change, with early termination when an intermediate
-	// comes back empty. False is the -join-order=false ablation — the
-	// textual FROM-order chain.
-	JoinOrder bool
-	// WCOJ routes cyclic bodies of ≥3 atoms (triangles, cliques) to the
-	// leapfrog worst-case-optimal multi-way join instead of any pairwise
-	// chain. False is the -wcoj=false ablation.
-	WCOJ bool
 	// Obs, when set, wires the database's counters (copy accounting, memory
 	// gauges, query/peak gauges) onto the observer's registry and installs
 	// its exec metrics + tracer on the worker pool and memory manager. Nil
@@ -257,7 +221,6 @@ func Open(opts Options) (*Database, error) {
 		mem:   memory.NewManager(memory.Config{BudgetBytes: opts.MemBudgetBytes, SpillDir: opts.SpillDir, FaultInject: opts.FaultInject}),
 	}
 	db.pool.SetAlloc(db.mem)
-	db.pool.SetBatch(opts.Columnar)
 	db.pool.SetFaultInjector(opts.FaultInject)
 	// Fatal manager failures (a failed allocation, an unreadable spill file)
 	// become the pool's run error, so every worker loop drains at its next
@@ -608,7 +571,7 @@ func (db *Database) execStatement(st plan.Statement) (*storage.Relation, error) 
 			if got, ok := dst.Partitioning(); !ok || !got.Equal(*hint) {
 				// Some branch could not honour the fused scatter: the
 				// destination materialized flat and the delta step will pay a
-				// re-scatter. Recorded so the ablation is measurable.
+				// re-scatter. Recorded so the cost is measurable.
 				db.pool.Copy.FlatMats.Add(1)
 			}
 		}
@@ -711,15 +674,12 @@ func (db *Database) runBranch(br *plan.Branch, name string, hint OutputHint) (*s
 			cards[i] = db.statTuples(br.Tables[i], inputs[i])
 		}
 	}
-	strategy := optimizer.ChooseJoinStrategy(br, db.opts.JoinOrder, db.opts.WCOJ)
+	strategy := optimizer.ChooseJoinStrategy(br)
 	if strategy == optimizer.JoinWCOJ {
 		db.notePlan(name, br, plan.IdentityOrder(n), strategy)
 		return db.runBranchWCOJ(br, inputs, owned, name, part)
 	}
-	order := plan.IdentityOrder(n)
-	if strategy == optimizer.JoinGreedy {
-		order = optimizer.OrderJoins(br, cards)
-	}
+	order := optimizer.OrderJoins(br, cards)
 	ord := plan.OrderSteps(br, order)
 	db.notePlan(name, br, order, strategy)
 	remap := func(i int) int { return ord.ColMap[i] }
@@ -751,7 +711,7 @@ func (db *Database) runBranch(br *plan.Branch, name string, hint OutputHint) (*s
 	// cardinality (an equality join's output is probe-sized in the
 	// delta-rule shapes that matter).
 	var aggPart *storage.Partitioning
-	fuseAgg := db.opts.CarryJoinParts && len(ord.Steps) > 0 && len(br.AntiJoins) == 0 &&
+	fuseAgg := len(ord.Steps) > 0 && len(br.AntiJoins) == 0 &&
 		len(br.Aggs) > 0 && len(br.GroupBy) > 0
 	earlyExit := false
 	for step := 0; step < len(ord.Steps); step++ {
@@ -762,7 +722,7 @@ func (db *Database) runBranch(br *plan.Branch, name string, hint OutputHint) (*s
 		// empty combined-width relation and fall through to the (cheap)
 		// final stages, which preserve output arity and aggregate
 		// semantics over the empty input.
-		if db.opts.JoinOrder && cur.NumTuples() == 0 {
+		if cur.NumTuples() == 0 {
 			if curOwned {
 				cur.Release()
 			}
@@ -787,15 +747,14 @@ func (db *Database) runBranch(br *plan.Branch, name string, hint OutputHint) (*s
 		leftBase := step == 0 && !owned[order[0]]
 		buildLeft, buildTuples, cacheBuild := db.chooseBuildSide(cur, br, order[0], step, right, js, leftBase, !owned[js.Right])
 		spec := exec.JoinSpec{
-			LeftKeys:    js.LeftKeys,
-			RightKeys:   js.RightKeys,
-			BuildLeft:   buildLeft,
-			Partitions:  db.partitionsFor(buildTuples),
-			BuildSerial: db.opts.BuildSerial,
-			CacheBuild:  cacheBuild,
-			Residual:    js.Residual,
-			Projs:       stepProjs,
-			OutName:     fmt.Sprintf("%s_j%d", name, step),
+			LeftKeys:   js.LeftKeys,
+			RightKeys:  js.RightKeys,
+			BuildLeft:  buildLeft,
+			Partitions: db.partitionsFor(buildTuples),
+			CacheBuild: cacheBuild,
+			Residual:   js.Residual,
+			Projs:      stepProjs,
+			OutName:    fmt.Sprintf("%s_j%d", name, step),
 		}
 		// Join-key-carried fast path: when the build side already carries a
 		// partitioning on exactly the join keys (∆R exiting the fused delta
@@ -1006,14 +965,10 @@ func (db *Database) chooseBuildSide(cur *storage.Relation, br *plan.Branch, seed
 		leftTuples = cur.NumTuples() // freshly materialized intermediate
 	}
 	rightTuples := db.statTuples(br.Tables[js.Right], right)
-	leftCarried, rightCarried := false, false
-	if db.opts.CarryJoinParts && !db.opts.BuildSerial {
-		// Only step 0's left keys index a base relation's own row; later
-		// steps' left side is an accumulated intermediate that never
-		// carries a view.
-		leftCarried = step == 0 && db.carriedMatch(cur, js.LeftKeys)
-		rightCarried = db.carriedMatch(right, js.RightKeys)
-	}
+	// Only step 0's left keys index a base relation's own row; later steps'
+	// left side is an accumulated intermediate that never carries a view.
+	leftCarried := step == 0 && db.carriedMatch(cur, js.LeftKeys)
+	rightCarried := db.carriedMatch(right, js.RightKeys)
 	sides := [2]struct {
 		rel    *storage.Relation
 		keys   []int
@@ -1072,10 +1027,9 @@ func (db *Database) carriedMatch(r *storage.Relation, keys []int) bool {
 // carriedBuildParts overrides a hash build's chosen fan-out with the one the
 // build relation already carries on exactly the join keys, so the build is
 // served from carried partition blocks without a scatter pass. Returns the
-// fallback fan-out when carrying is disabled (the ablation), the build is
-// forced serial, or the carried keyset does not match the join keys.
+// fallback fan-out when the carried keyset does not match the join keys.
 func (db *Database) carriedBuildParts(build *storage.Relation, keys []int, fallback int) int {
-	if !db.opts.CarryJoinParts || db.opts.BuildSerial || len(keys) == 0 {
+	if len(keys) == 0 {
 		return fallback
 	}
 	if p, ok := build.Partitioning(); ok && p.Parts > 1 && storage.KeyColsEqual(p.KeyCols, keys) {
@@ -1093,9 +1047,6 @@ func (db *Database) carriedBuildParts(build *storage.Relation, keys []int, fallb
 // partitionsFor resolves the radix partition count for a hash build of the
 // given estimated cardinality under the configured policy.
 func (db *Database) partitionsFor(buildTuples int) int {
-	if db.opts.BuildSerial {
-		return 1
-	}
 	if db.opts.Partitions > 0 {
 		return db.opts.Partitions
 	}
@@ -1174,11 +1125,11 @@ const residentIndexKey = "setdiff"
 // keyset co-locates equal tuples), in which case the returned ∆R exits
 // already scattered on the columns the next iteration's hash builds key on.
 // ∆R carries the same partitioning, so the merge keeps R partition-native
-// for the next iteration. sec, when it names a multi-partition layout (and
-// SecondaryCarry is on), makes accepted rows land in both layouts and ∆R
-// carry sec as its secondary view — the maintenance half of secondary
-// carrying for conflicting-keyset predicates. estDistinct is the OOF
-// estimate of |Rδ| (dedup pre-sizing, exactly as in Dedup).
+// for the next iteration. sec, when it names a multi-partition layout, makes
+// accepted rows land in both layouts and ∆R carry sec as its secondary view —
+// the maintenance half of secondary carrying for conflicting-keyset
+// predicates. estDistinct is the OOF estimate of |Rδ| (dedup pre-sizing,
+// exactly as in Dedup).
 //
 // The pass and the merge are one call because the set-difference table may
 // outlive them: with keepIndex (the engine passes it under DSDDynamic; the
@@ -1196,9 +1147,6 @@ func (db *Database) DeltaStep(tmp *storage.Relation, pred string, algo exec.Diff
 	full, ok := db.cat.Get(pred)
 	if !ok {
 		return nil, algo, fmt.Errorf("quickstep: delta step over unknown table %q", pred)
-	}
-	if !db.opts.SecondaryCarry {
-		sec = storage.Partitioning{}
 	}
 	var idx *exec.ResidentIndex
 	if att, ok := full.TakeAttachment(residentIndexKey); ok {
@@ -1258,13 +1206,10 @@ func (db *Database) indexWorthKeeping(pred string, full *storage.Relation, idx *
 // invalidated the carried views or budget pressure dropped the secondary.
 // In the steady state it is a no-op: R adopts ∆R's secondary view through
 // the block-sharing merge, so no scatter runs here. Skipped (returns false)
-// under the ablation, and under a memory budget whose headroom cannot fit
-// the extra copy — secondary views are the first eviction candidates, so
-// building one the manager would immediately drop again is pure thrash.
+// under a memory budget whose headroom cannot fit the extra copy — secondary
+// views are the first eviction candidates, so building one the manager would
+// immediately drop again is pure thrash.
 func (db *Database) EnsureSecondaryCarry(table string, sec storage.Partitioning) bool {
-	if !db.opts.SecondaryCarry {
-		return false
-	}
 	r, ok := db.cat.Get(table)
 	if !ok {
 		return false

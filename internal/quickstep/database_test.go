@@ -417,7 +417,7 @@ func TestPlanJoinKeys(t *testing.T) {
 }
 
 func TestCarriedBuildPartsOverride(t *testing.T) {
-	db, err := Open(Options{Workers: 4, DisableIO: true, CarryJoinParts: true})
+	db, err := Open(Options{Workers: 4, DisableIO: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,5 +485,39 @@ func TestBuildRescanLedgerFollowsTheRelation(t *testing.T) {
 		if db.noteBuildRescan(mk(), "build:0") {
 			t.Fatalf("replacement %d of the relation inherited its predecessors' re-reads", i)
 		}
+	}
+}
+
+// A zero-value Options runs the engine's own paths, not a scaffolding
+// configuration: the planner routes a cyclic three-atom body to the leapfrog
+// join and orders a two-atom chain greedily.
+func TestZeroOptionsRunTheEnginePaths(t *testing.T) {
+	db := openTest(t)
+	if err := db.ExecScript(`
+		CREATE TABLE arc (x INT, y INT);
+		CREATE TABLE tri (x INT, y INT, z INT);
+		CREATE TABLE path2 (x INT, y INT);
+		INSERT INTO arc VALUES (1, 2), (2, 3), (1, 3), (3, 4);
+		INSERT INTO tri SELECT a.x, a.y, b.y FROM arc AS a, arc AS b, arc AS c WHERE a.y = b.x AND b.y = c.y AND a.x = c.x;
+		INSERT INTO path2 SELECT a.x, b.y FROM arc AS a, arc AS b WHERE a.y = b.x
+	`); err != nil {
+		t.Fatal(err)
+	}
+	tri, _ := db.Catalog().Get("tri")
+	if got, want := sortedRows(tri), [][]int32{{1, 2, 3}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("triangles = %v, want %v", got, want)
+	}
+	strategies := map[int]string{}
+	for name, pc := range db.PlanChoices() {
+		if prev, ok := strategies[len(pc.Tables)]; ok && prev != pc.Strategy {
+			t.Fatalf("%s: %d-atom arms ran both %s and %s", name, len(pc.Tables), prev, pc.Strategy)
+		}
+		strategies[len(pc.Tables)] = pc.Strategy
+	}
+	if got := strategies[3]; got != "wcoj" {
+		t.Fatalf("cyclic three-atom arm ran %q, want wcoj (plans %v)", got, db.PlanChoices())
+	}
+	if got := strategies[2]; got != "greedy" {
+		t.Fatalf("two-atom arm ran %q, want greedy (plans %v)", got, db.PlanChoices())
 	}
 }

@@ -16,8 +16,9 @@ import (
 // loop, insert/probe the table in one pass that hoists the hash arithmetic
 // out of the chain walks, select the surviving rows into a selection
 // vector, gather them into a row-major run and emit that run with one
-// AppendBulk copy. The tuple-at-a-time paths remain as the -columnar=false
-// ablation (and as the fallback for arities the compact keys cannot pack).
+// AppendBulk copy. The tuple-at-a-time paths remain as the fallback for
+// arities the compact keys cannot pack (and as the reference tests force with
+// Pool.SetBatch(false)).
 
 // MinColumnarRows is the row count below which a block is consumed from its
 // row-major data even on the batch path: the column transpose costs a full
@@ -641,7 +642,7 @@ func batchJoinProbe(jt *joinTable, b *storage.Block, probeKeys []int, buf *batch
 // in one branch-free pass, then counting-sort the window's rows into
 // partition-contiguous runs so each partition receives one chunked AppendBulk
 // copy instead of a bounds-checked per-row Append. This is the batch-mode
-// scatter — the per-row write path remains as the -columnar=false ablation.
+// scatter — the per-row write path is what Pool.SetBatch(false) forces.
 func batchScatterBlock(w *partWriter, data []int32, arity int, buf *batchBuf) {
 	n := len(data) / arity
 	if buf.counts == nil || len(buf.counts) < w.parts {

@@ -24,10 +24,6 @@ type JoinSpec struct {
 	// side is hash-partitioned on its key columns and each partition's table
 	// is built by one worker with no shared state. <=1 builds one table.
 	Partitions int
-	// BuildSerial forces the pre-partitioning single-threaded build over one
-	// shared table — the ablation that reproduces the paper's contention on
-	// QuickStep's global join hash table.
-	BuildSerial bool
 	// CacheBuild keeps the build table alive on the build relation, and
 	// reuses the one already there: set by the planner for a build side that
 	// does not change between the iterations of a fixpoint (a base relation,
@@ -165,11 +161,10 @@ func buildHashBlocks(blocks []*storage.Block, arity, rows int, keys []int) *buil
 }
 
 // buildHash builds the serial shared table over the whole relation — the
-// BuildSerial ablation path, mirroring contention on QuickStep's shared join
-// hash table (the scaling limiter the paper identifies past the physical
-// core count). The relation's blocks are indexed in place; the ablation
-// keeps the single-threaded single-table build but no longer pays a
-// full-relation flattening copy first.
+// Partitions <= 1 path, mirroring contention on QuickStep's shared join hash
+// table (the scaling limiter the paper identifies past the physical core
+// count). The relation's blocks are indexed in place, with no flattening
+// copy first.
 func buildHash(r *storage.Relation, keys []int) *buildTable {
 	return buildHashBlocks(r.Blocks(), r.Arity(), r.NumTuples(), keys)
 }
@@ -254,7 +249,7 @@ func BuildCacheKey(keys []int) string {
 // reads of a rebuild would have.
 func joinBuild(pool *Pool, build *storage.Relation, keys []int, spec JoinSpec) *joinTable {
 	if !spec.CacheBuild {
-		return buildJoinTable(pool, build, keys, spec.Partitions, spec.BuildSerial)
+		return buildJoinTable(pool, build, keys, spec.Partitions)
 	}
 	key := BuildCacheKey(keys)
 	if a, ok := build.PinAttachment(key); ok {
@@ -262,13 +257,13 @@ func joinBuild(pool *Pool, build *storage.Relation, keys []int, spec JoinSpec) *
 		return a.(*joinTable)
 	}
 	v := build.Version() // before the build snapshots the blocks
-	jt := buildJoinTable(pool, build, keys, spec.Partitions, spec.BuildSerial)
+	jt := buildJoinTable(pool, build, keys, spec.Partitions)
 	build.Attach(key, jt, v, true)
 	return jt
 }
 
-// buildJoinTable constructs the build side of a join. With parts > 1 and not
-// serial, the relation is radix-partitioned on the key columns and each
+// buildJoinTable constructs the build side of a join. With parts > 1 the
+// relation is radix-partitioned on the key columns and each
 // partition's table is built by one worker over data it owns exclusively —
 // no latches, no shared map, no CAS retries. When the relation already
 // carries (or has cached) a partitioning on exactly the join keys — the
@@ -277,9 +272,9 @@ func joinBuild(pool *Pool, build *storage.Relation, keys []int, spec JoinSpec) *
 // record which of the two regimes each build hit. Per-partition builds run
 // partition-affine, so across iterations the same worker re-builds over the
 // same partition's blocks.
-func buildJoinTable(pool *Pool, r *storage.Relation, keys []int, parts int, serial bool) *joinTable {
+func buildJoinTable(pool *Pool, r *storage.Relation, keys []int, parts int) *joinTable {
 	parts = storage.NormalizePartitions(parts)
-	if serial || parts <= 1 {
+	if parts <= 1 {
 		defer pool.phase(obs.PhaseBuild, -1)()
 		return &joinTable{parts: 1, single: buildHash(r, keys)}
 	}
@@ -357,8 +352,9 @@ func HashJoin(pool *Pool, left, right *storage.Relation, spec JoinSpec) *storage
 		endProbe()
 		return col.into(spec.OutName, spec.OutCols)
 	}
-	// Residual predicates or computed projections (and the whole join under
-	// -columnar=false) go match by match through the combined row.
+	// Residual predicates or computed projections (and the whole join when
+	// Pool.SetBatch(false) forces the row kernels) go match by match through
+	// the combined row.
 	scatterRun(pool, col, blocks, func(b *storage.Block, emit func(row []int32)) {
 		pool.observeBatch(b.Rows())
 		combined := make([]int32, la+ra)
@@ -452,7 +448,7 @@ func AntiJoin(pool *Pool, left, right *storage.Relation, leftKeys, rightKeys []i
 	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
 		panic("exec: anti join requires matching non-empty key lists")
 	}
-	jt := buildJoinTable(pool, right, rightKeys, parts, false)
+	jt := buildJoinTable(pool, right, rightKeys, parts)
 	blocks := left.Blocks()
 	col := newCollector(pool, storage.CatIntermediate, len(projs), len(blocks))
 	endProbe := pool.phase(obs.PhaseProbe, -1)

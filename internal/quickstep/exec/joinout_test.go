@@ -182,7 +182,7 @@ type joinCase struct {
 
 // TestJoinKernelMatchesClosurePath runs random plain-column joins through the
 // expansion kernel (batch pool) and through the match-by-match closure path
-// (-columnar=false pool): output arity 1–6, either build side, flat and
+// (a pool with the row kernels forced): output arity 1–6, either build side, flat and
 // partitioned outputs, one and four workers. Unmarked outputs must agree as
 // bags; set-valued ones, with the filter forced on, as sets and never with
 // more copies of a tuple than the bag holds.

@@ -85,7 +85,7 @@ func TestHashJoinPartitionedMatchesSerial(t *testing.T) {
 			OutName:   "out",
 		}
 		serial := spec
-		serial.BuildSerial = true
+		serial.Partitions = 1
 		part := spec
 		part.Partitions = 16
 		a := HashJoin(NewPool(4), left, right, serial)
@@ -134,7 +134,7 @@ func TestHashJoinManyKeyColumnsPartitioned(t *testing.T) {
 		OutName: "out",
 	}
 	serial := spec
-	serial.BuildSerial = true
+	serial.Partitions = 1
 	part := spec
 	part.Partitions = 8
 	a := HashJoin(NewPool(4), l, r, serial)

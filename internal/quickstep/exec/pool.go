@@ -295,7 +295,9 @@ type Pool struct {
 
 	// batch selects the batch-at-a-time kernel paths (columnar key packing,
 	// batched GSCHT inserts/probes, bulk block emission, per-worker
-	// magazines). Off is the tuple-at-a-time row-layout ablation.
+	// magazines). Off forces the row-layout tuple-at-a-time kernels, which
+	// otherwise serve only arity > 4 and residual joins; tests use them as a
+	// reference.
 	batch bool
 
 	// om/tracer, when set, receive per-phase wall-time attribution and
@@ -353,12 +355,10 @@ func (p *Pool) SetAlloc(lc storage.Lifecycle) { p.alloc = lc }
 // Alloc returns the installed block lifecycle (nil = heap).
 func (p *Pool) Alloc() storage.Lifecycle { return p.alloc }
 
-// SetBatch toggles the batch-at-a-time kernel paths (on by default). Off is
-// the row-layout tuple-at-a-time ablation (-columnar=false).
+// SetBatch toggles the batch-at-a-time kernel paths (on by default). It is a
+// test-only switch: off forces the row-layout tuple-at-a-time kernels on
+// every operator, the reference the batch kernels are checked against.
 func (p *Pool) SetBatch(on bool) { p.batch = on }
-
-// Batch reports whether batch kernels are enabled.
-func (p *Pool) Batch() bool { return p.batch }
 
 // SetObs installs the exec metrics and (optional) tracer the pool's phase
 // spans report to. Pass nil, nil to disable phase attribution entirely.

@@ -9,40 +9,32 @@ type JoinStrategy int
 
 // Join strategies, in increasing order of machinery.
 const (
-	// JoinTextual is the ablation: a left-deep chain in FROM order.
-	JoinTextual JoinStrategy = iota
 	// JoinGreedy is a left-deep chain in connectivity-driven greedy order.
-	JoinGreedy
+	JoinGreedy JoinStrategy = iota
 	// JoinWCOJ is the leapfrog multi-way intersection for cyclic bodies.
 	JoinWCOJ
 )
 
 // String renders the strategy for stats and debug logs.
 func (s JoinStrategy) String() string {
-	switch s {
-	case JoinGreedy:
-		return "greedy"
-	case JoinWCOJ:
+	if s == JoinWCOJ {
 		return "wcoj"
 	}
-	return "textual"
+	return "greedy"
 }
 
 // ChooseJoinStrategy picks the executor path for a branch. Cyclic bodies of
-// three or more atoms go to the leapfrog join when enabled: every pairwise
-// order of a cyclic pattern (triangle, clique) materializes an intermediate
+// three or more atoms go to the leapfrog join: every pairwise order of a
+// cyclic pattern (triangle, clique) materializes an intermediate
 // asymptotically larger than the output, which no ordering fixes. Aggregate
 // and anti-join branches stay on the chain — the leapfrog path emits set
 // semantics, which is only sound when the output feeds the dedup'd delta
 // step directly.
-func ChooseJoinStrategy(br *plan.Branch, joinOrder, wcoj bool) JoinStrategy {
-	if wcoj && len(br.Tables) >= 3 && len(br.Aggs) == 0 && len(br.AntiJoins) == 0 && plan.Cyclic(br) {
+func ChooseJoinStrategy(br *plan.Branch) JoinStrategy {
+	if len(br.Tables) >= 3 && len(br.Aggs) == 0 && len(br.AntiJoins) == 0 && plan.Cyclic(br) {
 		return JoinWCOJ
 	}
-	if joinOrder && len(br.Tables) >= 2 {
-		return JoinGreedy
-	}
-	return JoinTextual
+	return JoinGreedy
 }
 
 // OrderJoins greedily orders a branch's atoms by connectivity, statistics-

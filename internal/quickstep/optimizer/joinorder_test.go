@@ -128,16 +128,10 @@ func TestChooseJoinStrategy(t *testing.T) {
 		{"pointsTo", [2]string{"z", "w"}},
 		{"load", [2]string{"y", "x"}},
 	}))
-	if got := ChooseJoinStrategy(triangle, true, true); got != JoinWCOJ {
+	if got := ChooseJoinStrategy(triangle); got != JoinWCOJ {
 		t.Fatalf("triangle: %v, want wcoj", got)
 	}
-	if got := ChooseJoinStrategy(triangle, true, false); got != JoinGreedy {
-		t.Fatalf("triangle with wcoj off: %v, want greedy", got)
-	}
-	if got := ChooseJoinStrategy(chain, true, true); got != JoinGreedy {
+	if got := ChooseJoinStrategy(chain); got != JoinGreedy {
 		t.Fatalf("chain: %v, want greedy", got)
-	}
-	if got := ChooseJoinStrategy(chain, false, false); got != JoinTextual {
-		t.Fatalf("chain with ordering off: %v, want textual", got)
 	}
 }

@@ -248,7 +248,7 @@ const (
 	CarryOutput CarryRule = "output"
 	// CarryJoin: the keysets the predicate's hash builds key on.
 	CarryJoin CarryRule = "join"
-	// CarryWholeTuple: no keyset applies, or carrying is off.
+	// CarryWholeTuple: no keyset applies, or carrying is off (naive runs).
 	CarryWholeTuple CarryRule = "whole-tuple"
 )
 
@@ -282,17 +282,15 @@ const (
 //     costs one extra scatter of ∆R per iteration plus one initial scatter of
 //     R, while every build it serves saves a scatter of a build side at least
 //     ∆R-sized, so one use breaks even; keysets ranked third or lower stay
-//     unserved. With secondary off, no single partitioning serves both
-//     builds and the choice falls back to the whole tuple, which at least
-//     spreads skewed key values across partitions for the delta pass.
+//     unserved.
 //   - No direct join usage → the whole tuple.
-func ChooseCarry(arity int, joinKeysets [][]int, outputKeys []int, workers int, secondary bool) (primary, sec []int, rule CarryRule) {
+func ChooseCarry(arity int, joinKeysets [][]int, outputKeys []int, workers int) (primary, sec []int, rule CarryRule) {
 	if workers > 1 && len(outputKeys) > 0 {
 		return append([]int(nil), outputKeys...), nil, CarryOutput
 	}
 	ranked := RankJoinKeysets(joinKeysets)
 	switch {
-	case len(ranked) == 0 || len(ranked) > 1 && !secondary:
+	case len(ranked) == 0:
 		return storage.AllCols(arity), nil, CarryWholeTuple
 	case len(ranked) > 1:
 		return ranked[0], ranked[1], CarryJoin

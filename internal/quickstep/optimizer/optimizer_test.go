@@ -178,7 +178,6 @@ type carryCase struct {
 	keysets       [][]int
 	outputKeys    []int
 	workers       int
-	secondary     bool
 	wantPrimary   []int
 	wantSecondary []int
 	wantRule      CarryRule
@@ -187,7 +186,7 @@ type carryCase struct {
 func checkChooseCarry(t *testing.T, cases []carryCase) {
 	t.Helper()
 	for _, c := range cases {
-		p, s, rule := ChooseCarry(c.arity, c.keysets, c.outputKeys, c.workers, c.secondary)
+		p, s, rule := ChooseCarry(c.arity, c.keysets, c.outputKeys, c.workers)
 		if !keysetsEqual([][]int{p}, [][]int{c.wantPrimary}) || len(s) != len(c.wantSecondary) ||
 			(s != nil && !keysetsEqual([][]int{s}, [][]int{c.wantSecondary})) || rule != c.wantRule {
 			t.Fatalf("%s: ChooseCarry = (%v, %v, %s), want (%v, %v, %s)",
@@ -196,32 +195,29 @@ func checkChooseCarry(t *testing.T, cases []carryCase) {
 	}
 }
 
-// With secondary carrying off, the join keysets must agree on one keyset or
-// the predicate is carried whole-tuple.
+// Join keysets that agree are carried as one keyset; without any the
+// predicate is carried whole-tuple.
 func TestChooseJoinKeyCols(t *testing.T) {
 	checkChooseCarry(t, []carryCase{
-		{"consensus single col", 2, [][]int{{1}, {1}}, nil, 4, false, []int{1}, nil, CarryJoin},
-		{"conflict falls back to whole tuple", 2, [][]int{{0}, {1}}, nil, 4, false, []int{0, 1}, nil, CarryWholeTuple},
-		{"no usage falls back", 3, nil, nil, 1, false, []int{0, 1, 2}, nil, CarryWholeTuple},
-		{"empty keysets ignored", 2, [][]int{{}, {1}}, nil, 1, false, []int{1}, nil, CarryJoin},
-		{"multi-col consensus", 3, [][]int{{0, 2}, {0, 2}}, nil, 1, false, []int{0, 2}, nil, CarryJoin},
-		{"order conflict falls back", 2, [][]int{{0, 1}, {1, 0}}, nil, 1, false, []int{0, 1}, nil, CarryWholeTuple},
+		{"consensus single col", 2, [][]int{{1}, {1}}, nil, 4, []int{1}, nil, CarryJoin},
+		{"no usage falls back", 3, nil, nil, 1, []int{0, 1, 2}, nil, CarryWholeTuple},
+		{"empty keysets ignored", 2, [][]int{{}, {1}}, nil, 1, []int{1}, nil, CarryJoin},
+		{"multi-col consensus", 3, [][]int{{0, 2}, {0, 2}}, nil, 1, []int{0, 2}, nil, CarryJoin},
 	})
 }
 
-// With secondary carrying on and no output keys, the two top-ranked join
-// keysets are carried.
+// With no output keys, the two top-ranked join keysets are carried.
 func TestChooseCarryKeysets(t *testing.T) {
 	checkChooseCarry(t, []carryCase{
-		{"no usage falls back to whole tuple, no secondary", 3, nil, nil, 4, true, []int{0, 1, 2}, nil, CarryWholeTuple},
-		{"consensus keeps single keyset, no secondary", 2, [][]int{{1}, {1}}, nil, 1, true, []int{1}, nil, CarryJoin},
+		{"no usage falls back to whole tuple, no secondary", 3, nil, nil, 4, []int{0, 1, 2}, nil, CarryWholeTuple},
+		{"consensus keeps single keyset, no secondary", 2, [][]int{{1}, {1}}, nil, 1, []int{1}, nil, CarryJoin},
 		// The CSPA valueFlow shape: column 0 serves four builds per
 		// iteration, column 1 serves two — rank picks 0 as the delta route
 		// and maintains 1 as the secondary carried view.
-		{"conflict ranks by builds served", 2, [][]int{{0}, {0}, {1}, {0}, {1}, {0}}, nil, 1, true, []int{0}, []int{1}, CarryJoin},
-		{"tie breaks by first appearance", 2, [][]int{{1}, {0}}, nil, 1, true, []int{1}, []int{0}, CarryJoin},
+		{"conflict ranks by builds served", 2, [][]int{{0}, {0}, {1}, {0}, {1}, {0}}, nil, 1, []int{0}, []int{1}, CarryJoin},
+		{"tie breaks by first appearance", 2, [][]int{{1}, {0}}, nil, 1, []int{1}, []int{0}, CarryJoin},
 		// Third-ranked keysets stay unserved: only the top two carry.
-		{"only top two carry", 2, [][]int{{0}, {0}, {1}, {1}, {0, 1}}, nil, 1, true, []int{0}, []int{1}, CarryJoin},
+		{"only top two carry", 2, [][]int{{0}, {0}, {1}, {1}, {0, 1}}, nil, 1, []int{0}, []int{1}, CarryJoin},
 	})
 }
 
@@ -229,10 +225,10 @@ func TestChooseCarryKeysets(t *testing.T) {
 func TestChooseCarry(t *testing.T) {
 	checkChooseCarry(t, []carryCase{
 		// tc(x,y) :- tc(x,z), arc(z,y): builds on column 1, passes column 0.
-		{"output keys win at several workers", 2, [][]int{{1}}, []int{0}, 4, true, []int{0}, nil, CarryOutput},
-		{"one worker keeps the join keys", 2, [][]int{{1}}, []int{0}, 1, true, []int{1}, nil, CarryJoin},
-		{"no output keys: ranked join keysets", 2, [][]int{{0}, {0}, {1}}, nil, 4, true, []int{0}, []int{1}, CarryJoin},
-		{"no usage is whole-tuple", 3, nil, nil, 4, true, []int{0, 1, 2}, nil, CarryWholeTuple},
+		{"output keys win at several workers", 2, [][]int{{1}}, []int{0}, 4, []int{0}, nil, CarryOutput},
+		{"one worker keeps the join keys", 2, [][]int{{1}}, []int{0}, 1, []int{1}, nil, CarryJoin},
+		{"no output keys: ranked join keysets", 2, [][]int{{0}, {0}, {1}}, nil, 4, []int{0}, []int{1}, CarryJoin},
+		{"no usage is whole-tuple", 3, nil, nil, 4, []int{0, 1, 2}, nil, CarryWholeTuple},
 	})
 }
 

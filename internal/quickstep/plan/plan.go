@@ -290,7 +290,7 @@ func OrderSteps(br *Branch, order []int) Ordered {
 	return ord
 }
 
-// IdentityOrder returns the textual FROM order 0..n-1 (the ablation order).
+// IdentityOrder returns the textual FROM order 0..n-1.
 func IdentityOrder(n int) []int {
 	out := make([]int, n)
 	for i := range out {

@@ -2,68 +2,13 @@ package recstep
 
 import (
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
 	"recstep/internal/core"
 	"recstep/internal/programs"
+	"recstep/internal/quickstep/storage"
 )
-
-// The join-ordering pass and the leapfrog WCOJ are physical rewrites only:
-// for every benchmark program, every derived relation must be identical to
-// the textual-order pairwise reference under every flag combination at every
-// radix fan-out.
-func TestJoinOrderAndWCOJMatchTextualAcrossPrograms(t *testing.T) {
-	names := make([]string, 0, len(programs.ByName))
-	for name := range programs.ByName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	for _, name := range names {
-		t.Run(name, func(t *testing.T) {
-			prog, err := programs.Get(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			edbs := fuseTestEDBs(name)
-
-			run := func(joinOrder, wcoj bool, parts int) map[string][]int32 {
-				t.Helper()
-				opts := core.DefaultOptions()
-				opts.Workers = 4
-				opts.JoinOrder = joinOrder
-				opts.WCOJ = wcoj
-				opts.Partitions = parts
-				res, err := core.New(opts).Run(prog, edbs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out := make(map[string][]int32, len(res.Relations))
-				for rel, r := range res.Relations {
-					out[rel] = r.SortedRows()
-				}
-				return out
-			}
-
-			want := run(false, false, 1) // textual pairwise, unpartitioned: the reference
-			for _, joinOrder := range []bool{true, false} {
-				for _, wcoj := range []bool{true, false} {
-					for _, parts := range []int{1, 16, 64} {
-						got := run(joinOrder, wcoj, parts)
-						for rel, rows := range want {
-							if !reflect.DeepEqual(got[rel], rows) {
-								t.Fatalf("join-order=%v wcoj=%v parts=%d: %s (%d rows) diverges from textual serial (%d rows)",
-									joinOrder, wcoj, parts, rel, len(got[rel])/2, len(rows)/2)
-							}
-						}
-					}
-				}
-			}
-		})
-	}
-}
 
 // Arms seeded from an empty ∆ must be skipped before planning, the skips
 // must surface both per iteration (IterHook) and in the run totals, and the
@@ -100,71 +45,56 @@ func TestArmSkippingAndPlanStats(t *testing.T) {
 	if greedy == 0 {
 		t.Fatal("no rule arm recorded the greedy strategy")
 	}
-
-	// The textual ablation must record no greedy choices; the empty-∆ arm
-	// filter is a bugfix, not an ablation arm, so skipping still happens.
-	opts = core.DefaultOptions()
-	opts.Workers = 4
-	opts.JoinOrder = false
-	res, err = core.New(opts).Run(prog, edbs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.ArmsSkipped == 0 {
-		t.Fatal("empty-∆ arm skipping must stay active under -join-order=false")
-	}
-	for name, pc := range res.Stats.JoinOrdersByRule {
-		if pc.Strategy == "greedy" {
-			t.Fatalf("%s chose greedy under -join-order=false", name)
-		}
+	// CSPA's bodies are acyclic chains of three atoms, so they run pairwise
+	// and materialize the intermediate the leapfrog join would not.
+	if res.Stats.PeakJoinIntermediate == 0 {
+		t.Fatal("CSPA's pairwise chains report zero peak intermediate; the gauge is not measuring")
 	}
 }
 
-// The triangle program must route through the leapfrog join when enabled —
-// with zero materialized pairwise intermediates — and fall back to the
-// pairwise chain (with a nonzero peak) when disabled, deriving the same
-// relations either way.
+// The triangle program must route through the leapfrog join — with zero
+// materialized pairwise intermediates — and derive exactly the triangles a
+// brute-force scan of the input finds.
 func TestWCOJSelectedForTriangleProgram(t *testing.T) {
 	prog := programs.MustParse(programs.Tri)
 	edbs := fuseTestEDBs("tri")
-
-	run := func(wcoj bool) core.Result {
-		opts := core.DefaultOptions()
-		opts.Workers = 4
-		opts.WCOJ = wcoj
-		res, err := core.New(opts).Run(prog, edbs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return *res
+	opts := core.DefaultOptions()
+	opts.Workers = 4
+	res, err := core.New(opts).Run(prog, edbs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	on := run(true)
-	off := run(false)
 
-	if len(on.Stats.WCOJRules) == 0 {
+	if len(res.Stats.WCOJRules) == 0 {
 		t.Fatal("triangle rule did not route to the leapfrog join")
 	}
-	for _, name := range on.Stats.WCOJRules {
+	for _, name := range res.Stats.WCOJRules {
 		if !strings.HasPrefix(name, "tri") {
 			t.Fatalf("unexpected wcoj rule %q", name)
 		}
 	}
-	if on.Stats.PeakJoinIntermediate != 0 {
+	if res.Stats.PeakJoinIntermediate != 0 {
 		t.Fatalf("wcoj run materialized a %d-row pairwise intermediate, want none",
-			on.Stats.PeakJoinIntermediate)
+			res.Stats.PeakJoinIntermediate)
 	}
-	if off.Stats.PeakJoinIntermediate == 0 {
-		t.Fatal("pairwise run reports zero peak intermediate; the gauge is not measuring")
-	}
-	if len(off.Stats.WCOJRules) != 0 {
-		t.Fatalf("wcoj rules recorded under -wcoj=false: %v", off.Stats.WCOJRules)
-	}
-	for rel, r := range on.Relations {
-		if !reflect.DeepEqual(r.SortedRows(), off.Relations[rel].SortedRows()) {
-			t.Fatalf("%s diverges between wcoj and pairwise", rel)
+
+	arcs := map[[2]int32]bool{}
+	edbs["arc"].ForEach(func(tu []int32) { arcs[[2]int32{tu[0], tu[1]}] = true })
+	var want []int32
+	for xy := range arcs {
+		for yz := range arcs {
+			x, y, z := xy[0], xy[1], yz[1]
+			if yz[0] == y && x < y && y < z && arcs[[2]int32{x, z}] {
+				want = append(want, x, y, z)
+			}
 		}
 	}
-	if on.Relations["tri"].NumTuples() == 0 {
+	tri := storage.NewRelation("want", storage.NumberedColumns(3))
+	tri.AppendRows(want)
+	if got := res.Relations["tri"].SortedRows(); !reflect.DeepEqual(got, tri.SortedRows()) {
+		t.Fatalf("leapfrog derived %d triangles, a brute-force scan %d", len(got)/3, len(want)/3)
+	}
+	if len(want) == 0 {
 		t.Fatal("no triangles derived; fixture graph too sparse to test anything")
 	}
 }
@@ -178,16 +108,13 @@ func TestEarlyExitEmptyIntermediate(t *testing.T) {
 	// recursive arm's intermediates start and stay empty.
 	prog := programs.MustParse(programs.SG)
 	edbs := fuseTestEDBs("tc") // plain GnP arcs
-	for _, joinOrder := range []bool{true, false} {
-		opts := core.DefaultOptions()
-		opts.Workers = 4
-		opts.JoinOrder = joinOrder
-		res, err := core.New(opts).Run(prog, edbs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Relations["sg"] == nil {
-			t.Fatalf("join-order=%v: sg missing", joinOrder)
-		}
+	opts := core.DefaultOptions()
+	opts.Workers = 4
+	res, err := core.New(opts).Run(prog, edbs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Relations["sg"] == nil {
+		t.Fatal("sg missing")
 	}
 }

@@ -16,28 +16,29 @@ import (
 // On CSPA the joins derive every kept tuple hundreds of times. With the tmp
 // tables marked set-valued (the fused default) the duplicate filter must
 // remove more rows than it lets through, and must change nothing the delta
-// step keeps: the staged pipeline, which the rule leaves unmarked and whose
-// joins therefore emit the whole bag, derives the same ∆ tuples in the same
-// iterations. One worker, so the counts are exact. The input has the shape of
-// the benchmark's cspa_mutual workload.
+// step keeps: the staged lock-map pipeline, which the rule leaves unmarked
+// and whose joins therefore emit the whole bag, derives the same ∆ tuples in
+// the same iterations. One worker, so the counts are exact. The input has the
+// shape of the benchmark's cspa_mutual workload, scaled down so the lock-map
+// run, which dedups the whole bag, stays quick.
 func TestCSPAJoinOutputIsMostlySuppressedDuplicates(t *testing.T) {
 	prog, err := programs.Get("cspa")
 	if err != nil {
 		t.Fatal(err)
 	}
-	edbs := pa.CSPASized(pa.CSPAConfig{Vars: 350, AssignPer: 13, DerefRatio: 3, Seed: 13})
-	run := func(fuse bool) core.Stats {
+	edbs := pa.CSPASized(pa.CSPAConfig{Vars: 250, AssignPer: 13, DerefRatio: 3, Seed: 13})
+	run := func(dedup exec.DedupStrategy) core.Stats {
 		t.Helper()
 		opts := core.DefaultOptions()
 		opts.Workers = 1
-		opts.FuseDelta = fuse
+		opts.Dedup = dedup
 		res, err := core.New(opts).Run(prog, edbs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Stats
 	}
-	fused, staged := run(true), run(false)
+	fused, staged := run(exec.DedupGSCHT), run(exec.DedupLockMap)
 	if staged.DupSuppressed != 0 || staged.DupFilterBypassed != 0 {
 		t.Fatalf("staged pipeline is unmarked but its joins filtered: %d suppressed, %d windows bypassed",
 			staged.DupSuppressed, staged.DupFilterBypassed)
@@ -101,8 +102,8 @@ func TestRecursiveAggregatesNeverSeeTheFilter(t *testing.T) {
 // The set-valued mark is a physical hint only. Every benchmark program, at
 // every radix fan-out, at one and four workers, with the filter forced to
 // engage at the first full window and never to switch off, must derive
-// tuple for tuple what the staged pipeline — unmarked, so its joins emit the
-// full bag — derives.
+// tuple for tuple what the staged lock-map pipeline — unmarked, so its joins
+// emit the full bag — derives.
 func TestSetValuedJoinOutputMatchesStagedAcrossPrograms(t *testing.T) {
 	t.Cleanup(exec.SetDupFilterTuningForTest(1, 0))
 	names := make([]string, 0, len(programs.ByName))
@@ -117,11 +118,11 @@ func TestSetValuedJoinOutputMatchesStagedAcrossPrograms(t *testing.T) {
 			t.Fatal(err)
 		}
 		edbs := fuseTestEDBs(name)
-		run := func(fuse bool, parts, workers int) (map[string][]int32, core.Stats) {
+		run := func(dedup exec.DedupStrategy, parts, workers int) (map[string][]int32, core.Stats) {
 			t.Helper()
 			opts := core.DefaultOptions()
 			opts.Workers = workers
-			opts.FuseDelta = fuse
+			opts.Dedup = dedup
 			opts.Partitions = parts
 			res, err := core.New(opts).Run(prog, edbs)
 			if err != nil {
@@ -133,13 +134,13 @@ func TestSetValuedJoinOutputMatchesStagedAcrossPrograms(t *testing.T) {
 			}
 			return out, res.Stats
 		}
-		want, ref := run(false, 1, 1)
+		want, ref := run(exec.DedupLockMap, 1, 1)
 		if ref.DupSuppressed != 0 {
 			t.Fatalf("%s: the staged reference filtered %d rows", name, ref.DupSuppressed)
 		}
 		for _, parts := range []int{1, 16, 64} {
 			for _, workers := range []int{1, 4} {
-				got, stats := run(true, parts, workers)
+				got, stats := run(exec.DedupGSCHT, parts, workers)
 				for rel, rows := range want {
 					if !reflect.DeepEqual(got[rel], rows) {
 						t.Fatalf("%s parts=%d workers=%d: %s diverges from the staged run (%d values against %d)",

@@ -30,7 +30,7 @@ func TestOutputOwnedKeysetKeepsTheFilterHitShare(t *testing.T) {
 	}
 	staged := core.DefaultOptions()
 	staged.Workers = 1
-	staged.FuseDelta = false
+	staged.Dedup = exec.DedupLockMap
 	staged.Partitions = 1
 	want := run(staged).Relations["tc"].SortedRows()
 

@@ -13,8 +13,8 @@ import (
 
 // Every ablation configuration (UIE/OOF/DSD/EOST/Dedup toggles) must produce
 // identical relation contents whether hash builds run radix-partitioned or
-// through the serial shared-table path — partitioning is a physical layout
-// choice, never a semantic one.
+// through the single shared table of -partitions 1 — partitioning is a
+// physical layout choice, never a semantic one.
 func TestAblationConfigsPartitionedMatchesSerial(t *testing.T) {
 	arc := graphs.GnP(120, 0.05, 11)
 	prog := programs.MustParse(programs.TC)
@@ -35,7 +35,7 @@ func TestAblationConfigsPartitionedMatchesSerial(t *testing.T) {
 	for _, cfg := range experiments.AblationConfigs(4) {
 		t.Run(cfg.Name, func(t *testing.T) {
 			serial := cfg.Opts
-			serial.BuildSerial = true
+			serial.Partitions = 1
 			partitioned := cfg.Opts
 			// Force partitioning even on this small workload so the radix
 			// path actually executes.
@@ -60,7 +60,7 @@ func TestPartitionedMatchesSerialAcrossPrograms(t *testing.T) {
 			}
 			edbs := map[string]*storage.Relation{"arc": arc}
 			serial := core.DefaultOptions()
-			serial.BuildSerial = true
+			serial.Partitions = 1
 			partitioned := core.DefaultOptions()
 			partitioned.Partitions = 16
 			a, err := core.New(partitioned).Run(prog, edbs)

@@ -366,8 +366,7 @@ func TestAttachmentsEvictBeforeSecondaryBeforeSpill(t *testing.T) {
 	}
 	build := func(budget int64) fixture {
 		db, err := quickstep.Open(quickstep.Options{
-			Workers: 1, DisableIO: true, CarryJoinParts: true, SecondaryCarry: true, Columnar: true,
-			MemBudgetBytes: budget, SpillDir: t.TempDir(),
+			Workers: 1, DisableIO: true, MemBudgetBytes: budget, SpillDir: t.TempDir(),
 		})
 		if err != nil {
 			t.Fatal(err)
