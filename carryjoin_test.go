@@ -13,6 +13,32 @@ import (
 	"recstep/internal/quickstep/storage"
 )
 
+// Join-key-carried partitionings are a physical rewrite only. Every row of
+// the equivalence table carries keysets; naive evaluation carries nothing,
+// so every build it runs re-scatters its input and every join output is
+// scattered afresh. At every radix fan-out it must derive what the staged
+// lock-map run derives, and it must neither write join output in place nor
+// route a tuple into a secondary view.
+func TestCarriedMatchesRescatterAcrossPrograms(t *testing.T) {
+	matchAcrossPrograms(t, false, func(base core.Options, _ bool) []equivArm {
+		var arms []equivArm
+		for _, parts := range testFanouts {
+			opts := base
+			opts.Naive = true
+			opts.Partitions = parts
+			what := fmt.Sprintf("parts=%d naive", parts)
+			arms = append(arms, equivArm{what: what, opts: opts, check: func(t *testing.T, stats core.Stats) {
+				t.Helper()
+				if stats.OutputInPlace != 0 || stats.SecondaryScattered != 0 {
+					t.Fatalf("%s: %d rows written in place, %d routed into secondary views; naive evaluation carries nothing",
+						what, stats.OutputInPlace, stats.SecondaryScattered)
+				}
+			}})
+		}
+		return arms
+	})
+}
+
 // A TC fixpoint re-scatters the delta for a join build only when the carried
 // keyset is not the build's. At one worker tc is carried on its join column,
 // so across the whole run the only permissible build scatter is the EDB's

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"recstep/internal/core"
+	"recstep/internal/datalog/ast"
 	"recstep/internal/graphs"
 	"recstep/internal/pa"
 	"recstep/internal/programs"
@@ -67,16 +68,30 @@ func longTestEDBs(program string) map[string]*storage.Relation {
 	return nil
 }
 
-// Every physical choice the engine makes is a rewrite only. For every
-// benchmark program, and for the stretched inputs on which resident
-// structures pay, every relation it derives must be identical to the staged
-// lock-map run (unpartitioned, one-phase set difference) at every radix
-// fan-out, under every DSD mode, at one and four workers, and with the row
-// kernels forced in place of the batch kernels. Inside these runs sit the
-// fused delta step, carried keysets and secondary views, greedy join order,
-// the leapfrog join, and the choice between a resident set-difference index
-// (default DSD) and the paper's transient OPSD/TPSD tables (forced DSD).
-func TestFusedMatchesStagedAcrossPrograms(t *testing.T) {
+// equivArm is one configuration of the across-programs equivalence table.
+type equivArm struct {
+	what string
+	opts core.Options
+	// rewrite, when set, replaces the program the arm runs.
+	rewrite func(*ast.Program) *ast.Program
+	// check, when set, inspects the arm's run statistics.
+	check func(t *testing.T, stats core.Stats)
+}
+
+// testFanouts are the radix fan-outs every row of the equivalence table
+// covers: the single shared table, and two partitioned builds.
+var testFanouts = []int{1, 16, 64}
+
+// matchAcrossPrograms is the across-programs equivalence table. Every
+// physical choice the engine makes is a rewrite only, so for every benchmark
+// program (and, with long, the stretched inputs on which resident structures
+// pay) every relation an arm derives must be identical to the staged
+// lock-map run: unpartitioned, one-phase set difference, four workers. arms
+// receives that four-worker default configuration and whether the input is
+// a stretched one; the tests below split the table's rows by the mechanism
+// each row exercises.
+func matchAcrossPrograms(t *testing.T, long bool, arms func(base core.Options, long bool) []equivArm) {
+	t.Helper()
 	names := make([]string, 0, len(programs.ByName))
 	for name := range programs.ByName {
 		names = append(names, name)
@@ -89,12 +104,12 @@ func TestFusedMatchesStagedAcrossPrograms(t *testing.T) {
 			t.Fatal(err)
 		}
 		inputs := map[string]map[string]*storage.Relation{name: fuseTestEDBs(name)}
-		if long := longTestEDBs(name); long != nil {
-			inputs[name+"-long"] = long
+		if stretched := longTestEDBs(name); long && stretched != nil {
+			inputs[name+"-long"] = stretched
 		}
 		for label, edbs := range inputs {
 			t.Run(label, func(t *testing.T) {
-				run := func(opts core.Options) (map[string][]int32, core.Stats) {
+				run := func(prog *ast.Program, opts core.Options) (map[string][]int32, core.Stats) {
 					t.Helper()
 					res, err := core.New(opts).Run(prog, edbs)
 					if err != nil {
@@ -113,47 +128,80 @@ func TestFusedMatchesStagedAcrossPrograms(t *testing.T) {
 				ref.Dedup = exec.DedupLockMap
 				ref.Partitions = 1
 				ref.DSD = core.DSDAlwaysOPSD
-				want, _ := run(ref)
-				check := func(opts core.Options, what string) core.Stats {
-					t.Helper()
-					got, stats := run(opts)
+				want, _ := run(prog, ref)
+				for _, arm := range arms(base, label != name) {
+					armProg := prog
+					if arm.rewrite != nil {
+						armProg = arm.rewrite(prog)
+					}
+					got, stats := run(armProg, arm.opts)
 					for rel, rows := range want {
 						if !reflect.DeepEqual(got[rel], rows) {
 							t.Fatalf("%s: %s (%d values) diverges from the staged lock-map run (%d values)",
-								what, rel, len(got[rel]), len(rows))
+								arm.what, rel, len(got[rel]), len(rows))
 						}
 					}
-					return stats
-				}
-
-				for _, parts := range []int{1, 16, 64} {
-					for _, dsd := range []core.DSDMode{core.DSDDynamic, core.DSDAlwaysOPSD, core.DSDAlwaysTPSD} {
-						for _, workers := range []int{1, 4} {
-							opts := base
-							opts.Workers, opts.Partitions, opts.DSD = workers, parts, dsd
-							what := fmt.Sprintf("parts=%d dsd=%d workers=%d", parts, dsd, workers)
-							stats := check(opts, what)
-							// Only the default DSD may keep an index, and only on
-							// the long instances does one pay; unpartitioned they
-							// all get there (a partitioned pass re-reads just the
-							// partitions ∆ lands in, so a trickle repays later).
-							resident := stats.ResidentIndexHits > 0
-							may := dsd == core.DSDDynamic && label != name
-							if resident && !may || !resident && may && parts == 1 {
-								t.Fatalf("%s: resident index used=%v (%d hits)", what, resident, stats.ResidentIndexHits)
-							}
-						}
+					if arm.check != nil {
+						arm.check(t, stats)
 					}
-					// The row kernels: arity > 4 and residual joins run them in
-					// every configuration; here they serve every operator.
-					opts := base
-					opts.Partitions = parts
-					opts.OnDB = func(db *quickstep.Database) { db.Pool().SetBatch(false) }
-					check(opts, fmt.Sprintf("parts=%d row kernels", parts))
 				}
 			})
 		}
 	}
+}
+
+// dsdSweep is the table's rows at one worker count: every radix fan-out
+// under every DSD mode, checking that only the default DSD keeps a resident
+// set-difference index, and only where one pays.
+func dsdSweep(workers int) func(base core.Options, long bool) []equivArm {
+	return func(base core.Options, long bool) []equivArm {
+		var arms []equivArm
+		for _, parts := range testFanouts {
+			for _, dsd := range []core.DSDMode{core.DSDDynamic, core.DSDAlwaysOPSD, core.DSDAlwaysTPSD} {
+				opts := base
+				opts.Workers, opts.Partitions, opts.DSD = workers, parts, dsd
+				what := fmt.Sprintf("parts=%d dsd=%d workers=%d", parts, dsd, workers)
+				arms = append(arms, equivArm{what: what, opts: opts, check: func(t *testing.T, stats core.Stats) {
+					t.Helper()
+					// Only the default DSD may keep an index, and only on the
+					// long instances does one pay; unpartitioned they all get
+					// there (a partitioned pass re-reads just the partitions ∆
+					// lands in, so a trickle repays later).
+					resident := stats.ResidentIndexHits > 0
+					may := dsd == core.DSDDynamic && long
+					if resident && !may || !resident && may && parts == 1 {
+						t.Fatalf("%s: resident index used=%v (%d hits)", what, resident, stats.ResidentIndexHits)
+					}
+				}})
+			}
+		}
+		return arms
+	}
+}
+
+// The fused partition-native delta step, and under it the choice between a
+// resident set-difference index (default DSD) and the paper's transient
+// OPSD/TPSD tables (forced DSD), against the staged lock-map pipeline: at
+// four workers, at every radix fan-out, under every DSD mode. Inside these
+// runs sit carried keysets, greedy join order and the leapfrog join.
+func TestFusedMatchesStagedAcrossPrograms(t *testing.T) {
+	matchAcrossPrograms(t, true, dsdSweep(4))
+}
+
+// The batch kernels over columnar slabs against the row kernels: arity > 4
+// and residual joins run the row kernels in every configuration; here they
+// serve every operator, at every radix fan-out.
+func TestColumnarMatchesRowAcrossPrograms(t *testing.T) {
+	matchAcrossPrograms(t, false, func(base core.Options, _ bool) []equivArm {
+		var arms []equivArm
+		for _, parts := range testFanouts {
+			opts := base
+			opts.Partitions = parts
+			opts.OnDB = func(db *quickstep.Database) { db.Pool().SetBatch(false) }
+			arms = append(arms, equivArm{what: fmt.Sprintf("parts=%d row kernels", parts), opts: opts})
+		}
+		return arms
+	})
 }
 
 // Under the default GSCHT dedup a TC fixpoint must run with zero flat

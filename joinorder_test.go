@@ -1,14 +1,47 @@
 package recstep
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"recstep/internal/core"
+	"recstep/internal/datalog/ast"
 	"recstep/internal/programs"
 	"recstep/internal/quickstep/storage"
 )
+
+// reverseBodies returns a copy of p with every rule body's atoms in reverse
+// textual order.
+func reverseBodies(p *ast.Program) *ast.Program {
+	q := &ast.Program{Rules: make([]ast.Rule, len(p.Rules)), Facts: p.Facts}
+	for i, r := range p.Rules {
+		body := make([]ast.Atom, len(r.Body))
+		for j, a := range r.Body {
+			body[len(body)-1-j] = a
+		}
+		r.Body = body
+		q.Rules[i] = r
+	}
+	return q
+}
+
+// The join-ordering pass and the leapfrog join are physical rewrites only,
+// and the textual order of a rule body is not an input to either: with every
+// body reversed, every program must derive, at every radix fan-out, what the
+// staged lock-map run of the program as written derives.
+func TestJoinOrderAndWCOJMatchTextualAcrossPrograms(t *testing.T) {
+	matchAcrossPrograms(t, false, func(base core.Options, _ bool) []equivArm {
+		var arms []equivArm
+		for _, parts := range testFanouts {
+			opts := base
+			opts.Partitions = parts
+			arms = append(arms, equivArm{what: fmt.Sprintf("parts=%d reversed bodies", parts), opts: opts, rewrite: reverseBodies})
+		}
+		return arms
+	})
+}
 
 // Arms seeded from an empty ∆ must be skipped before planning, the skips
 // must surface both per iteration (IterHook) and in the run totals, and the

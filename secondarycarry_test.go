@@ -37,6 +37,17 @@ func recurringBuildScatters(detail map[string]exec.BuildCount) int64 {
 	return n
 }
 
+// Secondary carried views are a physical rewrite only. At one worker every
+// recursive predicate is carried on its best-ranked join keyset and keeps a
+// secondary view for a second one. At four workers (the rows of
+// TestFusedMatchesStagedAcrossPrograms) a linear predicate is carried on its
+// pass-through columns instead, and a build on its join keys falls back to a
+// re-scatter. The one-worker rows, at every radix fan-out under every DSD
+// mode, must derive what the staged lock-map run derives.
+func TestSecondaryCarryMatchesFallbackAcrossPrograms(t *testing.T) {
+	matchAcrossPrograms(t, true, dsdSweep(1))
+}
+
 // CSPA is the conflicting-keyset program: valueFlow is joined on column 0
 // by some recursive rules and column 1 by others. With secondary carrying
 // every carried-capable relation must reach zero per-iteration build
