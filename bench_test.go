@@ -402,15 +402,12 @@ func BenchmarkJoinBuildScaling(b *testing.B) {
 // the staged Dedup + SetDifference pipeline it replaces, across worker
 // counts and radix fan-outs, plus a fused-carried arm where both inputs
 // arrive already scattered on a join-key partitioning (the fused-scatter
-// steady state): the pass consumes the carried partitions in place. A
-// fused-row arm runs the same fused pass with the row kernels forced
-// (Pool.SetBatch(false)) — the tuple-at-a-time loops the batched columnar
-// inner loops are measured against. The join output is a duplicate-heavy
-// TC-shaped relation; R overlaps about half of it (the mid-fixpoint regime
-// where the delta pipeline dominates iteration cost). Inputs are re-wrapped
-// in fresh relations every iteration so no carried or cached partitioning
-// persists across iterations; the carried arm rebuilds its carried state
-// per iteration outside the timer.
+// steady state): the pass consumes the carried partitions in place. The join
+// output is a duplicate-heavy TC-shaped relation; R overlaps about half of it
+// (the mid-fixpoint regime where the delta pipeline dominates iteration
+// cost). Inputs are re-wrapped in fresh relations every iteration so no
+// carried or cached partitioning persists across iterations; the carried arm
+// rebuilds its carried state per iteration outside the timer.
 func BenchmarkDeltaStep(b *testing.B) {
 	arc := graphs.GnP(900, 0.02, 5)
 	tc := native.TC(arc, 0)
@@ -438,7 +435,7 @@ func BenchmarkDeltaStep(b *testing.B) {
 		mem := memory.NewManager(memory.Config{})
 		pool.SetAlloc(mem)
 		for _, parts := range []int{1, 16, 64} {
-			for _, mode := range []string{"fused", "fused-carried", "fused-row", "staged"} {
+			for _, mode := range []string{"fused", "fused-carried", "staged"} {
 				if mode == "fused-carried" && parts <= 1 {
 					continue // nothing to carry without a fan-out
 				}
@@ -455,13 +452,6 @@ func BenchmarkDeltaStep(b *testing.B) {
 						switch mode {
 						case "fused":
 							delta = exec.DeltaStep(pool, tmp, full, exec.OPSD, storage.Partitioning{Parts: parts}, tc.NumTuples(), "delta")
-						case "fused-row":
-							// Same fused pass, row-layout tuple-at-a-time
-							// inner loops instead of batch kernels over
-							// columnar slabs.
-							pool.SetBatch(false)
-							delta = exec.DeltaStep(pool, tmp, full, exec.OPSD, storage.Partitioning{Parts: parts}, tc.NumTuples(), "delta")
-							pool.SetBatch(true)
 						case "fused-carried":
 							b.StopTimer()
 							tmp.SetLifecycle(mem, storage.CatIntermediate)

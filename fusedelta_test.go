@@ -6,12 +6,12 @@ import (
 	"sort"
 	"testing"
 
+	"recstep/internal/baselines/native"
 	"recstep/internal/core"
 	"recstep/internal/datalog/ast"
 	"recstep/internal/graphs"
 	"recstep/internal/pa"
 	"recstep/internal/programs"
-	"recstep/internal/quickstep"
 	"recstep/internal/quickstep/exec"
 	"recstep/internal/quickstep/storage"
 )
@@ -188,20 +188,85 @@ func TestFusedMatchesStagedAcrossPrograms(t *testing.T) {
 	matchAcrossPrograms(t, true, dsdSweep(4))
 }
 
-// The batch kernels over columnar slabs against the row kernels: arity > 4
-// and residual joins run the row kernels in every configuration; here they
-// serve every operator, at every radix fan-out.
+// nativeRelations returns what baselines/native derives from edbs for a
+// program it has an evaluator for, keyed by relation name; nil otherwise.
+func nativeRelations(program string, edbs map[string]*storage.Relation) map[string]*storage.Relation {
+	const workers = 4
+	switch program {
+	case "tc":
+		return map[string]*storage.Relation{"tc": native.TC(edbs["arc"], workers)}
+	case "reach":
+		return map[string]*storage.Relation{"reach": native.Reach(edbs["arc"], 0, workers)}
+	case "sg":
+		return map[string]*storage.Relation{"sg": native.SG(edbs["arc"], workers)}
+	case "cc":
+		return map[string]*storage.Relation{"cc2": native.CC(edbs["arc"], workers)}
+	case "sssp":
+		return map[string]*storage.Relation{"sssp": native.SSSP(edbs["arc"], 0, workers)}
+	case "aa":
+		return map[string]*storage.Relation{"pointsTo": native.Andersen(edbs, workers)}
+	case "cspa":
+		r := native.CSPA(edbs, workers)
+		return map[string]*storage.Relation{"valueFlow": r.ValueFlow, "memoryAlias": r.MemoryAlias, "valueAlias": r.ValueAlias}
+	case "csda":
+		return map[string]*storage.Relation{"null": native.CSDA(edbs, workers)}
+	}
+	return nil
+}
+
+// The engine's kernels against references that share none of them: at
+// every radix fan-out, the default run and the staged lock-map run of each
+// program with a native evaluator (tc, reach, sg, cc, sssp, Andersen, cspa,
+// csda) derive exactly what baselines/native derives, and every program's
+// default run derives every relation the staged run does.
 func TestColumnarMatchesRowAcrossPrograms(t *testing.T) {
-	matchAcrossPrograms(t, false, func(base core.Options, _ bool) []equivArm {
-		var arms []equivArm
-		for _, parts := range testFanouts {
-			opts := base
-			opts.Partitions = parts
-			opts.OnDB = func(db *quickstep.Database) { db.Pool().SetBatch(false) }
-			arms = append(arms, equivArm{what: fmt.Sprintf("parts=%d row kernels", parts), opts: opts})
-		}
-		return arms
-	})
+	names := make([]string, 0, len(programs.ByName))
+	for name := range programs.ByName {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			prog, err := programs.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edbs := fuseTestEDBs(name)
+			want := nativeRelations(name, edbs)
+			run := func(opts core.Options) map[string][]int32 {
+				t.Helper()
+				res, err := core.New(opts).Run(prog, edbs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := make(map[string][]int32, len(res.Relations))
+				for rel, r := range res.Relations {
+					out[rel] = r.SortedRows()
+				}
+				return out
+			}
+			for _, parts := range testFanouts {
+				def := core.DefaultOptions()
+				def.Workers, def.Partitions = 4, parts
+				staged := def
+				staged.Dedup, staged.DSD = exec.DedupLockMap, core.DSDAlwaysOPSD
+				got, ref := run(def), run(staged)
+				for rel, rows := range ref {
+					if !reflect.DeepEqual(got[rel], rows) {
+						t.Fatalf("parts=%d: default %s (%d values) diverges from the staged lock-map run (%d values)",
+							parts, rel, len(got[rel]), len(rows))
+					}
+				}
+				for rel, r := range want {
+					rows := r.SortedRows()
+					if !reflect.DeepEqual(got[rel], rows) || !reflect.DeepEqual(ref[rel], rows) {
+						t.Fatalf("parts=%d: %s has %d values in the default run, %d in the staged lock-map run, %d natively",
+							parts, rel, len(got[rel]), len(ref[rel]), len(rows))
+					}
+				}
+			}
+		})
+	}
 }
 
 // Under the default GSCHT dedup a TC fixpoint must run with zero flat
@@ -274,30 +339,24 @@ func TestIterHookReportsCopyAccounting(t *testing.T) {
 
 // The columnar slab is a cache, not a copy the engine depends on: a fixpoint
 // that appends to its full relations every iteration must keep the slab
-// coherent (stale slabs are rebuilt, never served). A TC run under the batch
-// kernels must agree with the row kernels tuple for tuple — this pins the
-// invalidation path specifically, with appends landing mid-run on blocks
-// whose slabs were already built by earlier delta steps.
+// coherent (stale slabs are rebuilt, never served). A TC run must agree with
+// the native closure tuple for tuple — this pins the invalidation path
+// specifically, with appends landing mid-run on blocks whose slabs were
+// already built by earlier delta steps.
 func TestColumnarSlabCoherentUnderAppends(t *testing.T) {
 	arc := graphs.GnP(200, 0.04, 11)
 	prog := programs.MustParse(programs.TC)
-	edbs := map[string]*storage.Relation{"arc": arc}
 
-	run := func(batch bool) []int32 {
-		opts := core.DefaultOptions()
-		opts.Workers = 4
-		opts.Partitions = 16
-		opts.OnDB = func(db *quickstep.Database) { db.Pool().SetBatch(batch) }
-		res, err := core.New(opts).Run(prog, edbs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Relations["tc"].SortedRows()
+	opts := core.DefaultOptions()
+	opts.Workers = 4
+	opts.Partitions = 16
+	res, err := core.New(opts).Run(prog, map[string]*storage.Relation{"arc": arc})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	batch, row := run(true), run(false)
-	if !reflect.DeepEqual(batch, row) {
-		t.Fatalf("batch kernels derive %d tc rows, row kernels %d; slab coherence broken",
-			len(batch)/2, len(row)/2)
+	got, want := res.Relations["tc"].SortedRows(), native.TC(arc, 4).SortedRows()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the engine derives %d tc rows, the native closure %d; slab coherence broken",
+			len(got)/2, len(want)/2)
 	}
 }

@@ -6,8 +6,8 @@ package obs
 type ExecMetrics struct {
 	// Phase accumulates wall time per fixpoint phase across all workers.
 	Phase PhaseTimers
-	// BatchRows observes the row count of each probe/kernel block processed
-	// on the batch path — the batch-size distribution.
+	// BatchRows observes the row count of each probe/kernel block the window
+	// kernels process — the batch-size distribution.
 	BatchRows Histogram
 	// ChainLen observes sampled GSCHT bucket chain lengths at dedup-set
 	// release, a direct read on hash-table pressure.

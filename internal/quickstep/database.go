@@ -1152,7 +1152,7 @@ func (db *Database) DeltaStep(tmp *storage.Relation, pred string, algo exec.Diff
 	if att, ok := full.TakeAttachment(residentIndexKey); ok {
 		idx = att.(*exec.ResidentIndex)
 	}
-	if keepIndex && exec.ResidentCapable(db.pool, full.Arity()) && db.indexWorthKeeping(pred, full, idx, part, estDistinct) {
+	if keepIndex && exec.ResidentCapable(full.Arity()) && db.indexWorthKeeping(pred, full, idx, part, estDistinct) {
 		delta, kept, v := exec.DeltaStepResident(db.pool, tmp, full, idx, part, sec, estDistinct, outName)
 		if err := db.Err(); err != nil {
 			// An aborted pass leaves the index holding rows R never received.

@@ -10,24 +10,24 @@ import (
 	"recstep/internal/quickstep/storage"
 )
 
-// The batch-at-a-time execution paths. Operators walk blocks in windows of
-// kernels.BatchRows rows and hand whole windows to the kernels package and
+// The window kernels every operator runs. Operators walk blocks in windows
+// of kernels.BatchRows rows and hand whole windows to the kernels package and
 // the batched GSCHT entry points: pack the window's keys in one branch-free
 // loop, insert/probe the table in one pass that hoists the hash arithmetic
-// out of the chain walks, select the surviving rows into a selection
-// vector, gather them into a row-major run and emit that run with one
-// AppendBulk copy. The tuple-at-a-time paths remain as the fallback for
-// arities the compact keys cannot pack (and as the reference tests force with
-// Pool.SetBatch(false)).
+// out of the chain walks, select the surviving rows into a selection vector,
+// gather them into a row-major run and emit that run with one AppendBulk
+// copy. A set the compact keys cannot pack — tuples wider than four columns,
+// or the lock-map baseline — is the generic locked map; the same kernels walk
+// it row by row (see genericRows), so each operator has one body.
 
-// MinColumnarRows is the row count below which a block is consumed from its
-// row-major data even on the batch path: the column transpose costs a full
-// pass plus a pool allocation, which only pays off on blocks big enough to
-// amortize it — above the threshold the cached transpose is built once and
-// reused every time the (immutable) block is re-read, which for R's carried
-// partitions means every remaining fixpoint iteration. The optimizer's
-// layout choice (optimizer.UseBatchKernels) exposes the same gate to the
-// planning layer.
+// MinColumnarRows is the row count below which the kernels consume a block
+// from its row-major data even where it is re-read: the column transpose
+// costs a full pass plus a pool allocation, which only pays off on blocks big
+// enough to amortize it — above the threshold the cached transpose is built
+// once and reused every time the (immutable) block is re-read, which for R's
+// carried partitions means every remaining fixpoint iteration. The
+// optimizer's layout gate (optimizer.UseBatchKernels) exposes the same
+// threshold to the planning layer.
 const MinColumnarRows = 256
 
 // batchBuf is the per-pass scratch of the batch kernels: packed keys,
@@ -104,10 +104,49 @@ func packWindow(data []int32, cols [][]int32, arity, off, bn int, buf *batchBuf)
 	}
 }
 
-// batchable reports whether the set is backed by a compact-key table the
-// batched GSCHT entry points can drive (arity ≤ 4; the generic locked map
-// stays tuple-at-a-time).
-func (s *tupleSet) batchable() bool { return s.t64 != nil || s.t128 != nil }
+// genericRows walks a row-major run through a generic set one row at a
+// time — inserting each row, or else probing it — and hands the rows a set
+// insert found fresh, or a probe found absent, to emit (when non-nil) as
+// maximal contiguous runs of data, so no gather scratch bounds the arity.
+// The lock-map baseline's one mutex per insert stays exactly that. The
+// generic bodies of the set kernels live out of line (here and in
+// genericIntersect): the compact-key loops run on freshly started workers,
+// whose stacks a larger frame would make grow.
+func genericRows(set *tupleSet, data []int32, arity int, ar *setArena, insert bool, emit func(rows []int32)) {
+	if ar == nil {
+		ar = new(setArena)
+	}
+	start := -1
+	for off := 0; off < len(data); off += arity {
+		row := data[off : off+arity : off+arity]
+		if insert && set.insert(row, ar) || !insert && !set.contains(row, ar) {
+			if start < 0 {
+				start = off
+			}
+			continue
+		}
+		if start >= 0 && emit != nil {
+			emit(data[start:off])
+		}
+		start = -1
+	}
+	if start >= 0 && emit != nil {
+		emit(data[start:])
+	}
+}
+
+// genericIntersect inserts into inter the rows of blocks that the generic set
+// bset holds.
+func genericIntersect(bset, inter *tupleSet, blocks []*storage.Block, arity int, ar *setArena) {
+	for _, b := range blocks {
+		data := b.Data()
+		for off := 0; off < len(data); off += arity {
+			if row := data[off : off+arity : off+arity]; bset.contains(row, ar) {
+				inter.insert(row, ar)
+			}
+		}
+	}
+}
 
 // batchInsertBlocks inserts every tuple of blocks into set through the
 // batched GSCHT path, bulk-emitting each fresh tuple's row when emit is
@@ -122,6 +161,10 @@ func batchInsertBlocks(set *tupleSet, blocks []*storage.Block, arity int, ar *se
 			continue
 		}
 		data := b.Data()
+		if set.generic != nil {
+			genericRows(set, data, arity, ar, true, emit)
+			continue
+		}
 		var cols [][]int32
 		if useCols {
 			cols = blockCols(b, arity, buf)
@@ -158,6 +201,10 @@ func batchInsertBlocks(set *tupleSet, blocks []*storage.Block, arity int, ar *se
 // duplicate-free by construction), through the no-dup-check bulk-build
 // kernel. Single-writer only.
 func batchBuildBlocks(set *tupleSet, blocks []*storage.Block, arity int, ar *setArena, useCols bool, buf *batchBuf) {
+	if set.generic != nil {
+		batchInsertBlocks(set, blocks, arity, ar, true, false, buf, nil)
+		return
+	}
 	for _, b := range blocks {
 		n := b.Rows()
 		if n == 0 {
@@ -188,6 +235,10 @@ func batchAntiProbeBlocks(set *tupleSet, blocks []*storage.Block, arity int, use
 			continue
 		}
 		data := b.Data()
+		if set.generic != nil {
+			genericRows(set, data, arity, nil, false, emit)
+			continue
+		}
 		var cols [][]int32
 		if useCols {
 			cols = blockCols(b, arity, buf)
@@ -212,6 +263,10 @@ func batchAntiProbeBlocks(set *tupleSet, blocks []*storage.Block, arity int, use
 // batchAntiProbeRows is batchAntiProbeBlocks over a flat row-major buffer
 // (the TPSD candidate list).
 func batchAntiProbeRows(set *tupleSet, rows []int32, arity int, buf *batchBuf, emit func(rows []int32)) {
+	if set.generic != nil {
+		genericRows(set, rows, arity, nil, false, emit)
+		return
+	}
 	n := len(rows) / arity
 	for off := 0; off < n; off += kernels.BatchRows {
 		bn := min(kernels.BatchRows, n-off)
@@ -236,6 +291,10 @@ func batchAntiProbeRows(set *tupleSet, rows []int32, arity int, buf *batchBuf, e
 // are compacted in place after the probe, so the insert pass runs over a
 // dense key batch.
 func batchIntersect(bset, inter *tupleSet, blocks []*storage.Block, arity int, ar *setArena, local, useCols bool, buf *batchBuf) {
+	if bset.generic != nil {
+		genericIntersect(bset, inter, blocks, arity, ar)
+		return
+	}
 	for _, b := range blocks {
 		n := b.Rows()
 		if n == 0 {
@@ -286,156 +345,6 @@ func batchIntersect(bset, inter *tupleSet, blocks []*storage.Block, arity int, a
 				}
 			}
 		}
-	}
-}
-
-// deltaPartitionBatch is the batched fused dedup + set-difference pass over
-// one partition: deltaPartition's semantics, kernel-at-a-time. lc is the
-// pass-private lifecycle (a per-worker magazine under a managed pool), emit
-// receives row-major runs of accepted ∆R rows.
-func deltaPartitionBatch(pool *Pool, lc storage.Lifecycle, tmpBlocks, rBlocks []*storage.Block, tmpRows, rRows int, algo DiffAlgorithm, arity, estDistinct int, emit func(rows []int32)) {
-	if tmpRows == 0 {
-		return
-	}
-	buf := getBatchBuf()
-	defer putBatchBuf(buf)
-	var ar setArena
-	if rRows == 0 {
-		// Nothing to subtract: the pass degenerates to pure dedup.
-		set := newTupleSet(lc, arity, estDistinct)
-		batchInsertBlocks(set, tmpBlocks, arity, &ar, true, false, buf, emit)
-		pool.observeChains(set)
-		set.release()
-		return
-	}
-	if algo == TPSD && tmpRows < rRows {
-		// TPSD flavour: dedup Rt into a table + candidate buffer, mark the
-		// intersection by probing R, anti-probe the candidates.
-		dset := newTupleSet(lc, arity, min(tmpRows, estDistinct))
-		cand := make([]int32, 0, min(tmpRows, estDistinct)*arity)
-		batchInsertBlocks(dset, tmpBlocks, arity, &ar, true, false, buf, func(rows []int32) {
-			cand = append(cand, rows...)
-		})
-		inter := newTupleSet(lc, arity, min(len(cand)/arity, rRows))
-		batchIntersect(dset, inter, rBlocks, arity, &ar, true, true, buf)
-		pool.observeChains(dset)
-		dset.release()
-		batchAntiProbeRows(inter, cand, arity, buf, emit)
-		inter.release()
-		return
-	}
-	// OPSD flavour: seed the dedup table with R (reading R's carried blocks
-	// through their cached column layout; R is duplicate-free, so the seed
-	// skips the dup-check walk entirely), then one batched insert pass over
-	// Rt answers dedup and diff at once.
-	set := newTupleSet(lc, arity, rRows+estDistinct)
-	batchBuildBlocks(set, rBlocks, arity, &ar, true, buf)
-	batchInsertBlocks(set, tmpBlocks, arity, &ar, true, false, buf, emit)
-	pool.observeChains(set)
-	set.release()
-}
-
-// deltaSharedBatch is deltaShared on the batch path: the same shared
-// latch-free table semantics, with the concurrent batched inserts and bulk
-// block emission replacing the per-row closures. With res set the shared
-// table is the resident index's: seeded from R only if this is its first
-// pass, grown in place otherwise, and left alive holding R ∪ ∆R.
-func deltaSharedBatch(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, arity, estDistinct int, outName string, res *ResidentIndex) *storage.Relation {
-	tmpBlocks := tmp.Blocks()
-	tmpRows, rRows := tmp.NumTuples(), full.NumTuples()
-	// A one-worker pool runs every task on a single goroutine, so the shared
-	// table has exactly one writer and the batch kernels can drop the CAS
-	// publish — the Local fast path the scalar shared loop has no analogue of.
-	local := pool.Workers() == 1
-	arenas := make([]setArena, pool.Workers())
-	if res != nil {
-		arenas = res.arenas
-	}
-	// perBlock runs fn over every block with the claiming worker's arena and
-	// a borrowed scratch buffer.
-	perBlock := func(blocks []*storage.Block, fn func(task int, ar *setArena, buf *batchBuf)) {
-		pool.runTasksPerWorker(len(blocks), func(w, task int) {
-			buf := getBatchBuf()
-			defer putBatchBuf(buf)
-			fn(task, &arenas[w], buf)
-		})
-	}
-	dedupEmit := func(set *tupleSet) *storage.Relation {
-		col := newCollector(pool, storage.CatDelta, arity, len(tmpBlocks))
-		perBlock(tmpBlocks, func(task int, ar *setArena, buf *batchBuf) {
-			batchInsertBlocks(set, tmpBlocks[task:task+1], arity, ar, local, false, buf, col.sinkBulk(task))
-		})
-		return col.into(outName, tmp.ColNames())
-	}
-	// seed inserts all of R into set — the OPSD build. useCols reads R's
-	// blocks through their cached column layout, which pays only when the
-	// same blocks are re-read every iteration (the transient table).
-	seed := func(set *tupleSet, useCols bool) {
-		rBlocks := full.Blocks()
-		perBlock(rBlocks, func(task int, ar *setArena, buf *batchBuf) {
-			if local {
-				// One worker ⇒ single writer, and R is duplicate-free: the
-				// seed can bulk-build without dup checks.
-				batchBuildBlocks(set, rBlocks[task:task+1], arity, ar, useCols, buf)
-			} else {
-				batchInsertBlocks(set, rBlocks[task:task+1], arity, ar, false, useCols, buf, nil)
-			}
-		})
-		pool.Copy.SetDiffRowsScanned.Add(int64(rRows))
-	}
-
-	if res != nil {
-		set := res.sets[0]
-		if set == nil {
-			set = newTupleSetIn(pool.alloc, storage.CatIndex, arity, rRows+estDistinct)
-			res.sets[0] = set
-			if rRows > 0 {
-				seed(set, false)
-			}
-		} else {
-			set.grow()
-		}
-		if tmpRows == 0 {
-			return storage.NewRelation(outName, tmp.ColNames())
-		}
-		return dedupEmit(set)
-	}
-
-	switch {
-	case tmpRows == 0:
-		return storage.NewRelation(outName, tmp.ColNames())
-	case rRows == 0:
-		set := newTupleSet(pool.alloc, arity, estDistinct)
-		out := dedupEmit(set)
-		pool.observeChains(set)
-		set.release()
-		return out
-	case algo == TPSD && tmpRows < rRows:
-		dset := newTupleSet(pool.alloc, arity, min(tmpRows, estDistinct))
-		candCol := newCollector(pool, storage.CatIntermediate, arity, len(tmpBlocks))
-		perBlock(tmpBlocks, func(task int, ar *setArena, buf *batchBuf) {
-			batchInsertBlocks(dset, tmpBlocks[task:task+1], arity, ar, local, false, buf, candCol.sinkBulk(task))
-		})
-		cand := candCol.into(outName, tmp.ColNames())
-		inter := newTupleSet(pool.alloc, arity, min(cand.NumTuples(), rRows))
-		rBlocks := full.Blocks()
-		perBlock(rBlocks, func(task int, ar *setArena, buf *batchBuf) {
-			batchIntersect(dset, inter, rBlocks[task:task+1], arity, ar, local, true, buf)
-		})
-		pool.Copy.SetDiffRowsScanned.Add(int64(rRows))
-		pool.observeChains(dset)
-		dset.release()
-		out := antiProbe(pool, cand, inter, outName)
-		inter.release()
-		cand.Release()
-		return out
-	default:
-		set := newTupleSet(pool.alloc, arity, rRows+estDistinct)
-		seed(set, true)
-		out := dedupEmit(set)
-		pool.observeChains(set)
-		set.release()
-		return out
 	}
 }
 
@@ -561,29 +470,40 @@ func batchSelectProject(pool *Pool, col *collector, blocks []*storage.Block, pre
 }
 
 // probeWindows walks one probe block through the join's build maps in
-// kernel-sized windows: the key columns are gathered into contiguous scratch
-// columns, packed and partition-hashed in batch loops, so the per-row residue
-// is only the map lookup and the match expansion.
+// kernel-sized windows: up to four key columns are gathered into contiguous
+// scratch columns, packed and partition-hashed in batch loops, so the per-row
+// residue is only the map lookup and the match expansion. Wider keys hash the
+// window's rows in place and look each row up by its string key (lookupWide).
 type probeWindows struct {
 	jt        *joinTable
 	probeKeys []int
 	buf       *batchBuf
 	kcols     [][]int32
 	use64     bool
+	wide      bool
 }
 
 func newProbeWindows(jt *joinTable, probeKeys []int, buf *batchBuf) probeWindows {
 	kcols := buf.cols[:0]
+	wide := len(probeKeys) > 4
 	for j := range probeKeys {
-		kcols = append(kcols, buf.gather[j*kernels.BatchRows:(j+1)*kernels.BatchRows])
+		if !wide {
+			kcols = append(kcols, buf.gather[j*kernels.BatchRows:(j+1)*kernels.BatchRows])
+		}
 	}
 	buf.cols = kcols
-	return probeWindows{jt: jt, probeKeys: probeKeys, buf: buf, kcols: kcols, use64: len(probeKeys) <= 2}
+	return probeWindows{jt: jt, probeKeys: probeKeys, buf: buf, kcols: kcols, use64: len(probeKeys) <= 2, wide: wide}
 }
 
 // pack prepares rows [off, off+bn) of a block's row-major data for lookup.
 func (pw *probeWindows) pack(data []int32, arity, off, bn int) {
 	buf, kcols := pw.buf, pw.kcols
+	if pw.wide {
+		if pw.jt.parts > 1 {
+			kernels.HashRows(data[off*arity:(off+bn)*arity], arity, pw.probeKeys, buf.hash)
+		}
+		return
+	}
 	for j, c := range pw.probeKeys {
 		dst := kcols[j][:bn]
 		for i := range dst {
@@ -602,7 +522,8 @@ func (pw *probeWindows) pack(data []int32, arity, off, bn int) {
 }
 
 // lookup returns the build table and locator list of the packed window's
-// i-th row.
+// i-th row. It stays small enough to inline into the probe loop: keys wider
+// than four columns go through lookupWide.
 func (pw *probeWindows) lookup(i int) (*buildTable, []int32) {
 	jt, buf := pw.jt, pw.buf
 	bt := jt.single
@@ -615,45 +536,32 @@ func (pw *probeWindows) lookup(i int) (*buildTable, []int32) {
 	return bt, bt.by128[gscht.Key128{Hi: buf.hi[i], Lo: buf.lo[i]}]
 }
 
-// batchJoinProbe hands fn each matching probe row of b with its build table
-// and locator list — the probe half of a join whose matches need the
-// combined row (residual predicates, computed projections).
-func batchJoinProbe(jt *joinTable, b *storage.Block, probeKeys []int, buf *batchBuf, fn func(row []int32, bt *buildTable, matches []int32)) {
-	n := b.Rows()
-	arity := b.Arity()
-	data := b.Data()
-	pw := newProbeWindows(jt, probeKeys, buf)
-	for off := 0; off < n; off += kernels.BatchRows {
-		bn := min(kernels.BatchRows, n-off)
-		pw.pack(data, arity, off, bn)
-		for i := 0; i < bn; i++ {
-			bt, matches := pw.lookup(i)
-			if len(matches) == 0 {
-				continue
-			}
-			r := (off + i) * arity
-			fn(data[r:r+arity:r+arity], bt, matches)
-		}
+// lookupWide is lookup on more than four keys: row, the window's i-th row,
+// is looked up by its key columns packed into a string.
+func (pw *probeWindows) lookupWide(row []int32, i int) (*buildTable, []int32) {
+	jt := pw.jt
+	bt := jt.single
+	if jt.parts > 1 {
+		bt = jt.tables[storage.PartitionOf(pw.buf.hash[i], jt.parts)]
 	}
+	var key [64]byte
+	return bt, bt.byS[packColsString(row, pw.probeKeys, key[:0])]
 }
 
 // batchScatterBlock routes one block's rows into w's per-partition open
 // blocks a window at a time: gather the key columns, hash the whole window
 // in one branch-free pass, then counting-sort the window's rows into
 // partition-contiguous runs so each partition receives one chunked AppendBulk
-// copy instead of a bounds-checked per-row Append. This is the batch-mode
-// scatter — the per-row write path is what Pool.SetBatch(false) forces.
+// copy instead of a bounds-checked per-row Append. Rows wider than four
+// columns take windows shrunk to fit the reorder scratch (see windowRows).
 func batchScatterBlock(w *partWriter, data []int32, arity int, buf *batchBuf) {
 	n := len(data) / arity
 	if buf.counts == nil || len(buf.counts) < w.parts {
 		buf.counts = make([]int32, w.parts)
 	}
 	counts := buf.counts[:w.parts]
-	for off := 0; off < n; off += kernels.BatchRows {
-		bn := kernels.BatchRows
-		if n-off < bn {
-			bn = n - off
-		}
+	for off, bn := 0, 0; off < n; off += bn {
+		bn = min(windowRows(arity), n-off)
 		win := data[off*arity : (off+bn)*arity]
 		kernels.HashRows(win, arity, w.keyCols, buf.hash)
 		pid := buf.bidx[:bn]
@@ -700,7 +608,7 @@ func batchScatterBlock(w *partWriter, data []int32, arity int, buf *batchBuf) {
 				scat[d+1] = win[r+1]
 				scat[d+2] = win[r+2]
 			}
-		default:
+		case 4:
 			for i, p := range pid {
 				d := int(counts[p]) * 4
 				counts[p]++
@@ -709,6 +617,14 @@ func batchScatterBlock(w *partWriter, data []int32, arity int, buf *batchBuf) {
 				scat[d+1] = win[r+1]
 				scat[d+2] = win[r+2]
 				scat[d+3] = win[r+3]
+			}
+		default:
+			for i, p := range pid {
+				d := int(counts[p]) * arity
+				counts[p]++
+				for c, v := range win[i*arity : (i+1)*arity] {
+					scat[d+c] = v
+				}
 			}
 		}
 		// counts[p] now holds partition p's end offset; starts are the

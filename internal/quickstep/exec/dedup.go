@@ -40,8 +40,10 @@ func (s DedupStrategy) String() string {
 }
 
 // tupleSet is a concurrent set of fixed-arity tuples. Arity ≤ 2 uses 64-bit
-// compact keys, arity ≤ 4 uses 128-bit keys, wider tuples fall back to a
-// locked map (never needed by the benchmark programs, all arity ≤ 3).
+// compact keys, arity ≤ 4 uses 128-bit keys (the benchmark programs reach
+// arity 4 with clique4), wider tuples — and the lock-map baseline at any
+// arity — use the generic locked map, which the window kernels walk row by
+// row.
 type tupleSet struct {
 	arity int
 	t64   *gscht.Table64
@@ -194,30 +196,12 @@ func Dedup(pool *Pool, in *storage.Relation, strategy DedupStrategy, estDistinct
 		// arity so every insert serializes on one mutex.
 		set = &tupleSet{arity: in.Arity(), generic: make(map[string]struct{}, estDistinct)}
 	}
-	if pool.batch && set.batchable() {
-		arity := in.Arity()
-		pool.Run(len(blocks), func(task int) {
-			buf := getBatchBuf()
-			defer putBatchBuf(buf)
-			var ar setArena
-			batchInsertBlocks(set, blocks[task:task+1], arity, &ar, false, false, buf, col.sinkBulk(task))
-		})
-		out := col.into(outName, in.ColNames())
-		pool.observeChains(set)
-		set.release()
-		return out
-	}
+	arity := in.Arity()
 	pool.Run(len(blocks), func(task int) {
-		b := blocks[task]
-		emit := col.sink(task)
+		buf := getBatchBuf()
+		defer putBatchBuf(buf)
 		var ar setArena
-		n := b.Rows()
-		for i := 0; i < n; i++ {
-			row := b.Row(i)
-			if set.insert(row, &ar) {
-				emit(row)
-			}
-		}
+		batchInsertBlocks(set, blocks[task:task+1], arity, &ar, false, false, buf, col.sinkBulk(task))
 	})
 	out := col.into(outName, in.ColNames())
 	pool.observeChains(set)

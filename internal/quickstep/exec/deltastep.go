@@ -117,71 +117,45 @@ func deltaStep(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, part
 	if useSec {
 		secOut = make([][][]*storage.Block, parts)
 	}
-	batch := pool.batch && arity <= 4
 	pool.RunPartitions(parts, func(p int) {
 		defer pool.phase(obs.PhaseDelta, p)()
 		if res == nil && tv.Rows(p) > 0 {
 			// Either transient flavour reads all of R's partition.
 			pool.Copy.SetDiffRowsScanned.Add(int64(rv.Rows(p)))
 		}
-		if batch {
-			// Batch route: kernel-at-a-time pass with bulk ∆R emission.
-			emitBulk := col.sinkPartBulk(p, p)
-			if pool.om != nil {
-				// Count accepted ∆ rows for the per-partition skew histogram.
-				prim := emitBulk
-				accepted := 0
-				emitBulk = func(rows []int32) { accepted += len(rows) / arity; prim(rows) }
-				defer func() { pool.om.DeltaPartRows.Observe(int64(accepted)) }()
-			}
-			if useSec {
-				// Dual route: the accepted run lands in its primary partition
-				// block in bulk, then each row routes through a pass-private
-				// writer into its secondary partition block.
-				w := newPartWriter(pool, storage.CatDelta, arity, sec.KeyCols, secParts)
-				prim := emitBulk
-				emitBulk = func(rows []int32) {
-					prim(rows)
-					for off := 0; off < len(rows); off += arity {
-						w.write(rows[off : off+arity])
-					}
-				}
-				defer func() { secOut[p] = w.out }()
-			}
-			if res != nil {
-				res.passPartition(pool, p, tv.Blocks(p), tv.Rows(p), rv, estPart, emitBulk)
-				return
-			}
-			// Transient tables live and die inside this pass, on this worker:
-			// a pass-private magazine lifecycle serves them.
-			lc, done := pool.passAlloc()
-			deltaPartitionBatch(pool, lc, tv.Blocks(p), rv.Blocks(p), tv.Rows(p), rv.Rows(p),
-				algo, arity, estPart, emitBulk)
-			done()
-			rv.Cool(p)
-			return
-		}
-		emit := col.sinkPart(p, p)
+		emit := col.sinkPartBulk(p, p)
 		if pool.om != nil {
+			// Count accepted ∆ rows for the per-partition skew histogram.
 			prim := emit
 			accepted := 0
-			emit = func(row []int32) { accepted++; prim(row) }
+			emit = func(rows []int32) { accepted += len(rows) / arity; prim(rows) }
 			defer func() { pool.om.DeltaPartRows.Observe(int64(accepted)) }()
 		}
 		if useSec {
-			// Dual route: the same accepted row lands in its primary
-			// partition block and, via a pass-private writer, in its
-			// secondary partition block — one fused pass, one extra copy.
+			// Dual route: the accepted run lands in its primary partition
+			// block in bulk, then each row routes through a pass-private
+			// writer into its secondary partition block — one fused pass, one
+			// extra copy.
 			w := newPartWriter(pool, storage.CatDelta, arity, sec.KeyCols, secParts)
 			prim := emit
-			emit = func(row []int32) {
-				prim(row)
-				w.write(row)
+			emit = func(rows []int32) {
+				prim(rows)
+				for off := 0; off < len(rows); off += arity {
+					w.write(rows[off : off+arity])
+				}
 			}
 			defer func() { secOut[p] = w.out }()
 		}
-		deltaPartition(pool, tv.Blocks(p), rv.Blocks(p), tv.Rows(p), rv.Rows(p),
+		if res != nil {
+			res.passPartition(pool, p, tv.Blocks(p), tv.Rows(p), rv, estPart, emit)
+			return
+		}
+		// Transient tables live and die inside this pass, on this worker: a
+		// pass-private magazine lifecycle serves them.
+		lc, done := pool.passAlloc()
+		deltaPartition(pool, lc, tv.Blocks(p), rv.Blocks(p), tv.Rows(p), rv.Rows(p),
 			algo, arity, estPart, emit)
+		done()
 		// Under a memory budget, R's partition becomes evictable the moment
 		// its pass completes — otherwise one delta step re-pins all of R.
 		rv.Cool(p)
@@ -215,37 +189,68 @@ func deltaStep(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, part
 // parallelism off — the staged pipeline this replaces ran its dedup and
 // anti-probe concurrently, so the fused fallback does too. Arenas are per
 // worker, not per block task: seeding from a fragmented R would otherwise
-// claim one slab chunk per small block.
+// claim one slab chunk per small block. With res set the shared table is the
+// resident index's: seeded from R only if this is its first pass, grown in
+// place otherwise, and left alive holding R ∪ ∆R.
 func deltaShared(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, arity, estDistinct int, outName string, res *ResidentIndex) *storage.Relation {
 	defer pool.phase(obs.PhaseDelta, -1)()
-	if pool.batch && arity <= 4 {
-		return deltaSharedBatch(pool, tmp, full, algo, arity, estDistinct, outName, res)
-	}
 	tmpBlocks := tmp.Blocks()
 	tmpRows, rRows := tmp.NumTuples(), full.NumTuples()
-	if tmpRows > 0 {
-		pool.Copy.SetDiffRowsScanned.Add(int64(rRows))
-	}
+	// A one-worker pool runs every task on a single goroutine, so the shared
+	// table has exactly one writer and the kernels can drop the CAS publish.
+	local := pool.Workers() == 1
 	arenas := make([]setArena, pool.Workers())
-
-	// dedupEmit inserts every tmp tuple into set concurrently, emitting
-	// fresh inserts — pure dedup when set starts empty, dedup + anti-probe
-	// when it was seeded with R.
+	if res != nil {
+		arenas = res.arenas
+	}
+	// perBlock runs fn over every block with the claiming worker's arena and
+	// a borrowed scratch buffer.
+	perBlock := func(blocks []*storage.Block, fn func(task int, ar *setArena, buf *batchBuf)) {
+		pool.runTasksPerWorker(len(blocks), func(w, task int) {
+			buf := getBatchBuf()
+			defer putBatchBuf(buf)
+			fn(task, &arenas[w], buf)
+		})
+	}
 	dedupEmit := func(set *tupleSet) *storage.Relation {
 		col := newCollector(pool, storage.CatDelta, arity, len(tmpBlocks))
-		pool.runTasksPerWorker(len(tmpBlocks), func(w, task int) {
-			b := tmpBlocks[task]
-			emit := col.sink(task)
-			ar := &arenas[w]
-			n := b.Rows()
-			for i := 0; i < n; i++ {
-				row := b.Row(i)
-				if set.insert(row, ar) {
-					emit(row)
-				}
-			}
+		perBlock(tmpBlocks, func(task int, ar *setArena, buf *batchBuf) {
+			batchInsertBlocks(set, tmpBlocks[task:task+1], arity, ar, local, false, buf, col.sinkBulk(task))
 		})
 		return col.into(outName, tmp.ColNames())
+	}
+	// seed inserts all of R into set — the OPSD build. useCols reads R's
+	// blocks through their cached column layout, which pays only when the
+	// same blocks are re-read every iteration (the transient table).
+	seed := func(set *tupleSet, useCols bool) {
+		rBlocks := full.Blocks()
+		perBlock(rBlocks, func(task int, ar *setArena, buf *batchBuf) {
+			if local {
+				// One worker ⇒ single writer, and R is duplicate-free: the
+				// seed can bulk-build without dup checks.
+				batchBuildBlocks(set, rBlocks[task:task+1], arity, ar, useCols, buf)
+			} else {
+				batchInsertBlocks(set, rBlocks[task:task+1], arity, ar, false, useCols, buf, nil)
+			}
+		})
+		pool.Copy.SetDiffRowsScanned.Add(int64(rRows))
+	}
+
+	if res != nil {
+		set := res.sets[0]
+		if set == nil {
+			set = newTupleSetIn(pool.alloc, storage.CatIndex, arity, rRows+estDistinct)
+			res.sets[0] = set
+			if rRows > 0 {
+				seed(set, false)
+			}
+		} else {
+			set.grow()
+		}
+		if tmpRows == 0 {
+			return storage.NewRelation(outName, tmp.ColNames())
+		}
+		return dedupEmit(set)
 	}
 
 	switch {
@@ -258,37 +263,18 @@ func deltaShared(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, ar
 		set.release()
 		return out
 	case algo == TPSD && tmpRows < rRows:
-		// TPSD flavour: dedup Rt into a table plus candidate relation, mark
-		// the intersection by probing R against that same table, then
-		// anti-probe the candidates.
 		dset := newTupleSet(pool.alloc, arity, min(tmpRows, estDistinct))
 		candCol := newCollector(pool, storage.CatIntermediate, arity, len(tmpBlocks))
-		pool.runTasksPerWorker(len(tmpBlocks), func(w, task int) {
-			b := tmpBlocks[task]
-			emit := candCol.sink(task)
-			ar := &arenas[w]
-			n := b.Rows()
-			for i := 0; i < n; i++ {
-				row := b.Row(i)
-				if dset.insert(row, ar) {
-					emit(row)
-				}
-			}
+		perBlock(tmpBlocks, func(task int, ar *setArena, buf *batchBuf) {
+			batchInsertBlocks(dset, tmpBlocks[task:task+1], arity, ar, local, false, buf, candCol.sinkBulk(task))
 		})
 		cand := candCol.into(outName, tmp.ColNames())
 		inter := newTupleSet(pool.alloc, arity, min(cand.NumTuples(), rRows))
 		rBlocks := full.Blocks()
-		pool.runTasksPerWorker(len(rBlocks), func(w, task int) {
-			b := rBlocks[task]
-			ar := &arenas[w]
-			n := b.Rows()
-			for i := 0; i < n; i++ {
-				row := b.Row(i)
-				if dset.contains(row, ar) {
-					inter.insert(row, ar)
-				}
-			}
+		perBlock(rBlocks, func(task int, ar *setArena, buf *batchBuf) {
+			batchIntersect(dset, inter, rBlocks[task:task+1], arity, ar, local, true, buf)
 		})
+		pool.Copy.SetDiffRowsScanned.Add(int64(rRows))
 		pool.observeChains(dset)
 		dset.release()
 		out := antiProbe(pool, cand, inter, outName)
@@ -296,18 +282,8 @@ func deltaShared(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, ar
 		cand.Release()
 		return out
 	default:
-		// OPSD flavour: seed the shared table with R in parallel, then one
-		// insert-if-absent per Rt tuple answers dedup and diff at once.
 		set := newTupleSet(pool.alloc, arity, rRows+estDistinct)
-		rBlocks := full.Blocks()
-		pool.runTasksPerWorker(len(rBlocks), func(w, task int) {
-			b := rBlocks[task]
-			ar := &arenas[w]
-			n := b.Rows()
-			for i := 0; i < n; i++ {
-				set.insert(b.Row(i), ar)
-			}
-		})
+		seed(set, true)
 		out := dedupEmit(set)
 		pool.observeChains(set)
 		set.release()
@@ -316,79 +292,48 @@ func deltaShared(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, ar
 }
 
 // deltaPartition runs the fused dedup + set-difference pass over one
-// partition. All state is private to the calling worker; the dedup tables
-// allocate through the pool's lifecycle and are recycled when the partition
-// pass finishes.
-func deltaPartition(pool *Pool, tmpBlocks, rBlocks []*storage.Block, tmpRows, rRows int, algo DiffAlgorithm, arity, estDistinct int, emit func(row []int32)) {
-	var ar setArena
+// partition. All state is private to the calling worker: lc is the
+// pass-private lifecycle (a per-worker magazine under a managed pool) the
+// dedup tables allocate through, emit receives row-major runs of accepted ∆R
+// rows.
+func deltaPartition(pool *Pool, lc storage.Lifecycle, tmpBlocks, rBlocks []*storage.Block, tmpRows, rRows int, algo DiffAlgorithm, arity, estDistinct int, emit func(rows []int32)) {
 	if tmpRows == 0 {
 		return
 	}
+	buf := getBatchBuf()
+	defer putBatchBuf(buf)
+	var ar setArena
 	if rRows == 0 {
 		// Nothing to subtract: the pass degenerates to pure dedup.
-		set := newTupleSet(pool.alloc, arity, estDistinct)
-		for _, b := range tmpBlocks {
-			data := b.Data()
-			for off := 0; off < len(data); off += arity {
-				if row := data[off : off+arity : off+arity]; set.insert(row, &ar) {
-					emit(row)
-				}
-			}
-		}
+		set := newTupleSet(lc, arity, estDistinct)
+		batchInsertBlocks(set, tmpBlocks, arity, &ar, true, false, buf, emit)
 		pool.observeChains(set)
 		set.release()
 		return
 	}
 	if algo == TPSD && tmpRows < rRows {
-		// TPSD flavour: dedup Rt into a table + candidate buffer, then let R
-		// anti-mark the table's tuples via an intersection set.
-		dset := newTupleSet(pool.alloc, arity, min(tmpRows, estDistinct))
+		// TPSD flavour: dedup Rt into a table + candidate buffer, mark the
+		// intersection by probing R, anti-probe the candidates.
+		dset := newTupleSet(lc, arity, min(tmpRows, estDistinct))
 		cand := make([]int32, 0, min(tmpRows, estDistinct)*arity)
-		for _, b := range tmpBlocks {
-			data := b.Data()
-			for off := 0; off < len(data); off += arity {
-				if row := data[off : off+arity : off+arity]; dset.insert(row, &ar) {
-					cand = append(cand, row...)
-				}
-			}
-		}
-		inter := newTupleSet(pool.alloc, arity, min(len(cand)/arity, rRows))
-		for _, b := range rBlocks {
-			data := b.Data()
-			for off := 0; off < len(data); off += arity {
-				if row := data[off : off+arity : off+arity]; dset.contains(row, &ar) {
-					inter.insert(row, &ar)
-				}
-			}
-		}
+		batchInsertBlocks(dset, tmpBlocks, arity, &ar, true, false, buf, func(rows []int32) {
+			cand = append(cand, rows...)
+		})
+		inter := newTupleSet(lc, arity, min(len(cand)/arity, rRows))
+		batchIntersect(dset, inter, rBlocks, arity, &ar, true, true, buf)
 		pool.observeChains(dset)
 		dset.release()
-		for off := 0; off < len(cand); off += arity {
-			row := cand[off : off+arity]
-			if !inter.contains(row, &ar) {
-				emit(row)
-			}
-		}
+		batchAntiProbeRows(inter, cand, arity, buf, emit)
 		inter.release()
 		return
 	}
-	// OPSD flavour: seed the dedup table with R, then a fresh insert of an
-	// Rt tuple proves it is both new within Rt and absent from R.
-	set := newTupleSet(pool.alloc, arity, rRows+estDistinct)
-	for _, b := range rBlocks {
-		data := b.Data()
-		for off := 0; off < len(data); off += arity {
-			set.insert(data[off:off+arity:off+arity], &ar)
-		}
-	}
-	for _, b := range tmpBlocks {
-		data := b.Data()
-		for off := 0; off < len(data); off += arity {
-			if row := data[off : off+arity : off+arity]; set.insert(row, &ar) {
-				emit(row)
-			}
-		}
-	}
+	// OPSD flavour: seed the dedup table with R (reading R's carried blocks
+	// through their cached column layout; R is duplicate-free, so the seed
+	// skips the dup-check walk entirely), then one batched insert pass over
+	// Rt answers dedup and diff at once.
+	set := newTupleSet(lc, arity, rRows+estDistinct)
+	batchBuildBlocks(set, rBlocks, arity, &ar, true, buf)
+	batchInsertBlocks(set, tmpBlocks, arity, &ar, true, false, buf, emit)
 	pool.observeChains(set)
 	set.release()
 }

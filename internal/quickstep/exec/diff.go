@@ -63,92 +63,36 @@ func partitionedDiff(pool *Pool, rdelta, r *storage.Relation, algo DiffAlgorithm
 	dv := PartitionRelation(pool, rdelta, allCols, parts)
 	rv := PartitionRelation(pool, r, allCols, parts)
 	col := newCollector(pool, storage.CatDelta, arity, parts)
-	batch := pool.batch && arity <= 4
 	pool.RunPartitions(parts, func(p int) {
 		dBlocks, rBlocks := dv.Blocks(p), rv.Blocks(p)
-		if batch {
-			lc, done := pool.passAlloc()
-			defer done()
-			buf := getBatchBuf()
-			defer putBatchBuf(buf)
-			emitBulk := col.sinkBulk(p)
-			var ar setArena
-			if rv.Rows(p) == 0 {
-				// Nothing to subtract: partition p of Rδ passes through.
-				for _, b := range dBlocks {
-					emitBulk(b.Data())
-				}
-				return
-			}
-			var set *tupleSet
-			if algo == TPSD && dv.Rows(p) < rv.Rows(p) {
-				// TPSD phase 1 on the smaller input: r∩ = R ∩ Rδ.
-				bset := newTupleSet(lc, arity, dv.Rows(p))
-				batchInsertBlocks(bset, dBlocks, arity, &ar, true, false, buf, nil)
-				inter := newTupleSet(lc, arity, dv.Rows(p))
-				batchIntersect(bset, inter, rBlocks, arity, &ar, true, false, buf)
-				bset.release()
-				set = inter
-			} else {
-				// OPSD (or TPSD whose smaller input is R): build on R directly.
-				set = newTupleSet(lc, arity, rv.Rows(p))
-				batchInsertBlocks(set, rBlocks, arity, &ar, true, false, buf, nil)
-			}
-			batchAntiProbeBlocks(set, dBlocks, arity, false, buf, emitBulk)
-			set.release()
-			return
-		}
-		emit := col.sink(p)
+		lc, done := pool.passAlloc()
+		defer done()
+		buf := getBatchBuf()
+		defer putBatchBuf(buf)
+		emit := col.sinkBulk(p)
 		var ar setArena
 		if rv.Rows(p) == 0 {
 			// Nothing to subtract: partition p of Rδ passes through.
 			for _, b := range dBlocks {
-				n := b.Rows()
-				for i := 0; i < n; i++ {
-					emit(b.Row(i))
-				}
+				emit(b.Data())
 			}
 			return
 		}
 		var set *tupleSet
 		if algo == TPSD && dv.Rows(p) < rv.Rows(p) {
 			// TPSD phase 1 on the smaller input: r∩ = R ∩ Rδ.
-			bset := newTupleSet(pool.alloc, arity, dv.Rows(p))
-			for _, b := range dBlocks {
-				n := b.Rows()
-				for i := 0; i < n; i++ {
-					bset.insert(b.Row(i), &ar)
-				}
-			}
-			inter := newTupleSet(pool.alloc, arity, dv.Rows(p))
-			for _, b := range rBlocks {
-				n := b.Rows()
-				for i := 0; i < n; i++ {
-					if row := b.Row(i); bset.contains(row, &ar) {
-						inter.insert(row, &ar)
-					}
-				}
-			}
+			bset := newTupleSet(lc, arity, dv.Rows(p))
+			batchInsertBlocks(bset, dBlocks, arity, &ar, true, false, buf, nil)
+			inter := newTupleSet(lc, arity, dv.Rows(p))
+			batchIntersect(bset, inter, rBlocks, arity, &ar, true, false, buf)
 			bset.release()
 			set = inter
 		} else {
 			// OPSD (or TPSD whose smaller input is R): build on R directly.
-			set = newTupleSet(pool.alloc, arity, rv.Rows(p))
-			for _, b := range rBlocks {
-				n := b.Rows()
-				for i := 0; i < n; i++ {
-					set.insert(b.Row(i), &ar)
-				}
-			}
+			set = newTupleSet(lc, arity, rv.Rows(p))
+			batchInsertBlocks(set, rBlocks, arity, &ar, true, false, buf, nil)
 		}
-		for _, b := range dBlocks {
-			n := b.Rows()
-			for i := 0; i < n; i++ {
-				if row := b.Row(i); !set.contains(row, &ar) {
-					emit(row)
-				}
-			}
-		}
+		batchAntiProbeBlocks(set, dBlocks, arity, false, buf, emit)
 		set.release()
 	})
 	return col.into(outName, rdelta.ColNames())
@@ -156,28 +100,17 @@ func partitionedDiff(pool *Pool, rdelta, r *storage.Relation, algo DiffAlgorithm
 
 // buildSet inserts every tuple of rel into a fresh tupleSet, in parallel.
 // The caller owns the set and releases it when done. Full relations are
-// read through their cached column layout on the batch path (a relation
-// rebuilt around carried blocks re-reads the same blocks every iteration).
+// read through their cached column layout (a relation rebuilt around carried
+// blocks re-reads the same blocks every iteration).
 func buildSet(pool *Pool, rel *storage.Relation) *tupleSet {
 	set := newTupleSet(pool.alloc, rel.Arity(), rel.NumTuples())
 	blocks := rel.Blocks()
-	if pool.batch && set.batchable() {
-		arity := rel.Arity()
-		pool.Run(len(blocks), func(task int) {
-			buf := getBatchBuf()
-			defer putBatchBuf(buf)
-			var ar setArena
-			batchInsertBlocks(set, blocks[task:task+1], arity, &ar, false, true, buf, nil)
-		})
-		return set
-	}
+	arity := rel.Arity()
 	pool.Run(len(blocks), func(task int) {
-		b := blocks[task]
+		buf := getBatchBuf()
+		defer putBatchBuf(buf)
 		var ar setArena
-		n := b.Rows()
-		for i := 0; i < n; i++ {
-			set.insert(b.Row(i), &ar)
-		}
+		batchInsertBlocks(set, blocks[task:task+1], arity, &ar, false, true, buf, nil)
 	})
 	return set
 }
@@ -186,26 +119,11 @@ func buildSet(pool *Pool, rel *storage.Relation) *tupleSet {
 func antiProbe(pool *Pool, probe *storage.Relation, set *tupleSet, outName string) *storage.Relation {
 	blocks := probe.Blocks()
 	col := newCollector(pool, storage.CatDelta, probe.Arity(), len(blocks))
-	if pool.batch && set.batchable() {
-		arity := probe.Arity()
-		pool.Run(len(blocks), func(task int) {
-			buf := getBatchBuf()
-			defer putBatchBuf(buf)
-			batchAntiProbeBlocks(set, blocks[task:task+1], arity, false, buf, col.sinkBulk(task))
-		})
-		return col.into(outName, probe.ColNames())
-	}
+	arity := probe.Arity()
 	pool.Run(len(blocks), func(task int) {
-		b := blocks[task]
-		emit := col.sink(task)
-		var ar setArena
-		n := b.Rows()
-		for i := 0; i < n; i++ {
-			row := b.Row(i)
-			if !set.contains(row, &ar) {
-				emit(row)
-			}
-		}
+		buf := getBatchBuf()
+		defer putBatchBuf(buf)
+		batchAntiProbeBlocks(set, blocks[task:task+1], arity, false, buf, col.sinkBulk(task))
 	})
 	return col.into(outName, probe.ColNames())
 }
@@ -226,27 +144,13 @@ func tpsd(pool *Pool, rdelta, r *storage.Relation, outName string) *storage.Rela
 	bset := buildSet(pool, build)
 	inter := newTupleSet(pool.alloc, rdelta.Arity(), rdelta.NumTuples())
 	blocks := probe.Blocks()
-	if pool.batch && bset.batchable() && inter.batchable() {
-		arity := rdelta.Arity()
-		pool.Run(len(blocks), func(task int) {
-			buf := getBatchBuf()
-			defer putBatchBuf(buf)
-			var ar setArena
-			batchIntersect(bset, inter, blocks[task:task+1], arity, &ar, false, true, buf)
-		})
-	} else {
-		pool.Run(len(blocks), func(task int) {
-			b := blocks[task]
-			var ar setArena
-			n := b.Rows()
-			for i := 0; i < n; i++ {
-				row := b.Row(i)
-				if bset.contains(row, &ar) {
-					inter.insert(row, &ar)
-				}
-			}
-		})
-	}
+	arity := rdelta.Arity()
+	pool.Run(len(blocks), func(task int) {
+		buf := getBatchBuf()
+		defer putBatchBuf(buf)
+		var ar setArena
+		batchIntersect(bset, inter, blocks[task:task+1], arity, &ar, false, true, buf)
+	})
 	bset.release()
 	// Phase 2: ∆R = Rδ − r∩.
 	out := antiProbe(pool, rdelta, inter, outName)

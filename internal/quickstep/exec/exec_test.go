@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -208,13 +209,20 @@ func TestDedupArity3(t *testing.T) {
 	}
 }
 
+// Tuples wider than the compact keys pack go through the generic locked map,
+// under FAST-DEDUP and the lock-map baseline alike.
 func TestDedupArity5GenericPath(t *testing.T) {
-	in := storage.NewRelation("t", storage.NumberedColumns(5))
-	in.Append([]int32{1, 2, 3, 4, 5})
-	in.Append([]int32{1, 2, 3, 4, 5})
-	out := Dedup(NewPool(2), in, DedupGSCHT, 4, "d")
-	if out.NumTuples() != 1 {
-		t.Fatalf("dedup kept %d tuples, want 1", out.NumTuples())
+	for _, arity := range []int{5, 6} {
+		in := randRel("t", arity, 2000, 4, rand.New(rand.NewSource(int64(arity))))
+		want := tupleCounts(in)
+		for k := range want {
+			want[k] = 1
+		}
+		for _, strategy := range []DedupStrategy{DedupGSCHT, DedupLockMap} {
+			if got := tupleCounts(Dedup(NewPool(2), in, strategy, 4, "d")); !reflect.DeepEqual(got, want) {
+				t.Fatalf("arity %d %v: dedup kept %d distinct tuples, want %d", arity, strategy, len(got), len(want))
+			}
+		}
 	}
 }
 

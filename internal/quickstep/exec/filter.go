@@ -64,7 +64,7 @@ func SelectProjectPartitioned(pool *Pool, in *storage.Relation, preds []expr.Cmp
 	}
 	blocks := in.Blocks()
 	col := outCollector(pool, part, len(projs), len(blocks))
-	if pool.batch && plainCols && len(idx) <= 4 {
+	if plainCols && len(idx) <= 4 {
 		if cps, ok := colConstPreds(preds); ok {
 			batchSelectProject(pool, col, blocks, cps, idx)
 			return col.into(outName, outCols)

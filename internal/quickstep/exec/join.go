@@ -91,7 +91,8 @@ func packCols128(row []int32, cols []int) gscht.Key128 {
 }
 
 // packColsString packs any number of key columns into a string key (the
-// fallback for arity ≥ 5 joins, which no benchmark program produces).
+// fallback for joins on more than four key columns, which no benchmark
+// program produces).
 func packColsString(row []int32, cols []int, buf []byte) string {
 	buf = buf[:0]
 	for _, c := range cols {
@@ -178,10 +179,6 @@ func (bt *buildTable) lookup(probeRow []int32, probeKeys []int, buf []byte) []in
 	default:
 		return bt.byS[packColsString(probeRow, probeKeys, buf)]
 	}
-}
-
-func (bt *buildTable) row(i int32) []int32 {
-	return bt.blocks[i>>blockShift].Row(int(i) & (storage.DefaultBlockRows - 1))
 }
 
 // outCollector picks an operator's output collector: partition-routing when
@@ -316,7 +313,7 @@ func HashJoin(pool *Pool, left, right *storage.Relation, spec JoinSpec) *storage
 	if len(spec.LeftKeys) == 0 {
 		return crossJoin(pool, left, right, spec)
 	}
-	la, ra := left.Arity(), right.Arity()
+	la := left.Arity()
 
 	var build, probe *storage.Relation
 	var buildKeys, probeKeys []int
@@ -329,84 +326,22 @@ func HashJoin(pool *Pool, left, right *storage.Relation, spec JoinSpec) *storage
 	}
 	jt := joinBuild(pool, build, buildKeys, spec)
 
-	idx, plainCols := colIndexes(spec.Projs)
 	blocks := probe.Blocks()
 	pool.Copy.JoinProbeRows.Add(int64(probe.NumTuples()))
 	// One sink per worker: the probe hands them out by worker slot, and its
 	// tasks may be more than the probe's blocks (a carried view's blocks).
 	col := outCollector(pool, spec.OutPartitioning, len(spec.Projs), pool.Workers())
-	batchProbe := pool.batch && len(probeKeys) <= 4
 	endProbe := pool.phase(obs.PhaseProbe, -1)
-	if batchProbe && plainCols && len(spec.Residual) == 0 && windowRows(len(idx)) > 0 {
-		// Plain columns and nothing to test per match: the expansion kernel.
-		jo := newJoinOutput(pool, col, idx, la, spec.BuildLeft, spec.OutSet)
-		if view := jo.probeView(probe); view != nil {
-			jo.probeInPlace(jt, view, probeKeys)
-		} else {
-			pool.runTasksPerWorker(len(blocks), func(worker, t int) {
-				pool.observeBatch(blocks[t].Rows())
-				jo.probeBlock(&jo.workers[worker], jt, blocks[t], probeKeys)
-			})
-		}
-		jo.finish()
-		endProbe()
-		return col.into(spec.OutName, spec.OutCols)
+	jo := newJoinOutput(pool, col, spec, la)
+	if view := jo.probeView(probe); view != nil {
+		jo.probeInPlace(jt, view, probeKeys)
+	} else {
+		pool.runTasksPerWorker(len(blocks), func(worker, t int) {
+			pool.observeBatch(blocks[t].Rows())
+			jo.probeBlock(&jo.workers[worker], jt, blocks[t], probeKeys)
+		})
 	}
-	// Residual predicates or computed projections (and the whole join when
-	// Pool.SetBatch(false) forces the row kernels) go match by match through
-	// the combined row.
-	scatterRun(pool, col, blocks, func(b *storage.Block, emit func(row []int32)) {
-		pool.observeBatch(b.Rows())
-		combined := make([]int32, la+ra)
-		outRow := make([]int32, len(spec.Projs))
-		emitted := 0
-		// expand materializes one probe row's matches: probe half laid in
-		// once, then per match the build half, residual and projection.
-		expand := func(pr []int32, bt *buildTable, matches []int32) {
-			if spec.BuildLeft {
-				copy(combined[la:], pr)
-			} else {
-				copy(combined[:la], pr)
-			}
-			for _, m := range matches {
-				br := bt.row(m)
-				if spec.BuildLeft {
-					copy(combined[:la], br)
-				} else {
-					copy(combined[la:], br)
-				}
-				if !expr.All(spec.Residual, combined) {
-					continue
-				}
-				if plainCols {
-					for j, c := range idx {
-						outRow[j] = combined[c]
-					}
-				} else {
-					for j, p := range spec.Projs {
-						outRow[j] = p.Eval(combined)
-					}
-				}
-				emit(outRow)
-				emitted++
-			}
-		}
-		if batchProbe {
-			buf := getBatchBuf()
-			batchJoinProbe(jt, b, probeKeys, buf, expand)
-			putBatchBuf(buf)
-		} else {
-			keyBuf := make([]byte, 4*len(probeKeys))
-			n := b.Rows()
-			for i := 0; i < n; i++ {
-				pr := b.Row(i)
-				if bt, matches := jt.lookup(pr, probeKeys, keyBuf); len(matches) != 0 {
-					expand(pr, bt, matches)
-				}
-			}
-		}
-		pool.Copy.JoinRowsExpanded.Add(int64(emitted))
-	})
+	jo.finish()
 	endProbe()
 	return col.into(spec.OutName, spec.OutCols)
 }

@@ -1,22 +1,29 @@
 package exec
 
 import (
+	"slices"
 	"sync"
 
+	"recstep/internal/quickstep/expr"
 	"recstep/internal/quickstep/kernels"
 	"recstep/internal/quickstep/storage"
 )
 
-// The output half of a hash join whose projections are plain columns and
-// that tests nothing per match — every join a delta rule compiles to. Each
-// output column is resolved once per join to (probe row | build row, offset);
-// a probe row's own values are read once and every match is written straight
-// into a row-major window private to the worker, which is flushed in bulk: a
-// block-sized copy for a flat output, the window-at-a-time counting-sort
-// scatter for a partitioned one — or, when the probe side carries the output's
-// partitioning through the projection, a block-sized copy into the partition
-// the probe rows came from. When the output is set-valued the window passes
-// the duplicate filter on its way out.
+// The output half of every hash join. Each window column is resolved once per
+// join to (probe row | build row, offset); a probe row's own values are read
+// once and every match is written straight into a row-major window private to
+// the worker, which is flushed in bulk: a block-sized copy for a flat output,
+// the window-at-a-time counting-sort scatter for a partitioned one — or, when
+// the probe side carries the output's partitioning through the projection, a
+// block-sized copy into the partition the probe rows came from. When the
+// output is set-valued the window passes the duplicate filter on its way out.
+//
+// A join whose projections are plain columns and that tests nothing per match
+// — every join a delta rule compiles to — writes its output columns into the
+// window directly. A join with a residual predicate or a computed projection
+// writes the combined-row columns those read instead, and one pass over the
+// window (eval) tests the residual and evaluates the projections before the
+// filter and the flush.
 
 // colSrc says where one output column comes from.
 type colSrc struct {
@@ -26,12 +33,20 @@ type colSrc struct {
 
 // joinOutput is the output state of one HashJoin call.
 type joinOutput struct {
-	pool    *Pool
-	col     *collector
-	width   int
+	pool  *Pool
+	col   *collector
+	width int // output columns
+	// stride is the width of the rows the expansion writes: width, or for a
+	// computed join the combined-row columns it reads (at least width, so
+	// eval can pack output rows down in place).
+	stride  int
 	winRows int
 	src     []colSrc
 	srcBuf  [4]colSrc // backs src up to four columns
+	// resid and projs are a computed join's residual and projections over
+	// the window's rows; both nil for a plain join.
+	resid []expr.Cmp
+	projs []expr.Expr
 	// filter says the output is set-valued and narrow enough to pack; the
 	// tuning points are read once so one call sees one setting.
 	filter   bool
@@ -46,7 +61,9 @@ type joinOutput struct {
 }
 
 // joinWorker is one worker's share of a joinOutput. Everything it points to
-// is taken on first use: a join that matches nothing takes nothing.
+// is taken on first use: a join that matches nothing takes nothing. Workers
+// sit side by side in one slice, so the fields fill whole cache lines (three,
+// exactly).
 type joinWorker struct {
 	// probe is the scratch of the probe half (key columns in its gather,
 	// packed keys, partition hashes) and lends its otherwise idle scat to the
@@ -57,11 +74,13 @@ type joinWorker struct {
 	win        []int32
 	n          int // rows in the window
 	// passed counts the leading window rows the filter has already let
-	// through (a filtered window keeps filling until it is worth flushing).
-	passed int
-	flat   bulkSink
-	part   *partWriter
-	p      int // the output partition of the window's rows, when in place
+	// through (a filtered window keeps filling until it is worth flushing),
+	// evald those eval has already made output rows of.
+	passed, evald int
+	row           []int32 // eval's output row scratch
+	flat          bulkSink
+	part          *partWriter
+	p             int // the output partition of the window's rows, when in place
 
 	filt    *dupFilter
 	filtOff bool
@@ -71,8 +90,6 @@ type joinWorker struct {
 	seen, hits int
 
 	expanded, bypassed, inPlace int64
-
-	_ [32]byte // workers sit side by side in one slice: pad to three cache lines
 }
 
 // scatterBatchMin is the window size from which a partitioned flush goes
@@ -96,31 +113,40 @@ func windowRows(width int) int {
 // their output state should cost them no allocation.
 var joinOutputs = sync.Pool{New: func() any { return new(joinOutput) }}
 
-// newJoinOutput resolves the projection idx (columns of left ++ right, la of
+// newJoinOutput resolves the window columns (columns of left ++ right, la of
 // them left) against the physical sides. finish gives the value back.
-func newJoinOutput(pool *Pool, col *collector, idx []int, la int, buildLeft, set bool) *joinOutput {
+func newJoinOutput(pool *Pool, col *collector, spec JoinSpec, la int) *joinOutput {
 	jo := joinOutputs.Get().(*joinOutput)
 	workers := jo.workers[:0]
 	if cap(workers) < pool.Workers() {
 		workers = make([]joinWorker, 0, pool.Workers())
 	}
+	width := len(spec.Projs)
 	*jo = joinOutput{
 		pool:     pool,
 		col:      col,
-		width:    len(idx),
-		winRows:  windowRows(len(idx)),
-		filter:   set && len(idx) <= dupFilterWidth,
+		width:    width,
+		stride:   width,
+		filter:   spec.OutSet && width <= dupFilterWidth,
 		activate: int(dupFilterActivate.Load()),
 		minHits:  int(dupFilterMinHits.Load()),
 		workers:  workers[:pool.Workers()],
 	}
+	cols, plain := colIndexes(spec.Projs)
+	if !plain || len(spec.Residual) > 0 {
+		cols = jo.computed(spec)
+	}
+	jo.winRows = windowRows(jo.stride)
+	if jo.winRows == 0 {
+		panic("exec: join row wider than an output window")
+	}
 	jo.src = jo.srcBuf[:0]
-	for _, c := range idx {
+	for _, c := range cols {
 		left := c < la
 		if !left {
 			c -= la
 		}
-		jo.src = append(jo.src, colSrc{build: left == buildLeft, off: c})
+		jo.src = append(jo.src, colSrc{build: left == spec.BuildLeft, off: c})
 	}
 	// finish left every slot empty.
 	for i := range jo.workers {
@@ -129,15 +155,47 @@ func newJoinOutput(pool *Pool, col *collector, idx []int, la int, buildLeft, set
 	return jo
 }
 
+// computed sets a computed join up: the window holds the combined-row columns
+// the residual and the projections read, in column order, padded to at least
+// the output width, and resid/projs are rewritten to read them there. It
+// returns those columns.
+func (jo *joinOutput) computed(spec JoinSpec) []int {
+	var cols []int
+	for _, c := range spec.Residual {
+		cols = append(append(cols, expr.Columns(c.L)...), expr.Columns(c.R)...)
+	}
+	for _, p := range spec.Projs {
+		cols = append(cols, expr.Columns(p)...)
+	}
+	slices.Sort(cols)
+	cols = slices.Compact(cols)
+	at := func(c int) int {
+		i, _ := slices.BinarySearch(cols, c)
+		return i
+	}
+	for _, c := range spec.Residual {
+		jo.resid = append(jo.resid, expr.RemapCmp(c, at))
+	}
+	for _, p := range spec.Projs {
+		jo.projs = append(jo.projs, expr.Remap(p, at))
+	}
+	for len(cols) < jo.width {
+		cols = append(cols, 0) // padding: written, never read
+	}
+	jo.stride = len(cols)
+	return cols
+}
+
 // probeView returns the probe side's carried view of which this join's
 // output partitioning is the image through the projection: the view routed,
 // at the output's fan-out, on the probe columns the output's key columns are
 // copied from. PartitionHash then gives an output row the hash of the probe
 // row it came from, so view partition p yields only rows of output partition
-// p. Nil when the output is flat or no carried view qualifies.
+// p. Nil when the output is flat, the join computed, or no carried view
+// qualifies.
 func (jo *joinOutput) probeView(probe *storage.Relation) *storage.PartitionedView {
 	part := jo.col.part
-	if part == nil {
+	if part == nil || jo.projs != nil {
 		return nil
 	}
 	keys := make([]int, len(part.KeyCols))
@@ -195,11 +253,17 @@ func (jo *joinOutput) probeBlock(w *joinWorker, jt *joinTable, b *storage.Block,
 		bn := min(kernels.BatchRows, n-off)
 		pw.pack(data, arity, off, bn)
 		for i := 0; i < bn; i++ {
-			bt, matches := pw.lookup(i)
+			r := (off + i) * arity
+			var bt *buildTable
+			var matches []int32
+			if pw.wide {
+				bt, matches = pw.lookupWide(data[r:r+arity], i)
+			} else {
+				bt, matches = pw.lookup(i)
+			}
 			if len(matches) == 0 {
 				continue
 			}
-			r := (off + i) * arity
 			jo.expand(w, data[r:r+arity:r+arity], bt, matches)
 		}
 	}
@@ -209,16 +273,18 @@ func (jo *joinOutput) probeBlock(w *joinWorker, jt *joinTable, b *storage.Block,
 // room whenever it fills.
 func (jo *joinOutput) expand(w *joinWorker, pr []int32, bt *buildTable, matches []int32) {
 	if w.win == nil {
-		w.win = w.probe.scat[:jo.winRows*jo.width]
+		w.win = w.probe.scat[:jo.winRows*jo.stride]
 	}
-	w.expanded += int64(len(matches))
+	if jo.projs == nil {
+		w.expanded += int64(len(matches))
+	}
 	for len(matches) > 0 {
 		k := min(jo.winRows-w.n, len(matches))
 		if k == 0 {
 			jo.windowFull(w)
 			continue
 		}
-		jo.expandInto(w.win[w.n*jo.width:], pr, bt, matches[:k])
+		jo.expandInto(w.win[w.n*jo.stride:], pr, bt, matches[:k])
 		w.n += k
 		matches = matches[k:]
 	}
@@ -344,6 +410,7 @@ func (jo *joinOutput) expandInto(win []int32, pr []int32, bt *buildTable, matche
 // left it under half full — then it keeps filling, so that neither the
 // filter pass nor the flush ever runs over a handful of rows.
 func (jo *joinOutput) windowFull(w *joinWorker) {
+	jo.eval(w)
 	jo.borrowFilter(w)
 	if w.filt != nil {
 		jo.filterWindow(w)
@@ -359,11 +426,40 @@ func (jo *joinOutput) drain(w *joinWorker) {
 	if w.n == 0 {
 		return
 	}
+	jo.eval(w)
 	jo.borrowFilter(w)
 	if w.filt != nil {
 		jo.filterWindow(w)
 	}
 	jo.flush(w)
+}
+
+// eval makes output rows of a computed join's window rows past evald: a row
+// the residual holds on is projected and packed down behind the rows already
+// evaluated, any other is dropped. Output row o lands at o*width, at or before
+// the row i ≥ o it came from at i*stride (width ≤ stride), so the pass runs in
+// place. A plain join's window already holds output rows.
+func (jo *joinOutput) eval(w *joinWorker) {
+	if jo.projs == nil || w.evald == w.n {
+		return
+	}
+	if w.row == nil {
+		w.row = make([]int32, jo.width)
+	}
+	o := w.evald
+	for i := w.evald; i < w.n; i++ {
+		r := w.win[i*jo.stride : (i+1)*jo.stride]
+		if !expr.All(jo.resid, r) {
+			continue
+		}
+		for j, p := range jo.projs {
+			w.row[j] = p.Eval(r)
+		}
+		copy(w.win[o*jo.width:], w.row)
+		o++
+	}
+	w.expanded += int64(o - w.evald)
+	w.n, w.evald = o, o
 }
 
 // borrowFilter takes a filter for the worker once the rows it has emitted in
@@ -390,7 +486,7 @@ func (jo *joinOutput) filterWindow(w *joinWorker) {
 	kept := w.filt.compact(w.win, jo.width, w.passed, w.n)
 	w.seen += w.n - w.passed
 	w.hits += w.n - kept
-	w.n, w.passed = kept, kept
+	w.n, w.passed, w.evald = kept, kept, kept
 	if w.seen >= jo.activate && w.hits*kernels.BatchRows < jo.minHits*w.seen {
 		jo.pool.returnDupFilter(w.filt)
 		w.filt, w.filtOff = nil, true
@@ -413,7 +509,7 @@ func (jo *joinOutput) flush(w *joinWorker) {
 		case jo.inPlace:
 			w.part.writeBulk(w.p, rows)
 			w.inPlace += int64(w.n)
-		case jo.width <= 4 && w.n >= scatterBatchMin:
+		case w.n >= scatterBatchMin:
 			if w.out == nil {
 				w.out = getBatchBuf()
 			}
@@ -425,7 +521,7 @@ func (jo *joinOutput) flush(w *joinWorker) {
 		}
 	}
 	w.emitted += w.n
-	w.n, w.passed = 0, 0
+	w.n, w.passed, w.evald = 0, 0, 0
 	if w.filtOff {
 		w.bypassed++
 	}

@@ -178,20 +178,63 @@ type joinCase struct {
 	parts      int // build fan-out
 	outParts   int // 0 = flat output
 	outKeyCols []int
+	residual   bool // a residual predicate
+	computed   bool // an expr.Add projection
 }
 
-// TestJoinKernelMatchesClosurePath runs random plain-column joins through the
-// expansion kernel (batch pool) and through the match-by-match closure path
-// (a pool with the row kernels forced): output arity 1–6, either build side, flat and
-// partitioned outputs, one and four workers. Unmarked outputs must agree as
-// bags; set-valued ones, with the filter forced on, as sets and never with
-// more copies of a tuple than the bag holds.
+// nestedLoopJoin is the reference bag join: every left row against every
+// right row, the keys and the residual tested on the combined row and the
+// projections evaluated over it.
+func nestedLoopJoin(left, right *storage.Relation, spec JoinSpec) map[[6]int32]int {
+	la, ra := left.Arity(), right.Arity()
+	l, r := left.Rows(), right.Rows()
+	combined := make([]int32, la+ra)
+	bag := make(map[[6]int32]int)
+	for i := 0; i < len(l); i += la {
+		copy(combined, l[i:i+la])
+	rows:
+		for j := 0; j < len(r); j += ra {
+			for k, lk := range spec.LeftKeys {
+				if combined[lk] != r[j+spec.RightKeys[k]] {
+					continue rows
+				}
+			}
+			copy(combined[la:], r[j:j+ra])
+			if !expr.All(spec.Residual, combined) {
+				continue
+			}
+			k := [6]int32{-1, -1, -1, -1, -1, -1}
+			for c, p := range spec.Projs {
+				k[c] = p.Eval(combined)
+			}
+			bag[k]++
+		}
+	}
+	return bag
+}
+
+// bagSize is the number of rows in a bag.
+func bagSize(bag map[[6]int32]int) int {
+	n := 0
+	for _, c := range bag {
+		n += c
+	}
+	return n
+}
+
+// TestJoinKernelMatchesClosurePath runs random joins through the join kernel
+// against a nested-loop reference: 1–6 probe keys (more than four take the
+// string-key window lookup), output arity 1–6, residual predicates (column
+// against column and against a literal) and computed projections, either
+// build side, flat and partitioned outputs, one and four workers. Unmarked
+// outputs must agree as bags; set-valued ones, with the filter forced on, as
+// sets and never with more copies of a tuple than the bag holds.
 func TestJoinKernelMatchesClosurePath(t *testing.T) {
 	forceDupFilter(t)
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
-		c := joinCase{la: 1 + rng.Intn(3), ra: 1 + rng.Intn(3), buildLeft: rng.Intn(2) == 0}
-		c.keys = 1 + rng.Intn(min(c.la, c.ra))
+		c := joinCase{keys: 1 + (trial/6)%6, buildLeft: rng.Intn(2) == 0}
+		c.la, c.ra = c.keys+rng.Intn(3), c.keys+rng.Intn(3)
 		width := 1 + trial%6
 		for j := 0; j < width; j++ {
 			c.outCols = append(c.outCols, rng.Intn(c.la+c.ra))
@@ -201,11 +244,14 @@ func TestJoinKernelMatchesClosurePath(t *testing.T) {
 			c.outParts = []int{16, 64}[rng.Intn(2)]
 			c.outKeyCols = []int{rng.Intn(width)}
 		}
+		c.residual, c.computed = rng.Intn(3) == 0, rng.Intn(3) == 0
 		// A small domain and about a thousand rows a side: tens of thousands
 		// of matches, so windows fill, flush and (when marked) filter dozens
-		// of times per join.
-		left := randRel("l", c.la, 600+rng.Intn(800), 25, rng)
-		right := randRel("r", c.ra, 600+rng.Intn(800), 25, rng)
+		// of times per join. Wider keys take a smaller domain to match as
+		// often.
+		domain := []int{25, 25, 10, 6, 4, 3}[c.keys-1]
+		left := randRel("l", c.la, 600+rng.Intn(800), domain, rng)
+		right := randRel("r", c.ra, 600+rng.Intn(800), domain, rng)
 		spec := JoinSpec{BuildLeft: c.buildLeft, Partitions: c.parts, OutName: "out"}
 		for k := 0; k < c.keys; k++ {
 			spec.LeftKeys = append(spec.LeftKeys, k)
@@ -214,29 +260,42 @@ func TestJoinKernelMatchesClosurePath(t *testing.T) {
 		for _, oc := range c.outCols {
 			spec.Projs = append(spec.Projs, expr.Col{Index: oc})
 		}
+		col := func() expr.Col { return expr.Col{Index: rng.Intn(c.la + c.ra)} }
+		if c.computed {
+			var r expr.Expr = expr.Lit{Value: int32(rng.Intn(3))}
+			if rng.Intn(2) == 0 {
+				r = col()
+			}
+			spec.Projs[rng.Intn(width)] = expr.Arith{Op: expr.Add, L: col(), R: r}
+		}
+		if c.residual {
+			var r expr.Expr = expr.Lit{Value: int32(rng.Intn(domain))}
+			if rng.Intn(2) == 0 {
+				r = col()
+			}
+			spec.Residual = []expr.Cmp{{Op: expr.CmpOp(rng.Intn(6)), L: col(), R: r}}
+		}
 		if c.outParts > 0 {
 			spec.OutPartitioning = &storage.Partitioning{KeyCols: c.outKeyCols, Parts: c.outParts}
 		}
 
-		scalar := NewPool(2)
-		scalar.SetBatch(false)
-		ref := HashJoin(scalar, left, right, spec)
-		want := tupleCounts(ref)
+		want := nestedLoopJoin(left, right, spec)
+		rows := bagSize(want)
 
 		for _, workers := range []int{1, 4} {
 			pool := NewPool(workers)
 			got := HashJoin(pool, left, right, spec)
 			if !reflect.DeepEqual(tupleCounts(got), want) {
-				t.Fatalf("trial %d %+v workers=%d: kernel output (%d rows) is not the closure path's bag (%d rows)",
-					trial, c, workers, got.NumTuples(), ref.NumTuples())
+				t.Fatalf("trial %d %+v workers=%d: kernel output (%d rows) is not the reference bag (%d rows)",
+					trial, c, workers, got.NumTuples(), rows)
 			}
 			if c.outParts > 0 {
 				if p, ok := got.Partitioning(); !ok || !p.Equal(*spec.OutPartitioning) {
 					t.Fatalf("trial %d: partitioned output does not carry its partitioning", trial)
 				}
 			}
-			if s := pool.Copy.Snapshot(); s.JoinRowsExpanded != int64(ref.NumTuples()) || s.DupSuppressed != 0 {
-				t.Fatalf("trial %d: unmarked join counted %d expanded, %d suppressed for %d rows", trial, s.JoinRowsExpanded, s.DupSuppressed, ref.NumTuples())
+			if s := pool.Copy.Snapshot(); s.JoinRowsExpanded != int64(rows) || s.DupSuppressed != 0 {
+				t.Fatalf("trial %d: unmarked join counted %d expanded, %d suppressed for %d rows", trial, s.JoinRowsExpanded, s.DupSuppressed, rows)
 			}
 
 			marked := spec
@@ -252,11 +311,11 @@ func TestJoinKernelMatchesClosurePath(t *testing.T) {
 				}
 			}
 			s := pool.Copy.Snapshot()
-			if dropped := int64(ref.NumTuples() - set.NumTuples()); s.DupSuppressed != dropped {
+			if dropped := int64(rows - set.NumTuples()); s.DupSuppressed != dropped {
 				t.Fatalf("trial %d: DupSuppressed = %d, rows missing from the output = %d", trial, s.DupSuppressed, dropped)
 			}
-			if width <= dupFilterWidth && ref.NumTuples() > 4*len(want) && s.DupSuppressed == 0 {
-				t.Fatalf("trial %d: %d rows over %d distinct tuples and the forced filter dropped none", trial, ref.NumTuples(), len(want))
+			if width <= dupFilterWidth && rows > 4*len(want) && s.DupSuppressed == 0 {
+				t.Fatalf("trial %d: %d rows over %d distinct tuples and the forced filter dropped none", trial, rows, len(want))
 			}
 			if width > dupFilterWidth && s.DupSuppressed != 0 {
 				t.Fatalf("trial %d: output of %d columns was filtered", trial, width)
@@ -303,9 +362,7 @@ func TestDupFilterSharedPoolRace(t *testing.T) {
 	right := randRel("r", 2, 6000, 30, rng)
 	spec := JoinSpec{LeftKeys: []int{1}, RightKeys: []int{0}, Partitions: 16, OutSet: true,
 		Projs: []expr.Expr{expr.Col{Index: 0}, expr.Col{Index: 3}}}
-	scalar := NewPool(1)
-	scalar.SetBatch(false)
-	want := tupleCounts(HashJoin(scalar, left, right, spec))
+	want := nestedLoopJoin(left, right, spec)
 
 	pool := NewPool(4)
 	for round := 0; round < 3; round++ {

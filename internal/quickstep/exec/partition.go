@@ -80,31 +80,17 @@ func scatterView(pool *Pool, r *storage.Relation, keyCols []int, parts int) (*st
 		workers = 1
 	}
 	perWorker := make([][][]*storage.Block, workers)
-	// The batch-mode scatter hashes and radix-sorts whole windows; its
-	// reorder scratch is sized for the packable arities.
-	batch := pool.batch && arity >= 1 && arity <= 4 && len(keyCols) >= 1
 	var nextBlock atomic.Int64
 	pool.RunWorkers(workers, func(worker, numWorkers int) {
 		w := newPartWriter(pool, storage.CatIntermediate, arity, keyCols, parts)
-		var buf *batchBuf
-		if batch {
-			buf = getBatchBuf()
-			defer putBatchBuf(buf)
-		}
+		buf := getBatchBuf()
+		defer putBatchBuf(buf)
 		for {
 			t := int(nextBlock.Add(1)) - 1
 			if t >= len(blocks) || pool.Aborted() {
 				break
 			}
-			b := blocks[t]
-			if batch {
-				batchScatterBlock(w, b.Data(), arity, buf)
-				continue
-			}
-			n := b.Rows()
-			for i := 0; i < n; i++ {
-				w.write(b.Row(i))
-			}
+			batchScatterBlock(w, blocks[t].Data(), arity, buf)
 		}
 		perWorker[worker] = w.out
 	})

@@ -293,13 +293,6 @@ type Pool struct {
 	// memory manager (recycling + accounting). Nil keeps plain heap blocks.
 	alloc storage.Lifecycle
 
-	// batch selects the batch-at-a-time kernel paths (columnar key packing,
-	// batched GSCHT inserts/probes, bulk block emission, per-worker
-	// magazines). Off forces the row-layout tuple-at-a-time kernels, which
-	// otherwise serve only arity > 4 and residual joins; tests use them as a
-	// reference.
-	batch bool
-
 	// om/tracer, when set, receive per-phase wall-time attribution and
 	// distribution histograms from the operators running on this pool. Both
 	// nil (the -obs=false ablation) makes every phase() span a shared no-op.
@@ -342,7 +335,7 @@ func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{workers: workers, batch: true}
+	return &Pool{workers: workers}
 }
 
 // Workers returns the configured degree of parallelism.
@@ -354,11 +347,6 @@ func (p *Pool) SetAlloc(lc storage.Lifecycle) { p.alloc = lc }
 
 // Alloc returns the installed block lifecycle (nil = heap).
 func (p *Pool) Alloc() storage.Lifecycle { return p.alloc }
-
-// SetBatch toggles the batch-at-a-time kernel paths (on by default). It is a
-// test-only switch: off forces the row-layout tuple-at-a-time kernels on
-// every operator, the reference the batch kernels are checked against.
-func (p *Pool) SetBatch(on bool) { p.batch = on }
 
 // SetObs installs the exec metrics and (optional) tracer the pool's phase
 // spans report to. Pass nil, nil to disable phase attribution entirely.
@@ -441,17 +429,14 @@ func (p *Pool) observeBatch(n int) {
 
 // passAlloc returns the lifecycle a pass-private structure (dedup table,
 // GSCHT node slabs) should allocate through, plus a release hook to call
-// when the pass ends. On the batch path with a magazine-capable manager the
-// lifecycle is a per-worker magazine, so the pass's alloc/free churn costs
-// one pool-shard lock per batch instead of one per array. The structure's
-// full lifetime — allocation through release — must stay on the calling
-// goroutine.
+// when the pass ends. With a magazine-capable manager the lifecycle is a
+// per-worker magazine, so the pass's alloc/free churn costs one pool-shard
+// lock per batch instead of one per array. The structure's full lifetime —
+// allocation through release — must stay on the calling goroutine.
 func (p *Pool) passAlloc() (storage.Lifecycle, func()) {
-	if p.batch {
-		if ms, ok := p.alloc.(storage.MagazineSource); ok {
-			mag := ms.AcquireMagazine()
-			return mag, func() { ms.ReleaseMagazine(mag) }
-		}
+	if ms, ok := p.alloc.(storage.MagazineSource); ok {
+		mag := ms.AcquireMagazine()
+		return mag, func() { ms.ReleaseMagazine(mag) }
 	}
 	return p.alloc, func() {}
 }
@@ -886,24 +871,6 @@ func scatterRun(pool *Pool, col *collector, blocks []*storage.Block, fn func(b *
 	})
 }
 
-// sinkPart returns an emit function writing directly into one partition of
-// one task — for operators whose unit of work *is* a partition, so every row
-// they emit is already known to belong to it (no re-hash).
-func (c *collector) sinkPart(task, p int) func(row []int32) {
-	if c.parted[task] == nil {
-		c.parted[task] = make([][]*storage.Block, c.part.Parts)
-	}
-	out := c.parted[task]
-	var cur *storage.Block
-	return func(row []int32) {
-		if cur == nil || cur.Full() {
-			cur = c.pool.newBlock(c.arity, c.cat, scatterHint)
-			out[p] = append(out[p], cur)
-		}
-		cur.Append(row)
-	}
-}
-
 // bulkSink appends row-major runs of whole rows to one sink slot of a flat
 // collector in block-sized copies — the bulk counterpart of sink, as a value
 // an operator can keep per worker without a closure.
@@ -935,8 +902,10 @@ func (c *collector) sinkBulk(task int) func(rows []int32) {
 	return (&bulkSink{c: c, slot: task}).write
 }
 
-// sinkPartBulk is the bulk counterpart of sinkPart: whole gathered batches
-// land in one partition of one task with chunked AppendBulk copies.
+// sinkPartBulk returns an emit function writing whole gathered batches
+// directly into one partition of one task, with chunked AppendBulk copies —
+// for operators whose unit of work *is* a partition, so every row they emit
+// is already known to belong to it (no re-hash).
 func (c *collector) sinkPartBulk(task, p int) func(rows []int32) {
 	if c.parted[task] == nil {
 		c.parted[task] = make([][]*storage.Block, c.part.Parts)

@@ -29,10 +29,10 @@ type ResidentIndex struct {
 	arenas []setArena
 }
 
-// ResidentCapable reports whether passes on this pool over tuples of the
-// given arity can run against a resident index: it is built from the batch
-// kernels' compact-key tables.
-func ResidentCapable(pool *Pool, arity int) bool { return pool.batch && arity <= 4 }
+// ResidentCapable reports whether passes over tuples of the given arity can
+// run against a resident index: it is built from compact-key GSCHT tables,
+// which pack at most four columns.
+func ResidentCapable(arity int) bool { return arity <= 4 }
 
 func newResidentIndex(pool *Pool, arity int, part storage.Partitioning) *ResidentIndex {
 	x := &ResidentIndex{arity: arity, part: part, sets: make([]*tupleSet, max(part.Parts, 1))}
@@ -85,7 +85,7 @@ func ResidentIndexBytes(keys, arity int) int64 {
 // passPartition runs partition p's fused pass against the index: seed the
 // partition's table from R's partition on first use (the OPSD build, paid
 // once), then one batched insert of Rt's partition emits ∆R. All state is
-// private to the calling worker, as in deltaPartitionBatch.
+// private to the calling worker, as in deltaPartition.
 func (x *ResidentIndex) passPartition(pool *Pool, p int, tmpBlocks []*storage.Block, tmpRows int, rv *storage.PartitionedView, estDistinct int, emit func(rows []int32)) {
 	set, ar := x.sets[p], &x.arenas[p]
 	if set != nil && tmpRows == 0 {
@@ -120,8 +120,8 @@ func (x *ResidentIndex) passPartition(pool *Pool, p int, tmpBlocks []*storage.Bl
 // until then, and must release it instead if the pass was aborted.
 func DeltaStepResident(pool *Pool, tmp, full *storage.Relation, idx *ResidentIndex, part, sec storage.Partitioning, estDistinct int, outName string) (*storage.Relation, *ResidentIndex, storage.Version) {
 	arity := tmp.Arity()
-	if !ResidentCapable(pool, arity) {
-		panic("exec: resident delta step needs the batch kernels and arity ≤ 4")
+	if !ResidentCapable(arity) {
+		panic("exec: resident delta step needs arity ≤ 4")
 	}
 	if idx != nil && !idx.Serves(arity, part) {
 		idx.Release()

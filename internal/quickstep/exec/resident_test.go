@@ -179,28 +179,25 @@ func TestResidentIndexReseedsOnPartitioningShift(t *testing.T) {
 // node slabs per worker, not per block.
 func TestSharedSeedClaimsSlabsPerWorker(t *testing.T) {
 	const blocks, workers = 600, 2
-	for _, batch := range []bool{true, false} {
-		pool, mem := poolOn(workers)
-		pool.SetBatch(batch)
-		full := storage.NewRelation("r", storage.NumberedColumns(2))
-		for i := 0; i < blocks; i++ {
-			b := storage.NewBlock(2)
-			for j := 0; j < 8; j++ {
-				b.Append([]int32{int32(i), int32(j)})
-			}
-			full.AdoptBlock(b)
+	pool, mem := poolOn(workers)
+	full := storage.NewRelation("r", storage.NumberedColumns(2))
+	for i := 0; i < blocks; i++ {
+		b := storage.NewBlock(2)
+		for j := 0; j < 8; j++ {
+			b.Append([]int32{int32(i), int32(j)})
 		}
-		tmp := storage.NewRelation("tmp", storage.NumberedColumns(2))
-		tmp.AppendRows([]int32{0, 0, -1, -1})
-		delta := DeltaStep(pool, tmp, full, OPSD, wtp(1), 2, "delta")
-		if delta.NumTuples() != 1 {
-			t.Fatalf("batch=%v: delta has %d tuples, want 1", batch, delta.NumTuples())
-		}
-		// 4800 keys fit five 16 KiB slab chunks; one chunk per block would be
-		// 600 of them (9.8 MB).
-		if peak := mem.Snapshot().PeakLive; peak > 1<<20 {
-			t.Fatalf("batch=%v: seeding %d small blocks peaked at %d pool bytes", batch, blocks, peak)
-		}
+		full.AdoptBlock(b)
+	}
+	tmp := storage.NewRelation("tmp", storage.NumberedColumns(2))
+	tmp.AppendRows([]int32{0, 0, -1, -1})
+	delta := DeltaStep(pool, tmp, full, OPSD, wtp(1), 2, "delta")
+	if delta.NumTuples() != 1 {
+		t.Fatalf("delta has %d tuples, want 1", delta.NumTuples())
+	}
+	// 4800 keys fit five 16 KiB slab chunks; one chunk per block would be 600
+	// of them (9.8 MB).
+	if peak := mem.Snapshot().PeakLive; peak > 1<<20 {
+		t.Fatalf("seeding %d small blocks peaked at %d pool bytes", blocks, peak)
 	}
 }
 

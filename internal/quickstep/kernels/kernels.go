@@ -319,9 +319,8 @@ func GatherRows(cols [][]int32, sel []int32, dst []int32) []int32 {
 
 // GatherSelect materializes the selected rows of a row-major source into a
 // row-major buffer — the gather companion for operators that keep their
-// input row-major (the row kernels never need it; the batch path uses it
-// when a block's column slab is not worth building). dst must hold
-// len(sel)*arity values; the written prefix is returned.
+// input row-major (a block whose column slab is not worth building). dst
+// must hold len(sel)*arity values; the written prefix is returned.
 func GatherSelect(src []int32, arity int, sel []int32, dst []int32) []int32 {
 	dst = dst[: len(sel)*arity : len(sel)*arity]
 	for j, s := range sel {
