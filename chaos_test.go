@@ -366,6 +366,73 @@ func TestChaosApplyDelta(t *testing.T) {
 	}
 }
 
+// A worker panic inside an insert-only update's INSERT … SELECT aborts the
+// update with the tmp table (and, under individual evaluation, the part
+// tables) already created. The failed update must leave none of them in the
+// catalog: Rederive re-runs every stratum, which creates them afresh, and
+// must then derive exactly what a from-scratch run over the surviving base
+// rows derives. The panic is injected at every worker task from the 2nd to
+// the 12th, so it lands in each phase of the update in turn.
+func TestRederiveAfterAbortedInsertPhase(t *testing.T) {
+	prog := programs.MustParse(programs.TC)
+	arity := map[string]int{"arc": 2}
+	base := map[string][][]int32{}
+	experiments.PeakMemEDBs("tc", 40)["arc"].ForEach(func(tuple []int32) {
+		base["arc"] = append(base["arc"], append([]int32(nil), tuple...))
+	})
+	ins := [][]int32{{41, 0}, {17, 41}, {41, 41}, {3, 17}}
+
+	for _, uie := range []bool{true, false} {
+		failed := 0
+		for n := 2; n <= 12; n++ {
+			inj := faultinject.New(int64(n))
+			opts := core.DefaultOptions()
+			opts.Workers = 4
+			opts.UIE = uie
+			opts.FaultInject = inj
+			d, err := core.New(opts).RunIncremental(context.Background(), prog, relsFrom(base, arity))
+			if err != nil {
+				t.Fatalf("uie=%v n=%d: clean resident build failed: %v", uie, n, err)
+			}
+			inj.FailNth(faultinject.WorkerPanic, n)
+			_, uerr := d.ApplyDelta("arc", ins, nil)
+			disarmInjector(inj, faultinject.WorkerPanic)
+			if uerr != nil {
+				failed++
+				if !errors.Is(uerr, faultinject.ErrInjected) {
+					t.Fatalf("uie=%v n=%d: update error %v does not wrap the injected fault", uie, n, uerr)
+				}
+				if err := d.Rederive(); err != nil {
+					t.Fatalf("uie=%v n=%d: rederive after the aborted update: %v", uie, n, err)
+				}
+				if d.Dirty() {
+					t.Fatalf("uie=%v n=%d: database still dirty after rederive", uie, n)
+				}
+			}
+			arc, _ := d.Relation("arc")
+			survived := map[string][][]int32{"arc": unpackRows(arc.SortedRows(), 2)}
+			ref, err := core.New(core.DefaultOptions()).Run(prog, relsFrom(survived, arity))
+			if err != nil {
+				t.Fatalf("uie=%v n=%d: reference run: %v", uie, n, err)
+			}
+			want := sortedOutputs(ref)
+			for _, idb := range d.IDBNames() {
+				rel, _ := d.Relation(idb)
+				if got := rel.SortedRows(); !reflect.DeepEqual(got, want[idb]) {
+					t.Fatalf("uie=%v n=%d: %s diverges from a from-scratch run (%d vs %d values)",
+						uie, n, idb, len(got), len(want[idb]))
+				}
+			}
+			if snap, err := d.Close(); err != nil || snap.LiveTotal != 0 {
+				t.Fatalf("uie=%v n=%d: close: %v, %d live pooled bytes", uie, n, err, snap.LiveTotal)
+			}
+		}
+		if failed == 0 {
+			t.Fatalf("uie=%v: no injected panic aborted an update; the test lost its point", uie)
+		}
+	}
+}
+
 // Cancelling mid-update: a resident TC database over a long path graph gets
 // the cycle-closing edge inserted, and the update's propagation fixpoint is
 // cancelled from the iteration hook. The update must fail with the context

@@ -3,6 +3,7 @@ package recstep
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -76,6 +77,11 @@ type equivArm struct {
 	rewrite func(*ast.Program) *ast.Program
 	// check, when set, inspects the arm's run statistics.
 	check func(t *testing.T, stats core.Stats)
+	// only, when set, lists the programs the arm runs on.
+	only []string
+	// native also checks the arm against baselines/native, for the programs
+	// it has an evaluator for.
+	native bool
 }
 
 // testFanouts are the radix fan-outs every row of the equivalence table
@@ -123,13 +129,22 @@ func matchAcrossPrograms(t *testing.T, long bool, arms func(base core.Options, l
 				}
 				base := core.DefaultOptions()
 				base.Workers = 4
+				var rows []equivArm
+				for _, arm := range arms(base, label != name) {
+					if arm.only == nil || slices.Contains(arm.only, name) {
+						rows = append(rows, arm)
+					}
+				}
+				if len(rows) == 0 {
+					return
+				}
 
 				ref := base
 				ref.Dedup = exec.DedupLockMap
 				ref.Partitions = 1
 				ref.DSD = core.DSDAlwaysOPSD
 				want, _ := run(prog, ref)
-				for _, arm := range arms(base, label != name) {
+				for _, arm := range rows {
 					armProg := prog
 					if arm.rewrite != nil {
 						armProg = arm.rewrite(prog)
@@ -139,6 +154,14 @@ func matchAcrossPrograms(t *testing.T, long bool, arms func(base core.Options, l
 						if !reflect.DeepEqual(got[rel], rows) {
 							t.Fatalf("%s: %s (%d values) diverges from the staged lock-map run (%d values)",
 								arm.what, rel, len(got[rel]), len(rows))
+						}
+					}
+					if arm.native {
+						for rel, r := range nativeRelations(name, edbs) {
+							if rows := r.SortedRows(); !reflect.DeepEqual(got[rel], rows) {
+								t.Fatalf("%s: %s (%d values) diverges from baselines/native (%d values)",
+									arm.what, rel, len(got[rel]), len(rows))
+							}
 						}
 					}
 					if arm.check != nil {
@@ -212,6 +235,29 @@ func nativeRelations(program string, edbs map[string]*storage.Relation) map[stri
 		return map[string]*storage.Relation{"null": native.CSDA(edbs, workers)}
 	}
 	return nil
+}
+
+// Individual evaluation (UIE off, Figure 4's ablation) runs each live arm
+// of a bound unit as its own query into a part table, then merges the part
+// tables into tmp. On the programs whose arms skip on an empty ∆ (cspa, aa,
+// csda, sg) or that aggregate (cc) it must derive, at every radix fan-out,
+// what the staged lock-map run and baselines/native derive.
+func TestIndividualEvaluationMatchesNativeAcrossPrograms(t *testing.T) {
+	matchAcrossPrograms(t, false, func(base core.Options, _ bool) []equivArm {
+		var arms []equivArm
+		for _, parts := range testFanouts {
+			opts := base
+			opts.UIE = false
+			opts.Partitions = parts
+			arms = append(arms, equivArm{
+				what:   fmt.Sprintf("parts=%d uie=false", parts),
+				opts:   opts,
+				only:   []string{"aa", "cc", "csda", "cspa", "sg"},
+				native: true,
+			})
+		}
+		return arms
+	})
 }
 
 // The engine's kernels against references that share none of them: at

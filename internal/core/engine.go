@@ -34,6 +34,7 @@ import (
 	"recstep/internal/quickstep/exec"
 	"recstep/internal/quickstep/memory"
 	"recstep/internal/quickstep/optimizer"
+	"recstep/internal/quickstep/plan"
 	"recstep/internal/quickstep/stats"
 	"recstep/internal/quickstep/storage"
 )
@@ -661,13 +662,21 @@ func (r *runState) evalStratumWith(s analysis.Stratum, seed map[string]querygen.
 		return err
 	}
 
-	// Per-IDB evaluation state.
+	// Per-IDB evaluation state. Every unit the loop runs is bound here, once:
+	// the tables its arms read all exist by now (the tmp table is only the
+	// insert target), so the iterations execute bound plans and never touch
+	// SQL text. Join order is still chosen per iteration, on live
+	// cardinalities, when a branch runs.
 	states := make(map[string]*idbState, len(queries))
 	for i := range queries {
 		q := &queries[i]
 		st := &idbState{
 			q:       q,
+			cols:    storage.NumberedColumns(q.Arity),
 			chooser: optimizer.NewDiffChooser(r.opts().Alpha),
+		}
+		if err := r.bindStratumUnits(st, seed); err != nil {
+			return err
 		}
 		if q.RecursiveAgg {
 			st.agg = newAggMerge(r.res.Preds[q.Pred].Agg, q.Arity)
@@ -695,14 +704,11 @@ func (r *runState) evalStratumWith(s analysis.Stratum, seed map[string]querygen.
 	carrying := !r.opts().Naive
 	usage := make(map[string][][]int)
 	for i := range queries {
-		if !carrying || queries[i].Rec.Unified == "" {
+		rec := states[queries[i].Pred].rec
+		if !carrying || rec.query == nil {
 			continue
 		}
-		u, err := r.db.PlanJoinKeys(queries[i].Rec.Unified)
-		if err != nil {
-			return err
-		}
-		for table, keysets := range u {
+		for table, keysets := range quickstep.PlanJoinKeys(rec.query) {
 			usage[table] = append(usage[table], keysets...)
 		}
 	}
@@ -742,27 +748,12 @@ func (r *runState) evalStratumWith(s analysis.Stratum, seed map[string]querygen.
 		anyDelta := false
 		for i := range queries {
 			q := &queries[i]
-			var unit querygen.UnitQueries
-			switch {
-			case r.opts().Naive && seed == nil:
-				unit = q.Full
-			case iter == 1:
-				if seed != nil {
-					// Seed arms plus the ordinary Rec arms: within an
-					// iteration deltas install in predicate order, so a
-					// predicate evaluated after a producer sees the
-					// producer's iteration-1 ∆ only during iteration 1 —
-					// by iteration 2 it has been replaced. (From-scratch
-					// runs don't need this: Init arms read no deltas and
-					// every tuple lands in some later ∆.)
-					unit = querygen.MergeUnits(q.Tmp, seed[q.Pred], q.Rec)
-				} else {
-					unit = q.Init
-				}
-			default:
-				unit = q.Rec
+			st := states[q.Pred]
+			unit := st.rec
+			if iter == 1 {
+				unit = st.first
 			}
-			delta, err := r.evalIDB(s, iter, states[q.Pred], unit)
+			delta, err := r.evalIDB(s, iter, st, unit)
 			if err != nil {
 				return err
 			}
@@ -807,7 +798,12 @@ func (r *runState) evalStratumWith(s analysis.Stratum, seed map[string]querygen.
 
 // idbState is the per-IDB loop state within one stratum.
 type idbState struct {
-	q               *querygen.IDBQueries
+	q *querygen.IDBQueries
+	// cols names the tmp table's columns.
+	cols []string
+	// first is the unit iteration 1 runs, rec the one every later iteration
+	// runs; both are bound once, at stratum start.
+	first, rec      boundUnit
 	chooser         *optimizer.DiffChooser
 	agg             *aggMerge
 	rebuildEachIter bool
@@ -838,7 +834,7 @@ type idbState struct {
 // then either the fused partition-native delta step or the staged dedup +
 // set difference (or the aggregate merge), and the merge into R. It returns
 // the delta size.
-func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit querygen.UnitQueries) (int, error) {
+func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit boundUnit) (int, error) {
 	q := st.q
 	// Publish the step context: worker phase spans and the memory manager's
 	// spill/fault spans stamp whatever step is current when they fire.
@@ -850,15 +846,12 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit quer
 	// execution. In multi-IDB strata deltas empty out at different
 	// iterations, leaving whole arms firing on nothing every iteration
 	// until the stratum converges.
-	unit, skipped := querygen.FilterArms(q.Tmp, unit, func(delta string) bool {
-		d, ok := r.db.Catalog().Get(delta)
-		return !ok || d.NumTuples() > 0
-	})
+	query, skipped := r.liveArms(unit)
 	r.stats.ArmsSkipped += int64(skipped)
 	if r.em != nil {
 		r.em.armsSkipped.Add(int64(skipped))
 	}
-	if unit.Subqueries == 0 {
+	if query == nil {
 		// Nothing fires this phase; the delta is empty.
 		if err := r.db.InstallReplacing(storage.NewRelation(q.Delta, storage.NumberedColumns(q.Arity))); err != nil {
 			return 0, err
@@ -941,7 +934,7 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit quer
 		}
 	}
 
-	tmp, err := r.uieval(q, unit)
+	tmp, err := r.uieval(q.Tmp, st.cols, query, r.opts().UIE)
 	if err != nil {
 		return 0, err
 	}
@@ -953,7 +946,7 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit quer
 	consumeTmp := func() {
 		if tmpLive {
 			tmpLive = false
-			r.dropTmp(q)
+			r.dropTmp(q.Tmp)
 		}
 	}
 	defer consumeTmp()
@@ -1058,7 +1051,7 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit quer
 		r.em.deltaTuples.Add(int64(n))
 	}
 	r.hook(s, iter, q.Pred, tmpRows, n, algo, r.db.CopySnapshot().Sub(copyBase), skipped)
-	// The SQL path surfaces aborts through ExecSQL; the direct kernel calls
+	// The statement path surfaces aborts through Exec; the direct kernel calls
 	// (fused delta step, aggregate merge) drain silently with partial output.
 	// Check here so a step that aborted mid-kernel fails the iteration
 	// instead of feeding a truncated ∆R forward.
@@ -1144,40 +1137,153 @@ func (r *runState) fullStats(pred string, full *storage.Relation, mode stats.Mod
 	return fullStats
 }
 
-// uieval materializes the temporary table and runs either the unified UIE
-// query or the individual per-subquery queries plus merge.
-func (r *runState) uieval(q *querygen.IDBQueries, unit querygen.UnitQueries) (*storage.Relation, error) {
-	cols := columnsSQL(q.Arity)
-	if _, err := r.db.ExecSQL(fmt.Sprintf("CREATE TABLE %s (%s)", q.Tmp, cols)); err != nil {
-		return nil, err
-	}
-	if r.opts().UIE {
-		if _, err := r.db.ExecSQL(unit.Unified); err != nil {
-			return nil, err
-		}
-	} else {
-		for i, part := range unit.Parts {
-			if _, err := r.db.ExecSQL(fmt.Sprintf("CREATE TABLE %s (%s)", unit.PartTables[i], cols)); err != nil {
-				return nil, err
-			}
-			if _, err := r.db.ExecSQL(part); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := r.db.ExecSQL(unit.Merge); err != nil {
-			return nil, err
-		}
-		for _, pt := range unit.PartTables {
-			if _, err := r.db.ExecSQL("DROP TABLE IF EXISTS " + pt); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return r.db.Catalog().MustGet(q.Tmp), nil
+// boundUnit is one unit of rule arms bound against the catalog: branch i of
+// query is arm i of the unit, seeded by ∆ table deltas[i] ("" when no ∆
+// seeds it). A unit without arms has a nil query. The branches are shared,
+// read-only, by every iteration that runs the unit.
+type boundUnit struct {
+	query  *plan.Query
+	deltas []string
 }
 
-func (r *runState) dropTmp(q *querygen.IDBQueries) {
-	_, _ = r.db.ExecSQL("DROP TABLE IF EXISTS " + q.Tmp)
+// bindUnit binds a unit's unified INSERT … SELECT.
+func (r *runState) bindUnit(u querygen.UnitQueries) (boundUnit, error) {
+	if u.Subqueries == 0 {
+		return boundUnit{}, nil
+	}
+	st, err := r.db.Prepare(u.Unified)
+	if err != nil {
+		return boundUnit{}, err
+	}
+	q, err := quickstep.QueryOf(st)
+	if err != nil {
+		return boundUnit{}, err
+	}
+	return boundUnit{query: q, deltas: u.DeltaTables}, nil
+}
+
+// then returns u's arms followed by b's.
+func (u boundUnit) then(b boundUnit) boundUnit {
+	switch {
+	case u.query == nil:
+		return b
+	case b.query == nil:
+		return u
+	}
+	return boundUnit{
+		query:  &plan.Query{Branches: append(slices.Clip(u.query.Branches), b.query.Branches...), OutCols: u.query.OutCols},
+		deltas: append(slices.Clip(u.deltas), b.deltas...),
+	}
+}
+
+// bindStratumUnits binds the units one IDB's fixpoint runs: naive evaluation
+// runs the Full unit every iteration; otherwise iteration 1 runs the Init
+// unit, or under seed the seed arms plus the ordinary Rec arms, and later
+// iterations run Rec. The seeded first iteration needs the Rec arms because
+// deltas install in predicate order within an iteration: a predicate
+// evaluated after a producer sees the producer's iteration-1 ∆ only during
+// iteration 1 — by iteration 2 it has been replaced. (From-scratch runs
+// don't need this: Init arms read no deltas and every tuple lands in some
+// later ∆.)
+func (r *runState) bindStratumUnits(st *idbState, seed map[string]querygen.UnitQueries) error {
+	q := st.q
+	var err error
+	if r.opts().Naive && seed == nil {
+		st.rec, err = r.bindUnit(q.Full)
+		st.first = st.rec
+		return err
+	}
+	if st.rec, err = r.bindUnit(q.Rec); err != nil {
+		return err
+	}
+	if seed == nil {
+		st.first, err = r.bindUnit(q.Init)
+		return err
+	}
+	seedArms, err := r.bindUnit(seed[q.Pred])
+	st.first = seedArms.then(st.rec)
+	return err
+}
+
+// liveArms is the early-exit arm filter: it returns the query of u's arms
+// whose seeding ∆ relation is not empty, and how many arms it dropped. A
+// semi-naive arm seeded by an empty ∆ can only produce zero tuples. Nil when
+// no arm fires.
+func (r *runState) liveArms(u boundUnit) (*plan.Query, int) {
+	if u.query == nil {
+		return nil, 0
+	}
+	kept := querygen.KeptArms(u.deltas, func(delta string) bool {
+		d, ok := r.db.Catalog().Get(delta)
+		return !ok || d.NumTuples() > 0
+	})
+	skipped := len(u.deltas) - len(kept)
+	switch {
+	case skipped == 0:
+		return u.query, 0
+	case len(kept) == 0:
+		return nil, skipped
+	}
+	branches := make([]*plan.Branch, len(kept))
+	for j, i := range kept {
+		branches[j] = u.query.Branches[i]
+	}
+	return &plan.Query{Branches: branches, OutCols: u.query.OutCols}, skipped
+}
+
+// uieval materializes the temporary table tmp from the arms of q: the
+// unified UIE query, or one query per arm into its own part table plus a
+// merge (Figure 4's individual evaluation). On error no table it created is
+// left behind, so a failed run can be re-derived.
+func (r *runState) uieval(tmp string, cols []string, q *plan.Query, uie bool) (_ *storage.Relation, err error) {
+	created := []string{tmp}
+	defer func() {
+		if err != nil {
+			for _, name := range created {
+				r.db.DropTable(name)
+			}
+		}
+	}()
+	if _, err := r.db.Exec(plan.CreateTable{Name: tmp, Cols: cols}); err != nil {
+		return nil, err
+	}
+	if uie {
+		if _, err := r.db.Exec(plan.InsertSelect{Table: tmp, Query: q}); err != nil {
+			return nil, err
+		}
+		return r.db.Catalog().MustGet(tmp), nil
+	}
+	merge := make([]string, len(q.Branches))
+	for i, br := range q.Branches {
+		part := fmt.Sprintf("%s_%d", tmp, i)
+		created = append(created, part)
+		if _, err := r.db.Exec(plan.CreateTable{Name: part, Cols: cols}); err != nil {
+			return nil, err
+		}
+		arm := &plan.Query{Branches: []*plan.Branch{br}, OutCols: q.OutCols}
+		if _, err := r.db.Exec(plan.InsertSelect{Table: part, Query: arm}); err != nil {
+			return nil, err
+		}
+		merge[i] = "SELECT * FROM " + part
+	}
+	st, err := r.db.Prepare("INSERT INTO " + tmp + " " + strings.Join(merge, " UNION ALL "))
+	if err != nil {
+		return nil, err
+	}
+	if _, err := r.db.Exec(st); err != nil {
+		return nil, err
+	}
+	for _, part := range created[1:] {
+		if _, err := r.db.Exec(plan.DropTable{Name: part, IfExists: true}); err != nil {
+			return nil, err
+		}
+	}
+	return r.db.Catalog().MustGet(tmp), nil
+}
+
+// dropTmp drops a tmp table once its consumer has read it.
+func (r *runState) dropTmp(tmp string) {
+	_, _ = r.db.Exec(plan.DropTable{Name: tmp, IfExists: true})
 }
 
 // passThroughCols returns the columns K a predicate P of stratum s may be
@@ -1271,14 +1377,6 @@ func (r *runState) hook(s analysis.Stratum, iter int, pred string, tmp, delta in
 	if h := r.opts().IterHook; h != nil {
 		h(IterInfo{Stratum: s.Index, Iteration: iter, Pred: pred, TmpTuples: tmp, Delta: delta, Algo: algo, Copy: copies, Mem: r.db.MemSnapshot(), ArmsSkipped: skipped, Phase: ph})
 	}
-}
-
-func columnsSQL(arity int) string {
-	parts := make([]string, arity)
-	for i := range parts {
-		parts[i] = fmt.Sprintf("c%d INT", i)
-	}
-	return strings.Join(parts, ", ")
 }
 
 // RunProgram is a convenience wrapper: parse-free evaluation of an already

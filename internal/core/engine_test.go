@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"recstep/internal/programs"
+	"recstep/internal/quickstep"
 	"recstep/internal/quickstep/exec"
 	"recstep/internal/quickstep/stats"
 	"recstep/internal/quickstep/storage"
@@ -383,6 +384,46 @@ func TestCSDALinearChain(t *testing.T) {
 	}
 	if iters < 50 {
 		t.Fatalf("iterations = %d, want ≥ 50 (one hop per iteration)", iters)
+	}
+}
+
+// The fixpoint binds each rule unit once per stratum and then runs bound
+// plans: a CSDA chain ten times longer runs ten times the iterations and
+// statements but binds exactly as many — null's Init and Rec units.
+func TestFixpointBindsEachUnitOnce(t *testing.T) {
+	run := func(n int32) (prepared int64, st Stats) {
+		t.Helper()
+		nullEdge := storage.NewRelation("nullEdge", []string{"c0", "c1"})
+		nullEdge.Append([]int32{0, 1})
+		arc := storage.NewRelation("arc", []string{"c0", "c1"})
+		for i := int32(1); i < n; i++ {
+			arc.Append([]int32{i, i + 1})
+		}
+		var db *quickstep.Database
+		opts := DefaultOptions()
+		opts.Workers = 2
+		opts.OnDB = func(d *quickstep.Database) { db = d }
+		res := runProg(t, opts, programs.CSDA,
+			map[string]*storage.Relation{"nullEdge": nullEdge, "arc": arc})
+		if got := res.Relations["null"].NumTuples(); got != int(n) {
+			t.Fatalf("chain %d: null tuples = %d, want %d", n, got, n)
+		}
+		return db.StatementsPrepared(), res.Stats
+	}
+	shortPrep, short := run(50)
+	longPrep, long := run(500)
+	if long.Iterations < 500 || short.Iterations < 50 {
+		t.Fatalf("iterations = %d and %d, want one hop per iteration", short.Iterations, long.Iterations)
+	}
+	for _, st := range []Stats{short, long} {
+		// CREATE tmp, INSERT … SELECT, DROP tmp per iteration.
+		if st.Queries != 3*int64(st.Iterations) {
+			t.Fatalf("%d queries over %d iterations, want 3 per iteration", st.Queries, st.Iterations)
+		}
+	}
+	if shortPrep != longPrep || shortPrep != 2 {
+		t.Fatalf("prepared %d statements for a 50-arc chain and %d for a 500-arc chain, want 2 each",
+			shortPrep, longPrep)
 	}
 }
 

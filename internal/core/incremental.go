@@ -603,6 +603,29 @@ func (u *updateRun) deletePhase(s analysis.Stratum, dead map[string]*storage.Rel
 		dead[pred] = r.db.Catalog().MustGet(querygen.DeadTable(pred))
 	}
 
+	// Each predicate's over-delete arms, bound once for the whole closure:
+	// round 1 runs the seed arms plus the propagation arms (over tables
+	// install in predicate order within a round, so a predicate evaluated
+	// after a producer must consume the producer's round-1 over table in
+	// round 1 itself — by round 2 it has been replaced; arms over still-empty
+	// over tables are dropped by the runner's empty-∆ filter), later rounds
+	// the propagation arms alone.
+	firstRound := make(map[string]boundUnit, len(s.IDBs))
+	propagate := make(map[string]boundUnit, len(s.IDBs))
+	for _, pred := range s.IDBs {
+		var units [2]boundUnit
+		for i, seed := range []bool{true, false} {
+			unit, err := r.gen.OverDeleteQueries(s, pred, u.changed, seed)
+			if err != nil {
+				return err
+			}
+			if units[i], err = r.bindUnit(unit); err != nil {
+				return err
+			}
+		}
+		firstRound[pred], propagate[pred] = units[0].then(units[1]), units[1]
+	}
+
 	// Membership indexes over each predicate's pre-deletion contents, built
 	// lazily on the first non-empty candidate set and probed every round —
 	// candidates ∩ R keeps phantom candidates (never-derived tuples the
@@ -621,24 +644,11 @@ func (u *updateRun) deletePhase(s analysis.Stratum, dead map[string]*storage.Rel
 		anyNew := false
 		for _, pred := range s.IDBs {
 			r.db.SetStep(s.Index, round, pred)
-			unit, err := r.gen.OverDeleteQueries(s, pred, u.changed, round == 1)
-			if err != nil {
-				return err
-			}
+			unit := propagate[pred]
 			if round == 1 {
-				// Round 1 also runs the propagation arms: over tables
-				// install in predicate order within a round, so a predicate
-				// evaluated after a producer must consume the producer's
-				// round-1 over table in round 1 itself — by round 2 it has
-				// been replaced. Arms over still-empty over tables are
-				// dropped by the runner's empty-∆ filter.
-				prop, perr := r.gen.OverDeleteQueries(s, pred, u.changed, false)
-				if perr != nil {
-					return perr
-				}
-				unit = querygen.MergeUnits(querygen.TmpTable(pred), unit, prop)
+				unit = firstRound[pred]
 			}
-			newDead, err := u.roundDead(s, pred, unit, members, dead[pred])
+			newDead, err := u.roundDead(pred, unit, members, dead[pred])
 			if err != nil {
 				return err
 			}
@@ -683,6 +693,8 @@ func (u *updateRun) deletePhase(s analysis.Stratum, dead map[string]*storage.Rel
 
 	// Rescue fixpoint: re-derive dead tuples that still have a derivation
 	// from the post-deletion state, append them back, shrink the dead sets.
+	// A predicate's rescue arms are bound on its first rescue round.
+	rescue := make(map[string]boundUnit, len(s.IDBs))
 	for round := 1; ; round++ {
 		if round > r.opts().MaxIterations {
 			return fmt.Errorf("core: stratum %d rescue exceeded %d rounds", s.Index, r.opts().MaxIterations)
@@ -693,11 +705,18 @@ func (u *updateRun) deletePhase(s analysis.Stratum, dead map[string]*storage.Rel
 				continue
 			}
 			r.db.SetStep(s.Index, round, pred)
-			unit, err := r.gen.RescueQueries(s, pred)
-			if err != nil {
-				return err
+			unit, ok := rescue[pred]
+			if !ok {
+				text, err := r.gen.RescueQueries(s, pred)
+				if err != nil {
+					return err
+				}
+				if unit, err = r.bindUnit(text); err != nil {
+					return err
+				}
+				rescue[pred] = unit
 			}
-			tmp, err := u.runUnit(querygen.TmpTable(pred), r.res.Preds[pred].Arity, unit)
+			tmp, err := u.runUnit(pred, unit)
 			if err != nil {
 				return err
 			}
@@ -705,7 +724,7 @@ func (u *updateRun) deletePhase(s analysis.Stratum, dead map[string]*storage.Rel
 				continue
 			}
 			resc := r.db.Dedup(tmp, tmp.NumTuples(), pred+"_uresc")
-			u.dropTmp(querygen.TmpTable(pred))
+			r.dropTmp(querygen.TmpTable(pred))
 			if resc.NumTuples() == 0 {
 				resc.Release()
 				continue
@@ -736,15 +755,14 @@ func (u *updateRun) deletePhase(s analysis.Stratum, dead map[string]*storage.Rel
 
 // roundDead evaluates one over-delete round for one predicate: candidates →
 // dedup → ∩ R → − already-dead. Returns nil when nothing fired.
-func (u *updateRun) roundDead(s analysis.Stratum, pred string, unit querygen.UnitQueries, members map[string]*exec.Membership, deadSoFar *storage.Relation) (*storage.Relation, error) {
+func (u *updateRun) roundDead(pred string, unit boundUnit, members map[string]*exec.Membership, deadSoFar *storage.Relation) (*storage.Relation, error) {
 	r := u.r
-	arity := r.res.Preds[pred].Arity
-	tmp, err := u.runUnit(querygen.TmpTable(pred), arity, unit)
+	tmp, err := u.runUnit(pred, unit)
 	if err != nil || tmp == nil {
 		return nil, err
 	}
 	cand := r.db.Dedup(tmp, tmp.NumTuples(), pred+"_ucand")
-	u.dropTmp(querygen.TmpTable(pred))
+	r.dropTmp(querygen.TmpTable(pred))
 	if cand.NumTuples() == 0 {
 		cand.Release()
 		return nil, nil
@@ -792,20 +810,16 @@ func (u *updateRun) insertPhase(s analysis.Stratum, added map[string]*storage.Re
 	})
 }
 
-// runUnit materializes one update unit query into a tmp table. Arms whose ∆
-// table is empty are filtered first; nil (no error) means nothing fired.
-func (u *updateRun) runUnit(tmp string, arity int, unit querygen.UnitQueries) (*storage.Relation, error) {
+// runUnit materializes the live arms of one update unit into pred's tmp
+// table. Arms whose ∆ table is empty are filtered first; nil (no error)
+// means nothing fired.
+func (u *updateRun) runUnit(pred string, unit boundUnit) (*storage.Relation, error) {
 	r := u.r
-	unit, _ = querygen.FilterArms(tmp, unit, func(delta string) bool {
-		d, ok := r.db.Catalog().Get(delta)
-		return !ok || d.NumTuples() > 0
-	})
-	if unit.Subqueries == 0 {
+	query, _ := r.liveArms(unit)
+	if query == nil {
 		return nil, nil
 	}
-	if _, err := r.db.ExecSQL(fmt.Sprintf("CREATE TABLE %s (%s)", tmp, columnsSQL(arity))); err != nil {
-		return nil, err
-	}
+	tmp := querygen.TmpTable(pred)
 	// Every caller hands the result straight to db.Dedup, so the joins may
 	// treat it as a set — unless that dedup is a FAST-DEDUP baseline, which is
 	// there to be measured on the full bag (the rule evalIDB follows).
@@ -813,15 +827,7 @@ func (u *updateRun) runUnit(tmp string, arity int, unit querygen.UnitQueries) (*
 		r.db.SetOutputHint(tmp, quickstep.OutputHint{Set: true})
 		defer r.db.ClearOutputHint(tmp)
 	}
-	if _, err := r.db.ExecSQL(unit.Unified); err != nil {
-		u.dropTmp(tmp)
-		return nil, err
-	}
-	return r.db.Catalog().MustGet(tmp), nil
-}
-
-func (u *updateRun) dropTmp(tmp string) {
-	_, _ = u.r.db.ExecSQL("DROP TABLE IF EXISTS " + tmp)
+	return r.uieval(tmp, storage.NumberedColumns(r.res.Preds[pred].Arity), query, true)
 }
 
 // rowsOf copies a relation's tuples out — deletion sets are update-sized.

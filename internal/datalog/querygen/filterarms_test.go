@@ -7,8 +7,8 @@ import (
 	"recstep/internal/programs"
 )
 
-// FilterArms must drop exactly the arms seeded from a rejected ∆ table and
-// reassemble consistent UIE and individual forms from the survivors.
+// KeptArms must drop exactly the arms seeded from a rejected ∆ table, keep
+// the survivors in arm order, and always keep arms no ∆ seeds.
 func TestFilterArmsDropsRejectedDeltaArms(t *testing.T) {
 	q := queriesFor(t, programs.CSPA, "valueFlow")
 	if len(q.Rec.Subs) != q.Rec.Subqueries || len(q.Rec.DeltaTables) != q.Rec.Subqueries {
@@ -29,38 +29,39 @@ func TestFilterArmsDropsRejectedDeltaArms(t *testing.T) {
 		t.Fatal("no valueFlow arm seeds from memoryAlias_mdelta; fixture lost its point")
 	}
 
-	kept, skipped := FilterArms(q.Tmp, q.Rec, func(delta string) bool {
+	kept := KeptArms(q.Rec.DeltaTables, func(delta string) bool {
 		return delta != DeltaTable("memoryAlias")
 	})
-	if skipped != maArms {
+	if skipped := q.Rec.Subqueries - len(kept); skipped != maArms {
 		t.Fatalf("skipped %d arms, want %d", skipped, maArms)
 	}
-	if kept.Subqueries != q.Rec.Subqueries-maArms {
-		t.Fatalf("kept %d subqueries, want %d", kept.Subqueries, q.Rec.Subqueries-maArms)
-	}
-	if strings.Contains(kept.Unified, DeltaTable("memoryAlias")) {
-		t.Fatalf("unified still reads the rejected delta: %q", kept.Unified)
-	}
-	if got := strings.Count(kept.Unified, "UNION ALL"); got != kept.Subqueries-1 {
-		t.Fatalf("UNION ALL count = %d, want %d", got, kept.Subqueries-1)
-	}
-	if len(kept.Parts) != kept.Subqueries || len(kept.PartTables) != kept.Subqueries {
-		t.Fatalf("individual form has %d parts, want %d", len(kept.Parts), kept.Subqueries)
-	}
-	if !strings.Contains(kept.Unified, "INSERT INTO "+q.Tmp) {
-		t.Fatalf("unified inserts elsewhere: %q", kept.Unified)
+	for j, i := range kept {
+		if j > 0 && i <= kept[j-1] {
+			t.Fatalf("kept arms %v out of arm order", kept)
+		}
+		if strings.Contains(q.Rec.Subs[i], DeltaTable("memoryAlias")) {
+			t.Fatalf("kept arm %d still reads the rejected delta: %q", i, q.Rec.Subs[i])
+		}
 	}
 
-	// Keeping everything returns the input untouched.
-	same, skipped := FilterArms(q.Tmp, q.Rec, func(string) bool { return true })
-	if skipped != 0 || same.Unified != q.Rec.Unified {
-		t.Fatalf("keep-all changed the queries (skipped=%d)", skipped)
+	// Keeping everything keeps every arm, in order.
+	all := KeptArms(q.Rec.DeltaTables, func(string) bool { return true })
+	if len(all) != q.Rec.Subqueries {
+		t.Fatalf("keep-all kept %d of %d arms", len(all), q.Rec.Subqueries)
+	}
+	for j, i := range all {
+		if i != j {
+			t.Fatalf("keep-all returned %v", all)
+		}
 	}
 
-	// Rejecting every ∆ leaves zero subqueries (init arms have no ∆ and
-	// would survive; the recursive phase has none).
-	none, skipped := FilterArms(q.Tmp, q.Rec, func(string) bool { return false })
-	if none.Subqueries != 0 || skipped != q.Rec.Subqueries {
-		t.Fatalf("reject-all: %d subqueries remain, %d skipped", none.Subqueries, skipped)
+	// Rejecting every ∆ leaves zero arms of the recursive phase, whose arms
+	// all seed from one; the init arms have no ∆ and survive.
+	if none := KeptArms(q.Rec.DeltaTables, func(string) bool { return false }); len(none) != 0 {
+		t.Fatalf("reject-all: %d arms remain", len(none))
+	}
+	sg := queriesFor(t, programs.SG, "sg")
+	if init := KeptArms(sg.Init.DeltaTables, func(string) bool { return false }); len(init) != sg.Init.Subqueries || len(init) == 0 {
+		t.Fatalf("reject-all dropped init arms: kept %d of %d", len(init), sg.Init.Subqueries)
 	}
 }

@@ -46,45 +46,24 @@ type UnitQueries struct {
 	// Subs are the raw SELECT arms, aligned with DeltaTables: arm i seeds
 	// from delta table DeltaTables[i] ("" for init/full arms with no
 	// seeding ∆). The interpreter uses them to skip arms whose ∆ relation
-	// is empty before planning anything (see FilterArms).
+	// is empty before planning anything (see KeptArms).
 	Subs        []string
 	DeltaTables []string
 }
 
-// FilterArms returns a copy of u keeping only the arms whose seeding delta
-// table keep accepts (arms with no seeding ∆ are always kept), reassembled
-// into fresh UIE and individual forms, plus the number of arms dropped. tmp
-// is the destination temporary table the statements insert into.
-func FilterArms(tmp string, u UnitQueries, keep func(delta string) bool) (UnitQueries, int) {
-	kept := make([]armSub, 0, len(u.Subs))
-	for i, s := range u.Subs {
-		d := u.DeltaTables[i]
+// KeptArms returns, in order, the indices of the arms whose seeding delta
+// table keep accepts (deltaTables is a unit's DeltaTables; arms with no
+// seeding ∆ are always kept). The interpreter binds every arm of a unit once
+// and runs only the kept ones, so an arm seeded by an empty ∆ relation is
+// skipped without being planned.
+func KeptArms(deltaTables []string, keep func(delta string) bool) []int {
+	kept := make([]int, 0, len(deltaTables))
+	for i, d := range deltaTables {
 		if d == "" || keep(d) {
-			kept = append(kept, armSub{sql: s, delta: d})
+			kept = append(kept, i)
 		}
 	}
-	if len(kept) == len(u.Subs) {
-		return u, 0
-	}
-	return assemble(tmp, kept), len(u.Subs) - len(kept)
-}
-
-// MergeUnits concatenates the arms of two unit queries targeting the same
-// tmp table into one reassembled unit. The incremental-update phases use it
-// to run their seed arms *and* the ordinary propagation arms in the first
-// iteration: deltas install in predicate order within an iteration, so a
-// predicate evaluated after a producer must consume the producer's
-// first-iteration ∆ in that same iteration — by the next one it has been
-// replaced.
-func MergeUnits(tmp string, a, b UnitQueries) UnitQueries {
-	merged := make([]armSub, 0, len(a.Subs)+len(b.Subs))
-	for i, s := range a.Subs {
-		merged = append(merged, armSub{sql: s, delta: a.DeltaTables[i]})
-	}
-	for i, s := range b.Subs {
-		merged = append(merged, armSub{sql: s, delta: b.DeltaTables[i]})
-	}
-	return assemble(tmp, merged)
+	return kept
 }
 
 // IDBQueries bundles everything the interpreter needs per IDB per stratum.

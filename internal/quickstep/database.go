@@ -85,6 +85,9 @@ type Database struct {
 
 	mu      sync.Mutex // one query at a time, as in QuickStep
 	queries atomic.Int64
+	// prepared counts statements Prepare bound: the front-end work the
+	// engine pays once per rule unit, not once per iteration.
+	prepared atomic.Int64
 
 	// outHints maps destination-table names to what the engine has said about
 	// the output of an INSERT … SELECT into them (see OutputHint). Guarded by
@@ -236,6 +239,9 @@ func Open(opts Options) (*Database, error) {
 			ob.Reg.RegisterGaugeFunc("recstep_queries_total",
 				"SQL-equivalent queries issued against the database.",
 				func() float64 { return float64(db.queries.Load()) })
+			ob.Reg.RegisterGaugeFunc("recstep_statements_prepared_total",
+				"SQL statements parsed and bound against the catalog.",
+				func() float64 { return float64(db.prepared.Load()) })
 			ob.Reg.RegisterGaugeFunc("recstep_peak_join_intermediate_rows",
 				"Largest non-final join-intermediate cardinality materialized so far.",
 				func() float64 { return float64(db.PeakJoinIntermediate()) })
@@ -400,8 +406,13 @@ func (db *Database) ReleaseAll() {
 // Txn exposes the transaction manager, or nil with DisableIO.
 func (db *Database) Txn() *txn.Manager { return db.txn }
 
-// QueriesIssued counts ExecSQL calls — the per-query overhead UIE minimizes.
+// QueriesIssued counts the statements Exec ran (ExecSQL included) — the
+// per-query overhead UIE minimizes. A statement that failed to parse or bind
+// was never issued and is not counted.
 func (db *Database) QueriesIssued() int64 { return db.queries.Load() }
+
+// StatementsPrepared counts the statements Prepare bound (ExecSQL included).
+func (db *Database) StatementsPrepared() int64 { return db.prepared.Load() }
 
 // CopySnapshot reads the copy-accounting counters (tuples scattered, tuples
 // adopted without copy, flat materializations) accumulated by every operator
@@ -474,14 +485,36 @@ func (db *Database) schemaFn(table string) ([]string, bool) {
 	return r.ColNames(), true
 }
 
-// ExecSQL parses, binds and executes one SQL statement. SELECT returns its
-// result relation; other statements return nil.
+// ExecSQL parses, binds and executes one SQL statement: Prepare, then Exec.
+// SELECT returns its result relation; other statements return nil.
 func (db *Database) ExecSQL(q string) (*storage.Relation, error) {
-	db.queries.Add(1)
+	st, err := db.Prepare(q)
+	if err != nil {
+		return nil, err
+	}
+	return db.Exec(st)
+}
+
+// Prepare parses and binds one SQL statement against the catalog without
+// running it. Binding resolves table names to column positions only; the
+// tables a statement reads are looked up again, and its joins ordered on
+// live cardinalities, each time Exec runs it. So a bound statement stays
+// valid for as long as the tables it names keep their arity, and the engine
+// binds each rule unit once per stratum. Bound statements are read-only:
+// their branches run concurrently and across iterations.
+func (db *Database) Prepare(q string) (plan.Statement, error) {
 	st, err := sql.Parse(q, db.schemaFn)
 	if err != nil {
 		return nil, err
 	}
+	db.prepared.Add(1)
+	return st, nil
+}
+
+// Exec runs one bound statement. SELECT returns its result relation; other
+// statements return nil.
+func (db *Database) Exec(st plan.Statement) (*storage.Relation, error) {
+	db.queries.Add(1)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	res, err := db.execStatement(st)
@@ -498,6 +531,17 @@ func (db *Database) ExecSQL(q string) (*storage.Relation, error) {
 		}
 	}
 	return res, err
+}
+
+// QueryOf returns the query a bound INSERT … SELECT or SELECT evaluates.
+func QueryOf(st plan.Statement) (*plan.Query, error) {
+	switch s := st.(type) {
+	case plan.InsertSelect:
+		return s.Query, nil
+	case plan.SelectStmt:
+		return s.Query, nil
+	}
+	return nil, fmt.Errorf("quickstep: %T carries no query", st)
 }
 
 // ExecScript executes a semicolon-separated list of statements.
@@ -1220,31 +1264,18 @@ func (db *Database) EnsureSecondaryCarry(table string, sec storage.Partitioning)
 	return exec.EnsureSecondaryCarry(db.pool, r, sec.KeyCols, sec.Parts)
 }
 
-// PlanJoinKeys parses and binds one query (without executing it) and
-// reports, per input table, the distinct join-key column sets under which
-// the table enters a hash build or probe *directly* — as the first FROM
-// item of a branch, the right side of any join step, or the inner side of
-// an anti-join. The engine runs it once per stratum over the recursive
-// queries to learn which key columns the fixpoint's joins will want each
-// recursive relation partitioned on, before choosing the partitioning that
-// is carried through the delta pipeline. Key positions where the table only
-// enters as part of an accumulated join prefix are not attributable to the
-// table alone and are ignored (a carried partitioning could not serve those
-// builds anyway).
-func (db *Database) PlanJoinKeys(q string) (map[string][][]int, error) {
-	st, err := sql.Parse(q, db.schemaFn)
-	if err != nil {
-		return nil, err
-	}
-	var query *plan.Query
-	switch s := st.(type) {
-	case plan.InsertSelect:
-		query = s.Query
-	case plan.SelectStmt:
-		query = s.Query
-	default:
-		return nil, fmt.Errorf("quickstep: PlanJoinKeys wants a query, got %T", st)
-	}
+// PlanJoinKeys reports, for one bound query (without executing it), per
+// input table, the distinct join-key column sets under which the table
+// enters a hash build or probe *directly* — as the first FROM item of a
+// branch, the right side of any join step, or the inner side of an
+// anti-join. The engine runs it once per stratum over the recursive queries
+// to learn which key columns the fixpoint's joins will want each recursive
+// relation partitioned on, before choosing the partitioning that is carried
+// through the delta pipeline. Key positions where the table only enters as
+// part of an accumulated join prefix are not attributable to the table alone
+// and are ignored (a carried partitioning could not serve those builds
+// anyway).
+func PlanJoinKeys(query *plan.Query) map[string][][]int {
 	usage := make(map[string][][]int)
 	add := func(table string, keys []int) {
 		if len(keys) == 0 {
@@ -1313,7 +1344,7 @@ func (db *Database) PlanJoinKeys(q string) (map[string][][]int, error) {
 			}
 		}
 	}
-	return usage, nil
+	return usage
 }
 
 // Install registers a relation in the catalog (replacing any same-named

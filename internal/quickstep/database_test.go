@@ -7,6 +7,7 @@ import (
 
 	"recstep/internal/quickstep/exec"
 	"recstep/internal/quickstep/optimizer"
+	"recstep/internal/quickstep/plan"
 	"recstep/internal/quickstep/stats"
 	"recstep/internal/quickstep/storage"
 )
@@ -316,6 +317,34 @@ func TestQueriesIssuedCounter(t *testing.T) {
 	if got := db.QueriesIssued(); got != 2 {
 		t.Fatalf("QueriesIssued = %d, want 2", got)
 	}
+	// A statement that fails to parse, or to bind, was never issued.
+	for _, bad := range []string{"INSERT INTO t VALUES (", "INSERT INTO t SELECT x FROM missing"} {
+		if _, err := db.ExecSQL(bad); err == nil {
+			t.Fatalf("%q: malformed statement accepted", bad)
+		}
+	}
+	if got := db.QueriesIssued(); got != 2 {
+		t.Fatalf("QueriesIssued = %d after malformed statements, want 2", got)
+	}
+	if got := db.StatementsPrepared(); got != 2 {
+		t.Fatalf("StatementsPrepared = %d, want 2", got)
+	}
+	// A bound statement runs as often as it is executed and binds once.
+	st, err := db.Prepare("INSERT INTO t VALUES (2)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := db.Exec(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, prep := db.QueriesIssued(), db.StatementsPrepared(); got != 5 || prep != 3 {
+		t.Fatalf("QueriesIssued = %d, StatementsPrepared = %d; want 5 and 3", got, prep)
+	}
+	if got := db.Catalog().MustGet("t").NumTuples(); got != 4 {
+		t.Fatalf("t holds %d tuples, want 4", got)
+	}
 }
 
 func TestEOSTIntegration(t *testing.T) {
@@ -385,11 +414,19 @@ func TestPlanJoinKeys(t *testing.T) {
 		CREATE TABLE tc_d (x INT, y INT)`); err != nil {
 		t.Fatal(err)
 	}
+	bind := func(q string) (*plan.Query, error) {
+		st, err := db.Prepare(q)
+		if err != nil {
+			return nil, err
+		}
+		return QueryOf(st)
+	}
 	// Linear-TC shape: the delta enters keyed on its column 1, arc on 0.
-	usage, err := db.PlanJoinKeys("INSERT INTO tc SELECT t.x, a.y FROM tc_d AS t, arc AS a WHERE t.y = a.x")
+	query, err := bind("INSERT INTO tc SELECT t.x, a.y FROM tc_d AS t, arc AS a WHERE t.y = a.x")
 	if err != nil {
 		t.Fatal(err)
 	}
+	usage := PlanJoinKeys(query)
 	if got := usage["tc_d"]; !reflect.DeepEqual(got, [][]int{{1}}) {
 		t.Fatalf("tc_d keysets = %v, want [[1]]", got)
 	}
@@ -399,11 +436,12 @@ func TestPlanJoinKeys(t *testing.T) {
 
 	// Non-linear shape: the full relation enters keyed on column 0 in the
 	// same statement; both usages must be reported, deduplicated.
-	usage, err = db.PlanJoinKeys(
+	query, err = bind(
 		"SELECT t.x, f.y FROM tc_d AS t, tc AS f WHERE t.y = f.x UNION ALL SELECT t.x, f.y FROM tc_d AS t, tc AS f WHERE t.y = f.x")
 	if err != nil {
 		t.Fatal(err)
 	}
+	usage = PlanJoinKeys(query)
 	if got := usage["tc"]; !reflect.DeepEqual(got, [][]int{{0}}) {
 		t.Fatalf("tc keysets = %v, want [[0]] (deduplicated across branches)", got)
 	}
@@ -411,8 +449,8 @@ func TestPlanJoinKeys(t *testing.T) {
 		t.Fatalf("tc_d keysets = %v, want [[1]]", got)
 	}
 
-	if _, err := db.PlanJoinKeys("DROP TABLE arc"); err == nil {
-		t.Fatal("PlanJoinKeys accepted a non-query statement")
+	if _, err := bind("DROP TABLE arc"); err == nil {
+		t.Fatal("a non-query statement yielded a query to plan join keys for")
 	}
 }
 
