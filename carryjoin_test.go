@@ -17,8 +17,7 @@ import (
 // the equivalence table carries keysets; naive evaluation carries nothing,
 // so every build it runs re-scatters its input and every join output is
 // scattered afresh. At every radix fan-out it must derive what the staged
-// lock-map run derives, and it must neither write join output in place nor
-// route a tuple into a secondary view.
+// lock-map run derives, and it must not write join output in place.
 func TestCarriedMatchesRescatterAcrossPrograms(t *testing.T) {
 	matchAcrossPrograms(t, false, func(base core.Options, _ bool) []equivArm {
 		var arms []equivArm
@@ -29,9 +28,9 @@ func TestCarriedMatchesRescatterAcrossPrograms(t *testing.T) {
 			what := fmt.Sprintf("parts=%d naive", parts)
 			arms = append(arms, equivArm{what: what, opts: opts, check: func(t *testing.T, stats core.Stats) {
 				t.Helper()
-				if stats.OutputInPlace != 0 || stats.SecondaryScattered != 0 {
-					t.Fatalf("%s: %d rows written in place, %d routed into secondary views; naive evaluation carries nothing",
-						what, stats.OutputInPlace, stats.SecondaryScattered)
+				if stats.OutputInPlace != 0 {
+					t.Fatalf("%s: %d rows written in place; naive evaluation carries nothing",
+						what, stats.OutputInPlace)
 				}
 			}})
 		}
@@ -113,26 +112,26 @@ func TestCarriedZeroDeltaBuildScatters(t *testing.T) {
 // linear predicate whose recursive rule copies column 0 of its body atom to
 // the head (tc, csda's null) is carried on that column under several workers
 // and on its join column at one; predicates without such a column keep their
-// join keys (ranked, with a secondary view on conflict); the state of a
+// top-ranked join keyset, the only one carried; the state of a
 // recursive aggregate is the merge's own layout on its group column.
 func TestCarriedKeysetIsJoinKeyed(t *testing.T) {
 	cases := []struct {
 		program, pred string
 		workers       int
-		keys, sec     []int
+		keys          []int
 		rule          string
 	}{
-		{"tc", "tc", 4, []int{0}, nil, "output"},
-		{"tc", "tc", 1, []int{1}, nil, "join"},
-		{"csda", "null", 4, []int{0}, nil, "output"},
-		{"csda", "null", 1, []int{1}, nil, "join"},
-		{"cspa", "valueFlow", 4, []int{0}, []int{1}, "join"},
-		{"cspa", "valueFlow", 1, []int{0}, []int{1}, "join"},
-		{"aa", "pointsTo", 4, []int{0}, []int{1}, "join"},
-		{"sg", "sg", 4, []int{0}, []int{1}, "join"},
-		{"reach", "reach", 4, []int{0}, nil, "join"},
-		{"cc", "cc3", 4, []int{0}, nil, ""},
-		{"sssp", "sssp2", 4, []int{0}, nil, ""},
+		{"tc", "tc", 4, []int{0}, "output"},
+		{"tc", "tc", 1, []int{1}, "join"},
+		{"csda", "null", 4, []int{0}, "output"},
+		{"csda", "null", 1, []int{1}, "join"},
+		{"cspa", "valueFlow", 4, []int{0}, "join"},
+		{"cspa", "valueFlow", 1, []int{0}, "join"},
+		{"aa", "pointsTo", 4, []int{0}, "join"},
+		{"sg", "sg", 4, []int{0}, "join"},
+		{"reach", "reach", 4, []int{0}, "join"},
+		{"cc", "cc3", 4, []int{0}, ""},
+		{"sssp", "sssp2", 4, []int{0}, ""},
 	}
 	for _, c := range cases {
 		t.Run(fmt.Sprintf("%s/W%d", c.program, c.workers), func(t *testing.T) {
@@ -152,7 +151,7 @@ func TestCarriedKeysetIsJoinKeyed(t *testing.T) {
 				if reported {
 					t.Fatalf("aggregate state %s reported as carried: %v", c.pred, choice)
 				}
-			} else if want := (core.CarryChoice{Keys: c.keys, Secondary: c.sec, Rule: c.rule}); !reflect.DeepEqual(choice, want) {
+			} else if want := (core.CarryChoice{Keys: c.keys, Rule: c.rule}); !reflect.DeepEqual(choice, want) {
 				t.Fatalf("%s carry choice %v, want %v", c.pred, choice, want)
 			}
 			rel := res.Relations[c.pred]
@@ -160,12 +159,20 @@ func TestCarriedKeysetIsJoinKeyed(t *testing.T) {
 			if !ok || !reflect.DeepEqual(p.KeyCols, c.keys) || p.Parts != 16 {
 				t.Fatalf("%s carries %v at fixpoint, want keyset %v over 16 partitions", c.pred, p, c.keys)
 			}
-			s, ok := rel.SecondaryPartitioning()
-			if ok != (c.sec != nil) || (ok && !reflect.DeepEqual(s.KeyCols, c.sec)) {
-				t.Fatalf("%s carries secondary %v (%v), want %v", c.pred, s, ok, c.sec)
-			}
 		})
 	}
+}
+
+// A predicate whose recursive joins build on conflicting keysets carries
+// only the top-ranked one. At one worker every recursive predicate is
+// carried on its best-ranked join keyset, and a build on the runner-up
+// keyset always takes the re-scatter fallback. At four workers (the rows of
+// TestFusedMatchesStagedAcrossPrograms) a linear predicate is carried on its
+// pass-through columns instead, and a build on its join keys falls back to a
+// re-scatter. The one-worker rows, at every radix fan-out under every DSD
+// mode, must derive what the staged lock-map run derives.
+func TestSecondaryCarryMatchesFallbackAcrossPrograms(t *testing.T) {
+	matchAcrossPrograms(t, true, dsdSweep(1))
 }
 
 // Recursive aggregates ride the same machinery: with the partition-parallel

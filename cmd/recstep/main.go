@@ -171,9 +171,9 @@ func main() {
 
 	if *verbose {
 		opts.IterHook = func(ii core.IterInfo) {
-			log.Printf("stratum %d iter %d %s: tmp=%d delta=%d (%s) armsSkipped=%d scattered=%d (sec=%d) outputInPlace=%d adopted=%d flat=%d buildsInPlace=%d buildScatters=%d phases=[%s]",
+			log.Printf("stratum %d iter %d %s: tmp=%d delta=%d (%s) armsSkipped=%d scattered=%d outputInPlace=%d adopted=%d flat=%d buildsInPlace=%d buildScatters=%d phases=[%s]",
 				ii.Stratum, ii.Iteration, ii.Pred, ii.TmpTuples, ii.Delta, ii.Algo, ii.ArmsSkipped,
-				ii.Copy.Scattered, ii.Copy.SecondaryScattered, ii.Copy.OutputInPlace, ii.Copy.Adopted, ii.Copy.FlatMats,
+				ii.Copy.Scattered, ii.Copy.OutputInPlace, ii.Copy.Adopted, ii.Copy.FlatMats,
 				ii.Copy.BuildScattersAvoided, ii.Copy.BuildScatters, phaseString(ii.Phase))
 		}
 	}

@@ -181,11 +181,6 @@ type Stats struct {
 	// served in place from a carried or cached partitioned view.
 	JoinBuildScatters        int64
 	JoinBuildScattersAvoided int64
-	// SecondaryScattered is the subset of TuplesScattered copied into
-	// secondary carried views — the extra per-iteration copy a
-	// conflicting-keyset predicate pays so both of its join shapes build
-	// scatter-free.
-	SecondaryScattered int64
 	// JoinBuildsByKeyset breaks the build counters down by (relation,
 	// keyset) — see exec.BuildKey — so the copy experiments can show
 	// exactly which predicate and join shape still pays per-iteration
@@ -259,21 +254,17 @@ type Stats struct {
 	PhaseDurations map[string]time.Duration
 }
 
-// CarryChoice is one predicate's carried keysets: Keys routes the delta
-// pipeline, R and ∆R; Secondary, when set, is the second carried view; Rule
-// says what chose them — "output" (pass-through columns, several workers),
-// "join" (the keys its hash builds use) or "whole-tuple".
+// CarryChoice is one predicate's carried keyset: Keys routes the delta
+// pipeline, R and ∆R; Rule says what chose it — "output" (pass-through
+// columns, several workers), "join" (the keys its hash builds use) or
+// "whole-tuple".
 type CarryChoice struct {
-	Keys, Secondary []int
-	Rule            string
+	Keys []int
+	Rule string
 }
 
-// String renders the choice the way recstep -v prints it, e.g. "[0] (output)"
-// or "[0] +[1] (join)".
+// String renders the choice the way recstep -v prints it, e.g. "[0] (output)".
 func (c CarryChoice) String() string {
-	if len(c.Secondary) > 0 {
-		return fmt.Sprintf("%v +%v (%s)", c.Keys, c.Secondary, c.Rule)
-	}
 	return fmt.Sprintf("%v (%s)", c.Keys, c.Rule)
 }
 
@@ -463,7 +454,6 @@ func (r *runState) collectStats() {
 	r.stats.FlatMaterializations = copySnap.FlatMats
 	r.stats.JoinBuildScatters = copySnap.BuildScatters
 	r.stats.JoinBuildScattersAvoided = copySnap.BuildScattersAvoided
-	r.stats.SecondaryScattered = copySnap.SecondaryScattered
 	r.stats.JoinBuildsByKeyset = copySnap.BuildDetail
 	r.stats.SetDiffRowsScanned = copySnap.SetDiffRowsScanned
 	r.stats.JoinProbeRows = copySnap.JoinProbeRows
@@ -721,9 +711,8 @@ func (r *runState) evalStratumWith(s analysis.Stratum, seed map[string]querygen.
 				passed = r.passThroughCols(s, st.q.Pred)
 			}
 			var rule optimizer.CarryRule
-			st.keyCols, st.secCols, rule = optimizer.ChooseCarry(st.q.Arity, keysets, passed,
-				r.db.Pool().Workers())
-			c = CarryChoice{Keys: st.keyCols, Secondary: st.secCols, Rule: string(rule)}
+			st.keyCols, rule = optimizer.ChooseCarry(st.q.Arity, keysets, passed, r.db.Pool().Workers())
+			c = CarryChoice{Keys: st.keyCols, Rule: string(rule)}
 		}
 		if st.agg != nil {
 			// Aggregate state is bucketed on its group columns by the merge.
@@ -813,17 +802,6 @@ type idbState struct {
 	// recursive builds agree on (or rank) a keyset, the whole tuple otherwise
 	// (or under naive evaluation). Nil selects the whole tuple.
 	keyCols []int
-	// secCols is the runner-up keyset of a conflicting-keyset predicate,
-	// maintained as a secondary carried view by the dual-route delta step.
-	// Nil when there is no conflict.
-	secCols []int
-	// secDelivered/lastSecParts record that the previous iteration ran the
-	// dual route at that fan-out; secCooldown parks the rebuild path after
-	// the reclaimer evicts a secondary the engine just delivered (see
-	// evalIDB's pressure-drop detection).
-	secDelivered bool
-	lastSecParts int
-	secCooldown  int
 	// lastTmp is the previous iteration's join-output size — the
 	// slowly-changing estimate the delta fan-out choice uses before the
 	// current Rt exists.
@@ -870,53 +848,8 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit boun
 	// would silently measure nothing.
 	fuse := st.agg == nil && r.opts().Dedup == exec.DedupGSCHT
 	part := storage.Partitioning{Parts: 1}
-	var sec storage.Partitioning
 	if fuse {
 		part = r.deltaPartitioning(st, full)
-		if part.Parts > 1 {
-			// Conflicting-keyset predicate: the secondary view shares the
-			// iteration's fan-out so R ⊎ ∆R can merge both views. The
-			// headroom gate applies only to *building* R's secondary (a
-			// full |R|-sized copy): maintaining one R already carries
-			// costs just the delta-sized dual route, and its bytes are
-			// already in the live gauge — gating on |R| there would retire
-			// the healthy view via the merge and rebuild it next iteration,
-			// a full re-scatter every other iteration. Under real pressure
-			// the reclaimer drops the view first, `carried` turns false,
-			// and the route parks until headroom returns.
-			if len(st.secCols) > 0 {
-				want := storage.Partitioning{KeyCols: st.secCols, Parts: part.Parts}
-				have, ok := full.SecondaryPartitioning()
-				carried := ok && have.Equal(want)
-				if !carried && st.secDelivered && st.lastSecParts == part.Parts {
-					// R lost the secondary we delivered at this very
-					// fan-out: the reclaimer evicted it under pressure.
-					// Park the rebuild for a few iterations — paying a
-					// full |R| re-scatter that the next pressure spike
-					// evicts again is strictly worse than the ablation.
-					st.secCooldown = secondaryRebuildCooldown
-				}
-				st.secDelivered = false
-				switch {
-				case carried:
-					// Maintenance is delta-sized and the view's bytes are
-					// already in the live gauge — no headroom gate here.
-					sec = want
-				case st.secCooldown > 0:
-					st.secCooldown--
-				case r.db.Headroom() >= full.EstimatedBytes():
-					sec = want
-					if full.NumTuples() > 0 {
-						// First iteration, a fan-out shift, or recovery
-						// after the cooldown: scatter R once.
-						r.db.EnsureSecondaryCarry(q.Pred, want)
-					}
-				}
-				if sec.Parts > 1 {
-					st.secDelivered, st.lastSecParts = true, part.Parts
-				}
-			}
-		}
 		// The fused delta step dedups Rt before anything else reads it, so the
 		// joins producing it are told their output is a set. Only here: an
 		// aggregate needs every candidate, and the staged pipeline and the
@@ -997,7 +930,7 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit boun
 			// modes keep the paper's per-iteration tables (Section 5 figures).
 			// The call also merges ∆R into R, so the index can follow it.
 			algo = r.chooseAlgo(st, fullStats.NumTuples, est)
-			delta, algo, err = r.db.DeltaStep(tmp, q.Pred, algo, part, sec, est, q.Delta, r.opts().DSD == DSDDynamic)
+			delta, algo, err = r.db.DeltaStep(tmp, q.Pred, algo, part, est, q.Delta, r.opts().DSD == DSDDynamic)
 			if err != nil {
 				return 0, err
 			}
@@ -1074,16 +1007,6 @@ func (r *runState) installAggFull(st *idbState, pred string) error {
 	r.db.MarkSpillable(pred)
 	return nil
 }
-
-// secondaryRebuildCooldown is how many iterations the engine keeps a
-// predicate's dual route parked after the memory reclaimer evicted a
-// secondary view the engine had just delivered. The eviction is the
-// pressure signal; rebuilding immediately (a full |R| scatter) would hand
-// the next allocation spike the same view to evict — one |R| copy per
-// iteration, worse than not carrying at all. Bounding rebuilds to one per
-// cooldown window keeps the worst case at |R|/(cooldown+1) extra copies
-// per iteration while still recovering when pressure genuinely lifts.
-const secondaryRebuildCooldown = 4
 
 // deltaPartitioning picks the partitioning shared by every stage of one
 // predicate's delta pipeline this iteration (fused scatter, delta step, ∆R,

@@ -321,17 +321,15 @@ func (db *Database) MarkSpillable(table string) {
 // budget: attachments first (resident set-difference indexes and cached join
 // builds — derived from the relation's own contents, several times its
 // bytes, and without them the engine merely runs yesterday's transient
-// tables), then secondary carried views (a second scatter copy of data the
-// primary layout already holds: shedding one costs at most a future
-// re-scatter), and only then primary partitions (EndEpoch's fallback: a disk
-// write plus a fault each). The quiescent point is what makes the drops safe
+// tables), and only then cold partitions (EndEpoch's fallback: a disk write
+// plus a fault each). The quiescent point is what makes the drops safe
 // to release this epoch: no in-flight operator can still hold them.
 func (db *Database) EndIteration() {
 	// Recycle this iteration's retired garbage *before* reading the budget
 	// signal: superseded view copies still count in the live gauge until
-	// reclaimed, and deciding to shed secondaries on bytes that are freed
-	// two lines later would drop views the budget actually has room for
-	// (and pay a full |R| rebuild next iteration).
+	// reclaimed, and deciding to shed attachments on bytes that are freed
+	// two lines later would drop structures the budget actually has room
+	// for (and pay a full |R| re-seed next iteration).
 	for _, name := range db.cat.Names() {
 		if r, ok := db.cat.Get(name); ok {
 			r.ReclaimRetired()
@@ -345,17 +343,6 @@ func (db *Database) EndIteration() {
 		for _, name := range db.cat.Names() {
 			if r, ok := db.cat.Get(name); ok && r.DropAttachments() > 0 {
 				db.mem.NoteAttachmentDrop()
-			}
-		}
-	}
-	if db.mem.OverBudget() {
-		for _, name := range db.cat.Names() {
-			if r, ok := db.cat.Get(name); ok && r.DropSecondaryView() {
-				db.mem.NoteSecondaryDrop()
-				// Quiescent point: nothing can still scan the dropped view,
-				// so its blocks are recycled now — the bytes come off the
-				// gauge before EndEpoch decides whether spilling is needed.
-				r.ReclaimRetired()
 			}
 		}
 	}
@@ -1054,18 +1041,13 @@ func (db *Database) hasHeadroom(bytes int64) bool {
 }
 
 // carriedMatch reports whether the relation carries a multi-partition view
-// — primary or secondary — routed on exactly the given join keys.
+// routed on exactly the given join keys.
 func (db *Database) carriedMatch(r *storage.Relation, keys []int) bool {
 	if len(keys) == 0 {
 		return false
 	}
-	if p, ok := r.Partitioning(); ok && p.Parts > 1 && storage.KeyColsEqual(p.KeyCols, keys) {
-		return true
-	}
-	if p, ok := r.SecondaryPartitioning(); ok && p.Parts > 1 && storage.KeyColsEqual(p.KeyCols, keys) {
-		return true
-	}
-	return false
+	p, ok := r.Partitioning()
+	return ok && p.Parts > 1 && storage.KeyColsEqual(p.KeyCols, keys)
 }
 
 // carriedBuildParts overrides a hash build's chosen fan-out with the one the
@@ -1077,12 +1059,6 @@ func (db *Database) carriedBuildParts(build *storage.Relation, keys []int, fallb
 		return fallback
 	}
 	if p, ok := build.Partitioning(); ok && p.Parts > 1 && storage.KeyColsEqual(p.KeyCols, keys) {
-		return p.Parts
-	}
-	// Conflicting-keyset predicates carry a second view; a build keyed on
-	// the secondary keyset adopts its fan-out the same way, and the scatter
-	// short-circuit inside the build serves it from the secondary blocks.
-	if p, ok := build.SecondaryPartitioning(); ok && p.Parts > 1 && storage.KeyColsEqual(p.KeyCols, keys) {
 		return p.Parts
 	}
 	return fallback
@@ -1169,11 +1145,8 @@ const residentIndexKey = "setdiff"
 // keyset co-locates equal tuples), in which case the returned ∆R exits
 // already scattered on the columns the next iteration's hash builds key on.
 // ∆R carries the same partitioning, so the merge keeps R partition-native
-// for the next iteration. sec, when it names a multi-partition layout, makes
-// accepted rows land in both layouts and ∆R carry sec as its secondary view —
-// the maintenance half of secondary carrying for conflicting-keyset
-// predicates. estDistinct is the OOF estimate of |Rδ| (dedup pre-sizing,
-// exactly as in Dedup).
+// for the next iteration. estDistinct is the OOF estimate of |Rδ| (dedup
+// pre-sizing, exactly as in Dedup).
 //
 // The pass and the merge are one call because the set-difference table may
 // outlive them: with keepIndex (the engine passes it under DSDDynamic; the
@@ -1187,7 +1160,7 @@ const residentIndexKey = "setdiff"
 // transient. Whenever no index serves the pass, algo picks the transient
 // flavour. The returned algorithm is the one that ran (OPSD for a resident
 // pass: it is the one-phase algorithm whose build was paid earlier).
-func (db *Database) DeltaStep(tmp *storage.Relation, pred string, algo exec.DiffAlgorithm, part, sec storage.Partitioning, estDistinct int, outName string, keepIndex bool) (*storage.Relation, exec.DiffAlgorithm, error) {
+func (db *Database) DeltaStep(tmp *storage.Relation, pred string, algo exec.DiffAlgorithm, part storage.Partitioning, estDistinct int, outName string, keepIndex bool) (*storage.Relation, exec.DiffAlgorithm, error) {
 	full, ok := db.cat.Get(pred)
 	if !ok {
 		return nil, algo, fmt.Errorf("quickstep: delta step over unknown table %q", pred)
@@ -1197,7 +1170,7 @@ func (db *Database) DeltaStep(tmp *storage.Relation, pred string, algo exec.Diff
 		idx = att.(*exec.ResidentIndex)
 	}
 	if keepIndex && exec.ResidentCapable(full.Arity()) && db.indexWorthKeeping(pred, full, idx, part, estDistinct) {
-		delta, kept, v := exec.DeltaStepResident(db.pool, tmp, full, idx, part, sec, estDistinct, outName)
+		delta, kept, v := exec.DeltaStepResident(db.pool, tmp, full, idx, part, estDistinct, outName)
 		if err := db.Err(); err != nil {
 			// An aborted pass leaves the index holding rows R never received.
 			kept.Release()
@@ -1214,7 +1187,7 @@ func (db *Database) DeltaStep(tmp *storage.Relation, pred string, algo exec.Diff
 		idx.Release()
 	}
 	before := db.pool.Copy.SetDiffRowsScanned.Load()
-	delta := exec.DeltaStepDual(db.pool, tmp, full, algo, part, sec, estDistinct, outName)
+	delta := exec.DeltaStep(db.pool, tmp, full, algo, part, estDistinct, outName)
 	db.hintMu.Lock()
 	db.rescanDebtLocked(rescanKey{pred, residentIndexKey}).rows += db.pool.Copy.SetDiffRowsScanned.Load() - before
 	db.hintMu.Unlock()
@@ -1243,25 +1216,6 @@ func (db *Database) indexWorthKeeping(pred string, full *storage.Relation, idx *
 	repaid := d.repaid
 	db.hintMu.Unlock()
 	return repaid && db.hasHeadroom(exec.ResidentIndexBytes(rows+estDistinct, arity))
-}
-
-// EnsureSecondaryCarry makes a table carry a secondary partitioned view on
-// sec, scattering once if missing — the recovery path after a fan-out shift
-// invalidated the carried views or budget pressure dropped the secondary.
-// In the steady state it is a no-op: R adopts ∆R's secondary view through
-// the block-sharing merge, so no scatter runs here. Skipped (returns false)
-// under a memory budget whose headroom cannot fit the extra copy — secondary
-// views are the first eviction candidates, so building one the manager would
-// immediately drop again is pure thrash.
-func (db *Database) EnsureSecondaryCarry(table string, sec storage.Partitioning) bool {
-	r, ok := db.cat.Get(table)
-	if !ok {
-		return false
-	}
-	if db.opts.MemBudgetBytes > 0 && db.mem.Headroom() < r.EstimatedBytes() {
-		return false
-	}
-	return exec.EnsureSecondaryCarry(db.pool, r, sec.KeyCols, sec.Parts)
 }
 
 // PlanJoinKeys reports, for one bound query (without executing it), per

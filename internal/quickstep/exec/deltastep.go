@@ -48,23 +48,7 @@ import (
 // result. Per-partition passes are scheduled partition-affine, so the same
 // worker revisits the same partition of R every iteration.
 func DeltaStep(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, part storage.Partitioning, estDistinct int, outName string) *storage.Relation {
-	return deltaStep(pool, tmp, full, algo, part, storage.Partitioning{}, estDistinct, outName, nil)
-}
-
-// DeltaStepDual is DeltaStep with a *secondary* carried partitioning: every
-// accepted ∆R row is scattered into blocks of both layouts inside the same
-// per-partition pass — the primary partitions that become ∆R's (and, after
-// the merge, R's) carried contents, and a second scatter copy routed on
-// sec.KeyCols that ∆R carries as its secondary view. R ⊎ ∆R then merges both
-// views, so a predicate whose recursive rules join it on two conflicting
-// keysets (CSPA's valueFlow on columns 0 and 1) serves *both* join shapes
-// from carried partitions: one extra scatter copy of the (small) delta per
-// iteration buys zero per-iteration build scatters of the (large) carried
-// relations. sec must route on different key columns than part; equal
-// routings, an empty sec keyset or an unpartitioned pass degrade to the
-// plain DeltaStep.
-func DeltaStepDual(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, part, sec storage.Partitioning, estDistinct int, outName string) *storage.Relation {
-	return deltaStep(pool, tmp, full, algo, part, sec, estDistinct, outName, nil)
+	return deltaStep(pool, tmp, full, algo, part, estDistinct, outName, nil)
 }
 
 // normalizeDeltaPartitioning resolves a pass's partitioning descriptor: the
@@ -83,10 +67,10 @@ func normalizeDeltaPartitioning(arity int, part storage.Partitioning) (keyCols [
 	return keyCols, storage.Partitioning{KeyCols: keyCols, Parts: parts}
 }
 
-// deltaStep is the pass behind DeltaStep, DeltaStepDual and
-// DeltaStepResident. res, when set, is the resident index the pass runs
-// against instead of building transient tables (algo is then moot).
-func deltaStep(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, part, sec storage.Partitioning, estDistinct int, outName string, res *ResidentIndex) *storage.Relation {
+// deltaStep is the pass behind DeltaStep and DeltaStepResident. res, when
+// set, is the resident index the pass runs against instead of building
+// transient tables (algo is then moot).
+func deltaStep(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, part storage.Partitioning, estDistinct int, outName string, res *ResidentIndex) *storage.Relation {
 	if tmp.Arity() != full.Arity() {
 		panic("exec: delta step arity mismatch")
 	}
@@ -104,19 +88,10 @@ func deltaStep(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, part
 		return deltaShared(pool, tmp, full, algo, arity, estDistinct, outName, res)
 	}
 
-	secParts := storage.NormalizePartitions(sec.Parts)
-	useSec := secParts > 1 && len(sec.KeyCols) > 0 &&
-		!storage.KeyColsEqual(sec.KeyCols, keyCols) &&
-		(storage.Partitioning{KeyCols: sec.KeyCols, Parts: secParts}).CoLocatesEqualTuples(arity)
-
 	tv := PartitionRelation(pool, tmp, keyCols, parts)
 	rv := PartitionRelationCarried(pool, full, keyCols, parts)
 	estPart := estDistinct/parts + 1
 	col := newPartCollector(pool, storage.CatDelta, arity, parts, storage.Partitioning{KeyCols: keyCols, Parts: parts}, &pool.Copy)
-	var secOut [][][]*storage.Block
-	if useSec {
-		secOut = make([][][]*storage.Block, parts)
-	}
 	pool.RunPartitions(parts, func(p int) {
 		defer pool.phase(obs.PhaseDelta, p)()
 		if res == nil && tv.Rows(p) > 0 {
@@ -130,21 +105,6 @@ func deltaStep(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, part
 			accepted := 0
 			emit = func(rows []int32) { accepted += len(rows) / arity; prim(rows) }
 			defer func() { pool.om.DeltaPartRows.Observe(int64(accepted)) }()
-		}
-		if useSec {
-			// Dual route: the accepted run lands in its primary partition
-			// block in bulk, then each row routes through a pass-private
-			// writer into its secondary partition block — one fused pass, one
-			// extra copy.
-			w := newPartWriter(pool, storage.CatDelta, arity, sec.KeyCols, secParts)
-			prim := emit
-			emit = func(rows []int32) {
-				prim(rows)
-				for off := 0; off < len(rows); off += arity {
-					w.write(rows[off : off+arity])
-				}
-			}
-			defer func() { secOut[p] = w.out }()
 		}
 		if res != nil {
 			res.passPartition(pool, p, tv.Blocks(p), tv.Rows(p), rv, estPart, emit)
@@ -160,27 +120,7 @@ func deltaStep(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, part
 		// its pass completes — otherwise one delta step re-pins all of R.
 		rv.Cool(p)
 	})
-	out := col.into(outName, tmp.ColNames())
-	if useSec {
-		merged := make([][]*storage.Block, secParts)
-		total := int64(0)
-		for _, byPart := range secOut {
-			if byPart == nil {
-				continue
-			}
-			for sp, bs := range byPart {
-				for _, b := range bs {
-					b.Compact()
-					total += int64(b.Rows())
-				}
-				merged[sp] = append(merged[sp], bs...)
-			}
-		}
-		pool.Copy.Scattered.Add(total)
-		pool.Copy.SecondaryScattered.Add(total)
-		out.StoreSecondaryView(storage.NewPartitionedView(sec.KeyCols, secParts, merged), out.Generation())
-	}
-	return out
+	return col.into(outName, tmp.ColNames())
 }
 
 // deltaShared is the unpartitioned fused pass (parts <= 1): the same

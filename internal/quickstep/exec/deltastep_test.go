@@ -190,94 +190,3 @@ func TestDeltaStepRace(t *testing.T) {
 		}
 	}
 }
-
-// DeltaStepDual is DeltaStep plus maintenance of a secondary view: the
-// primary output must be bit-identical to the single-route pass, and the
-// returned ∆R must carry a secondary view holding exactly the same tuples,
-// each routed to its secondary partition.
-func TestDeltaStepDualMatchesDeltaStep(t *testing.T) {
-	pool := NewPool(4)
-	tmp, full := deltaInputs(4000, 19)
-	prim := storage.Partitioning{KeyCols: []int{1}, Parts: 16}
-	sec := storage.Partitioning{KeyCols: []int{0}, Parts: 16}
-	want := DeltaStep(pool, tmp, full, OPSD, prim, tmp.NumTuples(), "delta").SortedRows()
-
-	for _, algo := range []DiffAlgorithm{OPSD, TPSD} {
-		out := DeltaStepDual(pool, tmp, full, algo, prim, sec, tmp.NumTuples(), "delta")
-		if got := out.SortedRows(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: dual route (%d rows) diverges from single route (%d rows)", algo, len(got)/2, len(want)/2)
-		}
-		if p, ok := out.Partitioning(); !ok || !p.Equal(prim) {
-			t.Fatalf("%v: ∆R carries %v, want primary %v", algo, p, prim)
-		}
-		sv, ok := out.CarriedView(sec.KeyCols, sec.Parts)
-		if !ok {
-			t.Fatalf("%v: ∆R does not carry the secondary view", algo)
-		}
-		rows := make([]int32, 0, len(want))
-		for p := 0; p < sv.Parts(); p++ {
-			for _, b := range sv.Blocks(p) {
-				n := b.Rows()
-				for i := 0; i < n; i++ {
-					row := b.Row(i)
-					if got := storage.PartitionOf(storage.PartitionHash(row, sec.KeyCols), sec.Parts); got != p {
-						t.Fatalf("%v: secondary row %v in partition %d, routes to %d", algo, row, p, got)
-					}
-					rows = append(rows, row...)
-				}
-			}
-		}
-		r := storage.NewRelation("flat", storage.NumberedColumns(2))
-		r.AppendRows(rows)
-		if got := r.SortedRows(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: secondary view tuples diverge from ∆R", algo)
-		}
-	}
-
-	// Degenerate secondaries fall back to the single route: same routing as
-	// the primary, empty keyset, or an unpartitioned pass.
-	for _, degenerate := range []storage.Partitioning{
-		prim,
-		{Parts: 16},
-		{KeyCols: []int{0}, Parts: 1},
-	} {
-		out := DeltaStepDual(pool, tmp, full, OPSD, prim, degenerate, tmp.NumTuples(), "delta")
-		if got := out.SortedRows(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("degenerate sec %v: wrong output", degenerate)
-		}
-		if _, ok := out.SecondaryPartitioning(); ok {
-			t.Fatalf("degenerate sec %v: a secondary view was attached", degenerate)
-		}
-	}
-}
-
-// EnsureSecondaryCarry scatters once and then short-circuits: the second
-// call must move zero tuples, and a relation whose primary already matches
-// must not gain a duplicate copy.
-func TestEnsureSecondaryCarry(t *testing.T) {
-	pool := NewPool(4)
-	_, full := deltaInputs(3000, 23)
-	PartitionRelationCarried(pool, full, []int{1}, 16)
-
-	if ok := EnsureSecondaryCarry(pool, full, []int{1}, 16); !ok {
-		t.Fatal("primary-matching ensure should report carried")
-	}
-	if _, ok := full.SecondaryPartitioning(); ok {
-		t.Fatal("primary-matching ensure must not attach a duplicate view")
-	}
-
-	pre := pool.Copy.Snapshot()
-	if ok := EnsureSecondaryCarry(pool, full, []int{0}, 16); !ok {
-		t.Fatal("ensure failed")
-	}
-	mid := pool.Copy.Snapshot()
-	if d := mid.SecondaryScattered - pre.SecondaryScattered; d != int64(full.NumTuples()) {
-		t.Fatalf("first ensure scattered %d tuples, want %d", d, full.NumTuples())
-	}
-	if ok := EnsureSecondaryCarry(pool, full, []int{0}, 16); !ok {
-		t.Fatal("repeat ensure failed")
-	}
-	if post := pool.Copy.Snapshot(); post.SecondaryScattered != mid.SecondaryScattered {
-		t.Fatal("repeat ensure re-scattered; it must be served by the existing view")
-	}
-}

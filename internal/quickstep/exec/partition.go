@@ -110,26 +110,3 @@ func scatterView(pool *Pool, r *storage.Relation, keyCols []int, parts int) (*st
 	pool.Copy.Scattered.Add(int64(v.NumTuples()))
 	return v, gen
 }
-
-// EnsureSecondaryCarry makes r carry a secondary partitioned view routed on
-// (keyCols, parts), scattering once if it does not already. The engine calls
-// it on the full relation R of a conflicting-keyset predicate before the
-// first dual-route delta step; afterwards every R ← R ⊎ ∆R merge keeps the
-// view alive (∆R exits DeltaStepDual carrying the matching secondary), so
-// the scatter here is paid once per fixpoint, not once per iteration.
-// Returns whether the relation now serves (keyCols, parts) from a carried
-// view.
-func EnsureSecondaryCarry(pool *Pool, r *storage.Relation, keyCols []int, parts int) bool {
-	parts = storage.NormalizePartitions(parts)
-	if parts <= 1 || len(keyCols) == 0 {
-		return false
-	}
-	if _, ok := r.CarriedView(keyCols, parts); ok {
-		return true
-	}
-	v, gen := scatterView(pool, r, keyCols, parts)
-	pool.Copy.SecondaryScattered.Add(int64(v.NumTuples()))
-	r.StoreSecondaryView(v, gen)
-	_, ok := r.CarriedView(keyCols, parts)
-	return ok
-}

@@ -53,11 +53,6 @@ type CopyCounters struct {
 	// BuildScattersAvoided counts hash-join builds served directly from a
 	// carried or cached partitioned view — zero tuples moved.
 	BuildScattersAvoided obs.Counter
-	// SecondaryScattered counts the subset of Scattered copied into
-	// *secondary* carried views — the extra per-iteration copy a
-	// conflicting-keyset predicate pays so both of its join shapes build
-	// scatter-free.
-	SecondaryScattered obs.Counter
 	// SetDiffRowsScanned counts rows of the full relation R that set
 	// difference read or re-inserted: |R| per transient OPSD/TPSD pass and
 	// per (re-)seed of a resident index, zero for a pass served by one.
@@ -137,7 +132,6 @@ func (c *CopyCounters) NoteBuild(name string, keys []int, scattered bool) {
 type CopySnapshot struct {
 	Scattered, Adopted, FlatMats        int64
 	BuildScatters, BuildScattersAvoided int64
-	SecondaryScattered                  int64
 	SetDiffRowsScanned, JoinProbeRows   int64
 	ResidentIndexHits                   int64
 	ResidentIndexReseeds                int64
@@ -158,7 +152,6 @@ func (c *CopyCounters) Snapshot() CopySnapshot {
 		FlatMats:             c.FlatMats.Load(),
 		BuildScatters:        c.BuildScatters.Load(),
 		BuildScattersAvoided: c.BuildScattersAvoided.Load(),
-		SecondaryScattered:   c.SecondaryScattered.Load(),
 		SetDiffRowsScanned:   c.SetDiffRowsScanned.Load(),
 		JoinProbeRows:        c.JoinProbeRows.Load(),
 		ResidentIndexHits:    c.ResidentIndexHits.Load(),
@@ -191,7 +184,6 @@ func (s CopySnapshot) Sub(o CopySnapshot) CopySnapshot {
 		FlatMats:             s.FlatMats - o.FlatMats,
 		BuildScatters:        s.BuildScatters - o.BuildScatters,
 		BuildScattersAvoided: s.BuildScattersAvoided - o.BuildScattersAvoided,
-		SecondaryScattered:   s.SecondaryScattered - o.SecondaryScattered,
 		SetDiffRowsScanned:   s.SetDiffRowsScanned - o.SetDiffRowsScanned,
 		JoinProbeRows:        s.JoinProbeRows - o.JoinProbeRows,
 		ResidentIndexHits:    s.ResidentIndexHits - o.ResidentIndexHits,
@@ -233,8 +225,6 @@ func (c *CopyCounters) Register(reg *obs.Registry) {
 		"Hash-join builds that paid a scatter pass (no carried/cached view matched).", &c.BuildScatters)
 	reg.RegisterCounter("recstep_join_build_scatters_avoided_total",
 		"Hash-join builds served in place from a carried or cached partitioned view.", &c.BuildScattersAvoided)
-	reg.RegisterCounter("recstep_secondary_tuples_scattered_total",
-		"Tuples copied into secondary carried views for conflicting-keyset predicates.", &c.SecondaryScattered)
 	reg.RegisterCounter("recstep_setdiff_rows_scanned_total",
 		"Rows of full relations read or re-inserted by set difference (0 for passes served by a resident index).", &c.SetDiffRowsScanned)
 	reg.RegisterCounter("recstep_join_probe_rows_total",

@@ -110,7 +110,7 @@ func (x *ResidentIndex) passPartition(pool *Pool, p int, tmpBlocks []*storage.Bl
 	batchInsertBlocks(set, tmpBlocks, x.arity, ar, true, false, buf, emit)
 }
 
-// DeltaStepResident is DeltaStepDual in the OPSD flavour against a resident
+// DeltaStepResident is DeltaStep in the OPSD flavour against a resident
 // index over full. idx is the index full carried into this iteration, or nil;
 // one that does not serve this pass's arity and partitioning is released and
 // replaced. A missing index is seeded from full inside the same pass — the
@@ -118,7 +118,7 @@ func (x *ResidentIndex) passPartition(pool *Pool, p int, tmpBlocks []*storage.Bl
 // holds full ∪ ∆R and is current for full at the returned version once ∆R is
 // appended (storage.Relation.AppendRelationAttaching); the caller owns it
 // until then, and must release it instead if the pass was aborted.
-func DeltaStepResident(pool *Pool, tmp, full *storage.Relation, idx *ResidentIndex, part, sec storage.Partitioning, estDistinct int, outName string) (*storage.Relation, *ResidentIndex, storage.Version) {
+func DeltaStepResident(pool *Pool, tmp, full *storage.Relation, idx *ResidentIndex, part storage.Partitioning, estDistinct int, outName string) (*storage.Relation, *ResidentIndex, storage.Version) {
 	arity := tmp.Arity()
 	if !ResidentCapable(arity) {
 		panic("exec: resident delta step needs arity ≤ 4")
@@ -141,5 +141,5 @@ func DeltaStepResident(pool *Pool, tmp, full *storage.Relation, idx *ResidentInd
 		PartitionRelationCarried(pool, full, keyCols, norm.Parts)
 	}
 	v := full.Version()
-	return deltaStep(pool, tmp, full, OPSD, part, sec, estDistinct, outName, idx), idx, v
+	return deltaStep(pool, tmp, full, OPSD, part, estDistinct, outName, idx), idx, v
 }

@@ -47,16 +47,14 @@ func randomTmp(rng *rand.Rand, arity, n, domain int) *storage.Relation {
 func TestResidentDeltaStepMatchesTransient(t *testing.T) {
 	for _, tc := range []struct {
 		arity, workers, parts int
-		sec                   []int
 	}{
-		{2, 1, 1, nil}, {2, 4, 1, nil}, {2, 4, 16, nil}, {2, 4, 16, []int{1}},
-		{3, 4, 1, nil}, {4, 4, 64, nil}, {1, 2, 16, nil},
+		{2, 1, 1}, {2, 4, 1}, {2, 4, 16}, {3, 4, 1}, {4, 4, 64}, {1, 2, 16},
 	} {
-		t.Run(fmt.Sprintf("arity%d-w%d-parts%d-sec%v", tc.arity, tc.workers, tc.parts, tc.sec), func(t *testing.T) {
+		// The "-sec[]" suffix keeps the subtest names stable.
+		t.Run(fmt.Sprintf("arity%d-w%d-parts%d-sec[]", tc.arity, tc.workers, tc.parts), func(t *testing.T) {
 			pool, mem := poolOn(tc.workers)
 			rng := rand.New(rand.NewSource(int64(31*tc.arity + tc.parts)))
 			part := storage.Partitioning{KeyCols: []int{0}, Parts: tc.parts}
-			sec := storage.Partitioning{KeyCols: tc.sec, Parts: tc.parts}
 			newR := func(name string) *storage.Relation {
 				r := storage.NewRelation(name, storage.NumberedColumns(tc.arity))
 				r.SetLifecycle(mem, storage.CatIDB)
@@ -73,21 +71,18 @@ func TestResidentDeltaStepMatchesTransient(t *testing.T) {
 				}
 				tmp := randomTmp(rng, tc.arity, n, 20+6*iter)
 				algo := []DiffAlgorithm{OPSD, TPSD}[iter%2]
-				want := DeltaStepDual(pool, tmp, transient, algo, part, sec, tmp.NumTuples(), "delta")
+				want := DeltaStep(pool, tmp, transient, algo, part, tmp.NumTuples(), "delta")
 				transient.AppendRelation(want)
 
 				var got *storage.Relation
 				var v storage.Version
-				got, idx, v = DeltaStepResident(pool, tmp, resident, idx, part, sec, tmp.NumTuples(), "delta")
+				got, idx, v = DeltaStepResident(pool, tmp, resident, idx, part, tmp.NumTuples(), "delta")
 				if !reflect.DeepEqual(got.SortedRows(), want.SortedRows()) {
 					t.Fatalf("iter %d: resident ∆R (%d rows) diverges from transient %s (%d rows)",
 						iter, got.NumTuples(), algo, want.NumTuples())
 				}
 				if gp, _ := got.Partitioning(); tc.parts > 1 && !gp.Equal(part) {
 					t.Fatalf("iter %d: resident ∆R carries %v, want %v", iter, gp, part)
-				}
-				if _, ok := got.SecondaryPartitioning(); ok != (tc.sec != nil) {
-					t.Fatalf("iter %d: secondary view present=%v, want %v", iter, ok, tc.sec != nil)
 				}
 				if !resident.AppendRelationAttaching(got, testIndexKey, idx, v) {
 					t.Fatalf("iter %d: index refused by an unchanged relation", iter)
@@ -145,7 +140,7 @@ func TestResidentIndexReseedsOnPartitioningShift(t *testing.T) {
 	var idx *ResidentIndex
 	step := func(part storage.Partitioning) {
 		tmp := randomTmp(rng, 2, 2000, 80)
-		delta, x, v := DeltaStepResident(pool, tmp, full, idx, part, storage.Partitioning{}, 2000, "d")
+		delta, x, v := DeltaStepResident(pool, tmp, full, idx, part, 2000, "d")
 		idx = x
 		full.AppendRelationAttaching(delta, testIndexKey, idx, v)
 		full.TakeAttachment(testIndexKey)

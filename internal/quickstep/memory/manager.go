@@ -101,10 +101,9 @@ type Manager struct {
 	magHits    obs.Counter
 	magRefills obs.Counter
 
-	epoch          atomic.Int64
-	spills         obs.Counter
-	faults         obs.Counter
-	secondaryDrops obs.Counter
+	epoch  atomic.Int64
+	spills obs.Counter
+	faults obs.Counter
 	// attachmentDrops counts relations whose attachments gave pool bytes back
 	// when shed under budget pressure (resident indexes; a cached join build
 	// is Go heap and is not counted).
@@ -282,7 +281,6 @@ func (m *Manager) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("recstep_mem_magazine_refills_total", "Batched shard visits that restocked or flushed a magazine.", &m.magRefills)
 	reg.RegisterCounter("recstep_mem_spills_total", "Cold partitions spilled to disk under budget pressure.", &m.spills)
 	reg.RegisterCounter("recstep_mem_faults_total", "Spilled partitions faulted back in on demand.", &m.faults)
-	reg.RegisterCounter("recstep_mem_secondary_drops_total", "Secondary carried views dropped under budget pressure.", &m.secondaryDrops)
 	reg.RegisterCounter("recstep_mem_attachment_drops_total", "Relations whose pool-accounted attachments (resident set-difference indexes) were shed under budget pressure.", &m.attachmentDrops)
 	reg.RegisterCounter("recstep_mem_spilled_bytes_total", "Cumulative bytes written to spill files.", &m.spilledBytes)
 	reg.RegisterGauge("recstep_mem_spilled_now_bytes", "Bytes currently held in spill files on disk.", &m.spilledNow)
@@ -301,7 +299,7 @@ func (m *Manager) RegisterMetrics(reg *obs.Registry) {
 // consults it to shrink radix fan-out under pressure. While spilling is
 // parked (persistent spill-write failure) the effective budget is tightened
 // by a quarter: with eviction unavailable, the only remaining pressure valve
-// is making the fan-out and secondary-carry choosers shed earlier.
+// is making the fan-out choosers shed earlier.
 func (m *Manager) Headroom() int64 {
 	if m.budget <= 0 {
 		return 1 << 62
@@ -476,19 +474,14 @@ func (m *Manager) Register(r *storage.Relation) {
 
 // OverBudget reports whether live pool bytes currently exceed the budget
 // (always false with no budget, or once eviction is sealed). The engine
-// consults it at quiescent points to decide whether to shed the cheapest
-// redundancy first — secondary carried views — before EndEpoch's
-// cold-partition spilling pays disk I/O.
+// consults it at quiescent points to decide whether to shed attachments
+// before EndEpoch's cold-partition spilling pays disk I/O.
 func (m *Manager) OverBudget() bool {
 	return m.budget > 0 && !m.sealed.Load() && m.liveTotal.Load() > m.budget
 }
 
-// NoteSecondaryDrop records one secondary carried view dropped under budget
-// pressure — the eviction that must precede any primary-partition spill.
-func (m *Manager) NoteSecondaryDrop() { m.secondaryDrops.Add(1) }
-
 // NoteAttachmentDrop records one relation's attachments shed under budget
-// pressure — the eviction that precedes even the secondary views.
+// pressure — the eviction that precedes any partition spill.
 func (m *Manager) NoteAttachmentDrop() { m.attachmentDrops.Add(1) }
 
 // StopSpilling permanently disables eviction — the engine calls it when the
@@ -529,14 +522,8 @@ func (m *Manager) reclaimTo(target int64) bool {
 	// the relation's own contents, three or more times its bytes, freed on
 	// the spot — nothing holds an attached index — and their absence only
 	// restores the transient per-iteration tables; the engine seeds an index
-	// again only with headroom for it. Then the secondary carried views — a
-	// second scatter copy of data the primary layout already holds — which
-	// are retired (recycled at the next quiescent epoch, since an in-flight
-	// operator may still scan them), so the headroom this allocation needs
-	// still has to come from the third stage, cold primary partitions paying
-	// a disk write; but the copy is gone from the working set one epoch
-	// later, and a relation whose secondary is gone ignores incoming ∆R
-	// secondaries on merge, so it is not rebuilt while pressure lasts.
+	// again only with headroom for it. Then cold partitions, paying a disk
+	// write.
 	m.regMu.Lock()
 	spillables := append([]*storage.Relation(nil), m.spillables...)
 	m.regMu.Unlock()
@@ -547,11 +534,6 @@ func (m *Manager) reclaimTo(target int64) bool {
 	}
 	if m.liveTotal.Load() <= target {
 		return true
-	}
-	for _, r := range spillables {
-		if r.TryDropSecondaryView() {
-			m.secondaryDrops.Add(1)
-		}
 	}
 	cur := m.epoch.Load()
 	// Candidate scans use TryLock against relations an operator may be
@@ -564,8 +546,8 @@ func (m *Manager) reclaimTo(target int64) bool {
 	backoff := reclaimBackoff
 	for m.liveTotal.Load() > target {
 		if m.parked.Load() {
-			// Spill writes keep failing: secondary drops above were the last
-			// reclaim lever. The allocation proceeds over budget — degraded
+			// Spill writes keep failing: the attachment drops above were the
+			// last reclaim lever. The allocation proceeds over budget — degraded
 			// but correct.
 			return false
 		}
@@ -747,11 +729,9 @@ type Snapshot struct {
 	// volume currently on disk.
 	Spills, Faults                int64
 	SpilledBytes, SpilledNowBytes int64
-	// SecondaryDrops counts secondary carried views dropped under budget
-	// pressure — the eviction step that runs before any partition spills.
-	// AttachmentDrops counts the step before that: relations whose
-	// pool-accounted attachments (resident indexes) were shed.
-	SecondaryDrops  int64
+	// AttachmentDrops counts the eviction step that runs before any
+	// partition spills: relations whose pool-accounted attachments
+	// (resident indexes) were shed.
 	AttachmentDrops int64
 	// IndexBytes is the live pool bytes held by resident set-difference
 	// indexes (LiveBytes[storage.CatIndex]).
@@ -780,7 +760,6 @@ func (m *Manager) Snapshot() Snapshot {
 		MagRefills:      m.magRefills.Load(),
 		Spills:          m.spills.Load(),
 		Faults:          m.faults.Load(),
-		SecondaryDrops:  m.secondaryDrops.Load(),
 		AttachmentDrops: m.attachmentDrops.Load(),
 		SpillRetries:    m.spillRetries.Load(),
 		SpillsParked:    m.parked.Load(),
@@ -827,7 +806,6 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 	d.MagRefills -= o.MagRefills
 	d.Spills -= o.Spills
 	d.Faults -= o.Faults
-	d.SecondaryDrops -= o.SecondaryDrops
 	d.AttachmentDrops -= o.AttachmentDrops
 	d.SpillRetries -= o.SpillRetries
 	d.SpilledBytes -= o.SpilledBytes

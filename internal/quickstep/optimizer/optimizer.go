@@ -252,13 +252,12 @@ const (
 	CarryWholeTuple CarryRule = "whole-tuple"
 )
 
-// ChooseCarry picks the keysets a recursive predicate's carried partitioning
-// routes on for one stratum: the primary routes the delta pipeline and
-// becomes R's carried partitioning, the secondary (nil for none) is an extra
-// carried view R and ∆R maintain through the dual-route delta step. Any
-// non-empty keyset co-locates equal tuples, so the delta step's dedup and set
-// difference are correct under every choice; the choice only decides which
-// later operator gets its input without moving a tuple.
+// ChooseCarry picks the keyset a recursive predicate's carried partitioning
+// routes on for one stratum: it routes the delta pipeline and becomes R's
+// carried partitioning. Any non-empty keyset co-locates equal tuples, so the
+// delta step's dedup and set difference are correct under every choice; the
+// choice only decides which later operator gets its input without moving a
+// tuple.
 //
 // outputKeys are the predicate's pass-through columns (nil when its rules
 // have none). With more than one worker they win: every repeat of an output
@@ -278,24 +277,19 @@ const (
 //     carried blocks in place (the FlowLog observation that carrying index
 //     structure across incremental iterations beats rebuilding it).
 //   - Conflicting keysets (e.g. same-generation's sg(p,q) joined on p and on
-//     q) → the top-ranked as primary, the runner-up as secondary. A secondary
-//     costs one extra scatter of ∆R per iteration plus one initial scatter of
-//     R, while every build it serves saves a scatter of a build side at least
-//     ∆R-sized, so one use breaks even; keysets ranked third or lower stay
-//     unserved.
+//     q) → only the top-ranked keyset is carried. A build on any other keyset
+//     re-scatters its side, as every uncarried build does: the relation keeps
+//     one physical layout.
 //   - No direct join usage → the whole tuple.
-func ChooseCarry(arity int, joinKeysets [][]int, outputKeys []int, workers int) (primary, sec []int, rule CarryRule) {
+func ChooseCarry(arity int, joinKeysets [][]int, outputKeys []int, workers int) (keys []int, rule CarryRule) {
 	if workers > 1 && len(outputKeys) > 0 {
-		return append([]int(nil), outputKeys...), nil, CarryOutput
+		return append([]int(nil), outputKeys...), CarryOutput
 	}
 	ranked := RankJoinKeysets(joinKeysets)
-	switch {
-	case len(ranked) == 0:
-		return storage.AllCols(arity), nil, CarryWholeTuple
-	case len(ranked) > 1:
-		return ranked[0], ranked[1], CarryJoin
+	if len(ranked) == 0 {
+		return storage.AllCols(arity), CarryWholeTuple
 	}
-	return ranked[0], nil, CarryJoin
+	return ranked[0], CarryJoin
 }
 
 // ChooseDeltaPartitions picks the whole-tuple radix fan-out one recursive

@@ -170,27 +170,25 @@ func TestRankJoinKeysets(t *testing.T) {
 	}
 }
 
-// carryCase is one ChooseCarry decision: its inputs, the carried primary and
-// secondary keysets and the rule that must win.
+// carryCase is one ChooseCarry decision: its inputs, the carried keyset and
+// the rule that must win.
 type carryCase struct {
-	name          string
-	arity         int
-	keysets       [][]int
-	outputKeys    []int
-	workers       int
-	wantPrimary   []int
-	wantSecondary []int
-	wantRule      CarryRule
+	name       string
+	arity      int
+	keysets    [][]int
+	outputKeys []int
+	workers    int
+	wantKeys   []int
+	wantRule   CarryRule
 }
 
 func checkChooseCarry(t *testing.T, cases []carryCase) {
 	t.Helper()
 	for _, c := range cases {
-		p, s, rule := ChooseCarry(c.arity, c.keysets, c.outputKeys, c.workers)
-		if !keysetsEqual([][]int{p}, [][]int{c.wantPrimary}) || len(s) != len(c.wantSecondary) ||
-			(s != nil && !keysetsEqual([][]int{s}, [][]int{c.wantSecondary})) || rule != c.wantRule {
-			t.Fatalf("%s: ChooseCarry = (%v, %v, %s), want (%v, %v, %s)",
-				c.name, p, s, rule, c.wantPrimary, c.wantSecondary, c.wantRule)
+		keys, rule := ChooseCarry(c.arity, c.keysets, c.outputKeys, c.workers)
+		if !keysetsEqual([][]int{keys}, [][]int{c.wantKeys}) || rule != c.wantRule {
+			t.Fatalf("%s: ChooseCarry = (%v, %s), want (%v, %s)",
+				c.name, keys, rule, c.wantKeys, c.wantRule)
 		}
 	}
 }
@@ -199,25 +197,24 @@ func checkChooseCarry(t *testing.T, cases []carryCase) {
 // predicate is carried whole-tuple.
 func TestChooseJoinKeyCols(t *testing.T) {
 	checkChooseCarry(t, []carryCase{
-		{"consensus single col", 2, [][]int{{1}, {1}}, nil, 4, []int{1}, nil, CarryJoin},
-		{"no usage falls back", 3, nil, nil, 1, []int{0, 1, 2}, nil, CarryWholeTuple},
-		{"empty keysets ignored", 2, [][]int{{}, {1}}, nil, 1, []int{1}, nil, CarryJoin},
-		{"multi-col consensus", 3, [][]int{{0, 2}, {0, 2}}, nil, 1, []int{0, 2}, nil, CarryJoin},
+		{"consensus single col", 2, [][]int{{1}, {1}}, nil, 4, []int{1}, CarryJoin},
+		{"no usage falls back", 3, nil, nil, 1, []int{0, 1, 2}, CarryWholeTuple},
+		{"empty keysets ignored", 2, [][]int{{}, {1}}, nil, 1, []int{1}, CarryJoin},
+		{"multi-col consensus", 3, [][]int{{0, 2}, {0, 2}}, nil, 1, []int{0, 2}, CarryJoin},
 	})
 }
 
-// With no output keys, the two top-ranked join keysets are carried.
+// With no output keys, the top-ranked join keyset is carried.
 func TestChooseCarryKeysets(t *testing.T) {
 	checkChooseCarry(t, []carryCase{
-		{"no usage falls back to whole tuple, no secondary", 3, nil, nil, 4, []int{0, 1, 2}, nil, CarryWholeTuple},
-		{"consensus keeps single keyset, no secondary", 2, [][]int{{1}, {1}}, nil, 1, []int{1}, nil, CarryJoin},
+		{"no usage falls back to whole tuple", 3, nil, nil, 4, []int{0, 1, 2}, CarryWholeTuple},
+		{"consensus keeps single keyset", 2, [][]int{{1}, {1}}, nil, 1, []int{1}, CarryJoin},
 		// The CSPA valueFlow shape: column 0 serves four builds per
-		// iteration, column 1 serves two — rank picks 0 as the delta route
-		// and maintains 1 as the secondary carried view.
-		{"conflict ranks by builds served", 2, [][]int{{0}, {0}, {1}, {0}, {1}, {0}}, nil, 1, []int{0}, []int{1}, CarryJoin},
-		{"tie breaks by first appearance", 2, [][]int{{1}, {0}}, nil, 1, []int{1}, []int{0}, CarryJoin},
-		// Third-ranked keysets stay unserved: only the top two carry.
-		{"only top two carry", 2, [][]int{{0}, {0}, {1}, {1}, {0, 1}}, nil, 1, []int{0}, []int{1}, CarryJoin},
+		// iteration, column 1 serves two — rank picks 0 as the delta route,
+		// and the builds on 1 re-scatter.
+		{"conflict ranks by builds served", 2, [][]int{{0}, {0}, {1}, {0}, {1}, {0}}, nil, 1, []int{0}, CarryJoin},
+		{"tie breaks by first appearance", 2, [][]int{{1}, {0}}, nil, 1, []int{1}, CarryJoin},
+		{"only the top-ranked keyset carries", 2, [][]int{{0}, {0}, {1}, {1}, {0, 1}}, nil, 1, []int{0}, CarryJoin},
 	})
 }
 
@@ -225,10 +222,10 @@ func TestChooseCarryKeysets(t *testing.T) {
 func TestChooseCarry(t *testing.T) {
 	checkChooseCarry(t, []carryCase{
 		// tc(x,y) :- tc(x,z), arc(z,y): builds on column 1, passes column 0.
-		{"output keys win at several workers", 2, [][]int{{1}}, []int{0}, 4, []int{0}, nil, CarryOutput},
-		{"one worker keeps the join keys", 2, [][]int{{1}}, []int{0}, 1, []int{1}, nil, CarryJoin},
-		{"no output keys: ranked join keysets", 2, [][]int{{0}, {0}, {1}}, nil, 4, []int{0}, []int{1}, CarryJoin},
-		{"no usage is whole-tuple", 3, nil, nil, 4, []int{0, 1, 2}, nil, CarryWholeTuple},
+		{"output keys win at several workers", 2, [][]int{{1}}, []int{0}, 4, []int{0}, CarryOutput},
+		{"one worker keeps the join keys", 2, [][]int{{1}}, []int{0}, 1, []int{1}, CarryJoin},
+		{"no output keys: ranked join keysets", 2, [][]int{{0}, {0}, {1}}, nil, 4, []int{0}, CarryJoin},
+		{"no usage is whole-tuple", 3, nil, nil, 4, []int{0, 1, 2}, CarryWholeTuple},
 	})
 }
 

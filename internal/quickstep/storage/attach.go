@@ -15,10 +15,9 @@ import "fmt"
 //     attachment dies with it — except through AppendRelationAttaching, where
 //     the caller certifies the structure already covers the appended rows.
 //   - Layout advances when blocks are rewritten or evicted without a logical
-//     change (coalescing, partition spill, a dropped secondary view). Only
-//     layout-bound attachments — those that address rows by block position,
-//     like a join build table — die with it; a set of keys does not care
-//     where the rows live.
+//     change (coalescing, partition spill). Only layout-bound attachments —
+//     those that address rows by block position, like a join build table —
+//     die with it; a set of keys does not care where the rows live.
 //
 // Custody decides who may release. A structure that is only ever read —
 // concurrent joins probing one cached build table — is shared through
@@ -160,11 +159,11 @@ func (r *Relation) AppendRelationAttaching(other *Relation, key string, a Attach
 	if other.Arity() != r.Arity() {
 		panic(fmt.Sprintf("storage: arity mismatch appending %q to %q", other.name, r.name))
 	}
-	blocks, view, secView := other.snapshot()
+	blocks, view := other.snapshot()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	unchanged := v.Gen == r.gen
-	r.appendSnapshotLocked(blocks, view, secView)
+	r.appendSnapshotLocked(blocks, view)
 	if unchanged {
 		r.attachLocked(key, attachment{a: a, v: Version{Gen: r.gen, Layout: r.layout}})
 	}
@@ -180,9 +179,8 @@ func (r *Relation) DropAttachments() int64 {
 }
 
 // TryDropAttachments is DropAttachments for the memory reclaimer's mid-query
-// path, with the TryLock discipline of TryDropSecondaryView: the reclaimer
-// may be running under an allocation that already holds this relation's
-// mutex.
+// path, with TryLock: the reclaimer may be running under an allocation that
+// already holds this relation's mutex, so blocking here would deadlock.
 func (r *Relation) TryDropAttachments() int64 {
 	if !r.mu.TryLock() {
 		return 0

@@ -244,15 +244,16 @@ func (p *countingPager) DropSpill(any) {}
 
 // A layout-bound attachment holds bare pointers into the relation's blocks:
 // reading through it must put the partitions into the epoch's working set as
-// a scan would, a partition spilled in between must make the lookup miss, and
-// so must the loss of the secondary view such a structure may be built over.
+// a scan would, and a partition spilled in between must make the lookup miss.
 func TestPinAttachmentGuardsTheBlocksItAddresses(t *testing.T) {
 	lc := newPoisonLifecycle()
 	rows := make([]int32, 0, 400)
 	for i := int32(0); i < 200; i++ {
 		rows = append(rows, i, i+1)
 	}
-	r := deltaLike(lc, "r", rows, []int{0}, []int{1}, 4)
+	r := NewRelation("r", NumberedColumns(2))
+	r.SetLifecycle(lc, CatDelta)
+	r.AdoptPartitioned(scatterRows(lc, CatDelta, rows, []int{0}, 4))
 	pg := &countingPager{}
 	r.EnableSpill(pg)
 	table := &fakeAttachment{}
@@ -290,20 +291,5 @@ func TestPinAttachmentGuardsTheBlocksItAddresses(t *testing.T) {
 	}
 	if table.released != 1 {
 		t.Fatalf("stale attachment released %d times, want 1", table.released)
-	}
-
-	// Built over the secondary view's blocks, dropped with the view.
-	onSec := &fakeAttachment{}
-	keys := &fakeAttachment{}
-	r.Attach("table", onSec, r.Version(), true)
-	r.Attach("keys", keys, r.Version(), false)
-	if !r.DropSecondaryView() {
-		t.Fatal("no secondary view to drop")
-	}
-	if _, ok := r.PinAttachment("table"); ok {
-		t.Fatal("attachment served after the secondary view it may address was retired")
-	}
-	if _, ok := r.Attachment("keys"); !ok {
-		t.Fatal("a set of keys died with the secondary view")
 	}
 }

@@ -109,11 +109,10 @@ func (r *Relation) deletePartitionedLocked(tomb *tombstoneSet) int {
 	r.blocks = flat
 	r.open = nil
 	r.rows -= removed
-	// Cached views and the secondary scatter copy are stale now; the carried
-	// view itself was compacted in place and stays.
+	// Cached views are stale now; the carried view itself was compacted in
+	// place and stays.
 	r.retired = append(r.retired, r.ownedView...)
 	r.ownedView = nil
-	r.retireSecondaryLocked()
 	r.partViews = map[string]*PartitionedView{partitionKey(live.keyCols, live.parts): live}
 	r.gen++
 	return removed

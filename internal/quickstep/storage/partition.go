@@ -330,41 +330,6 @@ func (r *Relation) StoreCarriedView(v *PartitionedView, gen uint64) {
 	}
 	r.rows = rows
 	r.installLiveLocked(v)
-	// A secondary view that now routes identically to the promoted primary
-	// is a pure duplicate; drop it. (Distinct-keyset secondaries survive the
-	// promotion untouched: the logical contents did not change.)
-	if r.sec != nil && r.sec.Partitioning().Equal(v.Partitioning()) {
-		r.retireSecondaryLocked()
-	}
-}
-
-// StoreSecondaryView attaches a view built from the snapshot taken at
-// mutation generation gen as the relation's *secondary* carried
-// partitioning: a second physical layout, routed on a different keyset than
-// the primary, maintained for predicates whose recursive joins build on
-// conflicting key columns. Unlike StoreCarriedView, the view's blocks do NOT
-// replace the flat list — they duplicate the contents in a second layout and
-// are owned by the relation on behalf of the view. Compatible partitioned
-// appends keep the view alive by merging the source's matching secondary
-// view (see AppendRelation); any flat mutation retires it. Stale stores
-// (gen advanced) and stores duplicating the primary routing are refused,
-// with the refused blocks retired for recycling. The mutation generation is
-// not advanced: the logical contents are unchanged, so existing cached
-// views stay valid.
-func (r *Relation) StoreSecondaryView(v *PartitionedView, gen uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.gen != gen || (r.live != nil && r.live.Partitioning().Equal(v.Partitioning())) {
-		r.retireViewBlocksLocked(v)
-		return
-	}
-	r.retireSecondaryLocked()
-	for p := range v.blocks {
-		for _, b := range v.blocks[p] {
-			r.adoptCategoryLocked(b)
-		}
-	}
-	r.sec = v
 }
 
 // retireViewBlocksLocked takes custody of a refused view's scatter-copy
@@ -409,7 +374,6 @@ func (r *Relation) invalidatePartitionsLocked() {
 		r.live.owner = nil
 		r.live = nil
 	}
-	r.retireSecondaryLocked()
 	r.touch = nil
 	r.gen++
 }

@@ -191,3 +191,20 @@ func TestStoreCarriedViewRefusesStaleGeneration(t *testing.T) {
 		t.Fatal("current-generation carried-view promotion must stick")
 	}
 }
+
+// scatterRows builds a partitioned view by routing each two-column row of
+// rows to its radix partition of (keyCols, parts), allocating through lc.
+func scatterRows(lc Lifecycle, cat Category, rows []int32, keyCols []int, parts int) *PartitionedView {
+	blocks := make([][]*Block, parts)
+	open := make([]*Block, parts)
+	for off := 0; off < len(rows); off += 2 {
+		row := rows[off : off+2]
+		p := PartitionOf(PartitionHash(row, keyCols), parts)
+		if open[p] == nil || open[p].Full() {
+			open[p] = NewBlockIn(lc, cat, 2, 0)
+			blocks[p] = append(blocks[p], open[p])
+		}
+		open[p].Append(row)
+	}
+	return NewPartitionedView(keyCols, parts, blocks)
+}

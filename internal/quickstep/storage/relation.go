@@ -44,21 +44,6 @@ type Relation struct {
 	// per partition), so a relation that accumulates partition-native deltas
 	// never needs a re-scatter. Any flat mutation drops it.
 	live *PartitionedView
-	// sec is the *secondary* carried partitioning: a scatter copy of the
-	// contents routed on a second keyset, maintained for predicates whose
-	// recursive joins build on conflicting key columns (CSPA's valueFlow
-	// joins on column 0 in some rules and column 1 in others). Unlike live,
-	// its blocks duplicate the flat contents in a second physical layout and
-	// are owned by the relation on behalf of the view — they are never part
-	// of the flat list. Like live, it survives compatible partitioned
-	// appends: when the appended relation carries a matching secondary view
-	// (∆R exiting the dual-route delta step), the per-partition block lists
-	// are merged by retaining the source's blocks. Any flat mutation, or a
-	// compatible append whose source lacks the matching secondary, drops it
-	// (the copy would silently go stale otherwise). Secondary views never
-	// spill — under memory pressure they are the first eviction candidates
-	// and are dropped whole (see DropSecondaryView).
-	sec *PartitionedView
 	// ownedView holds scatter-copy blocks owned on behalf of cached
 	// (non-carried) views — data that duplicates the flat contents in a
 	// different physical layout. retired holds owned blocks whose views were
@@ -251,14 +236,14 @@ func (r *Relation) AppendRelation(other *Relation) {
 	if other.Arity() != r.Arity() {
 		panic(fmt.Sprintf("storage: arity mismatch appending %q to %q", other.name, r.name))
 	}
-	blocks, view, secView := other.snapshot()
+	blocks, view := other.snapshot()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.appendSnapshotLocked(blocks, view, secView)
+	r.appendSnapshotLocked(blocks, view)
 }
 
 // appendSnapshotLocked appends another relation's snapshot (see snapshot).
-func (r *Relation) appendSnapshotLocked(blocks []*Block, view, secView *PartitionedView) {
+func (r *Relation) appendSnapshotLocked(blocks []*Block, view *PartitionedView) {
 	r.sealLocked()
 	wasEmpty := r.rows == 0
 	mergeable := view != nil &&
@@ -285,27 +270,25 @@ func (r *Relation) appendSnapshotLocked(blocks []*Block, view, secView *Partitio
 		// aliasing audit — a shared view object would let one relation's
 		// release or spill mutate the other's carried partitioning).
 		r.installLiveLocked(view.clone())
-		r.adoptSecondaryLocked(secView)
 	case mergeable:
 		r.installLiveLocked(mergeViews(r.live, view))
-		r.mergeSecondaryLocked(secView)
 	default:
 		r.invalidatePartitionsLocked()
 	}
 }
 
-// snapshot returns the sealed block list plus the carried primary and
-// secondary partitioned views (nil if none), all consistent with each other.
+// snapshot returns the sealed block list plus the carried partitioned view
+// (nil if none), consistent with each other.
 // Spilled partitions are faulted back first: the caller is about to scan (or
 // share) the whole contents.
-func (r *Relation) snapshot() ([]*Block, *PartitionedView, *PartitionedView) {
+func (r *Relation) snapshot() ([]*Block, *PartitionedView) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.sealLocked()
 	r.faultAllLocked()
 	out := make([]*Block, len(r.blocks))
 	copy(out, r.blocks)
-	return out, r.live, r.sec
+	return out, r.live
 }
 
 // AdoptPartitioned installs a partitioned view's blocks as the relation's
@@ -342,29 +325,14 @@ func (r *Relation) Partitioning() (Partitioning, bool) {
 	return r.live.Partitioning(), true
 }
 
-// SecondaryPartitioning returns the partitioning of the secondary carried
-// view, if one is attached.
-func (r *Relation) SecondaryPartitioning() (Partitioning, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.sec == nil {
-		return Partitioning{}, false
-	}
-	return r.sec.Partitioning(), true
-}
-
-// CarriedView returns the carried partitioned view — primary or secondary —
-// matching the wanted partitioning: the short-circuit consulted before any
-// scatter.
+// CarriedView returns the carried partitioned view if it matches the wanted
+// partitioning: the short-circuit consulted before any scatter.
 func (r *Relation) CarriedView(keyCols []int, parts int) (*PartitionedView, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	want := Partitioning{KeyCols: keyCols, Parts: parts}
 	if r.live != nil && r.live.Partitioning().Equal(want) {
 		return r.live, true
-	}
-	if r.sec != nil && r.sec.Partitioning().Equal(want) {
-		return r.sec, true
 	}
 	return nil, false
 }
@@ -392,97 +360,6 @@ func (r *Relation) installLiveLocked(v *PartitionedView) {
 	v.owner = r
 	r.partViews = map[string]*PartitionedView{partitionKey(v.keyCols, v.parts): v}
 	r.resizeTouchLocked(v.parts)
-}
-
-// adoptSecondaryLocked installs a clone of an appended-from-empty source's
-// secondary view, retaining its blocks: the destination becomes an
-// independent co-owner of the second-layout scatter copies, so releasing the
-// source never frees data the destination still serves builds from.
-func (r *Relation) adoptSecondaryLocked(v *PartitionedView) {
-	r.retireSecondaryLocked()
-	if v == nil {
-		return
-	}
-	c := v.clone()
-	for p := range c.blocks {
-		for _, b := range c.blocks[p] {
-			b.Retain()
-			r.adoptCategoryLocked(b)
-		}
-	}
-	r.sec = c
-}
-
-// mergeSecondaryLocked extends the secondary carried view with the appended
-// relation's matching secondary view (∆R exiting the dual-route delta step),
-// retaining the source's blocks. A source without a matching secondary view
-// forces the destination to drop its own — keeping it would silently serve
-// stale contents to later builds.
-func (r *Relation) mergeSecondaryLocked(v *PartitionedView) {
-	if r.sec == nil {
-		return
-	}
-	if v == nil || !r.sec.Partitioning().Equal(v.Partitioning()) {
-		r.retireSecondaryLocked()
-		return
-	}
-	for p := range v.blocks {
-		for _, b := range v.blocks[p] {
-			b.Retain()
-			r.adoptCategoryLocked(b)
-		}
-	}
-	r.sec = mergeViews(r.sec, v)
-}
-
-// retireSecondaryLocked detaches the secondary carried view, moving its
-// scatter-copy blocks to the retired list (an in-flight build may still scan
-// them; they are recycled at the next quiescent ReclaimRetired).
-func (r *Relation) retireSecondaryLocked() {
-	if r.sec == nil {
-		return
-	}
-	r.retireViewBlocksLocked(r.sec)
-	r.sec = nil
-	// A join build table keyed on the secondary keyset addresses these blocks.
-	r.layout++
-}
-
-// DropSecondaryView detaches the secondary carried view, if any, reporting
-// whether one existed. The memory manager's eviction policy calls it first —
-// before any primary partition spills to disk — because a secondary view is
-// pure redundancy: dropping it costs at most one future re-scatter, while
-// spilling a primary partition costs a disk write plus a fault. The blocks
-// are retired, not freed; the caller reclaims them at a quiescent point via
-// ReclaimRetired.
-func (r *Relation) DropSecondaryView() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.sec == nil {
-		return false
-	}
-	r.retireSecondaryLocked()
-	return true
-}
-
-// TryDropSecondaryView is DropSecondaryView with TryLock semantics, for the
-// memory manager's mid-query reclaim path: the reclaimer may be running
-// under an allocation that already holds this relation's mutex, so blocking
-// here would deadlock. The blocks are retired, not freed — an in-flight
-// build may still scan the view object it already obtained — and are
-// recycled at the next quiescent ReclaimRetired; the immediate headroom
-// still comes from partition spilling, but the redundant copy is gone from
-// the working set one epoch later and is never rebuilt while pressure lasts.
-func (r *Relation) TryDropSecondaryView() bool {
-	if !r.mu.TryLock() {
-		return false
-	}
-	defer r.mu.Unlock()
-	if r.sec == nil {
-		return false
-	}
-	r.retireSecondaryLocked()
-	return true
 }
 
 // Clear drops all tuples, releasing every owned block and dropping any

@@ -392,18 +392,15 @@ const (
 )
 
 // CoalescePartitions rewrites the block lists that have accumulated many
-// small blocks: every partition of the carried view and of the secondary
-// view, or — for a relation that carries no view, as every relation does at
-// fan-out 1 — the flat list itself. Must run at a quiescent point (no
-// operator holds block lists of this relation).
+// small blocks: every partition of the carried view, or — for a relation
+// that carries no view, as every relation does at fan-out 1 — the flat list
+// itself. Must run at a quiescent point (no operator holds block lists of
+// this relation).
 func (r *Relation) CoalescePartitions() {
 	r.mu.Lock()
-	parts, secParts := 0, 0
+	parts := 0
 	if r.live != nil {
 		parts = r.live.parts
-	}
-	if r.sec != nil {
-		secParts = r.sec.parts
 	}
 	r.mu.Unlock()
 
@@ -421,20 +418,6 @@ func (r *Relation) CoalescePartitions() {
 				return nil
 			}
 			return &r.live.blocks[p]
-		})
-		if !ok {
-			break
-		}
-	}
-	// The secondary view fragments exactly like the primary — one small ∆R
-	// scatter block adopted per partition per iteration — but its blocks live
-	// outside the flat list.
-	for p := 0; p < secParts; p++ {
-		ok := r.coalesceList(false, func() *[]*Block {
-			if r.sec == nil || r.sec.parts != secParts {
-				return nil
-			}
-			return &r.sec.blocks[p]
 		})
 		if !ok {
 			break

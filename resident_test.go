@@ -349,8 +349,8 @@ func hasCachedBuild(r *storage.Relation, keys []int) bool {
 }
 
 // Eviction order under a memory budget, one stage per over-budget epoch:
-// attachments (the resident index, the cached join build) go before the
-// secondary carried view, which goes before any primary partition spills.
+// attachments (the resident index, the cached join build) go before any
+// partition spills.
 func TestAttachmentsEvictBeforeSecondaryBeforeSpill(t *testing.T) {
 	rows := make([]int32, 0, 2*60000)
 	for i := int32(0); i < 60000; i++ {
@@ -380,11 +380,10 @@ func TestAttachmentsEvictBeforeSecondaryBeforeSpill(t *testing.T) {
 		db.MarkSpillable("r")
 		part := storage.Partitioning{KeyCols: []int{1}, Parts: 16}
 		exec.PartitionRelationCarried(db.Pool(), r, part.KeyCols, part.Parts)
-		exec.EnsureSecondaryCarry(db.Pool(), r, []int{0}, 16)
 		r.ReclaimRetired()
 		// The resident index, seeded by an empty pass and handed to r.
 		empty := storage.NewRelation("tmp", storage.NumberedColumns(2))
-		delta, idx, v := exec.DeltaStepResident(db.Pool(), empty, r, nil, part, storage.Partitioning{}, 0, "d")
+		delta, idx, v := exec.DeltaStepResident(db.Pool(), empty, r, nil, part, 0, "d")
 		if !r.Attach("setdiff", idx, v, false) {
 			t.Fatal("index refused")
 		}
@@ -404,18 +403,15 @@ func TestAttachmentsEvictBeforeSecondaryBeforeSpill(t *testing.T) {
 		return fixture{db, r, e}
 	}
 
-	// Calibrate the three footprints.
+	// Calibrate the two footprints.
 	cal := build(0)
 	withAll := cal.db.MemSnapshot().LiveTotal
 	cal.r.DropAttachments()
 	withoutAtt := cal.db.MemSnapshot().LiveTotal
-	cal.r.DropSecondaryView()
-	cal.r.ReclaimRetired()
-	withoutSec := cal.db.MemSnapshot().LiveTotal
 	cal.db.ReleaseAll()
 	cal.db.Close()
-	if !(withAll > withoutAtt && withoutAtt > withoutSec) {
-		t.Fatalf("calibration: %d with everything, %d without attachments, %d without the secondary", withAll, withoutAtt, withoutSec)
+	if withAll <= withoutAtt {
+		t.Fatalf("calibration: %d with everything ≤ %d without attachments", withAll, withoutAtt)
 	}
 
 	// Room for everything, barely: the fixture builds without pressure and
@@ -449,46 +445,33 @@ func TestAttachmentsEvictBeforeSecondaryBeforeSpill(t *testing.T) {
 	if _, ok := f.r.Attachment("setdiff"); ok {
 		t.Fatal("stage 1: dropped index still served")
 	}
-	if _, ok := f.r.SecondaryPartitioning(); !ok || snap.SecondaryDrops != 0 || snap.Spills != 0 {
-		t.Fatalf("stage 1 went past the attachments: secondaryDrops=%d spills=%d", snap.SecondaryDrops, snap.Spills)
+	if snap.Spills != 0 {
+		t.Fatalf("stage 1 went past the attachments: spills=%d", snap.Spills)
 	}
 	if snap.LiveTotal > budget || !hasCachedBuild(f.e, []int{0}) {
 		t.Fatalf("stage 1: live %d against budget %d, cached build kept=%v", snap.LiveTotal, budget, hasCachedBuild(f.e, []int{0}))
 	}
 
-	// Stage 2, over again by less than the secondary view holds: it goes,
-	// nothing spills.
+	// Stage 2: nothing pool-resident is redundant any more. The epoch sheds
+	// what is left of the attachments — the cached build — and only then
+	// spills partitions.
 	x2 := push("x2", budget-snap.LiveTotal+slack)
 	f.db.EndIteration()
 	snap = f.db.MemSnapshot()
-	if _, ok := f.r.SecondaryPartitioning(); ok || snap.SecondaryDrops == 0 {
-		t.Fatal("stage 2: secondary view survived")
-	}
-	if snap.Spills != 0 || snap.LiveTotal > budget {
-		t.Fatalf("stage 2: %d partitions spilled while a secondary view was droppable (live %d, budget %d)", snap.Spills, snap.LiveTotal, budget)
-	}
-
-	// Stage 3: nothing pool-resident is redundant any more. The epoch sheds
-	// what is left of the attachments — the cached build — and only then
-	// spills primary partitions.
-	x3 := push("x3", budget-snap.LiveTotal+slack)
-	f.db.EndIteration()
-	snap = f.db.MemSnapshot()
 	if hasCachedBuild(f.e, []int{0}) {
-		t.Fatal("stage 3: cached build survived an epoch that spilled")
+		t.Fatal("stage 2: cached build survived an epoch that spilled")
 	}
 	if snap.AttachmentDrops != 1 {
-		t.Fatalf("stage 3: %d attachment drops, want 1: shedding a heap-only build table gives the pool nothing back and is not one", snap.AttachmentDrops)
+		t.Fatalf("stage 2: %d attachment drops, want 1: shedding a heap-only build table gives the pool nothing back and is not one", snap.AttachmentDrops)
 	}
 	if snap.Spills == 0 {
-		t.Fatal("stage 3: over budget with nothing redundant left, but nothing spilled")
+		t.Fatal("stage 2: over budget with nothing redundant left, but nothing spilled")
 	}
 	if !reflect.DeepEqual(f.r.SortedRows(), want) {
 		t.Fatal("relation contents diverged across eviction")
 	}
 	x1.Release()
 	x2.Release()
-	x3.Release()
 	f.db.ReleaseAll()
 	if live := f.db.MemSnapshot().LiveTotal; live != 0 {
 		t.Fatalf("%d pool bytes live after releasing everything", live)
