@@ -39,15 +39,14 @@ func TestCarriedMatchesRescatterAcrossPrograms(t *testing.T) {
 }
 
 // A TC fixpoint re-scatters the delta for a join build only when the carried
-// keyset is not the build's. At one worker tc is carried on its join column,
-// so across the whole run the only permissible build scatter is the EDB's
-// one-time view-cache fill (the first iteration the optimizer picks arc as
-// the build side). Under several workers tc is carried on its pass-through
-// column instead, and the iterations in which the small ∆ is the build side
-// re-scatter it — once each, and nothing else does; what that buys is join
-// output written in place. Naive evaluation carries nothing: it must keep
-// paying build scatters every iteration and write no output in place —
-// otherwise the counters measure nothing.
+// keyset is not the build's. tc is carried on its pass-through column at
+// every worker count, so the iterations in which the small ∆ is the build side
+// re-scatter it — once each — and across the whole run the only other
+// permissible build scatter is the EDB's one-time view-cache fill (the first
+// iteration the optimizer picks arc as the build side); what that buys is
+// join output written in place. Naive evaluation carries nothing: it must
+// write no output in place and scatter more tuples — otherwise the counters
+// measure nothing.
 func TestCarriedZeroDeltaBuildScatters(t *testing.T) {
 	arc := graphs.GnP(150, 0.05, 23)
 	prog := programs.MustParse(programs.TC)
@@ -75,45 +74,37 @@ func TestCarriedZeroDeltaBuildScatters(t *testing.T) {
 		return res.Stats, deltaBuilds
 	}
 
-	one, _ := run(1, false)
-	// One EDB (arc) ⇒ at most one build scatter the whole run; every delta
-	// build must be served in place.
-	if one.JoinBuildScatters > 1 {
-		t.Fatalf("carried one-worker run paid %d join-build scatters, want ≤ 1 (the EDB cache fill)", one.JoinBuildScatters)
-	}
-	if one.JoinBuildScattersAvoided == 0 {
-		t.Fatal("carried run reports no builds served from carried partitions; the counter is not measuring")
-	}
-	if naive, _ := run(1, true); naive.JoinBuildScatters <= one.JoinBuildScatters {
-		t.Fatalf("one-worker naive build scatters %d not above carried run's %d",
-			naive.JoinBuildScatters, one.JoinBuildScatters)
-	}
-
-	four, deltaBuilds := run(4, false)
-	if arcScatters := four.JoinBuildsByKeyset["arc[0]"].Scatters; arcScatters > 1 {
-		t.Fatalf("arc paid %d build scatters, want ≤ 1 (its cache fill)", arcScatters)
-	}
-	if four.JoinBuildScatters > int64(1+deltaBuilds) {
-		t.Fatalf("four-worker run paid %d join-build scatters, want ≤ 1 + %d (arc's cache fill, one per ∆ build)",
-			four.JoinBuildScatters, deltaBuilds)
-	}
-	naive, _ := run(4, true)
-	if four.OutputInPlace == 0 || naive.OutputInPlace != 0 {
-		t.Fatalf("join output written in place: %d carried, %d under naive evaluation; want some, and none",
-			four.OutputInPlace, naive.OutputInPlace)
-	}
-	if four.TuplesScattered >= naive.TuplesScattered {
-		t.Fatalf("carried four-worker run scattered %d tuples, naive evaluation %d", four.TuplesScattered, naive.TuplesScattered)
+	for _, workers := range []int{1, 4} {
+		carried, deltaBuilds := run(workers, false)
+		if arcScatters := carried.JoinBuildsByKeyset["arc[0]"].Scatters; arcScatters > 1 {
+			t.Fatalf("W=%d: arc paid %d build scatters, want ≤ 1 (its cache fill)", workers, arcScatters)
+		}
+		if carried.JoinBuildScatters > int64(1+deltaBuilds) {
+			t.Fatalf("W=%d: carried run paid %d join-build scatters, want ≤ 1 + %d (arc's cache fill, one per ∆ build)",
+				workers, carried.JoinBuildScatters, deltaBuilds)
+		}
+		if carried.JoinBuildScattersAvoided == 0 {
+			t.Fatalf("W=%d: carried run reports no builds served from carried partitions; the counter is not measuring", workers)
+		}
+		naive, _ := run(workers, true)
+		if carried.OutputInPlace == 0 || naive.OutputInPlace != 0 {
+			t.Fatalf("W=%d: join output written in place: %d carried, %d under naive evaluation; want some, and none",
+				workers, carried.OutputInPlace, naive.OutputInPlace)
+		}
+		if carried.TuplesScattered >= naive.TuplesScattered {
+			t.Fatalf("W=%d: carried run scattered %d tuples, naive evaluation %d",
+				workers, carried.TuplesScattered, naive.TuplesScattered)
+		}
 	}
 }
 
-// The carried keyset is chosen per stratum from the rules and the worker
-// count, reported in Stats.Carry, and is what R ends the run carrying. A
-// linear predicate whose recursive rule copies column 0 of its body atom to
-// the head (tc, csda's null) is carried on that column under several workers
-// and on its join column at one; predicates without such a column keep their
-// top-ranked join keyset, the only one carried; the state of a
-// recursive aggregate is the merge's own layout on its group column.
+// The carried keyset is chosen per stratum from the rules alone, reported in
+// Stats.Carry, and is what R ends the run carrying. A linear predicate whose
+// recursive rule copies column 0 of its body atom to the head (tc, csda's
+// null) is carried on that column at every worker count; predicates without
+// such a column keep their top-ranked join keyset, the only one carried; the
+// state of a recursive aggregate is the merge's own layout on its group
+// column.
 func TestCarriedKeysetIsJoinKeyed(t *testing.T) {
 	cases := []struct {
 		program, pred string
@@ -122,9 +113,9 @@ func TestCarriedKeysetIsJoinKeyed(t *testing.T) {
 		rule          string
 	}{
 		{"tc", "tc", 4, []int{0}, "output"},
-		{"tc", "tc", 1, []int{1}, "join"},
+		{"tc", "tc", 1, []int{0}, "output"},
 		{"csda", "null", 4, []int{0}, "output"},
-		{"csda", "null", 1, []int{1}, "join"},
+		{"csda", "null", 1, []int{0}, "output"},
 		{"cspa", "valueFlow", 4, []int{0}, "join"},
 		{"cspa", "valueFlow", 1, []int{0}, "join"},
 		{"aa", "pointsTo", 4, []int{0}, "join"},
@@ -164,13 +155,13 @@ func TestCarriedKeysetIsJoinKeyed(t *testing.T) {
 }
 
 // A predicate whose recursive joins build on conflicting keysets carries
-// only the top-ranked one. At one worker every recursive predicate is
-// carried on its best-ranked join keyset, and a build on the runner-up
-// keyset always takes the re-scatter fallback. At four workers (the rows of
-// TestFusedMatchesStagedAcrossPrograms) a linear predicate is carried on its
-// pass-through columns instead, and a build on its join keys falls back to a
-// re-scatter. The one-worker rows, at every radix fan-out under every DSD
-// mode, must derive what the staged lock-map run derives.
+// only the top-ranked one, and a build on the runner-up keyset always takes
+// the re-scatter fallback; a linear predicate is carried on its pass-through
+// columns instead, and a build on its join keys falls back to a re-scatter.
+// The plan is the one four workers run (the rows of
+// TestFusedMatchesStagedAcrossPrograms); these are its one-worker rows, which
+// at every radix fan-out under every DSD mode must derive what the staged
+// lock-map run derives.
 func TestSecondaryCarryMatchesFallbackAcrossPrograms(t *testing.T) {
 	matchAcrossPrograms(t, true, dsdSweep(1))
 }

@@ -171,8 +171,8 @@ func main() {
 
 	if *verbose {
 		opts.IterHook = func(ii core.IterInfo) {
-			log.Printf("stratum %d iter %d %s: tmp=%d delta=%d (%s) armsSkipped=%d scattered=%d outputInPlace=%d adopted=%d flat=%d buildsInPlace=%d buildScatters=%d phases=[%s]",
-				ii.Stratum, ii.Iteration, ii.Pred, ii.TmpTuples, ii.Delta, ii.Algo, ii.ArmsSkipped,
+			log.Printf("stratum %d iter %d %s: tmp=%d delta=%d (%s) deltaParts=%d armsSkipped=%d scattered=%d outputInPlace=%d adopted=%d flat=%d buildsInPlace=%d buildScatters=%d phases=[%s]",
+				ii.Stratum, ii.Iteration, ii.Pred, ii.TmpTuples, ii.Delta, ii.Algo, ii.DeltaParts, ii.ArmsSkipped,
 				ii.Copy.Scattered, ii.Copy.OutputInPlace, ii.Copy.Adopted, ii.Copy.FlatMats,
 				ii.Copy.BuildScattersAvoided, ii.Copy.BuildScatters, phaseString(ii.Phase))
 		}
@@ -241,16 +241,8 @@ func main() {
 		log.Printf("join output: %d rows expanded, %d dropped by the duplicate filter (hit share %.1f%%), %d reached tmp tables (%d kept as ∆); %d windows ran with the filter switched off; %d rows written in place without a scatter",
 			res.Stats.JoinRowsExpanded, res.Stats.DupSuppressed, 100*hitShare, res.Stats.TmpTuples, res.Stats.DeltaTuples,
 			res.Stats.DupFilterBypassed, res.Stats.OutputInPlace)
-		preds := make([]string, 0, len(res.Stats.Carry))
-		for pred := range res.Stats.Carry {
-			preds = append(preds, pred)
-		}
-		sort.Strings(preds)
-		carry := make([]string, len(preds))
-		for i, pred := range preds {
-			carry[i] = pred + " " + res.Stats.Carry[pred].String()
-		}
-		log.Printf("carry: %s", strings.Join(carry, "; "))
+		log.Printf("carry: %s", res.Stats.CarryLine())
+		log.Printf("fan-out: %s", res.Stats.FanOutLine())
 		collapse := 0.0
 		if res.Stats.AggGroupsOut > 0 {
 			collapse = float64(res.Stats.AggRowsIn) / float64(res.Stats.AggGroupsOut)

@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime/debug"
 	"slices"
 	"sort"
@@ -142,7 +143,11 @@ type IterInfo struct {
 	Pred      string
 	TmpTuples int
 	Delta     int
-	Algo      exec.DiffAlgorithm
+	// DeltaParts is the radix fan-out this step's fused delta pipeline ran
+	// at; 0 when the step ran none (no live arm, an aggregate merge, or the
+	// staged pipeline of the FAST-DEDUP baselines).
+	DeltaParts int
+	Algo       exec.DiffAlgorithm
 	// Copy holds this step's copy- and rescan-accounting deltas: tuples
 	// scattered into partitions, tuples adopted without copy, flat
 	// materializations of pipeline intermediates (zero per iteration under
@@ -231,6 +236,11 @@ type Stats struct {
 	// keysets its carried partitioning routed on and the rule that chose
 	// them (the last stratum evaluation's choice).
 	Carry map[string]CarryChoice
+	// FanOut records, per predicate in Carry, every delta-pipeline fan-out
+	// it entered and the iteration it entered it in (the last stratum
+	// evaluation's sequence; empty for a predicate the fused pipeline never
+	// ran). The fan-out only grows within a stratum.
+	FanOut map[string][]FanOutStep
 	// ArmsSkipped counts UNION ALL arms skipped across the run because
 	// their seeding ∆ relation was empty (the early-exit arm filter).
 	ArmsSkipped int64
@@ -256,8 +266,7 @@ type Stats struct {
 
 // CarryChoice is one predicate's carried keyset: Keys routes the delta
 // pipeline, R and ∆R; Rule says what chose it — "output" (pass-through
-// columns, several workers), "join" (the keys its hash builds use) or
-// "whole-tuple".
+// columns), "join" (the keys its hash builds use) or "whole-tuple".
 type CarryChoice struct {
 	Keys []int
 	Rule string
@@ -266,6 +275,40 @@ type CarryChoice struct {
 // String renders the choice the way recstep -v prints it, e.g. "[0] (output)".
 func (c CarryChoice) String() string {
 	return fmt.Sprintf("%v (%s)", c.Keys, c.Rule)
+}
+
+// FanOutStep is one delta-pipeline fan-out a predicate entered: Parts
+// partitions from iteration Iteration of its stratum on.
+type FanOutStep struct {
+	Parts, Iteration int
+}
+
+// CarryLine renders Carry the way recstep -v prints it after "carry:", one
+// "pred keys (rule)" entry per predicate in name order, e.g. "tc [0] (output)".
+func (s Stats) CarryLine() string {
+	preds := slices.Sorted(maps.Keys(s.Carry))
+	out := make([]string, len(preds))
+	for i, pred := range preds {
+		out[i] = pred + " " + s.Carry[pred].String()
+	}
+	return strings.Join(out, "; ")
+}
+
+// FanOutLine renders FanOut the way recstep -v prints it after "fan-out:",
+// each predicate in name order followed by every fan-out it entered and the
+// iteration it entered it in, e.g. "tc 1@1 16@2 64@3".
+func (s Stats) FanOutLine() string {
+	preds := slices.Sorted(maps.Keys(s.FanOut))
+	out := make([]string, len(preds))
+	for i, pred := range preds {
+		var b strings.Builder
+		b.WriteString(pred)
+		for _, step := range s.FanOut[pred] {
+			fmt.Fprintf(&b, " %d@%d", step.Parts, step.Iteration)
+		}
+		out[i] = b.String()
+	}
+	return strings.Join(out, "; ")
 }
 
 // Result is the outcome of evaluating a program.
@@ -687,10 +730,10 @@ func (r *runState) evalStratumWith(s analysis.Stratum, seed map[string]querygen.
 	// (its delta feeds other predicates' rules too). The keyset must stay
 	// stable across iterations: R ⊎ ∆R merges carried views only when their
 	// partitionings match.
-	// With more than one worker, a linear recursive predicate that passes
-	// columns of its body atom through to the head is carried on those
-	// instead (optimizer.ChooseCarry): each worker's join output then lands in
-	// the partition of ∆ it probes.
+	// A linear recursive predicate that passes columns of its body atom
+	// through to the head is carried on those instead, at every worker count
+	// (optimizer.ChooseCarry): the task probing a partition of ∆ then writes
+	// its join output into that same partition.
 	carrying := !r.opts().Naive
 	usage := make(map[string][][]int)
 	for i := range queries {
@@ -711,7 +754,7 @@ func (r *runState) evalStratumWith(s analysis.Stratum, seed map[string]querygen.
 				passed = r.passThroughCols(s, st.q.Pred)
 			}
 			var rule optimizer.CarryRule
-			st.keyCols, rule = optimizer.ChooseCarry(st.q.Arity, keysets, passed, r.db.Pool().Workers())
+			st.keyCols, rule = optimizer.ChooseCarry(st.q.Arity, keysets, passed)
 			c = CarryChoice{Keys: st.keyCols, Rule: string(rule)}
 		}
 		if st.agg != nil {
@@ -722,6 +765,10 @@ func (r *runState) evalStratumWith(s analysis.Stratum, seed map[string]querygen.
 			r.stats.Carry = make(map[string]CarryChoice)
 		}
 		r.stats.Carry[st.q.Pred] = c
+		if r.stats.FanOut == nil {
+			r.stats.FanOut = make(map[string][]FanOutStep)
+		}
+		r.stats.FanOut[st.q.Pred] = nil
 	}
 
 	for iter := 1; ; iter++ {
@@ -798,14 +845,18 @@ type idbState struct {
 	rebuildEachIter bool
 	// keyCols is the stratum-stable keyset the predicate's carried
 	// partitioning routes on — the pass-through columns of a linear
-	// predicate under several workers, else the join-key columns when the
-	// recursive builds agree on (or rank) a keyset, the whole tuple otherwise
-	// (or under naive evaluation). Nil selects the whole tuple.
+	// predicate, else the top-ranked join-key columns of its recursive
+	// builds, the whole tuple otherwise (or under naive evaluation). Nil
+	// selects the whole tuple.
 	keyCols []int
 	// lastTmp is the previous iteration's join-output size — the
 	// slowly-changing estimate the delta fan-out choice uses before the
 	// current Rt exists.
 	lastTmp int
+	// deltaParts is the fan-out the predicate's delta pipeline last ran at
+	// in this stratum (0 before its first fused step); the next choice never
+	// goes below it.
+	deltaParts int
 }
 
 // evalIDB performs lines 8-13 of Algorithm 1 for one IDB: uieval, analyze,
@@ -834,7 +885,7 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit boun
 		if err := r.db.InstallReplacing(storage.NewRelation(q.Delta, storage.NumberedColumns(q.Arity))); err != nil {
 			return 0, err
 		}
-		r.hook(s, iter, q.Pred, 0, 0, exec.OPSD, exec.CopySnapshot{}, skipped)
+		r.hook(s, iter, q.Pred, 0, 0, 0, exec.OPSD, exec.CopySnapshot{}, skipped)
 		return 0, nil
 	}
 
@@ -850,6 +901,10 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit boun
 	part := storage.Partitioning{Parts: 1}
 	if fuse {
 		part = r.deltaPartitioning(st, full)
+		if part.Parts != st.deltaParts {
+			st.deltaParts = part.Parts
+			r.stats.FanOut[q.Pred] = append(r.stats.FanOut[q.Pred], FanOutStep{Parts: part.Parts, Iteration: iter})
+		}
 		// The fused delta step dedups Rt before anything else reads it, so the
 		// joins producing it are told their output is a set. Only here: an
 		// aggregate needs every candidate, and the staged pipeline and the
@@ -983,7 +1038,11 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit boun
 	if r.em != nil {
 		r.em.deltaTuples.Add(int64(n))
 	}
-	r.hook(s, iter, q.Pred, tmpRows, n, algo, r.db.CopySnapshot().Sub(copyBase), skipped)
+	deltaParts := 0
+	if fuse {
+		deltaParts = part.Parts
+	}
+	r.hook(s, iter, q.Pred, tmpRows, n, deltaParts, algo, r.db.CopySnapshot().Sub(copyBase), skipped)
 	// The statement path surfaces aborts through Exec; the direct kernel calls
 	// (fused delta step, aggregate merge) drain silently with partial output.
 	// Check here so a step that aborted mid-kernel fails the iteration
@@ -1011,8 +1070,9 @@ func (r *runState) installAggFull(st *idbState, pred string) error {
 // deltaPartitioning picks the partitioning shared by every stage of one
 // predicate's delta pipeline this iteration (fused scatter, delta step, ∆R,
 // R's carried view, and — when the keyset is join-key-carried — the next
-// iteration's hash builds). The fan-out may shift with cardinality; the
-// keyset is stratum-stable.
+// iteration's hash builds). The fan-out follows the iteration's work and
+// only grows within a stratum; the keyset is stratum-stable. Neither
+// depends on the worker count.
 func (r *runState) deltaPartitioning(st *idbState, full *storage.Relation) storage.Partitioning {
 	if r.incremental && r.opts().Partitions <= 0 {
 		// Update deltas must land on R's carried layout exactly (key columns
@@ -1020,13 +1080,13 @@ func (r *runState) deltaPartitioning(st *idbState, full *storage.Relation) stora
 		// rebuild of the full relation on every update.
 		carried, ok := full.Partitioning()
 		return optimizer.ChooseUpdateDeltaPartitioning(carried, ok,
-			full.NumTuples(), st.lastTmp, r.db.Pool().Workers(), r.db.Headroom(), st.q.Arity)
+			full.NumTuples(), st.lastTmp, st.deltaParts, r.db.Headroom(), st.q.Arity)
 	}
 	parts := 0
 	if p := r.opts().Partitions; p > 0 {
 		parts = storage.NormalizePartitions(p)
 	} else {
-		parts = optimizer.ChooseDeltaPartitionsBudget(full.NumTuples(), st.lastTmp, r.db.Pool().Workers(), r.db.Headroom())
+		parts = optimizer.ChooseDeltaPartitionsBudget(full.NumTuples(), st.lastTmp, st.deltaParts, r.db.Headroom())
 	}
 	keyCols := st.keyCols
 	if len(keyCols) == 0 {
@@ -1290,7 +1350,7 @@ func (r *runState) aggNeedsFullRebuild(s analysis.Stratum, pred string) bool {
 	return false
 }
 
-func (r *runState) hook(s analysis.Stratum, iter int, pred string, tmp, delta int, algo exec.DiffAlgorithm, copies exec.CopySnapshot, skipped int) {
+func (r *runState) hook(s analysis.Stratum, iter int, pred string, tmp, delta, deltaParts int, algo exec.DiffAlgorithm, copies exec.CopySnapshot, skipped int) {
 	var ph obs.PhaseSnapshot
 	if r.ob != nil && r.ob.Exec != nil {
 		cur := r.ob.Exec.Phase.Snapshot()
@@ -1298,7 +1358,7 @@ func (r *runState) hook(s analysis.Stratum, iter int, pred string, tmp, delta in
 		r.lastPhase = cur
 	}
 	if h := r.opts().IterHook; h != nil {
-		h(IterInfo{Stratum: s.Index, Iteration: iter, Pred: pred, TmpTuples: tmp, Delta: delta, Algo: algo, Copy: copies, Mem: r.db.MemSnapshot(), ArmsSkipped: skipped, Phase: ph})
+		h(IterInfo{Stratum: s.Index, Iteration: iter, Pred: pred, TmpTuples: tmp, Delta: delta, DeltaParts: deltaParts, Algo: algo, Copy: copies, Mem: r.db.MemSnapshot(), ArmsSkipped: skipped, Phase: ph})
 	}
 }
 

@@ -95,25 +95,32 @@ const (
 	partitionBigTuples = 1 << 22
 )
 
-// ChoosePartitions picks the radix partition count (1, 16, 64 or 256) for a
-// hash build from the build side's cardinality estimate. Like the build-side
-// choice, it is driven by the latest ANALYZE statistics, so OOF keeps it
-// correct as delta sizes shift across iterations. A single worker gets no
-// benefit from contention-free builds, so it always runs unpartitioned.
-func ChoosePartitions(buildTuples, workers int) int {
-	if workers == 1 {
-		return 1
-	}
+// partitionTier maps a cardinality to its radix fan-out tier: 1, 16, 64 or
+// 256, growing with the input so per-partition tables stay cache-resident.
+func partitionTier(tuples int) int {
 	switch {
-	case buildTuples < partitionMinTuples:
+	case tuples < partitionMinTuples:
 		return 1
-	case buildTuples < partitionMidTuples:
+	case tuples < partitionMidTuples:
 		return 16
-	case buildTuples < partitionBigTuples:
+	case tuples < partitionBigTuples:
 		return 64
 	default:
 		return 256
 	}
+}
+
+// ChoosePartitions picks the radix partition count (1, 16, 64 or 256) for a
+// hash build from the build side's cardinality estimate. Like the build-side
+// choice, it is driven by the latest ANALYZE statistics, so OOF keeps it
+// correct as delta sizes shift across iterations. Partitioning a build buys
+// contention-free per-partition tables, which a single worker does not need,
+// so there it always runs unpartitioned.
+func ChoosePartitions(buildTuples, workers int) int {
+	if workers == 1 {
+		return 1
+	}
+	return partitionTier(buildTuples)
 }
 
 // Memory-headroom tiers for fan-out under budget pressure. Every partition
@@ -163,8 +170,8 @@ func ChoosePartitionsBudget(buildTuples, workers int, headroom int64) int {
 // partitions are the unit of cold-partition spilling, so collapsing to a
 // flat layout under pressure would remove the engine's only way to shed
 // memory.
-func ChooseDeltaPartitionsBudget(rTuples, prevTmpTuples, workers int, headroom int64) int {
-	parts := ChooseDeltaPartitions(rTuples, prevTmpTuples, workers)
+func ChooseDeltaPartitionsBudget(rTuples, prevTmpTuples, prevParts int, headroom int64) int {
+	parts := ChooseDeltaPartitions(rTuples, prevTmpTuples, prevParts)
 	if parts <= 1 {
 		// The cardinality tiers would run flat — but when the full relation
 		// alone threatens the remaining headroom, partition it anyway:
@@ -186,11 +193,11 @@ func ChooseDeltaPartitionsBudget(rTuples, prevTmpTuples, workers int, headroom i
 // which dwarfs any scatter savings on the delta itself. So when the full
 // relation carries a partitioned view, mirror it exactly (key columns and
 // fan-out both); only an uncarried R falls back to the batch heuristic.
-func ChooseUpdateDeltaPartitioning(carried storage.Partitioning, hasCarried bool, rTuples, prevTmpTuples, workers int, headroom int64, arity int) storage.Partitioning {
+func ChooseUpdateDeltaPartitioning(carried storage.Partitioning, hasCarried bool, rTuples, prevTmpTuples, prevParts int, headroom int64, arity int) storage.Partitioning {
 	if hasCarried {
 		return carried
 	}
-	parts := ChooseDeltaPartitionsBudget(rTuples, prevTmpTuples, workers, headroom)
+	parts := ChooseDeltaPartitionsBudget(rTuples, prevTmpTuples, prevParts, headroom)
 	return storage.Partitioning{KeyCols: storage.AllCols(arity), Parts: parts}
 }
 
@@ -260,13 +267,13 @@ const (
 // tuple.
 //
 // outputKeys are the predicate's pass-through columns (nil when its rules
-// have none). With more than one worker they win: every repeat of an output
-// tuple then comes out of one partition of ∆, so the worker probing that
-// partition sees all of them and its duplicate filter catches them, and the
-// join writes its output into the probe row's own partition without a
-// scatter. The predicate's builds on its join keys then re-scatter ∆ — the
-// price of owning the output, paid on the smaller side. One worker already
-// owns the whole output, so there the join keys decide.
+// have none). They win whenever they exist: every repeat of an output tuple
+// then comes out of one partition of ∆, so the task probing that partition
+// sees all of them and its duplicate filter catches them, and the join writes
+// its output into the probe row's own partition without a scatter. The
+// predicate's builds on its join keys then re-scatter ∆ — the price of owning
+// the output, paid on the smaller side. Nothing in that argument depends on
+// the worker count, so one worker runs the plan many do.
 //
 // joinKeysets are the key column sets under which the predicate's relations
 // (∆R and R) enter hash builds directly, collected from the bound recursive
@@ -281,8 +288,8 @@ const (
 //     re-scatters its side, as every uncarried build does: the relation keeps
 //     one physical layout.
 //   - No direct join usage → the whole tuple.
-func ChooseCarry(arity int, joinKeysets [][]int, outputKeys []int, workers int) (keys []int, rule CarryRule) {
-	if workers > 1 && len(outputKeys) > 0 {
+func ChooseCarry(arity int, joinKeysets [][]int, outputKeys []int) (keys []int, rule CarryRule) {
+	if len(outputKeys) > 0 {
 		return append([]int(nil), outputKeys...), CarryOutput
 	}
 	ranked := RankJoinKeysets(joinKeysets)
@@ -292,21 +299,45 @@ func ChooseCarry(arity int, joinKeysets [][]int, outputKeys []int, workers int) 
 	return ranked[0], CarryJoin
 }
 
-// ChooseDeltaPartitions picks the whole-tuple radix fan-out one recursive
-// predicate uses for one fixpoint iteration. A single count is shared by
-// every stage of the delta pipeline — the fused scatter of the join output,
-// the fused dedup/set-difference pass, ∆R's materialization, and the carried
+// minTaskRows is the join output a delta-pipeline partition task must
+// receive to pay for itself: below it the task, its blocks and the
+// epoch-boundary coalesce cost more than the kernel work it carries. It is
+// the smallest tier's threshold spread over the widest fan-out, so Rt must
+// reach 1024 rows before the pipeline fans out at all.
+const minTaskRows = partitionMinTuples / 256
+
+// ChooseDeltaPartitions picks the radix fan-out one recursive predicate's
+// delta pipeline uses for one fixpoint iteration. A single count is shared by
+// every stage of the pipeline — the fused scatter of the join output, the
+// fused dedup/set-difference pass, ∆R's materialization, and the carried
 // partitioning R accumulates — so partitioned output produced by one stage
-// is consumed by the next without a re-scatter. The fan-out is sized by the
-// larger of the two inputs the delta pass touches: the full relation R and
-// the join output Rt (approximated by the previous iteration's size, the
-// same slowly-changing heuristic DSD uses for µ).
-func ChooseDeltaPartitions(rTuples, prevTmpTuples, workers int) int {
-	n := rTuples
-	if prevTmpTuples > n {
-		n = prevTmpTuples
+// is consumed by the next without a re-scatter. The count is a function of
+// the data alone, never of the worker count:
+//
+//   - Start from the cardinality tier of the larger of the two inputs the
+//     delta pass touches: the full relation R and the join output Rt
+//     (approximated by the previous iteration's size, the same
+//     slowly-changing heuristic DSD uses for µ).
+//   - Step it down (256 → 64 → 16 → 1) while Rt would give each partition
+//     task fewer than minTaskRows rows: a chain whose ∆ is a few rows runs
+//     one task however large R has grown.
+//   - Never go below prevParts, the predicate's fan-out in the previous
+//     iteration of the stratum: R is never re-scattered to a smaller layout,
+//     so its carried partitions and resident index survive a shrinking ∆.
+func ChooseDeltaPartitions(rTuples, prevTmpTuples, prevParts int) int {
+	parts := partitionTier(max(rTuples, prevTmpTuples))
+	for parts > 1 && prevTmpTuples < parts*minTaskRows {
+		parts = stepDown(parts)
 	}
-	return ChoosePartitions(n, workers)
+	return max(parts, prevParts)
+}
+
+// stepDown returns the next smaller fan-out tier.
+func stepDown(parts int) int {
+	if parts <= 16 {
+		return 1
+	}
+	return parts / 4
 }
 
 // DefaultAlpha is the build/probe cost ratio used when no calibration has

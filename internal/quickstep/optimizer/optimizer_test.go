@@ -177,7 +177,6 @@ type carryCase struct {
 	arity      int
 	keysets    [][]int
 	outputKeys []int
-	workers    int
 	wantKeys   []int
 	wantRule   CarryRule
 }
@@ -185,7 +184,7 @@ type carryCase struct {
 func checkChooseCarry(t *testing.T, cases []carryCase) {
 	t.Helper()
 	for _, c := range cases {
-		keys, rule := ChooseCarry(c.arity, c.keysets, c.outputKeys, c.workers)
+		keys, rule := ChooseCarry(c.arity, c.keysets, c.outputKeys)
 		if !keysetsEqual([][]int{keys}, [][]int{c.wantKeys}) || rule != c.wantRule {
 			t.Fatalf("%s: ChooseCarry = (%v, %s), want (%v, %s)",
 				c.name, keys, rule, c.wantKeys, c.wantRule)
@@ -197,36 +196,81 @@ func checkChooseCarry(t *testing.T, cases []carryCase) {
 // predicate is carried whole-tuple.
 func TestChooseJoinKeyCols(t *testing.T) {
 	checkChooseCarry(t, []carryCase{
-		{"consensus single col", 2, [][]int{{1}, {1}}, nil, 4, []int{1}, CarryJoin},
-		{"no usage falls back", 3, nil, nil, 1, []int{0, 1, 2}, CarryWholeTuple},
-		{"empty keysets ignored", 2, [][]int{{}, {1}}, nil, 1, []int{1}, CarryJoin},
-		{"multi-col consensus", 3, [][]int{{0, 2}, {0, 2}}, nil, 1, []int{0, 2}, CarryJoin},
+		{"consensus single col", 2, [][]int{{1}, {1}}, nil, []int{1}, CarryJoin},
+		{"no usage falls back", 3, nil, nil, []int{0, 1, 2}, CarryWholeTuple},
+		{"empty keysets ignored", 2, [][]int{{}, {1}}, nil, []int{1}, CarryJoin},
+		{"multi-col consensus", 3, [][]int{{0, 2}, {0, 2}}, nil, []int{0, 2}, CarryJoin},
 	})
 }
 
 // With no output keys, the top-ranked join keyset is carried.
 func TestChooseCarryKeysets(t *testing.T) {
 	checkChooseCarry(t, []carryCase{
-		{"no usage falls back to whole tuple", 3, nil, nil, 4, []int{0, 1, 2}, CarryWholeTuple},
-		{"consensus keeps single keyset", 2, [][]int{{1}, {1}}, nil, 1, []int{1}, CarryJoin},
+		{"no usage falls back to whole tuple", 3, nil, nil, []int{0, 1, 2}, CarryWholeTuple},
+		{"consensus keeps single keyset", 2, [][]int{{1}, {1}}, nil, []int{1}, CarryJoin},
 		// The CSPA valueFlow shape: column 0 serves four builds per
 		// iteration, column 1 serves two — rank picks 0 as the delta route,
 		// and the builds on 1 re-scatter.
-		{"conflict ranks by builds served", 2, [][]int{{0}, {0}, {1}, {0}, {1}, {0}}, nil, 1, []int{0}, CarryJoin},
-		{"tie breaks by first appearance", 2, [][]int{{1}, {0}}, nil, 1, []int{1}, CarryJoin},
-		{"only the top-ranked keyset carries", 2, [][]int{{0}, {0}, {1}, {1}, {0, 1}}, nil, 1, []int{0}, CarryJoin},
+		{"conflict ranks by builds served", 2, [][]int{{0}, {0}, {1}, {0}, {1}, {0}}, nil, []int{0}, CarryJoin},
+		{"tie breaks by first appearance", 2, [][]int{{1}, {0}}, nil, []int{1}, CarryJoin},
+		{"only the top-ranked keyset carries", 2, [][]int{{0}, {0}, {1}, {1}, {0, 1}}, nil, []int{0}, CarryJoin},
 	})
 }
 
-// Output keys take over the carry at several workers only.
+// Output keys take over the carry whenever the predicate has them: the
+// choice depends on the rules alone, so one worker runs the plan many do.
 func TestChooseCarry(t *testing.T) {
 	checkChooseCarry(t, []carryCase{
 		// tc(x,y) :- tc(x,z), arc(z,y): builds on column 1, passes column 0.
-		{"output keys win at several workers", 2, [][]int{{1}}, []int{0}, 4, []int{0}, CarryOutput},
-		{"one worker keeps the join keys", 2, [][]int{{1}}, []int{0}, 1, []int{1}, CarryJoin},
-		{"no output keys: ranked join keysets", 2, [][]int{{0}, {0}, {1}}, nil, 4, []int{0}, CarryJoin},
-		{"no usage is whole-tuple", 3, nil, nil, 4, []int{0, 1, 2}, CarryWholeTuple},
+		{"output keys win over the join keys", 2, [][]int{{1}}, []int{0}, []int{0}, CarryOutput},
+		{"output keys win with no join usage", 3, nil, []int{0, 2}, []int{0, 2}, CarryOutput},
+		{"no output keys: ranked join keysets", 2, [][]int{{0}, {0}, {1}}, nil, []int{0}, CarryJoin},
+		{"no usage is whole-tuple", 3, nil, nil, []int{0, 1, 2}, CarryWholeTuple},
 	})
+}
+
+// The delta fan-out is R's cardinality tier, stepped down until each
+// partition task receives at least minTaskRows rows of the previous join
+// output, never below the previous iteration's fan-out, and only then capped
+// by the memory headroom. No worker count enters it.
+func TestChooseDeltaPartitionsSizedByWork(t *testing.T) {
+	const roomy = int64(1) << 40
+	cases := []struct {
+		name                  string
+		r, prevTmp, prevParts int
+		headroom              int64
+		want                  int
+	}{
+		// Tiers of max(|R|, |Rt|) when Rt is large enough to feed them.
+		{"small inputs run flat", 1000, 1000, 0, roomy, 1},
+		{"16 tier", 1 << 14, 1 << 14, 0, roomy, 16},
+		{"64 tier", 1 << 18, 1 << 18, 0, roomy, 64},
+		{"256 tier", 1 << 22, 1 << 22, 0, roomy, 256},
+		{"Rt alone reaches a tier", 100, 1 << 18, 0, roomy, 64},
+		// The cap by Rt: fewer than 64 rows per task steps the tier down.
+		{"first iteration runs flat", 1 << 22, 0, 0, roomy, 1},
+		{"a few-row ∆ over a large R runs flat", 1 << 20, 8, 0, roomy, 1},
+		{"just under 16 tasks' work", 1 << 20, 16*minTaskRows - 1, 0, roomy, 1},
+		{"16 tasks' work", 1 << 20, 16 * minTaskRows, 0, roomy, 16},
+		{"64 tasks' work", 1 << 20, 64 * minTaskRows, 0, roomy, 64},
+		{"256 tier capped to 64", 1 << 22, 256*minTaskRows - 1, 0, roomy, 64},
+		{"256 tasks' work", 1 << 22, 256 * minTaskRows, 0, roomy, 256},
+		// Upgrade-only: a shrinking Rt keeps the previous fan-out.
+		{"never below the previous fan-out", 1 << 20, 8, 64, roomy, 64},
+		{"still upgrades past it", 1 << 22, 1 << 22, 16, roomy, 256},
+		// Headroom: the caps and the spill floor apply after the choice.
+		{"tight headroom caps at 16", 1 << 22, 1 << 22, 0, headroomTight - 1, 16},
+		{"low headroom caps at 64", 1 << 22, 1 << 22, 0, headroomLow - 1, 64},
+		{"the cap overrides the previous fan-out", 1 << 22, 8, 256, headroomTight - 1, 16},
+		{"an R that threatens the headroom partitions anyway", 1 << 20, 8, 0, 1 << 20, 16},
+		{"an R that fits stays flat", 1000, 8, 0, 1 << 20, 1},
+	}
+	for _, c := range cases {
+		if got := ChooseDeltaPartitionsBudget(c.r, c.prevTmp, c.prevParts, c.headroom); got != c.want {
+			t.Errorf("%s: ChooseDeltaPartitionsBudget(%d, %d, %d, %d) = %d, want %d",
+				c.name, c.r, c.prevTmp, c.prevParts, c.headroom, got, c.want)
+		}
+	}
 }
 
 func TestPreferCarriedBuild(t *testing.T) {

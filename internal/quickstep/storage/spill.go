@@ -439,21 +439,31 @@ func (r *Relation) coalesceList(alsoFlat bool, list func() *[]*Block) bool {
 		r.mu.Unlock()
 		return false
 	}
-	var smalls, keep []*Block
+	// Shared blocks (refs > 1 — the newest ∆R, still held by the delta
+	// table) are left alone: copying them frees nothing while the merged
+	// chunk adds net footprint. They become coalescable one epoch later,
+	// when the engine releases the old delta table.
+	small := func(b *Block) bool { return b.Rows() < coalesceSmallRows && b.Refs() == 1 }
+	// Count before allocating: most calls find too few small blocks to
+	// rewrite anything.
+	n := 0
 	for _, b := range *l {
-		// Shared blocks (refs > 1 — the newest ∆R, still held by the delta
-		// table) are left alone: copying them frees nothing while the merged
-		// chunk adds net footprint. They become coalescable one epoch later,
-		// when the engine releases the old delta table.
-		if b.Rows() < coalesceSmallRows && b.Refs() == 1 {
+		if small(b) {
+			n++
+		}
+	}
+	if n < coalesceMinRun {
+		r.mu.Unlock()
+		return true
+	}
+	smalls := make([]*Block, 0, n)
+	keep := make([]*Block, 0, len(*l)-n)
+	for _, b := range *l {
+		if small(b) {
 			smalls = append(smalls, b)
 		} else {
 			keep = append(keep, b)
 		}
-	}
-	if len(smalls) < coalesceMinRun {
-		r.mu.Unlock()
-		return true
 	}
 	r.sealLocked() // the open tail block may be among the rewritten ones
 	*l = keep

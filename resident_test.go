@@ -93,6 +93,56 @@ func TestCSDAWorkIsDeltaProportional(t *testing.T) {
 	}
 }
 
+// The same claim at every worker count, on chains long enough that R crosses
+// 2^14, the smallest partitioning tier, while ∆ stays four rows per
+// iteration. The delta fan-out is capped by the previous iteration's join
+// output, so every step runs one partition task, the resident index is
+// seeded once and never re-seeded by a fan-out change, and doubling the chain
+// at most doubles the rows re-read. Were the fan-out sized by |R| alone, R's
+// crossing 2^14 would split every few-row ∆ into 16 partition tasks at W ≥ 2,
+// re-scatter R and re-seed its index: this test fails there.
+func TestCSDAWorkIsDeltaProportionalAtEveryWorkerCount(t *testing.T) {
+	prog := programs.MustParse(programs.CSDA)
+	for _, workers := range []int{1, 2, 4} {
+		work := func(length int) int64 {
+			t.Helper()
+			opts := core.DefaultOptions()
+			opts.Workers = workers
+			steps, wide := 0, 0
+			opts.IterHook = func(ii core.IterInfo) {
+				steps++
+				if ii.DeltaParts != 1 && wide == 0 {
+					wide = ii.Iteration
+				}
+			}
+			res, err := core.New(opts).Run(prog, csdaChains(4, length))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wide != 0 {
+				t.Fatalf("W=%d length %d: from iteration %d the delta pipeline ran at fan-out %v, want 1 throughout",
+					workers, length, wide, res.Stats.FanOutLine())
+			}
+			s := res.Stats
+			if got := res.Relations["null"].NumTuples(); got != 4*length || steps < length {
+				t.Fatalf("W=%d length %d: derived %d tuples over %d steps, want %d tuples over ≥ %d",
+					workers, length, got, steps, 4*length, length)
+			}
+			if s.ResidentIndexReseeds != 1 {
+				t.Fatalf("W=%d length %d: resident index seeded %d times, want once", workers, length, s.ResidentIndexReseeds)
+			}
+			return s.SetDiffRowsScanned + s.JoinProbeRows
+		}
+		const length = 5000
+		w1, w2 := work(length), work(2*length)
+		if w2 > 2*w1 {
+			t.Fatalf("W=%d: doubling the chain took rows re-read from %d to %d (×%.2f), want at most ×2",
+				workers, w1, w2, float64(w2)/float64(w1))
+		}
+		t.Logf("W=%d: %d → %d rows re-read (×%.2f)", workers, w1, w2, float64(w2)/float64(w1))
+	}
+}
+
 // The other side of the selection: a fixpoint that converges within
 // optimizer.ResidentAmortise iterations re-reads no relation often enough to
 // repay a resident structure, so it keeps none — no index bytes on the pool
