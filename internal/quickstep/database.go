@@ -1023,7 +1023,7 @@ func (db *Database) chooseBuildSide(cur *storage.Relation, br *plan.Branch, seed
 		if !s.base {
 			continue
 		}
-		if db.noteBuildRescan(s.rel, keys[i]) && db.hasHeadroom(exec.BuildTableBytes(s.rel.NumTuples())) {
+		if db.noteBuildRescan(s.rel, keys[i]) && db.hasHeadroom(exec.BuildTableBytes(s.rel.NumTuples(), s.rel.Arity())) {
 			return i == 1, s.tuples, true
 		}
 	}

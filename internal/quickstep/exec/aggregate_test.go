@@ -122,32 +122,75 @@ func TestHashAggregateMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGroupTableForcedGrowth starts a table at its minimum size and inserts
-// 100 k distinct groups, each twice: every group keeps its index and key
-// across all the doublings, and a repeat never creates a group.
+// TestGroupTableForcedGrowth starts tables of key widths 1–5 at the minimum
+// size and inserts every combination of 0, −1, MinInt32 and MaxInt32, then
+// 100 k more distinct groups, each twice: every group keeps its index and key
+// across all the doublings, a repeat never creates a group, and at every
+// growth step Find returns each group inserted so far and -1 for the keys not
+// yet inserted and for one never inserted.
 func TestGroupTableForcedGrowth(t *testing.T) {
 	const n = 100_000
-	tab := NewGroupTable(2)
-	key := func(i int) []int32 { return []int32{int32(i) * -7919, int32(i % 3)} }
-	for i := 0; i < n; i++ {
-		if g, fresh := tab.Insert(key(i)); g != i || !fresh {
-			t.Fatalf("insert %d: group %d fresh=%v", i, g, fresh)
+	edge := []int32{0, -1, math.MinInt32, math.MaxInt32}
+	for width := 1; width <= 5; width++ {
+		var keys [][]int32
+		for c := 0; c < 1<<(2*width); c++ {
+			k := make([]int32, width)
+			for j := range k {
+				k[j] = edge[c>>(2*j)&3]
+			}
+			keys = append(keys, k)
 		}
-		if i%2 == 0 {
-			if g, fresh := tab.Insert(key(i / 2)); g != i/2 || fresh {
-				t.Fatalf("repeat %d: group %d fresh=%v", i/2, g, fresh)
+		for i := 0; i < n; i++ {
+			k := []int32{int32(i+1) * -7919}
+			for j := 1; j < width; j++ {
+				k = append(k, edge[(i+j)%len(edge)])
+			}
+			keys = append(keys, k)
+		}
+		never := make([]int32, width)
+		for j := range never {
+			never[j] = 1
+		}
+		tab := NewGroupTable(width)
+		find := func(inserted int) {
+			t.Helper()
+			for i, k := range keys[:inserted] {
+				if g := tab.Find(k, tab.ident); g != i {
+					t.Fatalf("width %d, %d groups: Find(%v) = %d, want %d", width, inserted, k, g, i)
+				}
+			}
+			for _, k := range append([][]int32{never}, keys[inserted:min(inserted+64, len(keys))]...) {
+				if g := tab.Find(k, tab.ident); g != -1 {
+					t.Fatalf("width %d, %d groups: Find(%v) = %d for a key not inserted", width, inserted, k, g)
+				}
 			}
 		}
-	}
-	if tab.Len() != n {
-		t.Fatalf("Len = %d, want %d", tab.Len(), n)
-	}
-	for i := 0; i < n; i++ {
-		if !reflect.DeepEqual(tab.Key(i), key(i)) {
-			t.Fatalf("group %d key = %v, want %v", i, tab.Key(i), key(i))
+		find(0)
+		for i, k := range keys {
+			before := tab.Cap()
+			if g, fresh := tab.Insert(k); g != i || !fresh {
+				t.Fatalf("width %d: insert %d: group %d fresh=%v", width, i, g, fresh)
+			}
+			if i%2 == 0 {
+				if g, fresh := tab.Insert(keys[i/2]); g != i/2 || fresh {
+					t.Fatalf("width %d: repeat %d: group %d fresh=%v", width, i/2, g, fresh)
+				}
+			}
+			if tab.Cap() != before {
+				find(i + 1)
+			}
 		}
-		if g, fresh := tab.Insert(key(i)); g != i || fresh {
-			t.Fatalf("lookup %d after growth: group %d fresh=%v", i, g, fresh)
+		find(len(keys))
+		if tab.Len() != len(keys) {
+			t.Fatalf("width %d: Len = %d, want %d", width, tab.Len(), len(keys))
+		}
+		for i, k := range keys {
+			if !reflect.DeepEqual(tab.Key(i), k) {
+				t.Fatalf("width %d: group %d key = %v, want %v", width, i, tab.Key(i), k)
+			}
+			if g, fresh := tab.Insert(k); g != i || fresh {
+				t.Fatalf("width %d: lookup %d after growth: group %d fresh=%v", width, i, g, fresh)
+			}
 		}
 	}
 

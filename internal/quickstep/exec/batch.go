@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"recstep/internal/quickstep/expr"
-	"recstep/internal/quickstep/gscht"
 	"recstep/internal/quickstep/kernels"
 	"recstep/internal/quickstep/storage"
 )
@@ -467,85 +466,6 @@ func batchSelectProject(pool *Pool, col *collector, blocks []*storage.Block, pre
 			scan(blocks[t], buf, emitBulk)
 		}
 	})
-}
-
-// probeWindows walks one probe block through the join's build maps in
-// kernel-sized windows: up to four key columns are gathered into contiguous
-// scratch columns, packed and partition-hashed in batch loops, so the per-row
-// residue is only the map lookup and the match expansion. Wider keys hash the
-// window's rows in place and look each row up by its string key (lookupWide).
-type probeWindows struct {
-	jt        *joinTable
-	probeKeys []int
-	buf       *batchBuf
-	kcols     [][]int32
-	use64     bool
-	wide      bool
-}
-
-func newProbeWindows(jt *joinTable, probeKeys []int, buf *batchBuf) probeWindows {
-	kcols := buf.cols[:0]
-	wide := len(probeKeys) > 4
-	for j := range probeKeys {
-		if !wide {
-			kcols = append(kcols, buf.gather[j*kernels.BatchRows:(j+1)*kernels.BatchRows])
-		}
-	}
-	buf.cols = kcols
-	return probeWindows{jt: jt, probeKeys: probeKeys, buf: buf, kcols: kcols, use64: len(probeKeys) <= 2, wide: wide}
-}
-
-// pack prepares rows [off, off+bn) of a block's row-major data for lookup.
-func (pw *probeWindows) pack(data []int32, arity, off, bn int) {
-	buf, kcols := pw.buf, pw.kcols
-	if pw.wide {
-		if pw.jt.parts > 1 {
-			kernels.HashRows(data[off*arity:(off+bn)*arity], arity, pw.probeKeys, buf.hash)
-		}
-		return
-	}
-	for j, c := range pw.probeKeys {
-		dst := kcols[j][:bn]
-		for i := range dst {
-			dst[i] = data[(off+i)*arity+c]
-		}
-		kcols[j] = dst
-	}
-	if pw.use64 {
-		kernels.PackKeyCols(kcols, buf.keys)
-	} else {
-		kernels.PackKeyCols128(kcols, buf.hi, buf.lo)
-	}
-	if pw.jt.parts > 1 {
-		kernels.HashColumns(kcols, buf.hash)
-	}
-}
-
-// lookup returns the build table and locator list of the packed window's
-// i-th row. It stays small enough to inline into the probe loop: keys wider
-// than four columns go through lookupWide.
-func (pw *probeWindows) lookup(i int) (*buildTable, []int32) {
-	jt, buf := pw.jt, pw.buf
-	bt := jt.single
-	if jt.parts > 1 {
-		bt = jt.tables[storage.PartitionOf(buf.hash[i], jt.parts)]
-	}
-	if pw.use64 {
-		return bt, bt.by64[buf.keys[i]]
-	}
-	return bt, bt.by128[gscht.Key128{Hi: buf.hi[i], Lo: buf.lo[i]}]
-}
-
-// lookupWide is lookup on more than four keys: row, the window's i-th row,
-// is looked up by its key columns packed into a string.
-func (pw *probeWindows) lookupWide(row []int32, i int) (*buildTable, []int32) {
-	jt := pw.jt
-	bt := jt.single
-	if jt.parts > 1 {
-		bt = jt.tables[storage.PartitionOf(pw.buf.hash[i], jt.parts)]
-	}
-	var key [64]byte
-	return bt, bt.byS[packColsString(row, pw.probeKeys, key[:0])]
 }
 
 // batchScatterBlock routes one block's rows into w's per-partition open

@@ -137,6 +137,16 @@ func (s *tupleSet) observeChains(h *obs.Histogram) {
 	}
 }
 
+// packRowString packs a tuple into the generic set's string key.
+func packRowString(row []int32, buf []byte) string {
+	buf = buf[:0]
+	for _, v := range row {
+		u := uint32(v)
+		buf = append(buf, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
+	}
+	return string(buf)
+}
+
 func (s *tupleSet) insert(row []int32, ar *setArena) bool {
 	switch {
 	case s.t64 != nil:
@@ -147,7 +157,7 @@ func (s *tupleSet) insert(row []int32, ar *setArena) bool {
 		if ar.buf == nil {
 			ar.buf = make([]byte, 4*s.arity)
 		}
-		k := packColsString(row, storage.AllCols(s.arity), ar.buf)
+		k := packRowString(row, ar.buf)
 		s.mu.Lock()
 		_, ok := s.generic[k]
 		if !ok {
@@ -168,7 +178,7 @@ func (s *tupleSet) contains(row []int32, ar *setArena) bool {
 		if ar.buf == nil {
 			ar.buf = make([]byte, 4*s.arity)
 		}
-		k := packColsString(row, storage.AllCols(s.arity), ar.buf)
+		k := packRowString(row, ar.buf)
 		s.mu.Lock()
 		_, ok := s.generic[k]
 		s.mu.Unlock()

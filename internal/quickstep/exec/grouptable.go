@@ -8,16 +8,17 @@ import (
 )
 
 // GroupTable maps group-column values to dense group indices 0, 1, 2, … in
-// first-seen order — the one grouping structure behind every aggregate: the
-// HashAggregate operator and the recursive MIN/MAX merge. It is open
-// addressing with linear probing over a power-of-two slot array of int32
-// group indices, at most half full. Group keys live row-major in one []int32
-// arena, any width (zero columns for a global aggregate), so a lookup
-// compares int32s and allocates nothing. Callers keep per-group state in
-// slices parallel to the group index, sized to Cap: growth doubles the slot
-// array, re-links every group by re-hashing its key where it lies, and
-// doubles the arena, so a table of G groups allocates O(log G) times. Not
-// safe for concurrent use.
+// first-seen order — the one grouping structure behind every aggregate and
+// every join build: the HashAggregate operator, the recursive MIN/MAX merge
+// and the build tables of HashJoin and AntiJoin. It is open addressing with
+// linear probing over a power-of-two slot array of int32 group indices, at
+// most half full. Group keys live row-major in one []int32 arena, any width
+// (zero columns for a global aggregate), so a lookup compares int32s and
+// allocates nothing. Callers keep per-group state in slices parallel to the
+// group index, sized to Cap: growth doubles the slot array, re-links every
+// group by re-hashing its key where it lies, and doubles the arena, so a
+// table of G groups allocates O(log G) times. Inserts are not safe for
+// concurrent use; Find only reads (see there).
 type GroupTable struct {
 	width int
 	ident []int // 0..width-1: the key columns of an arena row
@@ -61,8 +62,37 @@ func groupHash(row []int32, cols []int) uint64 {
 // InsertRow finds the group whose key is row's cols values, adding it if it
 // is new. It returns the group index and whether the group was created.
 func (t *GroupTable) InsertRow(row []int32, cols []int) (int, bool) {
-	w, mask := t.width, len(t.slots)-1
 	h := groupHash(row, cols)
+	g, i := t.lookup(row, cols, h)
+	if g >= 0 {
+		return g, false
+	}
+	if 2*(t.n+1) > len(t.slots) {
+		t.resize(2 * len(t.slots))
+		i = t.free(h)
+	}
+	g = t.n
+	t.n++
+	t.slots[i] = int32(g + 1)
+	for _, c := range cols {
+		t.keys = append(t.keys, row[c])
+	}
+	return g, true
+}
+
+// Find returns the group whose key is row's cols values, or -1 when there is
+// none. It only reads the table, so once the inserts are done any number of
+// goroutines may call it at once: every worker probes a join's build table,
+// and a cached one across joins.
+func (t *GroupTable) Find(row []int32, cols []int) int {
+	g, _ := t.lookup(row, cols, groupHash(row, cols))
+	return g
+}
+
+// lookup walks hash h's probe sequence for row's cols values: it returns
+// their group, or -1 and the empty slot that ends the walk.
+func (t *GroupTable) lookup(row []int32, cols []int, h uint64) (int, int) {
+	w, mask := t.width, len(t.slots)-1
 	i := int(h >> t.shift)
 probe:
 	for ; t.slots[i] != 0; i = (i + 1) & mask {
@@ -73,19 +103,9 @@ probe:
 				continue probe
 			}
 		}
-		return g, false
+		return g, i
 	}
-	if 2*(t.n+1) > len(t.slots) {
-		t.resize(2 * len(t.slots))
-		i = t.free(h)
-	}
-	g := t.n
-	t.n++
-	t.slots[i] = int32(g + 1)
-	for _, c := range cols {
-		t.keys = append(t.keys, row[c])
-	}
-	return g, true
+	return -1, i
 }
 
 // Insert is InsertRow for a packed key of exactly width values.

@@ -6,7 +6,6 @@ import (
 
 	"recstep/internal/obs"
 	"recstep/internal/quickstep/expr"
-	"recstep/internal/quickstep/gscht"
 	"recstep/internal/quickstep/storage"
 )
 
@@ -48,137 +47,72 @@ type JoinSpec struct {
 	OutSet bool
 }
 
-// blockShift packs a (block, row) build-row locator into one int32:
-// block index in the high bits, row-in-block in the low blockShift bits.
-// Partition scatter already copied every build row once; indexing the
-// scattered blocks in place avoids paying a second flattening copy.
-const blockShift = 14
-
-// Compile-time guards: the locator layout assumes blocks hold exactly
-// 1<<blockShift rows.
-var (
-	_ [storage.DefaultBlockRows - 1<<blockShift]struct{}
-	_ [1<<blockShift - storage.DefaultBlockRows]struct{}
-)
-
-// packCols64 packs up to two key columns of a row into a 64-bit key.
-func packCols64(row []int32, cols []int) uint64 {
-	switch len(cols) {
-	case 1:
-		return uint64(uint32(row[cols[0]]))
-	case 2:
-		return uint64(uint32(row[cols[0]]))<<32 | uint64(uint32(row[cols[1]]))
-	}
-	panic("exec: packCols64 supports 1 or 2 key columns")
-}
-
-// packCols128 packs three or four key columns into a 128-bit compact key,
-// reusing the gscht key layout so no string materializes on the hot path.
-func packCols128(row []int32, cols []int) gscht.Key128 {
-	switch len(cols) {
-	case 3:
-		return gscht.Key128{
-			Hi: uint64(uint32(row[cols[0]])),
-			Lo: uint64(uint32(row[cols[1]]))<<32 | uint64(uint32(row[cols[2]])),
-		}
-	case 4:
-		return gscht.Key128{
-			Hi: uint64(uint32(row[cols[0]]))<<32 | uint64(uint32(row[cols[1]])),
-			Lo: uint64(uint32(row[cols[2]]))<<32 | uint64(uint32(row[cols[3]])),
-		}
-	}
-	panic("exec: packCols128 supports 3 or 4 key columns")
-}
-
-// packColsString packs any number of key columns into a string key (the
-// fallback for joins on more than four key columns, which no benchmark
-// program produces).
-func packColsString(row []int32, cols []int, buf []byte) string {
-	buf = buf[:0]
-	for _, c := range cols {
-		v := uint32(row[c])
-		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return string(buf)
-}
-
-// buildTable is a chaining hash table over (a partition of) the build side
-// of a join, mapping join-key values to build row locations. Key packing
-// picks the narrowest compact form: 64-bit for ≤2 columns, 128-bit for 3–4,
-// string beyond. Both the serial and the partitioned path index storage
-// blocks in place by (block, row) locator — no path flattens the build side
-// into a row-major copy.
+// buildTable indexes (a partition of) the build side of a join: its rows,
+// copied row-major into one array grouped by join key, and a GroupTable over
+// the keys. Group g's rows are rows[start[g]*arity : start[g+1]*arity], so a
+// probe finds its key's group and reads the matches as one contiguous run.
+// One layout serves every key width, and the table points into no block of
+// the relation it was built from: a cached one outlives the coalescing and
+// the spilling of that relation's blocks.
 type buildTable struct {
 	arity  int
-	blocks []*storage.Block // indexed blocks: relation snapshot or scattered partition
-	keys   []int
-	by64   map[uint64][]int32
-	by128  map[gscht.Key128][]int32
-	byS    map[string][]int32
+	groups *GroupTable
+	start  []int32
+	rows   []int32
 }
 
-// initMaps sizes the key→locations map for n build rows.
-func (bt *buildTable) initMaps(n int) {
-	switch {
-	case len(bt.keys) <= 2:
-		bt.by64 = make(map[uint64][]int32, n)
-	case len(bt.keys) <= 4:
-		bt.by128 = make(map[gscht.Key128][]int32, n)
-	default:
-		bt.byS = make(map[string][]int32, n)
-	}
-}
-
-// insert records one build row under its packed key.
-func (bt *buildTable) insert(row []int32, loc int32, buf []byte) {
-	switch {
-	case bt.by64 != nil:
-		k := packCols64(row, bt.keys)
-		bt.by64[k] = append(bt.by64[k], loc)
-	case bt.by128 != nil:
-		k := packCols128(row, bt.keys)
-		bt.by128[k] = append(bt.by128[k], loc)
-	default:
-		k := packColsString(row, bt.keys, buf)
-		bt.byS[k] = append(bt.byS[k], loc)
-	}
-}
-
-// buildHashBlocks indexes a block list in place by (block, row) locator.
-// This is the partitioned single-threaded unit of work — one call per
-// partition on data the worker owns exclusively — and, over a relation's
-// full block snapshot, the serial shared-table build.
-func buildHashBlocks(blocks []*storage.Block, arity, rows int, keys []int) *buildTable {
-	bt := &buildTable{arity: arity, blocks: blocks, keys: keys}
-	bt.initMaps(rows)
-	buf := make([]byte, 4*len(keys))
-	for bi, b := range blocks {
-		n := b.Rows()
-		for i := 0; i < n; i++ {
-			bt.insert(b.Row(i), int32(bi<<blockShift|i), buf)
+// buildHashBlocks builds the table over n rows held in blocks: each row's key
+// goes into the group table, then a counting sort by group copies the rows
+// into their group's run. This is the partitioned single-threaded unit of
+// work — one call per partition on data the worker owns exclusively — and,
+// over a relation's full block snapshot, the serial shared-table build.
+func buildHashBlocks(blocks []*storage.Block, arity, n int, keys []int) *buildTable {
+	groups := NewGroupTable(len(keys))
+	gid := make([]int32, 0, n)
+	for _, b := range blocks {
+		data := b.Data()
+		for off := 0; off < len(data); off += arity {
+			g, _ := groups.InsertRow(data[off:off+arity], keys)
+			gid = append(gid, int32(g))
 		}
 	}
-	return bt
-}
-
-// buildHash builds the serial shared table over the whole relation — the
-// Partitions <= 1 path, mirroring contention on QuickStep's shared join hash
-// table (the scaling limiter the paper identifies past the physical core
-// count). The relation's blocks are indexed in place, with no flattening
-// copy first.
-func buildHash(r *storage.Relation, keys []int) *buildTable {
-	return buildHashBlocks(r.Blocks(), r.Arity(), r.NumTuples(), keys)
-}
-
-func (bt *buildTable) lookup(probeRow []int32, probeKeys []int, buf []byte) []int32 {
-	switch {
-	case bt.by64 != nil:
-		return bt.by64[packCols64(probeRow, probeKeys)]
-	case bt.by128 != nil:
-		return bt.by128[packCols128(probeRow, probeKeys)]
-	default:
-		return bt.byS[packColsString(probeRow, probeKeys, buf)]
+	// start[g+1] counts group g's rows; the prefix sum makes start[g] the
+	// first row of group g, the cursor the copy advances to g's end.
+	start := make([]int32, groups.Len()+1)
+	for _, g := range gid {
+		start[g+1]++
 	}
+	for g := 1; g < len(start); g++ {
+		start[g] += start[g-1]
+	}
+	rows := make([]int32, len(gid)*arity)
+	i := 0
+	for _, b := range blocks {
+		data := b.Data()
+		for off := 0; off < len(data); off += arity {
+			g := gid[i]
+			i++
+			dst := rows[int(start[g])*arity:][:arity]
+			start[g]++
+			for c, v := range data[off : off+arity] {
+				dst[c] = v
+			}
+		}
+	}
+	// Each cursor now sits on the next group's first row: shift them back.
+	copy(start[1:], start[:len(start)-1])
+	start[0] = 0
+	return &buildTable{arity: arity, groups: groups, start: start, rows: rows}
+}
+
+// matches returns the build rows whose key equals row's cols values, as one
+// row-major run (empty when there is none).
+func (bt *buildTable) matches(row []int32, cols []int) []int32 {
+	g := bt.groups.Find(row, cols)
+	if g < 0 {
+		return nil
+	}
+	return bt.rows[int(bt.start[g])*bt.arity : int(bt.start[g+1])*bt.arity]
 }
 
 // outCollector picks an operator's output collector: partition-routing when
@@ -200,21 +134,15 @@ func outCollector(pool *Pool, part *storage.Partitioning, arity, numBlocks int) 
 
 // joinTable routes probe rows to the hash table holding their key range —
 // one shared table on the serial path, one private table per radix partition
-// on the parallel path.
+// on the parallel path. A probe row goes to tables[PartitionOf(h, parts)],
+// h its partition hash; with one table that is tables[0] whatever h is.
 type joinTable struct {
 	parts  int
-	single *buildTable   // parts == 1
-	tables []*buildTable // parts > 1, indexed by partition
+	tables []*buildTable
 }
 
-// buildTableBytesPerRow is the heap cost of one build row in a Go-map build
-// table: the map slot (key, slice header, overhead) plus the locator list's
-// backing array — about six times the 8 bytes of the binary tuple it indexes.
-const buildTableBytesPerRow = 48
-
 // Release implements storage.Attachment. A join table is plain heap data
-// (maps over locators into the relation's own blocks); the collector
-// reclaims it.
+// (copies of the build rows and their index); the collector reclaims it.
 func (jt *joinTable) Release() {}
 
 // Bytes implements storage.Attachment: none of a join table is
@@ -222,10 +150,16 @@ func (jt *joinTable) Release() {}
 // back when it is dropped. What it costs the heap is BuildTableBytes.
 func (jt *joinTable) Bytes() int64 { return 0 }
 
-// BuildTableBytes estimates the heap footprint of a cached build table over
-// rows build rows. The budget does not cover it; the planner only refuses to
-// start keeping one while the pool has less room than this left.
-func BuildTableBytes(rows int) int64 { return int64(rows) * buildTableBytesPerRow }
+// BuildTableBytes estimates the heap a build table over rows build rows of
+// the given arity allocates: the row copy (4·arity bytes a row), each row's
+// group index while the rows are sorted (4), and the group table at one group
+// per row — the slot arrays it allocates while growing (16), its key arena,
+// no wider than a row, growth included (8·arity), and the group offsets (4).
+// The budget does not cover it; the planner only refuses to start keeping one
+// while the pool has less room than this left.
+func BuildTableBytes(rows, arity int) int64 {
+	return int64(rows) * int64(12*arity+24)
+}
 
 // BuildCacheKey names, among a relation's attachments and rescan tallies,
 // the build table keyed on the given columns. It runs once or twice per join
@@ -240,29 +174,30 @@ func BuildCacheKey(keys []int) string {
 
 // joinBuild returns the join's build table: the cached one when the spec
 // allows caching and the build relation still holds a current one, a fresh
-// build (attached for the next join when caching) otherwise. The table
-// addresses rows by block position, so the attachment is layout-bound, and a
-// hit pins the build relation's partitions for this epoch the way the block
-// reads of a rebuild would have.
+// build (attached for the next join when caching) otherwise. The table holds
+// its own copy of the rows, so a hit reads none of the build relation's
+// blocks.
 func joinBuild(pool *Pool, build *storage.Relation, keys []int, spec JoinSpec) *joinTable {
 	if !spec.CacheBuild {
 		return buildJoinTable(pool, build, keys, spec.Partitions)
 	}
 	key := BuildCacheKey(keys)
-	if a, ok := build.PinAttachment(key); ok {
+	if a, ok := build.Attachment(key); ok {
 		pool.Copy.CachedBuildHits.Add(1)
 		return a.(*joinTable)
 	}
 	v := build.Version() // before the build snapshots the blocks
 	jt := buildJoinTable(pool, build, keys, spec.Partitions)
-	build.Attach(key, jt, v, true)
+	build.Attach(key, jt, v)
 	return jt
 }
 
-// buildJoinTable constructs the build side of a join. With parts > 1 the
-// relation is radix-partitioned on the key columns and each
-// partition's table is built by one worker over data it owns exclusively —
-// no latches, no shared map, no CAS retries. When the relation already
+// buildJoinTable constructs the build side of a join. With parts <= 1 it is
+// one table over the whole relation, mirroring QuickStep's shared join hash
+// table (the scaling limiter the paper identifies past the physical core
+// count). With parts > 1 the relation is radix-partitioned on the key
+// columns and each partition's table is built by one worker over data it
+// owns exclusively — no latches, no shared map, no CAS retries. When the relation already
 // carries (or has cached) a partitioning on exactly the join keys — the
 // join-key-carried fast path — the tables are built straight over the
 // carried partition blocks and no tuple moves; the build-scatter counters
@@ -273,7 +208,8 @@ func buildJoinTable(pool *Pool, r *storage.Relation, keys []int, parts int) *joi
 	parts = storage.NormalizePartitions(parts)
 	if parts <= 1 {
 		defer pool.phase(obs.PhaseBuild, -1)()
-		return &joinTable{parts: 1, single: buildHash(r, keys)}
+		bt := buildHashBlocks(r.Blocks(), r.Arity(), r.NumTuples(), keys)
+		return &joinTable{parts: 1, tables: []*buildTable{bt}}
 	}
 	view, scattered := partitionRelation(pool, r, keys, parts, false)
 	if scattered {
@@ -289,16 +225,6 @@ func buildJoinTable(pool *Pool, r *storage.Relation, keys []int, parts int) *joi
 		jt.tables[p] = buildHashBlocks(view.Blocks(p), arity, view.Rows(p), keys)
 	})
 	return jt
-}
-
-// lookup returns the matches for a probe row plus the table that can
-// materialize them (row indices are partition-local).
-func (jt *joinTable) lookup(probeRow []int32, probeKeys []int, buf []byte) (*buildTable, []int32) {
-	bt := jt.single
-	if jt.parts > 1 {
-		bt = jt.tables[storage.PartitionOf(storage.PartitionHash(probeRow, probeKeys), jt.parts)]
-	}
-	return bt, bt.lookup(probeRow, probeKeys, buf)
 }
 
 // HashJoin executes one equi-join. With no key columns it degrades to a
@@ -391,14 +317,17 @@ func AntiJoin(pool *Pool, left, right *storage.Relation, leftKeys, rightKeys []i
 		b := blocks[task]
 		emit := col.sink(task)
 		outRow := make([]int32, len(projs))
-		keyBuf := make([]byte, 4*len(leftKeys))
 		n := b.Rows()
 		for i := 0; i < n; i++ {
 			row := b.Row(i)
 			if !expr.All(residual, row) {
 				continue
 			}
-			if _, matches := jt.lookup(row, leftKeys, keyBuf); len(matches) != 0 {
+			var h uint64
+			if jt.parts > 1 {
+				h = storage.PartitionHash(row, leftKeys)
+			}
+			if jt.tables[storage.PartitionOf(h, jt.parts)].groups.Find(row, leftKeys) >= 0 {
 				continue
 			}
 			for j, p := range projs {

@@ -65,11 +65,11 @@ type joinOutput struct {
 // sit side by side in one slice, so the fields fill whole cache lines (three,
 // exactly).
 type joinWorker struct {
-	// probe is the scratch of the probe half (key columns in its gather,
-	// packed keys, partition hashes) and lends its otherwise idle scat to the
-	// window; out is the scratch of the partitioned flush, which needs a
-	// buffer of its own because it too uses buf.hash and a window can flush in
-	// the middle of a probed one. A flat output never takes it.
+	// probe is the scratch of the probe half (the window's partition hashes)
+	// and lends its otherwise idle scat to the window; out is the scratch of
+	// the partitioned flush, which needs a buffer of its own because it too
+	// uses buf.hash and a window can flush in the middle of a probed one. A
+	// flat output never takes it.
 	probe, out *batchBuf
 	win        []int32
 	n          int // rows in the window
@@ -237,7 +237,10 @@ func (jo *joinOutput) probeInPlace(jt *joinTable, view *storage.PartitionedView,
 	})
 }
 
-// probeBlock joins one probe block against the build tables.
+// probeBlock joins one probe block against the build tables, a kernel
+// window at a time: a partitioned build has the window's partition hashes
+// computed in one pass, then each row finds its key's group and expands the
+// group's run of build rows.
 func (jo *joinOutput) probeBlock(w *joinWorker, jt *joinTable, b *storage.Block, probeKeys []int) {
 	n := b.Rows()
 	if n == 0 {
@@ -248,68 +251,66 @@ func (jo *joinOutput) probeBlock(w *joinWorker, jt *joinTable, b *storage.Block,
 	}
 	arity := b.Arity()
 	data := b.Data()
-	pw := newProbeWindows(jt, probeKeys, w.probe)
+	hash := w.probe.hash
 	for off := 0; off < n; off += kernels.BatchRows {
 		bn := min(kernels.BatchRows, n-off)
-		pw.pack(data, arity, off, bn)
-		for i := 0; i < bn; i++ {
+		if jt.parts > 1 {
+			kernels.HashRows(data[off*arity:(off+bn)*arity], arity, probeKeys, hash)
+		}
+		// Unpartitioned, hash is stale scratch: PartitionOf(h, 1) is 0.
+		for i, h := range hash[:bn] {
 			r := (off + i) * arity
-			var bt *buildTable
-			var matches []int32
-			if pw.wide {
-				bt, matches = pw.lookupWide(data[r:r+arity], i)
-			} else {
-				bt, matches = pw.lookup(i)
+			pr := data[r : r+arity : r+arity]
+			bt := jt.tables[storage.PartitionOf(h, jt.parts)]
+			if matches := bt.matches(pr, probeKeys); len(matches) > 0 {
+				jo.expand(w, pr, matches, bt.arity)
 			}
-			if len(matches) == 0 {
-				continue
-			}
-			jo.expand(w, data[r:r+arity:r+arity], bt, matches)
 		}
 	}
 }
 
-// expand writes one probe row's matches into the worker's window, making
-// room whenever it fills.
-func (jo *joinOutput) expand(w *joinWorker, pr []int32, bt *buildTable, matches []int32) {
+// expand writes one probe row's matches — build rows of arity ba, row-major —
+// into the worker's window, making room whenever it fills.
+func (jo *joinOutput) expand(w *joinWorker, pr, matches []int32, ba int) {
 	if w.win == nil {
 		w.win = w.probe.scat[:jo.winRows*jo.stride]
 	}
 	if jo.projs == nil {
-		w.expanded += int64(len(matches))
+		w.expanded += int64(len(matches) / ba)
 	}
 	for len(matches) > 0 {
-		k := min(jo.winRows-w.n, len(matches))
+		k := min(jo.winRows-w.n, len(matches)/ba)
 		if k == 0 {
 			jo.windowFull(w)
 			continue
 		}
-		jo.expandInto(w.win[w.n*jo.stride:], pr, bt, matches[:k])
+		jo.expandInto(w.win[w.n*jo.stride:], pr, matches[:k*ba], ba)
 		w.n += k
-		matches = matches[k:]
+		matches = matches[k*ba:]
 	}
 }
 
-// expandInto writes len(matches) output rows to the front of win. The
-// per-width cases keep the row in registers: the probe-side values are loaded
-// once before the loop and the column-source tests inside it never change
-// direction, so a match costs its build-row loads and its stores.
-func (jo *joinOutput) expandInto(win []int32, pr []int32, bt *buildTable, matches []int32) {
-	const rowMask = storage.DefaultBlockRows - 1
-	blocks, ba := bt.blocks, bt.arity
+// expandInto writes one output row per match — build rows of arity ba,
+// row-major — to the front of win. The per-width cases keep the row in
+// registers: the probe-side values are loaded once before the loop and the
+// column-source tests inside it never change direction, so a match costs its
+// build-row loads and its stores, read in order from one run.
+func (jo *joinOutput) expandInto(win, pr, matches []int32, ba int) {
+	n := len(matches) / ba
 	src := jo.src
 	switch len(src) {
 	case 1:
 		s0 := src[0]
+		win = win[:n]
 		if !s0.build {
 			v := pr[s0.off]
-			for j := range matches {
+			for j := range win {
 				win[j] = v
 			}
 			return
 		}
-		for j, m := range matches {
-			win[j] = blocks[m>>blockShift].Data()[(int(m)&rowMask)*ba+s0.off]
+		for j := range win {
+			win[j] = matches[j*ba+s0.off]
 		}
 	case 2:
 		s0, s1 := src[0], src[1]
@@ -320,9 +321,9 @@ func (jo *joinOutput) expandInto(win []int32, pr []int32, bt *buildTable, matche
 		if !s1.build {
 			v1 = pr[s1.off]
 		}
-		win = win[:2*len(matches)]
-		for j, m := range matches {
-			br := blocks[m>>blockShift].Data()[(int(m)&rowMask)*ba:]
+		win = win[:2*n]
+		for j := 0; j < n; j++ {
+			br := matches[j*ba:]
 			if s0.build {
 				v0 = br[s0.off]
 			}
@@ -343,9 +344,9 @@ func (jo *joinOutput) expandInto(win []int32, pr []int32, bt *buildTable, matche
 		if !s2.build {
 			v2 = pr[s2.off]
 		}
-		win = win[:3*len(matches)]
-		for j, m := range matches {
-			br := blocks[m>>blockShift].Data()[(int(m)&rowMask)*ba:]
+		win = win[:3*n]
+		for j := 0; j < n; j++ {
+			br := matches[j*ba:]
 			if s0.build {
 				v0 = br[s0.off]
 			}
@@ -372,9 +373,9 @@ func (jo *joinOutput) expandInto(win []int32, pr []int32, bt *buildTable, matche
 		if !s3.build {
 			v3 = pr[s3.off]
 		}
-		win = win[:4*len(matches)]
-		for j, m := range matches {
-			br := blocks[m>>blockShift].Data()[(int(m)&rowMask)*ba:]
+		win = win[:4*n]
+		for j := 0; j < n; j++ {
+			br := matches[j*ba:]
 			if s0.build {
 				v0 = br[s0.off]
 			}
@@ -391,8 +392,8 @@ func (jo *joinOutput) expandInto(win []int32, pr []int32, bt *buildTable, matche
 		}
 	default:
 		width := len(src)
-		for j, m := range matches {
-			br := blocks[m>>blockShift].Data()[(int(m)&rowMask)*ba:]
+		for j := 0; j < n; j++ {
+			br := matches[j*ba:]
 			row := win[j*width : (j+1)*width]
 			for c, s := range src {
 				if s.build {

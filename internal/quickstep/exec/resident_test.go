@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"recstep/internal/quickstep/expr"
@@ -248,13 +249,15 @@ func TestJoinCachedBuild(t *testing.T) {
 	}
 
 	arc.CoalescePartitions() // 40 blocks of 8 rows: rewritten
-	if hasCachedBuild(arc, []int{0}) {
-		t.Fatal("build table survived a rewrite of the blocks it addresses")
+	if len(arc.Blocks()) >= 40 {
+		t.Fatalf("setup: coalescing left %d blocks", len(arc.Blocks()))
+	}
+	if !hasCachedBuild(arc, []int{0}) {
+		t.Fatal("build table died with a rewrite of its relation's blocks")
 	}
 	join()
-	join()
 	if hits() != 2 {
-		t.Fatalf("after the rewrite: %d cache hits, want 2 (rebuild, then hit)", hits())
+		t.Fatalf("after the rewrite: %d cache hits, want 2", hits())
 	}
 
 	arc.Append([]int32{7, 555})
@@ -268,11 +271,11 @@ func TestJoinCachedBuild(t *testing.T) {
 	}
 }
 
-// A cached build table addresses rows in the build relation's own blocks, so
-// a probe through it must keep those blocks resident exactly as a rebuild
-// would: under a memory budget the join output pushes the pool over, the
-// reclaimer looks for cold partitions, and the partitions under a cached table
-// that was built epochs ago must not look cold to it.
+// A cached build table holds its own copy of the build rows, so a probe
+// through it reads none of the build relation's blocks: under a memory budget
+// the join output pushes the pool over, the reclaimer may spill the build
+// relation's cold partitions from under the probe, and the output is whole.
+// A rebuild reads the partitions in this epoch, so none of them is cold.
 func TestJoinCachedBuildUnderBudget(t *testing.T) {
 	const baseRows, probeRows, parts = 20000, 60000, 16
 	run := func(budget int64, cache bool) (rows int, snap memory.Snapshot) {
@@ -320,8 +323,43 @@ func TestJoinCachedBuildUnderBudget(t *testing.T) {
 		if rows != probeRows {
 			t.Errorf("cache=%v: join under budget %d returned %d rows, want %d (spills=%d)", cache, budget, rows, probeRows, snap.Spills)
 		}
-		if snap.Spills != 0 {
-			t.Errorf("cache=%v: %d partitions spilled from under a running probe", cache, snap.Spills)
+		if !cache && snap.Spills != 0 {
+			t.Errorf("%d partitions spilled from under a rebuild reading them", snap.Spills)
+		}
+		if cache && snap.Spills == 0 {
+			t.Error("nothing spilled under the cached probe: the run no longer exercises it")
+		}
+	}
+}
+
+// TestBuildTableBytesMatchesTheHeap holds the estimate the planner checks a
+// cached build against the pool's headroom with to what a build allocates:
+// 1-, 2- and 5-key tables over 100 k distinct keys, each estimate within 1.5×
+// of the TotalAlloc growth the build caused.
+func TestBuildTableBytesMatchesTheHeap(t *testing.T) {
+	const rows = 100_000
+	pool := NewPool(1)
+	for _, keys := range []int{1, 2, 5} {
+		arity := keys + 1
+		r := storage.NewRelation("r", storage.NumberedColumns(arity))
+		data := make([]int32, 0, rows*arity)
+		for i := 0; i < rows; i++ {
+			for c := 0; c < arity; c++ {
+				data = append(data, int32(i*(c+1)))
+			}
+		}
+		r.AppendRows(data)
+		cols := storage.AllCols(keys)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		jt := buildJoinTable(pool, r, cols, 1)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(jt)
+		got, est := int64(after.TotalAlloc-before.TotalAlloc), BuildTableBytes(rows, arity)
+		t.Logf("%d keys: estimate %d bytes, allocated %d", keys, est, got)
+		if 2*est > 3*got || 2*got > 3*est {
+			t.Errorf("%d keys: estimate %d bytes, the build allocated %d", keys, est, got)
 		}
 	}
 }

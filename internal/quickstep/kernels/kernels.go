@@ -93,32 +93,6 @@ func PackKeys4(c0, c1, c2, c3 []int32, hi, lo []uint64) {
 	}
 }
 
-// PackKeyCols packs a batch of rows, given as per-column slices already
-// offset to the batch window, into 64-bit compact keys (1–2 columns). It
-// dispatches once per batch, not per row.
-func PackKeyCols(cols [][]int32, dst []uint64) {
-	switch len(cols) {
-	case 1:
-		PackKeys1(cols[0], dst)
-	case 2:
-		PackKeys2(cols[0], cols[1], dst)
-	default:
-		panic("kernels: PackKeyCols wants 1 or 2 columns")
-	}
-}
-
-// PackKeyCols128 packs a batch into 128-bit compact keys (3–4 columns).
-func PackKeyCols128(cols [][]int32, hi, lo []uint64) {
-	switch len(cols) {
-	case 3:
-		PackKeys3(cols[0], cols[1], cols[2], hi, lo)
-	case 4:
-		PackKeys4(cols[0], cols[1], cols[2], cols[3], hi, lo)
-	default:
-		panic("kernels: PackKeyCols128 wants 3 or 4 columns")
-	}
-}
-
 // PackRows64 packs a row-major run of tuples (arity 1 or 2) into 64-bit
 // compact keys — the one-pass variant for data scanned exactly once, where
 // a column transpose would cost more than the strided reads it saves.

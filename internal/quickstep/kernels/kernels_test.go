@@ -65,7 +65,11 @@ func TestPackKeys64(t *testing.T) {
 		for _, n := range batchSizes {
 			cols := randCols(r, arity, n)
 			dst := make([]uint64, n)
-			PackKeyCols(cols, dst)
+			if arity == 1 {
+				PackKeys1(cols[0], dst)
+			} else {
+				PackKeys2(cols[0], cols[1], dst)
+			}
 			for i := 0; i < n; i++ {
 				var want uint64
 				if arity == 1 {
@@ -88,7 +92,11 @@ func TestPackKeys128(t *testing.T) {
 			cols := randCols(r, arity, n)
 			hi := make([]uint64, n)
 			lo := make([]uint64, n)
-			PackKeyCols128(cols, hi, lo)
+			if arity == 3 {
+				PackKeys3(cols[0], cols[1], cols[2], hi, lo)
+			} else {
+				PackKeys4(cols[0], cols[1], cols[2], cols[3], hi, lo)
+			}
 			for i := 0; i < n; i++ {
 				var wantHi, wantLo uint64
 				if arity == 3 {

@@ -14,14 +14,14 @@ import "fmt"
 //     partitioning (append, delete, adopt, carried-view promotion). Every
 //     attachment dies with it — except through AppendRelationAttaching, where
 //     the caller certifies the structure already covers the appended rows.
-//   - Layout advances when blocks are rewritten or evicted without a logical
-//     change (coalescing, partition spill). Only layout-bound attachments —
-//     those that address rows by block position, like a join build table —
-//     die with it; a set of keys does not care where the rows live.
+//   - Nothing else does: an attachment holds its own copy of what it derived
+//     and no pointer into the relation's blocks, so coalescing and partition
+//     spill, which rewrite or evict blocks without a logical change, leave it
+//     current.
 //
 // Custody decides who may release. A structure that is only ever read —
 // concurrent joins probing one cached build table — is shared through
-// PinAttachment and must tolerate Release while readers still hold it (a heap
+// Attachment and must tolerate Release while readers still hold it (a heap
 // structure the collector reclaims qualifies). A structure that is mutated,
 // or whose memory goes back to a pool, is used through TakeAttachment only:
 // while attached nobody holds it, so the relation may release it at any
@@ -41,13 +41,12 @@ type Attachment interface {
 
 // Version identifies the relation state an attachment is derived from.
 type Version struct {
-	Gen, Layout uint64
+	Gen uint64
 }
 
 type attachment struct {
-	a           Attachment
-	v           Version
-	layoutBound bool
+	a Attachment
+	v Version
 }
 
 // Version returns the relation's current version. Read it before deriving a
@@ -56,21 +55,20 @@ type attachment struct {
 func (r *Relation) Version() Version {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return Version{Gen: r.gen, Layout: r.layout}
+	return Version{Gen: r.gen}
 }
 
 func (r *Relation) currentLocked(e attachment) bool {
-	return e.v.Gen == r.gen && (!e.layoutBound || e.v.Layout == r.layout)
+	return e.v.Gen == r.gen
 }
 
 // Attach keeps a alive on the relation under key, replacing (and releasing)
-// whatever was attached there. v is the version a was derived from;
-// layoutBound marks structures that address rows by block position. A stale
-// v is refused — false is returned and the caller keeps custody.
-func (r *Relation) Attach(key string, a Attachment, v Version, layoutBound bool) bool {
+// whatever was attached there. v is the version a was derived from. A stale v
+// is refused — false is returned and the caller keeps custody.
+func (r *Relation) Attach(key string, a Attachment, v Version) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e := attachment{a: a, v: v, layoutBound: layoutBound}
+	e := attachment{a: a, v: v}
 	if !r.currentLocked(e) {
 		return false
 	}
@@ -105,32 +103,10 @@ func (r *Relation) lookupLocked(key string) (Attachment, bool) {
 
 // Attachment returns the structure attached under key if it still describes
 // the relation. The relation keeps custody: concurrent readers may share it.
-// A caller about to read the relation's blocks through the structure uses
-// PinAttachment instead.
 func (r *Relation) Attachment(key string) (Attachment, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.lookupLocked(key)
-}
-
-// PinAttachment is Attachment for a layout-bound structure an operator is
-// about to read the relation's blocks through (a probe of a cached join build
-// table). The structure holds bare block pointers, and the only thing that
-// keeps the memory reclaimer from spilling a partition under a running
-// operator is the touch that Blocks and PartitionedView.Blocks record; an
-// operator that skips them because the structure is already there would read
-// freed blocks as soon as its own output pushed the pool over budget. So the
-// lookup records that touch for every partition, under the same lock hold: a
-// spill before it has advanced Layout and the lookup misses, a spill after it
-// finds the partitions in this epoch's working set and leaves them alone.
-func (r *Relation) PinAttachment(key string) (Attachment, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	a, ok := r.lookupLocked(key)
-	if ok {
-		r.touchAllLocked()
-	}
-	return a, ok
 }
 
 // TakeAttachment detaches and returns the structure under key if it still
@@ -165,7 +141,7 @@ func (r *Relation) AppendRelationAttaching(other *Relation, key string, a Attach
 	unchanged := v.Gen == r.gen
 	r.appendSnapshotLocked(blocks, view)
 	if unchanged {
-		r.attachLocked(key, attachment{a: a, v: Version{Gen: r.gen, Layout: r.layout}})
+		r.attachLocked(key, attachment{a: a, v: Version{Gen: r.gen}})
 	}
 	return unchanged
 }

@@ -112,35 +112,34 @@ func (f *fakeAttachment) Bytes() int64 { return f.bytes }
 func TestAttachmentVersionGuards(t *testing.T) {
 	r := fillRelation(nil, "r", 100, 1)
 	keys, table := &fakeAttachment{bytes: 10}, &fakeAttachment{bytes: 20}
-	if !r.Attach("keys", keys, r.Version(), false) || !r.Attach("table", table, r.Version(), true) {
+	if !r.Attach("keys", keys, r.Version()) || !r.Attach("table", table, r.Version()) {
 		t.Fatal("attach at the current version refused")
 	}
 	if a, ok := r.Attachment("keys"); !ok || a != Attachment(keys) {
 		t.Fatal("current attachment not served")
 	}
 
-	// A physical rewrite kills only the layout-bound attachment.
+	// A physical rewrite changes nothing an attachment derived.
 	for i := 0; i < coalesceMinRun; i++ {
 		r.AdoptBlock(BlockFromRows(2, []int32{int32(-i), 0}))
 	}
 	keys2 := &fakeAttachment{bytes: 10}
 	table2 := &fakeAttachment{bytes: 20}
 	v := r.Version()
-	r.Attach("keys", keys2, v, false)
-	r.Attach("table", table2, v, true)
+	r.Attach("keys", keys2, v)
+	r.Attach("table", table2, v)
 	r.CoalescePartitions()
-	if _, ok := r.Attachment("keys"); !ok {
-		t.Fatal("a set of keys died with a block rewrite")
-	}
-	if _, ok := r.Attachment("table"); ok {
-		t.Fatal("a structure addressing rows by block position survived a block rewrite")
+	for _, key := range []string{"keys", "table"} {
+		if _, ok := r.Attachment(key); !ok {
+			t.Fatalf("%s died with a block rewrite", key)
+		}
 	}
 
 	// A stale version is refused, and custody stays with the caller.
 	stale := r.Version()
 	r.Append([]int32{9, 9})
 	late := &fakeAttachment{}
-	if r.Attach("late", late, stale, false) {
+	if r.Attach("late", late, stale) {
 		t.Fatal("attachment derived before a mutation was accepted after it")
 	}
 	if _, ok := r.Attachment("keys"); ok {
@@ -166,8 +165,8 @@ func TestAppendRelationAttaching(t *testing.T) {
 	r := fillRelation(nil, "r", 50, 1)
 	idx := &fakeAttachment{bytes: 8}
 	other := &fakeAttachment{bytes: 1}
-	r.Attach("idx", idx, r.Version(), false)
-	r.Attach("other", other, r.Version(), false)
+	r.Attach("idx", idx, r.Version())
+	r.Attach("other", other, r.Version())
 
 	for i := 0; i < 3; i++ {
 		a, ok := r.TakeAttachment("idx")
@@ -216,7 +215,7 @@ func TestAppendRelationAttaching(t *testing.T) {
 func TestDropAttachments(t *testing.T) {
 	r := fillRelation(nil, "r", 10, 1)
 	a := &fakeAttachment{bytes: 64}
-	r.Attach("a", a, r.Version(), true)
+	r.Attach("a", a, r.Version())
 	if got := r.DropAttachments(); got != 64 || a.released != 1 {
 		t.Fatalf("DropAttachments freed %d bytes, released %d times; want 64, once", got, a.released)
 	}
@@ -242,10 +241,9 @@ func (p *countingPager) FaultBlocks(any, Lifecycle, Category, int) ([]*Block, er
 }
 func (p *countingPager) DropSpill(any) {}
 
-// A layout-bound attachment holds bare pointers into the relation's blocks:
-// reading through it must put the partitions into the epoch's working set as
-// a scan would, and a partition spilled in between must make the lookup miss.
-func TestPinAttachmentGuardsTheBlocksItAddresses(t *testing.T) {
+// A spill evicts a partition's blocks without changing the relation's
+// contents: the attachments stay current, and the relation keeps serving them.
+func TestAttachmentsSurvivePartitionSpill(t *testing.T) {
 	lc := newPoisonLifecycle()
 	rows := make([]int32, 0, 400)
 	for i := int32(0); i < 200; i++ {
@@ -257,39 +255,20 @@ func TestPinAttachmentGuardsTheBlocksItAddresses(t *testing.T) {
 	pg := &countingPager{}
 	r.EnableSpill(pg)
 	table := &fakeAttachment{}
-	r.Attach("table", table, r.Version(), true)
+	r.Attach("table", table, r.Version())
 
-	// Two epochs on, every partition is cold and the reclaimer may take one.
+	// Two epochs on, every partition is cold, and a lookup does not warm one.
 	pg.epoch = 2
-	if _, _, _, ok, _ := r.ColdestPartition(pg.epoch); !ok {
-		t.Fatal("setup: no cold partition two epochs after the last touch")
-	}
 	if _, ok := r.Attachment("table"); !ok {
-		t.Fatal("a plain lookup lost the attachment")
-	}
-	if _, _, _, ok, _ := r.ColdestPartition(pg.epoch); !ok {
-		t.Fatal("a plain lookup pinned the partitions")
-	}
-	if a, ok := r.PinAttachment("table"); !ok || a != Attachment(table) {
 		t.Fatal("current attachment not served")
 	}
-	if p, _, _, ok, _ := r.ColdestPartition(pg.epoch); ok {
-		t.Fatalf("partition %d evictable under a reader of the attachment", p)
-	}
-	if _, ok := r.SpillPartition(0, pg); ok || pg.spills != 0 {
-		t.Fatal("partition spilled under a reader of the attachment")
-	}
-
-	// Next epoch nobody reads through it; a partition goes, and the structure
-	// that addressed its blocks is not served again.
-	pg.epoch = 3
-	if _, ok := r.SpillPartition(0, pg); !ok {
+	if _, ok := r.SpillPartition(0, pg); !ok || pg.spills != 1 {
 		t.Fatal("cold partition refused to spill")
 	}
-	if _, ok := r.PinAttachment("table"); ok {
-		t.Fatal("attachment served after a partition it addresses was spilled")
+	if a, ok := r.Attachment("table"); !ok || a != Attachment(table) {
+		t.Fatal("attachment lost to a partition spill")
 	}
-	if table.released != 1 {
-		t.Fatalf("stale attachment released %d times, want 1", table.released)
+	if table.released != 0 {
+		t.Fatalf("current attachment released %d times by a spill", table.released)
 	}
 }

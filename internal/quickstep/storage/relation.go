@@ -60,10 +60,8 @@ type Relation struct {
 	// relation stays usable for its resident partitions in the meantime.
 	faultErr error
 	// Attachments (see attach.go): derived structures kept alive between
-	// queries, each guarded by the version it was derived from. layout counts
-	// physical rewrites that leave the contents unchanged.
-	atts   map[string]attachment
-	layout uint64
+	// queries, each guarded by the version it was derived from.
+	atts map[string]attachment
 }
 
 // NewRelation creates an empty relation. colNames fixes the arity; names are

@@ -339,8 +339,7 @@ func (r *Relation) SpillPartition(p int, pg Pager) (freed int64, ok bool) {
 	}
 	r.slots[p] = &spillSlot{token: token, rows: rows, bytes: bytes}
 	// De-list the evicted blocks from the flat list and the partition, then
-	// release them; structures addressing rows by block position die here.
-	r.layout++
+	// release them.
 	inEvict := make(map[*Block]struct{}, len(evict))
 	for _, b := range evict {
 		inEvict[b] = struct{}{}
@@ -480,8 +479,6 @@ func (r *Relation) coalesceList(alsoFlat bool, list func() *[]*Block) bool {
 		}
 		r.blocks = kept
 	}
-	// Structures that address rows by block position die with the rewrite.
-	r.layout++
 	arity := len(r.colNames)
 	r.mu.Unlock()
 

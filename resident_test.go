@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"recstep/internal/baselines/native"
 	"recstep/internal/core"
 	"recstep/internal/faultinject"
 	"recstep/internal/programs"
@@ -393,6 +394,80 @@ w(s,y) :- w(s,x), hop(x,y).
 	}
 }
 
+// A cached build table holds its own copy of the build rows, so the memory
+// reclaimer may spill the build relation's partitions while probes run
+// through the table. hop is a lower stratum: invariant while tc iterates, so
+// tc's join keeps a build table on it, and, never read once that table
+// exists, the coldest relation under a budget — the first one spilled. At
+// every budget tc is the unbudgeted result and the baselines/native closure,
+// and the tight budgets run steps that both probe a cached build and spill.
+func TestCachedBuildProbesSurviveSpillOfTheirRelation(t *testing.T) {
+	prog := programs.MustParse(`
+hop(x,y) :- arc(x,y).
+tc(x,y) :- hop(x,y).
+tc(x,y) :- tc(x,z), hop(z,y).
+`)
+	arc := func() *storage.Relation {
+		const chains, length = 12, 100
+		r := storage.NewRelation("arc", storage.NumberedColumns(2))
+		var a []int32
+		for c := 0; c < chains; c++ {
+			for i := 0; i < length-1; i++ {
+				a = append(a, int32(c*length+i), int32(c*length+i+1))
+			}
+		}
+		r.AppendRows(a)
+		return r
+	}
+	// run returns the result and the steps that were served by a cached
+	// build and spilled.
+	run := func(budget int64) (*core.Result, int) {
+		t.Helper()
+		opts := core.DefaultOptions()
+		opts.Workers = 2
+		opts.Partitions = 16
+		opts.MemBudgetBytes = budget
+		if budget > 0 {
+			opts.SpillDir = t.TempDir()
+		}
+		var spills int64
+		both := 0
+		opts.IterHook = func(ii core.IterInfo) {
+			if ii.Copy.CachedBuildHits > 0 && ii.Mem.Spills > spills {
+				both++
+			}
+			spills = ii.Mem.Spills
+		}
+		res, err := core.New(opts).Run(prog, map[string]*storage.Relation{"arc": arc()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, both
+	}
+	ref, _ := run(0)
+	want := ref.Relations["tc"].SortedRows()
+	if !reflect.DeepEqual(want, native.TC(arc(), 1).SortedRows()) {
+		t.Fatal("unbudgeted tc differs from the baselines/native closure")
+	}
+	if ref.Stats.CachedBuildHits == 0 {
+		t.Fatal("unbudgeted run kept no build table on hop")
+	}
+	both := 0
+	for _, pct := range []int64{60, 40, 30} {
+		got, n := run(ref.Stats.Mem.PeakLive * pct / 100)
+		if !reflect.DeepEqual(got.Relations["tc"].SortedRows(), want) {
+			t.Errorf("budget at %d%% of the unbudgeted peak: tc differs from the unbudgeted result", pct)
+		}
+		if got.Stats.CachedBuildHits == 0 {
+			t.Errorf("budget at %d%%: no cached-build hits", pct)
+		}
+		both += n
+	}
+	if both == 0 {
+		t.Error("no step both probed a cached build and spilled: the run no longer exercises the case")
+	}
+}
+
 func hasCachedBuild(r *storage.Relation, keys []int) bool {
 	_, ok := r.Attachment(exec.BuildCacheKey(keys))
 	return ok
@@ -434,7 +509,7 @@ func TestAttachmentsEvictBeforeSecondaryBeforeSpill(t *testing.T) {
 		// The resident index, seeded by an empty pass and handed to r.
 		empty := storage.NewRelation("tmp", storage.NumberedColumns(2))
 		delta, idx, v := exec.DeltaStepResident(db.Pool(), empty, r, nil, part, 0, "d")
-		if !r.Attach("setdiff", idx, v, false) {
+		if !r.Attach("setdiff", idx, v) {
 			t.Fatal("index refused")
 		}
 		delta.Release()
