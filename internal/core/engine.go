@@ -770,6 +770,13 @@ func (r *runState) evalStratumWith(s analysis.Stratum, seed map[string]querygen.
 		}
 		r.stats.FanOut[st.q.Pred] = nil
 	}
+	// A recursive stratum's rule bodies read relations its fixpoint never
+	// writes, its EDBs and lower strata: every join over one builds it once
+	// and probes it with ∆ from then on.
+	if s.Recursive {
+		r.db.SetInvariant(invariantTables(queries, states))
+		defer r.db.ClearInvariant()
+	}
 
 	for iter := 1; ; iter++ {
 		if iter > r.opts().MaxIterations {
@@ -830,6 +837,31 @@ func (r *runState) evalStratumWith(s analysis.Stratum, seed map[string]querygen.
 		}
 	}
 	return nil
+}
+
+// invariantTables returns the tables the stratum's bound units read that
+// none of its IDBs writes: everything but the IDBs' full, ∆ and tmp tables.
+func invariantTables(queries []querygen.IDBQueries, states map[string]*idbState) []string {
+	written := make(map[string]bool, 3*len(queries))
+	for _, q := range queries {
+		written[q.Pred], written[q.Delta], written[q.Tmp] = true, true, true
+	}
+	var tables []string
+	for _, st := range states {
+		for _, u := range []boundUnit{st.first, st.rec} {
+			if u.query == nil {
+				continue
+			}
+			for _, br := range u.query.Branches {
+				for _, t := range br.Tables {
+					if !written[t] && !slices.Contains(tables, t) {
+						tables = append(tables, t)
+					}
+				}
+			}
+		}
+	}
+	return tables
 }
 
 // idbState is the per-IDB loop state within one stratum.

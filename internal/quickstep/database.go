@@ -94,11 +94,14 @@ type Database struct {
 	// hintMu (registered outside the query lock).
 	hintMu   sync.Mutex
 	outHints map[string]OutputHint
-	// rescans is the one ledger behind both resident structures: per (table,
-	// structure) the rows operators re-read for want of that structure, which
-	// optimizer.RepaysResident weighs against the rows it would hold. Guarded
-	// by hintMu.
-	rescans map[rescanKey]*rescanDebt
+	// rescans is the set-difference index's ledger: per predicate, the rows
+	// set difference has re-read from R for want of an index, which
+	// optimizer.RepaysResident weighs against the rows the index would hold.
+	// Guarded by hintMu.
+	rescans map[string]*rescanDebt
+	// invariant names the relations the running fixpoint reads and never
+	// writes (see SetInvariant). Guarded by hintMu.
+	invariant map[string]bool
 
 	// plans records the latest join order and strategy per branch (branches
 	// of one query run concurrently, hence the lock). peakJoinRows is a
@@ -109,52 +112,56 @@ type Database struct {
 	peakJoinRows atomic.Int64
 }
 
-// rescanKey names one structure that could be kept resident: the table it
-// would sit on and its attachment key (residentIndexKey, exec.BuildCacheKey).
-type rescanKey struct{ table, structure string }
-
-// rescanDebt is one entry of Database.rescans. A join build's tally describes
-// one state of one relation (rel at generation gen) and starts over when
-// either moves on: a relation that keeps changing — ∆R is replaced and R
-// appended to every iteration — never accumulates one, so only relations that
-// stay put across iterations can repay a table built over them. The
-// set-difference tally is the predicate's (rel stays nil): R changes with
-// every pass by construction, and once its rescans have repaid an index the
-// verdict sticks, so an index dropped by a deletion or a fan-out shift is
-// re-seeded at the very next pass.
+// rescanDebt is one entry of Database.rescans. R changes with every pass by
+// construction, so the tally is the predicate's, not one relation state's;
+// once its rescans have repaid an index the verdict sticks, so an index
+// dropped by a deletion or a fan-out shift is re-seeded at the very next pass.
 type rescanDebt struct {
 	rows   int64
 	repaid bool
-	rel    *storage.Relation
-	gen    uint64
 }
 
-// rescanDebtLocked returns the ledger entry for key; callers hold hintMu.
-func (db *Database) rescanDebtLocked(key rescanKey) *rescanDebt {
-	d := db.rescans[key]
+// rescanDebtLocked returns the ledger entry for pred; callers hold hintMu.
+func (db *Database) rescanDebtLocked(pred string) *rescanDebt {
+	d := db.rescans[pred]
 	if d == nil {
 		if db.rescans == nil {
-			db.rescans = make(map[rescanKey]*rescanDebt)
+			db.rescans = make(map[string]*rescanDebt)
 		}
 		d = &rescanDebt{}
-		db.rescans[key] = d
+		db.rescans[pred] = d
 	}
 	return d
 }
 
-// noteBuildRescan records that a join is about to re-read all of r for want
-// of a build table under structure, and reports whether the rows re-read
-// since r last changed have repaid one.
-func (db *Database) noteBuildRescan(r *storage.Relation, structure string) bool {
-	rows, gen := r.NumTuples(), r.Generation()
+// SetInvariant tells the planner which tables the fixpoint about to run reads
+// and never writes — a recursive stratum's EDBs and lower strata — until
+// ClearInvariant. A join reading one such table builds on it and keeps the
+// table on the relation (see chooseBuildSide), so every later iteration
+// probes it with what changed instead of rebuilding or rescanning it.
+// Nothing here is trusted for correctness: a cached table is guarded by the
+// version of the relation it was built from, and a mutation retires it.
+func (db *Database) SetInvariant(tables []string) {
 	db.hintMu.Lock()
 	defer db.hintMu.Unlock()
-	d := db.rescanDebtLocked(rescanKey{r.Name(), structure})
-	if d.rel != r || d.gen != gen {
-		*d = rescanDebt{rel: r, gen: gen}
+	db.invariant = make(map[string]bool, len(tables))
+	for _, t := range tables {
+		db.invariant[t] = true
 	}
-	d.rows += int64(rows)
-	return optimizer.RepaysResident(d.rows, rows)
+}
+
+// ClearInvariant forgets the tables SetInvariant named.
+func (db *Database) ClearInvariant() {
+	db.hintMu.Lock()
+	defer db.hintMu.Unlock()
+	db.invariant = nil
+}
+
+// isInvariant reports whether SetInvariant named table.
+func (db *Database) isInvariant(table string) bool {
+	db.hintMu.Lock()
+	defer db.hintMu.Unlock()
+	return db.invariant[table]
 }
 
 // notePlan records the strategy and order chosen for a branch; single-table
@@ -318,12 +325,13 @@ func (db *Database) MarkSpillable(table string) {
 // from superseded PartitionedViews and stale attachments are recycled, the
 // spill LRU epoch advances, and any budget overshoot is reclaimed. Eviction
 // order under pressure, each stage only if the one before left the run over
-// budget: attachments first (resident set-difference indexes and cached join
-// builds — derived from the relation's own contents, several times its
-// bytes, and without them the engine merely runs yesterday's transient
-// tables), and only then cold partitions (EndEpoch's fallback: a disk write
-// plus a fault each). The quiescent point is what makes the drops safe
-// to release this epoch: no in-flight operator can still hold them.
+// budget: pool-backed attachments first (resident set-difference indexes —
+// derived from the relation's own contents, several times its bytes, and
+// without them the engine merely runs yesterday's transient tables; cached
+// join builds hold no pool bytes and stay), and only then cold partitions
+// (EndEpoch's fallback: a disk write plus a fault each). The quiescent point
+// is what makes the drops safe to release this epoch: no in-flight operator
+// can still hold them.
 func (db *Database) EndIteration() {
 	// Recycle this iteration's retired garbage *before* reading the budget
 	// signal: superseded view copies still count in the live gauge until
@@ -341,7 +349,7 @@ func (db *Database) EndIteration() {
 	}
 	if db.mem.OverBudget() {
 		for _, name := range db.cat.Names() {
-			if r, ok := db.cat.Get(name); ok && r.DropAttachments() > 0 {
+			if r, ok := db.cat.Get(name); ok && r.EvictAttachments() > 0 {
 				db.mem.NoteAttachmentDrop()
 			}
 		}
@@ -969,25 +977,23 @@ func (db *Database) runBranchWCOJ(br *plan.Branch, inputs []*storage.Relation, o
 	return out, nil
 }
 
-// chooseBuildSide applies the optimizer's build-side rule using catalog
-// statistics for base tables (which OOF keeps fresh — or not, under OOF-NA)
-// and actual counts for just-created intermediates, plus the keyset-aware
-// override: when the sizes are close, the side already carrying a
-// partitioning on exactly its join keys builds — in-place table
-// construction over slightly more tuples beats a scatter pass over slightly
-// fewer. On top of both sits the resident-table rule for base relations
-// (leftBase/rightBase: the side is a cataloged relation, not a transient of
-// this query): a side already holding a current cached build table builds at
-// zero cost whatever its size, and a side that has not changed while the rows
-// re-read from it — by rebuilds or by probe scans, noteBuildRescan keeps the
-// tally and any mutation zeroes it — reached optimizer.ResidentAmortise
-// times its size becomes the build side with its table kept. ∆ relations are
-// replaced and R is appended to every iteration, so in a fixpoint only EDBs
-// and lower strata ever get there. The memory budget does not cover a build
-// table (Go heap, exec.BuildTableBytes); a new one is only refused while the
-// pool has less headroom than that, and kept ones go first under pressure. It returns the decision, the chosen
-// side's cardinality estimate (which also drives the radix partition count),
-// and whether the build table is cached on the build relation.
+// chooseBuildSide applies the optimizer's build-side rule. A fixpoint runs
+// the same join every iteration, so a side SetInvariant named (leftBase and
+// rightBase say the side is that cataloged relation, not a transient of this
+// query) builds from its first use whatever the sizes, and its table is kept
+// on the relation: every later iteration probes it with the other side, ∆ in
+// a delta rule, and the join costs what ∆ costs. A side already holding its
+// table builds first; with both sides invariant the smaller one builds.
+// Under a memory budget a new table is only kept while the pool has room for
+// it (exec.BuildTableBytes: the budget does not count the Go heap it takes).
+// Otherwise it is the per-query rule OOF keeps fresh: catalog statistics for
+// base tables (or stale ones, under OOF-NA) and actual counts for
+// just-created intermediates decide, the smaller side builds, and when the
+// sizes are close the side already carrying a partitioning on exactly its
+// join keys builds — in-place table construction over slightly more tuples
+// beats a scatter pass over slightly fewer. It returns the decision, the
+// chosen side's cardinality estimate (which also drives the radix partition
+// count), and whether the build table is cached on the build relation.
 func (db *Database) chooseBuildSide(cur *storage.Relation, br *plan.Branch, seed, step int, right *storage.Relation, js plan.JoinStep, leftBase, rightBase bool) (buildLeft bool, buildTuples int, cacheBuild bool) {
 	var leftTuples int
 	if step == 0 {
@@ -996,37 +1002,44 @@ func (db *Database) chooseBuildSide(cur *storage.Relation, br *plan.Branch, seed
 		leftTuples = cur.NumTuples() // freshly materialized intermediate
 	}
 	rightTuples := db.statTuples(br.Tables[js.Right], right)
+	sides := [2]struct {
+		rel       *storage.Relation
+		keys      []int
+		tuples    int
+		invariant bool
+	}{
+		{right, js.RightKeys, rightTuples, rightBase && db.isInvariant(br.Tables[js.Right])},
+		{cur, js.LeftKeys, leftTuples, leftBase && db.isInvariant(br.Tables[seed])},
+	}
+	for i, s := range sides {
+		if s.invariant {
+			if _, ok := s.rel.Attachment(exec.BuildCacheKey(s.keys)); ok {
+				return i == 1, s.tuples, true
+			}
+		}
+	}
+	build := -1
+	switch {
+	case sides[0].invariant && sides[1].invariant:
+		build = 0
+		if optimizer.ChooseBuildLeft(leftTuples, rightTuples) {
+			build = 1
+		}
+	case sides[0].invariant:
+		build = 0
+	case sides[1].invariant:
+		build = 1
+	}
+	if build >= 0 {
+		s := sides[build]
+		if db.hasHeadroom(exec.BuildTableBytes(s.rel.NumTuples(), s.rel.Arity(), len(s.keys))) {
+			return build == 1, s.tuples, true
+		}
+	}
 	// Only step 0's left keys index a base relation's own row; later steps'
 	// left side is an accumulated intermediate that never carries a view.
 	leftCarried := step == 0 && db.carriedMatch(cur, js.LeftKeys)
 	rightCarried := db.carriedMatch(right, js.RightKeys)
-	sides := [2]struct {
-		rel    *storage.Relation
-		keys   []int
-		tuples int
-		base   bool
-	}{
-		{right, js.RightKeys, rightTuples, rightBase},
-		{cur, js.LeftKeys, leftTuples, leftBase},
-	}
-	var keys [2]string
-	for i, s := range sides {
-		if !s.base {
-			continue
-		}
-		keys[i] = exec.BuildCacheKey(s.keys)
-		if _, ok := s.rel.Attachment(keys[i]); ok {
-			return i == 1, s.tuples, true
-		}
-	}
-	for i, s := range sides {
-		if !s.base {
-			continue
-		}
-		if db.noteBuildRescan(s.rel, keys[i]) && db.hasHeadroom(exec.BuildTableBytes(s.rel.NumTuples(), s.rel.Arity())) {
-			return i == 1, s.tuples, true
-		}
-	}
 	if optimizer.PreferCarriedBuild(leftTuples, rightTuples, leftCarried, rightCarried) {
 		return true, leftTuples, false
 	}
@@ -1189,7 +1202,7 @@ func (db *Database) DeltaStep(tmp *storage.Relation, pred string, algo exec.Diff
 	before := db.pool.Copy.SetDiffRowsScanned.Load()
 	delta := exec.DeltaStep(db.pool, tmp, full, algo, part, estDistinct, outName)
 	db.hintMu.Lock()
-	db.rescanDebtLocked(rescanKey{pred, residentIndexKey}).rows += db.pool.Copy.SetDiffRowsScanned.Load() - before
+	db.rescanDebtLocked(pred).rows += db.pool.Copy.SetDiffRowsScanned.Load() - before
 	db.hintMu.Unlock()
 	if err := db.Err(); err != nil {
 		delta.Release()
@@ -1211,7 +1224,7 @@ func (db *Database) indexWorthKeeping(pred string, full *storage.Relation, idx *
 	}
 	rows := full.NumTuples()
 	db.hintMu.Lock()
-	d := db.rescanDebtLocked(rescanKey{pred, residentIndexKey})
+	d := db.rescanDebtLocked(pred)
 	d.repaid = d.repaid || optimizer.RepaysResident(d.rows, rows)
 	repaid := d.repaid
 	db.hintMu.Unlock()

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"recstep/internal/quickstep/exec"
-	"recstep/internal/quickstep/optimizer"
 	"recstep/internal/quickstep/plan"
 	"recstep/internal/quickstep/stats"
 	"recstep/internal/quickstep/storage"
@@ -487,42 +486,67 @@ func TestCarriedBuildPartsOverride(t *testing.T) {
 	}
 }
 
-// The rescan ledger is the database's alone: a join input's tally belongs to
-// one relation at one generation, so only a relation that stays put across
-// ResidentAmortise re-reads repays a build table, and a same-named
-// replacement (∆R every iteration) or any mutation starts it over.
-func TestBuildRescanLedgerFollowsTheRelation(t *testing.T) {
+// A join builds on a relation SetInvariant named from its first use, however
+// much larger it is than the other side, and keeps the table there: the next
+// join probes it with the other side alone. An undeclared relation is never
+// cached, and a mutation retires the table the relation held.
+func TestInvariantRelationsCacheTheirBuild(t *testing.T) {
 	db := openTest(t)
-	mk := func() *storage.Relation {
-		r := storage.NewRelation("e", storage.NumberedColumns(2))
-		r.AppendRows([]int32{1, 2, 3, 4})
-		return r
+	if err := db.ExecScript(`
+		CREATE TABLE d (x INT, y INT);
+		CREATE TABLE e (x INT, y INT)`); err != nil {
+		t.Fatal(err)
 	}
-	e := mk()
-	reads := func(r *storage.Relation, key string) (n int) {
-		for n = 1; !db.noteBuildRescan(r, key); n++ {
-			if n > 10*optimizer.ResidentAmortise {
-				t.Fatal("re-reads never repaid a build")
-			}
+	d, _ := db.Catalog().Get("d")
+	e, _ := db.Catalog().Get("e")
+	rows := make([]int32, 0, 4000)
+	for i := 0; i < 2000; i++ {
+		rows = append(rows, int32(i), int32(i+1))
+	}
+	e.AppendRows(rows)
+	d.AppendRows([]int32{0, 5, 0, 7, 0, 2000})
+	const join = "SELECT d.x, e.y FROM d, e WHERE d.y = e.x"
+	run := func() (*storage.Relation, exec.CopySnapshot) {
+		t.Helper()
+		before := db.CopySnapshot()
+		out, err := db.ExecSQL(join)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return n
+		return out, db.CopySnapshot().Sub(before)
 	}
-	if got := reads(e, "build:0"); got != optimizer.ResidentAmortise {
-		t.Fatalf("build repaid after %d re-reads of an unchanged relation, want %d", got, optimizer.ResidentAmortise)
+	cached := func() bool {
+		_, ok := e.Attachment(exec.BuildCacheKey([]int{0}))
+		return ok
 	}
-	if db.noteBuildRescan(e, "build:1") {
-		t.Fatal("re-reads under one keyset repaid a table on another")
-	}
-	e.Append([]int32{5, 6})
-	if db.noteBuildRescan(e, "build:0") {
-		t.Fatal("tally survived a mutation of the relation")
-	}
-	// A fresh relation of the same name and the same generation count, as ∆R
-	// is every iteration, is not the relation the tally describes.
-	for i := 0; i < 3*optimizer.ResidentAmortise; i++ {
-		if db.noteBuildRescan(mk(), "build:0") {
-			t.Fatalf("replacement %d of the relation inherited its predecessors' re-reads", i)
+
+	for i := 0; i < 3; i++ {
+		if _, c := run(); c.CachedBuildHits != 0 || cached() {
+			t.Fatalf("join %d over an undeclared relation cached its build (%d hits)", i, c.CachedBuildHits)
 		}
+	}
+
+	db.SetInvariant([]string{"e"})
+	defer db.ClearInvariant()
+	if _, c := run(); c.CachedBuildHits != 0 || !cached() || c.JoinProbeRows != 3 {
+		t.Fatalf("first join over a declared relation: %d hits, cached %v, %d rows probed; want 0, true, 3 (d's)",
+			c.CachedBuildHits, cached(), c.JoinProbeRows)
+	}
+	out, c := run()
+	if c.CachedBuildHits != 1 || c.JoinProbeRows != 3 || out.NumTuples() != 2 {
+		t.Fatalf("second join: %d hits, %d rows probed, %d rows out; want 1, 3, 2", c.CachedBuildHits, c.JoinProbeRows, out.NumTuples())
+	}
+
+	e.Append([]int32{2000, 2001})
+	if cached() {
+		t.Fatal("a mutation of the relation left its table in place")
+	}
+	out, c = run()
+	if c.CachedBuildHits != 0 || out.NumTuples() != 3 {
+		t.Fatalf("join after the mutation: %d hits, %d rows out; want a rebuild (0) and the new match (3)", c.CachedBuildHits, out.NumTuples())
+	}
+	if !cached() {
+		t.Fatal("the rebuild after the mutation was not kept")
 	}
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"recstep/internal/obs"
@@ -15,9 +16,10 @@ import (
 // that combined layout (left columns first).
 type JoinSpec struct {
 	LeftKeys, RightKeys []int
-	// BuildLeft selects the physical build side. The optimizer picks the
-	// smaller side using the latest ANALYZE statistics — the decision OOF
-	// keeps correct across iterations as delta sizes shift.
+	// BuildLeft selects the physical build side. The optimizer builds a side
+	// the running fixpoint never writes, and otherwise the smaller side by
+	// the latest ANALYZE statistics — the decision OOF keeps correct across
+	// iterations as delta sizes shift.
 	BuildLeft bool
 	// Partitions selects the radix fan-out of the build phase: the build
 	// side is hash-partitioned on its key columns and each partition's table
@@ -25,10 +27,11 @@ type JoinSpec struct {
 	Partitions int
 	// CacheBuild keeps the build table alive on the build relation, and
 	// reuses the one already there: set by the planner for a build side that
-	// does not change between the iterations of a fixpoint (a base relation,
-	// a lower stratum), once rebuilding or rescanning it every iteration has
-	// cost more than holding the table. A cached table fixes its own fan-out;
-	// Partitions then applies only to the build that populates the cache.
+	// does not change between the iterations of a fixpoint (an EDB, a lower
+	// stratum), so that every later iteration probes it with ∆ instead of
+	// rebuilding it or probing all of it. A cached table fixes its own
+	// fan-out; Partitions then applies only to the build that populates the
+	// cache.
 	CacheBuild bool
 	Residual   []expr.Cmp
 	Projs      []expr.Expr
@@ -47,72 +50,94 @@ type JoinSpec struct {
 	OutSet bool
 }
 
-// buildTable indexes (a partition of) the build side of a join: its rows,
-// copied row-major into one array grouped by join key, and a GroupTable over
-// the keys. Group g's rows are rows[start[g]*arity : start[g+1]*arity], so a
-// probe finds its key's group and reads the matches as one contiguous run.
-// One layout serves every key width, and the table points into no block of
-// the relation it was built from: a cached one outlives the coalescing and
-// the spilling of that relation's blocks.
+// buildTable indexes (a partition of) the build side of a join: the non-key
+// columns of its rows (their payload), copied row-major into one array grouped
+// by join key, and a GroupTable over the keys. Group g's rows are
+// rows[start[g]*width : start[g+1]*width], so a probe finds its key's group
+// and reads the matches as one contiguous run. A build key equals the probe
+// row's key, so the join reads key columns from the probe row (newJoinOutput)
+// and the table never stores them: an all-key build keeps only each group's
+// row count. One layout serves every key width, and the table points into no
+// block of the relation it was built from: a cached one outlives the
+// coalescing and the spilling of that relation's blocks.
 type buildTable struct {
-	arity  int
+	width  int // payload columns per row
 	groups *GroupTable
 	start  []int32
 	rows   []int32
 }
 
-// buildHashBlocks builds the table over n rows held in blocks: each row's key
-// goes into the group table, then a counting sort by group copies the rows
-// into their group's run. This is the partitioned single-threaded unit of
-// work — one call per partition on data the worker owns exclusively — and,
-// over a relation's full block snapshot, the serial shared-table build.
-func buildHashBlocks(blocks []*storage.Block, arity, n int, keys []int) *buildTable {
+// payloadCols returns, in order, the columns of an arity-wide row that are not
+// among keys: the columns a build table stores.
+func payloadCols(arity int, keys []int) []int {
+	var cols []int
+	for c := 0; c < arity; c++ {
+		if !slices.Contains(keys, c) {
+			cols = append(cols, c)
+		}
+	}
+	return cols
+}
+
+// buildHashBlocks builds the table over the rows held in blocks: each row's
+// key goes into the group table while its group's rows are counted, then a
+// counting sort copies each row's payload columns into its group's run,
+// finding the group again rather than remembering it per row. This is the
+// partitioned single-threaded unit of work — one call per partition on data
+// the worker owns exclusively — and, over a relation's full block snapshot,
+// the serial shared-table build.
+func buildHashBlocks(blocks []*storage.Block, arity int, keys, payload []int) *buildTable {
 	groups := NewGroupTable(len(keys))
-	gid := make([]int32, 0, n)
+	// start[g+1] counts group g's rows; it grows with the group table, so it
+	// reallocates only when the table doubles.
+	start := make([]int32, 1, groups.Cap()+1)
 	for _, b := range blocks {
 		data := b.Data()
 		for off := 0; off < len(data); off += arity {
-			g, _ := groups.InsertRow(data[off:off+arity], keys)
-			gid = append(gid, int32(g))
+			g, created := groups.InsertRow(data[off:off+arity], keys)
+			if created {
+				start = append(growTo(start, groups.Cap()+1), 0)
+			}
+			start[g+1]++
 		}
 	}
-	// start[g+1] counts group g's rows; the prefix sum makes start[g] the
-	// first row of group g, the cursor the copy advances to g's end.
-	start := make([]int32, groups.Len()+1)
-	for _, g := range gid {
-		start[g+1]++
-	}
+	// The prefix sum makes start[g] the first row of group g, the cursor the
+	// copy advances to g's end.
 	for g := 1; g < len(start); g++ {
 		start[g] += start[g-1]
 	}
-	rows := make([]int32, len(gid)*arity)
-	i := 0
+	bt := &buildTable{width: len(payload), groups: groups, start: start}
+	if bt.width == 0 {
+		return bt
+	}
+	bt.rows = make([]int32, int(start[len(start)-1])*bt.width)
 	for _, b := range blocks {
 		data := b.Data()
 		for off := 0; off < len(data); off += arity {
-			g := gid[i]
-			i++
-			dst := rows[int(start[g])*arity:][:arity]
+			row := data[off : off+arity]
+			g := groups.Find(row, keys)
+			dst := bt.rows[int(start[g])*bt.width:][:bt.width]
 			start[g]++
-			for c, v := range data[off : off+arity] {
-				dst[c] = v
+			for i, c := range payload {
+				dst[i] = row[c]
 			}
 		}
 	}
 	// Each cursor now sits on the next group's first row: shift them back.
 	copy(start[1:], start[:len(start)-1])
 	start[0] = 0
-	return &buildTable{arity: arity, groups: groups, start: start, rows: rows}
+	return bt
 }
 
-// matches returns the build rows whose key equals row's cols values, as one
-// row-major run (empty when there is none).
-func (bt *buildTable) matches(row []int32, cols []int) []int32 {
+// matches returns the build rows whose key equals row's cols values: their
+// payloads as one row-major run, and how many there are (0 when none).
+func (bt *buildTable) matches(row []int32, cols []int) ([]int32, int) {
 	g := bt.groups.Find(row, cols)
 	if g < 0 {
-		return nil
+		return nil, 0
 	}
-	return bt.rows[int(bt.start[g])*bt.arity : int(bt.start[g+1])*bt.arity]
+	lo, hi := int(bt.start[g]), int(bt.start[g+1])
+	return bt.rows[lo*bt.width : hi*bt.width], hi - lo
 }
 
 // outCollector picks an operator's output collector: partition-routing when
@@ -139,6 +164,7 @@ func outCollector(pool *Pool, part *storage.Partitioning, arity, numBlocks int) 
 type joinTable struct {
 	parts  int
 	tables []*buildTable
+	one    [1]*buildTable // backs tables for a serial build: one allocation less per join
 }
 
 // Release implements storage.Attachment. A join table is plain heap data
@@ -151,19 +177,19 @@ func (jt *joinTable) Release() {}
 func (jt *joinTable) Bytes() int64 { return 0 }
 
 // BuildTableBytes estimates the heap a build table over rows build rows of
-// the given arity allocates: the row copy (4·arity bytes a row), each row's
-// group index while the rows are sorted (4), and the group table at one group
-// per row — the slot arrays it allocates while growing (16), its key arena,
-// no wider than a row, growth included (8·arity), and the group offsets (4).
-// The budget does not cover it; the planner only refuses to start keeping one
-// while the pool has less room than this left.
-func BuildTableBytes(rows, arity int) int64 {
-	return int64(rows) * int64(12*arity+24)
+// the given arity, keyed on keys of its columns, allocates: the payload copy
+// (4 bytes a non-key column a row) and the group table at one group per row,
+// growth included — the slot arrays (about 20 bytes a group), the key arena
+// (about 12 a key column) and the group offsets (about 12). The budget does
+// not cover it; the planner only refuses to start keeping one while the pool
+// has less room than this left.
+func BuildTableBytes(rows, arity, keys int) int64 {
+	return int64(rows) * int64(4*(arity-keys)+12*keys+32)
 }
 
-// BuildCacheKey names, among a relation's attachments and rescan tallies,
-// the build table keyed on the given columns. It runs once or twice per join
-// per iteration, on the path where nothing else is left to pay: no fmt.
+// BuildCacheKey names, among a relation's attachments, the build table keyed
+// on the given columns. It runs once or twice per join per iteration, on the
+// path where nothing else is left to pay: no fmt.
 func BuildCacheKey(keys []int) string {
 	b := append(make([]byte, 0, 16), "build"...)
 	for _, k := range keys {
@@ -206,10 +232,14 @@ func joinBuild(pool *Pool, build *storage.Relation, keys []int, spec JoinSpec) *
 // same partition's blocks.
 func buildJoinTable(pool *Pool, r *storage.Relation, keys []int, parts int) *joinTable {
 	parts = storage.NormalizePartitions(parts)
+	arity := r.Arity()
+	payload := payloadCols(arity, keys)
 	if parts <= 1 {
 		defer pool.phase(obs.PhaseBuild, -1)()
-		bt := buildHashBlocks(r.Blocks(), r.Arity(), r.NumTuples(), keys)
-		return &joinTable{parts: 1, tables: []*buildTable{bt}}
+		jt := &joinTable{parts: 1}
+		jt.one[0] = buildHashBlocks(r.Blocks(), arity, keys, payload)
+		jt.tables = jt.one[:]
+		return jt
 	}
 	view, scattered := partitionRelation(pool, r, keys, parts, false)
 	if scattered {
@@ -219,10 +249,9 @@ func buildJoinTable(pool *Pool, r *storage.Relation, keys []int, parts int) *joi
 	}
 	pool.Copy.NoteBuild(r.Name(), keys, scattered)
 	jt := &joinTable{parts: parts, tables: make([]*buildTable, parts)}
-	arity := r.Arity()
 	pool.RunPartitions(parts, func(p int) {
 		defer pool.phase(obs.PhaseBuild, p)()
-		jt.tables[p] = buildHashBlocks(view.Blocks(p), arity, view.Rows(p), keys)
+		jt.tables[p] = buildHashBlocks(view.Blocks(p), arity, keys, payload)
 	})
 	return jt
 }

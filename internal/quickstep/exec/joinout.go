@@ -140,19 +140,44 @@ func newJoinOutput(pool *Pool, col *collector, spec JoinSpec, la int) *joinOutpu
 	if jo.winRows == 0 {
 		panic("exec: join row wider than an output window")
 	}
+	buildKeys, probeKeys := spec.RightKeys, spec.LeftKeys
+	if spec.BuildLeft {
+		buildKeys, probeKeys = probeKeys, buildKeys
+	}
 	jo.src = jo.srcBuf[:0]
 	for _, c := range cols {
 		left := c < la
 		if !left {
 			c -= la
 		}
-		jo.src = append(jo.src, colSrc{build: left == spec.BuildLeft, off: c})
+		s := colSrc{build: left == spec.BuildLeft, off: c}
+		if s.build {
+			s = buildColSrc(c, buildKeys, probeKeys)
+		}
+		jo.src = append(jo.src, s)
 	}
 	// finish left every slot empty.
 	for i := range jo.workers {
 		jo.workers[i].flat = bulkSink{c: col, slot: i}
 	}
 	return jo
+}
+
+// buildColSrc resolves build column c against the build table's layout (see
+// buildTable): a key column is read from the probe row, whose key equals it,
+// any other from the payload, where it sits behind the non-key columns before
+// it.
+func buildColSrc(c int, buildKeys, probeKeys []int) colSrc {
+	if i := slices.Index(buildKeys, c); i >= 0 {
+		return colSrc{off: probeKeys[i]}
+	}
+	off := c
+	for k := range c {
+		if slices.Contains(buildKeys, k) {
+			off--
+		}
+	}
+	return colSrc{build: true, off: off}
 }
 
 // computed sets a computed join up: the window holds the combined-row columns
@@ -262,41 +287,43 @@ func (jo *joinOutput) probeBlock(w *joinWorker, jt *joinTable, b *storage.Block,
 			r := (off + i) * arity
 			pr := data[r : r+arity : r+arity]
 			bt := jt.tables[storage.PartitionOf(h, jt.parts)]
-			if matches := bt.matches(pr, probeKeys); len(matches) > 0 {
-				jo.expand(w, pr, matches, bt.arity)
+			if run, n := bt.matches(pr, probeKeys); n > 0 {
+				jo.expand(w, pr, run, n, bt.width)
 			}
 		}
 	}
 }
 
-// expand writes one probe row's matches — build rows of arity ba, row-major —
-// into the worker's window, making room whenever it fills.
-func (jo *joinOutput) expand(w *joinWorker, pr, matches []int32, ba int) {
+// expand writes one probe row's n matches — build payloads of width bw,
+// row-major in run — into the worker's window, making room whenever it fills.
+func (jo *joinOutput) expand(w *joinWorker, pr, run []int32, n, bw int) {
 	if w.win == nil {
 		w.win = w.probe.scat[:jo.winRows*jo.stride]
 	}
 	if jo.projs == nil {
-		w.expanded += int64(len(matches) / ba)
+		w.expanded += int64(n)
 	}
-	for len(matches) > 0 {
-		k := min(jo.winRows-w.n, len(matches)/ba)
+	for n > 0 {
+		k := min(jo.winRows-w.n, n)
 		if k == 0 {
 			jo.windowFull(w)
 			continue
 		}
-		jo.expandInto(w.win[w.n*jo.stride:], pr, matches[:k*ba], ba)
+		jo.expandInto(w.win[w.n*jo.stride:], pr, run[:k*bw], k, bw)
 		w.n += k
-		matches = matches[k*ba:]
+		n -= k
+		run = run[k*bw:]
 	}
 }
 
-// expandInto writes one output row per match — build rows of arity ba,
+// expandInto writes one output row per match — n build payloads of width ba,
 // row-major — to the front of win. The per-width cases keep the row in
 // registers: the probe-side values are loaded once before the loop and the
 // column-source tests inside it never change direction, so a match costs its
-// build-row loads and its stores, read in order from one run.
-func (jo *joinOutput) expandInto(win, pr, matches []int32, ba int) {
-	n := len(matches) / ba
+// build-row loads and its stores, read in order from one run. A build
+// without payload (ba 0) has every column on the probe side and writes n
+// copies of one row.
+func (jo *joinOutput) expandInto(win, pr, matches []int32, n, ba int) {
 	src := jo.src
 	switch len(src) {
 	case 1:

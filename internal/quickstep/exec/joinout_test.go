@@ -229,7 +229,8 @@ func bagSize(bag map[[6]int32]int) int {
 // workers. Unmarked outputs must agree as bags; set-valued ones, with the
 // filter forced on, as sets and never with more copies of a tuple than the bag
 // holds. Then, at build fan-out 1 and 16, the shapes random draws miss (see
-// checkJoinShapes) and AntiJoin at 1–6 keys.
+// checkJoinShapes), the cases of the payload-only build layout (see
+// checkPayloadLayout) and AntiJoin at 1–6 keys.
 func TestJoinKernelMatchesClosurePath(t *testing.T) {
 	forceDupFilter(t)
 	rng := rand.New(rand.NewSource(7))
@@ -325,6 +326,7 @@ func TestJoinKernelMatchesClosurePath(t *testing.T) {
 	}
 	for _, parts := range []int{1, 16} {
 		checkJoinShapes(t, parts)
+		checkPayloadLayout(t, parts, rng)
 		checkAntiJoin(t, parts, rng)
 	}
 }
@@ -370,6 +372,85 @@ func checkJoinShapes(t *testing.T, parts int) {
 		}
 		if hits := pool.Copy.CachedBuildHits.Load(); hits != int64(c.calls-1) {
 			t.Fatalf("parts %d, %s: %d cached-build hits over %d calls", parts, c.name, hits, c.calls)
+		}
+	}
+}
+
+// checkPayloadLayout joins at build fan-out parts the shapes whose columns
+// the build table does not store — it keeps only the non-key columns, and the
+// join reads a build key column from the probe row — against the nested-loop
+// reference: projections (plain and computed) reading build key columns with
+// either side building; a residual on a build key column; an all-key build of
+// duplicate rows, whose multiplicity must survive with no payload to carry
+// it; and 1–5 keys interleaved with non-key columns on the build side, its
+// first five columns projected.
+func checkPayloadLayout(t *testing.T, parts int, rng *rand.Rand) {
+	t.Helper()
+	type payloadCase struct {
+		name        string
+		left, right *storage.Relation
+		spec        JoinSpec
+	}
+	var cases []payloadCase
+	left, right := randRel("l", 3, 400, 12, rng), randRel("r", 3, 400, 12, rng)
+	for _, buildLeft := range []bool{true, false} {
+		base := JoinSpec{LeftKeys: []int{1}, RightKeys: []int{2}, BuildLeft: buildLeft}
+		keyProjs := base
+		keyProjs.Projs = []expr.Expr{expr.Col{Index: 1}, expr.Col{Index: 5}, expr.Col{Index: 0}, expr.Col{Index: 3}}
+		computed := base
+		computed.Projs = []expr.Expr{expr.Arith{Op: expr.Add, L: expr.Col{Index: 5}, R: expr.Col{Index: 1}}, expr.Col{Index: 4}}
+		// The residual reads the build side's key column whichever side
+		// builds, against a literal and against a non-key probe column.
+		buildKey, probeCol := 5, 0
+		if buildLeft {
+			buildKey, probeCol = 1, 4
+		}
+		resid := base
+		resid.Projs = []expr.Expr{expr.Col{Index: 0}, expr.Col{Index: 3}}
+		resid.Residual = []expr.Cmp{
+			{Op: expr.LT, L: expr.Col{Index: buildKey}, R: expr.Lit{Value: 7}},
+			{Op: expr.GE, L: expr.Col{Index: buildKey}, R: expr.Col{Index: probeCol}},
+		}
+		what := fmt.Sprintf("buildLeft=%v", buildLeft)
+		cases = append(cases,
+			payloadCase{"build key columns projected, " + what, left, right, keyProjs},
+			payloadCase{"computed projection of a build key column, " + what, left, right, computed},
+			payloadCase{"residual on a build key column, " + what, left, right, resid})
+	}
+	var dups [][]int32
+	for i := 0; i < 600; i++ {
+		dups = append(dups, []int32{int32(i % 5), int32(i % 3)})
+	}
+	allKey := JoinSpec{LeftKeys: []int{1, 0}, RightKeys: []int{0, 1},
+		Projs: []expr.Expr{expr.Col{Index: 0}, expr.Col{Index: 1}, expr.Col{Index: 2}, expr.Col{Index: 3}}}
+	cases = append(cases, payloadCase{"all-key build of duplicate rows", randRel("l", 2, 200, 6, rng), rel("r", 2, dups...), allKey})
+	for keys := 1; keys <= 5; keys++ {
+		// Build side: key columns at the odd positions 1, 3, …, 2·keys−1,
+		// non-key columns between and after them; the probe side holds the
+		// keys in reverse order followed by one column of its own.
+		ba := 2*keys + 1
+		spec := JoinSpec{BuildLeft: true}
+		for k := 0; k < keys; k++ {
+			spec.LeftKeys = append(spec.LeftKeys, 2*k+1)
+			spec.RightKeys = append(spec.RightKeys, keys-1-k)
+		}
+		for c := 0; c < ba && len(spec.Projs) < 5; c++ {
+			spec.Projs = append(spec.Projs, expr.Col{Index: c})
+		}
+		spec.Projs = append(spec.Projs, expr.Col{Index: ba + keys})
+		domain := []int{30, 8, 4, 3, 2}[keys-1]
+		cases = append(cases, payloadCase{fmt.Sprintf("%d keys interleaved", keys),
+			randRel("l", ba, 500, domain, rng), randRel("r", keys+1, 500, domain, rng), spec})
+	}
+	for _, c := range cases {
+		c.spec.Partitions, c.spec.OutName = parts, "out"
+		want := nestedLoopJoin(c.left, c.right, c.spec)
+		if len(want) == 0 {
+			t.Fatalf("parts %d, %s: the reference is empty; the case tests nothing", parts, c.name)
+		}
+		got := HashJoin(NewPool(4), c.left, c.right, c.spec)
+		if !reflect.DeepEqual(tupleCounts(got), want) {
+			t.Fatalf("parts %d, %s: %d rows, the reference %d", parts, c.name, got.NumTuples(), bagSize(want))
 		}
 	}
 }
@@ -497,9 +578,9 @@ func TestDupFilterSharedPoolRace(t *testing.T) {
 
 // TestSmallJoinAllocations holds a join's fixed cost to its allocation
 // count: a 10-row ⋈ 10-row join fills no window, so it allocates only its
-// set-up — 30 times per call with the flat build table, measured with this
-// very function (35 with the Go-map build tables before it, 39 with the
-// closure-chain output half before those).
+// set-up — 30 times per call with the flat build table, payload-only or
+// whole-row, measured with this very function (35 with the Go-map build
+// tables before it, 39 with the closure-chain output half before those).
 func TestSmallJoinAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")

@@ -334,13 +334,14 @@ func TestJoinCachedBuildUnderBudget(t *testing.T) {
 
 // TestBuildTableBytesMatchesTheHeap holds the estimate the planner checks a
 // cached build against the pool's headroom with to what a build allocates:
-// 1-, 2- and 5-key tables over 100 k distinct keys, each estimate within 1.5×
-// of the TotalAlloc growth the build caused.
+// 1-, 2- and 5-key tables with one payload column over 100 k distinct keys,
+// and a 2-key table that stores no payload, each estimate within 1.5× of the
+// TotalAlloc growth the build caused.
 func TestBuildTableBytesMatchesTheHeap(t *testing.T) {
 	const rows = 100_000
 	pool := NewPool(1)
-	for _, keys := range []int{1, 2, 5} {
-		arity := keys + 1
+	for _, c := range []struct{ keys, arity int }{{1, 2}, {2, 3}, {5, 6}, {2, 2}} {
+		keys, arity := c.keys, c.arity
 		r := storage.NewRelation("r", storage.NumberedColumns(arity))
 		data := make([]int32, 0, rows*arity)
 		for i := 0; i < rows; i++ {
@@ -356,10 +357,10 @@ func TestBuildTableBytesMatchesTheHeap(t *testing.T) {
 		jt := buildJoinTable(pool, r, cols, 1)
 		runtime.ReadMemStats(&after)
 		runtime.KeepAlive(jt)
-		got, est := int64(after.TotalAlloc-before.TotalAlloc), BuildTableBytes(rows, arity)
-		t.Logf("%d keys: estimate %d bytes, allocated %d", keys, est, got)
+		got, est := int64(after.TotalAlloc-before.TotalAlloc), BuildTableBytes(rows, arity, keys)
+		t.Logf("%d keys of %d columns: estimate %d bytes, allocated %d", keys, arity, est, got)
 		if 2*est > 3*got || 2*got > 3*est {
-			t.Errorf("%d keys: estimate %d bytes, the build allocated %d", keys, est, got)
+			t.Errorf("%d keys of %d columns: estimate %d bytes, the build allocated %d", keys, arity, est, got)
 		}
 	}
 }

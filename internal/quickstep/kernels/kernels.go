@@ -307,29 +307,9 @@ func GatherSelect(src []int32, arity int, sel []int32, dst []int32) []int32 {
 // mirroring storage.PartitionHash (kernels cannot import storage).
 const partitionMult = 0x9E3779B97F4A7C15
 
-// HashColumns computes the radix-partition hash of a batch of rows given as
-// per-column key slices — dst[i] matches storage.PartitionHash of row i over
-// the same key columns. One multiply-mix per key column per row, no per-row
-// call, and each pass reads one contiguous column.
-func HashColumns(cols [][]int32, dst []uint64) {
-	if len(cols) == 0 {
-		return
-	}
-	n := len(cols[0])
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = 0x9E3779B9
-	}
-	for _, col := range cols {
-		col = col[:n]
-		for i, v := range col {
-			dst[i] = (dst[i] ^ uint64(uint32(v))) * partitionMult
-		}
-	}
-}
-
-// HashRows is HashColumns over a row-major run: dst[i] matches
-// storage.PartitionHash of row i over key columns cols. The one-column case
+// HashRows computes the radix-partition hash of a row-major run of rows:
+// dst[i] matches storage.PartitionHash of row i over key columns cols, one
+// multiply-mix per key column per row and no per-row call. The one-column case
 // — every linear-recursive join keys on a single column — runs a dedicated
 // strided loop with the seed mix folded in.
 func HashRows(rows []int32, arity int, cols []int, dst []uint64) {

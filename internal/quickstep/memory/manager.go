@@ -518,17 +518,18 @@ func (m *Manager) reclaimTo(target int64) bool {
 	}
 	// Eviction order: what can be rebuilt goes before what must be written,
 	// and each stage runs only if the one before left the target unmet.
-	// First the attachments (resident set-difference indexes): derived from
-	// the relation's own contents, three or more times its bytes, freed on
-	// the spot — nothing holds an attached index — and their absence only
-	// restores the transient per-iteration tables; the engine seeds an index
-	// again only with headroom for it. Then cold partitions, paying a disk
-	// write.
+	// First the pool-backed attachments (resident set-difference indexes):
+	// derived from the relation's own contents, three or more times its
+	// bytes, freed on the spot — nothing holds an attached index — and their
+	// absence only restores the transient per-iteration tables; the engine
+	// seeds an index again only with headroom for it. Cached join builds live
+	// on the Go heap and stay: dropping one frees no pool byte. Then cold
+	// partitions, paying a disk write.
 	m.regMu.Lock()
 	spillables := append([]*storage.Relation(nil), m.spillables...)
 	m.regMu.Unlock()
 	for _, r := range spillables {
-		if r.TryDropAttachments() > 0 {
+		if r.TryEvictAttachments() > 0 {
 			m.attachmentDrops.Add(1)
 		}
 	}

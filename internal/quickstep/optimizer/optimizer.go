@@ -29,34 +29,29 @@ func ChooseBuildLeft(leftTuples, rightTuples int) bool {
 // statistics being estimates.
 const carriedBuildFactor = 2
 
-// ResidentAmortise is the one constant behind both keep-it-resident
-// decisions: a structure over a relation is built once and kept — the
-// set-difference index on a full relation R, a hash-join build table on a
-// relation the fixpoint does not change — only when the rows re-read so far
+// ResidentAmortise prices the set-difference index on a full relation R: it
+// is built once and kept only when the rows set difference has re-read from R
 // for want of it reach ResidentAmortise times the rows it would hold. It is
 // the ski-rental rule (keep paying per use until the payments equal the
 // purchase price, then buy: never worse than twice the optimum), with the
-// price counted in row reads:
+// price counted in row reads. A GSCHT index costs α ≈ 2 scans to seed and
+// holds about three times the bytes of a binary R, pool-accounted, so it
+// competes with R itself for the memory budget; 32 covers that with a
+// margin.
 //
-//   - a map-backed build table costs about 20 probe-scans of its rows to
-//     construct (bench: exec.join_build_ns_per_tuple ≈ 680 ns against
-//     exec.join_probe_ns_per_tuple ≈ 33 ns on the CSDA input) and then holds
-//     about six times their bytes for as long as it is kept;
-//   - a GSCHT index costs α ≈ 2 scans to seed and holds about three times
-//     the bytes of a binary R, pool-accounted, so it competes with R itself
-//     for the memory budget.
-//
-// 32 covers both with a margin, and it has a second reading: a fixpoint that
-// converges in a few dozen iterations re-reads each relation at most that
-// many times, so it never trades memory for a rescan it would have stopped
-// paying anyway (TC, CSPA, CC: 7–32 iterations, no structure retained),
-// while a thousand-iteration fixpoint over a handful of new tuples (CSDA)
-// crosses the line within its first few percent and runs ∆-proportional
-// from there. Observable from the input, never a flag.
+// The constant has a second reading: a fixpoint that converges in a few
+// dozen iterations re-reads R at most that many times, so it never trades
+// memory for a rescan it would have stopped paying anyway (TC, CSPA, CC:
+// 7–32 iterations, no index retained), while a thousand-iteration fixpoint
+// over a handful of new tuples (CSDA) crosses the line within its first few
+// percent and runs ∆-proportional from there. Observable from the input,
+// never a flag. Join build tables need no such price: a relation the
+// fixpoint never writes is built on and kept from its first join (see
+// quickstep.Database.SetInvariant).
 const ResidentAmortise = 32
 
-// RepaysResident reports whether rescanned rows re-read so far repay keeping
-// a structure over rows rows resident (see ResidentAmortise).
+// RepaysResident reports whether rows rescanned so far repay keeping a
+// set-difference index over rows rows resident (see ResidentAmortise).
 func RepaysResident(rescanned int64, rows int) bool {
 	return rescanned >= ResidentAmortise*int64(max(rows, 1))
 }

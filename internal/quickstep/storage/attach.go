@@ -147,22 +147,45 @@ func (r *Relation) AppendRelationAttaching(other *Relation, key string, a Attach
 }
 
 // DropAttachments releases every attachment, current or not, and returns the
-// pool bytes freed — the first stage of eviction under memory pressure.
+// pool bytes freed: what a relation handed out as a result sheds.
 func (r *Relation) DropAttachments() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.releaseAttachmentsLocked()
 }
 
-// TryDropAttachments is DropAttachments for the memory reclaimer's mid-query
-// path, with TryLock: the reclaimer may be running under an allocation that
-// already holds this relation's mutex, so blocking here would deadlock.
-func (r *Relation) TryDropAttachments() int64 {
+// EvictAttachments releases the attachments that hold pool memory and returns
+// the bytes freed — the first stage of eviction under memory pressure. One on
+// the Go heap (Bytes 0, a cached join build) stays: dropping it gives the
+// budget nothing back and only forces a rebuild.
+func (r *Relation) EvictAttachments() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.evictAttachmentsLocked()
+}
+
+// TryEvictAttachments is EvictAttachments for the memory reclaimer's
+// mid-query path, with TryLock: the reclaimer may be running under an
+// allocation that already holds this relation's mutex, so blocking here would
+// deadlock.
+func (r *Relation) TryEvictAttachments() int64 {
 	if !r.mu.TryLock() {
 		return 0
 	}
 	defer r.mu.Unlock()
-	return r.releaseAttachmentsLocked()
+	return r.evictAttachmentsLocked()
+}
+
+func (r *Relation) evictAttachmentsLocked() int64 {
+	var bytes int64
+	for key, e := range r.atts {
+		if b := e.a.Bytes(); b > 0 {
+			bytes += b
+			delete(r.atts, key)
+			e.a.Release()
+		}
+	}
+	return bytes
 }
 
 // sweepAttachmentsLocked releases the attachments gone stale since they were

@@ -176,7 +176,7 @@ func TestAppendRelationAttaching(t *testing.T) {
 		if _, ok := r.Attachment("idx"); ok {
 			t.Fatal("a taken attachment is still reachable")
 		}
-		if got := r.TryDropAttachments(); i == 0 && (got != 1 || other.released != 1) {
+		if got := r.TryEvictAttachments(); i == 0 && (got != 1 || other.released != 1) {
 			t.Fatalf("reclaimer freed %d bytes, want only the attachment still attached (1)", got)
 		}
 		v := r.Version()
@@ -212,12 +212,23 @@ func TestAppendRelationAttaching(t *testing.T) {
 	}
 }
 
+// Eviction releases only what gives the budget bytes back; a heap-backed
+// attachment stays until the relation drops everything.
 func TestDropAttachments(t *testing.T) {
 	r := fillRelation(nil, "r", 10, 1)
 	a := &fakeAttachment{bytes: 64}
+	heap := &fakeAttachment{}
 	r.Attach("a", a, r.Version())
-	if got := r.DropAttachments(); got != 64 || a.released != 1 {
-		t.Fatalf("DropAttachments freed %d bytes, released %d times; want 64, once", got, a.released)
+	r.Attach("heap", heap, r.Version())
+	if got := r.EvictAttachments(); got != 64 || a.released != 1 || heap.released != 0 {
+		t.Fatalf("EvictAttachments freed %d bytes, released the pool one %d and the heap one %d times; want 64, once, never",
+			got, a.released, heap.released)
+	}
+	if _, ok := r.Attachment("heap"); !ok {
+		t.Fatal("eviction dropped a heap-backed attachment")
+	}
+	if got := r.DropAttachments(); got != 0 || heap.released != 1 {
+		t.Fatalf("DropAttachments freed %d bytes, released the heap one %d times; want 0, once", got, heap.released)
 	}
 	if r.DropAttachments() != 0 {
 		t.Fatal("second drop found something")

@@ -9,6 +9,8 @@ import (
 	"recstep/internal/baselines/native"
 	"recstep/internal/core"
 	"recstep/internal/faultinject"
+	"recstep/internal/graphs"
+	"recstep/internal/pa"
 	"recstep/internal/programs"
 	"recstep/internal/quickstep"
 	"recstep/internal/quickstep/exec"
@@ -144,11 +146,67 @@ func TestCSDAWorkIsDeltaProportionalAtEveryWorkerCount(t *testing.T) {
 	}
 }
 
+// A join of ∆ with a relation the fixpoint never writes builds that relation
+// once and probes it with ∆ every iteration, so the rows all joins probe add
+// up to at most the ∆ rows the run produced plus the EDB rows read once —
+// where building the smaller side each iteration probed all of arc every
+// iteration. Counted on a cc instance (recursive MIN over an undirected
+// R-MAT graph) and a csda instance at one and two workers; the derived
+// tuples are the baselines/native ones.
+func TestInvariantProbesAreDeltaProportional(t *testing.T) {
+	cases := []struct {
+		program string
+		edbs    func() map[string]*storage.Relation
+		pred    string
+		want    func(edbs map[string]*storage.Relation) *storage.Relation
+	}{
+		{"cc", func() map[string]*storage.Relation {
+			return map[string]*storage.Relation{"arc": graphs.Undirected(graphs.RMAT(4096, 16384, 5))}
+		}, "cc2", func(edbs map[string]*storage.Relation) *storage.Relation { return native.CC(edbs["arc"], 2) }},
+		{"csda", func() map[string]*storage.Relation { return pa.CSDASized(8, 150, 4, 3) },
+			"null", func(edbs map[string]*storage.Relation) *storage.Relation { return native.CSDA(edbs, 2) }},
+	}
+	for _, c := range cases {
+		prog, err := programs.Get(c.program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			edbs := c.edbs()
+			var edbRows int64
+			for _, r := range edbs {
+				edbRows += int64(r.NumTuples())
+			}
+			want := c.want(edbs).SortedRows()
+			opts := core.DefaultOptions()
+			opts.Workers = workers
+			res, err := core.New(opts).Run(prog, edbs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := res.Stats
+			if !reflect.DeepEqual(res.Relations[c.pred].SortedRows(), want) {
+				t.Fatalf("%s W=%d: %s differs from the baselines/native result", c.program, workers, c.pred)
+			}
+			if s.CachedBuildHits == 0 {
+				t.Fatalf("%s W=%d: no join probed a cached build over %d iterations", c.program, workers, s.Iterations)
+			}
+			if bound := s.DeltaTuples + edbRows; s.JoinProbeRows > bound {
+				t.Fatalf("%s W=%d: joins probed %d rows, want at most Σ|∆| + the EDB rows = %d + %d",
+					c.program, workers, s.JoinProbeRows, s.DeltaTuples, edbRows)
+			}
+			t.Logf("%s W=%d: %d iterations, %d rows probed, Σ|∆| %d, EDB rows %d, %d cached-build hits",
+				c.program, workers, s.Iterations, s.JoinProbeRows, s.DeltaTuples, edbRows, s.CachedBuildHits)
+		}
+	}
+}
+
 // The other side of the selection: a fixpoint that converges within
-// optimizer.ResidentAmortise iterations re-reads no relation often enough to
-// repay a resident structure, so it keeps none — no index bytes on the pool
-// peak, no build table over a large base relation on the heap — and runs the
-// per-iteration tables exactly as before.
+// optimizer.ResidentAmortise iterations re-reads R too rarely to repay a
+// set-difference index, so it keeps none — no index bytes on the pool peak —
+// and runs the per-iteration tables exactly as before. Its joins over the
+// EDBs, which the fixpoint never writes, are another matter: those build once
+// and every later iteration probes the kept table.
 func TestShortFixpointsKeepNothingResident(t *testing.T) {
 	for _, name := range []string{"tc", "cc", "cspa"} {
 		prog, err := programs.Get(name)
@@ -165,9 +223,12 @@ func TestShortFixpointsKeepNothingResident(t *testing.T) {
 		if s.Iterations >= 32 {
 			t.Fatalf("%s: %d iterations; the instance is not a short fixpoint", name, s.Iterations)
 		}
-		if s.ResidentIndexReseeds+s.ResidentIndexHits+s.CachedBuildHits != 0 || s.Mem.IndexBytes != 0 {
-			t.Fatalf("%s (%d iterations): reseeds=%d hits=%d cachedBuildHits=%d indexBytes=%d, want nothing kept",
-				name, s.Iterations, s.ResidentIndexReseeds, s.ResidentIndexHits, s.CachedBuildHits, s.Mem.IndexBytes)
+		if s.ResidentIndexReseeds+s.ResidentIndexHits != 0 || s.Mem.IndexBytes != 0 {
+			t.Fatalf("%s (%d iterations): reseeds=%d hits=%d indexBytes=%d, want no index kept",
+				name, s.Iterations, s.ResidentIndexReseeds, s.ResidentIndexHits, s.Mem.IndexBytes)
+		}
+		if s.CachedBuildHits == 0 {
+			t.Fatalf("%s (%d iterations): no join probed a cached build over an EDB", name, s.Iterations)
 		}
 	}
 }
@@ -397,10 +458,12 @@ w(s,y) :- w(s,x), hop(x,y).
 // A cached build table holds its own copy of the build rows, so the memory
 // reclaimer may spill the build relation's partitions while probes run
 // through the table. hop is a lower stratum: invariant while tc iterates, so
-// tc's join keeps a build table on it, and, never read once that table
-// exists, the coldest relation under a budget — the first one spilled. At
-// every budget tc is the unbudgeted result and the baselines/native closure,
-// and the tight budgets run steps that both probe a cached build and spill.
+// tc's join keeps a build table on it from its first iteration, and, never
+// read once that table exists, the coldest relation under a budget — the
+// first one spilled. At every budget tc is the unbudgeted result and the
+// baselines/native closure, the tight budgets run steps that both probe a
+// cached build and spill, and at the tightest the probes keep hitting the
+// table after the first spill: reclaiming pool memory never drops it.
 func TestCachedBuildProbesSurviveSpillOfTheirRelation(t *testing.T) {
 	prog := programs.MustParse(`
 hop(x,y) :- arc(x,y).
@@ -419,9 +482,10 @@ tc(x,y) :- tc(x,z), hop(z,y).
 		r.AppendRows(a)
 		return r
 	}
-	// run returns the result and the steps that were served by a cached
-	// build and spilled.
-	run := func(budget int64) (*core.Result, int) {
+	// run returns the result, the steps that were served by a cached build
+	// and spilled, and the cached-build hits of the steps after the first
+	// one that spilled.
+	run := func(budget int64) (*core.Result, int, int64) {
 		t.Helper()
 		opts := core.DefaultOptions()
 		opts.Workers = 2
@@ -430,9 +494,12 @@ tc(x,y) :- tc(x,z), hop(z,y).
 		if budget > 0 {
 			opts.SpillDir = t.TempDir()
 		}
-		var spills int64
+		var spills, hitsAfter int64
 		both := 0
 		opts.IterHook = func(ii core.IterInfo) {
+			if spills > 0 {
+				hitsAfter += ii.Copy.CachedBuildHits
+			}
 			if ii.Copy.CachedBuildHits > 0 && ii.Mem.Spills > spills {
 				both++
 			}
@@ -442,9 +509,9 @@ tc(x,y) :- tc(x,z), hop(z,y).
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, both
+		return res, both, hitsAfter
 	}
-	ref, _ := run(0)
+	ref, _, _ := run(0)
 	want := ref.Relations["tc"].SortedRows()
 	if !reflect.DeepEqual(want, native.TC(arc(), 1).SortedRows()) {
 		t.Fatal("unbudgeted tc differs from the baselines/native closure")
@@ -454,12 +521,18 @@ tc(x,y) :- tc(x,z), hop(z,y).
 	}
 	both := 0
 	for _, pct := range []int64{60, 40, 30} {
-		got, n := run(ref.Stats.Mem.PeakLive * pct / 100)
+		got, n, after := run(ref.Stats.Mem.PeakLive * pct / 100)
 		if !reflect.DeepEqual(got.Relations["tc"].SortedRows(), want) {
 			t.Errorf("budget at %d%% of the unbudgeted peak: tc differs from the unbudgeted result", pct)
 		}
+		t.Logf("budget at %d%%: %d cached-build hits (%d unbudgeted), %d after the first spill", pct, got.Stats.CachedBuildHits, ref.Stats.CachedBuildHits, after)
 		if got.Stats.CachedBuildHits == 0 {
 			t.Errorf("budget at %d%%: no cached-build hits", pct)
+		}
+		// The table holds no pool bytes, so reclaiming memory never drops
+		// it: the probes keep hitting it after the relation has spilled.
+		if pct == 30 && after == 0 {
+			t.Errorf("budget at %d%%: the cached-build hits stopped at the first spill", pct)
 		}
 		both += n
 	}
@@ -474,8 +547,8 @@ func hasCachedBuild(r *storage.Relation, keys []int) bool {
 }
 
 // Eviction order under a memory budget, one stage per over-budget epoch:
-// attachments (the resident index, the cached join build) go before any
-// partition spills.
+// pool-backed attachments (the resident index) go before any partition
+// spills, and a cached join build, on the Go heap, is not evicted at all.
 func TestAttachmentsEvictBeforeSecondaryBeforeSpill(t *testing.T) {
 	rows := make([]int32, 0, 2*60000)
 	for i := int32(0); i < 60000; i++ {
@@ -577,21 +650,30 @@ func TestAttachmentsEvictBeforeSecondaryBeforeSpill(t *testing.T) {
 		t.Fatalf("stage 1: live %d against budget %d, cached build kept=%v", snap.LiveTotal, budget, hasCachedBuild(f.e, []int{0}))
 	}
 
-	// Stage 2: nothing pool-resident is redundant any more. The epoch sheds
-	// what is left of the attachments — the cached build — and only then
-	// spills partitions.
+	// Stage 2: nothing pool-resident is redundant any more, so the epoch
+	// spills partitions. The cached build stays: it holds no pool bytes, so
+	// dropping it would give the budget nothing and only force a rebuild.
 	x2 := push("x2", budget-snap.LiveTotal+slack)
 	f.db.EndIteration()
 	snap = f.db.MemSnapshot()
-	if hasCachedBuild(f.e, []int{0}) {
-		t.Fatal("stage 2: cached build survived an epoch that spilled")
+	if !hasCachedBuild(f.e, []int{0}) {
+		t.Fatal("stage 2: the epoch dropped a cached build, which frees no pool byte")
 	}
 	if snap.AttachmentDrops != 1 {
-		t.Fatalf("stage 2: %d attachment drops, want 1: shedding a heap-only build table gives the pool nothing back and is not one", snap.AttachmentDrops)
+		t.Fatalf("stage 2: %d attachment drops, want 1 (stage 1's index)", snap.AttachmentDrops)
 	}
 	if snap.Spills == 0 {
 		t.Fatal("stage 2: over budget with nothing redundant left, but nothing spilled")
 	}
+	hits := f.db.CopySnapshot().CachedBuildHits
+	probe := storage.NewRelation("p", storage.NumberedColumns(2))
+	probe.AppendRows(rows[:20])
+	out := exec.HashJoin(f.db.Pool(), probe, f.e, joinSpec)
+	if f.db.CopySnapshot().CachedBuildHits != hits+1 || out.NumTuples() != 10 {
+		t.Fatalf("stage 2: the kept build served %d joins and %d rows, want 1 and 10",
+			f.db.CopySnapshot().CachedBuildHits-hits, out.NumTuples())
+	}
+	out.Release()
 	if !reflect.DeepEqual(f.r.SortedRows(), want) {
 		t.Fatal("relation contents diverged across eviction")
 	}
