@@ -730,6 +730,10 @@ func (db *Database) runBranch(br *plan.Branch, name string, hint OutputHint) (*s
 	for i, g := range br.GroupBy {
 		groupBy[i] = ord.ColMap[g]
 	}
+	aggs := make([]exec.AggSpec, len(br.Aggs))
+	for i, a := range br.Aggs {
+		aggs[i] = exec.AggSpec{Func: a.Func, Arg: expr.Remap(a.Arg, remap)}
+	}
 	totalWidth := 0
 	for _, a := range br.Arities {
 		totalWidth += a
@@ -741,16 +745,11 @@ func (db *Database) runBranch(br *plan.Branch, name string, hint OutputHint) (*s
 	// The select list fuses into the last join when nothing follows it,
 	// avoiding one full materialization of the combined rows.
 	fuseFinal := len(ord.Steps) > 0 && len(br.AntiJoins) == 0 && len(br.Aggs) == 0
-	// Grouped aggregation fed by a join gets the fused scatter too: the
-	// last join emits its (identity-projected) output pre-partitioned on
-	// the GROUP BY columns, so the partitioned aggregation consumes the
-	// carried partitions with zero re-scatter — the same
-	// carry-don't-rebuild rule the delta pipeline follows. The fan-out is
-	// fixed here, before the output exists, from the larger input's
-	// cardinality (an equality join's output is probe-sized in the
-	// delta-rule shapes that matter).
-	var aggPart *storage.Partitioning
-	fuseAgg := len(ord.Steps) > 0 && len(br.AntiJoins) == 0 &&
+	// A grouped aggregate fed by a join runs inside the last join: the join
+	// projects the group columns and the aggregate arguments, folds every
+	// match into its worker's aggregate tables and returns the groups, so the
+	// join's output is never materialized.
+	joinAgg := len(ord.Steps) > 0 && len(br.AntiJoins) == 0 &&
 		len(br.Aggs) > 0 && len(br.GroupBy) > 0
 	earlyExit := false
 	for step := 0; step < len(ord.Steps); step++ {
@@ -776,9 +775,20 @@ func (db *Database) runBranch(br *plan.Branch, name string, hint OutputHint) (*s
 			earlyExit = true
 			break
 		}
-		stepProjs := identityProjs(width + br.Arities[js.Right])
-		if fuseFinal && step == len(ord.Steps)-1 {
+		last := step == len(ord.Steps)-1
+		var stepProjs []expr.Expr
+		var stepAgg *exec.GroupAgg
+		switch {
+		case fuseFinal && last:
 			stepProjs = projs
+		case joinAgg && last:
+			// The aggregate's split count is fixed here, before any match
+			// exists, from the larger input's cardinality (an equality join's
+			// output is probe-sized in the delta-rule shapes that matter).
+			parts := db.partitionsFor(max(cur.NumTuples(), right.NumTuples()))
+			stepProjs, stepAgg = joinAggSpec(groupBy, aggs, parts)
+		default:
+			stepProjs = identityProjs(width + br.Arities[js.Right])
 		}
 		// Only step 0's left side can be a base relation (later steps join an
 		// accumulated intermediate), and a pre-filtered input is a transient
@@ -794,6 +804,7 @@ func (db *Database) runBranch(br *plan.Branch, name string, hint OutputHint) (*s
 			Residual:   js.Residual,
 			Projs:      stepProjs,
 			OutName:    fmt.Sprintf("%s_j%d", name, step),
+			Agg:        stepAgg,
 		}
 		// Join-key-carried fast path: when the build side already carries a
 		// partitioning on exactly the join keys (∆R exiting the fused delta
@@ -804,25 +815,15 @@ func (db *Database) runBranch(br *plan.Branch, name string, hint OutputHint) (*s
 		} else {
 			spec.Partitions = db.carriedBuildParts(right, js.RightKeys, spec.Partitions)
 		}
-		if fuseFinal && step == len(ord.Steps)-1 {
+		if fuseFinal && last {
 			// Fused scatter: the probe emits the branch output directly into
 			// the partitions the delta step consumes — and, told the consumer
 			// dedups, need not emit what it has just emitted.
 			spec.OutPartitioning = part
 			spec.OutSet = hint.Set
 		}
-		if fuseAgg && step == len(ord.Steps)-1 {
-			est := cur.NumTuples()
-			if rt := right.NumTuples(); rt > est {
-				est = rt
-			}
-			if p := db.partitionsFor(est); p > 1 {
-				aggPart = &storage.Partitioning{KeyCols: groupBy, Parts: p}
-				spec.OutPartitioning = aggPart
-			}
-		}
 		next := exec.HashJoin(db.pool, cur, right, spec)
-		if !(fuseFinal && step == len(ord.Steps)-1) {
+		if !(fuseFinal && last) {
 			db.notePeak(next.NumTuples())
 		}
 		if curOwned {
@@ -868,22 +869,12 @@ func (db *Database) runBranch(br *plan.Branch, name string, hint OutputHint) (*s
 	}
 
 	if len(br.Aggs) > 0 {
-		aggParts := db.partitionsFor(cur.NumTuples())
-		if aggPart != nil {
-			// The join output carries the group-by partitioning; aggregate
-			// at exactly that fan-out so the carried view serves the pass.
-			aggParts = aggPart.Parts
-		}
-		aggs := make([]exec.AggSpec, len(br.Aggs))
-		for i, a := range br.Aggs {
-			aggs[i] = a
-			if a.Arg != nil {
-				aggs[i].Arg = expr.Remap(a.Arg, remap)
+		agg := cur
+		if !joinAgg || earlyExit {
+			agg = exec.HashAggregatePartitioned(db.pool, cur, groupBy, aggs, db.partitionsFor(cur.NumTuples()), name+"_agg", nil)
+			if curOwned {
+				cur.Release()
 			}
-		}
-		agg := exec.HashAggregatePartitioned(db.pool, cur, groupBy, aggs, aggParts, name+"_agg", nil)
-		if curOwned {
-			cur.Release()
 		}
 		// Reorder to the select-list order.
 		sel := make([]expr.Expr, len(br.SelectOrder))
@@ -903,6 +894,24 @@ func (db *Database) runBranch(br *plan.Branch, name string, hint OutputHint) (*s
 		cur.Release()
 	}
 	return out, nil
+}
+
+// joinAggSpec lays out a join-fed aggregate over the combined row: the join
+// projects the group columns, then the aggregate arguments, and aggregates
+// that row — grouped on its leading columns, each aggregate reading its own
+// argument column — in parts splits.
+func joinAggSpec(groupBy []int, aggs []exec.AggSpec, parts int) ([]expr.Expr, *exec.GroupAgg) {
+	projs := make([]expr.Expr, 0, len(groupBy)+len(aggs))
+	agg := &exec.GroupAgg{GroupBy: make([]int, len(groupBy)), Aggs: make([]exec.AggSpec, len(aggs)), Parts: parts}
+	for i, g := range groupBy {
+		projs = append(projs, expr.Col{Index: g})
+		agg.GroupBy[i] = i
+	}
+	for j, a := range aggs {
+		projs = append(projs, a.Arg)
+		agg.Aggs[j] = exec.AggSpec{Func: a.Func, Arg: expr.Col{Index: len(groupBy) + j}}
+	}
+	return projs, agg
 }
 
 // runBranchWCOJ evaluates a cyclic branch with the leapfrog worst-case-

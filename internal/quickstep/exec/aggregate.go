@@ -142,27 +142,30 @@ func (t *aggTable) group(row []int32) []int64 {
 	return t.states[g*w : g*w+w : g*w+w]
 }
 
-// fold accumulates every row of blocks. The scan walks each block's flat
-// data directly in arity-strided chunks.
+// fold accumulates every row of blocks.
 func (t *aggTable) fold(blocks []*storage.Block) {
 	for _, b := range blocks {
-		arity := b.Arity()
-		data := b.Data()
-		for off := 0; off < len(data); off += arity {
-			row := data[off : off+arity : off+arity]
-			st := t.group(row)
-			for j, a := range t.aggs {
-				var v int32
-				if c := t.argCols[j]; c >= 0 {
-					v = row[c]
-				} else {
-					v = a.Arg.Eval(row)
-				}
-				a.Func.add(st[t.offs[j]:], v)
-			}
-		}
-		t.folded += int64(b.Rows())
+		t.foldRows(b.Data(), b.Arity())
 	}
+}
+
+// foldRows accumulates a row-major run of arity-wide rows — a block's data or
+// a join's output window — walking it in arity-strided chunks.
+func (t *aggTable) foldRows(data []int32, arity int) {
+	for off := 0; off < len(data); off += arity {
+		row := data[off : off+arity : off+arity]
+		st := t.group(row)
+		for j, a := range t.aggs {
+			var v int32
+			if c := t.argCols[j]; c >= 0 {
+				v = row[c]
+			} else {
+				v = a.Arg.Eval(row)
+			}
+			a.Func.add(st[t.offs[j]:], v)
+		}
+	}
+	t.folded += int64(len(data) / arity)
 }
 
 // absorb merges another table's groups into t, table to table.
@@ -227,8 +230,18 @@ func HashAggregate(pool *Pool, in *storage.Relation, groupBy []int, aggs []AggSp
 		}
 	})
 
+	col := newCollector(pool, storage.CatIntermediate, len(groupBy)+len(aggs), 1)
+	mergeSplit(pool, partials, 1, 0, col)
+	return col.into(outName, outCols)
+}
+
+// mergeSplit merges split p of per-worker tables — tables[w*parts+p], nil
+// where worker w folded nothing into it — table to table into the first one
+// present, and emits its groups into sink p of col.
+func mergeSplit(pool *Pool, tables []*aggTable, parts, p int, col *collector) {
 	var merged *aggTable
-	for _, local := range partials {
+	for i := p; i < len(tables); i += parts {
+		local := tables[i]
 		if local == nil {
 			continue
 		}
@@ -239,12 +252,85 @@ func HashAggregate(pool *Pool, in *storage.Relation, groupBy []int, aggs []AggSp
 			merged.absorb(local)
 		}
 	}
-	col := newCollector(pool, storage.CatIntermediate, len(groupBy)+len(aggs), 1)
 	if merged != nil {
 		pool.Copy.AggGroupsOut.Add(int64(merged.groups.Len()))
-		merged.emit(col.sinkBulk(0))
+		merged.emit(col.sinkBulk(p))
 	}
-	return col.into(outName, outCols)
+}
+
+// GroupAgg is the aggregate of a join-fed aggregate (JoinSpec.Agg). The join
+// returns what HashAggregate over its output would — the GroupBy columns of
+// an output row, then one column per aggregate, whose Arg reads that row —
+// by folding its matches, where the probe produces them, into aggregate
+// tables owned by its worker (see joinAgg); so the join's Projs need carry
+// only the group columns and the arguments. Parts splits every worker's
+// tables by group hash; the groups of one split are merged and emitted by
+// one task.
+type GroupAgg struct {
+	GroupBy []int
+	Aggs    []AggSpec
+	Parts   int
+}
+
+// joinAgg is the aggregate half of a join-fed aggregate (JoinSpec.Agg): each
+// worker folds the join's output windows where the probe produces them into
+// its own tables, split by group hash into parts, and at the end split p of
+// every worker's tables is merged by one task and emitted into sink p. The
+// join output is never written anywhere, and no group is scattered: the
+// split a row folds into already is the one its group is emitted from.
+type joinAgg struct {
+	*GroupAgg
+	parts  int
+	tables []*aggTable // tables[worker*parts+p], made on first use
+}
+
+// width is the number of output columns: the group columns, then one per
+// aggregate.
+func (g *GroupAgg) width() int { return len(g.GroupBy) + len(g.Aggs) }
+
+// splits is the number of splits the tables take: a global aggregate has
+// one group, so one split.
+func (g *GroupAgg) splits() int {
+	if len(g.GroupBy) == 0 {
+		return 1
+	}
+	return storage.NormalizePartitions(g.Parts)
+}
+
+func newJoinAgg(g *GroupAgg, workers int) *joinAgg {
+	parts := g.splits()
+	return &joinAgg{GroupAgg: g, parts: parts, tables: make([]*aggTable, workers*parts)}
+}
+
+// table returns worker's table of split p.
+func (a *joinAgg) table(worker, p int) *aggTable {
+	i := worker*a.parts + p
+	if a.tables[i] == nil {
+		a.tables[i] = newAggTable(a.GroupBy, a.Aggs)
+	}
+	return a.tables[i]
+}
+
+// fold folds a window of width-wide output rows into worker's tables; with
+// more than one split, hash is scratch for the rows' group hashes.
+func (a *joinAgg) fold(worker int, rows []int32, width int, hash []uint64) {
+	if a.parts == 1 {
+		a.table(worker, 0).foldRows(rows, width)
+		return
+	}
+	kernels.HashRows(rows, width, a.GroupBy, hash)
+	for i, h := range hash[:len(rows)/width] {
+		a.table(worker, storage.PartitionOf(h, a.parts)).foldRows(rows[i*width:(i+1)*width], width)
+	}
+}
+
+// merge merges and emits every split, one task a split, into col, whose sink
+// p receives split p.
+func (a *joinAgg) merge(pool *Pool, col *collector) {
+	pool.RunPartitions(a.parts, func(p int) {
+		defer pool.phase(obs.PhaseAggregate, p)()
+		mergeSplit(pool, a.tables, a.parts, p, col)
+	})
 }
 
 // HashAggregatePartitioned is HashAggregate over parts radix partitions of

@@ -47,7 +47,15 @@ type JoinSpec struct {
 	// duplicates before anything else reads the rows — so the join may drop a
 	// row equal to one this call has already emitted (see dupfilter.go). It
 	// need not: the mark permits, the join decides from what it observes.
+	// A join-fed aggregate ignores it: COUNT and SUM must see the whole bag.
 	OutSet bool
+	// Agg, when set, makes the join a join-fed aggregate: it returns the
+	// groups of Agg over its output rows and never materializes the join. It
+	// is a pointer to keep JoinSpec narrow: the spec is copied by value down
+	// the join's calls, and a query's branch goroutine whose frames outgrow
+	// its stack copies the stack once per query, which a fixpoint of few-row
+	// iterations pays every iteration.
+	Agg *GroupAgg
 }
 
 // buildTable indexes (a partition of) the build side of a join: the non-key
@@ -205,7 +213,7 @@ func BuildCacheKey(keys []int) string {
 // blocks.
 func joinBuild(pool *Pool, build *storage.Relation, keys []int, spec JoinSpec) *joinTable {
 	if !spec.CacheBuild {
-		return buildJoinTable(pool, build, keys, spec.Partitions)
+		return buildJoinTable(pool, build, keys, payloadCols(build.Arity(), keys), spec.Partitions)
 	}
 	key := BuildCacheKey(keys)
 	if a, ok := build.Attachment(key); ok {
@@ -213,12 +221,14 @@ func joinBuild(pool *Pool, build *storage.Relation, keys []int, spec JoinSpec) *
 		return a.(*joinTable)
 	}
 	v := build.Version() // before the build snapshots the blocks
-	jt := buildJoinTable(pool, build, keys, spec.Partitions)
+	jt := buildJoinTable(pool, build, keys, payloadCols(build.Arity(), keys), spec.Partitions)
 	build.Attach(key, jt, v)
 	return jt
 }
 
-// buildJoinTable constructs the build side of a join. With parts <= 1 it is
+// buildJoinTable constructs the build side of a join, storing the payload
+// columns of each row (payloadCols for a join, none for an anti join, which
+// only asks whether a key is there). With parts <= 1 it is
 // one table over the whole relation, mirroring QuickStep's shared join hash
 // table (the scaling limiter the paper identifies past the physical core
 // count). With parts > 1 the relation is radix-partitioned on the key
@@ -230,10 +240,9 @@ func joinBuild(pool *Pool, build *storage.Relation, keys []int, spec JoinSpec) *
 // record which of the two regimes each build hit. Per-partition builds run
 // partition-affine, so across iterations the same worker re-builds over the
 // same partition's blocks.
-func buildJoinTable(pool *Pool, r *storage.Relation, keys []int, parts int) *joinTable {
+func buildJoinTable(pool *Pool, r *storage.Relation, keys, payload []int, parts int) *joinTable {
 	parts = storage.NormalizePartitions(parts)
 	arity := r.Arity()
-	payload := payloadCols(arity, keys)
 	if parts <= 1 {
 		defer pool.phase(obs.PhaseBuild, -1)()
 		jt := &joinTable{parts: 1}
@@ -256,8 +265,8 @@ func buildJoinTable(pool *Pool, r *storage.Relation, keys []int, parts int) *joi
 	return jt
 }
 
-// HashJoin executes one equi-join. With no key columns it degrades to a
-// (filtered) cross product.
+// HashJoin executes one equi-join, or with spec.Agg a join-fed aggregate.
+// With no key columns it degrades to a (filtered) cross product.
 func HashJoin(pool *Pool, left, right *storage.Relation, spec JoinSpec) *storage.Relation {
 	if len(spec.LeftKeys) != len(spec.RightKeys) {
 		panic(fmt.Sprintf("exec: join key arity mismatch %d vs %d", len(spec.LeftKeys), len(spec.RightKeys)))
@@ -283,9 +292,15 @@ func HashJoin(pool *Pool, left, right *storage.Relation, spec JoinSpec) *storage
 
 	blocks := probe.Blocks()
 	pool.Copy.JoinProbeRows.Add(int64(probe.NumTuples()))
-	// One sink per worker: the probe hands them out by worker slot, and its
-	// tasks may be more than the probe's blocks (a carried view's blocks).
-	col := outCollector(pool, spec.OutPartitioning, len(spec.Projs), pool.Workers())
+	var col *collector
+	if spec.Agg != nil {
+		// One sink per group-hash split: the merge emits split p into sink p.
+		col = newCollector(pool, storage.CatIntermediate, spec.Agg.width(), spec.Agg.splits())
+	} else {
+		// One sink per worker: the probe hands them out by worker slot, and
+		// its tasks may be more than the probe's blocks (a carried view's).
+		col = outCollector(pool, spec.OutPartitioning, len(spec.Projs), pool.Workers())
+	}
 	endProbe := pool.phase(obs.PhaseProbe, -1)
 	jo := newJoinOutput(pool, col, spec, la)
 	if view := jo.probeView(probe); view != nil {
@@ -296,13 +311,18 @@ func HashJoin(pool *Pool, left, right *storage.Relation, spec JoinSpec) *storage
 			jo.probeBlock(&jo.workers[worker], jt, blocks[t], probeKeys)
 		})
 	}
-	jo.finish()
+	agg := jo.finish()
 	endProbe()
+	if agg != nil && !pool.Aborted() {
+		agg.merge(pool, col)
+	}
 	return col.into(spec.OutName, spec.OutCols)
 }
 
 // crossJoin computes the filtered Cartesian product, parallel over left
-// blocks. Needed for rules like ntc(x,y) :- node(x), node(y), ¬tc(x,y).
+// blocks. Needed for rules like ntc(x,y) :- node(x), node(y), ¬tc(x,y). A
+// join-fed aggregate over one (cnt(x, COUNT(y)) :- a(x), b(y)) aggregates the
+// materialized product.
 func crossJoin(pool *Pool, left, right *storage.Relation, spec JoinSpec) *storage.Relation {
 	la, ra := left.Arity(), right.Arity()
 	rightRows := right.Rows()
@@ -327,7 +347,13 @@ func crossJoin(pool *Pool, left, right *storage.Relation, spec JoinSpec) *storag
 			}
 		}
 	})
-	return col.into(spec.OutName, spec.OutCols)
+	out := col.into(spec.OutName, spec.OutCols)
+	if a := spec.Agg; a != nil {
+		agg := HashAggregatePartitioned(pool, out, a.GroupBy, a.Aggs, a.Parts, spec.OutName, spec.OutCols)
+		out.Release()
+		return agg
+	}
+	return out
 }
 
 // AntiJoin emits the projection of each left row with no right match on the
@@ -338,7 +364,7 @@ func AntiJoin(pool *Pool, left, right *storage.Relation, leftKeys, rightKeys []i
 	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
 		panic("exec: anti join requires matching non-empty key lists")
 	}
-	jt := buildJoinTable(pool, right, rightKeys, parts)
+	jt := antiJoinTable(pool, right, rightKeys, parts)
 	blocks := left.Blocks()
 	col := newCollector(pool, storage.CatIntermediate, len(projs), len(blocks))
 	endProbe := pool.phase(obs.PhaseProbe, -1)
@@ -367,4 +393,11 @@ func AntiJoin(pool *Pool, left, right *storage.Relation, leftKeys, rightKeys []i
 	})
 	endProbe()
 	return col.into(outName, outCols)
+}
+
+// antiJoinTable builds an anti join's right side keys-only: the probe asks
+// only whether a key is there, so no row's columns are copied and the table
+// is placed in one pass, as an all-key build's is.
+func antiJoinTable(pool *Pool, right *storage.Relation, keys []int, parts int) *joinTable {
+	return buildJoinTable(pool, right, keys, nil, parts)
 }

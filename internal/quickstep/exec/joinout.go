@@ -24,6 +24,10 @@ import (
 // writes the combined-row columns those read instead, and one pass over the
 // window (eval) tests the residual and evaluates the projections before the
 // filter and the flush.
+//
+// A join-fed aggregate (JoinSpec.Agg) folds each window into its worker's
+// aggregate tables in place of the write to the collector (see joinAgg); its
+// window holds the group columns and the aggregate arguments only.
 
 // colSrc says where one output column comes from.
 type colSrc struct {
@@ -57,6 +61,10 @@ type joinOutput struct {
 	// window then holds rows of one partition, its p, and is written there
 	// whole.
 	inPlace bool
+	// agg, for a join-fed aggregate, holds the workers' aggregate tables:
+	// flush folds the window into them, and col receives the merged groups.
+	// It hangs here, not off joinWorker, which fills its cache lines exactly.
+	agg     *joinAgg
 	workers []joinWorker
 }
 
@@ -67,9 +75,9 @@ type joinOutput struct {
 type joinWorker struct {
 	// probe is the scratch of the probe half (the window's partition hashes)
 	// and lends its otherwise idle scat to the window; out is the scratch of
-	// the partitioned flush, which needs a buffer of its own because it too
-	// uses buf.hash and a window can flush in the middle of a probed one. A
-	// flat output never takes it.
+	// the partitioned flush and of a split aggregate's fold, which need a
+	// buffer of their own because they too use buf.hash and a window can
+	// flush in the middle of a probed one. A flat output never takes it.
 	probe, out *batchBuf
 	win        []int32
 	n          int // rows in the window
@@ -127,7 +135,7 @@ func newJoinOutput(pool *Pool, col *collector, spec JoinSpec, la int) *joinOutpu
 		col:      col,
 		width:    width,
 		stride:   width,
-		filter:   spec.OutSet && width <= dupFilterWidth,
+		filter:   spec.OutSet && spec.Agg == nil && width <= dupFilterWidth,
 		activate: int(dupFilterActivate.Load()),
 		minHits:  int(dupFilterMinHits.Load()),
 		workers:  workers[:pool.Workers()],
@@ -159,6 +167,9 @@ func newJoinOutput(pool *Pool, col *collector, spec JoinSpec, la int) *joinOutpu
 	// finish left every slot empty.
 	for i := range jo.workers {
 		jo.workers[i].flat = bulkSink{c: col, slot: i}
+	}
+	if spec.Agg != nil {
+		jo.agg = newJoinAgg(spec.Agg, len(jo.workers))
 	}
 	return jo
 }
@@ -521,13 +532,23 @@ func (jo *joinOutput) filterWindow(w *joinWorker) {
 	}
 }
 
-// flush hands the window's rows to the collector.
+// flush hands the window's rows to the collector, or folds them into the
+// worker's aggregate tables (the flat sink's slot is the worker's).
 func (jo *joinOutput) flush(w *joinWorker) {
 	if w.n == 0 {
 		return
 	}
 	rows := w.win[:w.n*jo.width]
-	if jo.col.part == nil {
+	if jo.agg != nil {
+		var hash []uint64
+		if jo.agg.parts > 1 {
+			if w.out == nil {
+				w.out = getBatchBuf()
+			}
+			hash = w.out.hash
+		}
+		jo.agg.fold(w.flat.slot, rows, jo.width, hash)
+	} else if jo.col.part == nil {
 		w.flat.write(rows)
 	} else {
 		if w.part == nil {
@@ -558,8 +579,9 @@ func (jo *joinOutput) flush(w *joinWorker) {
 // finish runs on the calling goroutine once every worker has returned: the
 // partial windows are filtered and flushed (unless the run is aborting — its
 // output is discarded and a worker may have stopped mid-window), and every
-// worker's scratch, filter and counts go back where they came from.
-func (jo *joinOutput) finish() {
+// worker's scratch, filter and counts go back where they came from. It
+// returns a join-fed aggregate's tables, for the caller to merge.
+func (jo *joinOutput) finish() *joinAgg {
 	aborted := jo.pool.Aborted()
 	var expanded, suppressed, bypassed, inPlace int64
 	for i := range jo.workers {
@@ -588,6 +610,8 @@ func (jo *joinOutput) finish() {
 	c.DupFilterBypassed.Add(bypassed)
 	c.OutputInPlace.Add(inPlace)
 	jo.col.inPlace = inPlace
+	agg := jo.agg
 	*jo = joinOutput{workers: jo.workers}
 	joinOutputs.Put(jo)
+	return agg
 }

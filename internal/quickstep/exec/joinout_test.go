@@ -230,7 +230,7 @@ func bagSize(bag map[[6]int32]int) int {
 // filter forced on, as sets and never with more copies of a tuple than the bag
 // holds. Then, at build fan-out 1 and 16, the shapes random draws miss (see
 // checkJoinShapes), the cases of the payload-only build layout (see
-// checkPayloadLayout) and AntiJoin at 1–6 keys.
+// checkPayloadLayout) and AntiJoin at 1–6 keys over its keys-only table.
 func TestJoinKernelMatchesClosurePath(t *testing.T) {
 	forceDupFilter(t)
 	rng := rand.New(rand.NewSource(7))
@@ -456,7 +456,8 @@ func checkPayloadLayout(t *testing.T, parts int, rng *rand.Rand) {
 }
 
 // checkAntiJoin runs AntiJoin at 1–6 key columns and build fan-out parts
-// against a reference: the left rows whose keys no right row holds.
+// against a reference: the left rows whose keys no right row holds. Its table
+// is keys-only: no right row's columns are copied into it.
 func checkAntiJoin(t *testing.T, parts int, rng *rand.Rand) {
 	t.Helper()
 	for keys := 1; keys <= 6; keys++ {
@@ -492,6 +493,11 @@ func checkAntiJoin(t *testing.T, parts int, rng *rand.Rand) {
 				want[tup]++
 			}
 		})
+		for p, bt := range antiJoinTable(NewPool(4), right, rk, parts).tables {
+			if bt.width != 0 || len(bt.rows) != 0 {
+				t.Fatalf("parts %d, %d keys: anti join table %d holds %d payload columns, %d values", parts, keys, p, bt.width, len(bt.rows))
+			}
+		}
 		got := AntiJoin(NewPool(4), left, right, lk, rk, nil, projs, parts, "anti", nil)
 		if !reflect.DeepEqual(tupleCounts(got), want) {
 			t.Fatalf("parts %d, %d keys: anti join kept %d rows, the reference %d", parts, keys, got.NumTuples(), bagSize(want))

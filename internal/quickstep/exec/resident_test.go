@@ -354,7 +354,7 @@ func TestBuildTableBytesMatchesTheHeap(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		jt := buildJoinTable(pool, r, cols, 1)
+		jt := buildJoinTable(pool, r, cols, payloadCols(arity, cols), 1)
 		runtime.ReadMemStats(&after)
 		runtime.KeepAlive(jt)
 		got, est := int64(after.TotalAlloc-before.TotalAlloc), BuildTableBytes(rows, arity, keys)
