@@ -375,9 +375,8 @@ func runIncremental(ctx context.Context, opts core.Options, prog *ast.Program, e
 				return fmt.Errorf("update %d (%s): %w", applied+1, r, err)
 			}
 			applied++
-			log.Printf("update %d %s: +%d -%d tuples (overdeleted %d, rescued %d, fallback strata %d) in %v",
-				applied, r, us.Inserted, us.Deleted, us.OverDeleted, us.Rescued, us.FallbackStrata,
-				us.Duration.Round(1e4))
+			log.Printf("update %d %s: +%d -%d tuples (strata recomputed: %d) in %v",
+				applied, r, us.Inserted, us.Deleted, us.FallbackStrata, us.Duration.Round(1e4))
 		}
 		ins = map[string][][]int32{}
 		del = map[string][][]int32{}

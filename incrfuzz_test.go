@@ -10,7 +10,9 @@ package recstep
 // pool must report zero live bytes. On divergence the harness shrinks the
 // sequence to a minimal counterexample (dropping whole steps, then individual
 // rows, re-replaying each candidate on a fresh database) and prints the
-// program, seed, partition count, failing step, and minimal delta sequence.
+// program, seed, partition count, worker count, failing step, and minimal
+// delta sequence. Each case draws its worker count (1, 2 or 4) from its seed,
+// so RECSTEP_FUZZ_SEED reproduces that too.
 
 import (
 	"context"
@@ -40,23 +42,30 @@ type deltaStep struct {
 type fuzzCase struct {
 	program string
 	parts   int
+	workers int
 	seed    int64
 	base    map[string][][]int32 // immutable EDB snapshot the sequence starts from
 	arity   map[string]int
 	domain  map[string]int // value range for generated rows, per predicate
 }
 
-func fuzzOptions(parts int) core.Options {
+func (c *fuzzCase) options() core.Options {
 	opts := core.DefaultOptions()
-	opts.Workers = 4
-	opts.Partitions = parts
+	opts.Workers = c.workers
+	opts.Partitions = c.parts
 	return opts
+}
+
+// fuzzWorkers is the worker count a case runs at, drawn from its seed.
+func fuzzWorkers(seed int64) int {
+	return []int{1, 2, 4}[rand.New(rand.NewSource(seed)).Intn(3)]
 }
 
 func newFuzzCase(program string, parts int, seed int64) *fuzzCase {
 	c := &fuzzCase{
 		program: program,
 		parts:   parts,
+		workers: fuzzWorkers(seed),
 		seed:    seed,
 		base:    map[string][][]int32{},
 		arity:   map[string]int{},
@@ -178,7 +187,7 @@ func (c *fuzzCase) genSteps(n int) []deltaStep {
 // scratch evaluates the program from scratch over the mirrored EDB state.
 func (c *fuzzCase) scratch(state map[string][][]int32) (map[string][]int32, error) {
 	prog := programs.MustParse(programs.ByName[c.program])
-	res, err := core.New(fuzzOptions(c.parts)).Run(prog, relsFrom(state, c.arity))
+	res, err := core.New(c.options()).Run(prog, relsFrom(state, c.arity))
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +205,7 @@ func (c *fuzzCase) scratch(state map[string][][]int32) (map[string][]int32, erro
 // (close error or leaked pooled bytes).
 func (c *fuzzCase) replay(steps []deltaStep) (int, string) {
 	prog := programs.MustParse(programs.ByName[c.program])
-	d, err := core.New(fuzzOptions(c.parts)).RunIncremental(context.Background(), prog, relsFrom(c.base, c.arity))
+	d, err := core.New(c.options()).RunIncremental(context.Background(), prog, relsFrom(c.base, c.arity))
 	if err != nil {
 		return 0, "initial fixpoint: " + err.Error()
 	}
@@ -339,8 +348,8 @@ func TestIncrementalDeltaFuzz(t *testing.T) {
 				if minDetail == "" {
 					minAt, minDetail = failAt, detail
 				}
-				t.Fatalf("delta-fuzz counterexample: program=%s parts=%d seed=%d failing step=%d: %s\nminimal sequence:\n%s",
-					name, parts, seed, minAt, minDetail, formatSteps(min))
+				t.Fatalf("delta-fuzz counterexample: program=%s parts=%d workers=%d seed=%d failing step=%d: %s\nminimal sequence:\n%s",
+					name, parts, c.workers, seed, minAt, minDetail, formatSteps(min))
 			})
 		}
 	}

@@ -212,7 +212,7 @@ type Stats struct {
 	ResidentIndexHits    int64
 	ResidentIndexReseeds int64
 	CachedBuildHits      int64
-	// Join-output accounting. JoinRowsExpanded is the rows hash joins produced
+	// Join-output accounting. JoinRowsExpanded is the rows joins produced
 	// before the duplicate filter of a set-valued output, DupSuppressed the
 	// rows that filter dropped before they were written anywhere, and
 	// DupFilterBypassed the output windows flushed after a worker had switched

@@ -12,7 +12,6 @@ import (
 	"recstep/internal/datalog/ast"
 	"recstep/internal/datalog/querygen"
 	"recstep/internal/obs"
-	"recstep/internal/quickstep"
 	"recstep/internal/quickstep/exec"
 	"recstep/internal/quickstep/memory"
 	"recstep/internal/quickstep/storage"
@@ -22,25 +21,20 @@ import (
 // and keeps the database resident; ApplyDelta then maintains the fixpoint
 // under EDB insertions and deletions without restarting from ⊥:
 //
-//   - insertions seed the existing semi-naive machinery with a pre-scattered
-//     ∆ — iteration 1 evaluates each rule once per occurrence of a changed
-//     predicate with the injected tuples substituted there, and the ordinary
-//     Rec iterations take over;
-//   - deletions run DRed per stratum: an over-delete fixpoint computes the
-//     downward closure of the deleted facts (candidates are intersected with
-//     R, so the dead set is exact-or-under the derivable-from-deleted set),
-//     the dead tuples are removed physically, and a rescue fixpoint
-//     re-derives every dead tuple that still has a derivation — the rescue
-//     arms join the full rule bodies against the (tiny) dead table on the
-//     head columns, so the greedy join order seeds from it and each round
-//     costs O(|dead| · fanout), not O(|R|);
-//   - strata with aggregation, or with a changed predicate under negation,
-//     fall back to recompute-and-diff (the only sound option there); strata
-//     that never read a changed predicate are skipped wholesale.
+//   - a stratum whose inputs only gained tuples seeds the existing semi-naive
+//     machinery with a pre-scattered ∆ — iteration 1 evaluates each rule once
+//     per occurrence of a changed predicate with the injected tuples
+//     substituted there, and the ordinary Rec iterations take over;
+//   - a stratum that reads a predicate which lost tuples, aggregates, or
+//     reads a changed predicate under negation is recomputed: its relations
+//     are reset, its fixpoint re-runs over the already-updated inputs below,
+//     and the result is diffed against the snapshot taken before;
+//   - strata that never read a changed predicate are skipped wholesale.
 //
-// Each stratum's net change (minus = dead − re-added, plus = added − dead)
-// propagates to the strata above it through the same side tables the EDB
-// delta entered through, so one ApplyDelta walks the dependency order once.
+// Each stratum's net insertions propagate to the strata above it through the
+// same plus table the EDB insertions entered through; a net deletion is a
+// flag that sends every stratum reading the predicate down the recompute
+// path. One ApplyDelta walks the dependency order once.
 
 // UpdateStats describes one ApplyDelta call.
 type UpdateStats struct {
@@ -48,8 +42,9 @@ type UpdateStats struct {
 	// already present / absent do not count).
 	Inserted int
 	Deleted  int
-	// OverDeleted counts tuples removed by DRed's downward closure across
-	// all strata; Rescued counts how many of those were re-derived.
+	// OverDeleted and Rescued are always 0: deletions recompute the strata
+	// they reach instead of over-deleting and rescuing. They stay because the
+	// repository benchmark still reads them.
 	OverDeleted int
 	Rescued     int
 	// FallbackStrata counts strata maintained by recompute-and-diff.
@@ -204,8 +199,6 @@ func (d *Database) ApplyDeltaContext(ctx context.Context, rel string, ins, del [
 		d.im.updates.Add(1)
 		d.im.inserted.Add(int64(us.Inserted))
 		d.im.deleted.Add(int64(us.Deleted))
-		d.im.overDeleted.Add(int64(us.OverDeleted))
-		d.im.rescued.Add(int64(us.Rescued))
 		d.im.fallback.Add(int64(us.FallbackStrata))
 		d.im.latencyUS.Observe(us.Duration.Microseconds())
 	}
@@ -277,14 +270,12 @@ func (d *Database) Rederive() error {
 
 // incrMetrics are the registry instruments ApplyDelta exports.
 type incrMetrics struct {
-	updates     obs.Counter
-	failed      obs.Counter
-	inserted    obs.Counter
-	deleted     obs.Counter
-	overDeleted obs.Counter
-	rescued     obs.Counter
-	fallback    obs.Counter
-	latencyUS   obs.Histogram
+	updates   obs.Counter
+	failed    obs.Counter
+	inserted  obs.Counter
+	deleted   obs.Counter
+	fallback  obs.Counter
+	latencyUS obs.Histogram
 }
 
 func (m *incrMetrics) register(reg *obs.Registry) {
@@ -296,12 +287,8 @@ func (m *incrMetrics) register(reg *obs.Registry) {
 		"Net base-relation rows inserted by updates.", &m.inserted)
 	reg.RegisterCounter("recstep_incremental_deleted_tuples_total",
 		"Net base-relation rows deleted by updates.", &m.deleted)
-	reg.RegisterCounter("recstep_incremental_overdeleted_tuples_total",
-		"Derived tuples removed by DRed's downward closure.", &m.overDeleted)
-	reg.RegisterCounter("recstep_incremental_rescued_tuples_total",
-		"Over-deleted tuples re-derived by the rescue fixpoint.", &m.rescued)
 	reg.RegisterCounter("recstep_incremental_fallback_strata_total",
-		"Strata maintained by recompute-and-diff instead of the DRed fast path.", &m.fallback)
+		"Strata maintained by recompute-and-diff instead of seeded semi-naive.", &m.fallback)
 	reg.RegisterHistogram("recstep_incremental_update_latency_us",
 		"End-to-end ApplyDelta latency in microseconds.", &m.latencyUS)
 }
@@ -310,8 +297,8 @@ func (m *incrMetrics) register(reg *obs.Registry) {
 type updateRun struct {
 	r  *runState
 	us *UpdateStats
-	// changed records, per predicate, which net-change side tables exist so
-	// far; strata consult it to decide skip / fast path / fallback.
+	// changed records, per predicate, how it changed so far; strata consult
+	// it to decide skip / seeded semi-naive / recompute.
 	changed map[string]querygen.Changed
 	// tables are the update side tables to drop at the end (success or not).
 	tables map[string]struct{}
@@ -382,8 +369,10 @@ func (u *updateRun) apply(rel string, ins, del [][]int32) error {
 	}
 	u.us.Inserted = len(plusRows)
 	u.changed[rel] = querygen.Changed{Minus: len(minusRows) > 0, Plus: len(plusRows) > 0}
-	if err := u.installDeltaTables(rel, minusRows, plusRows); err != nil {
-		return err
+	if len(plusRows) > 0 {
+		if err := u.installRows(querygen.PlusTable(rel), len(plusRows[0]), plusRows); err != nil {
+			return err
+		}
 	}
 
 	for _, s := range r.res.Strata {
@@ -397,107 +386,22 @@ func (u *updateRun) apply(rel string, ins, del [][]int32) error {
 			}
 			continue
 		}
-		if err := u.incStratum(s); err != nil {
+		if err := u.insertPhase(s); err != nil {
 			return err
 		}
 	}
 	return r.db.FinalCommit()
 }
 
-// installDeltaTables materializes a predicate's minus/plus side tables (only
-// the non-empty ones) and, when tuples were deleted, the old-value
-// over-approximation current ∪ minus the downstream over-delete rounds read.
-func (u *updateRun) installDeltaTables(pred string, minusRows, plusRows [][]int32) error {
-	r := u.r
-	if len(minusRows) > 0 {
-		minus, err := u.installRows(querygen.MinusTable(pred), len(minusRows[0]), minusRows)
-		if err != nil {
-			return err
-		}
-		cur := r.db.Catalog().MustGet(pred)
-		old := storage.NewRelation(querygen.OldTable(pred), storage.NumberedColumns(cur.Arity()))
-		old.SetLifecycle(r.db.Alloc(), storage.CatIntermediate)
-		old.AppendRelation(cur)
-		old.AppendRelation(minus)
-		u.track(old.Name())
-		if err := r.db.Install(old); err != nil {
-			return err
-		}
-	}
-	if len(plusRows) > 0 {
-		if _, err := u.installRows(querygen.PlusTable(pred), len(plusRows[0]), plusRows); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // installRows catalogs a fresh side table holding the given rows.
-func (u *updateRun) installRows(name string, arity int, rows [][]int32) (*storage.Relation, error) {
+func (u *updateRun) installRows(name string, arity int, rows [][]int32) error {
 	rel := storage.NewRelation(name, storage.NumberedColumns(arity))
 	rel.SetLifecycle(u.r.db.Alloc(), storage.CatIntermediate)
 	for _, row := range rows {
 		rel.Append(row)
 	}
 	u.track(name)
-	return rel, u.r.db.Install(rel)
-}
-
-// installSideTables materializes one IDB's net-change tables after its
-// stratum completes: minus = dead − added, plus = added − dead (a tuple both
-// over-deleted and re-added by the insertion phase nets out), plus the old
-// table when anything was deleted. Updates the changed map.
-func (u *updateRun) installSideTables(pred string, dead, added *storage.Relation) error {
-	r := u.r
-	deadN, addN := 0, 0
-	if dead != nil {
-		deadN = dead.NumTuples()
-	}
-	if added != nil {
-		addN = added.NumTuples()
-	}
-	var minus, plus *storage.Relation
-	switch {
-	case deadN > 0 && addN > 0:
-		minus = r.db.Diff(dead, added, exec.OPSD, querygen.MinusTable(pred))
-		plus = r.db.Diff(added, dead, exec.OPSD, querygen.PlusTable(pred))
-	case deadN > 0:
-		minus = shareInto(r, querygen.MinusTable(pred), dead)
-	case addN > 0:
-		plus = shareInto(r, querygen.PlusTable(pred), added)
-	}
-	ch := querygen.Changed{}
-	if minus != nil && minus.NumTuples() > 0 {
-		ch.Minus = true
-		u.track(minus.Name())
-		if err := r.db.Install(minus); err != nil {
-			return err
-		}
-		cur := r.db.Catalog().MustGet(pred)
-		old := storage.NewRelation(querygen.OldTable(pred), storage.NumberedColumns(cur.Arity()))
-		old.SetLifecycle(r.db.Alloc(), storage.CatIntermediate)
-		old.AppendRelation(cur)
-		old.AppendRelation(minus)
-		u.track(old.Name())
-		if err := r.db.Install(old); err != nil {
-			return err
-		}
-	} else if minus != nil {
-		minus.Release()
-	}
-	if plus != nil && plus.NumTuples() > 0 {
-		ch.Plus = true
-		u.track(plus.Name())
-		if err := r.db.Install(plus); err != nil {
-			return err
-		}
-	} else if plus != nil {
-		plus.Release()
-	}
-	if ch.Minus || ch.Plus {
-		u.changed[pred] = ch
-	}
-	return r.db.Err()
+	return u.r.db.Install(rel)
 }
 
 // shareInto copies a relation's contents under a new name by block sharing.
@@ -511,6 +415,8 @@ func shareInto(r *runState, name string, src *storage.Relation) *storage.Relatio
 // fallbackStratum maintains one stratum by recompute-and-diff: snapshot the
 // current (pre-update-propagation) values, reset the stratum's relations,
 // re-run its fixpoint against the already-updated inputs below, and diff.
+// Only the net insertions are materialized, as the plus table: a derived
+// relation is a set, so it lost tuples exactly when |prev| + |plus| > |cur|.
 func (u *updateRun) fallbackStratum(s analysis.Stratum) error {
 	r := u.r
 	for _, name := range s.IDBs {
@@ -534,311 +440,53 @@ func (u *updateRun) fallbackStratum(s analysis.Stratum) error {
 	for _, name := range s.IDBs {
 		cur := r.db.Catalog().MustGet(name)
 		prev := r.db.Catalog().MustGet(querygen.PrevTable(name))
-		minus := r.db.Diff(prev, cur, exec.OPSD, querygen.MinusTable(name))
-		added := r.db.Diff(cur, prev, exec.OPSD, querygen.PlusTable(name))
-		err := u.installSideTables(name, minus, added)
-		minus.Release()
-		added.Release()
-		if err != nil {
+		plus := r.db.Diff(cur, prev, exec.OPSD, querygen.PlusTable(name))
+		u.track(plus.Name())
+		if err := r.db.Install(plus); err != nil {
 			return err
 		}
+		lost := prev.NumTuples()+plus.NumTuples() > cur.NumTuples()
+		r.db.DropTable(prev.Name())
+		u.record(name, lost, plus)
 	}
-	return nil
+	return r.db.Err()
 }
 
-// incStratum maintains one stratum on the fast path: DRed for deletions,
-// seeded semi-naive for insertions, then the net side tables.
-func (u *updateRun) incStratum(s analysis.Stratum) error {
-	r := u.r
-	anyMinus, anyPlus := false, false
-	for _, ri := range s.RuleIdx {
-		for _, a := range r.res.Program.Rules[ri].Body {
-			if a.Negated {
-				continue
-			}
-			c := u.changed[a.Pred]
-			anyMinus = anyMinus || c.Minus
-			anyPlus = anyPlus || c.Plus
-		}
-	}
-
-	dead := make(map[string]*storage.Relation, len(s.IDBs))
-	if anyMinus {
-		if err := u.deletePhase(s, dead); err != nil {
-			return err
-		}
-	}
-
-	added := make(map[string]*storage.Relation, len(s.IDBs))
-	if anyPlus {
-		if err := u.insertPhase(s, added); err != nil {
-			return err
-		}
-	}
-
-	for _, pred := range s.IDBs {
-		if err := u.installSideTables(pred, dead[pred], added[pred]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// deletePhase runs DRed for one stratum: the over-delete downward closure
-// (physical deletion deferred, so same-stratum reads see pre-update values),
-// the physical deletion, then the rescue fixpoint. On return dead[pred]
-// holds each predicate's net-deleted set (cataloged as its dead table).
-func (u *updateRun) deletePhase(s analysis.Stratum, dead map[string]*storage.Relation) error {
-	r := u.r
-	for _, pred := range s.IDBs {
-		pi := r.res.Preds[pred]
-		for _, name := range []string{querygen.DeadTable(pred), querygen.OverTable(pred)} {
-			rel := storage.NewRelation(name, storage.NumberedColumns(pi.Arity))
-			rel.SetLifecycle(r.db.Alloc(), storage.CatIntermediate)
-			u.track(name)
-			if err := r.db.Install(rel); err != nil {
-				return err
-			}
-		}
-		dead[pred] = r.db.Catalog().MustGet(querygen.DeadTable(pred))
-	}
-
-	// Each predicate's over-delete arms, bound once for the whole closure:
-	// round 1 runs the seed arms plus the propagation arms (over tables
-	// install in predicate order within a round, so a predicate evaluated
-	// after a producer must consume the producer's round-1 over table in
-	// round 1 itself — by round 2 it has been replaced; arms over still-empty
-	// over tables are dropped by the runner's empty-∆ filter), later rounds
-	// the propagation arms alone.
-	firstRound := make(map[string]boundUnit, len(s.IDBs))
-	propagate := make(map[string]boundUnit, len(s.IDBs))
-	for _, pred := range s.IDBs {
-		var units [2]boundUnit
-		for i, seed := range []bool{true, false} {
-			unit, err := r.gen.OverDeleteQueries(s, pred, u.changed, seed)
-			if err != nil {
-				return err
-			}
-			if units[i], err = r.bindUnit(unit); err != nil {
-				return err
-			}
-		}
-		firstRound[pred], propagate[pred] = units[0].then(units[1]), units[1]
-	}
-
-	// Membership indexes over each predicate's pre-deletion contents, built
-	// lazily on the first non-empty candidate set and probed every round —
-	// candidates ∩ R keeps phantom candidates (never-derived tuples the
-	// over-approximated old tables can produce) out of the dead set.
-	members := make(map[string]*exec.Membership, len(s.IDBs))
-	defer func() {
-		for _, m := range members {
-			m.Release()
-		}
-	}()
-
-	for round := 1; ; round++ {
-		if round > r.opts().MaxIterations {
-			return fmt.Errorf("core: stratum %d over-delete exceeded %d rounds", s.Index, r.opts().MaxIterations)
-		}
-		anyNew := false
-		for _, pred := range s.IDBs {
-			r.db.SetStep(s.Index, round, pred)
-			unit := propagate[pred]
-			if round == 1 {
-				unit = firstRound[pred]
-			}
-			newDead, err := u.roundDead(pred, unit, members, dead[pred])
-			if err != nil {
-				return err
-			}
-			n := 0
-			if newDead != nil {
-				n = newDead.NumTuples()
-			} else {
-				newDead = storage.NewRelation(querygen.OverTable(pred), storage.NumberedColumns(r.res.Preds[pred].Arity))
-				newDead.SetLifecycle(r.db.Alloc(), storage.CatIntermediate)
-			}
-			if n > 0 {
-				anyNew = true
-				u.us.OverDeleted += n
-				if err := r.db.AppendTo(querygen.DeadTable(pred), newDead); err != nil {
-					return err
-				}
-			}
-			// Install this round's over table (replacing last round's): the
-			// next round's propagation arms read it as their ∆.
-			if err := r.db.InstallReplacing(newDead); err != nil {
-				return err
-			}
-		}
-		r.db.EndIteration()
-		if err := r.db.Err(); err != nil {
-			return err
-		}
-		if !anyNew {
-			break
-		}
-	}
-
-	// Physical deletion. The membership indexes are stale from here on.
-	for _, pred := range s.IDBs {
-		if dead[pred].NumTuples() == 0 {
-			continue
-		}
-		if _, err := r.db.DeleteFrom(pred, rowsOf(dead[pred])); err != nil {
-			return err
-		}
-	}
-
-	// Rescue fixpoint: re-derive dead tuples that still have a derivation
-	// from the post-deletion state, append them back, shrink the dead sets.
-	// A predicate's rescue arms are bound on its first rescue round.
-	rescue := make(map[string]boundUnit, len(s.IDBs))
-	for round := 1; ; round++ {
-		if round > r.opts().MaxIterations {
-			return fmt.Errorf("core: stratum %d rescue exceeded %d rounds", s.Index, r.opts().MaxIterations)
-		}
-		anyRescued := false
-		for _, pred := range s.IDBs {
-			if dead[pred].NumTuples() == 0 {
-				continue
-			}
-			r.db.SetStep(s.Index, round, pred)
-			unit, ok := rescue[pred]
-			if !ok {
-				text, err := r.gen.RescueQueries(s, pred)
-				if err != nil {
-					return err
-				}
-				if unit, err = r.bindUnit(text); err != nil {
-					return err
-				}
-				rescue[pred] = unit
-			}
-			tmp, err := u.runUnit(pred, unit)
-			if err != nil {
-				return err
-			}
-			if tmp == nil {
-				continue
-			}
-			resc := r.db.Dedup(tmp, tmp.NumTuples(), pred+"_uresc")
-			r.dropTmp(querygen.TmpTable(pred))
-			if resc.NumTuples() == 0 {
-				resc.Release()
-				continue
-			}
-			anyRescued = true
-			u.us.Rescued += resc.NumTuples()
-			if err := r.db.AppendTo(pred, resc); err != nil {
-				resc.Release()
-				return err
-			}
-			remaining := r.db.Diff(dead[pred], resc, exec.OPSD, querygen.DeadTable(pred))
-			resc.Release()
-			if err := r.db.InstallReplacing(remaining); err != nil {
-				return err
-			}
-			dead[pred] = remaining
-		}
-		r.db.EndIteration()
-		if err := r.db.Err(); err != nil {
-			return err
-		}
-		if !anyRescued {
-			break
-		}
-	}
-	return nil
-}
-
-// roundDead evaluates one over-delete round for one predicate: candidates →
-// dedup → ∩ R → − already-dead. Returns nil when nothing fired.
-func (u *updateRun) roundDead(pred string, unit boundUnit, members map[string]*exec.Membership, deadSoFar *storage.Relation) (*storage.Relation, error) {
-	r := u.r
-	tmp, err := u.runUnit(pred, unit)
-	if err != nil || tmp == nil {
-		return nil, err
-	}
-	cand := r.db.Dedup(tmp, tmp.NumTuples(), pred+"_ucand")
-	r.dropTmp(querygen.TmpTable(pred))
-	if cand.NumTuples() == 0 {
-		cand.Release()
-		return nil, nil
-	}
-	m, ok := members[pred]
-	if !ok {
-		m, err = r.db.BuildMembership(pred)
-		if err != nil {
-			cand.Release()
-			return nil, err
-		}
-		members[pred] = m
-	}
-	present := r.db.SemiProbe(cand, m, pred+"_upresent")
-	cand.Release()
-	newDead := r.db.Diff(present, deadSoFar, exec.OPSD, querygen.OverTable(pred))
-	present.Release()
-	return newDead, r.db.Err()
-}
-
-// insertPhase runs the seeded semi-naive fixpoint for one stratum: iteration
-// 1 evaluates the injection arms (the plus tables substituted into each rule
-// occurrence of a changed predicate), later iterations are the ordinary Rec
-// arms; every installed ∆ accumulates into the predicate's add table.
-func (u *updateRun) insertPhase(s analysis.Stratum, added map[string]*storage.Relation) error {
+// insertPhase maintains one stratum whose inputs only gained tuples by the
+// seeded semi-naive fixpoint: iteration 1 evaluates the injection arms (the
+// plus tables substituted into each rule occurrence of a changed predicate),
+// later iterations are the ordinary Rec arms. Every installed ∆ accumulates
+// into the predicate's plus table, which the strata above read.
+func (u *updateRun) insertPhase(s analysis.Stratum) error {
 	r := u.r
 	seed := make(map[string]querygen.UnitQueries, len(s.IDBs))
 	for _, pred := range s.IDBs {
-		pi := r.res.Preds[pred]
-		add := storage.NewRelation(querygen.AddTable(pred), storage.NumberedColumns(pi.Arity))
-		add.SetLifecycle(r.db.Alloc(), storage.CatIntermediate)
-		u.track(add.Name())
-		if err := r.db.Install(add); err != nil {
+		if err := u.installRows(querygen.PlusTable(pred), r.res.Preds[pred].Arity, nil); err != nil {
 			return err
 		}
-		added[pred] = add
 		unit, err := r.gen.InjectQueries(s, pred, u.changed)
 		if err != nil {
 			return err
 		}
 		seed[pred] = unit
 	}
-	return r.evalStratumWith(s, seed, func(pred string, delta *storage.Relation) error {
-		return r.db.AppendTo(querygen.AddTable(pred), delta)
-	})
+	if err := r.evalStratumWith(s, seed, func(pred string, delta *storage.Relation) error {
+		return r.db.AppendTo(querygen.PlusTable(pred), delta)
+	}); err != nil {
+		return err
+	}
+	for _, pred := range s.IDBs {
+		u.record(pred, false, r.db.Catalog().MustGet(querygen.PlusTable(pred)))
+	}
+	return r.db.Err()
 }
 
-// runUnit materializes the live arms of one update unit into pred's tmp
-// table. Arms whose ∆ table is empty are filtered first; nil (no error)
-// means nothing fired.
-func (u *updateRun) runUnit(pred string, unit boundUnit) (*storage.Relation, error) {
-	r := u.r
-	query, _ := r.liveArms(unit)
-	if query == nil {
-		return nil, nil
+// record notes how one IDB changed once its stratum completes.
+func (u *updateRun) record(pred string, lost bool, plus *storage.Relation) {
+	ch := querygen.Changed{Minus: lost, Plus: plus.NumTuples() > 0}
+	if ch.Minus || ch.Plus {
+		u.changed[pred] = ch
 	}
-	tmp := querygen.TmpTable(pred)
-	// Every caller hands the result straight to db.Dedup, so the joins may
-	// treat it as a set — unless that dedup is a FAST-DEDUP baseline, which is
-	// there to be measured on the full bag (the rule evalIDB follows).
-	if r.opts().Dedup == exec.DedupGSCHT {
-		r.db.SetOutputHint(tmp, quickstep.OutputHint{Set: true})
-		defer r.db.ClearOutputHint(tmp)
-	}
-	return r.uieval(tmp, storage.NumberedColumns(r.res.Preds[pred].Arity), query, true)
-}
-
-// rowsOf copies a relation's tuples out — deletion sets are update-sized.
-func rowsOf(rel *storage.Relation) [][]int32 {
-	out := make([][]int32, 0, rel.NumTuples())
-	rel.ForEach(func(tuple []int32) {
-		row := make([]int32, len(tuple))
-		copy(row, tuple)
-		out = append(out, row)
-	})
-	return out
 }
 
 // packRow encodes a tuple as a map key (4 bytes per column).

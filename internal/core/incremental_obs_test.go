@@ -103,8 +103,6 @@ func TestIncrementalMetricsConcurrentScrape(t *testing.T) {
 		"recstep_incremental_update_failures_total",
 		"recstep_incremental_inserted_tuples_total",
 		"recstep_incremental_deleted_tuples_total",
-		"recstep_incremental_overdeleted_tuples_total",
-		"recstep_incremental_rescued_tuples_total",
 		"recstep_incremental_fallback_strata_total",
 		"recstep_incremental_update_latency_us",
 	)

@@ -130,11 +130,11 @@ func TestApplyDeltaTCInsert(t *testing.T) {
 	}
 }
 
-// --- DRed over-delete / rescue -------------------------------------------
+// --- deletions recompute ------------------------------------------------
 
 func TestApplyDeltaTCDelete(t *testing.T) {
-	// 1→2→3→4 plus a shortcut 1→3: deleting 2→3 kills (2,3),(2,4) but
-	// (1,3) and (1,4) must be rescued through the shortcut.
+	// 1→2→3→4 plus a shortcut 1→3: deleting 2→3 removes (2,3),(2,4) while
+	// (1,3) and (1,4) survive through the shortcut.
 	edges := []pair{{1, 2}, {2, 3}, {3, 4}, {1, 3}}
 	opts := DefaultOptions()
 	d := openIncr(t, opts, programs.TC, map[string]*storage.Relation{"arc": arcRel(edges)})
@@ -142,20 +142,14 @@ func TestApplyDeltaTCDelete(t *testing.T) {
 
 	edges = editEdges(edges, nil, []pair{{2, 3}})
 	us := applyEdges(t, d, nil, []pair{{2, 3}})
-	if us.Deleted != 1 {
-		t.Fatalf("unexpected stats %+v", us)
-	}
-	if us.OverDeleted == 0 {
-		t.Fatalf("expected over-deletion, got %+v", us)
-	}
-	if us.Rescued == 0 {
-		t.Fatalf("expected rescues ((1,3),(1,4) survive via the shortcut), got %+v", us)
+	if us.Deleted != 1 || us.FallbackStrata != 1 {
+		t.Fatalf("expected one deleted row and the one tc stratum recomputed, got %+v", us)
 	}
 	requireMatch(t, d, opts, programs.TC, edges, "after delete")
 
 	// Deleting an absent row is a no-op.
 	us = applyEdges(t, d, nil, []pair{{9, 9}})
-	if us.Deleted != 0 || us.OverDeleted != 0 {
+	if us.Deleted != 0 || us.FallbackStrata != 0 {
 		t.Fatalf("phantom delete reported %+v", us)
 	}
 }
@@ -163,8 +157,7 @@ func TestApplyDeltaTCDelete(t *testing.T) {
 func TestApplyDeltaSGHandBuilt(t *testing.T) {
 	// Same-generation on a small tree with a cross edge; SG exercises the
 	// two-sided recursive rule (sg(x,y) :- arc(px,x), sg(px,py), arc(py,y)),
-	// whose over-delete rounds must handle a dead tuple at either recursive
-	// position.
+	// whose seeded insertion arms must handle a new arc at either position.
 	edges := []pair{{0, 1}, {0, 2}, {1, 3}, {2, 4}, {1, 5}, {2, 3}}
 	opts := DefaultOptions()
 	d := openIncr(t, opts, programs.SG, map[string]*storage.Relation{"arc": arcRel(edges)})

@@ -209,16 +209,13 @@ func (g *Generator) subquery(rule ast.Rule, deltaPos int) (string, error) {
 	if deltaPos >= 0 {
 		overrides = map[int]string{deltaPos: DeltaTable(rule.Body[deltaPos].Pred)}
 	}
-	return g.subqueryWith(rule, overrides, "")
+	return g.subqueryWith(rule, overrides)
 }
 
 // subqueryWith is the general arm renderer behind both the semi-naive
 // rewriting and the incremental-update queries: overrides substitutes a side
-// table for any body-atom occurrence (position → table name), and restrict,
-// when non-empty, joins that table against the rule's head terms — the
-// head-restriction DRed's rescue phase uses to re-derive only over-deleted
-// tuples.
-func (g *Generator) subqueryWith(rule ast.Rule, overrides map[int]string, restrict string) (string, error) {
+// table for any body-atom occurrence (position → table name).
+func (g *Generator) subqueryWith(rule ast.Rule, overrides map[int]string) (string, error) {
 	binding := make(map[string]string) // variable → alias.column
 	var from, where []string
 	aliasNum := 0
@@ -278,9 +275,6 @@ func (g *Generator) subqueryWith(rule ast.Rule, overrides map[int]string, restri
 	var selects []string
 	var groupBy []string
 	hasAgg := rule.HasAggregate()
-	if restrict != "" && hasAgg {
-		return "", fmt.Errorf("querygen: head restriction on aggregate rule for %q", rule.HeadPred)
-	}
 	for pos, h := range rule.HeadTerms {
 		e, err := renderExpr(h.Expr, binding)
 		if err != nil {
@@ -299,12 +293,6 @@ func (g *Generator) subqueryWith(rule ast.Rule, overrides map[int]string, restri
 			groupBy = append(groupBy, e)
 		}
 		selects = append(selects, fmt.Sprintf("%s AS c%d", e, pos))
-		if restrict != "" {
-			where = append(where, fmt.Sprintf("hr.c%d = %s", pos, e))
-		}
-	}
-	if restrict != "" {
-		from = append(from, restrict+" AS hr")
 	}
 
 	var b strings.Builder

@@ -4,65 +4,31 @@ import (
 	"recstep/internal/datalog/analysis"
 )
 
-// Incremental-update query generation. ApplyDelta materializes per-predicate
-// side tables — the net insertions (plus), net deletions (minus), an
-// over-approximation of the predicate's pre-update contents (old =
-// current ∪ minus), the accumulated over-deleted set (dead) and each
-// over-delete round's newly dead tuples (over) — and evaluates three arm
-// families against them:
-//
-//   - injection arms seed the insertion phase: each rule occurrence of a
-//     plus-changed predicate evaluates once with the plus table substituted
-//     (subsequent rounds are the ordinary semi-naive Rec arms);
-//   - over-delete arms compute DRed's downward closure: minus-changed
-//     occurrences substitute the minus table (seed round) or same-stratum
-//     occurrences substitute the per-round over table (propagation rounds),
-//     with other minus-changed occurrences reading the old table so the
-//     closure is evaluated against (a superset of) the pre-update database;
-//   - rescue arms re-derive survivors: the full rule body over current
-//     relations joined against the dead table on the head terms, so only
-//     over-deleted tuples can be produced.
-//
-// Reading a *superset* of the old database in the closure is safe: it can
-// only over-delete more, and every over-deleted tuple still derivable is
-// re-added by the rescue fixpoint (candidates are also intersected with R,
-// so nothing never-present enters the dead set).
+// Incremental-update query generation. ApplyDelta materializes one side
+// table per changed predicate — its net insertions (plus) — and seeds a
+// stratum whose inputs only gained tuples with injection arms: each rule
+// occurrence of a plus-changed predicate evaluates once with the plus table
+// substituted (subsequent rounds are the ordinary semi-naive Rec arms). A
+// stratum that reads a predicate which lost tuples is recomputed from its
+// inputs and diffed against a snapshot of its previous contents (prev).
 const (
-	MinusSuffix = "_uminus"
-	PlusSuffix  = "_uplus"
-	OldSuffix   = "_uold"
-	DeadSuffix  = "_udead"
-	OverSuffix  = "_uover"
-	AddSuffix   = "_uadd"
-	PrevSuffix  = "_uprev"
+	PlusSuffix = "_uplus"
+	PrevSuffix = "_uprev"
 )
 
 // UpdateSuffixes lists every incremental-update table suffix, for the
 // engine's predicate-name collision check.
-var UpdateSuffixes = []string{MinusSuffix, PlusSuffix, OldSuffix, DeadSuffix, OverSuffix, AddSuffix, PrevSuffix}
-
-// MinusTable names the net-deletions side table of one update.
-func MinusTable(pred string) string { return pred + MinusSuffix }
+var UpdateSuffixes = []string{PlusSuffix, PrevSuffix}
 
 // PlusTable names the net-insertions side table of one update.
 func PlusTable(pred string) string { return pred + PlusSuffix }
 
-// OldTable names the pre-update over-approximation (current ∪ minus).
-func OldTable(pred string) string { return pred + OldSuffix }
-
-// DeadTable names the accumulated over-deleted set of one update.
-func DeadTable(pred string) string { return pred + DeadSuffix }
-
-// OverTable names one over-delete round's newly dead tuples.
-func OverTable(pred string) string { return pred + OverSuffix }
-
-// AddTable names the insertion phase's accumulated new tuples.
-func AddTable(pred string) string { return pred + AddSuffix }
-
-// PrevTable names the pre-update snapshot a fallback stratum diffs against.
+// PrevTable names the pre-update snapshot a recomputed stratum diffs against.
 func PrevTable(pred string) string { return pred + PrevSuffix }
 
-// Changed records which side tables exist for a changed predicate.
+// Changed records how a predicate changed in one update: Plus means its plus
+// table holds net insertions, Minus that it lost tuples (a flag only — every
+// stratum reading it is recomputed, so no table holds them).
 type Changed struct {
 	Minus bool
 	Plus  bool
@@ -83,7 +49,7 @@ func (g *Generator) InjectQueries(s analysis.Stratum, pred string, changed map[s
 			if a.Negated || !changed[a.Pred].Plus {
 				continue
 			}
-			sql, err := g.subqueryWith(rule, map[int]string{i: PlusTable(a.Pred)}, "")
+			sql, err := g.subqueryWith(rule, map[int]string{i: PlusTable(a.Pred)})
 			if err != nil {
 				return UnitQueries{}, err
 			}
@@ -93,78 +59,12 @@ func (g *Generator) InjectQueries(s analysis.Stratum, pred string, changed map[s
 	return assemble(TmpTable(pred), subs), nil
 }
 
-// OverDeleteQueries builds one over-delete round's arms for one IDB. The
-// seed round substitutes the minus table at each minus-changed occurrence;
-// propagation rounds substitute the over table at each same-stratum IDB
-// occurrence. In both, every *other* minus-changed occurrence reads the old
-// table (current ∪ minus ⊇ pre-update contents); same-stratum occurrences
-// read the predicate itself, which still holds pre-update contents because
-// physical deletion is deferred until the closure completes.
-func (g *Generator) OverDeleteQueries(s analysis.Stratum, pred string, changed map[string]Changed, seed bool) (UnitQueries, error) {
-	var subs []armSub
-	for _, ri := range s.RuleIdx {
-		rule := g.res.Program.Rules[ri]
-		if rule.HeadPred != pred {
-			continue
-		}
-		var deltaPositions []int
-		if seed {
-			for i, a := range rule.Body {
-				if !a.Negated && changed[a.Pred].Minus {
-					deltaPositions = append(deltaPositions, i)
-				}
-			}
-		} else {
-			deltaPositions = g.sameStratumPositions(rule, s.Index)
-		}
-		for _, pos := range deltaPositions {
-			overrides := make(map[int]string)
-			for j, b := range rule.Body {
-				if j != pos && !b.Negated && changed[b.Pred].Minus {
-					overrides[j] = OldTable(b.Pred)
-				}
-			}
-			var delta string
-			if seed {
-				delta = MinusTable(rule.Body[pos].Pred)
-			} else {
-				delta = OverTable(rule.Body[pos].Pred)
-			}
-			overrides[pos] = delta
-			sql, err := g.subqueryWith(rule, overrides, "")
-			if err != nil {
-				return UnitQueries{}, err
-			}
-			subs = append(subs, armSub{sql: sql, delta: delta})
-		}
-	}
-	return assemble(TmpTable(pred), subs), nil
-}
-
-// RescueQueries builds the re-derivation arms for one IDB: every rule body
-// over current relations, head-restricted to the dead table, so each round
-// produces exactly the over-deleted tuples with a surviving derivation.
-func (g *Generator) RescueQueries(s analysis.Stratum, pred string) (UnitQueries, error) {
-	var subs []armSub
-	for _, ri := range s.RuleIdx {
-		rule := g.res.Program.Rules[ri]
-		if rule.HeadPred != pred {
-			continue
-		}
-		sql, err := g.subqueryWith(rule, nil, DeadTable(pred))
-		if err != nil {
-			return UnitQueries{}, err
-		}
-		subs = append(subs, armSub{sql: sql, delta: DeadTable(pred)})
-	}
-	return assemble(TmpTable(pred), subs), nil
-}
-
 // StratumNeedsFallback reports whether a stratum must be maintained by
-// recompute-and-diff instead of the DRed/seeded-semi-naive fast path, given
+// recompute-and-diff instead of the seeded semi-naive insertion path, given
 // the predicates changed so far: any (recursive or stratified) aggregation
-// in the stratum, or a negated occurrence of a changed predicate — the
-// closure arms have no sound delta rewriting for either.
+// in the stratum, any occurrence of a predicate that lost tuples, or a
+// negated occurrence of a changed predicate — seeded semi-naive only ever
+// adds tuples, and it has no sound delta rewriting for aggregation.
 func StratumNeedsFallback(res *analysis.Result, s analysis.Stratum, changed map[string]Changed) bool {
 	for _, name := range s.IDBs {
 		pi := res.Preds[name]
@@ -174,10 +74,8 @@ func StratumNeedsFallback(res *analysis.Result, s analysis.Stratum, changed map[
 	}
 	for _, ri := range s.RuleIdx {
 		for _, a := range res.Program.Rules[ri].Body {
-			if a.Negated {
-				if c, ok := changed[a.Pred]; ok && (c.Minus || c.Plus) {
-					return true
-				}
+			if c := changed[a.Pred]; c.Minus || (a.Negated && c.Plus) {
+				return true
 			}
 		}
 	}

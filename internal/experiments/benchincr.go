@@ -18,10 +18,10 @@ import (
 // BenchIncrArm is one workload of the incremental-maintenance smoke: the
 // from-scratch fixpoint time against the per-update ApplyDelta latency on
 // ~0.1%-sized insertion deltas, with mixed insert+delete batches run after
-// the measured stream for DRed coverage (their latency and over-delete /
-// rescue counters are reported but not gated: deleting inside a cyclic
-// closure makes DRed over-delete and rescue a large downward cone, which is
-// recompute-bound by design). Speedup is min(scratch) / median(update) — the
+// the measured stream for deletion coverage (their latency and the strata
+// they recomputed are reported but not gated: a deletion recomputes every
+// stratum it reaches, so it costs about a rerun by design). Speedup is
+// min(scratch) / median(update) — the
 // conservative pairing: the baseline's least-noisy trial against the update
 // stream's typical latency.
 type BenchIncrArm struct {
@@ -39,8 +39,7 @@ type BenchIncrArm struct {
 	OutputTuples   int     `json:"output_tuples"`
 	Inserted       int     `json:"inserted"`
 	Deleted        int     `json:"deleted"`
-	OverDeleted    int     `json:"overdeleted"`
-	Rescued        int     `json:"rescued"`
+	Recomputed     int     `json:"recomputed_strata"`
 }
 
 // BenchIncrReport is the machine-readable output of the incremental
@@ -91,7 +90,7 @@ func benchIncrWorkloads(cfg Config) []incrWorkload {
 // re-evaluation: each workload runs the baseline fixpoint a few times, then
 // keeps a resident database and applies a stream of insertion batches sized
 // at ~0.1% of the mutated EDB via ApplyDelta (the gated speedup), followed
-// by mixed insert+delete batches exercising the DRed path. The resident
+// by mixed insert+delete batches exercising the recompute path. The resident
 // state after both streams is checked against a from-scratch run over the
 // mutated EDBs.
 func BenchIncr(cfg Config) (BenchIncrReport, error) {
@@ -197,8 +196,7 @@ func benchIncrArm(cfg Config, iw incrWorkload, trials, updates int) (BenchIncrAr
 		}
 		arm.Inserted += us.Inserted
 		arm.Deleted += us.Deleted
-		arm.OverDeleted += us.OverDeleted
-		arm.Rescued += us.Rescued
+		arm.Recomputed += us.FallbackStrata
 		for _, row := range del {
 			delete(mirror, fmt.Sprint(row))
 		}
@@ -216,8 +214,8 @@ func benchIncrArm(cfg Config, iw incrWorkload, trials, updates int) (BenchIncrAr
 		}
 		arm.UpdateNs = append(arm.UpdateNs, us.Duration.Nanoseconds())
 	}
-	// Coverage stream: mixed batches through DRed + rescue (reported, not
-	// gated — a deletion inside a cyclic closure is recompute-bound).
+	// Coverage stream: mixed batches, whose deletions recompute the strata
+	// they reach (reported, not gated — each costs about a rerun).
 	for u := 0; u < 2; u++ {
 		us, err := apply(freshRows(arm.DeltaRows), sampleRows(mirror, arm.DeltaRows, rng))
 		if err != nil {
@@ -299,7 +297,7 @@ func WriteBenchIncrReport(path string, rep BenchIncrReport) error {
 func BenchIncrTable(rep BenchIncrReport) Table {
 	tbl := Table{
 		Title:  "Incremental maintenance — ApplyDelta vs from-scratch rerun",
-		Header: []string{"workload", "base rows", "∆/update", "scratch ms", "insert ms", "speedup", "mixed ms", "overdeleted", "rescued"},
+		Header: []string{"workload", "base rows", "∆/update", "scratch ms", "insert ms", "speedup", "mixed ms", "recomputed strata"},
 	}
 	for _, a := range rep.Arms {
 		var mixed int64
@@ -317,14 +315,13 @@ func BenchIncrTable(rep BenchIncrReport) Table {
 			fmt.Sprintf("%.2f", float64(a.MedianUpdateNs)/1e6),
 			fmt.Sprintf("%.0f×", a.Speedup),
 			fmt.Sprintf("%.1f", float64(mixed)/1e6),
-			fmt.Sprintf("%d", a.OverDeleted),
-			fmt.Sprintf("%d", a.Rescued),
+			fmt.Sprintf("%d", a.Recomputed),
 		})
 	}
 	tbl.Notes = append(tbl.Notes,
 		fmt.Sprintf("speedup = min-of-%d from-scratch trials / median of %d insertion-only ApplyDelta batches (each ∆ ≈ 0.1%% of the mutated EDB)",
 			len(rep.Arms[0].ScratchNs), rep.Arms[0].Updates),
-		"mixed ms = mean of 2 insert+delete batches through DRed + rescue (reported, not gated: deleting inside a cyclic closure over-deletes its downward cone and is recompute-bound)",
+		"mixed ms = mean of 2 insert+delete batches; a deletion recomputes every stratum it reaches (reported, not gated: it costs about a rerun)",
 		"every arm's resident state re-verified against a from-scratch evaluation of the mutated EDBs")
 	return tbl
 }

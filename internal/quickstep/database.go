@@ -1392,7 +1392,7 @@ func (db *Database) AppendRowsTo(table string, rows [][]int32) error {
 }
 
 // DeleteFrom removes the given tuples from a cataloged relation in place —
-// DRed's physical deletion. Tuples not present are ignored; the count of
+// ApplyDelta's deletion of base rows. Tuples not present are ignored; the count of
 // rows actually removed is returned. The relation's carried partitioned
 // view survives (only affected partitions compact); a sticky fault error on
 // the relation aborts the call without mutating anything.
@@ -1410,21 +1410,14 @@ func (db *Database) DeleteFrom(table string, rows [][]int32) (int, error) {
 
 // BuildMembership hashes a cataloged relation into a reusable tuple-
 // membership index (see exec.Membership). The caller releases it; the
-// relation must stay unmutated while the handle is live. DRed builds one
-// per deletion-affected stratum and probes it every over-delete round.
+// relation must stay unmutated while the handle is live. ApplyDelta builds
+// one over the updated base relation to classify the requested rows.
 func (db *Database) BuildMembership(table string) (*exec.Membership, error) {
 	r, ok := db.cat.Get(table)
 	if !ok {
 		return nil, fmt.Errorf("quickstep: membership over unknown table %q", table)
 	}
 	return exec.BuildMembership(db.pool, r), nil
-}
-
-// SemiProbe emits the rows of probe present in m — the semi-join companion
-// of the set difference, used by DRed to keep only over-delete candidates
-// actually present in R.
-func (db *Database) SemiProbe(probe *storage.Relation, m *exec.Membership, outName string) *storage.Relation {
-	return exec.SemiProbe(db.pool, probe, m, outName)
 }
 
 // FinalCommit persists all dirty tables (fixpoint reached).

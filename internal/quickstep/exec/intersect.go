@@ -4,11 +4,10 @@ import (
 	"recstep/internal/quickstep/storage"
 )
 
-// Set intersection for incremental maintenance. DRed's over-delete rounds
-// need "candidate ∩ R" (only tuples actually present can die) and the rescue
-// phase needs fast repeated membership probes against a relation that stays
-// constant for the whole phase — so the hash set is split out as a reusable
-// handle instead of being rebuilt per call the way SetDifference does.
+// Tuple membership for incremental maintenance. ApplyDelta classifies each
+// requested row as present or absent in the base relation before mutating
+// it, so the hash set is split out as a reusable handle probed once per row
+// instead of being rebuilt per call the way SetDifference does.
 
 // Membership is a reusable tuple-membership index over one relation's
 // contents at build time. The caller owns it and must Release it; the
@@ -31,25 +30,4 @@ func (m *Membership) Release() { m.set.release() }
 func (m *Membership) Contains(row []int32) bool {
 	var ar setArena
 	return m.set.contains(row, &ar)
-}
-
-// SemiProbe emits the rows of probe present in m — the semi-join companion
-// of antiProbe. Probe is the update-sized side; the output keeps probe's
-// column names and bag multiplicity.
-func SemiProbe(pool *Pool, probe *storage.Relation, m *Membership, outName string) *storage.Relation {
-	blocks := probe.Blocks()
-	col := newCollector(pool, storage.CatIntermediate, probe.Arity(), len(blocks))
-	pool.Run(len(blocks), func(task int) {
-		b := blocks[task]
-		emit := col.sink(task)
-		var ar setArena
-		n := b.Rows()
-		for i := 0; i < n; i++ {
-			row := b.Row(i)
-			if m.set.contains(row, &ar) {
-				emit(row)
-			}
-		}
-	})
-	return col.into(outName, probe.ColNames())
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 
@@ -49,28 +48,8 @@ func TestMembershipSnapshotSemantics(t *testing.T) {
 	}
 }
 
-func TestSemiProbe(t *testing.T) {
-	base := rel("base", 2, []int32{1, 2}, []int32{3, 4}, []int32{5, 6})
-	m := BuildMembership(NewPool(4), base)
-	defer m.Release()
-
-	// Bag semantics: duplicates in probe survive; absent rows are dropped.
-	probe := rel("probe", 2, []int32{1, 2}, []int32{1, 2}, []int32{9, 9}, []int32{5, 6})
-	out := SemiProbe(NewPool(4), probe, m, "present")
-	defer out.Release()
-
-	want := [][2]int32{{1, 2}, {1, 2}, {5, 6}}
-	if got := sortedPairs(out); !reflect.DeepEqual(got, want) {
-		t.Fatalf("SemiProbe = %v, want %v", got, want)
-	}
-	if out.Name() != "present" {
-		t.Fatalf("output name %q", out.Name())
-	}
-}
-
-// Concurrent probes against one shared index, under -race: Contains and
-// SemiProbe keep per-caller arenas, so a single build serves every worker of
-// an update phase simultaneously.
+// Concurrent probes against one shared index, under -race: Contains keeps a
+// per-caller arena, so a single build serves any number of readers at once.
 func TestMembershipConcurrentProbes(t *testing.T) {
 	base := storage.NewRelation("base", storage.NumberedColumns(2))
 	for i := int32(0); i < 4096; i++ {

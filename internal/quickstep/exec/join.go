@@ -332,6 +332,7 @@ func crossJoin(pool *Pool, left, right *storage.Relation, spec JoinSpec) *storag
 	scatterRun(pool, col, blocks, func(b *storage.Block, emit func(row []int32)) {
 		combined := make([]int32, la+ra)
 		outRow := make([]int32, len(spec.Projs))
+		var emitted int64
 		n := b.Rows()
 		for i := 0; i < n; i++ {
 			copy(combined[:la], b.Row(i))
@@ -344,8 +345,10 @@ func crossJoin(pool *Pool, left, right *storage.Relation, spec JoinSpec) *storag
 					outRow[k] = p.Eval(combined)
 				}
 				emit(outRow)
+				emitted++
 			}
 		}
+		pool.Copy.JoinRowsExpanded.Add(emitted)
 	})
 	out := col.into(spec.OutName, spec.OutCols)
 	if a := spec.Agg; a != nil {

@@ -68,8 +68,9 @@ type CopyCounters struct {
 	// CachedBuildHits counts hash joins served by a build table cached on an
 	// iteration-invariant relation.
 	CachedBuildHits obs.Counter
-	// JoinRowsExpanded counts the rows hash joins produced (matches expanded,
-	// past any residual) before the duplicate filter of a set-valued output;
+	// JoinRowsExpanded counts the rows joins produced (matches expanded, or
+	// cross-product rows, past any residual) before the duplicate filter of a
+	// set-valued output or the fold of an aggregate over the join;
 	// DupSuppressed counts those the filter dropped, so their difference is
 	// what the joins wrote to output blocks. DupFilterBypassed counts output
 	// windows flushed after their worker had switched the filter off for want
@@ -236,7 +237,7 @@ func (c *CopyCounters) Register(reg *obs.Registry) {
 	reg.RegisterCounter("recstep_cached_build_hits_total",
 		"Hash joins served by a build table cached on an iteration-invariant relation.", &c.CachedBuildHits)
 	reg.RegisterCounter("recstep_join_rows_expanded_total",
-		"Rows hash joins produced before the duplicate filter of a set-valued output.", &c.JoinRowsExpanded)
+		"Rows joins produced before the duplicate filter of a set-valued output.", &c.JoinRowsExpanded)
 	reg.RegisterCounter("recstep_join_dup_suppressed_total",
 		"Join output rows the duplicate filter dropped before they reached an output block.", &c.DupSuppressed)
 	reg.RegisterCounter("recstep_join_dup_filter_bypassed_total",

@@ -1,7 +1,7 @@
 package storage
 
-// Tuple deletion. Incremental maintenance (DRed) removes over-deleted tuples
-// from resident relations in place. Deletion is the third flat-mutation kind
+// Tuple deletion. Incremental maintenance removes deleted base rows from
+// resident relations in place. Deletion is the third flat-mutation kind
 // next to Append and AdoptBlock, but unlike those it preserves a carried
 // partitioned view when one exists: only the partitions that actually lose
 // tuples are compacted (their blocks rewritten), every other partition keeps

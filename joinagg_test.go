@@ -84,3 +84,29 @@ func TestJoinFedAggregatesNeverMaterializeTheJoin(t *testing.T) {
 		}
 	}
 }
+
+// A cross product counts toward the join rows expanded like a hash join's
+// matches: every row it emits, before the aggregate over it folds them.
+func TestCrossJoinCountsRowsExpanded(t *testing.T) {
+	prog := programs.MustParse("cnt(x, COUNT(y)) :- a(x), b(y).")
+	column := func(name string, vals ...int32) *storage.Relation {
+		r := storage.NewRelation(name, storage.NumberedColumns(1))
+		for _, v := range vals {
+			r.Append([]int32{v})
+		}
+		return r
+	}
+	res, err := core.New(core.DefaultOptions()).Run(prog, map[string]*storage.Relation{
+		"a": column("a", 1, 2, 3),
+		"b": column("b", 10, 20),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Relations["cnt"].SortedRows(), []int32{1, 2, 2, 2, 3, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("cnt = %v, want %v", got, want)
+	}
+	if s := res.Stats; s.JoinRowsExpanded != 6 || s.AggRowsIn != 6 {
+		t.Fatalf("3 × 2 cross product: %d rows expanded, %d folded; want 6 and 6", s.JoinRowsExpanded, s.AggRowsIn)
+	}
+}

@@ -367,7 +367,8 @@ func TestResidentIndexAcrossApplyDelta(t *testing.T) {
 	}
 	check("after insert")
 
-	// Delete an arc near the end: DRed over-deletes and rewrites tc in place.
+	// Delete an arc near the end: the stratum is recomputed into a fresh tc,
+	// which drops the index the next insert must re-seed.
 	hits, reseeds, scanned = 0, 0, 0
 	gone := arcs[n-3]
 	arcs = append(arcs[:n-3:n-3], arcs[n-2:]...)
