@@ -372,9 +372,9 @@ func TestChaosApplyDelta(t *testing.T) {
 // catalog: Rederive re-runs every stratum, which creates them afresh, and
 // must then derive exactly what a from-scratch run over the surviving base
 // rows derives. The panic is injected at every worker task from the 2nd to
-// the 12th, so it lands in each phase of the update in turn.
+// the 12th, so it lands in each phase of the update in turn. On tc, and on
+// sg, whose recursive rule is split through an auxiliary IDB.
 func TestRederiveAfterAbortedInsertPhase(t *testing.T) {
-	prog := programs.MustParse(programs.TC)
 	arity := map[string]int{"arc": 2}
 	base := map[string][][]int32{}
 	experiments.PeakMemEDBs("tc", 40)["arc"].ForEach(func(tuple []int32) {
@@ -382,53 +382,56 @@ func TestRederiveAfterAbortedInsertPhase(t *testing.T) {
 	})
 	ins := [][]int32{{41, 0}, {17, 41}, {41, 41}, {3, 17}}
 
-	for _, uie := range []bool{true, false} {
-		failed := 0
-		for n := 2; n <= 12; n++ {
-			inj := faultinject.New(int64(n))
-			opts := core.DefaultOptions()
-			opts.Workers = 4
-			opts.UIE = uie
-			opts.FaultInject = inj
-			d, err := core.New(opts).RunIncremental(context.Background(), prog, relsFrom(base, arity))
-			if err != nil {
-				t.Fatalf("uie=%v n=%d: clean resident build failed: %v", uie, n, err)
-			}
-			inj.FailNth(faultinject.WorkerPanic, n)
-			_, uerr := d.ApplyDelta("arc", ins, nil)
-			disarmInjector(inj, faultinject.WorkerPanic)
-			if uerr != nil {
-				failed++
-				if !errors.Is(uerr, faultinject.ErrInjected) {
-					t.Fatalf("uie=%v n=%d: update error %v does not wrap the injected fault", uie, n, uerr)
+	for _, name := range []string{"tc", "sg"} {
+		prog := programs.MustParse(programs.ByName[name])
+		for _, uie := range []bool{true, false} {
+			failed := 0
+			for n := 2; n <= 12; n++ {
+				inj := faultinject.New(int64(n))
+				opts := core.DefaultOptions()
+				opts.Workers = 4
+				opts.UIE = uie
+				opts.FaultInject = inj
+				d, err := core.New(opts).RunIncremental(context.Background(), prog, relsFrom(base, arity))
+				if err != nil {
+					t.Fatalf("%s uie=%v n=%d: clean resident build failed: %v", name, uie, n, err)
 				}
-				if err := d.Rederive(); err != nil {
-					t.Fatalf("uie=%v n=%d: rederive after the aborted update: %v", uie, n, err)
+				inj.FailNth(faultinject.WorkerPanic, n)
+				_, uerr := d.ApplyDelta("arc", ins, nil)
+				disarmInjector(inj, faultinject.WorkerPanic)
+				if uerr != nil {
+					failed++
+					if !errors.Is(uerr, faultinject.ErrInjected) {
+						t.Fatalf("%s uie=%v n=%d: update error %v does not wrap the injected fault", name, uie, n, uerr)
+					}
+					if err := d.Rederive(); err != nil {
+						t.Fatalf("%s uie=%v n=%d: rederive after the aborted update: %v", name, uie, n, err)
+					}
+					if d.Dirty() {
+						t.Fatalf("%s uie=%v n=%d: database still dirty after rederive", name, uie, n)
+					}
 				}
-				if d.Dirty() {
-					t.Fatalf("uie=%v n=%d: database still dirty after rederive", uie, n)
+				arc, _ := d.Relation("arc")
+				survived := map[string][][]int32{"arc": unpackRows(arc.SortedRows(), 2)}
+				ref, err := core.New(core.DefaultOptions()).Run(prog, relsFrom(survived, arity))
+				if err != nil {
+					t.Fatalf("%s uie=%v n=%d: reference run: %v", name, uie, n, err)
+				}
+				want := sortedOutputs(ref)
+				for _, idb := range d.IDBNames() {
+					rel, _ := d.Relation(idb)
+					if got := rel.SortedRows(); !reflect.DeepEqual(got, want[idb]) {
+						t.Fatalf("%s uie=%v n=%d: %s diverges from a from-scratch run (%d vs %d values)",
+							name, uie, n, idb, len(got), len(want[idb]))
+					}
+				}
+				if snap, err := d.Close(); err != nil || snap.LiveTotal != 0 {
+					t.Fatalf("%s uie=%v n=%d: close: %v, %d live pooled bytes", name, uie, n, err, snap.LiveTotal)
 				}
 			}
-			arc, _ := d.Relation("arc")
-			survived := map[string][][]int32{"arc": unpackRows(arc.SortedRows(), 2)}
-			ref, err := core.New(core.DefaultOptions()).Run(prog, relsFrom(survived, arity))
-			if err != nil {
-				t.Fatalf("uie=%v n=%d: reference run: %v", uie, n, err)
+			if failed == 0 {
+				t.Fatalf("%s uie=%v: no injected panic aborted an update; the test lost its point", name, uie)
 			}
-			want := sortedOutputs(ref)
-			for _, idb := range d.IDBNames() {
-				rel, _ := d.Relation(idb)
-				if got := rel.SortedRows(); !reflect.DeepEqual(got, want[idb]) {
-					t.Fatalf("uie=%v n=%d: %s diverges from a from-scratch run (%d vs %d values)",
-						uie, n, idb, len(got), len(want[idb]))
-				}
-			}
-			if snap, err := d.Close(); err != nil || snap.LiveTotal != 0 {
-				t.Fatalf("uie=%v n=%d: close: %v, %d live pooled bytes", uie, n, err, snap.LiveTotal)
-			}
-		}
-		if failed == 0 {
-			t.Fatalf("uie=%v: no injected panic aborted an update; the test lost its point", uie)
 		}
 	}
 }

@@ -194,7 +194,7 @@ func main() {
 	}
 
 	if *incremental != "" {
-		uerr := runIncremental(ctx, opts, prog, edbs, *incremental, *outDir)
+		uerr := runIncremental(ctx, opts, prog, edbs, *incremental, *outDir, *verbose)
 		if perr := stopProfiles(); perr != nil {
 			log.Fatal(perr)
 		}
@@ -234,6 +234,7 @@ func main() {
 	log.Printf("planner: %d empty-∆ arms skipped, peak join intermediate %d rows, wcoj rules %v",
 		res.Stats.ArmsSkipped, res.Stats.PeakJoinIntermediate, res.Stats.WCOJRules)
 	if *verbose {
+		logSplits(res.Stats)
 		hitShare := 0.0
 		if res.Stats.JoinRowsExpanded > 0 {
 			hitShare = float64(res.Stats.DupSuppressed) / float64(res.Stats.JoinRowsExpanded)
@@ -276,6 +277,15 @@ func main() {
 	}
 	writeTrace(ob, *tracePath)
 	writeRelations(res, *outDir)
+}
+
+// logSplits prints one line per rule the analyzer split through an
+// auxiliary predicate, e.g. "split: sg(x, y) :- arc(a, x), sg(a, b), arc(b,
+// y). through sg_1_maux(x, b)".
+func logSplits(st core.Stats) {
+	for _, s := range st.Splits {
+		log.Printf("split: %s", s)
+	}
 }
 
 // writeTrace flushes the collected trace to path; no-op without -trace. Both
@@ -328,7 +338,7 @@ func phaseMapString(m map[string]time.Duration) string {
 // consistent update of its own). After the script finishes, the IDB relations
 // are written exactly like a from-scratch run and the database is torn down
 // with its zero-leak accounting printed.
-func runIncremental(ctx context.Context, opts core.Options, prog *ast.Program, edbs map[string]*storage.Relation, scriptPath, outDir string) error {
+func runIncremental(ctx context.Context, opts core.Options, prog *ast.Program, edbs map[string]*storage.Relation, scriptPath, outDir string, verbose bool) error {
 	d, err := core.New(opts).RunIncremental(ctx, prog, edbs)
 	if err != nil {
 		return err
@@ -342,6 +352,9 @@ func runIncremental(ctx context.Context, opts core.Options, prog *ast.Program, e
 	st := d.Stats()
 	log.Printf("initial fixpoint in %v (%d iterations, %d SQL queries); database resident",
 		st.Duration.Round(1e6), st.Iterations, st.Queries)
+	if verbose {
+		logSplits(st)
+	}
 
 	var in io.Reader = os.Stdin
 	src := "<stdin>"

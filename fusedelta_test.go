@@ -75,6 +75,9 @@ type equivArm struct {
 	opts core.Options
 	// rewrite, when set, replaces the program the arm runs.
 	rewrite func(*ast.Program) *ast.Program
+	// renamed, when set, maps each relation the arm derives back to the name
+	// the program as written gives it.
+	renamed func(rel string) string
 	// check, when set, inspects the arm's run statistics.
 	check func(t *testing.T, stats core.Stats)
 	// only, when set, lists the programs the arm runs on.
@@ -150,6 +153,13 @@ func matchAcrossPrograms(t *testing.T, long bool, arms func(base core.Options, l
 						armProg = arm.rewrite(prog)
 					}
 					got, stats := run(armProg, arm.opts)
+					if arm.renamed != nil {
+						named := make(map[string][]int32, len(got))
+						for rel, rows := range got {
+							named[arm.renamed(rel)] = rows
+						}
+						got = named
+					}
 					for rel, rows := range want {
 						if !reflect.DeepEqual(got[rel], rows) {
 							t.Fatalf("%s: %s (%d values) diverges from the staged lock-map run (%d values)",

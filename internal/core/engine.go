@@ -256,6 +256,9 @@ type Stats struct {
 	// StratumDurations holds each stratum's fixpoint wall time, in stratum
 	// order.
 	StratumDurations []time.Duration
+	// Splits lists the rule splits the analyzer made (analysis.Split): each
+	// rule body that lost a dead join variable through an auxiliary IDB.
+	Splits []analysis.Split
 	// PhaseDurations attributes the run's wall time to fixpoint phases
 	// (scatter, build, probe, delta, aggregate, spill, fault, leapfrog),
 	// keyed by phase name; zero phases are omitted. Empty when
@@ -313,7 +316,8 @@ func (s Stats) FanOutLine() string {
 
 // Result is the outcome of evaluating a program.
 type Result struct {
-	// Relations maps every IDB predicate to its final relation.
+	// Relations maps every IDB predicate of the program to its final
+	// relation; the auxiliary predicates of rule splitting are not in it.
 	Relations map[string]*storage.Relation
 	Stats     Stats
 }
@@ -360,6 +364,7 @@ func (e *Engine) RunContext(ctx context.Context, prog *ast.Program, edbs map[str
 	// necessarily re-materializes all of R.
 	run.stats.Mem = run.db.MemSnapshot()
 
+	// Auxiliary IDBs from rule splitting stay behind: IDBNames leaves them out.
 	out := &Result{Relations: make(map[string]*storage.Relation)}
 	// Result relations outlive the database (and its spill directory): seal
 	// eviction — restoring one result must not re-spill another — then fault
@@ -392,7 +397,10 @@ func (e *Engine) prepare(ctx context.Context, prog *ast.Program) (*runState, err
 	if err != nil {
 		return nil, err
 	}
-	for name := range res.Preds {
+	for name, pi := range res.Preds {
+		if !pi.Aux && strings.HasSuffix(name, analysis.AuxSuffix) {
+			return nil, fmt.Errorf("core: predicate name %q collides with the auxiliary-predicate suffix %q", name, analysis.AuxSuffix)
+		}
 		if strings.HasSuffix(name, querygen.DeltaSuffix) || strings.HasSuffix(name, querygen.TmpSuffix) {
 			return nil, fmt.Errorf("core: predicate name %q collides with engine table suffixes", name)
 		}
@@ -439,6 +447,7 @@ func (e *Engine) prepare(ctx context.Context, prog *ast.Program) (*runState, err
 		gen:    querygen.New(res),
 		start:  time.Now(),
 		ob:     ob,
+		stats:  Stats{Splits: res.Splits},
 	}
 	if ob != nil {
 		if ob.Exec != nil {
@@ -647,7 +656,7 @@ func (r *runState) loadEDBs(edbs map[string]*storage.Relation) error {
 }
 
 func (r *runState) createIDBs() error {
-	for _, name := range r.res.IDBNames() {
+	for _, name := range r.res.AllIDBNames() {
 		pi := r.res.Preds[name]
 		full := storage.NewRelation(name, storage.NumberedColumns(pi.Arity))
 		full.SetLifecycle(r.db.Alloc(), storage.CatIDB)
@@ -881,10 +890,12 @@ type idbState struct {
 	// builds, the whole tuple otherwise (or under naive evaluation). Nil
 	// selects the whole tuple.
 	keyCols []int
-	// lastTmp is the previous iteration's join-output size — the
-	// slowly-changing estimate the delta fan-out choice uses before the
-	// current Rt exists.
-	lastTmp int
+	// lastDelta is the previous iteration's |∆R| — the slowly-changing
+	// estimate of the join output the delta fan-out choice uses before the
+	// current Rt exists. Not |Rt| itself: the share of Rt the duplicate
+	// filter drops depends on how the workers split the probe, and the
+	// fan-out must follow the data alone.
+	lastDelta int
 	// deltaParts is the fan-out the predicate's delta pipeline last ran at
 	// in this stratum (0 before its first fused step); the next choice never
 	// goes below it.
@@ -975,7 +986,6 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit boun
 	if r.em != nil {
 		r.em.tmpTuples.Add(int64(tmpRows))
 	}
-	st.lastTmp = tmpRows
 
 	// analyze(Rt): OOF collects per-iteration statistics; OOF-NA refreshes
 	// only on the first iteration, leaving later iterations with stale data.
@@ -1066,6 +1076,7 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit boun
 		r.db.AnalyzeRelation(delta, mode)
 	}
 	n := delta.NumTuples()
+	st.lastDelta = n
 	r.stats.DeltaTuples += int64(n)
 	if r.em != nil {
 		r.em.deltaTuples.Add(int64(n))
@@ -1112,13 +1123,13 @@ func (r *runState) deltaPartitioning(st *idbState, full *storage.Relation) stora
 		// rebuild of the full relation on every update.
 		carried, ok := full.Partitioning()
 		return optimizer.ChooseUpdateDeltaPartitioning(carried, ok,
-			full.NumTuples(), st.lastTmp, st.deltaParts, r.db.Headroom(), st.q.Arity)
+			full.NumTuples(), st.lastDelta, st.deltaParts, r.db.Headroom(), st.q.Arity)
 	}
 	parts := 0
 	if p := r.opts().Partitions; p > 0 {
 		parts = storage.NormalizePartitions(p)
 	} else {
-		parts = optimizer.ChooseDeltaPartitionsBudget(full.NumTuples(), st.lastTmp, st.deltaParts, r.db.Headroom())
+		parts = optimizer.ChooseDeltaPartitionsBudget(full.NumTuples(), st.lastDelta, st.deltaParts, r.db.Headroom())
 	}
 	keyCols := st.keyCols
 	if len(keyCols) == 0 {
@@ -1161,8 +1172,9 @@ type boundUnit struct {
 	deltas []string
 }
 
-// bindUnit binds a unit's unified INSERT … SELECT.
-func (r *runState) bindUnit(u querygen.UnitQueries) (boundUnit, error) {
+// bindUnit binds a unit's unified INSERT … SELECT, numbering its arms from
+// firstArm on (plan.Branch.Arm).
+func (r *runState) bindUnit(u querygen.UnitQueries, firstArm int) (boundUnit, error) {
 	if u.Subqueries == 0 {
 		return boundUnit{}, nil
 	}
@@ -1173,6 +1185,9 @@ func (r *runState) bindUnit(u querygen.UnitQueries) (boundUnit, error) {
 	q, err := quickstep.QueryOf(st)
 	if err != nil {
 		return boundUnit{}, err
+	}
+	for i, br := range q.Branches {
+		br.Arm = firstArm + i
 	}
 	return boundUnit{query: q, deltas: u.DeltaTables}, nil
 }
@@ -1193,30 +1208,34 @@ func (u boundUnit) then(b boundUnit) boundUnit {
 
 // bindStratumUnits binds the units one IDB's fixpoint runs: naive evaluation
 // runs the Full unit every iteration; otherwise iteration 1 runs the Init
-// unit, or under seed the seed arms plus the ordinary Rec arms, and later
-// iterations run Rec. The seeded first iteration needs the Rec arms because
-// deltas install in predicate order within an iteration: a predicate
-// evaluated after a producer sees the producer's iteration-1 ∆ only during
-// iteration 1 — by iteration 2 it has been replaced. (From-scratch runs
-// don't need this: Init arms read no deltas and every tuple lands in some
-// later ∆.)
+// unit (or, under seed, the seed arms) followed by the ordinary Rec arms, and
+// later iterations run Rec. Iteration 1 needs the Rec arms because deltas
+// install in predicate order within an iteration: a predicate evaluated after
+// a producer sees the producer's iteration-1 ∆ only during iteration 1 — by
+// iteration 2 the producer has replaced it. Without them a from-scratch run
+// loses every tuple a later-sorted predicate derives from an earlier one's
+// first ∆ (p :- e. p :- q. q :- p, e. leaves q empty).
+//
+// Every arm gets a stable id, its position in Init ++ Rec (seed arms follow
+// them), so a plan choice names the same arm whichever arms an iteration runs.
 func (r *runState) bindStratumUnits(st *idbState, seed map[string]querygen.UnitQueries) error {
 	q := st.q
 	var err error
 	if r.opts().Naive && seed == nil {
-		st.rec, err = r.bindUnit(q.Full)
+		st.rec, err = r.bindUnit(q.Full, 0)
 		st.first = st.rec
 		return err
 	}
-	if st.rec, err = r.bindUnit(q.Rec); err != nil {
+	if st.rec, err = r.bindUnit(q.Rec, q.Init.Subqueries); err != nil {
 		return err
 	}
+	var head boundUnit
 	if seed == nil {
-		st.first, err = r.bindUnit(q.Init)
-		return err
+		head, err = r.bindUnit(q.Init, 0)
+	} else {
+		head, err = r.bindUnit(seed[q.Pred], q.Init.Subqueries+q.Rec.Subqueries)
 	}
-	seedArms, err := r.bindUnit(seed[q.Pred])
-	st.first = seedArms.then(st.rec)
+	st.first = head.then(st.rec)
 	return err
 }
 
@@ -1270,7 +1289,7 @@ func (r *runState) uieval(tmp string, cols []string, q *plan.Query, uie bool) (_
 	}
 	merge := make([]string, len(q.Branches))
 	for i, br := range q.Branches {
-		part := fmt.Sprintf("%s_%d", tmp, i)
+		part := fmt.Sprintf("%s_%d", tmp, br.Arm)
 		created = append(created, part)
 		if _, err := r.db.Exec(plan.CreateTable{Name: part, Cols: cols}); err != nil {
 			return nil, err

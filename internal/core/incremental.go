@@ -108,7 +108,8 @@ func (d *Database) Relation(name string) (*storage.Relation, bool) {
 	return d.run.db.Catalog().Get(name)
 }
 
-// IDBNames returns the program's derived predicates in a stable order.
+// IDBNames returns the program's derived predicates in a stable order (the
+// auxiliary predicates of rule splitting are not among them).
 func (d *Database) IDBNames() []string { return d.run.res.IDBNames() }
 
 // MemSnapshot reads the resident database's memory accounting.
@@ -236,7 +237,7 @@ func (d *Database) Rederive() error {
 		// Fresh derived relations: replacing the objects wholesale clears any
 		// relation-level sticky fault state a failed update poisoned them
 		// with, and releases whatever partial contents they held.
-		for _, name := range r.res.IDBNames() {
+		for _, name := range r.res.AllIDBNames() {
 			pi := r.res.Preds[name]
 			full := storage.NewRelation(name, storage.NumberedColumns(pi.Arity))
 			full.SetLifecycle(r.db.Alloc(), storage.CatIDB)

@@ -3,6 +3,9 @@
 // dependency graph, computes strongly connected components and a
 // stratification, validates stratified negation, and identifies recursive
 // aggregates (which the engine evaluates with monotone aggregate merging).
+// It also splits rule bodies of three or more atoms through auxiliary IDBs
+// so that a join variable nothing else reads is projected away once (see
+// splitRules); the query generator and the engine see the split program.
 package analysis
 
 import (
@@ -31,6 +34,9 @@ type PredInfo struct {
 	// RecursiveAgg marks aggregation inside recursion (CC, SSSP): the
 	// engine must use aggregate-merge instead of dedup + set difference.
 	RecursiveAgg bool
+	// Aux marks an auxiliary IDB added by rule splitting: evaluated like
+	// any IDB, never part of a run's result.
+	Aux bool
 }
 
 // Stratum groups the rules evaluated together in one fixpoint loop.
@@ -43,37 +49,67 @@ type Stratum struct {
 
 // Result is the analyzer output consumed by the query generator and engine.
 type Result struct {
+	// Program is the program after rule splitting: the analyzed program
+	// itself when no rule split.
 	Program *ast.Program
 	Preds   map[string]*PredInfo
 	Strata  []Stratum
+	// Splits lists the rule splits, in the order they were made.
+	Splits []Split
 }
 
-// IDBNames returns all IDB predicate names, sorted.
-func (r *Result) IDBNames() []string {
+// names returns the predicate names keep accepts, sorted.
+func (r *Result) names(keep func(*PredInfo) bool) []string {
 	var out []string
 	for n, p := range r.Preds {
-		if p.IsIDB {
+		if keep(p) {
 			out = append(out, n)
 		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// IDBNames returns the program's IDB predicate names, sorted; the auxiliary
+// predicates rule splitting added are left out (AllIDBNames has them).
+func (r *Result) IDBNames() []string {
+	return r.names(func(p *PredInfo) bool { return p.IsIDB && !p.Aux })
+}
+
+// AllIDBNames returns every IDB predicate name, auxiliary ones included,
+// sorted: the relations an evaluation creates.
+func (r *Result) AllIDBNames() []string {
+	return r.names(func(p *PredInfo) bool { return p.IsIDB })
 }
 
 // EDBNames returns all EDB predicate names, sorted.
 func (r *Result) EDBNames() []string {
-	var out []string
-	for n, p := range r.Preds {
-		if !p.IsIDB {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return r.names(func(p *PredInfo) bool { return !p.IsIDB })
 }
 
-// Analyze runs the full rule analysis.
+// Analyze runs the full rule analysis, splits rule bodies where a join
+// variable dies after two atoms, and analyzes the split program.
 func Analyze(p *ast.Program) (*Result, error) {
+	res, err := analyzeProgram(p)
+	if err != nil {
+		return nil, err
+	}
+	split, splits := splitRules(res)
+	if splits == nil {
+		return res, nil
+	}
+	if res, err = analyzeProgram(split); err != nil {
+		return nil, err
+	}
+	for _, s := range splits {
+		res.Preds[s.Aux].Aux = true
+	}
+	res.Splits = splits
+	return res, nil
+}
+
+// analyzeProgram runs the rule analysis of one program as written.
+func analyzeProgram(p *ast.Program) (*Result, error) {
 	res := &Result{Program: p, Preds: make(map[string]*PredInfo)}
 	if err := res.collectPreds(); err != nil {
 		return nil, err
@@ -222,7 +258,7 @@ func (r *Result) checkAggregates() error {
 // for the monotone MIN/MAX (recursive aggregation, Section 3.3); recursive
 // SUM/COUNT/AVG are rejected since their fixpoint need not converge.
 func (r *Result) stratify() error {
-	idbs := r.IDBNames()
+	idbs := r.AllIDBNames()
 	index := make(map[string]int, len(idbs))
 	for i, n := range idbs {
 		index[n] = i

@@ -79,8 +79,14 @@ func TestSGResidualAndDelta(t *testing.T) {
 	if !strings.Contains(q.Init.Unified, "<>") {
 		t.Fatalf("x != y should render as <>: %q", q.Init.Unified)
 	}
-	if !strings.Contains(q.Rec.Unified, "sg_mdelta") {
+	// The recursive rule is split through sg_1_maux(x, b) :- arc(a, x),
+	// sg(a, b): sg's recursive arm reads the auxiliary predicate's ∆, and the
+	// auxiliary predicate's arm reads sg's.
+	if !strings.Contains(q.Rec.Unified, "sg_1_maux_mdelta") {
 		t.Fatalf("rec = %q", q.Rec.Unified)
+	}
+	if aux := queriesFor(t, programs.SG, "sg_1_maux"); !strings.Contains(aux.Rec.Unified, "sg_mdelta") {
+		t.Fatalf("aux rec = %q", aux.Rec.Unified)
 	}
 }
 

@@ -190,7 +190,7 @@ func (db *Database) notePlan(name string, br *plan.Branch, order []int, strategy
 }
 
 // PlanChoices snapshots the per-branch join-plan decisions recorded so far,
-// keyed by branch name (destination table + branch index).
+// keyed by branch name (destination table + plan.Branch.Arm).
 func (db *Database) PlanChoices() map[string]PlanChoice {
 	db.planMu.Lock()
 	defer db.planMu.Unlock()
@@ -653,7 +653,7 @@ func (db *Database) runQuery(q *plan.Query, name string, out OutputHint) (*stora
 					errs[i] = err
 				}
 			}()
-			results[i], errs[i] = db.runBranch(br, fmt.Sprintf("%s_b%d", name, i), out)
+			results[i], errs[i] = db.runBranch(br, fmt.Sprintf("%s_b%d", name, br.Arm), out)
 		}(i, br)
 	}
 	wg.Wait()

@@ -165,8 +165,8 @@ func ChoosePartitionsBudget(buildTuples, workers int, headroom int64) int {
 // partitions are the unit of cold-partition spilling, so collapsing to a
 // flat layout under pressure would remove the engine's only way to shed
 // memory.
-func ChooseDeltaPartitionsBudget(rTuples, prevTmpTuples, prevParts int, headroom int64) int {
-	parts := ChooseDeltaPartitions(rTuples, prevTmpTuples, prevParts)
+func ChooseDeltaPartitionsBudget(rTuples, prevDelta, prevParts int, headroom int64) int {
+	parts := ChooseDeltaPartitions(rTuples, prevDelta, prevParts)
 	if parts <= 1 {
 		// The cardinality tiers would run flat — but when the full relation
 		// alone threatens the remaining headroom, partition it anyway:
@@ -188,11 +188,11 @@ func ChooseDeltaPartitionsBudget(rTuples, prevTmpTuples, prevParts int, headroom
 // which dwarfs any scatter savings on the delta itself. So when the full
 // relation carries a partitioned view, mirror it exactly (key columns and
 // fan-out both); only an uncarried R falls back to the batch heuristic.
-func ChooseUpdateDeltaPartitioning(carried storage.Partitioning, hasCarried bool, rTuples, prevTmpTuples, prevParts int, headroom int64, arity int) storage.Partitioning {
+func ChooseUpdateDeltaPartitioning(carried storage.Partitioning, hasCarried bool, rTuples, prevDelta, prevParts int, headroom int64, arity int) storage.Partitioning {
 	if hasCarried {
 		return carried
 	}
-	parts := ChooseDeltaPartitionsBudget(rTuples, prevTmpTuples, prevParts, headroom)
+	parts := ChooseDeltaPartitionsBudget(rTuples, prevDelta, prevParts, headroom)
 	return storage.Partitioning{KeyCols: storage.AllCols(arity), Parts: parts}
 }
 
@@ -297,7 +297,7 @@ func ChooseCarry(arity int, joinKeysets [][]int, outputKeys []int) (keys []int, 
 // minTaskRows is the join output a delta-pipeline partition task must
 // receive to pay for itself: below it the task, its blocks and the
 // epoch-boundary coalesce cost more than the kernel work it carries. It is
-// the smallest tier's threshold spread over the widest fan-out, so Rt must
+// the smallest tier's threshold spread over the widest fan-out, so ∆R must
 // reach 1024 rows before the pipeline fans out at all.
 const minTaskRows = partitionMinTuples / 256
 
@@ -310,18 +310,20 @@ const minTaskRows = partitionMinTuples / 256
 // the data alone, never of the worker count:
 //
 //   - Start from the cardinality tier of the larger of the two inputs the
-//     delta pass touches: the full relation R and the join output Rt
-//     (approximated by the previous iteration's size, the same
-//     slowly-changing heuristic DSD uses for µ).
-//   - Step it down (256 → 64 → 16 → 1) while Rt would give each partition
-//     task fewer than minTaskRows rows: a chain whose ∆ is a few rows runs
-//     one task however large R has grown.
+//     delta pass touches: the full relation R and the join output Rt,
+//     approximated by prevDelta, the previous iteration's |∆R| (the same
+//     slowly-changing heuristic DSD uses for µ). Rt's own size is no
+//     measure of the data: the share of it the duplicate filter drops
+//     depends on how the workers split the probe.
+//   - Step it down (256 → 64 → 16 → 1) while that estimate would give each
+//     partition task fewer than minTaskRows rows: a chain whose ∆ is a few
+//     rows runs one task however large R has grown.
 //   - Never go below prevParts, the predicate's fan-out in the previous
 //     iteration of the stratum: R is never re-scattered to a smaller layout,
 //     so its carried partitions and resident index survive a shrinking ∆.
-func ChooseDeltaPartitions(rTuples, prevTmpTuples, prevParts int) int {
-	parts := partitionTier(max(rTuples, prevTmpTuples))
-	for parts > 1 && prevTmpTuples < parts*minTaskRows {
+func ChooseDeltaPartitions(rTuples, prevDelta, prevParts int) int {
+	parts := partitionTier(max(rTuples, prevDelta))
+	for parts > 1 && prevDelta < parts*minTaskRows {
 		parts = stepDown(parts)
 	}
 	return max(parts, prevParts)

@@ -230,24 +230,25 @@ func TestChooseCarry(t *testing.T) {
 }
 
 // The delta fan-out is R's cardinality tier, stepped down until each
-// partition task receives at least minTaskRows rows of the previous join
-// output, never below the previous iteration's fan-out, and only then capped
-// by the memory headroom. No worker count enters it.
+// partition task receives at least minTaskRows rows of the previous
+// iteration's ∆ (the estimate of its join output), never below the previous
+// iteration's fan-out, and only then capped by the memory headroom. No
+// worker count enters it.
 func TestChooseDeltaPartitionsSizedByWork(t *testing.T) {
 	const roomy = int64(1) << 40
 	cases := []struct {
-		name                  string
-		r, prevTmp, prevParts int
-		headroom              int64
-		want                  int
+		name                    string
+		r, prevDelta, prevParts int
+		headroom                int64
+		want                    int
 	}{
-		// Tiers of max(|R|, |Rt|) when Rt is large enough to feed them.
+		// Tiers of max(|R|, |∆|) when ∆ is large enough to feed them.
 		{"small inputs run flat", 1000, 1000, 0, roomy, 1},
 		{"16 tier", 1 << 14, 1 << 14, 0, roomy, 16},
 		{"64 tier", 1 << 18, 1 << 18, 0, roomy, 64},
 		{"256 tier", 1 << 22, 1 << 22, 0, roomy, 256},
-		{"Rt alone reaches a tier", 100, 1 << 18, 0, roomy, 64},
-		// The cap by Rt: fewer than 64 rows per task steps the tier down.
+		{"∆ alone reaches a tier", 100, 1 << 18, 0, roomy, 64},
+		// The cap by ∆: fewer than 64 rows per task steps the tier down.
 		{"first iteration runs flat", 1 << 22, 0, 0, roomy, 1},
 		{"a few-row ∆ over a large R runs flat", 1 << 20, 8, 0, roomy, 1},
 		{"just under 16 tasks' work", 1 << 20, 16*minTaskRows - 1, 0, roomy, 1},
@@ -255,7 +256,7 @@ func TestChooseDeltaPartitionsSizedByWork(t *testing.T) {
 		{"64 tasks' work", 1 << 20, 64 * minTaskRows, 0, roomy, 64},
 		{"256 tier capped to 64", 1 << 22, 256*minTaskRows - 1, 0, roomy, 64},
 		{"256 tasks' work", 1 << 22, 256 * minTaskRows, 0, roomy, 256},
-		// Upgrade-only: a shrinking Rt keeps the previous fan-out.
+		// Upgrade-only: a shrinking ∆ keeps the previous fan-out.
 		{"never below the previous fan-out", 1 << 20, 8, 64, roomy, 64},
 		{"still upgrades past it", 1 << 22, 1 << 22, 16, roomy, 256},
 		// Headroom: the caps and the spill floor apply after the choice.
@@ -266,9 +267,9 @@ func TestChooseDeltaPartitionsSizedByWork(t *testing.T) {
 		{"an R that fits stays flat", 1000, 8, 0, 1 << 20, 1},
 	}
 	for _, c := range cases {
-		if got := ChooseDeltaPartitionsBudget(c.r, c.prevTmp, c.prevParts, c.headroom); got != c.want {
+		if got := ChooseDeltaPartitionsBudget(c.r, c.prevDelta, c.prevParts, c.headroom); got != c.want {
 			t.Errorf("%s: ChooseDeltaPartitionsBudget(%d, %d, %d, %d) = %d, want %d",
-				c.name, c.r, c.prevTmp, c.prevParts, c.headroom, got, c.want)
+				c.name, c.r, c.prevDelta, c.prevParts, c.headroom, got, c.want)
 		}
 	}
 }

@@ -25,6 +25,12 @@ type Query struct {
 
 // Branch is one UNION ALL arm.
 type Branch struct {
+	// Arm is the branch's stable id: the binder numbers a statement's
+	// branches by position, and a caller that runs subsets of them may
+	// renumber. It names the branch's plan choice, so skipping one branch
+	// never shifts another onto its record.
+	Arm int
+
 	// Tables lists the FROM items in declaration order; Offsets[i] is the
 	// starting column of table i in the combined row.
 	Tables  []string

@@ -62,6 +62,7 @@ func bindQuery(sel *astSelect, schema SchemaFn) (*plan.Query, error) {
 			return nil, fmt.Errorf("sql: UNION ALL branches have different arities (%d vs %d)",
 				branchArity(q.Branches[0]), branchArity(br))
 		}
+		br.Arm = len(q.Branches)
 		q.Branches = append(q.Branches, br)
 	}
 	return q, nil

@@ -98,8 +98,8 @@ func TestCSDAWorkIsDeltaProportional(t *testing.T) {
 
 // The same claim at every worker count, on chains long enough that R crosses
 // 2^14, the smallest partitioning tier, while ∆ stays four rows per
-// iteration. The delta fan-out is capped by the previous iteration's join
-// output, so every step runs one partition task, the resident index is
+// iteration. The delta fan-out is capped by the previous iteration's ∆, so
+// every step runs one partition task, the resident index is
 // seeded once and never re-seeded by a fan-out change, and doubling the chain
 // at most doubles the rows re-read. Were the fan-out sized by |R| alone, R's
 // crossing 2^14 would split every few-row ∆ into 16 partition tasks at W ≥ 2,
