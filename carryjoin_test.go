@@ -38,11 +38,11 @@ func TestCarriedMatchesRescatterAcrossPrograms(t *testing.T) {
 	})
 }
 
-// A TC fixpoint re-scatters the delta for a join build only when the carried
-// keyset is not the build's. tc is carried on its pass-through column at
-// every worker count, and arc, which the fixpoint never writes, builds in the
-// first iteration and is cached: ∆ never builds, the one permissible build
-// scatter is arc's, and every later iteration probes the cached table with ∆
+// A TC fixpoint routes the delta's rows for a join build only when the
+// carried keyset is not the build's. tc is carried on its pass-through column
+// at every worker count, and arc, which the fixpoint never writes, builds in
+// the first iteration and is cached: ∆ never builds, the one permissible
+// routed build is arc's, and every later iteration probes the cached table with ∆
 // and writes its join output in place. Naive evaluation carries nothing: it
 // must write no output in place and scatter more tuples — otherwise the
 // counters measure nothing.
@@ -75,8 +75,8 @@ func TestCarriedZeroDeltaBuildScatters(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		carried, deltaBuilds := run(workers, false)
-		if arcScatters := carried.JoinBuildsByKeyset["arc[0]"].Scatters; arcScatters > 1 {
-			t.Fatalf("W=%d: arc paid %d build scatters, want ≤ 1 (its cache fill)", workers, arcScatters)
+		if arcBuilds := carried.JoinBuildsByKeyset["arc[0]"].FromBlocks; arcBuilds > 1 {
+			t.Fatalf("W=%d: arc was routed by %d builds, want ≤ 1 (its cache fill)", workers, arcBuilds)
 		}
 		if carried.JoinBuildScatters > int64(1+deltaBuilds) {
 			t.Fatalf("W=%d: carried run paid %d join-build scatters, want ≤ 1 + %d (arc's cache fill, one per ∆ build)",

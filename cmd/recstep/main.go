@@ -226,7 +226,7 @@ func main() {
 		res.Stats.Duration.Round(1e6), res.Stats.Iterations, res.Stats.Queries)
 	log.Printf("copies: %d tuples scattered, %d adopted without copy, %d flat materializations",
 		res.Stats.TuplesScattered, res.Stats.TuplesAdopted, res.Stats.FlatMaterializations)
-	log.Printf("join builds: %d served from carried/cached partitions, %d paid a scatter",
+	log.Printf("join builds: %d served from carried partitions, %d routed from the relation's blocks",
 		res.Stats.JoinBuildScattersAvoided, res.Stats.JoinBuildScatters)
 	log.Printf("resident: set-difference index served %d passes (%d seeds), cached builds served %d joins; rows re-read: %d by set difference, %d by join probes",
 		res.Stats.ResidentIndexHits, res.Stats.ResidentIndexReseeds, res.Stats.CachedBuildHits,

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"recstep/internal/obs"
 	"recstep/internal/quickstep/expr"
@@ -142,17 +141,19 @@ func (t *aggTable) group(row []int32) []int64 {
 	return t.states[g*w : g*w+w : g*w+w]
 }
 
-// fold accumulates every row of blocks.
-func (t *aggTable) fold(blocks []*storage.Block) {
-	for _, b := range blocks {
-		t.foldRows(b.Data(), b.Arity())
+// foldRows accumulates the arity-wide rows of a row-major run — a block's
+// data or a join's output window — at the indices in sel, in that order, or
+// every row of the run when sel is nil.
+func (t *aggTable) foldRows(data []int32, arity int, sel []int32) {
+	n := len(sel)
+	if sel == nil {
+		n = len(data) / arity
 	}
-}
-
-// foldRows accumulates a row-major run of arity-wide rows — a block's data or
-// a join's output window — walking it in arity-strided chunks.
-func (t *aggTable) foldRows(data []int32, arity int) {
-	for off := 0; off < len(data); off += arity {
+	for k := 0; k < n; k++ {
+		off := k * arity
+		if sel != nil {
+			off = int(sel[k]) * arity
+		}
 		row := data[off : off+arity : off+arity]
 		st := t.group(row)
 		for j, a := range t.aggs {
@@ -165,7 +166,7 @@ func (t *aggTable) foldRows(data []int32, arity int) {
 			a.Func.add(st[t.offs[j]:], v)
 		}
 	}
-	t.folded += int64(len(data) / arity)
+	t.folded += int64(n)
 }
 
 // absorb merges another table's groups into t, table to table.
@@ -204,35 +205,10 @@ func (t *aggTable) emit(write func(rows []int32)) {
 }
 
 // HashAggregate groups in by the groupBy column positions and computes aggs
-// per group. Output columns are the group columns followed by one column per
-// aggregate, in no particular row order. Runs with per-worker group tables
-// merged table to table at the end, so group updates never contend; the
-// output blocks are pool-accounted intermediates.
+// per group: HashAggregatePartitioned with one split, so every worker folds
+// into one table and the tables merge table to table at the end.
 func HashAggregate(pool *Pool, in *storage.Relation, groupBy []int, aggs []AggSpec, outName string, outCols []string) *storage.Relation {
-	if len(aggs) == 0 {
-		panic("exec: HashAggregate requires at least one aggregate")
-	}
-	defer pool.phase(obs.PhaseAggregate, -1)()
-	blocks := in.Blocks()
-	workers := pool.Workers()
-	partials := make([]*aggTable, workers)
-
-	var nextBlock atomic.Int64
-	pool.RunWorkers(workers, func(worker, numWorkers int) {
-		local := newAggTable(groupBy, aggs)
-		partials[worker] = local
-		for {
-			t := int(nextBlock.Add(1)) - 1
-			if t >= len(blocks) || pool.Aborted() {
-				return
-			}
-			local.fold(blocks[t : t+1])
-		}
-	})
-
-	col := newCollector(pool, storage.CatIntermediate, len(groupBy)+len(aggs), 1)
-	mergeSplit(pool, partials, 1, 0, col)
-	return col.into(outName, outCols)
+	return HashAggregatePartitioned(pool, in, groupBy, aggs, 1, outName, outCols)
 }
 
 // mergeSplit merges split p of per-worker tables — tables[w*parts+p], nil
@@ -311,16 +287,21 @@ func (a *joinAgg) table(worker, p int) *aggTable {
 	return a.tables[i]
 }
 
-// fold folds a window of width-wide output rows into worker's tables; with
-// more than one split, hash is scratch for the rows' group hashes.
-func (a *joinAgg) fold(worker int, rows []int32, width int, hash []uint64) {
+// fold folds a window of at most kernels.BatchRows width-wide rows into
+// worker's tables; with more than one split, buf's route sorts the window by
+// split first, so each split's rows are folded into its table in one run.
+func (a *joinAgg) fold(worker int, rows []int32, width int, buf *batchBuf) {
 	if a.parts == 1 {
-		a.table(worker, 0).foldRows(rows, width)
+		a.table(worker, 0).foldRows(rows, width, nil)
 		return
 	}
-	kernels.HashRows(rows, width, a.GroupBy, hash)
-	for i, h := range hash[:len(rows)/width] {
-		a.table(worker, storage.PartitionOf(h, a.parts)).foldRows(rows[i*width:(i+1)*width], width)
+	_, order, ends := buf.route(rows, width, a.GroupBy, a.parts)
+	lo := int32(0)
+	for p, hi := range ends {
+		if hi > lo {
+			a.table(worker, p).foldRows(rows, width, order[lo:hi])
+		}
+		lo = hi
 	}
 }
 
@@ -333,28 +314,40 @@ func (a *joinAgg) merge(pool *Pool, col *collector) {
 	})
 }
 
-// HashAggregatePartitioned is HashAggregate over parts radix partitions of
-// the input on its group-by columns. A group's rows all land in the same
-// partition, so each partition aggregates and finalizes its own table — no
-// cross-worker merge phase at all. Global aggregation (no group-by) and
-// parts <= 1 fall back to the merge-based path.
+// HashAggregatePartitioned groups in by the groupBy column positions and
+// computes aggs per group. Output columns are the group columns followed by
+// one column per aggregate, in no particular row order; the output blocks are
+// pool-accounted intermediates. It is the fold of a join-fed aggregate
+// (joinAgg) over the relation's own blocks: each worker folds the blocks it
+// claims into its own tables, split by group hash into parts, and split p of
+// every worker's tables is merged by one task, so group updates never contend
+// and no row is copied before it is folded. A global aggregate (no group-by)
+// and parts <= 1 take one split.
 func HashAggregatePartitioned(pool *Pool, in *storage.Relation, groupBy []int, aggs []AggSpec, parts int, outName string, outCols []string) *storage.Relation {
-	parts = storage.NormalizePartitions(parts)
-	if parts <= 1 || len(groupBy) == 0 {
-		return HashAggregate(pool, in, groupBy, aggs, outName, outCols)
-	}
 	if len(aggs) == 0 {
 		panic("exec: HashAggregate requires at least one aggregate")
 	}
-	view := PartitionRelation(pool, in, groupBy, parts)
-	col := newCollector(pool, storage.CatIntermediate, len(groupBy)+len(aggs), parts)
-	pool.RunPartitions(parts, func(p int) {
-		defer pool.phase(obs.PhaseAggregate, p)()
-		local := newAggTable(groupBy, aggs)
-		local.fold(view.Blocks(p))
-		pool.Copy.AggRowsIn.Add(local.folded)
-		pool.Copy.AggGroupsOut.Add(int64(local.groups.Len()))
-		local.emit(col.sinkBulk(p))
+	a := newJoinAgg(&GroupAgg{GroupBy: groupBy, Aggs: aggs, Parts: parts}, pool.Workers())
+	blocks := in.Blocks()
+	arity := in.Arity()
+	endFold := pool.phase(obs.PhaseAggregate, -1)
+	pool.runTasksPerWorker(len(blocks), func(worker, t int) {
+		data := blocks[t].Data()
+		if a.parts == 1 {
+			a.fold(worker, data, arity, nil)
+			return
+		}
+		buf := getBatchBuf()
+		defer putBatchBuf(buf)
+		step := kernels.BatchRows * arity
+		for off := 0; off < len(data); off += step {
+			a.fold(worker, data[off:min(off+step, len(data))], arity, buf)
+		}
 	})
+	endFold()
+	col := newCollector(pool, storage.CatIntermediate, a.width(), a.parts)
+	if !pool.Aborted() {
+		a.merge(pool, col)
+	}
 	return col.into(outName, outCols)
 }

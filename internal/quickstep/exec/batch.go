@@ -45,6 +45,8 @@ type batchBuf struct {
 	scat   []int32
 	counts []int32
 	cols   [][]int32
+	pid    []uint8
+	order  []int32
 }
 
 var batchBufPool = sync.Pool{New: func() any {
@@ -60,6 +62,8 @@ var batchBufPool = sync.Pool{New: func() any {
 		gather: make([]int32, 4*n),
 		scat:   make([]int32, 4*n),
 		cols:   make([][]int32, 0, 8),
+		pid:    make([]uint8, n),
+		order:  make([]int32, n),
 	}
 }}
 
@@ -558,4 +562,37 @@ func batchScatterBlock(w *partWriter, data []int32, arity int, buf *batchBuf) {
 			prev = end
 		}
 	}
+}
+
+// route sorts a window of at most kernels.BatchRows arity-wide rows by the
+// radix partition of their keys among parts, without moving them: it returns
+// each row's partition, the row indices grouped by partition in partition
+// order, and where each partition's run ends — partition p's rows are
+// order[ends[p-1]:ends[p]]. All three are buf's scratch. A consumer that
+// takes one partition's run at a time keeps that partition's table in cache
+// while it folds or inserts the run, where rows in arrival order hit a
+// different table nearly every time.
+func (buf *batchBuf) route(rows []int32, arity int, keys []int, parts int) (pid []uint8, order, ends []int32) {
+	n := len(rows) / arity
+	if len(buf.counts) < parts {
+		buf.counts = make([]int32, parts)
+	}
+	pid, order, ends = buf.pid[:n], buf.order[:n], buf.counts[:parts]
+	clear(ends)
+	kernels.HashRows(rows, arity, keys, buf.hash)
+	for i, h := range buf.hash[:n] {
+		p := storage.PartitionOf(h, parts)
+		pid[i] = uint8(p) // parts <= storage.MaxPartitions = 256
+		ends[p]++
+	}
+	var sum int32
+	for p, c := range ends {
+		ends[p] = sum
+		sum += c
+	}
+	for i, p := range pid {
+		order[ends[p]] = int32(i)
+		ends[p]++
+	}
+	return pid, order, ends
 }

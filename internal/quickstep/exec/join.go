@@ -7,6 +7,7 @@ import (
 
 	"recstep/internal/obs"
 	"recstep/internal/quickstep/expr"
+	"recstep/internal/quickstep/kernels"
 	"recstep/internal/quickstep/storage"
 )
 
@@ -222,24 +223,24 @@ func joinBuild(pool *Pool, build *storage.Relation, keys []int, spec JoinSpec) *
 	}
 	v := build.Version() // before the build snapshots the blocks
 	jt := buildJoinTable(pool, build, keys, payloadCols(build.Arity(), keys), spec.Partitions)
-	build.Attach(key, jt, v)
+	if !pool.Aborted() { // an aborted build may be missing rows
+		build.Attach(key, jt, v)
+	}
 	return jt
 }
 
 // buildJoinTable constructs the build side of a join, storing the payload
 // columns of each row (payloadCols for a join, none for an anti join, which
-// only asks whether a key is there). With parts <= 1 it is
-// one table over the whole relation, mirroring QuickStep's shared join hash
-// table (the scaling limiter the paper identifies past the physical core
-// count). With parts > 1 the relation is radix-partitioned on the key
-// columns and each partition's table is built by one worker over data it
-// owns exclusively — no latches, no shared map, no CAS retries. When the relation already
-// carries (or has cached) a partitioning on exactly the join keys — the
-// join-key-carried fast path — the tables are built straight over the
-// carried partition blocks and no tuple moves; the build-scatter counters
-// record which of the two regimes each build hit. Per-partition builds run
-// partition-affine, so across iterations the same worker re-builds over the
-// same partition's blocks.
+// only asks whether a key is there). With parts <= 1 it is one table over the
+// whole relation, mirroring QuickStep's shared join hash table (the scaling
+// limiter the paper identifies past the physical core count). With parts > 1
+// each of parts tables holds the rows whose key hashes to its radix
+// partition, so a probe row finds its matches in one partition's table. When
+// the relation carries a partitioning on exactly the join keys the tables
+// are built straight over the carried partition blocks, partition-affine, and
+// no tuple moves; otherwise buildStriped builds them from the relation's own
+// blocks, with no copy of the relation. The build counters record which of
+// the two each build took.
 func buildJoinTable(pool *Pool, r *storage.Relation, keys, payload []int, parts int) *joinTable {
 	parts = storage.NormalizePartitions(parts)
 	arity := r.Arity()
@@ -250,19 +251,204 @@ func buildJoinTable(pool *Pool, r *storage.Relation, keys, payload []int, parts 
 		jt.tables = jt.one[:]
 		return jt
 	}
-	view, scattered := partitionRelation(pool, r, keys, parts, false)
-	if scattered {
-		pool.Copy.BuildScatters.Add(1)
-	} else {
+	view, carried := r.CarriedView(keys, parts)
+	if carried {
 		pool.Copy.BuildScattersAvoided.Add(1)
+	} else {
+		pool.Copy.BuildScatters.Add(1)
 	}
-	pool.Copy.NoteBuild(r.Name(), keys, scattered)
+	pool.Copy.NoteBuild(r.Name(), keys, carried)
 	jt := &joinTable{parts: parts, tables: make([]*buildTable, parts)}
+	if !carried {
+		defer pool.phase(obs.PhaseBuild, -1)()
+		buildStriped(pool, r.Blocks(), arity, keys, payload, jt.tables)
+		return jt
+	}
 	pool.RunPartitions(parts, func(p int) {
 		defer pool.phase(obs.PhaseBuild, p)()
 		jt.tables[p] = buildHashBlocks(view.Blocks(p), arity, keys, payload)
 	})
 	return jt
+}
+
+// buildStripe is one worker's share of a striped build: its per-partition
+// group tables, the rows of each of its groups (turned into the group's
+// write cursor by the merge), and for each row it walked, in walk order, the
+// row's partition and its group in that partition's table.
+type buildStripe struct {
+	groups []*GroupTable
+	counts [][]int32
+	part   []uint8
+	group  []int32
+}
+
+// buildStriped fills tables[p] with the build table of radix partition p of
+// the rows held in blocks, reading them where they lie: no pool block is
+// allocated and no row is copied anywhere but into its table. It runs three
+// passes.
+//  1. Worker w walks the stripe of blocks w, w+W, … a window at a time.
+//     It sorts the window's rows by partition (batchBuf.route: the keys'
+//     partition hash, kernels.HashRows), then, one partition's run at a
+//     time, inserts each row's key into its own table of that partition,
+//     counts the row into its group, and records the row's partition and
+//     group.
+//  2. One task per partition merges the W tables of the partition into
+//     the first, sums each group's rows into the table's offsets, and turns
+//     every worker's group counts into that worker's write cursors: group
+//     g's rows from worker 0 come first, then worker 1's, and so on.
+//  3. Worker w walks its stripe again and copies each row's payload to its
+//     cursor, with no hash and no lookup. An all-key build has no payload
+//     and skips it (and the per-row records of pass 1).
+//
+// Each worker keeps its stripe's slices in locals and publishes them once a
+// pass is done: workers appending through shared slice headers would write
+// the same cache lines row after row. The tables are left empty when the run
+// aborts, and when there is no block to build from.
+func buildStriped(pool *Pool, blocks []*storage.Block, arity int, keys, payload []int, tables []*buildTable) {
+	parts, width := len(tables), len(payload)
+	workers := min(pool.Workers(), len(blocks))
+	stripes := make([]buildStripe, workers)
+	defer func() {
+		for p, bt := range tables {
+			if bt == nil {
+				tables[p] = &buildTable{width: width, groups: NewGroupTable(len(keys)), start: []int32{0}}
+			}
+		}
+	}()
+	if workers == 0 {
+		return
+	}
+	pool.RunWorkers(workers, func(w, numWorkers int) {
+		rows := 0
+		for t := w; t < len(blocks); t += numWorkers {
+			rows += blocks[t].Rows()
+		}
+		groups := make([]*GroupTable, parts)
+		for p := range groups {
+			groups[p] = NewGroupTable(len(keys))
+		}
+		counts := make([][]int32, parts)
+		var part []uint8
+		var group []int32
+		if width > 0 {
+			part, group = make([]uint8, 0, rows), make([]int32, 0, rows)
+		}
+		buf := getBatchBuf()
+		defer putBatchBuf(buf)
+		step := kernels.BatchRows * arity
+		for t := w; t < len(blocks); t += numWorkers {
+			if pool.Aborted() {
+				return
+			}
+			data := blocks[t].Data()
+			for off := 0; off < len(data); off += step {
+				win := data[off:min(off+step, len(data))]
+				pid, order, ends := buf.route(win, arity, keys, parts)
+				base := len(group)
+				if width > 0 {
+					part = append(part, pid...)
+					group = group[:base+len(pid)]
+				}
+				lo := int32(0)
+				for p, hi := range ends {
+					if hi == lo {
+						continue
+					}
+					gt, cnt := groups[p], counts[p]
+					for _, i := range order[lo:hi] {
+						g, created := gt.InsertRow(win[int(i)*arity:int(i+1)*arity], keys)
+						if created {
+							cnt = append(cnt, 1)
+						} else {
+							cnt[g]++
+						}
+						if width > 0 {
+							group[base+int(i)] = int32(g)
+						}
+					}
+					counts[p] = cnt
+					lo = hi
+				}
+			}
+		}
+		stripes[w] = buildStripe{groups: groups, counts: counts, part: part, group: group}
+	})
+	if !pool.Aborted() {
+		pool.RunPartitions(parts, func(p int) { tables[p] = mergeStripes(stripes, p, width) })
+	}
+	if width > 0 && !pool.Aborted() {
+		pool.RunWorkers(workers, func(w, numWorkers int) {
+			st := stripes[w]
+			cursors, part, group := st.counts, st.part, st.group
+			dsts := make([][]int32, parts)
+			for p, bt := range tables {
+				dsts[p] = bt.rows
+			}
+			i := 0
+			for t := w; t < len(blocks); t += numWorkers {
+				if pool.Aborted() {
+					return
+				}
+				data := blocks[t].Data()
+				for off := 0; off < len(data); off += arity {
+					row := data[off : off+arity : off+arity]
+					p, g := part[i], group[i]
+					i++
+					cur := cursors[p]
+					dst := dsts[p][int(cur[g])*width:][:width]
+					cur[g]++
+					for k, c := range payload {
+						dst[k] = row[c]
+					}
+				}
+			}
+		})
+	}
+}
+
+// mergeStripes builds partition p's table from the stripes' tables of p: it
+// merges them into the first, lays the groups out by their summed row
+// counts, and rewrites each stripe's counts of p into the stripe's first
+// write position in every group, in stripe order.
+func mergeStripes(stripes []buildStripe, p, width int) *buildTable {
+	merged := stripes[0].groups[p]
+	total := append(make([]int32, 0, merged.Cap()), stripes[0].counts[p]...) // rows per merged group
+	remap := make([][]int32, len(stripes))                                   // stripe w's group → merged group, w > 0
+	for w := 1; w < len(stripes); w++ {
+		gt, counts := stripes[w].groups[p], stripes[w].counts[p]
+		remap[w] = make([]int32, gt.Len())
+		for g := range remap[w] {
+			mg, created := merged.Insert(gt.Key(g))
+			if created {
+				total = append(growTo(total, merged.Cap()), 0)
+			}
+			total[mg] += counts[g]
+			remap[w][g] = int32(mg)
+		}
+	}
+	start := make([]int32, len(total)+1)
+	for g, n := range total {
+		start[g+1] = start[g] + n
+	}
+	bt := &buildTable{width: width, groups: merged, start: start}
+	if width == 0 {
+		return bt
+	}
+	bt.rows = make([]int32, int(start[len(total)])*width)
+	// total becomes each merged group's next write position.
+	copy(total, start)
+	for w, st := range stripes {
+		counts := st.counts[p]
+		for g, n := range counts {
+			mg := g
+			if w > 0 {
+				mg = int(remap[w][g])
+			}
+			counts[g] = total[mg]
+			total[mg] += n
+		}
+	}
+	return bt
 }
 
 // HashJoin executes one equi-join, or with spec.Agg a join-fed aggregate.

@@ -540,14 +540,10 @@ func (jo *joinOutput) flush(w *joinWorker) {
 	}
 	rows := w.win[:w.n*jo.width]
 	if jo.agg != nil {
-		var hash []uint64
-		if jo.agg.parts > 1 {
-			if w.out == nil {
-				w.out = getBatchBuf()
-			}
-			hash = w.out.hash
+		if jo.agg.parts > 1 && w.out == nil {
+			w.out = getBatchBuf()
 		}
-		jo.agg.fold(w.flat.slot, rows, jo.width, hash)
+		jo.agg.fold(w.flat.slot, rows, jo.width, w.out)
 	} else if jo.col.part == nil {
 		w.flat.write(rows)
 	} else {

@@ -8,15 +8,16 @@ import (
 )
 
 // PartitionRelation returns the radix-partitioned view of r on keyCols with
-// the given partition count (normalized to a power of two), building it in
-// parallel on first use and caching it on the relation. The scatter phase is
-// contention-free: each worker routes tuples from its share of the source
-// blocks into worker-private per-partition blocks, and the per-worker block
-// lists are concatenated afterwards — partition p's tuples may span blocks
-// written by different workers, but every block has exactly one writer.
+// the given partition count (normalized to a power of two): r's carried view
+// when it matches, else a scatter copy built in parallel for the caller's
+// operator and retired on r (released at r's next ReclaimRetired). The
+// scatter phase is contention-free: each worker routes tuples from its share
+// of the source blocks into worker-private per-partition blocks, and the
+// per-worker block lists are concatenated afterwards — partition p's tuples
+// may span blocks written by different workers, but every block has exactly
+// one writer.
 func PartitionRelation(pool *Pool, r *storage.Relation, keyCols []int, parts int) *storage.PartitionedView {
-	v, _ := partitionRelation(pool, r, keyCols, parts, false)
-	return v
+	return partitionRelation(pool, r, keyCols, parts, false)
 }
 
 // PartitionRelationCarried is PartitionRelation plus carry promotion: the
@@ -26,47 +27,34 @@ func PartitionRelation(pool *Pool, r *storage.Relation, keyCols []int, parts int
 // when a fan-out shift forces one re-scatter, R comes out carrying the new
 // partitioning and every later R ← R ⊎ ∆R keeps it alive.
 func PartitionRelationCarried(pool *Pool, r *storage.Relation, keyCols []int, parts int) *storage.PartitionedView {
-	v, _ := partitionRelation(pool, r, keyCols, parts, true)
-	return v
+	return partitionRelation(pool, r, keyCols, parts, true)
 }
 
-// partitionRelation reports whether it had to perform a scatter pass
-// (scattered=false means a carried or cached view served the request with
-// zero tuple movement) so callers can maintain the build-scatter accounting.
-func partitionRelation(pool *Pool, r *storage.Relation, keyCols []int, parts int, carry bool) (view *storage.PartitionedView, scattered bool) {
+func partitionRelation(pool *Pool, r *storage.Relation, keyCols []int, parts int, carry bool) *storage.PartitionedView {
 	parts = storage.NormalizePartitions(parts)
 	// A relation carrying a compatible partitioning (produced by a fused
 	// upstream scatter, or accumulated by block-adopting appends) needs no
 	// work at all.
 	if v, ok := r.CarriedView(keyCols, parts); ok {
-		return v, false
+		return v
 	}
-	v, gen, ok := r.CachedPartitionedView(keyCols, parts)
-	if ok {
-		if carry {
-			r.StoreCarriedView(v, gen)
-		}
-		return v, false
-	}
-	v, gen = scatterView(pool, r, keyCols, parts)
-	// gen predates the block snapshot: if a mutation interleaved, the store
-	// is refused and the (still self-consistent) view is used uncached.
-	// Exactly one store runs: double-registering a carried view would make
-	// the relation own its scatter copies twice and double-release them once
-	// block recycling reclaims owned views (the PR 2 aliasing audit).
+	v, gen := scatterView(pool, r, keyCols, parts)
+	// gen predates the block snapshot: if a mutation interleaved, the
+	// promotion is refused and the (still self-consistent) view is used
+	// uncarried, its blocks retired like any other scatter copy's.
 	if carry {
 		r.StoreCarriedView(v, gen)
 	} else {
-		r.StorePartitionedView(v, gen)
+		r.RetireView(v)
 	}
-	return v, true
+	return v
 }
 
 // scatterView performs the parallel scatter pass: every tuple of r is copied
 // into a worker-private block of its radix partition, and the per-worker
 // block lists are concatenated into a fresh view. Returns the view plus the
 // mutation generation observed *before* the snapshot, for the gen-guarded
-// store protocols.
+// carry promotion.
 func scatterView(pool *Pool, r *storage.Relation, keyCols []int, parts int) (*storage.PartitionedView, uint64) {
 	defer pool.phase(obs.PhaseScatter, -1)()
 	gen := r.Generation()
@@ -101,7 +89,7 @@ func scatterView(pool *Pool, r *storage.Relation, keyCols []int, parts int) (*st
 		}
 		for p, bs := range w {
 			for _, b := range bs {
-				b.Compact() // scatter copies may be cached for the whole run
+				b.Compact() // a scatter copy may become the relation's carried layout
 			}
 			merged[p] = append(merged[p], bs...)
 		}

@@ -53,24 +53,28 @@ func TestPartitionRelationCoversAllRows(t *testing.T) {
 	}
 }
 
-func TestPartitionRelationCachesAndInvalidates(t *testing.T) {
+// PartitionRelation scatters a relation that carries no matching
+// partitioning afresh on every call — nothing is cached on the relation, and
+// a later mutation shows in the next view — and returns a matching carried
+// view as it is.
+func TestPartitionRelationScattersUnlessCarried(t *testing.T) {
 	r := randomRel(t, "t", 2, 1000, 100, 2)
 	pool := NewPool(2)
 	a := PartitionRelation(pool, r, []int{0}, 8)
 	b := PartitionRelation(pool, r, []int{0}, 8)
-	if a != b {
-		t.Fatal("second call should return the cached view")
-	}
-	if c := PartitionRelation(pool, r, []int{1}, 8); c == a {
-		t.Fatal("different key columns must build a different view")
+	if a == b || a.NumTuples() != r.NumTuples() || b.NumTuples() != r.NumTuples() {
+		t.Fatalf("two scatters: same view %v, %d and %d rows of %d", a == b, a.NumTuples(), b.NumTuples(), r.NumTuples())
 	}
 	r.Append([]int32{1, 2})
-	d := PartitionRelation(pool, r, []int{0}, 8)
-	if d == a {
-		t.Fatal("mutation must invalidate the cached view")
+	if d := PartitionRelation(pool, r, []int{0}, 8); d.NumTuples() != r.NumTuples() {
+		t.Fatalf("view after an append holds %d rows, want %d", d.NumTuples(), r.NumTuples())
 	}
-	if d.NumTuples() != r.NumTuples() {
-		t.Fatalf("rebuilt view holds %d rows, want %d", d.NumTuples(), r.NumTuples())
+	c := PartitionRelationCarried(pool, r, []int{0}, 8)
+	if got := PartitionRelation(pool, r, []int{0}, 8); got != c {
+		t.Fatal("a matching carried view must be returned as it is")
+	}
+	if PartitionRelation(pool, r, []int{1}, 8) == c {
+		t.Fatal("other key columns must scatter")
 	}
 }
 

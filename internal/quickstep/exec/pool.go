@@ -45,13 +45,14 @@ type CopyCounters struct {
 	// could not honour the requested output partitioning. The fused pipeline
 	// drives this to zero.
 	FlatMats obs.Counter
-	// BuildScatters counts hash-join build sides that had to be scattered
-	// into radix partitions because no carried or cached view matched the
-	// join keys — the per-join re-partition pass the join-key-carried
-	// partitionings exist to eliminate.
+	// BuildScatters counts partitioned hash-join builds over a relation that
+	// carried no partitioning on the join keys, so the build routed every row
+	// to its partition itself — from the relation's own blocks, with no
+	// scatter copy (buildStriped) — the per-join routing pass the
+	// join-key-carried partitionings exist to eliminate.
 	BuildScatters obs.Counter
 	// BuildScattersAvoided counts hash-join builds served directly from a
-	// carried or cached partitioned view — zero tuples moved.
+	// carried partitioned view — nothing routed.
 	BuildScattersAvoided obs.Counter
 	// SetDiffRowsScanned counts rows of the full relation R that set
 	// difference read or re-inserted: |R| per transient OPSD/TPSD pass and
@@ -99,10 +100,10 @@ type CopyCounters struct {
 }
 
 // BuildCount tallies the partitioned hash builds of one (relation, keyset)
-// pair: how many had to scatter the input versus how many were served in
-// place from a carried or cached view.
+// pair: how many routed the relation's rows from its own blocks versus how
+// many were served in place from a carried view.
 type BuildCount struct {
-	Scatters, InPlace int64
+	FromBlocks, InPlace int64
 }
 
 // BuildKey renders the (relation, keyset) identity used by the per-build
@@ -112,8 +113,8 @@ func BuildKey(name string, keys []int) string {
 }
 
 // NoteBuild records one partitioned hash build over relation name keyed on
-// keys, and whether it paid a scatter pass.
-func (c *CopyCounters) NoteBuild(name string, keys []int, scattered bool) {
+// keys, and whether a carried view served it in place.
+func (c *CopyCounters) NoteBuild(name string, keys []int, inPlace bool) {
 	k := BuildKey(name, keys)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -121,10 +122,10 @@ func (c *CopyCounters) NoteBuild(name string, keys []int, scattered bool) {
 		c.buildDetail = make(map[string]BuildCount)
 	}
 	bc := c.buildDetail[k]
-	if scattered {
-		bc.Scatters++
-	} else {
+	if inPlace {
 		bc.InPlace++
+	} else {
+		bc.FromBlocks++
 	}
 	c.buildDetail[k] = bc
 }
@@ -198,9 +199,9 @@ func (s CopySnapshot) Sub(o CopySnapshot) CopySnapshot {
 		AggGroupsOut:         s.AggGroupsOut - o.AggGroupsOut,
 	}
 	for k, v := range s.BuildDetail {
-		v.Scatters -= o.BuildDetail[k].Scatters
+		v.FromBlocks -= o.BuildDetail[k].FromBlocks
 		v.InPlace -= o.BuildDetail[k].InPlace
-		if v.Scatters == 0 && v.InPlace == 0 {
+		if v.FromBlocks == 0 && v.InPlace == 0 {
 			continue
 		}
 		if d.BuildDetail == nil {
@@ -223,9 +224,9 @@ func (c *CopyCounters) Register(reg *obs.Registry) {
 	reg.RegisterCounter("recstep_flat_materializations_total",
 		"Flat (unpartitioned) materializations of delta-pipeline intermediates.", &c.FlatMats)
 	reg.RegisterCounter("recstep_join_build_scatters_total",
-		"Hash-join builds that paid a scatter pass (no carried/cached view matched).", &c.BuildScatters)
+		"Partitioned hash-join builds that routed the relation's rows from its own blocks (no carried view matched).", &c.BuildScatters)
 	reg.RegisterCounter("recstep_join_build_scatters_avoided_total",
-		"Hash-join builds served in place from a carried or cached partitioned view.", &c.BuildScattersAvoided)
+		"Partitioned hash-join builds served in place from a carried view.", &c.BuildScattersAvoided)
 	reg.RegisterCounter("recstep_setdiff_rows_scanned_total",
 		"Rows of full relations read or re-inserted by set difference (0 for passes served by a resident index).", &c.SetDiffRowsScanned)
 	reg.RegisterCounter("recstep_join_probe_rows_total",
@@ -249,7 +250,7 @@ func (c *CopyCounters) Register(reg *obs.Registry) {
 	reg.RegisterCounter("recstep_aggregate_groups_out_total",
 		"Groups emitted by aggregates.", &c.AggGroupsOut)
 	reg.RegisterSampleFunc("recstep_join_builds_total",
-		"Partitioned hash builds by (relation,keyset) build key and kind (scatter vs in_place).",
+		"Partitioned hash builds by (relation,keyset) build key and kind (from_blocks vs in_place).",
 		"counter", func() []obs.Sample {
 			c.mu.Lock()
 			keys := make([]string, 0, len(c.buildDetail))
@@ -261,7 +262,7 @@ func (c *CopyCounters) Register(reg *obs.Registry) {
 			for _, k := range keys {
 				bc := c.buildDetail[k]
 				out = append(out,
-					obs.Sample{Labels: []obs.LabelPair{{Key: "build", Value: k}, {Key: "kind", Value: "scatter"}}, Value: float64(bc.Scatters)},
+					obs.Sample{Labels: []obs.LabelPair{{Key: "build", Value: k}, {Key: "kind", Value: "from_blocks"}}, Value: float64(bc.FromBlocks)},
 					obs.Sample{Labels: []obs.LabelPair{{Key: "build", Value: k}, {Key: "kind", Value: "in_place"}}, Value: float64(bc.InPlace)})
 			}
 			c.mu.Unlock()

@@ -67,10 +67,10 @@ func TestPartitionedTCWorkloadRace(t *testing.T) {
 	}
 }
 
-// TestConcurrentPartitionViewBuildRace hammers the view cache from many
+// TestConcurrentPartitionViewBuildRace scatters one relation from many
 // goroutine-parallel operators at once (the UIE execution model runs UNION
-// ALL branches concurrently, so two joins may race to partition the same
-// base relation).
+// ALL branches concurrently, so two operators may race to partition the same
+// base relation and retire their copies on it).
 func TestConcurrentPartitionViewBuildRace(t *testing.T) {
 	r := tcWorkload(300, 20000, 7)
 	pool := NewPool(4)

@@ -57,7 +57,7 @@ func packTuple(row []int32) string {
 // could not be applied consistently) and is returned without mutating
 // anything. When the relation carries a live partitioned view, only the
 // partitions containing deleted tuples are compacted and the view survives;
-// otherwise the affected flat blocks are rewritten and cached views drop.
+// otherwise the affected flat blocks are rewritten.
 func (r *Relation) DeleteRows(rows [][]int32) (int, error) {
 	if len(rows) == 0 {
 		return 0, nil
@@ -109,17 +109,13 @@ func (r *Relation) deletePartitionedLocked(tomb *tombstoneSet) int {
 	r.blocks = flat
 	r.open = nil
 	r.rows -= removed
-	// Cached views are stale now; the carried view itself was compacted in
-	// place and stays.
-	r.retired = append(r.retired, r.ownedView...)
-	r.ownedView = nil
-	r.partViews = map[string]*PartitionedView{partitionKey(live.keyCols, live.parts): live}
+	// The carried view itself was compacted in place and stays.
 	r.gen++
 	return removed
 }
 
 // deleteFlatLocked rewrites the affected blocks of an uncarried relation and
-// invalidates every cached view.
+// advances its generation.
 func (r *Relation) deleteFlatLocked(tomb *tombstoneSet) int {
 	kept, dropped, hit := compactBlocks(r.lc, r.cat, tomb, r.blocks)
 	if !hit {

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"strings"
 )
 
 // MaxPartitions bounds the radix fan-out. 256 partitions keeps the scatter
@@ -118,9 +117,9 @@ func (p Partitioning) String() string {
 // is routed to one of Parts() partitions by the hash of its key columns, and
 // each partition holds its tuples as an independent immutable block list.
 // Operators that consume a view own their partition exclusively, so builds
-// over it need no latches. Views are cached on the source Relation per
-// (key-set, partition-count) and invalidated on mutation. A view installed
-// as a relation's *carried* partitioning gets an owner backpointer, through
+// over it need no latches. A view is either a scatter copy an operator
+// made for itself (retired on the source relation, see RetireView) or the
+// relation's *carried* partitioning, which gets an owner backpointer, through
 // which partition access routes so spilled partitions fault back in
 // transparently.
 type PartitionedView struct {
@@ -224,49 +223,14 @@ func (v *PartitionedView) NumTuples() int {
 	return total
 }
 
-// partitionKey identifies one cached view.
-func partitionKey(keyCols []int, parts int) string {
-	var b strings.Builder
-	for _, c := range keyCols {
-		fmt.Fprintf(&b, "%d,", c)
-	}
-	fmt.Fprintf(&b, "/%d", parts)
-	return b.String()
-}
-
-// CachedPartitionedView returns the cached view for (keyCols, parts), if one
-// was stored since the last mutation, along with the mutation generation to
-// pass back to StorePartitionedView after building a missing view.
-func (r *Relation) CachedPartitionedView(keyCols []int, parts int) (v *PartitionedView, gen uint64, ok bool) {
+// RetireView takes custody of the blocks of a scatter copy of r that no
+// relation keeps: the caller scans the view for the rest of its operator, so
+// they are retired — recycled at r's next quiescent ReclaimRetired (or its
+// Release) — rather than leaked with their pool accounting charged forever.
+func (r *Relation) RetireView(v *PartitionedView) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	v, ok = r.partViews[partitionKey(keyCols, parts)]
-	return v, r.gen, ok
-}
-
-// StorePartitionedView caches a view built from the snapshot taken at
-// mutation generation gen. A mutation that interleaved with the build bumps
-// the generation, and the now-stale view is silently not cached (the caller
-// still holds a consistent snapshot of the contents it scanned). Concurrent
-// stores for the same key at the same generation are harmless: both views
-// describe identical contents and the last one wins. The relation takes
-// ownership of the view's scatter-copy blocks: they are released when the
-// cache is invalidated (after the engine's retire/reclaim quiescence) or
-// when the relation is released.
-func (r *Relation) StorePartitionedView(v *PartitionedView, gen uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.gen != gen {
-		r.retireViewBlocksLocked(v)
-		return
-	}
-	if r.partViews == nil {
-		r.partViews = make(map[string]*PartitionedView)
-	}
-	r.partViews[partitionKey(v.keyCols, v.parts)] = v
-	for p := range v.blocks {
-		r.ownedView = append(r.ownedView, v.blocks[p]...)
-	}
+	r.retireViewBlocksLocked(v)
 }
 
 // StoreCarriedView promotes a view built from the snapshot taken at mutation
@@ -276,10 +240,9 @@ func (r *Relation) StorePartitionedView(v *PartitionedView, gen uint64) {
 // previous one. Because the view's partitions are a scatter *copy* of the
 // current contents, the relation's flat block list is replaced by the view's
 // blocks: keeping both would double the footprint (the memory regression the
-// block pool exists to prevent). The superseded flat blocks and any
-// scatter copies owned for previously cached views are retired, to be
-// recycled at the next ReclaimRetired. Stale promotions (gen advanced) are
-// refused, exactly like StorePartitionedView.
+// block pool exists to prevent). The superseded flat blocks are retired, to
+// be recycled at the next ReclaimRetired. A promotion built from a snapshot
+// older than a mutation (gen advanced) is refused, and its blocks retired.
 func (r *Relation) StoreCarriedView(v *PartitionedView, gen uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -294,27 +257,8 @@ func (r *Relation) StoreCarriedView(v *PartitionedView, gen uint64) {
 		panic(fmt.Sprintf("storage: StoreCarriedView on %q with spilled partitions", r.name))
 	}
 	// Retire the old physical layout: the flat list is superseded by the
-	// scatter copy, and all previously cached views die with the cache reset.
-	// Blocks of v itself are excluded — when a previously cached view is
-	// promoted, its blocks move from view ownership to the flat list rather
-	// than being retired out from under it.
-	keep := make(map[*Block]struct{})
-	for p := range v.blocks {
-		for _, b := range v.blocks[p] {
-			keep[b] = struct{}{}
-		}
-	}
-	for _, b := range r.blocks {
-		if _, own := keep[b]; !own {
-			r.retired = append(r.retired, b)
-		}
-	}
-	for _, b := range r.ownedView {
-		if _, own := keep[b]; !own {
-			r.retired = append(r.retired, b)
-		}
-	}
-	r.ownedView = nil
+	// scatter copy.
+	r.retired = append(r.retired, r.blocks...)
 	r.open = nil
 	r.blocks = nil
 	rows := 0
@@ -332,23 +276,17 @@ func (r *Relation) StoreCarriedView(v *PartitionedView, gen uint64) {
 	r.installLiveLocked(v)
 }
 
-// retireViewBlocksLocked takes custody of a refused view's scatter-copy
-// blocks. The caller of the refused store still scans the view for the rest
-// of its query, so the blocks are retired — recycled at the next quiescent
-// ReclaimRetired — rather than leaked with their pool accounting charged
-// forever.
+// retireViewBlocksLocked takes custody of a scatter copy's blocks: an
+// uncarried one (RetireView) or a refused promotion. See RetireView.
 func (r *Relation) retireViewBlocksLocked(v *PartitionedView) {
 	for p := range v.blocks {
 		r.retired = append(r.retired, v.blocks[p]...)
 	}
 }
 
-// invalidatePartitionsLocked drops all cached views and the carried
-// partitioning; callers hold r.mu and must have faulted spilled partitions
-// back in first (flat mutations orphan spill slots otherwise). Scatter
-// copies owned for cached views are retired, not released: an in-flight
-// operator may still be scanning them, so they are recycled only at the
-// next quiescent ReclaimRetired.
+// invalidatePartitionsLocked drops the carried partitioning; callers hold
+// r.mu and must have faulted spilled partitions back in first (flat
+// mutations orphan spill slots otherwise).
 func (r *Relation) invalidatePartitionsLocked() {
 	if len(r.slots) != 0 {
 		if r.faultErr == nil {
@@ -367,9 +305,6 @@ func (r *Relation) invalidatePartitionsLocked() {
 		}
 		r.slots = nil
 	}
-	r.retired = append(r.retired, r.ownedView...)
-	r.ownedView = nil
-	r.partViews = nil
 	if r.live != nil {
 		r.live.owner = nil
 		r.live = nil

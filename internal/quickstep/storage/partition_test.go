@@ -51,39 +51,33 @@ func TestPartitionHashSpreads(t *testing.T) {
 	}
 }
 
-func TestCachedPartitionedViewLifecycle(t *testing.T) {
-	r := NewRelation("t", NumberedColumns(2))
-	r.Append([]int32{1, 2})
-	_, gen, ok := r.CachedPartitionedView([]int{0}, 4)
-	if ok {
-		t.Fatal("cache should start empty")
+// A scatter copy an operator made of a relation is retired on it: its blocks
+// stay readable until the relation's next ReclaimRetired, which releases
+// each exactly once, and a mutation in between frees none of them.
+func TestRetireViewReleasesAtReclaim(t *testing.T) {
+	lc := newPoisonLifecycle()
+	r := fillRelation(lc, "r", 100, 1)
+	before := lc.outstanding()
+	v := scatterRows(lc, CatIntermediate, r.Rows(), []int{0}, 4)
+	copies := lc.outstanding() - before
+	r.RetireView(v)
+	r.Append([]int32{7, 7})
+	if got := lc.outstanding() - before; got < copies {
+		t.Fatalf("%d of the view's %d blocks freed before ReclaimRetired", copies-got, copies)
 	}
-	v := NewPartitionedView([]int{0}, 4, make([][]*Block, 4))
-	r.StorePartitionedView(v, gen)
-	got, gen, ok := r.CachedPartitionedView([]int{0}, 4)
-	if !ok || got != v {
-		t.Fatal("stored view not returned")
+	for p := 0; p < v.Parts(); p++ {
+		for _, b := range v.Blocks(p) {
+			for _, x := range b.Data() {
+				if x == -0x5EED {
+					t.Fatal("retired view read freed data")
+				}
+			}
+		}
 	}
-	if _, _, ok := r.CachedPartitionedView([]int{0}, 8); ok {
-		t.Fatal("different partition count must miss")
-	}
-	if _, _, ok := r.CachedPartitionedView([]int{1}, 4); ok {
-		t.Fatal("different key columns must miss")
-	}
-	r.Append([]int32{3, 4})
-	if _, _, ok := r.CachedPartitionedView([]int{0}, 4); ok {
-		t.Fatal("append must invalidate the cache")
-	}
-	// gen predates the append: the stale view must be refused.
-	r.StorePartitionedView(v, gen)
-	if _, _, ok := r.CachedPartitionedView([]int{0}, 4); ok {
-		t.Fatal("store with a stale generation must be refused")
-	}
-	_, gen, _ = r.CachedPartitionedView([]int{0}, 4)
-	r.StorePartitionedView(v, gen)
-	r.Clear()
-	if _, _, ok := r.CachedPartitionedView([]int{0}, 4); ok {
-		t.Fatal("clear must invalidate the cache")
+	r.ReclaimRetired()
+	r.Release()
+	if n := lc.outstanding(); n != 0 {
+		t.Fatalf("%d arrays outstanding after reclaim and release", n)
 	}
 }
 
@@ -138,10 +132,6 @@ func TestCarriedPartitioningSurvivesCompatibleAppend(t *testing.T) {
 	if !ok || v.NumTuples() != 5 {
 		t.Fatalf("merged carried view holds %d tuples, want 5", v.NumTuples())
 	}
-	// The merged view must also hit the ordinary cache path.
-	if cv, _, ok := r.CachedPartitionedView(AllCols(2), parts); !ok || cv != v {
-		t.Fatal("carried view is not mirrored into the view cache")
-	}
 
 	// Incompatible append (different fan-out): partitioning is dropped.
 	d2 := NewRelation("d2", NumberedColumns(2))
@@ -177,14 +167,14 @@ func TestEmptyRelationAdoptsAppendedPartitioning(t *testing.T) {
 func TestStoreCarriedViewRefusesStaleGeneration(t *testing.T) {
 	r := NewRelation("r", NumberedColumns(2))
 	r.Append([]int32{1, 2})
-	_, gen, _ := r.CachedPartitionedView(AllCols(2), 2)
+	gen := r.Generation()
 	v := scatterInto(2, 2, []int32{1, 2})
 	r.Append([]int32{3, 4}) // advances the generation
 	r.StoreCarriedView(v, gen)
 	if _, ok := r.Partitioning(); ok {
 		t.Fatal("stale carried-view promotion must be refused")
 	}
-	_, gen, _ = r.CachedPartitionedView(AllCols(2), 2)
+	gen = r.Generation()
 	v2 := scatterInto(2, 2, []int32{1, 2, 3, 4})
 	r.StoreCarriedView(v2, gen)
 	if _, ok := r.Partitioning(); !ok {

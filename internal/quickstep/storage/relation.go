@@ -13,11 +13,11 @@ import (
 // the paper (UNION ALL plus a separate dedup call).
 //
 // Block ownership: every block in the flat list holds one reference, as does
-// every scatter-copy block owned on behalf of a cached partitioned view.
-// Sharing blocks between relations (AppendRelation, the ⊎ of Algorithm 1)
-// retains them, so releasing one holder never frees data another still scans.
-// Release returns every owned block to its pool; ReclaimRetired sweeps
-// superseded view copies at engine-chosen quiescent points.
+// every retired block. Sharing blocks between relations (AppendRelation, the
+// ⊎ of Algorithm 1) retains them, so releasing one holder never frees data
+// another still scans. Release returns every owned block to its pool;
+// ReclaimRetired sweeps retired blocks — superseded layouts and operators'
+// scatter copies — at engine-chosen quiescent points.
 type Relation struct {
 	name     string
 	colNames []string
@@ -32,25 +32,20 @@ type Relation struct {
 	blocks []*Block
 	open   *Block // tail block still accepting single-row appends, or nil
 	rows   int
-	// partViews caches radix-partitioned views per (key-set, partition
-	// count); any mutation invalidates the whole cache. gen counts
-	// mutations so a view built from an older snapshot is never cached
-	// over newer contents.
-	partViews map[string]*PartitionedView
-	gen       uint64
+	// gen counts mutations, so a carried view built from an older snapshot
+	// is never installed over newer contents.
+	gen uint64
 	// live is the partitioning the relation *carries*: its contents are
-	// exactly the concatenation of live's partitions. Unlike cached views,
-	// it survives compatible partitioned appends (the block lists are merged
-	// per partition), so a relation that accumulates partition-native deltas
-	// never needs a re-scatter. Any flat mutation drops it.
+	// exactly the concatenation of live's partitions. It survives compatible
+	// partitioned appends (the block lists are merged per partition), so a
+	// relation that accumulates partition-native deltas never needs a
+	// re-scatter. Any flat mutation drops it.
 	live *PartitionedView
-	// ownedView holds scatter-copy blocks owned on behalf of cached
-	// (non-carried) views — data that duplicates the flat contents in a
-	// different physical layout. retired holds owned blocks whose views were
-	// superseded or invalidated; they may still be scanned by an in-flight
-	// operator, so they are released only at ReclaimRetired/Release.
-	ownedView []*Block
-	retired   []*Block
+	// retired holds owned blocks no longer part of the contents: superseded
+	// layouts and the scatter copies operators made of the relation. An
+	// in-flight operator may still scan them, so they are released only at
+	// ReclaimRetired/Release.
+	retired []*Block
 	// Spill state (cold-partition eviction of the carried view); see spill.go.
 	pager Pager
 	slots map[int]*spillSlot
@@ -336,19 +331,18 @@ func (r *Relation) CarriedView(keyCols []int, parts int) (*PartitionedView, bool
 }
 
 // Generation returns the relation's current mutation generation, to pair
-// with the gen-guarded Store*View calls (a store built from an older snapshot
-// is refused if a mutation interleaved).
+// with the gen-guarded StoreCarriedView (a promotion built from an older
+// snapshot is refused if a mutation interleaved).
 func (r *Relation) Generation() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.gen
 }
 
-// installLiveLocked replaces the carried view and resets the cache to hold
-// exactly it: the mutation generation advances (so stale in-flight view
-// builds are refused) while lookups for the carried key still hit. The
-// previous live view's blocks stay owned by the flat list (views installed
-// here alias the flat contents), so nothing is released.
+// installLiveLocked replaces the carried view: the mutation generation
+// advances, so stale in-flight promotions are refused. The previous live
+// view's blocks stay owned by the flat list (views installed here alias the
+// flat contents), so nothing is released.
 func (r *Relation) installLiveLocked(v *PartitionedView) {
 	r.gen++
 	if r.live != nil && r.live != v {
@@ -356,7 +350,6 @@ func (r *Relation) installLiveLocked(v *PartitionedView) {
 	}
 	r.live = v
 	v.owner = r
-	r.partViews = map[string]*PartitionedView{partitionKey(v.keyCols, v.parts): v}
 	r.resizeTouchLocked(v.parts)
 }
 
@@ -375,9 +368,9 @@ func (r *Relation) Clear() {
 	r.releaseAttachmentsLocked()
 }
 
-// Release frees every block the relation owns — flat contents, scatter
-// copies owned on behalf of cached views, retired view copies and spilled
-// partition files — returning pool-allocated arrays for recycling. The
+// Release frees every block the relation owns — flat contents, retired
+// blocks and spilled partition files — returning pool-allocated arrays for
+// recycling. The
 // relation is empty afterwards. Blocks shared with other relations survive
 // (their references keep them alive); the caller must be the last reader of
 // blocks exclusive to this relation.
@@ -394,19 +387,16 @@ func (r *Relation) Restore() {
 	r.faultAllLocked()
 }
 
-// ReclaimRetired releases retired scatter-copy blocks (superseded or
-// invalidated partitioned views). The engine calls it at iteration
-// boundaries, when no operator can still hold a view built before the
-// mutation that retired them.
+// ReclaimRetired releases retired blocks (superseded layouts, operators'
+// scatter copies). The engine calls it at iteration boundaries, when no
+// operator can still scan them.
 func (r *Relation) ReclaimRetired() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.reclaimRetiredLocked()
 }
 
-// reclaimRetiredLocked releases retired blocks only. Blocks in ownedView are
-// still referenced by live cache entries (an EDB's join-key views are reused
-// every iteration); they reach the retired list when the cache drops them.
+// reclaimRetiredLocked releases retired blocks and sweeps stale attachments.
 func (r *Relation) reclaimRetiredLocked() {
 	for _, b := range r.retired {
 		b.Release()

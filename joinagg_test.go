@@ -19,8 +19,8 @@ import (
 // must reach an aggregate, and nothing else but the rows of the aggregates
 // over a single relation (the base rules and the final MIN), so AggRowsIn =
 // JoinRowsExpanded + those rows; and the results are baselines/native's. The
-// pool is not checked at two workers: there the partitioned view of arc that
-// the base rule's aggregate caches is in the same category and sets the peak.
+// two-worker pool peak is held to the one-worker one by
+// TestWorkersDoNotRaiseThePoolPeak.
 func TestJoinFedAggregatesNeverMaterializeTheJoin(t *testing.T) {
 	rmat := graphs.RMAT(16384, 65536, 35)
 	cases := []struct {
@@ -81,6 +81,38 @@ func TestJoinFedAggregatesNeverMaterializeTheJoin(t *testing.T) {
 				t.Fatalf("%s W=1: pool peak %d bytes (%s), want under half the largest step's join output, %d bytes",
 					c.program, s.Mem.PeakLive, s.Mem.PeakComposition(), joinBytes)
 			}
+		}
+	}
+}
+
+// A second worker must not raise cc's pool peak: at two workers arc's joins
+// and its aggregate are partitioned, and they read arc where it lies — a
+// scatter copy of arc kept for the whole run made the two-worker peak about
+// 8× the one-worker one on cc_rmat. The two-worker peak must stay within 1.5×
+// the one-worker peak, and both runs must equal baselines/native.
+func TestWorkersDoNotRaiseThePoolPeak(t *testing.T) {
+	prog, err := programs.Get("cc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arc := graphs.Undirected(graphs.RMAT(16384, 65536, 11))
+	want := native.CC(arc, 2).SortedRows()
+	peak := make(map[int]int64)
+	for _, workers := range []int{1, 2} {
+		opts := core.DefaultOptions()
+		opts.Workers = workers
+		res, err := core.New(opts).Run(prog, map[string]*storage.Relation{"arc": arc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Relations["cc2"].SortedRows(), want) {
+			t.Fatalf("W=%d: cc2 differs from the baselines/native result", workers)
+		}
+		peak[workers] = res.Stats.Mem.PeakLive
+		t.Logf("W=%d: pool peak %d bytes (%s)", workers, res.Stats.Mem.PeakLive, res.Stats.Mem.PeakComposition())
+		if workers == 2 && 2*peak[2] > 3*peak[1] {
+			t.Fatalf("W=2: pool peak %d bytes (%s), over 1.5× the one-worker peak of %d bytes",
+				peak[2], res.Stats.Mem.PeakComposition(), peak[1])
 		}
 	}
 }
