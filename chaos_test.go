@@ -75,6 +75,8 @@ func TestChaosAcrossPrograms(t *testing.T) {
 		// design; they may still complete cleanly when the trigger is
 		// never reached (no spill traffic, short runs).
 		fatalSite faultinject.Site
+		// workers, when set, overrides chaosOpts' worker count.
+		workers int
 	}
 	scenarios := []scenario{
 		{
@@ -114,6 +116,17 @@ func TestChaosAcrossPrograms(t *testing.T) {
 			},
 			fatalSite: faultinject.WorkerPanic,
 		},
+		{
+			// The same panic at one worker: pool tasks then run on the
+			// goroutine that submits them, so in a one-arm query it is raised
+			// on the engine's own goroutine, inside the query's arm 0.
+			name: "worker-panic-w1",
+			inj: func() *faultinject.Injector {
+				return faultinject.New(7).FailNth(faultinject.WorkerPanic, 20)
+			},
+			fatalSite: faultinject.WorkerPanic,
+			workers:   1,
+		},
 	}
 
 	for _, name := range names {
@@ -132,7 +145,26 @@ func TestChaosAcrossPrograms(t *testing.T) {
 					inj := sc.inj()
 					opts := chaosOpts()
 					opts.FaultInject = inj
+					if sc.workers > 0 {
+						opts.Workers = sc.workers
+					}
 					res, rerr := chaosRun(t, opts, name, edbs)
+					if sc.fatalSite == faultinject.WorkerPanic && (name == "csda" || name == "tc") {
+						// Every recursive iteration of these runs one-arm
+						// queries, whose arm runs on the engine's goroutine: the
+						// panic must abort the run, and at one worker it is
+						// raised inside that arm.
+						if rerr == nil {
+							t.Fatalf("the injected worker panic never aborted the run (%d fires)", inj.Fires(sc.fatalSite))
+						}
+						// The stack the pool's guard captured shows where: in
+						// a query arm, on the goroutine evaluating the IDB.
+						onEngine := strings.Contains(rerr.Error(), "quickstep.(*Database).runArm(") &&
+							strings.Contains(rerr.Error(), "core.(*runState).evalIDB(")
+						if sc.workers == 1 && !onEngine {
+							t.Fatalf("the injected worker panic was not raised inside a query arm on the engine's goroutine: %v", rerr)
+						}
+					}
 					if rerr == nil {
 						// Completed: results must be exactly the clean run's.
 						got := sortedOutputs(res)

@@ -43,7 +43,7 @@ func TestDeltaPlanIsIndependentOfWorkers(t *testing.T) {
 				t.Fatal(err)
 			}
 			edbs := planTestEDBs(name)
-			want := nativeRelations(name, edbs)
+			want := nativeRelations(t, name, edbs)
 			type plan struct {
 				carry         map[string]core.CarryChoice
 				parts         []string

@@ -167,7 +167,7 @@ func matchAcrossPrograms(t *testing.T, long bool, arms func(base core.Options, l
 						}
 					}
 					if arm.native {
-						for rel, r := range nativeRelations(name, edbs) {
+						for rel, r := range nativeRelations(t, name, edbs) {
 							if rows := r.SortedRows(); !reflect.DeepEqual(got[rel], rows) {
 								t.Fatalf("%s: %s (%d values) diverges from baselines/native (%d values)",
 									arm.what, rel, len(got[rel]), len(rows))
@@ -223,19 +223,29 @@ func TestFusedMatchesStagedAcrossPrograms(t *testing.T) {
 
 // nativeRelations returns what baselines/native derives from edbs for a
 // program it has an evaluator for, keyed by relation name; nil otherwise.
-func nativeRelations(program string, edbs map[string]*storage.Relation) map[string]*storage.Relation {
+// reach and sssp start from the one vertex the input's id relation holds.
+func nativeRelations(t *testing.T, program string, edbs map[string]*storage.Relation) map[string]*storage.Relation {
+	t.Helper()
 	const workers = 4
+	source := func() int32 {
+		t.Helper()
+		id := edbs["id"]
+		if id == nil || id.NumTuples() != 1 {
+			t.Fatalf("%s: the id relation must hold exactly one source vertex", program)
+		}
+		return id.Rows()[0]
+	}
 	switch program {
 	case "tc":
 		return map[string]*storage.Relation{"tc": native.TC(edbs["arc"], workers)}
 	case "reach":
-		return map[string]*storage.Relation{"reach": native.Reach(edbs["arc"], 0, workers)}
+		return map[string]*storage.Relation{"reach": native.Reach(edbs["arc"], source(), workers)}
 	case "sg":
 		return map[string]*storage.Relation{"sg": native.SG(edbs["arc"], workers)}
 	case "cc":
 		return map[string]*storage.Relation{"cc2": native.CC(edbs["arc"], workers)}
 	case "sssp":
-		return map[string]*storage.Relation{"sssp": native.SSSP(edbs["arc"], 0, workers)}
+		return map[string]*storage.Relation{"sssp": native.SSSP(edbs["arc"], source(), workers)}
 	case "aa":
 		return map[string]*storage.Relation{"pointsTo": native.Andersen(edbs, workers)}
 	case "cspa":
@@ -245,6 +255,18 @@ func nativeRelations(program string, edbs map[string]*storage.Relation) map[stri
 		return map[string]*storage.Relation{"null": native.CSDA(edbs, workers)}
 	}
 	return nil
+}
+
+// The stretched inputs against baselines/native: the default run derives
+// what the native evaluators derive, and on reach's stretched input the
+// source vertex is 100, the head of the long path, not vertex 0.
+func TestNativeMatchesStretchedInputs(t *testing.T) {
+	matchAcrossPrograms(t, true, func(base core.Options, long bool) []equivArm {
+		if !long {
+			return nil
+		}
+		return []equivArm{{what: "default, stretched input", opts: base, native: true}}
+	})
 }
 
 // Individual evaluation (UIE off, Figure 4's ablation) runs each live arm
@@ -288,7 +310,7 @@ func TestColumnarMatchesRowAcrossPrograms(t *testing.T) {
 				t.Fatal(err)
 			}
 			edbs := fuseTestEDBs(name)
-			want := nativeRelations(name, edbs)
+			want := nativeRelations(t, name, edbs)
 			run := func(opts core.Options) map[string][]int32 {
 				t.Helper()
 				res, err := core.New(opts).Run(prog, edbs)

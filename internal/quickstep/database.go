@@ -65,11 +65,13 @@ type Options struct {
 
 // PlanChoice records the join plan the optimizer picked for one branch: the
 // atoms in textual order, the chosen execution order (table names), the
-// strategy, and how many times the branch ran (re-planning happens per
-// iteration, so Count tracks iterations and Order the latest decision).
+// atoms' cardinalities it was chosen on (textual order), the strategy, and
+// how many times the branch ran (re-planning happens per iteration, so Count
+// tracks iterations and Order and Cards the latest decision).
 type PlanChoice struct {
 	Tables   []string `json:"tables"`
 	Order    []string `json:"order"`
+	Cards    []int    `json:"cards"`
 	Strategy string   `json:"strategy"`
 	Count    int      `json:"count"`
 }
@@ -110,6 +112,8 @@ type Database struct {
 	planMu       sync.Mutex
 	plans        map[string]*PlanChoice
 	peakJoinRows atomic.Int64
+	// armGoroutines counts the goroutines runQuery started for arms.
+	armGoroutines atomic.Int64
 }
 
 // rescanDebt is one entry of Database.rescans. R changes with every pass by
@@ -164,15 +168,12 @@ func (db *Database) isInvariant(table string) bool {
 	return db.invariant[table]
 }
 
-// notePlan records the strategy and order chosen for a branch; single-table
-// branches are skipped (there is nothing to order).
-func (db *Database) notePlan(name string, br *plan.Branch, order []int, strategy optimizer.JoinStrategy) {
+// notePlan records the strategy, order (table names in execution order) and
+// the cardinalities behind it chosen for a branch; single-table branches are
+// skipped (there is nothing to order).
+func (db *Database) notePlan(name string, br *plan.Branch, order []string, cards []int, strategy optimizer.JoinStrategy) {
 	if len(br.Tables) < 2 {
 		return
-	}
-	names := make([]string, len(order))
-	for i, t := range order {
-		names[i] = br.Tables[t]
 	}
 	db.planMu.Lock()
 	defer db.planMu.Unlock()
@@ -184,7 +185,8 @@ func (db *Database) notePlan(name string, br *plan.Branch, order []int, strategy
 		pc = &PlanChoice{Tables: append([]string(nil), br.Tables...)}
 		db.plans[name] = pc
 	}
-	pc.Order = names
+	pc.Order = order // read-only: a compiled plan's or the bound branch's
+	pc.Cards = append(pc.Cards[:0], cards...)
 	pc.Strategy = strategy.String()
 	pc.Count++
 }
@@ -199,6 +201,7 @@ func (db *Database) PlanChoices() map[string]PlanChoice {
 		c := *v
 		c.Order = append([]string(nil), v.Order...)
 		c.Tables = append([]string(nil), v.Tables...)
+		c.Cards = append([]int(nil), v.Cards...)
 		out[k] = c
 	}
 	return out
@@ -496,7 +499,9 @@ func (db *Database) ExecSQL(q string) (*storage.Relation, error) {
 // live cardinalities, each time Exec runs it. So a bound statement stays
 // valid for as long as the tables it names keep their arity, and the engine
 // binds each rule unit once per stratum. Bound statements are read-only:
-// their branches run concurrently and across iterations.
+// their branches run concurrently and across iterations, and each branch
+// compiles the plan of a join order once, on the first run under that order
+// (plan.Branch.Compile).
 func (db *Database) Prepare(q string) (plan.Statement, error) {
 	st, err := sql.Parse(q, db.schemaFn)
 	if err != nil {
@@ -632,30 +637,25 @@ func (db *Database) afterMutation(table string) error {
 
 // runQuery evaluates a bound query. UNION ALL branches run concurrently —
 // the execution-level payoff of UIE: subqueries of one unified query keep
-// all cores busy without inter-query coordination. With an output
-// partitioning, every branch emits pre-partitioned and the union merges the
-// per-partition block lists, so the combined result still carries it.
+// all cores busy without inter-query coordination. Branch 0 runs on the
+// calling goroutine and each further branch on one goroutine of its own, so a
+// one-arm query — every iteration of a linear recursion — hands off to no
+// other goroutine. With an output partitioning, every branch emits
+// pre-partitioned and the union merges the per-partition block lists, so the
+// combined result still carries it.
 func (db *Database) runQuery(q *plan.Query, name string, out OutputHint) (*storage.Relation, error) {
 	results := make([]*storage.Relation, len(q.Branches))
 	errs := make([]error, len(q.Branches))
 	var wg sync.WaitGroup
-	for i, br := range q.Branches {
+	for i := 1; i < len(q.Branches); i++ {
 		wg.Add(1)
-		go func(i int, br *plan.Branch) {
+		db.armGoroutines.Add(1)
+		go func(i int) {
 			defer wg.Done()
-			// Branch goroutines run outside the pool's worker guard, so a
-			// panic here (operator state corrupted by an aborting run) would
-			// crash the process; contain it as this branch's error.
-			defer func() {
-				if v := recover(); v != nil {
-					err := fmt.Errorf("quickstep: query branch panic: %v\n%s", v, debug.Stack())
-					db.pool.Fail(err)
-					errs[i] = err
-				}
-			}()
-			results[i], errs[i] = db.runBranch(br, fmt.Sprintf("%s_b%d", name, br.Arm), out)
-		}(i, br)
+			results[i], errs[i] = db.runArm(q.Branches[i], name, out)
+		}(i)
 	}
+	results[0], errs[0] = db.runArm(q.Branches[0], name, out)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -680,8 +680,28 @@ func (db *Database) runQuery(q *plan.Query, name string, out OutputHint) (*stora
 	return union, nil
 }
 
-func (db *Database) runBranch(br *plan.Branch, name string, hint OutputHint) (*storage.Relation, error) {
+// runArm runs one branch of a query and contains a panic raised in it — on
+// the caller's goroutine or an arm's own, outside the pool's worker guard —
+// as the branch's error and the run's failure, so operator state corrupted by
+// an aborting run cannot crash the process.
+func (db *Database) runArm(br *plan.Branch, query string, out OutputHint) (res *storage.Relation, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("quickstep: query branch panic: %v\n%s", v, debug.Stack())
+			db.pool.Fail(err)
+			res = nil
+		}
+	}()
+	return db.runBranch(br, br.Names(query), out)
+}
+
+// ArmGoroutines counts the goroutines runQuery has started for UNION ALL
+// arms: none for a one-arm query, k−1 for a k-arm query.
+func (db *Database) ArmGoroutines() int64 { return db.armGoroutines.Load() }
+
+func (db *Database) runBranch(br *plan.Branch, names *plan.Names, hint OutputHint) (*storage.Relation, error) {
 	part := hint.part()
+	name := names.Branch
 	// Resolve and pre-filter base tables. owned marks relations this branch
 	// materialized itself (filtered inputs, join intermediates): they are
 	// released — blocks recycled — as soon as the next operator has consumed
@@ -715,29 +735,16 @@ func (db *Database) runBranch(br *plan.Branch, name string, hint OutputHint) (*s
 	}
 	strategy := optimizer.ChooseJoinStrategy(br)
 	if strategy == optimizer.JoinWCOJ {
-		db.notePlan(name, br, plan.IdentityOrder(n), strategy)
+		db.notePlan(name, br, br.Tables, cards, strategy)
 		return db.runBranchWCOJ(br, inputs, owned, name, part)
 	}
+	// The order is re-chosen on this run's cardinalities; the chain, keys and
+	// remapped expressions for that order are compiled once per branch.
 	order := optimizer.OrderJoins(br, cards)
-	ord := plan.OrderSteps(br, order)
-	db.notePlan(name, br, order, strategy)
-	remap := func(i int) int { return ord.ColMap[i] }
-	projs := make([]expr.Expr, len(br.Projs))
-	for i, p := range br.Projs {
-		projs[i] = expr.Remap(p, remap)
-	}
-	groupBy := make([]int, len(br.GroupBy))
-	for i, g := range br.GroupBy {
-		groupBy[i] = ord.ColMap[g]
-	}
-	aggs := make([]exec.AggSpec, len(br.Aggs))
-	for i, a := range br.Aggs {
-		aggs[i] = exec.AggSpec{Func: a.Func, Arg: expr.Remap(a.Arg, remap)}
-	}
-	totalWidth := 0
-	for _, a := range br.Arities {
-		totalWidth += a
-	}
+	ord := br.Compile(order)
+	db.notePlan(name, br, ord.OrderNames, cards, strategy)
+	projs, groupBy, aggs := ord.Projs, ord.GroupBy, ord.Aggs
+	totalWidth := br.Shape().Width
 
 	cur := inputs[order[0]]
 	curOwned := owned[order[0]]
@@ -803,7 +810,7 @@ func (db *Database) runBranch(br *plan.Branch, name string, hint OutputHint) (*s
 			CacheBuild: cacheBuild,
 			Residual:   js.Residual,
 			Projs:      stepProjs,
-			OutName:    fmt.Sprintf("%s_j%d", name, step),
+			OutName:    names.Steps[step],
 			Agg:        stepAgg,
 		}
 		// Join-key-carried fast path: when the build side already carries a
@@ -839,7 +846,7 @@ func (db *Database) runBranch(br *plan.Branch, name string, hint OutputHint) (*s
 		return cur, nil
 	}
 
-	for _, aj := range br.AntiJoins {
+	for a, aj := range br.AntiJoins {
 		if cur.NumTuples() == 0 {
 			// Anti-joins only remove rows; nothing to remove from nothing.
 			break
@@ -853,10 +860,7 @@ func (db *Database) runBranch(br *plan.Branch, name string, hint OutputHint) (*s
 			inner = exec.SelectProject(db.pool, inner, aj.InnerPreFilter, identityProjs(inner.Arity()), aj.Table+FilteredSuffix, inner.ColNames())
 			innerOwned = true
 		}
-		outerKeys := make([]int, len(aj.OuterKeys))
-		for i, k := range aj.OuterKeys {
-			outerKeys[i] = ord.ColMap[k]
-		}
+		outerKeys := ord.AntiOuter[a]
 		innerParts := db.carriedBuildParts(inner, aj.InnerKeys, db.partitionsFor(inner.NumTuples()))
 		next := exec.AntiJoin(db.pool, cur, inner, outerKeys, aj.InnerKeys, nil, identityProjs(width), innerParts, name+"_anti", nil)
 		if curOwned {

@@ -53,9 +53,10 @@ type JoinSpec struct {
 	// Agg, when set, makes the join a join-fed aggregate: it returns the
 	// groups of Agg over its output rows and never materializes the join. It
 	// is a pointer to keep JoinSpec narrow: the spec is copied by value down
-	// the join's calls, and a query's branch goroutine whose frames outgrow
-	// its stack copies the stack once per query, which a fixpoint of few-row
-	// iterations pays every iteration.
+	// the join's calls, and a query arm running on a goroutine of its own
+	// (every arm after the first) whose frames outgrow its stack copies the
+	// stack once per query, which a fixpoint of few-row iterations pays every
+	// iteration.
 	Agg *GroupAgg
 }
 

@@ -1,6 +1,8 @@
 package optimizer
 
 import (
+	"math/bits"
+
 	"recstep/internal/quickstep/plan"
 )
 
@@ -46,19 +48,15 @@ func ChooseJoinStrategy(br *plan.Branch) JoinStrategy {
 // ∆-relations that is this iteration's delta count, so the order adapts as
 // deltas shrink. The result depends only on the atom multiset (names,
 // cardinalities, filters, connectivity), not on the textual order.
+// Connectivity is read from the branch's shape (sealed at bind): each atom's
+// variable classes as a bitset, so a placement is an OR and a count a
+// popcount.
 func OrderJoins(br *plan.Branch, cards []int) []int {
 	n := len(br.Tables)
 	if n <= 1 {
 		return plan.IdentityOrder(n)
 	}
-	classes := br.VarClasses()
-	classSet := make([]map[int]bool, n)
-	for t := 0; t < n; t++ {
-		classSet[t] = make(map[int]bool, br.Arities[t])
-		for c := 0; c < br.Arities[t]; c++ {
-			classSet[t][classes[br.Offsets[t]+c]] = true
-		}
-	}
+	sh := br.Shape()
 	filtered := func(t int) bool { return len(br.PreFilter[t]) > 0 }
 	// seedLess orders by selectivity; name then index keep it deterministic
 	// and (up to identical atoms) invariant to textual permutation.
@@ -75,13 +73,13 @@ func OrderJoins(br *plan.Branch, cards []int) []int {
 		return a < b
 	}
 	placed := make([]bool, n)
-	placedClasses := map[int]bool{}
+	placedClasses := make([]uint64, len(sh.ClassSet(0)))
 	order := make([]int, 0, n)
 	place := func(t int) {
 		placed[t] = true
 		order = append(order, t)
-		for k := range classSet[t] {
-			placedClasses[k] = true
+		for i, w := range sh.ClassSet(t) {
+			placedClasses[i] |= w
 		}
 	}
 	seed := -1
@@ -98,10 +96,8 @@ func OrderJoins(br *plan.Branch, cards []int) []int {
 				continue
 			}
 			conn := 0
-			for k := range classSet[t] {
-				if placedClasses[k] {
-					conn++
-				}
+			for i, w := range sh.ClassSet(t) {
+				conn += bits.OnesCount64(w & placedClasses[i])
 			}
 			if best < 0 || conn > bestConn || (conn == bestConn && seedLess(t, best)) {
 				best, bestConn = t, conn

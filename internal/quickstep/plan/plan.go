@@ -6,10 +6,16 @@
 // i.e. stratified negation), optional grouped aggregation, and a final
 // projection. OrderSteps linearizes a branch into concrete JoinSteps for
 // whatever join order the optimizer picks; Cyclic detects the cyclic bodies
-// the executor may route to the leapfrog WCOJ instead.
+// the executor may route to the leapfrog WCOJ instead. The binder seals each
+// branch (Seal): what planning reads of it is derived once, and each join
+// order it runs under is compiled once (Compile).
 package plan
 
 import (
+	"slices"
+	"strconv"
+	"sync"
+
 	"recstep/internal/quickstep/exec"
 	"recstep/internal/quickstep/expr"
 )
@@ -61,6 +67,10 @@ type Branch struct {
 	// (IsAgg=false, Index into GroupBy) or an aggregate (IsAgg=true, Index
 	// into Aggs), so output column order follows the SQL text.
 	SelectOrder []SelectOut
+
+	// sealed is what Seal derived from the fields above; nil on a branch
+	// built by hand, which plans from scratch every time it runs.
+	sealed *sealed
 }
 
 // SelectOut maps one select-list position to its source in an aggregate
@@ -125,8 +135,16 @@ type Ordered struct {
 
 // VarClasses unions the branch's equi-edges into variable classes and
 // returns, for each declaration-order combined column, its class
-// representative (an arbitrary but stable column index in the class).
+// representative (an arbitrary but stable column index in the class). A
+// sealed branch returns the slice Seal computed: callers must not modify it.
 func (br *Branch) VarClasses() []int {
+	if br.sealed != nil {
+		return br.sealed.shape.classes
+	}
+	return br.varClasses()
+}
+
+func (br *Branch) varClasses() []int {
 	total := 0
 	for _, a := range br.Arities {
 		total += a
@@ -162,12 +180,13 @@ func (br *Branch) VarClasses() []int {
 // tables it touches, some class reconnects tables already connected through
 // other classes. A star (many atoms sharing one variable) is acyclic; a
 // triangle is cyclic.
-func Cyclic(br *Branch) bool {
+func Cyclic(br *Branch) bool { return br.Shape().Cyclic }
+
+func cyclic(br *Branch, classes []int) bool {
 	n := len(br.Tables)
 	if n < 3 {
 		return false
 	}
-	classes := br.VarClasses()
 	tablesByClass := map[int][]int{}
 	for t := 0; t < n; t++ {
 		for c := 0; c < br.Arities[t]; c++ {
@@ -303,6 +322,169 @@ func IdentityOrder(n int) []int {
 		out[i] = i
 	}
 	return out
+}
+
+// Shape is what planning reads of a branch's join body and no iteration
+// changes: its variable classes, which classes each atom touches, and whether
+// the body is cyclic.
+type Shape struct {
+	// Cyclic is whether the join graph is cyclic (see Cyclic).
+	Cyclic bool
+	// Width is the combined row's width, the sum of the atoms' arities.
+	Width   int
+	classes []int
+	// words is the length of one atom's class set in sets; bit k of atom t's
+	// set is whether t has a column whose class representative is k.
+	words int
+	sets  []uint64
+}
+
+func newShape(br *Branch) Shape {
+	classes := br.varClasses()
+	words := (len(classes) + 63) / 64
+	sh := Shape{Cyclic: cyclic(br, classes), Width: len(classes), classes: classes, words: words,
+		sets: make([]uint64, len(br.Tables)*words)}
+	for t := range br.Tables {
+		set := sh.ClassSet(t)
+		for c := 0; c < br.Arities[t]; c++ {
+			k := classes[br.Offsets[t]+c]
+			set[k/64] |= 1 << (k % 64)
+		}
+	}
+	return sh
+}
+
+// ClassSet is atom t's set of variable classes as a bitset; every atom's has
+// the same length.
+func (sh *Shape) ClassSet(t int) []uint64 { return sh.sets[t*sh.words : (t+1)*sh.words] }
+
+// Shape returns the branch's shape: the one Seal derived, or a fresh one for
+// a branch built by hand.
+func (br *Branch) Shape() *Shape {
+	if br.sealed != nil {
+		return &br.sealed.shape
+	}
+	sh := newShape(br)
+	return &sh
+}
+
+// Compiled is a branch's plan for one join order: the chain, plus everything
+// the executor derives from the order — the select list, group-by, aggregate
+// arguments and anti-join outer keys remapped into the order's coordinates,
+// and the tables' names in execution order.
+type Compiled struct {
+	Ordered
+	Projs     []expr.Expr
+	GroupBy   []int
+	Aggs      []exec.AggSpec
+	AntiOuter [][]int
+	// OrderNames are the tables in execution order.
+	OrderNames []string
+}
+
+func compile(br *Branch, order []int) *Compiled {
+	c := &Compiled{Ordered: OrderSteps(br, order)}
+	remap := func(i int) int { return c.ColMap[i] }
+	c.Projs = make([]expr.Expr, len(br.Projs))
+	for i, p := range br.Projs {
+		c.Projs[i] = expr.Remap(p, remap)
+	}
+	c.GroupBy = make([]int, len(br.GroupBy))
+	for i, g := range br.GroupBy {
+		c.GroupBy[i] = c.ColMap[g]
+	}
+	c.Aggs = make([]exec.AggSpec, len(br.Aggs))
+	for i, a := range br.Aggs {
+		c.Aggs[i] = exec.AggSpec{Func: a.Func, Arg: expr.Remap(a.Arg, remap)}
+	}
+	c.AntiOuter = make([][]int, len(br.AntiJoins))
+	for i, aj := range br.AntiJoins {
+		c.AntiOuter[i] = make([]int, len(aj.OuterKeys))
+		for j, k := range aj.OuterKeys {
+			c.AntiOuter[i][j] = c.ColMap[k]
+		}
+	}
+	c.OrderNames = make([]string, len(order))
+	for i, t := range order {
+		c.OrderNames[i] = br.Tables[t]
+	}
+	return c
+}
+
+// Names are the names one run of a branch gives what it materializes.
+type Names struct {
+	query string
+	arm   int
+	// Branch names the branch's result: "<query>_b<Arm>".
+	Branch string
+	// Steps[i] names join step i's output: "<Branch>_j<i>".
+	Steps []string
+}
+
+func newNames(br *Branch, query string) *Names {
+	nm := &Names{query: query, arm: br.Arm, Branch: query + "_b" + strconv.Itoa(br.Arm)}
+	if len(br.Tables) > 1 {
+		nm.Steps = make([]string, len(br.Tables)-1)
+		for i := range nm.Steps {
+			nm.Steps[i] = nm.Branch + "_j" + strconv.Itoa(i)
+		}
+	}
+	return nm
+}
+
+// sealed is what Seal attaches to a branch. The shape is fixed at Seal; the
+// compiled orders and the names are filled as the branch runs, under mu, and
+// nothing stored is modified afterwards.
+type sealed struct {
+	shape Shape
+	mu    sync.Mutex
+	// plans holds one compiled plan per distinct join order run so far; a
+	// branch has at most n! orders and in practice one or two.
+	plans []*Compiled
+	// names are the names of the latest query name run under: a statement
+	// always inserts into the same table.
+	names *Names
+}
+
+// Seal derives what planning reads of the branch once, and gives it the memo
+// Compile and Names fill. The binder seals every branch it binds; nothing may
+// change a branch's join body, select list or aggregates after Seal.
+func (br *Branch) Seal() { br.sealed = &sealed{shape: newShape(br)} }
+
+// Compile returns the branch's plan for a join order. A sealed branch
+// compiles each order once and returns the same read-only plan for it
+// afterwards; the plan equals compiling afresh, since it is a function of the
+// sealed branch and the order alone.
+func (br *Branch) Compile(order []int) *Compiled {
+	s := br.sealed
+	if s == nil {
+		return compile(br, order)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range s.plans {
+		if slices.Equal(c.Order, order) {
+			return c
+		}
+	}
+	c := compile(br, slices.Clone(order))
+	s.plans = append(s.plans, c)
+	return c
+}
+
+// Names returns the branch's output names under query name query. A sealed
+// branch keeps the latest names it made.
+func (br *Branch) Names(query string) *Names {
+	s := br.sealed
+	if s == nil {
+		return newNames(br, query)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.names == nil || s.names.query != query || s.names.arm != br.Arm {
+		s.names = newNames(br, query)
+	}
+	return s.names
 }
 
 // AntiJoinStep removes combined rows that have a match in Table (the bound

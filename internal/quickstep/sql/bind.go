@@ -63,6 +63,7 @@ func bindQuery(sel *astSelect, schema SchemaFn) (*plan.Query, error) {
 				branchArity(q.Branches[0]), branchArity(br))
 		}
 		br.Arm = len(q.Branches)
+		br.Seal()
 		q.Branches = append(q.Branches, br)
 	}
 	return q, nil

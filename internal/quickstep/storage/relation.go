@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -83,7 +84,7 @@ func (r *Relation) SetLifecycle(lc Lifecycle, cat Category) {
 func NumberedColumns(n int) []string {
 	cols := make([]string, n)
 	for i := range cols {
-		cols[i] = fmt.Sprintf("c%d", i)
+		cols[i] = "c" + strconv.Itoa(i)
 	}
 	return cols
 }
