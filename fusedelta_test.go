@@ -297,7 +297,7 @@ func TestIndividualEvaluationMatchesNativeAcrossPrograms(t *testing.T) {
 // program with a native evaluator (tc, reach, sg, cc, sssp, Andersen, cspa,
 // csda) derive exactly what baselines/native derives, and every program's
 // default run derives every relation the staged run does.
-func TestColumnarMatchesRowAcrossPrograms(t *testing.T) {
+func TestDefaultMatchesStagedAndNativeAcrossPrograms(t *testing.T) {
 	names := make([]string, 0, len(programs.ByName))
 	for name := range programs.ByName {
 		names = append(names, name)
@@ -415,12 +415,10 @@ func TestIterHookReportsCopyAccounting(t *testing.T) {
 	}
 }
 
-// The columnar slab is a cache, not a copy the engine depends on: a fixpoint
-// that appends to its full relations every iteration must keep the slab
-// coherent (stale slabs are rebuilt, never served). A TC run must agree with
-// the native closure tuple for tuple — this pins the invalidation path
-// specifically, with appends landing mid-run on blocks whose slabs were
-// already built by earlier delta steps.
+// A fixpoint appends to its full relations every iteration while later
+// delta steps re-read the blocks earlier ones sealed: a TC run at 16
+// partitions and 4 workers must agree with the native closure tuple for
+// tuple.
 func TestColumnarSlabCoherentUnderAppends(t *testing.T) {
 	arc := graphs.GnP(200, 0.04, 11)
 	prog := programs.MustParse(programs.TC)
@@ -434,7 +432,7 @@ func TestColumnarSlabCoherentUnderAppends(t *testing.T) {
 	}
 	got, want := res.Relations["tc"].SortedRows(), native.TC(arc, 4).SortedRows()
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("the engine derives %d tc rows, the native closure %d; slab coherence broken",
+		t.Fatalf("the engine derives %d tc rows, the native closure %d",
 			len(got)/2, len(want)/2)
 	}
 }

@@ -21,7 +21,7 @@ type ExecMetrics struct {
 func (m *ExecMetrics) Register(reg *Registry) {
 	m.Phase.register(reg)
 	reg.RegisterHistogram("recstep_batch_rows",
-		"Rows per columnar block processed by batch kernels (power-of-two buckets).", &m.BatchRows)
+		"Rows per block processed by the window kernels (power-of-two buckets).", &m.BatchRows)
 	reg.RegisterHistogram("recstep_gscht_chain_length",
 		"Sampled GSCHT bucket chain lengths at dedup-set release.", &m.ChainLen)
 	reg.RegisterHistogram("recstep_delta_partition_rows",

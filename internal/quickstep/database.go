@@ -341,18 +341,21 @@ func (db *Database) EndIteration() {
 	// reclaimed, and deciding to shed attachments on bytes that are freed
 	// two lines later would drop structures the budget actually has room
 	// for (and pay a full |R| re-seed next iteration).
-	for _, name := range db.cat.Names() {
-		if r, ok := db.cat.Get(name); ok {
-			r.ReclaimRetired()
-			// Long fixpoints adopt one small ∆R block per partition per
-			// iteration; coalescing bounds the per-partition block count so
-			// pool-class padding never dominates R's footprint.
-			r.CoalescePartitions()
-		}
+	// Every relation's garbage goes before any coalescing allocates, so the
+	// pool peak does not depend on the (map) order of the sweep.
+	rels := db.cat.Relations()
+	for _, r := range rels {
+		r.ReclaimRetired()
+	}
+	// Long fixpoints adopt one small ∆R block per partition per iteration;
+	// coalescing bounds the per-partition block count so pool-class padding
+	// never dominates R's footprint.
+	for _, r := range rels {
+		r.CoalescePartitions()
 	}
 	if db.mem.OverBudget() {
-		for _, name := range db.cat.Names() {
-			if r, ok := db.cat.Get(name); ok && r.EvictAttachments() > 0 {
+		for _, r := range rels {
+			if r.EvictAttachments() > 0 {
 				db.mem.NoteAttachmentDrop()
 			}
 		}
@@ -392,12 +395,10 @@ func (db *Database) ResetErr() {
 // and spill files — without committing anything. The engine's abort path
 // calls it so a cancelled or failed run tears down to zero live pooled bytes.
 func (db *Database) ReleaseAll() {
-	for _, name := range db.cat.Names() {
-		if r, ok := db.cat.Get(name); ok {
-			db.cat.Drop(name)
-			r.Release()
-			r.ReclaimRetired()
-		}
+	for _, r := range db.cat.Relations() {
+		db.cat.Drop(r.Name())
+		r.Release()
+		r.ReclaimRetired()
 	}
 }
 

@@ -2,9 +2,7 @@ package exec
 
 import (
 	"sync"
-	"sync/atomic"
 
-	"recstep/internal/quickstep/expr"
 	"recstep/internal/quickstep/kernels"
 	"recstep/internal/quickstep/storage"
 )
@@ -18,16 +16,6 @@ import (
 // copy. A set the compact keys cannot pack — tuples wider than four columns,
 // or the lock-map baseline — is the generic locked map; the same kernels walk
 // it row by row (see genericRows), so each operator has one body.
-
-// MinColumnarRows is the row count below which the kernels consume a block
-// from its row-major data even where it is re-read: the column transpose
-// costs a full pass plus a pool allocation, which only pays off on blocks big
-// enough to amortize it — above the threshold the cached transpose is built
-// once and reused every time the (immutable) block is re-read, which for R's
-// carried partitions means every remaining fixpoint iteration. The
-// optimizer's layout gate (optimizer.UseBatchKernels) exposes the same
-// threshold to the planning layer.
-const MinColumnarRows = 256
 
 // batchBuf is the per-pass scratch of the batch kernels: packed keys,
 // bucket indices, probe results, a selection vector and a gather buffer,
@@ -44,7 +32,6 @@ type batchBuf struct {
 	gather []int32
 	scat   []int32
 	counts []int32
-	cols   [][]int32
 	pid    []uint8
 	order  []int32
 }
@@ -61,49 +48,23 @@ var batchBufPool = sync.Pool{New: func() any {
 		sel:    make([]int32, 0, n),
 		gather: make([]int32, 4*n),
 		scat:   make([]int32, 4*n),
-		cols:   make([][]int32, 0, 8),
 		pid:    make([]uint8, n),
 		order:  make([]int32, n),
 	}
 }}
 
 func getBatchBuf() *batchBuf  { return batchBufPool.Get().(*batchBuf) }
-func putBatchBuf(b *batchBuf) { b.cols = b.cols[:0]; batchBufPool.Put(b) }
+func putBatchBuf(b *batchBuf) { batchBufPool.Put(b) }
 
-// blockCols returns the per-column views of b when the cached transpose
-// pays (see MinColumnarRows), nil to pack from the row-major data.
-func blockCols(b *storage.Block, arity int, buf *batchBuf) [][]int32 {
-	if b.Rows() < MinColumnarRows {
-		return nil
-	}
-	cols := buf.cols[:0]
-	for c := 0; c < arity; c++ {
-		cols = append(cols, b.Col(c))
-	}
-	buf.cols = cols
-	return cols
-}
-
-// packWindow fills buf's key scratch for rows [off, off+bn) — from the
-// column views when cols is non-nil, in one strided pass over the row-major
-// data otherwise. Arity ≤ 2 lands in buf.keys, arity 3–4 in buf.hi/buf.lo.
-func packWindow(data []int32, cols [][]int32, arity, off, bn int, buf *batchBuf) {
+// packWindow fills buf's key scratch for rows [off, off+bn) of a row-major
+// run in one strided pass: arity ≤ 2 lands in buf.keys, arity 3–4 in
+// buf.hi/buf.lo.
+func packWindow(data []int32, arity, off, bn int, buf *batchBuf) {
+	win := data[off*arity : (off+bn)*arity]
 	if arity <= 2 {
-		if cols == nil {
-			kernels.PackRows64(data[off*arity:(off+bn)*arity], arity, buf.keys)
-		} else if arity == 1 {
-			kernels.PackKeys1(cols[0][off:off+bn], buf.keys)
-		} else {
-			kernels.PackKeys2(cols[0][off:off+bn], cols[1][off:off+bn], buf.keys)
-		}
-		return
-	}
-	if cols == nil {
-		kernels.PackRows128(data[off*arity:(off+bn)*arity], arity, buf.hi, buf.lo)
-	} else if arity == 3 {
-		kernels.PackKeys3(cols[0][off:off+bn], cols[1][off:off+bn], cols[2][off:off+bn], buf.hi, buf.lo)
+		kernels.PackRows64(win, arity, buf.keys)
 	} else {
-		kernels.PackKeys4(cols[0][off:off+bn], cols[1][off:off+bn], cols[2][off:off+bn], cols[3][off:off+bn], buf.hi, buf.lo)
+		kernels.PackRows128(win, arity, buf.hi, buf.lo)
 	}
 }
 
@@ -154,10 +115,8 @@ func genericIntersect(bset, inter *tupleSet, blocks []*storage.Block, arity int,
 // batchInsertBlocks inserts every tuple of blocks into set through the
 // batched GSCHT path, bulk-emitting each fresh tuple's row when emit is
 // non-nil. local selects the single-writer insert (partition-private
-// tables); useCols selects the cached column layout for blocks re-read
-// across iterations (R's carried partitions) — data scanned exactly once
-// packs straight from its row-major form.
-func batchInsertBlocks(set *tupleSet, blocks []*storage.Block, arity int, ar *setArena, local, useCols bool, buf *batchBuf, emit func(rows []int32)) {
+// tables).
+func batchInsertBlocks(set *tupleSet, blocks []*storage.Block, arity int, ar *setArena, local bool, buf *batchBuf, emit func(rows []int32)) {
 	for _, b := range blocks {
 		n := b.Rows()
 		if n == 0 {
@@ -168,13 +127,9 @@ func batchInsertBlocks(set *tupleSet, blocks []*storage.Block, arity int, ar *se
 			genericRows(set, data, arity, ar, true, emit)
 			continue
 		}
-		var cols [][]int32
-		if useCols {
-			cols = blockCols(b, arity, buf)
-		}
 		for off := 0; off < n; off += kernels.BatchRows {
 			bn := min(kernels.BatchRows, n-off)
-			packWindow(data, cols, arity, off, bn, buf)
+			packWindow(data, arity, off, bn, buf)
 			sel := buf.sel[:0]
 			if set.t64 != nil {
 				keys := buf.keys[:bn]
@@ -203,9 +158,9 @@ func batchInsertBlocks(set *tupleSet, blocks []*storage.Block, arity int, ar *se
 // distinct (R feeding an OPSD diff table: the fixpoint relation is
 // duplicate-free by construction), through the no-dup-check bulk-build
 // kernel. Single-writer only.
-func batchBuildBlocks(set *tupleSet, blocks []*storage.Block, arity int, ar *setArena, useCols bool, buf *batchBuf) {
+func batchBuildBlocks(set *tupleSet, blocks []*storage.Block, arity int, ar *setArena, buf *batchBuf) {
 	if set.generic != nil {
-		batchInsertBlocks(set, blocks, arity, ar, true, false, buf, nil)
+		batchInsertBlocks(set, blocks, arity, ar, true, buf, nil)
 		return
 	}
 	for _, b := range blocks {
@@ -214,13 +169,9 @@ func batchBuildBlocks(set *tupleSet, blocks []*storage.Block, arity int, ar *set
 			continue
 		}
 		data := b.Data()
-		var cols [][]int32
-		if useCols {
-			cols = blockCols(b, arity, buf)
-		}
 		for off := 0; off < n; off += kernels.BatchRows {
 			bn := min(kernels.BatchRows, n-off)
-			packWindow(data, cols, arity, off, bn, buf)
+			packWindow(data, arity, off, bn, buf)
 			if set.t64 != nil {
 				set.t64.InsertBatchBuild(buf.keys[:bn], buf.bidx, &ar.a64)
 			} else {
@@ -231,7 +182,7 @@ func batchBuildBlocks(set *tupleSet, blocks []*storage.Block, arity int, ar *set
 }
 
 // batchAntiProbeBlocks bulk-emits the rows of blocks absent from set.
-func batchAntiProbeBlocks(set *tupleSet, blocks []*storage.Block, arity int, useCols bool, buf *batchBuf, emit func(rows []int32)) {
+func batchAntiProbeBlocks(set *tupleSet, blocks []*storage.Block, arity int, buf *batchBuf, emit func(rows []int32)) {
 	for _, b := range blocks {
 		n := b.Rows()
 		if n == 0 {
@@ -242,13 +193,9 @@ func batchAntiProbeBlocks(set *tupleSet, blocks []*storage.Block, arity int, use
 			genericRows(set, data, arity, nil, false, emit)
 			continue
 		}
-		var cols [][]int32
-		if useCols {
-			cols = blockCols(b, arity, buf)
-		}
 		for off := 0; off < n; off += kernels.BatchRows {
 			bn := min(kernels.BatchRows, n-off)
-			packWindow(data, cols, arity, off, bn, buf)
+			packWindow(data, arity, off, bn, buf)
 			if set.t64 != nil {
 				set.t64.ProbeBatch(buf.keys[:bn], buf.bidx, buf.hits)
 			} else {
@@ -273,12 +220,10 @@ func batchAntiProbeRows(set *tupleSet, rows []int32, arity int, buf *batchBuf, e
 	n := len(rows) / arity
 	for off := 0; off < n; off += kernels.BatchRows {
 		bn := min(kernels.BatchRows, n-off)
-		win := rows[off*arity : (off+bn)*arity]
+		packWindow(rows, arity, off, bn, buf)
 		if set.t64 != nil {
-			kernels.PackRows64(win, arity, buf.keys)
 			set.t64.ProbeBatch(buf.keys[:bn], buf.bidx, buf.hits)
 		} else {
-			kernels.PackRows128(win, arity, buf.hi, buf.lo)
 			set.t128.ProbeBatch(buf.lo[:bn], buf.hi[:bn], buf.bidx, buf.hits)
 		}
 		sel := kernels.SelectMisses(buf.hits[:bn], int32(off), buf.sel[:0])
@@ -293,7 +238,7 @@ func batchAntiProbeRows(set *tupleSet, rows []int32, arity int, buf *batchBuf, e
 // hits into inter — TPSD's intersection marking, r∩ = R ∩ Rδ. The hit keys
 // are compacted in place after the probe, so the insert pass runs over a
 // dense key batch.
-func batchIntersect(bset, inter *tupleSet, blocks []*storage.Block, arity int, ar *setArena, local, useCols bool, buf *batchBuf) {
+func batchIntersect(bset, inter *tupleSet, blocks []*storage.Block, arity int, ar *setArena, local bool, buf *batchBuf) {
 	if bset.generic != nil {
 		genericIntersect(bset, inter, blocks, arity, ar)
 		return
@@ -304,13 +249,9 @@ func batchIntersect(bset, inter *tupleSet, blocks []*storage.Block, arity int, a
 			continue
 		}
 		data := b.Data()
-		var cols [][]int32
-		if useCols {
-			cols = blockCols(b, arity, buf)
-		}
 		for off := 0; off < n; off += kernels.BatchRows {
 			bn := min(kernels.BatchRows, n-off)
-			packWindow(data, cols, arity, off, bn, buf)
+			packWindow(data, arity, off, bn, buf)
 			if bset.t64 != nil {
 				bset.t64.ProbeBatch(buf.keys[:bn], buf.bidx, buf.hits)
 				m := 0
@@ -349,127 +290,6 @@ func batchIntersect(bset, inter *tupleSet, blocks []*storage.Block, arity int, a
 			}
 		}
 	}
-}
-
-// colConstPred is a comparison between one column and one constant — the
-// predicate shape the selection-vector kernels evaluate without a per-row
-// expression walk.
-type colConstPred struct {
-	col int
-	op  int
-	val int32
-}
-
-// mirrorCmp flips a comparison across its operands (5 < x ⇔ x > 5).
-func mirrorCmp(op expr.CmpOp) int {
-	switch op {
-	case expr.LT:
-		return kernels.CmpGT
-	case expr.LE:
-		return kernels.CmpGE
-	case expr.GT:
-		return kernels.CmpLT
-	case expr.GE:
-		return kernels.CmpLE
-	default:
-		return int(op) // EQ and NE are symmetric
-	}
-}
-
-// colConstPreds extracts the column-vs-constant form of every predicate, or
-// reports that some predicate needs the general evaluator. The kernels Cmp*
-// codes mirror expr.CmpOp value-for-value, so the direct form converts with
-// a plain int cast.
-func colConstPreds(preds []expr.Cmp) ([]colConstPred, bool) {
-	out := make([]colConstPred, 0, len(preds))
-	for _, p := range preds {
-		if c, ok := p.L.(expr.Col); ok {
-			if l, ok := p.R.(expr.Lit); ok {
-				out = append(out, colConstPred{col: c.Index, op: int(p.Op), val: l.Value})
-				continue
-			}
-		}
-		if l, ok := p.L.(expr.Lit); ok {
-			if c, ok := p.R.(expr.Col); ok {
-				out = append(out, colConstPred{col: c.Index, op: mirrorCmp(p.Op), val: l.Value})
-				continue
-			}
-		}
-		return nil, false
-	}
-	return out, true
-}
-
-// batchSelectProject is the selection-vector scan: per window, the first
-// predicate filters its column into a selection vector, the remaining
-// predicates refine it in place, and the survivors are gathered through the
-// projection's columns in one column-at-a-time pass. Flat outputs land in
-// bulk; partitioned outputs route the gathered rows through the scatter
-// writer row-wise (the filter and gather still run batched).
-func batchSelectProject(pool *Pool, col *collector, blocks []*storage.Block, preds []colConstPred, idx []int) {
-	if len(blocks) == 0 {
-		return
-	}
-	scan := func(b *storage.Block, buf *batchBuf, emitBulk func(rows []int32)) {
-		n := b.Rows()
-		if n == 0 {
-			return
-		}
-		pool.observeBatch(n)
-		projCols := buf.cols[:0]
-		for _, c := range idx {
-			projCols = append(projCols, b.Col(c))
-		}
-		buf.cols = projCols
-		for off := 0; off < n; off += kernels.BatchRows {
-			bn := min(kernels.BatchRows, n-off)
-			var sel []int32
-			if len(preds) == 0 {
-				sel = buf.sel[:0]
-				for i := 0; i < bn; i++ {
-					sel = append(sel, int32(off+i))
-				}
-			} else {
-				p0 := preds[0]
-				sel = kernels.FilterCmp(b.Col(p0.col)[off:off+bn], p0.op, p0.val, int32(off), buf.sel[:0])
-				for _, p := range preds[1:] {
-					sel = kernels.RefineCmp(b.Col(p.col), p.op, p.val, sel)
-				}
-			}
-			buf.sel = sel[:0]
-			if len(sel) == 0 {
-				continue
-			}
-			emitBulk(kernels.GatherRows(projCols, sel, buf.gather))
-		}
-	}
-	if col.part == nil {
-		pool.Run(len(blocks), func(task int) {
-			buf := getBatchBuf()
-			defer putBatchBuf(buf)
-			scan(blocks[task], buf, col.sinkBulk(task))
-		})
-		return
-	}
-	var next atomic.Int64
-	pool.RunWorkers(len(blocks), func(worker, _ int) {
-		buf := getBatchBuf()
-		defer putBatchBuf(buf)
-		emit := col.sink(worker)
-		w := len(idx)
-		emitBulk := func(rows []int32) {
-			for off := 0; off < len(rows); off += w {
-				emit(rows[off : off+w])
-			}
-		}
-		for {
-			t := int(next.Add(1)) - 1
-			if t >= len(blocks) || pool.Aborted() {
-				return
-			}
-			scan(blocks[t], buf, emitBulk)
-		}
-	})
 }
 
 // batchScatterBlock routes one block's rows into w's per-partition open

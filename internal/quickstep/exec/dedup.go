@@ -211,7 +211,7 @@ func Dedup(pool *Pool, in *storage.Relation, strategy DedupStrategy, estDistinct
 		buf := getBatchBuf()
 		defer putBatchBuf(buf)
 		var ar setArena
-		batchInsertBlocks(set, blocks[task:task+1], arity, &ar, false, false, buf, col.sinkBulk(task))
+		batchInsertBlocks(set, blocks[task:task+1], arity, &ar, false, buf, col.sinkBulk(task))
 	})
 	out := col.into(outName, in.ColNames())
 	pool.observeChains(set)

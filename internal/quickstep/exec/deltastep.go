@@ -155,22 +155,20 @@ func deltaShared(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, ar
 	dedupEmit := func(set *tupleSet) *storage.Relation {
 		col := newCollector(pool, storage.CatDelta, arity, len(tmpBlocks))
 		perBlock(tmpBlocks, func(task int, ar *setArena, buf *batchBuf) {
-			batchInsertBlocks(set, tmpBlocks[task:task+1], arity, ar, local, false, buf, col.sinkBulk(task))
+			batchInsertBlocks(set, tmpBlocks[task:task+1], arity, ar, local, buf, col.sinkBulk(task))
 		})
 		return col.into(outName, tmp.ColNames())
 	}
-	// seed inserts all of R into set — the OPSD build. useCols reads R's
-	// blocks through their cached column layout, which pays only when the
-	// same blocks are re-read every iteration (the transient table).
-	seed := func(set *tupleSet, useCols bool) {
+	// seed inserts all of R into set — the OPSD build.
+	seed := func(set *tupleSet) {
 		rBlocks := full.Blocks()
 		perBlock(rBlocks, func(task int, ar *setArena, buf *batchBuf) {
 			if local {
 				// One worker ⇒ single writer, and R is duplicate-free: the
 				// seed can bulk-build without dup checks.
-				batchBuildBlocks(set, rBlocks[task:task+1], arity, ar, useCols, buf)
+				batchBuildBlocks(set, rBlocks[task:task+1], arity, ar, buf)
 			} else {
-				batchInsertBlocks(set, rBlocks[task:task+1], arity, ar, false, useCols, buf, nil)
+				batchInsertBlocks(set, rBlocks[task:task+1], arity, ar, false, buf, nil)
 			}
 		})
 		pool.Copy.SetDiffRowsScanned.Add(int64(rRows))
@@ -182,7 +180,7 @@ func deltaShared(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, ar
 			set = newTupleSetIn(pool.alloc, storage.CatIndex, arity, rRows+estDistinct)
 			res.sets[0] = set
 			if rRows > 0 {
-				seed(set, false)
+				seed(set)
 			}
 		} else {
 			set.grow()
@@ -206,13 +204,13 @@ func deltaShared(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, ar
 		dset := newTupleSet(pool.alloc, arity, min(tmpRows, estDistinct))
 		candCol := newCollector(pool, storage.CatIntermediate, arity, len(tmpBlocks))
 		perBlock(tmpBlocks, func(task int, ar *setArena, buf *batchBuf) {
-			batchInsertBlocks(dset, tmpBlocks[task:task+1], arity, ar, local, false, buf, candCol.sinkBulk(task))
+			batchInsertBlocks(dset, tmpBlocks[task:task+1], arity, ar, local, buf, candCol.sinkBulk(task))
 		})
 		cand := candCol.into(outName, tmp.ColNames())
 		inter := newTupleSet(pool.alloc, arity, min(cand.NumTuples(), rRows))
 		rBlocks := full.Blocks()
 		perBlock(rBlocks, func(task int, ar *setArena, buf *batchBuf) {
-			batchIntersect(dset, inter, rBlocks[task:task+1], arity, ar, local, true, buf)
+			batchIntersect(dset, inter, rBlocks[task:task+1], arity, ar, local, buf)
 		})
 		pool.Copy.SetDiffRowsScanned.Add(int64(rRows))
 		pool.observeChains(dset)
@@ -223,7 +221,7 @@ func deltaShared(pool *Pool, tmp, full *storage.Relation, algo DiffAlgorithm, ar
 		return out
 	default:
 		set := newTupleSet(pool.alloc, arity, rRows+estDistinct)
-		seed(set, true)
+		seed(set)
 		out := dedupEmit(set)
 		pool.observeChains(set)
 		set.release()
@@ -246,7 +244,7 @@ func deltaPartition(pool *Pool, lc storage.Lifecycle, tmpBlocks, rBlocks []*stor
 	if rRows == 0 {
 		// Nothing to subtract: the pass degenerates to pure dedup.
 		set := newTupleSet(lc, arity, estDistinct)
-		batchInsertBlocks(set, tmpBlocks, arity, &ar, true, false, buf, emit)
+		batchInsertBlocks(set, tmpBlocks, arity, &ar, true, buf, emit)
 		pool.observeChains(set)
 		set.release()
 		return
@@ -256,24 +254,23 @@ func deltaPartition(pool *Pool, lc storage.Lifecycle, tmpBlocks, rBlocks []*stor
 		// intersection by probing R, anti-probe the candidates.
 		dset := newTupleSet(lc, arity, min(tmpRows, estDistinct))
 		cand := make([]int32, 0, min(tmpRows, estDistinct)*arity)
-		batchInsertBlocks(dset, tmpBlocks, arity, &ar, true, false, buf, func(rows []int32) {
+		batchInsertBlocks(dset, tmpBlocks, arity, &ar, true, buf, func(rows []int32) {
 			cand = append(cand, rows...)
 		})
 		inter := newTupleSet(lc, arity, min(len(cand)/arity, rRows))
-		batchIntersect(dset, inter, rBlocks, arity, &ar, true, true, buf)
+		batchIntersect(dset, inter, rBlocks, arity, &ar, true, buf)
 		pool.observeChains(dset)
 		dset.release()
 		batchAntiProbeRows(inter, cand, arity, buf, emit)
 		inter.release()
 		return
 	}
-	// OPSD flavour: seed the dedup table with R (reading R's carried blocks
-	// through their cached column layout; R is duplicate-free, so the seed
-	// skips the dup-check walk entirely), then one batched insert pass over
-	// Rt answers dedup and diff at once.
+	// OPSD flavour: seed the dedup table with R (R is duplicate-free, so the
+	// seed skips the dup-check walk entirely), then one batched insert pass
+	// over Rt answers dedup and diff at once.
 	set := newTupleSet(lc, arity, rRows+estDistinct)
-	batchBuildBlocks(set, rBlocks, arity, &ar, true, buf)
-	batchInsertBlocks(set, tmpBlocks, arity, &ar, true, false, buf, emit)
+	batchBuildBlocks(set, rBlocks, arity, &ar, buf)
+	batchInsertBlocks(set, tmpBlocks, arity, &ar, true, buf, emit)
 	pool.observeChains(set)
 	set.release()
 }

@@ -82,26 +82,24 @@ func partitionedDiff(pool *Pool, rdelta, r *storage.Relation, algo DiffAlgorithm
 		if algo == TPSD && dv.Rows(p) < rv.Rows(p) {
 			// TPSD phase 1 on the smaller input: r∩ = R ∩ Rδ.
 			bset := newTupleSet(lc, arity, dv.Rows(p))
-			batchInsertBlocks(bset, dBlocks, arity, &ar, true, false, buf, nil)
+			batchInsertBlocks(bset, dBlocks, arity, &ar, true, buf, nil)
 			inter := newTupleSet(lc, arity, dv.Rows(p))
-			batchIntersect(bset, inter, rBlocks, arity, &ar, true, false, buf)
+			batchIntersect(bset, inter, rBlocks, arity, &ar, true, buf)
 			bset.release()
 			set = inter
 		} else {
 			// OPSD (or TPSD whose smaller input is R): build on R directly.
 			set = newTupleSet(lc, arity, rv.Rows(p))
-			batchInsertBlocks(set, rBlocks, arity, &ar, true, false, buf, nil)
+			batchInsertBlocks(set, rBlocks, arity, &ar, true, buf, nil)
 		}
-		batchAntiProbeBlocks(set, dBlocks, arity, false, buf, emit)
+		batchAntiProbeBlocks(set, dBlocks, arity, buf, emit)
 		set.release()
 	})
 	return col.into(outName, rdelta.ColNames())
 }
 
 // buildSet inserts every tuple of rel into a fresh tupleSet, in parallel.
-// The caller owns the set and releases it when done. Full relations are
-// read through their cached column layout (a relation rebuilt around carried
-// blocks re-reads the same blocks every iteration).
+// The caller owns the set and releases it when done.
 func buildSet(pool *Pool, rel *storage.Relation) *tupleSet {
 	set := newTupleSet(pool.alloc, rel.Arity(), rel.NumTuples())
 	blocks := rel.Blocks()
@@ -110,7 +108,7 @@ func buildSet(pool *Pool, rel *storage.Relation) *tupleSet {
 		buf := getBatchBuf()
 		defer putBatchBuf(buf)
 		var ar setArena
-		batchInsertBlocks(set, blocks[task:task+1], arity, &ar, false, true, buf, nil)
+		batchInsertBlocks(set, blocks[task:task+1], arity, &ar, false, buf, nil)
 	})
 	return set
 }
@@ -123,7 +121,7 @@ func antiProbe(pool *Pool, probe *storage.Relation, set *tupleSet, outName strin
 	pool.Run(len(blocks), func(task int) {
 		buf := getBatchBuf()
 		defer putBatchBuf(buf)
-		batchAntiProbeBlocks(set, blocks[task:task+1], arity, false, buf, col.sinkBulk(task))
+		batchAntiProbeBlocks(set, blocks[task:task+1], arity, buf, col.sinkBulk(task))
 	})
 	return col.into(outName, probe.ColNames())
 }
@@ -149,7 +147,7 @@ func tpsd(pool *Pool, rdelta, r *storage.Relation, outName string) *storage.Rela
 		buf := getBatchBuf()
 		defer putBatchBuf(buf)
 		var ar setArena
-		batchIntersect(bset, inter, blocks[task:task+1], arity, &ar, false, true, buf)
+		batchIntersect(bset, inter, blocks[task:task+1], arity, &ar, false, buf)
 	})
 	bset.release()
 	// Phase 2: ∆R = Rδ − r∩.

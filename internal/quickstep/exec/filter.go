@@ -63,33 +63,64 @@ func SelectProjectPartitioned(pool *Pool, in *storage.Relation, preds []expr.Cmp
 		}
 	}
 	blocks := in.Blocks()
-	col := outCollector(pool, part, len(projs), len(blocks))
-	if plainCols && len(idx) <= 4 {
-		if cps, ok := colConstPreds(preds); ok {
-			batchSelectProject(pool, col, blocks, cps, idx)
-			return col.into(outName, outCols)
-		}
-	}
-	scatterRun(pool, col, blocks, func(b *storage.Block, emit func(row []int32)) {
-		outRow := make([]int32, len(projs))
-		n := b.Rows()
-		for i := 0; i < n; i++ {
-			row := b.Row(i)
-			if !expr.All(preds, row) {
-				continue
-			}
-			if plainCols {
-				for j, c := range idx {
-					outRow[j] = row[c]
-				}
+	w := len(projs)
+	col := outCollector(pool, part, w, len(blocks))
+	// Each worker fills a window of output rows in its scratch and hands the
+	// whole window to its sink: one bulk copy into a flat output, one
+	// counting-sort scatter into a partitioned one.
+	bufs := make([]*batchBuf, pool.Workers())
+	emits := make([]func(rows []int32), pool.Workers())
+	pool.runTasksPerWorker(len(blocks), func(worker, t int) {
+		buf := bufs[worker]
+		if buf == nil {
+			buf = getBatchBuf()
+			bufs[worker] = buf
+			if col.part == nil {
+				emits[worker] = col.sinkBulk(worker)
 			} else {
-				for j, p := range projs {
-					outRow[j] = p.Eval(row)
+				pw := col.partSink(worker)
+				emits[worker] = func(rows []int32) {
+					if len(rows) >= scatterBatchMin*w {
+						batchScatterBlock(pw, rows, w, buf)
+						return
+					}
+					for off := 0; off < len(rows); off += w {
+						pw.write(rows[off : off+w])
+					}
 				}
 			}
-			emit(outRow)
+		}
+		b := blocks[t]
+		pool.observeBatch(b.Rows())
+		data, arity := b.Data(), b.Arity()
+		n, win := b.Rows(), windowRows(w)
+		for off := 0; off < n; off += win {
+			out, end := buf.gather[:0], min(off+win, n)
+			for i := off; i < end; i++ {
+				row := data[i*arity : (i+1)*arity : (i+1)*arity]
+				if !expr.All(preds, row) {
+					continue
+				}
+				if plainCols {
+					for _, c := range idx {
+						out = append(out, row[c])
+					}
+				} else {
+					for _, p := range projs {
+						out = append(out, p.Eval(row))
+					}
+				}
+			}
+			if len(out) > 0 {
+				emits[worker](out)
+			}
 		}
 	})
+	for _, buf := range bufs {
+		if buf != nil {
+			putBatchBuf(buf)
+		}
+	}
 	return col.into(outName, outCols)
 }
 

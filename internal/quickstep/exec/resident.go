@@ -98,16 +98,14 @@ func (x *ResidentIndex) passPartition(pool *Pool, p int, tmpBlocks []*storage.Bl
 		set = newTupleSetIn(pool.alloc, storage.CatIndex, x.arity, rRows+estDistinct)
 		x.sets[p] = set
 		if rRows > 0 {
-			// R's blocks are read this once: pack from the row-major data
-			// rather than caching a column transpose on every block.
-			batchBuildBlocks(set, rv.Blocks(p), x.arity, ar, false, buf)
+			batchBuildBlocks(set, rv.Blocks(p), x.arity, ar, buf)
 			pool.Copy.SetDiffRowsScanned.Add(int64(rRows))
 			rv.Cool(p)
 		}
 	} else {
 		set.grow()
 	}
-	batchInsertBlocks(set, tmpBlocks, x.arity, ar, true, false, buf, emit)
+	batchInsertBlocks(set, tmpBlocks, x.arity, ar, true, buf, emit)
 }
 
 // DeltaStepResident is DeltaStep in the OPSD flavour against a resident

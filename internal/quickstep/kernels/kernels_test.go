@@ -16,25 +16,6 @@ func mixRef(key uint64) uint64 {
 // nominal BatchRows granule.
 var batchSizes = []int{0, 1, 3, 7, 64, 255, 1023, 1024, 1025}
 
-func randCols(r *rand.Rand, arity, n int) [][]int32 {
-	cols := make([][]int32, arity)
-	for c := range cols {
-		cols[c] = make([]int32, n)
-		for i := range cols[c] {
-			cols[c][i] = int32(r.Uint32())
-		}
-	}
-	return cols
-}
-
-func rowOf(cols [][]int32, i int) []int32 {
-	row := make([]int32, len(cols))
-	for c := range cols {
-		row[c] = cols[c][i]
-	}
-	return row
-}
-
 func TestMixBatch(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, n := range batchSizes {
@@ -59,23 +40,29 @@ func TestMixBatch(t *testing.T) {
 	}
 }
 
+// randRows returns n random arity-wide tuples as a row-major run.
+func randRows(r *rand.Rand, arity, n int) []int32 {
+	rows := make([]int32, n*arity)
+	for i := range rows {
+		rows[i] = int32(r.Uint32())
+	}
+	return rows
+}
+
+// PackRows64 writes the gscht.PackKey64 layout: the one attribute, or the
+// first attribute over the second.
 func TestPackKeys64(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for _, arity := range []int{1, 2} {
 		for _, n := range batchSizes {
-			cols := randCols(r, arity, n)
+			rows := randRows(r, arity, n)
 			dst := make([]uint64, n)
-			if arity == 1 {
-				PackKeys1(cols[0], dst)
-			} else {
-				PackKeys2(cols[0], cols[1], dst)
-			}
+			PackRows64(rows, arity, dst)
 			for i := 0; i < n; i++ {
-				var want uint64
-				if arity == 1 {
-					want = uint64(uint32(cols[0][i]))
-				} else {
-					want = uint64(uint32(cols[0][i]))<<32 | uint64(uint32(cols[1][i]))
+				row := rows[i*arity : (i+1)*arity]
+				want := uint64(uint32(row[0]))
+				if arity == 2 {
+					want = want<<32 | uint64(uint32(row[1]))
 				}
 				if dst[i] != want {
 					t.Fatalf("arity=%d n=%d i=%d: got %#x want %#x", arity, n, i, dst[i], want)
@@ -85,119 +72,29 @@ func TestPackKeys64(t *testing.T) {
 	}
 }
 
+// PackRows128 writes the gscht.PackKey128 layout: hi = c0, lo = c1<<32 | c2
+// at arity 3; hi = c0<<32 | c1, lo = c2<<32 | c3 at arity 4.
 func TestPackKeys128(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, arity := range []int{3, 4} {
 		for _, n := range batchSizes {
-			cols := randCols(r, arity, n)
+			rows := randRows(r, arity, n)
 			hi := make([]uint64, n)
 			lo := make([]uint64, n)
-			if arity == 3 {
-				PackKeys3(cols[0], cols[1], cols[2], hi, lo)
-			} else {
-				PackKeys4(cols[0], cols[1], cols[2], cols[3], hi, lo)
-			}
+			PackRows128(rows, arity, hi, lo)
 			for i := 0; i < n; i++ {
+				row := rows[i*arity : (i+1)*arity]
 				var wantHi, wantLo uint64
 				if arity == 3 {
-					wantHi = uint64(uint32(cols[0][i]))
-					wantLo = uint64(uint32(cols[1][i]))<<32 | uint64(uint32(cols[2][i]))
+					wantHi = uint64(uint32(row[0]))
+					wantLo = uint64(uint32(row[1]))<<32 | uint64(uint32(row[2]))
 				} else {
-					wantHi = uint64(uint32(cols[0][i]))<<32 | uint64(uint32(cols[1][i]))
-					wantLo = uint64(uint32(cols[2][i]))<<32 | uint64(uint32(cols[3][i]))
+					wantHi = uint64(uint32(row[0]))<<32 | uint64(uint32(row[1]))
+					wantLo = uint64(uint32(row[2]))<<32 | uint64(uint32(row[3]))
 				}
 				if hi[i] != wantHi || lo[i] != wantLo {
 					t.Fatalf("arity=%d n=%d i=%d: got (%#x,%#x) want (%#x,%#x)",
 						arity, n, i, hi[i], lo[i], wantHi, wantLo)
-				}
-			}
-		}
-	}
-}
-
-func holds(v int32, op int, val int32) bool {
-	switch op {
-	case CmpEQ:
-		return v == val
-	case CmpNE:
-		return v != val
-	case CmpLT:
-		return v < val
-	case CmpLE:
-		return v <= val
-	case CmpGT:
-		return v > val
-	case CmpGE:
-		return v >= val
-	}
-	panic("bad op")
-}
-
-func TestFilterCmpAndRefine(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	ops := []int{CmpEQ, CmpNE, CmpLT, CmpLE, CmpGT, CmpGE}
-	for _, n := range batchSizes {
-		col := make([]int32, n)
-		for i := range col {
-			col[i] = int32(r.Intn(8)) // small domain so every op selects something
-		}
-		for _, op := range ops {
-			val := int32(r.Intn(8))
-			sel := FilterCmp(col, op, val, 100, nil)
-			var want []int32
-			for i, v := range col {
-				if holds(v, op, val) {
-					want = append(want, 100+int32(i))
-				}
-			}
-			if len(sel) != len(want) {
-				t.Fatalf("n=%d op=%d: got %d selected, want %d", n, op, len(sel), len(want))
-			}
-			for i := range sel {
-				if sel[i] != want[i] {
-					t.Fatalf("n=%d op=%d i=%d: got %d want %d", n, op, i, sel[i], want[i])
-				}
-			}
-
-			// Refine an all-rows selection by the same predicate (base 0).
-			all := make([]int32, n)
-			for i := range all {
-				all[i] = int32(i)
-			}
-			ref := RefineCmp(col, op, val, all)
-			if len(ref) != len(want) {
-				t.Fatalf("refine n=%d op=%d: got %d selected, want %d", n, op, len(ref), len(want))
-			}
-			for i := range ref {
-				if ref[i] != want[i]-100 {
-					t.Fatalf("refine n=%d op=%d i=%d: got %d want %d", n, op, i, ref[i], want[i]-100)
-				}
-			}
-		}
-	}
-}
-
-func TestGatherRows(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for _, arity := range []int{1, 2, 3, 4} {
-		for _, n := range batchSizes {
-			cols := randCols(r, arity, n)
-			var sel []int32
-			for i := 0; i < n; i += 2 {
-				sel = append(sel, int32(i))
-			}
-			dst := make([]int32, len(sel)*arity)
-			out := GatherRows(cols, sel, dst)
-			if len(out) != len(sel)*arity {
-				t.Fatalf("arity=%d n=%d: gathered %d values, want %d", arity, n, len(out), len(sel)*arity)
-			}
-			for j, s := range sel {
-				want := rowOf(cols, int(s))
-				for c := 0; c < arity; c++ {
-					if out[j*arity+c] != want[c] {
-						t.Fatalf("arity=%d n=%d row %d col %d: got %d want %d",
-							arity, n, j, c, out[j*arity+c], want[c])
-					}
 				}
 			}
 		}
@@ -235,53 +132,6 @@ func partitionHashRef(row []int32) uint64 {
 		h = (h ^ uint64(uint32(v))) * 0x9E3779B97F4A7C15
 	}
 	return h
-}
-
-// PackRows64/PackRows128 are the row-major one-pass variants: over the same
-// tuples they must produce exactly the keys the columnar packers do.
-func TestPackRowsMatchesPackKeys(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	for arity := 1; arity <= 4; arity++ {
-		for _, n := range batchSizes {
-			cols := randCols(r, arity, n)
-			rows := make([]int32, 0, n*arity)
-			for i := 0; i < n; i++ {
-				rows = append(rows, rowOf(cols, i)...)
-			}
-			if arity <= 2 {
-				want := make([]uint64, n)
-				got := make([]uint64, n)
-				if arity == 1 {
-					PackKeys1(cols[0], want)
-				} else {
-					PackKeys2(cols[0], cols[1], want)
-				}
-				PackRows64(rows, arity, got)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("arity=%d n=%d: row-major key %d = %#x, columnar %#x", arity, n, i, got[i], want[i])
-					}
-				}
-				continue
-			}
-			wantHi := make([]uint64, n)
-			wantLo := make([]uint64, n)
-			gotHi := make([]uint64, n)
-			gotLo := make([]uint64, n)
-			if arity == 3 {
-				PackKeys3(cols[0], cols[1], cols[2], wantHi, wantLo)
-			} else {
-				PackKeys4(cols[0], cols[1], cols[2], cols[3], wantHi, wantLo)
-			}
-			PackRows128(rows, arity, gotHi, gotLo)
-			for i := range wantHi {
-				if gotHi[i] != wantHi[i] || gotLo[i] != wantLo[i] {
-					t.Fatalf("arity=%d n=%d: row-major key %d = (%#x,%#x), columnar (%#x,%#x)",
-						arity, n, i, gotHi[i], gotLo[i], wantHi[i], wantLo[i])
-				}
-			}
-		}
-	}
 }
 
 // SelectMisses and SelectHits must partition the index range exactly, offset
@@ -331,17 +181,13 @@ func TestHashRowsMatchesReference(t *testing.T) {
 	for _, arity := range []int{1, 2, 4} {
 		for _, keyCols := range [][]int{{0}, {arity - 1}, allUpTo(arity)} {
 			for _, n := range batchSizes {
-				cols := randCols(r, arity, n)
-				rows := make([]int32, 0, n*arity)
-				for i := 0; i < n; i++ {
-					rows = append(rows, rowOf(cols, i)...)
-				}
+				rows := randRows(r, arity, n)
 				got := make([]uint64, n)
 				HashRows(rows, arity, keyCols, got)
 				key := make([]int32, len(keyCols))
 				for i := range got {
 					for ci, c := range keyCols {
-						key[ci] = cols[c][i]
+						key[ci] = rows[i*arity+c]
 					}
 					if want := partitionHashRef(key); got[i] != want {
 						t.Fatalf("arity=%d keys=%v n=%d: hash of row %d = %#x, want %#x",

@@ -453,15 +453,3 @@ func synthetic(rng *rand.Rand, name string, n int) *storage.Relation {
 	r.AppendRows(rows)
 	return r
 }
-
-// UseBatchKernels is the planner-facing layout gate of the window kernels:
-// whether a pass over rows tuples of the given arity should read them
-// through a cached columnar layout. It picks a layout, not a path — every
-// operator runs the same kernels either way. The arity bound is hard — the
-// compact-key packers read at most four attributes — while the row bound is
-// the cached-transpose break-even (exec.MinColumnarRows): below it a
-// transpose costs more than the strided reads it replaces, so the kernels
-// read row-major.
-func UseBatchKernels(arity, rows int) bool {
-	return arity >= 1 && arity <= 4 && rows >= exec.MinColumnarRows
-}

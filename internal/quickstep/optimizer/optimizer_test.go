@@ -298,25 +298,6 @@ func TestPreferCarriedBuild(t *testing.T) {
 	}
 }
 
-func TestUseBatchKernels(t *testing.T) {
-	cases := []struct {
-		arity, rows int
-		want        bool
-	}{
-		{1, exec.MinColumnarRows, true},
-		{2, 1 << 20, true},
-		{4, exec.MinColumnarRows, true},
-		{5, 1 << 20, false},                  // beyond compact-key packing
-		{2, exec.MinColumnarRows - 1, false}, // transpose below break-even
-		{0, 1 << 20, false},
-	}
-	for _, c := range cases {
-		if got := UseBatchKernels(c.arity, c.rows); got != c.want {
-			t.Errorf("UseBatchKernels(%d, %d) = %v, want %v", c.arity, c.rows, got, c.want)
-		}
-	}
-}
-
 // The keep-it-resident rule is ski rental in row reads: pay per use until
 // the payments reach ResidentAmortise times the rows the structure holds.
 func TestRepaysResident(t *testing.T) {

@@ -12,7 +12,6 @@ package storage
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -110,24 +109,6 @@ type Block struct {
 	lc    Lifecycle
 	cat   Category
 	refs  atomic.Int32
-
-	// Columnar companion: a lazily built column-major transpose of data,
-	// length arity×rows, column c at [c*rows, (c+1)*rows). Built on first
-	// Col() call after the block is sealed; concurrent readers (UNION ALL
-	// branches scanning a shared base relation) synchronize on colsMu for
-	// the build and load the published slab through the atomic pointer.
-	// Writers invalidate it (blocks are single-writer while open), and the
-	// final Release recycles it alongside the row data.
-	colsMu sync.Mutex
-	cols   atomic.Pointer[colSlab]
-}
-
-// colSlab is one immutable column-major snapshot of a block's rows. The row
-// count is captured at build time so a stale slab (the block grew after the
-// build) is detected and rebuilt rather than served short.
-type colSlab struct {
-	data []int32
-	rows int
 }
 
 // NewBlock returns an empty heap block for tuples of the given arity, with
@@ -188,9 +169,6 @@ func (b *Block) Retain() { b.refs.Add(1) }
 func (b *Block) Release() {
 	switch n := b.refs.Add(-1); {
 	case n == 0:
-		if cs := b.cols.Swap(nil); cs != nil && b.lc != nil {
-			b.lc.FreeData(b.cat, cs.data)
-		}
 		if b.lc != nil {
 			d := b.data
 			b.data = nil
@@ -218,11 +196,7 @@ func (b *Block) Recat(cat Category) {
 		return
 	}
 	if b.lc != nil {
-		bytes := int64(cap(b.data)) * 4
-		if cs := b.cols.Load(); cs != nil {
-			bytes += int64(cap(cs.data)) * 4
-		}
-		b.lc.Recat(b.cat, cat, bytes)
+		b.lc.Recat(b.cat, cat, int64(cap(b.data))*4)
 	}
 	b.cat = cat
 }
@@ -242,77 +216,6 @@ func (b *Block) Row(i int) []int32 {
 
 // Data returns the raw row-major tuple data. Read-only.
 func (b *Block) Data() []int32 { return b.data }
-
-// Col returns a read-only view of column c across every row of the block,
-// building the column-major slab on first use. Safe for concurrent readers
-// of a sealed block; the slab allocates through the block's Lifecycle under
-// the block's category and is recycled on final Release. Callers on hot
-// paths should gate on row count (see optimizer.UseBatchKernels) — the
-// transpose costs one pass over the block and is only worth it when batch
-// kernels will read the columns more than once or vectorize over them.
-func (b *Block) Col(c int) []int32 {
-	rows := b.Rows()
-	cs := b.cols.Load()
-	if cs == nil || cs.rows != rows {
-		cs = b.buildCols(rows)
-	}
-	return cs.data[c*cs.rows : (c+1)*cs.rows : (c+1)*cs.rows]
-}
-
-// HasCols reports whether the column slab is currently built (for tests and
-// footprint accounting).
-func (b *Block) HasCols() bool { return b.cols.Load() != nil }
-
-// buildCols transposes the block under colsMu and publishes the slab. A
-// racing builder that lost the lock returns the winner's slab.
-func (b *Block) buildCols(rows int) *colSlab {
-	b.colsMu.Lock()
-	defer b.colsMu.Unlock()
-	if cs := b.cols.Load(); cs != nil {
-		if cs.rows == rows {
-			return cs
-		}
-		// Stale snapshot from before the block's last append: recycle it.
-		if b.lc != nil {
-			b.lc.FreeData(b.cat, cs.data)
-		}
-		b.cols.Store(nil)
-	}
-	w := b.arity
-	var data []int32
-	if b.lc != nil {
-		data = b.lc.AllocData(b.cat, rows*w)[:rows*w]
-	} else {
-		data = make([]int32, rows*w)
-	}
-	src := b.data
-	for c := 0; c < w; c++ {
-		col := data[c*rows : (c+1)*rows]
-		for j := range col {
-			col[j] = src[j*w+c]
-		}
-	}
-	cs := &colSlab{data: data, rows: rows}
-	b.cols.Store(cs)
-	return cs
-}
-
-// invalidateCols drops the column slab before a mutation. Only the block's
-// single writer calls it (open blocks are not shared), so no reader can
-// hold a view of the freed slab.
-func (b *Block) invalidateCols() {
-	if b.cols.Load() == nil {
-		return
-	}
-	b.colsMu.Lock()
-	if cs := b.cols.Load(); cs != nil {
-		b.cols.Store(nil)
-		if b.lc != nil {
-			b.lc.FreeData(b.cat, cs.data)
-		}
-	}
-	b.colsMu.Unlock()
-}
 
 // CapBytes returns the size of the backing array — the footprint accounting
 // and spilling operate on.
@@ -339,7 +242,6 @@ func (b *Block) Append(tuple []int32) {
 	if len(tuple) != b.arity {
 		panic(fmt.Sprintf("storage: tuple arity %d does not match block arity %d", len(tuple), b.arity))
 	}
-	b.invalidateCols()
 	if b.lc != nil && len(b.data)+len(tuple) > cap(b.data) {
 		b.grow(len(tuple))
 	}
@@ -352,7 +254,6 @@ func (b *Block) AppendBulk(rows []int32) {
 	if len(rows)%b.arity != 0 {
 		panic(fmt.Sprintf("storage: bulk data length %d not divisible by arity %d", len(rows), b.arity))
 	}
-	b.invalidateCols()
 	if b.lc != nil && len(b.data)+len(rows) > cap(b.data) {
 		b.grow(len(rows))
 	}

@@ -77,6 +77,18 @@ func (c *Catalog) Names() []string {
 	return out
 }
 
+// Relations returns a snapshot of every registered relation, in no
+// particular order, for sweeps that visit each table once and need no name.
+func (c *Catalog) Relations() []*Relation {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	out := make([]*Relation, 0, len(c.tables))
+	for _, r := range c.tables {
+		out = append(out, r)
+	}
+	return out
+}
+
 // TotalBytes sums the tuple footprint of all tables.
 func (c *Catalog) TotalBytes() int64 {
 	c.mu.RLock()

@@ -1,12 +1,14 @@
 package recstep
 
 import (
+	"context"
 	"reflect"
 	"sort"
 	"testing"
 
 	"recstep/internal/core"
 	"recstep/internal/experiments"
+	"recstep/internal/graphs"
 	"recstep/internal/programs"
 	"recstep/internal/quickstep/storage"
 )
@@ -173,5 +175,37 @@ func TestIterHookReportsMemorySnapshot(t *testing.T) {
 	}
 	if res.Stats.Mem.PoolHits == 0 {
 		t.Fatal("block recycling never hit the pool during a 120-iteration fixpoint")
+	}
+}
+
+// A relation's tuples take the pool bytes of its blocks and nothing more:
+// after a resident tc fixpoint the pool's live IDB bytes are exactly the
+// capacity of the IDB relations' blocks, so no second copy of R (a cached
+// layout, a leftover view) hides in the idb gauge.
+func TestIDBPoolBytesAreTheRelationsBlocks(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.Workers = 2
+	opts.Partitions = 16
+	arc := graphs.GnP(300, 0.02, 5)
+	d, err := core.New(opts).RunIncremental(context.Background(), programs.MustParse(programs.TC), map[string]*storage.Relation{"arc": arc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blocks int64
+	for _, name := range d.IDBNames() {
+		r, ok := d.Relation(name)
+		if !ok {
+			t.Fatalf("no relation %s", name)
+		}
+		for _, b := range r.Blocks() {
+			blocks += b.CapBytes()
+		}
+	}
+	live := d.MemSnapshot().LiveBytes[storage.CatIDB]
+	if _, err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if blocks == 0 || live != blocks {
+		t.Fatalf("pool holds %d live idb bytes, the IDB relations' blocks %d", live, blocks)
 	}
 }

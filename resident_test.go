@@ -445,13 +445,14 @@ w(s,y) :- w(s,x), hop(x,y).
 	if ref.Stats.CachedBuildHits == 0 {
 		t.Fatal("unbudgeted run kept no build table on hop")
 	}
-	for _, pct := range []int64{90, 30} {
+	const tight = 20
+	for _, pct := range []int64{90, tight} {
 		got := run(ref.Stats.Mem.PeakLive * pct / 100)
 		if !reflect.DeepEqual(got.Relations["w"].SortedRows(), want) {
 			t.Errorf("budget at %d%% of the unbudgeted peak: w differs from the unbudgeted result", pct)
 		}
-		if s := got.Stats; pct == 30 && (s.CachedBuildHits == 0 || s.Mem.Spills == 0) {
-			t.Errorf("budget at 30%%: %d cached-build hits, %d spills; the run no longer mixes the two", s.CachedBuildHits, s.Mem.Spills)
+		if s := got.Stats; pct == tight && (s.CachedBuildHits == 0 || s.Mem.Spills == 0) {
+			t.Errorf("budget at %d%%: %d cached-build hits, %d spills; the run no longer mixes the two", pct, s.CachedBuildHits, s.Mem.Spills)
 		}
 	}
 }
@@ -520,8 +521,9 @@ tc(x,y) :- tc(x,z), hop(z,y).
 	if ref.Stats.CachedBuildHits == 0 {
 		t.Fatal("unbudgeted run kept no build table on hop")
 	}
+	const tightest = 20
 	both := 0
-	for _, pct := range []int64{60, 40, 30} {
+	for _, pct := range []int64{60, 40, tightest} {
 		got, n, after := run(ref.Stats.Mem.PeakLive * pct / 100)
 		if !reflect.DeepEqual(got.Relations["tc"].SortedRows(), want) {
 			t.Errorf("budget at %d%% of the unbudgeted peak: tc differs from the unbudgeted result", pct)
@@ -532,7 +534,7 @@ tc(x,y) :- tc(x,z), hop(z,y).
 		}
 		// The table holds no pool bytes, so reclaiming memory never drops
 		// it: the probes keep hitting it after the relation has spilled.
-		if pct == 30 && after == 0 {
+		if pct == tightest && after == 0 {
 			t.Errorf("budget at %d%%: the cached-build hits stopped at the first spill", pct)
 		}
 		both += n
