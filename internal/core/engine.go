@@ -1412,9 +1412,3 @@ func (r *runState) hook(s analysis.Stratum, iter int, pred string, tmp, delta, d
 		h(IterInfo{Stratum: s.Index, Iteration: iter, Pred: pred, TmpTuples: tmp, Delta: delta, DeltaParts: deltaParts, Algo: algo, Copy: copies, Mem: r.db.MemSnapshot(), ArmsSkipped: skipped, Phase: ph})
 	}
 }
-
-// RunProgram is a convenience wrapper: parse-free evaluation of an already
-// parsed program with default options.
-func RunProgram(prog *ast.Program, edbs map[string]*storage.Relation) (*Result, error) {
-	return New(DefaultOptions()).Run(prog, edbs)
-}

@@ -46,24 +46,6 @@ type AggSpec struct {
 	Arg  expr.Expr
 }
 
-// add folds one value into f's state: one int64 word, or the sum and the
-// count for AVG.
-func (f AggFunc) add(st []int64, v int32) {
-	switch f {
-	case AggMin:
-		st[0] = min(st[0], int64(v))
-	case AggMax:
-		st[0] = max(st[0], int64(v))
-	case AggSum:
-		st[0] += int64(v)
-	case AggCount:
-		st[0]++
-	case AggAvg:
-		st[0] += int64(v)
-		st[1]++
-	}
-}
-
 // merge folds another partial state of f into st.
 func (f AggFunc) merge(st, o []int64) {
 	switch f {
@@ -131,39 +113,75 @@ func newAggTable(groupBy []int, aggs []AggSpec) *aggTable {
 	return t
 }
 
-// group returns the states of row's group, creating the group if needed.
-func (t *aggTable) group(row []int32) []int64 {
-	w := len(t.init)
-	g, fresh := t.groups.InsertRow(row, t.groupBy)
-	if fresh {
-		t.states = append(growTo(t.states, t.groups.Cap()*w), t.init...)
-	}
-	return t.states[g*w : g*w+w : g*w+w]
-}
+// foldWindow is the most rows foldRows resolves to their groups before it
+// folds their values.
+const foldWindow = 256
 
 // foldRows accumulates the arity-wide rows of a row-major run — a block's
 // data or a join's output window — at the indices in sel, in that order, or
-// every row of the run when sel is nil.
+// every row of the run when sel is nil. It takes foldWindow rows at a time
+// in two phases: the first finds each row's group, creating the new ones,
+// and notes where the row and its group's states lie; the second runs one
+// loop per aggregate over the window, its function chosen once per window.
 func (t *aggTable) foldRows(data []int32, arity int, sel []int32) {
 	n := len(sel)
 	if sel == nil {
 		n = len(data) / arity
 	}
-	for k := 0; k < n; k++ {
-		off := k * arity
-		if sel != nil {
-			off = int(sel[k]) * arity
-		}
-		row := data[off : off+arity : off+arity]
-		st := t.group(row)
-		for j, a := range t.aggs {
-			var v int32
-			if c := t.argCols[j]; c >= 0 {
-				v = row[c]
-			} else {
-				v = a.Arg.Eval(row)
+	w := len(t.init)
+	var rowAt, stAt [foldWindow]int
+	var vals [foldWindow]int32
+	for lo := 0; lo < n; lo += foldWindow {
+		m := min(n-lo, foldWindow)
+		for k := range m {
+			off := (lo + k) * arity
+			if sel != nil {
+				off = int(sel[lo+k]) * arity
 			}
-			a.Func.add(st[t.offs[j]:], v)
+			g, fresh := t.groups.InsertRow(data[off:off+arity:off+arity], t.groupBy)
+			if fresh {
+				t.states = append(growTo(t.states, t.groups.Cap()*w), t.init...)
+			}
+			rowAt[k], stAt[k] = off, g*w
+		}
+		rows, at := rowAt[:m], stAt[:m]
+		for j, a := range t.aggs {
+			st := t.states[t.offs[j]:]
+			if a.Func == AggCount {
+				for _, p := range at {
+					st[p]++
+				}
+				continue
+			}
+			vs := vals[:m]
+			if c := t.argCols[j]; c >= 0 {
+				for k, off := range rows {
+					vs[k] = data[off+c]
+				}
+			} else {
+				for k, off := range rows {
+					vs[k] = a.Arg.Eval(data[off : off+arity : off+arity])
+				}
+			}
+			switch a.Func {
+			case AggMin:
+				for k, p := range at {
+					st[p] = min(st[p], int64(vs[k]))
+				}
+			case AggMax:
+				for k, p := range at {
+					st[p] = max(st[p], int64(vs[k]))
+				}
+			case AggSum:
+				for k, p := range at {
+					st[p] += int64(vs[k])
+				}
+			case AggAvg:
+				for k, p := range at {
+					st[p] += int64(vs[k])
+					st[p+1]++
+				}
+			}
 		}
 	}
 	t.folded += int64(n)

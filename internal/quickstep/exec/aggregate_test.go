@@ -71,7 +71,8 @@ var edgeValues = []int32{0, -1, math.MinInt32, math.MaxInt32, 1, 7}
 // TestHashAggregateMatchesReference runs both aggregate entry points over
 // random inputs with 0–5 group columns at scattered positions and all five
 // functions (one through a computed argument), at 1 and 4 workers and 1, 16
-// and 64 partitions, against the naive map.
+// and 64 partitions, against the naive map; then over one block whose
+// groups keep opening in later fold windows.
 func TestHashAggregateMatchesReference(t *testing.T) {
 	for width := 0; width <= 5; width++ {
 		rng := rand.New(rand.NewSource(int64(100 + width)))
@@ -99,25 +100,59 @@ func TestHashAggregateMatchesReference(t *testing.T) {
 			{Func: AggAvg, Arg: expr.Col{Index: val}},
 			{Func: AggMin, Arg: expr.Arith{Op: expr.Sub, L: expr.Col{Index: val}, R: expr.Col{Index: perm[arity-1]}}},
 		}
-		want := referenceAggregate(in, groupBy, aggs)
-		for _, workers := range []int{1, 4} {
-			for _, parts := range []int{1, 16, 64} {
-				t.Run(fmt.Sprintf("width%d-w%d-parts%d", width, workers, parts), func(t *testing.T) {
-					pool, _ := poolOn(workers)
-					got := HashAggregatePartitioned(pool, in, groupBy, aggs, parts, "agg", nil)
-					if !reflect.DeepEqual(got.SortedRows(), want) {
-						t.Fatalf("partitioned aggregate diverges from the reference (%d vs %d rows)", got.NumTuples(), len(want)/(width+len(aggs)))
+		matchReference(t, fmt.Sprintf("width%d", width), in, groupBy, aggs, []int{1, 16, 64})
+	}
+
+	// Groups that first appear in later windows of one fold: one block of
+	// 3,000 rows keyed on column 1, in which every even row opens a group
+	// and every odd row revisits one already open, so the states grow while
+	// one call folds the whole block (one split) or a routed run of it (16
+	// splits, the join-fed aggregate's fold through a selection).
+	rng := rand.New(rand.NewSource(99))
+	rows := make([]int32, 0, 3*3000)
+	for i := 0; i < 3000; i++ {
+		key := int32(i / 2)
+		if i%2 == 1 {
+			key = int32(rng.Intn(i/2 + 1))
+		}
+		rows = append(rows, int32(rng.Intn(1000)-500), key, edgeValues[rng.Intn(len(edgeValues))])
+	}
+	in := storage.NewRelation("in", storage.NumberedColumns(3))
+	in.AdoptBlock(storage.BlockFromRows(3, rows))
+	aggs := []AggSpec{
+		{Func: AggMin, Arg: expr.Col{Index: 0}},
+		{Func: AggMax, Arg: expr.Col{Index: 2}},
+		{Func: AggSum, Arg: expr.Col{Index: 0}},
+		{Func: AggCount, Arg: expr.Col{Index: 0}},
+		{Func: AggAvg, Arg: expr.Col{Index: 0}},
+		{Func: AggMax, Arg: expr.Arith{Op: expr.Sub, L: expr.Col{Index: 0}, R: expr.Col{Index: 1}}},
+	}
+	matchReference(t, "late-groups", in, []int{1}, aggs, []int{1, 16})
+}
+
+// matchReference runs HashAggregatePartitioned at 1 and 4 workers and each
+// split count in parts, and HashAggregate at one split, against the naive
+// map.
+func matchReference(t *testing.T, name string, in *storage.Relation, groupBy []int, aggs []AggSpec, parts []int) {
+	t.Helper()
+	want := referenceAggregate(in, groupBy, aggs)
+	for _, workers := range []int{1, 4} {
+		for _, p := range parts {
+			t.Run(fmt.Sprintf("%s-w%d-parts%d", name, workers, p), func(t *testing.T) {
+				pool, _ := poolOn(workers)
+				got := HashAggregatePartitioned(pool, in, groupBy, aggs, p, "agg", nil)
+				if !reflect.DeepEqual(got.SortedRows(), want) {
+					t.Fatalf("partitioned aggregate diverges from the reference (%d vs %d rows)", got.NumTuples(), len(want)/(len(groupBy)+len(aggs)))
+				}
+				got.Release()
+				if p == 1 {
+					serial := HashAggregate(pool, in, groupBy, aggs, "agg", nil)
+					if !reflect.DeepEqual(serial.SortedRows(), want) {
+						t.Fatal("serial aggregate diverges from the reference")
 					}
-					got.Release()
-					if parts == 1 {
-						serial := HashAggregate(pool, in, groupBy, aggs, "agg", nil)
-						if !reflect.DeepEqual(serial.SortedRows(), want) {
-							t.Fatal("serial aggregate diverges from the reference")
-						}
-						serial.Release()
-					}
-				})
-			}
+					serial.Release()
+				}
+			})
 		}
 	}
 }
@@ -127,7 +162,9 @@ func TestHashAggregateMatchesReference(t *testing.T) {
 // 100 k more distinct groups, each twice: every group keeps its index and key
 // across all the doublings, a repeat never creates a group, and at every
 // growth step Find returns each group inserted so far and -1 for the keys not
-// yet inserted and for one never inserted.
+// yet inserted and for one never inserted. A one-column key read from a
+// column other than the first must agree with a two-column table over the
+// same values at every step.
 func TestGroupTableForcedGrowth(t *testing.T) {
 	const n = 100_000
 	edge := []int32{0, -1, math.MinInt32, math.MaxInt32}
@@ -191,6 +228,58 @@ func TestGroupTableForcedGrowth(t *testing.T) {
 			if g, fresh := tab.Insert(k); g != i || fresh {
 				t.Fatalf("width %d: lookup %d after growth: group %d fresh=%v", width, i, g, fresh)
 			}
+		}
+	}
+
+	// A one-column key read from column 2 of 3-column rows whose other
+	// columns change from call to call, against a two-column table keyed on
+	// (k, 0): the one-column path must give the generic path's group
+	// indices and Find results at every growth step.
+	keys := append([]int32(nil), edge...)
+	for i := 0; i < n; i++ {
+		keys = append(keys, int32(i+1)*-7919)
+	}
+	one, two := NewGroupTable(1), NewGroupTable(2)
+	keyCol, pairCols := []int{2}, []int{0, 1}
+	row := func(salt int, k int32) []int32 { return []int32{int32(salt), int32(salt) ^ k, k} }
+	find := func(inserted int) {
+		t.Helper()
+		for i, k := range keys[:inserted] {
+			g1, g2 := one.Find(row(3*i+1, k), keyCol), two.Find([]int32{k, 0}, pairCols)
+			if g1 != i || g2 != i {
+				t.Fatalf("one column, %d groups: Find(%d) = %d, two columns %d, want %d", inserted, k, g1, g2, i)
+			}
+		}
+		for _, k := range append([]int32{1}, keys[inserted:min(inserted+64, len(keys))]...) {
+			if g1, g2 := one.Find(row(inserted, k), keyCol), two.Find([]int32{k, 0}, pairCols); g1 != -1 || g2 != -1 {
+				t.Fatalf("one column, %d groups: Find(%d) = %d, two columns %d, for a key not inserted", inserted, k, g1, g2)
+			}
+		}
+	}
+	find(0)
+	for i, k := range keys {
+		before := one.Cap()
+		g1, fresh1 := one.InsertRow(row(i, k), keyCol)
+		g2, fresh2 := two.InsertRow([]int32{k, 0}, pairCols)
+		if g1 != i || !fresh1 || g2 != i || !fresh2 {
+			t.Fatalf("one column: insert %d: group %d fresh=%v, two columns group %d fresh=%v", i, g1, fresh1, g2, fresh2)
+		}
+		if i%2 == 0 {
+			if g, fresh := one.InsertRow(row(-i, keys[i/2]), keyCol); g != i/2 || fresh {
+				t.Fatalf("one column: repeat %d: group %d fresh=%v", i/2, g, fresh)
+			}
+		}
+		if one.Cap() != two.Cap() {
+			t.Fatalf("one column: %d groups: Cap %d, two columns %d", i+1, one.Cap(), two.Cap())
+		}
+		if one.Cap() != before {
+			find(i + 1)
+		}
+	}
+	find(len(keys))
+	for i, k := range keys {
+		if got := one.Key(i); len(got) != 1 || got[0] != k {
+			t.Fatalf("one column: group %d key = %v, want [%d]", i, got, k)
 		}
 	}
 

@@ -14,7 +14,8 @@ import (
 // linear probing over a power-of-two slot array of int32 group indices, at
 // most half full. Group keys live row-major in one []int32 arena, any width
 // (zero columns for a global aggregate), so a lookup compares int32s and
-// allocates nothing. Callers keep per-group state in slices parallel to the
+// allocates nothing; a one-column key, the common case, skips the column
+// loop and compares keys[g] directly (lookup1). Callers keep per-group state in slices parallel to the
 // group index, sized to Cap: growth doubles the slot array, re-links every
 // group by re-hashing its key where it lies, and doubles the arena, so a
 // table of G groups allocates O(log G) times. Inserts are not safe for
@@ -59,25 +60,49 @@ func groupHash(row []int32, cols []int) uint64 {
 	return h
 }
 
+// hash1 is groupHash of a one-column key.
+func hash1(v int32) uint64 { return kernels.Mix64(1 ^ uint64(uint32(v)) + 0x9E3779B97F4A7C15) }
+
 // InsertRow finds the group whose key is row's cols values, adding it if it
-// is new. It returns the group index and whether the group was created.
+// is new. It returns the group index and whether the group was created. A
+// one-column key is read once, hashed as one word and compared with no
+// column loop.
 func (t *GroupTable) InsertRow(row []int32, cols []int) (int, bool) {
+	if len(cols) == 1 {
+		v := row[cols[0]]
+		h := hash1(v)
+		g, i := t.lookup1(v, h)
+		if g >= 0 {
+			return g, false
+		}
+		g = t.claim(h, i)
+		t.keys = append(t.keys, v)
+		return g, true
+	}
 	h := groupHash(row, cols)
 	g, i := t.lookup(row, cols, h)
 	if g >= 0 {
 		return g, false
 	}
-	if 2*(t.n+1) > len(t.slots) {
-		t.resize(2 * len(t.slots))
-		i = t.free(h)
-	}
-	g = t.n
-	t.n++
-	t.slots[i] = int32(g + 1)
+	g = t.claim(h, i)
 	for _, c := range cols {
 		t.keys = append(t.keys, row[c])
 	}
 	return g, true
+}
+
+// claim makes a new group and links it at slot i, the empty slot that ended
+// the walk of hash h, or at h's first empty slot once the table has grown.
+// The caller appends the group's key.
+func (t *GroupTable) claim(h uint64, i int) int {
+	if 2*(t.n+1) > len(t.slots) {
+		t.resize(2 * len(t.slots))
+		i = t.free(h)
+	}
+	g := t.n
+	t.n++
+	t.slots[i] = int32(g + 1)
+	return g
 }
 
 // Find returns the group whose key is row's cols values, or -1 when there is
@@ -85,6 +110,11 @@ func (t *GroupTable) InsertRow(row []int32, cols []int) (int, bool) {
 // goroutines may call it at once: every worker probes a join's build table,
 // and a cached one across joins.
 func (t *GroupTable) Find(row []int32, cols []int) int {
+	if len(cols) == 1 {
+		v := row[cols[0]]
+		g, _ := t.lookup1(v, hash1(v))
+		return g
+	}
 	g, _ := t.lookup(row, cols, groupHash(row, cols))
 	return g
 }
@@ -108,6 +138,20 @@ probe:
 	return -1, i
 }
 
+// lookup1 is lookup for a one-column key of value v: group g's key is
+// keys[g].
+func (t *GroupTable) lookup1(v int32, h uint64) (int, int) {
+	mask := len(t.slots) - 1
+	i := int(h >> t.shift)
+	for s := t.slots[i]; s != 0; s = t.slots[i] {
+		if t.keys[s-1] == v {
+			return int(s - 1), i
+		}
+		i = (i + 1) & mask
+	}
+	return -1, i
+}
+
 // Insert is InsertRow for a packed key of exactly width values.
 func (t *GroupTable) Insert(key []int32) (int, bool) { return t.InsertRow(key, t.ident) }
 
@@ -126,7 +170,13 @@ func (t *GroupTable) resize(size int) {
 	t.slots = make([]int32, size)
 	t.shift = uint(65 - bits.Len(uint(size)))
 	for g := range t.n {
-		t.slots[t.free(groupHash(t.Key(g), t.ident))] = int32(g + 1)
+		var h uint64
+		if t.width == 1 {
+			h = hash1(t.keys[g])
+		} else {
+			h = groupHash(t.Key(g), t.ident)
+		}
+		t.slots[t.free(h)] = int32(g + 1)
 	}
 	t.keys = growTo(t.keys, t.Cap()*t.width)
 }

@@ -523,9 +523,6 @@ func (p *Pool) ResetErr() {
 	p.failed.Store(false)
 }
 
-// Panics reports how many worker panics the recover barrier has contained.
-func (p *Pool) Panics() int64 { return p.panics.Load() }
-
 // guard runs fn on the calling goroutine, converting a panic into the run
 // failure (stack captured into the error) instead of letting it unwind past
 // the pool — the containment barrier every worker body runs under.

@@ -32,19 +32,6 @@ func Mix64(key uint64) uint64 {
 	return key
 }
 
-// MixBatch applies Mix64 to a batch of keys in place-or-apart: dst[i] =
-// Mix64(keys[i]). dst and keys may alias. The loop is branch-free and
-// call-free, so it vectorizes under GOAMD64=v3.
-func MixBatch(keys, dst []uint64) {
-	dst = dst[:len(keys)]
-	for i, k := range keys {
-		k ^= k >> 33
-		k *= 0x9E3779B97F4A7C15
-		k ^= k >> 29
-		dst[i] = k
-	}
-}
-
 // PackRows64 packs a row-major run of tuples (arity 1 or 2) into the
 // gscht.PackKey64 layout: dst[i] = row[0] for one attribute, row[0]<<32 |
 // row[1] for two.
@@ -97,16 +84,6 @@ func PackRows128(rows []int32, arity int, hi, lo []uint64) {
 func SelectMisses(hits []bool, base int32, sel []int32) []int32 {
 	for i, h := range hits {
 		if !h {
-			sel = append(sel, base+int32(i))
-		}
-	}
-	return sel
-}
-
-// SelectHits is SelectMisses for the rows a probe found.
-func SelectHits(hits []bool, base int32, sel []int32) []int32 {
-	for i, h := range hits {
-		if h {
 			sel = append(sel, base+int32(i))
 		}
 	}

@@ -117,13 +117,6 @@ func NewBlock(arity int) *Block {
 	return NewBlockIn(nil, CatIntermediate, arity, defaultRowHint)
 }
 
-// NewBlockHint is NewBlock with an explicit initial row-capacity hint, so
-// writers that know their output size (or recycle pool arrays) avoid the
-// regrow ladder.
-func NewBlockHint(arity, rowHint int) *Block {
-	return NewBlockIn(nil, CatIntermediate, arity, rowHint)
-}
-
 // NewBlockIn returns an empty block whose backing array comes from lc (nil
 // selects the Go heap) charged to cat, with capacity for rowHint rows. The
 // caller holds the initial reference.

@@ -88,14 +88,3 @@ func (c *Catalog) Relations() []*Relation {
 	}
 	return out
 }
-
-// TotalBytes sums the tuple footprint of all tables.
-func (c *Catalog) TotalBytes() int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var total int64
-	for _, r := range c.tables {
-		total += r.EstimatedBytes()
-	}
-	return total
-}
