@@ -16,7 +16,10 @@ import (
 // the window-at-a-time counting-sort scatter for a partitioned one — or, when
 // the probe side carries the output's partitioning through the projection, a
 // block-sized copy into the partition the probe rows came from. When the
-// output is set-valued the window passes the duplicate filter on its way out.
+// output is set-valued and the worker holds a duplicate filter, expansion
+// filters each row as it writes it, in one branch-free pass (expandInto); the
+// rows a window held before the filter was borrowed, and a computed join's
+// rows, pass the filter at the window's next check instead (dupFilter.compact).
 //
 // A join whose projections are plain columns and that tests nothing per match
 // — every join a delta rule compiles to — writes its output columns into the
@@ -92,6 +95,9 @@ type joinWorker struct {
 
 	filt    *dupFilter
 	filtOff bool
+	// dropped counts the rows expand's filter dropped since the last filter
+	// check; they take window space until then (see expand).
+	dropped int32
 	emitted int // rows this worker has flushed in this join
 	// seen and hits are the rows the borrowed filter has been shown and those
 	// it dropped — the hit share the bypass rule judges.
@@ -307,6 +313,10 @@ func (jo *joinOutput) probeBlock(w *joinWorker, jt *joinTable, b *storage.Block,
 
 // expand writes one probe row's n matches — build payloads of width bw,
 // row-major in run — into the worker's window, making room whenever it fills.
+// A plain join with a borrowed filter filters the rows as it writes them, and
+// counts the rows it dropped since the last filter check as window space
+// taken: the window then fills, and the bypass rule is judged, at the same
+// rows as when every row was written first and filtered at the check.
 func (jo *joinOutput) expand(w *joinWorker, pr, run []int32, n, bw int) {
 	if w.win == nil {
 		w.win = w.probe.scat[:jo.winRows*jo.stride]
@@ -315,40 +325,68 @@ func (jo *joinOutput) expand(w *joinWorker, pr, run []int32, n, bw int) {
 		w.expanded += int64(n)
 	}
 	for n > 0 {
-		k := min(jo.winRows-w.n, n)
+		k := min(jo.winRows-w.n-int(w.dropped), n)
 		if k == 0 {
 			jo.windowFull(w)
 			continue
 		}
-		jo.expandInto(w.win[w.n*jo.stride:], pr, run[:k*bw], k, bw)
-		w.n += k
+		f := w.filt
+		if jo.projs != nil {
+			f = nil // the filter sees output rows, which eval makes
+		}
+		kept := jo.expandInto(w.win[w.n*jo.stride:], pr, run[:k*bw], k, bw, f)
+		if f != nil {
+			w.seen += k
+			w.hits += k - kept
+			w.dropped += int32(k - kept)
+			w.passed = w.n + kept
+		}
+		w.n += kept
 		n -= k
 		run = run[k*bw:]
 	}
 }
 
 // expandInto writes one output row per match — n build payloads of width ba,
-// row-major — to the front of win. The per-width cases keep the row in
-// registers: the probe-side values are loaded once before the loop and the
-// column-source tests inside it never change direction, so a match costs its
-// build-row loads and its stores, read in order from one run. A build
-// without payload (ba 0) has every column on the probe side and writes n
-// copies of one row.
-func (jo *joinOutput) expandInto(win, pr, matches []int32, n, ba int) {
+// row-major — to the front of win, and returns how many rows it kept. The
+// per-width cases keep the row in registers: the probe-side values are loaded
+// once before the loop and the column-source tests inside it never change
+// direction, so a match costs its build-row loads and its stores, read in
+// order from one run. A build without payload (ba 0) has every column on the
+// probe side and writes n copies of one row.
+//
+// With a filter f each row, packed as the table packs it, goes through f's
+// table on its way out (keep64, keep128): the row is always stored at the
+// write cursor, and the cursor moves past it only if the table did not hold
+// it, so a repeat is overwritten by the next row. Without one every row is
+// kept.
+//
+// Two output columns, one from each side, over a one-column payload — the
+// shape of every join the bench workloads run (tc, csda, cspa and cc alike)
+// — take a loop of their own per column order: it reads the payloads in
+// order as one column's values and packs the probe value once per call, at
+// about half the general loop's cost per row.
+func (jo *joinOutput) expandInto(win, pr, matches []int32, n, ba int, f *dupFilter) int {
+	var tab []uint64
+	if f != nil {
+		tab = f.tab
+	}
 	src := jo.src
+	o := 0
 	switch len(src) {
 	case 1:
 		s0 := src[0]
-		win = win[:n]
+		var v0 int32
 		if !s0.build {
-			v := pr[s0.off]
-			for j := range win {
-				win[j] = v
-			}
-			return
+			v0 = pr[s0.off]
 		}
-		for j := range win {
-			win[j] = matches[j*ba+s0.off]
+		win = win[:n]
+		for j := 0; j < n; j++ {
+			if s0.build {
+				v0 = matches[j*ba+s0.off]
+			}
+			win[o] = v0
+			o += keep64(tab, uint64(uint32(v0)))
 		}
 	case 2:
 		s0, s1 := src[0], src[1]
@@ -360,6 +398,22 @@ func (jo *joinOutput) expandInto(win, pr, matches []int32, n, ba int) {
 			v1 = pr[s1.off]
 		}
 		win = win[:2*n]
+		if ba == 1 && !s0.build && s1.build {
+			hi := pack2(v0, 0)
+			for _, v1 := range matches[:n] {
+				win[2*o], win[2*o+1] = v0, v1
+				o += keep64(tab, hi|uint64(uint32(v1)))
+			}
+			return o
+		}
+		if ba == 1 && s0.build && !s1.build {
+			lo := pack2(0, v1)
+			for _, v0 := range matches[:n] {
+				win[2*o], win[2*o+1] = v0, v1
+				o += keep64(tab, pack2(v0, 0)|lo)
+			}
+			return o
+		}
 		for j := 0; j < n; j++ {
 			br := matches[j*ba:]
 			if s0.build {
@@ -368,7 +422,8 @@ func (jo *joinOutput) expandInto(win, pr, matches []int32, n, ba int) {
 			if s1.build {
 				v1 = br[s1.off]
 			}
-			win[2*j], win[2*j+1] = v0, v1
+			win[2*o], win[2*o+1] = v0, v1
+			o += keep64(tab, pack2(v0, v1))
 		}
 	case 3:
 		s0, s1, s2 := src[0], src[1], src[2]
@@ -394,7 +449,8 @@ func (jo *joinOutput) expandInto(win, pr, matches []int32, n, ba int) {
 			if s2.build {
 				v2 = br[s2.off]
 			}
-			win[3*j], win[3*j+1], win[3*j+2] = v0, v1, v2
+			win[3*o], win[3*o+1], win[3*o+2] = v0, v1, v2
+			o += keep128(tab, uint64(uint32(v0)), pack2(v1, v2))
 		}
 	case 4:
 		s0, s1, s2, s3 := src[0], src[1], src[2], src[3]
@@ -426,9 +482,10 @@ func (jo *joinOutput) expandInto(win, pr, matches []int32, n, ba int) {
 			if s3.build {
 				v3 = br[s3.off]
 			}
-			win[4*j], win[4*j+1], win[4*j+2], win[4*j+3] = v0, v1, v2, v3
+			win[4*o], win[4*o+1], win[4*o+2], win[4*o+3] = v0, v1, v2, v3
+			o += keep128(tab, pack2(v0, v1), pack2(v2, v3))
 		}
-	default:
+	default: // wider than the filter packs: f is nil
 		width := len(src)
 		for j := 0; j < n; j++ {
 			br := matches[j*ba:]
@@ -441,7 +498,9 @@ func (jo *joinOutput) expandInto(win, pr, matches []int32, n, ba int) {
 				}
 			}
 		}
+		o = n
 	}
+	return o
 }
 
 // windowFull makes room in a full window: the rows not yet filtered go
@@ -460,9 +519,10 @@ func (jo *joinOutput) windowFull(w *joinWorker) {
 	jo.flush(w)
 }
 
-// drain filters and flushes whatever the window holds.
+// drain filters and flushes whatever the window holds. A window the filter
+// emptied still counts the rows it dropped until their check.
 func (jo *joinOutput) drain(w *joinWorker) {
-	if w.n == 0 {
+	if w.n == 0 && w.dropped == 0 {
 		return
 	}
 	jo.eval(w)
@@ -519,13 +579,13 @@ func (jo *joinOutput) borrowFilter(w *joinWorker) {
 // join, not one window's — a CSPA join emits thousands of new tuples in a row
 // between stretches that are nearly all repeats.
 func (jo *joinOutput) filterWindow(w *joinWorker) {
-	if w.n == w.passed {
-		return
+	if w.n > w.passed {
+		kept := w.filt.compact(w.win, jo.width, w.passed, w.n)
+		w.seen += w.n - w.passed
+		w.hits += w.n - kept
+		w.n, w.evald = kept, kept
 	}
-	kept := w.filt.compact(w.win, jo.width, w.passed, w.n)
-	w.seen += w.n - w.passed
-	w.hits += w.n - kept
-	w.n, w.passed, w.evald = kept, kept, kept
+	w.passed, w.dropped = w.n, 0
 	if w.seen >= jo.activate && w.hits*kernels.BatchRows < jo.minHits*w.seen {
 		jo.pool.returnDupFilter(w.filt)
 		w.filt, w.filtOff = nil, true

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
 
 	"recstep/internal/quickstep/expr"
+	"recstep/internal/quickstep/gscht"
 	"recstep/internal/quickstep/storage"
 )
 
@@ -41,9 +43,53 @@ func tupleCounts(r *storage.Relation) map[[6]int32]int {
 	return m
 }
 
+// filterPaths are the ways a width-w tuple reaches the filter's table:
+// compact over a window, and match expansion given the tuple as one match —
+// its last or its first column a one-column payload (at width 2 the loops
+// for one column from each side), or its last column the first of a
+// two-column payload (the general loop). Each shows f one tuple and returns
+// how many rows it kept and the row it wrote.
+func filterPaths(w int) map[string]func(f *dupFilter, tup []int32) (int, []int32) {
+	output := func(projs ...int) *joinOutput {
+		spec := JoinSpec{LeftKeys: []int{0}, RightKeys: []int{0}, OutSet: true}
+		for _, c := range projs {
+			spec.Projs = append(spec.Projs, expr.Col{Index: c})
+		}
+		return newJoinOutput(NewPool(1), nil, spec, w) // probe arity w, build (key, payload...)
+	}
+	probe := make([]int, w-1)
+	for c := range probe {
+		probe[c] = c
+	}
+	last := output(append(probe, w+1)...)
+	first := output(append([]int{w + 1}, probe...)...)
+	return map[string]func(*dupFilter, []int32) (int, []int32){
+		"compact": func(f *dupFilter, tup []int32) (int, []int32) {
+			win := slices.Clone(tup)
+			return f.compact(win, w, 0, 1), win
+		},
+		"expandInto, payload last": func(f *dupFilter, tup []int32) (int, []int32) {
+			win := make([]int32, w)
+			return last.expandInto(win, tup, tup[w-1:], 1, 1, f), win
+		},
+		"expandInto, payload first": func(f *dupFilter, tup []int32) (int, []int32) {
+			win := make([]int32, w)
+			return first.expandInto(win, tup[1:], tup[:1], 1, 1, f), win
+		},
+		"expandInto, two-column payload": func(f *dupFilter, tup []int32) (int, []int32) {
+			win := make([]int32, w)
+			return last.expandInto(win, tup, []int32{tup[w-1], -7}, 1, 2, f), win
+		},
+	}
+}
+
 // TestDupFilterEmptySlotMatchesNothing covers the tuples whose packed form is
 // the empty marker of some slot: shown once to an emptied table each must be
-// kept, shown again at once each must be dropped.
+// kept, shown again at once each must be dropped — through compact and
+// through the fused kernel. At 3 and 4 columns the tuples include ones whose
+// two packed words differ in only one of them against the empty slot, and
+// ones whose words are equal, which a compare of the words' XORs without
+// parentheses takes for the empty slot.
 func TestDupFilterEmptySlotMatchesNothing(t *testing.T) {
 	if dupSlot64(0) != 0 || dupSlot64(1) == 0 || dupSlot128(0, 0) != 0 || dupSlot128(0, 1) == 0 {
 		t.Fatalf("slot function moved: the empty markers of reset() no longer hash away from their slots (%d %d %d %d)",
@@ -52,63 +98,90 @@ func TestDupFilterEmptySlotMatchesNothing(t *testing.T) {
 	cases := map[int][][]int32{
 		1: {{0}, {1}, {-1}},
 		2: {{0, 0}, {0, 1}, {-1, -1}, {0, -1}, {-1, 0}, {1, 0}},
-		3: {{0, 0, 0}, {0, 0, 1}, {-1, -1, -1}, {0, -1, 0}, {-1, 0, 0}, {0, 0, -1}, {1, 0, 0}},
-		4: {{0, 0, 0, 0}, {0, 0, 0, 1}, {-1, -1, -1, -1}, {0, 0, -1, -1}, {-1, -1, 0, 0}, {0, 1, 0, 0}, {1, 0, 0, 0}},
+		3: {{0, 0, 0}, {0, 0, 1}, {-1, -1, -1}, {0, -1, 0}, {-1, 0, 0}, {0, 0, -1}, {1, 0, 0}, {0, 3, 0}, {5, 0, 5}, {-1, 0, -1}},
+		4: {{0, 0, 0, 0}, {0, 0, 0, 1}, {-1, -1, -1, -1}, {0, 0, -1, -1}, {-1, -1, 0, 0}, {0, 1, 0, 0}, {1, 0, 0, 0}, {5, 6, 5, 6}, {-1, 7, -1, 7}},
 	}
 	for w, tuples := range cases {
-		f := newDupFilter(w > 2)
-		f.reset()
-		for _, tup := range tuples {
-			win := append([]int32(nil), tup...)
-			if n := f.compact(win, w, 0, 1); n != 1 || !reflect.DeepEqual(win, tup) {
-				t.Fatalf("width %d: fresh filter dropped or mangled %v (kept %d, window %v)", w, tup, n, win)
+		for path, show := range filterPaths(w) {
+			f := newDupFilter(w > 2)
+			f.reset()
+			for _, tup := range tuples {
+				if n, row := show(f, tup); n != 1 || !reflect.DeepEqual(row, tup) {
+					t.Fatalf("%s, width %d: fresh filter dropped or mangled %v (kept %d, row %v)", path, w, tup, n, row)
+				}
+				if n, _ := show(f, tup); n != 0 {
+					t.Fatalf("%s, width %d: %v shown twice in a row was kept twice", path, w, tup)
+				}
 			}
-			if n := f.compact(win, w, 0, 1); n != 0 {
-				t.Fatalf("width %d: %v shown twice in a row was kept twice", w, tup)
-			}
-		}
-		// A table that only ever saw resets holds no tuple either.
-		f.reset()
-		for _, tup := range tuples {
-			win := append([]int32(nil), tup...)
-			if n := f.compact(win, w, 0, 1); n != 1 {
-				t.Fatalf("width %d: %v dropped by a table that was just reset", w, tup)
+			// A table that only ever saw resets holds no tuple either.
+			f.reset()
+			for _, tup := range tuples {
+				if n, _ := show(f, tup); n != 1 {
+					t.Fatalf("%s, width %d: %v dropped by a table that was just reset", path, w, tup)
+				}
 			}
 		}
 	}
 }
 
 // TestDupFilterSharedSlotAlternates shows two tuples of one slot to the table
-// in turn: each evicts the other, neither is ever dropped.
+// in turn: each evicts the other, neither is ever dropped — through compact
+// and through the fused kernel. At 3 and 4 columns the two share one packed
+// word and differ in the other, their low word all ones: a compare of the
+// words' XORs without parentheses takes such a pair for one tuple.
 func TestDupFilterSharedSlotAlternates(t *testing.T) {
-	a := []int32{7, 11}
-	var b []int32
-	want := dupSlot64(uint64(uint32(a[0]))<<32 | uint64(uint32(a[1])))
-	for v := int32(0); b == nil; v++ {
-		if k := uint64(uint32(a[0]))<<32 | uint64(uint32(v)); v != a[1] && dupSlot64(k) == want {
-			b = []int32{a[0], v}
+	slot := func(tup []int32) uint64 {
+		if len(tup) <= 2 {
+			return dupSlot64(gscht.PackKey64(tup))
 		}
+		k := gscht.PackKey128(tup)
+		return dupSlot128(k.Hi, k.Lo)
 	}
-	f := newDupFilter(false)
-	f.reset()
-	win := make([]int32, 0, 16)
-	for i := 0; i < 4; i++ {
-		win = append(win, a...)
-		win = append(win, b...)
+	// sameSlot returns a tuple of a's slot that differs from a in column c.
+	sameSlot := func(a []int32, c int) []int32 {
+		b := slices.Clone(a)
+		for b[c] = 0; b[c] == a[c] || slot(b) != slot(a); b[c]++ {
+		}
+		return b
 	}
-	if n := f.compact(win, 2, 0, 8); n != 8 {
-		t.Fatalf("tuples %v and %v share slot %d and alternate: kept %d of 8", a, b, want, n)
-	}
-	// The same stream with each tuple doubled loses exactly the doubles.
-	win = win[:0]
-	for i := 0; i < 4; i++ {
-		win = append(win, a...)
-		win = append(win, a...)
-		win = append(win, b...)
-	}
-	f.reset()
-	if n := f.compact(win, 2, 0, 12); n != 8 {
-		t.Fatalf("kept %d of 12, want the 8 non-adjacent ones", n)
+	for _, pair := range []struct {
+		a []int32
+		c int
+	}{
+		{[]int32{7, 11}, 1},
+		{[]int32{7, 11, -1}, 0}, // high word differs
+		{[]int32{7, 11, -1}, 1}, // low word differs
+		{[]int32{7, 11, -1, -1}, 1},
+		{[]int32{7, 11, -1, -1}, 3},
+	} {
+		a, w := pair.a, len(pair.a)
+		b := sameSlot(a, pair.c)
+		for path, show := range filterPaths(w) {
+			f := newDupFilter(w > 2)
+			f.reset()
+			kept := 0
+			for range 4 {
+				for _, tup := range [][]int32{a, b} {
+					n, _ := show(f, tup)
+					kept += n
+				}
+			}
+			if kept != 8 {
+				t.Fatalf("%s: tuples %v and %v share slot %d and alternate: kept %d of 8", path, a, b, slot(a), kept)
+			}
+			// The same stream with a doubled loses exactly the doubles.
+			f.reset()
+			kept = 0
+			for range 4 {
+				for _, tup := range [][]int32{a, a, b} {
+					n, _ := show(f, tup)
+					kept += n
+				}
+			}
+			if kept != 8 {
+				t.Fatalf("%s: %v, %v: kept %d of 12, want the 8 non-adjacent ones", path, a, b, kept)
+			}
+		}
 	}
 }
 
