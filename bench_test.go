@@ -294,7 +294,7 @@ func BenchmarkFig15ProgramAnalyses(b *testing.B) {
 	}
 }
 
-// BenchmarkFig16CPUUtil reports average worker utilization on Andersen's
+// BenchmarkFig16CPUUtil reports the process's CPU utilisation on Andersen's
 // analysis (Figure 16's series, collapsed to its mean).
 func BenchmarkFig16CPUUtil(b *testing.B) {
 	w := experiments.AndersenWorkload(3, benchCfg)
@@ -309,19 +309,6 @@ func BenchmarkFig16CPUUtil(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkDSDCalibration measures the Appendix A offline α training run.
-func BenchmarkDSDCalibration(b *testing.B) {
-	pool := exec.NewPool(0)
-	for i := 0; i < b.N; i++ {
-		_ = benchCalibrate(pool)
-	}
-}
-
-func benchCalibrate(pool *exec.Pool) float64 {
-	// Small pair sizes keep the bench snappy while exercising eq. (7).
-	return optimizer.CalibrateAlpha(pool, [][2]int{{1 << 10, 1 << 12}}, 1)
 }
 
 // BenchmarkEngineTC is the headline end-to-end number: full RecStep TC on a

@@ -28,9 +28,9 @@ func TestCarriedMatchesRescatterAcrossPrograms(t *testing.T) {
 			what := fmt.Sprintf("parts=%d naive", parts)
 			arms = append(arms, equivArm{what: what, opts: opts, check: func(t *testing.T, stats core.Stats) {
 				t.Helper()
-				if stats.OutputInPlace != 0 {
+				if stats.Copy.OutputInPlace != 0 {
 					t.Fatalf("%s: %d rows written in place; naive evaluation carries nothing",
-						what, stats.OutputInPlace)
+						what, stats.Copy.OutputInPlace)
 				}
 			}})
 		}
@@ -75,25 +75,25 @@ func TestCarriedZeroDeltaBuildScatters(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		carried, deltaBuilds := run(workers, false)
-		if arcBuilds := carried.JoinBuildsByKeyset["arc[0]"].FromBlocks; arcBuilds > 1 {
+		if arcBuilds := carried.Copy.BuildDetail["arc[0]"].FromBlocks; arcBuilds > 1 {
 			t.Fatalf("W=%d: arc was routed by %d builds, want ≤ 1 (its cache fill)", workers, arcBuilds)
 		}
-		if carried.JoinBuildScatters > int64(1+deltaBuilds) {
+		if carried.Copy.BuildScatters > int64(1+deltaBuilds) {
 			t.Fatalf("W=%d: carried run paid %d join-build scatters, want ≤ 1 + %d (arc's cache fill, one per ∆ build)",
-				workers, carried.JoinBuildScatters, deltaBuilds)
+				workers, carried.Copy.BuildScatters, deltaBuilds)
 		}
-		if deltaBuilds != 0 || carried.CachedBuildHits == 0 {
+		if deltaBuilds != 0 || carried.Copy.CachedBuildHits == 0 {
 			t.Fatalf("W=%d: %d iterations built over ∆ and %d joins probed arc's cached table; want none, and some",
-				workers, deltaBuilds, carried.CachedBuildHits)
+				workers, deltaBuilds, carried.Copy.CachedBuildHits)
 		}
 		naive, _ := run(workers, true)
-		if carried.OutputInPlace == 0 || naive.OutputInPlace != 0 {
+		if carried.Copy.OutputInPlace == 0 || naive.Copy.OutputInPlace != 0 {
 			t.Fatalf("W=%d: join output written in place: %d carried, %d under naive evaluation; want some, and none",
-				workers, carried.OutputInPlace, naive.OutputInPlace)
+				workers, carried.Copy.OutputInPlace, naive.Copy.OutputInPlace)
 		}
-		if carried.TuplesScattered >= naive.TuplesScattered {
+		if carried.Copy.Scattered >= naive.Copy.Scattered {
 			t.Fatalf("W=%d: carried run scattered %d tuples, naive evaluation %d",
-				workers, carried.TuplesScattered, naive.TuplesScattered)
+				workers, carried.Copy.Scattered, naive.Copy.Scattered)
 		}
 	}
 }

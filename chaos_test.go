@@ -236,6 +236,13 @@ func TestCancelMidFixpointReleasesEverything(t *testing.T) {
 	if res.Stats.Queries == 0 {
 		t.Fatal("partial Stats lost the pre-cancellation query count")
 	}
+	// The joins of the iterations that ran probed rows and chose an order.
+	if res.Stats.Copy.JoinProbeRows == 0 {
+		t.Fatal("partial Stats lost the pre-cancellation copy counters")
+	}
+	if len(res.Stats.JoinOrdersByRule) == 0 {
+		t.Fatal("partial Stats lost the pre-cancellation join orders")
+	}
 }
 
 // disarmInjector neutralizes every armed site without removing the rules

@@ -225,31 +225,31 @@ func main() {
 	log.Printf("fixpoint in %v (%d iterations, %d SQL queries)",
 		res.Stats.Duration.Round(1e6), res.Stats.Iterations, res.Stats.Queries)
 	log.Printf("copies: %d tuples scattered, %d adopted without copy, %d flat materializations",
-		res.Stats.TuplesScattered, res.Stats.TuplesAdopted, res.Stats.FlatMaterializations)
+		res.Stats.Copy.Scattered, res.Stats.Copy.Adopted, res.Stats.Copy.FlatMats)
 	log.Printf("join builds: %d served from carried partitions, %d routed from the relation's blocks",
-		res.Stats.JoinBuildScattersAvoided, res.Stats.JoinBuildScatters)
+		res.Stats.Copy.BuildScattersAvoided, res.Stats.Copy.BuildScatters)
 	log.Printf("resident: set-difference index served %d passes (%d seeds), cached builds served %d joins; rows re-read: %d by set difference, %d by join probes",
-		res.Stats.ResidentIndexHits, res.Stats.ResidentIndexReseeds, res.Stats.CachedBuildHits,
-		res.Stats.SetDiffRowsScanned, res.Stats.JoinProbeRows)
+		res.Stats.Copy.ResidentIndexHits, res.Stats.Copy.ResidentIndexReseeds, res.Stats.Copy.CachedBuildHits,
+		res.Stats.Copy.SetDiffRowsScanned, res.Stats.Copy.JoinProbeRows)
 	log.Printf("planner: %d empty-∆ arms skipped, peak join intermediate %d rows, wcoj rules %v",
 		res.Stats.ArmsSkipped, res.Stats.PeakJoinIntermediate, res.Stats.WCOJRules)
 	if *verbose {
 		logSplits(res.Stats)
 		hitShare := 0.0
-		if res.Stats.JoinRowsExpanded > 0 {
-			hitShare = float64(res.Stats.DupSuppressed) / float64(res.Stats.JoinRowsExpanded)
+		if res.Stats.Copy.JoinRowsExpanded > 0 {
+			hitShare = float64(res.Stats.Copy.DupSuppressed) / float64(res.Stats.Copy.JoinRowsExpanded)
 		}
 		log.Printf("join output: %d rows expanded, %d dropped by the duplicate filter (hit share %.1f%%), %d reached tmp tables (%d kept as ∆); %d windows ran with the filter switched off; %d rows written in place without a scatter",
-			res.Stats.JoinRowsExpanded, res.Stats.DupSuppressed, 100*hitShare, res.Stats.TmpTuples, res.Stats.DeltaTuples,
-			res.Stats.DupFilterBypassed, res.Stats.OutputInPlace)
+			res.Stats.Copy.JoinRowsExpanded, res.Stats.Copy.DupSuppressed, 100*hitShare, res.Stats.TmpTuples, res.Stats.DeltaTuples,
+			res.Stats.Copy.DupFilterBypassed, res.Stats.Copy.OutputInPlace)
 		log.Printf("carry: %s", res.Stats.CarryLine())
 		log.Printf("fan-out: %s", res.Stats.FanOutLine())
 		collapse := 0.0
-		if res.Stats.AggGroupsOut > 0 {
-			collapse = float64(res.Stats.AggRowsIn) / float64(res.Stats.AggGroupsOut)
+		if res.Stats.Copy.AggGroupsOut > 0 {
+			collapse = float64(res.Stats.Copy.AggRowsIn) / float64(res.Stats.Copy.AggGroupsOut)
 		}
 		log.Printf("aggregate: %d rows in, %d groups out (%.1f rows per group)",
-			res.Stats.AggRowsIn, res.Stats.AggGroupsOut, collapse)
+			res.Stats.Copy.AggRowsIn, res.Stats.Copy.AggGroupsOut, collapse)
 		rules := make([]string, 0, len(res.Stats.JoinOrdersByRule))
 		for name := range res.Stats.JoinOrdersByRule {
 			rules = append(rules, name)

@@ -200,10 +200,10 @@ func dsdSweep(workers int) func(base core.Options, long bool) []equivArm {
 					// long instances does one pay; unpartitioned they all get
 					// there (a partitioned pass re-reads just the partitions ∆
 					// lands in, so a trickle repays later).
-					resident := stats.ResidentIndexHits > 0
+					resident := stats.Copy.ResidentIndexHits > 0
 					may := dsd == core.DSDDynamic && long
 					if resident && !may || !resident && may && parts == 1 {
-						t.Fatalf("%s: resident index used=%v (%d hits)", what, resident, stats.ResidentIndexHits)
+						t.Fatalf("%s: resident index used=%v (%d hits)", what, resident, stats.Copy.ResidentIndexHits)
 					}
 				}})
 			}
@@ -367,9 +367,9 @@ func TestFusedPipelineZeroFlatMaterializations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fused.Stats.FlatMaterializations != 0 {
+			if fused.Stats.Copy.FlatMats != 0 {
 				t.Fatalf("fused pipeline performed %d flat materializations, want 0",
-					fused.Stats.FlatMaterializations)
+					fused.Stats.Copy.FlatMats)
 			}
 
 			stagedOpts := fusedOpts
@@ -378,7 +378,7 @@ func TestFusedPipelineZeroFlatMaterializations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if staged.Stats.FlatMaterializations == 0 {
+			if staged.Stats.Copy.FlatMats == 0 {
 				t.Fatal("staged lock-map run reports zero flat materializations; the counter is not measuring")
 			}
 			if !reflect.DeepEqual(fused.Relations["tc"].SortedRows(), staged.Relations["tc"].SortedRows()) {
@@ -410,8 +410,8 @@ func TestIterHookReportsCopyAccounting(t *testing.T) {
 	if adopted == 0 {
 		t.Fatal("no adopted tuples reported through IterHook")
 	}
-	if res.Stats.TuplesAdopted < adopted {
-		t.Fatalf("run total %d adopted < per-iteration sum %d", res.Stats.TuplesAdopted, adopted)
+	if res.Stats.Copy.Adopted < adopted {
+		t.Fatalf("run total %d adopted < per-iteration sum %d", res.Stats.Copy.Adopted, adopted)
 	}
 }
 

@@ -77,8 +77,6 @@ type Options struct {
 	// set difference, aggregation): 0 lets the optimizer pick 1/16/64/256
 	// per operator from cardinality estimates, 1 disables partitioning.
 	Partitions int
-	// Alpha is the calibrated build/probe cost ratio for DSD (0 = default).
-	Alpha float64
 	// Naive disables semi-naive evaluation: every iteration re-evaluates
 	// every rule against the full relations (the baseline of Section 3.2).
 	Naive bool
@@ -111,11 +109,6 @@ type Options struct {
 	// the engine goroutine between steps — a scrape-friendly point to copy
 	// counters out, but work done here extends the fixpoint's wall time.
 	IterHook func(IterInfo)
-	// OnDB, when set, receives the database right after it opens and before
-	// any evaluation. Use it to attach samplers that need the *Database
-	// itself (catalog walks, memory snapshots); metrics that the engine
-	// already exports ride Obs instead.
-	OnDB func(*quickstep.Database)
 	// FaultInject installs chaos-test fault triggers (spill writes, fault
 	// reads, allocation accounting, worker panics) throughout the substrate.
 	// Nil — the production default — leaves every trigger point inert.
@@ -148,11 +141,8 @@ type IterInfo struct {
 	// staged pipeline of the FAST-DEDUP baselines).
 	DeltaParts int
 	Algo       exec.DiffAlgorithm
-	// Copy holds this step's copy- and rescan-accounting deltas: tuples
-	// scattered into partitions, tuples adopted without copy, flat
-	// materializations of pipeline intermediates (zero per iteration under
-	// the fused pipeline), rows of R and of join probe sides re-read, and
-	// whether a resident index or a cached build served the step.
+	// Copy holds this step's deltas of the pool's copy- and rescan-accounting
+	// (exec.CopyCounters documents each counter).
 	Copy exec.CopySnapshot
 	// Mem is a point-in-time reading of the memory manager after the step:
 	// live pool bytes by category, budget headroom, spill/fault counters.
@@ -174,64 +164,21 @@ type Stats struct {
 	DiffTPSD    int
 	TmpTuples   int64
 	DeltaTuples int64
-	// Copy accounting over the whole run (Section "partition-native
-	// pipeline"): how many tuples were copied by partition scatters, how
-	// many were installed by block adoption without copying, and how many
-	// flat materializations of tmp/Rδ the delta pipeline performed.
-	TuplesScattered      int64
-	TuplesAdopted        int64
-	FlatMaterializations int64
-	// Join-build scatter accounting (the join-key-carried partitionings):
-	// how many hash builds had to scatter their input versus how many were
-	// served in place from a carried or cached partitioned view.
-	JoinBuildScatters        int64
-	JoinBuildScattersAvoided int64
-	// JoinBuildsByKeyset breaks the build counters down by (relation,
-	// keyset) — see exec.BuildKey — so the copy experiments can show
-	// exactly which predicate and join shape still pays per-iteration
-	// build scatters.
-	JoinBuildsByKeyset map[string]exec.BuildCount
+	// Copy is the run's copy- and rescan-accounting (exec.CopyCounters
+	// documents each counter); IterInfo.Copy carries the same counters per
+	// step.
+	Copy exec.CopySnapshot
+	// TuplesScattered and JoinBuildScatters repeat Copy.Scattered and
+	// Copy.BuildScatters. They stay because the repository benchmark still
+	// reads them.
+	TuplesScattered   int64
+	JoinBuildScatters int64
 	// JoinOrdersByRule records, per rule arm (branch name), the atoms in
 	// textual order, the join order the optimizer last chose, the strategy
 	// (greedy / wcoj) and how many iterations ran it.
 	JoinOrdersByRule map[string]quickstep.PlanChoice
 	// WCOJRules lists the arms evaluated by the leapfrog join.
 	WCOJRules []string
-	// Rescan accounting — the counts behind "one iteration costs
-	// O(|∆| + |join output|)", exact at one worker and independent of the
-	// clock. SetDiffRowsScanned is the rows of full relations set difference
-	// read or re-inserted (|R| per transient pass or index re-seed, nothing
-	// for a pass a resident index served); JoinProbeRows the probe-side rows
-	// hash joins scanned. ResidentIndexHits/ResidentIndexReseeds split the
-	// fused delta passes that ran against a resident index by whether it was
-	// already there; CachedBuildHits counts joins served by a build table
-	// cached on an iteration-invariant relation. IterInfo.Copy carries the
-	// same five per step.
-	SetDiffRowsScanned   int64
-	JoinProbeRows        int64
-	ResidentIndexHits    int64
-	ResidentIndexReseeds int64
-	CachedBuildHits      int64
-	// Join-output accounting. JoinRowsExpanded is the rows joins produced
-	// before the duplicate filter of a set-valued output, DupSuppressed the
-	// rows that filter dropped before they were written anywhere, and
-	// DupFilterBypassed the output windows flushed after a worker had switched
-	// its filter off for want of hits. TmpTuples above stays what reached the
-	// tmp tables; DupSuppressed / JoinRowsExpanded is the filter's hit share.
-	// IterInfo.Copy carries the same three per step.
-	JoinRowsExpanded  int64
-	DupSuppressed     int64
-	DupFilterBypassed int64
-	// OutputInPlace is the join output rows written straight into their probe
-	// row's partition — the probe side carried the output's partitioning
-	// through the projection — with no scatter; they are not in
-	// TuplesScattered. IterInfo.Copy carries it per step.
-	OutputInPlace int64
-	// AggRowsIn is the rows the aggregate operator folded into its group
-	// tables and AggGroupsOut the groups it emitted; both read 0 on a
-	// program without aggregates. IterInfo.Copy carries both per step.
-	AggRowsIn    int64
-	AggGroupsOut int64
 	// Carry records, per IDB predicate evaluated by the delta pipeline, the
 	// keysets its carried partitioning routed on and the rule that chose
 	// them (the last stratum evaluation's choice).
@@ -436,9 +383,6 @@ func (e *Engine) prepare(ctx context.Context, prog *ast.Program) (*runState, err
 		return nil, err
 	}
 	db.SetContext(ctx)
-	if e.opts.OnDB != nil {
-		e.opts.OnDB(db)
-	}
 
 	run := &runState{
 		engine: e,
@@ -455,7 +399,6 @@ func (e *Engine) prepare(ctx context.Context, prog *ast.Program) (*runState, err
 			run.lastPhase = run.phaseBase
 		}
 		if ob.Reg != nil {
-			run.em = &engineMetrics{}
 			run.em.register(ob.Reg)
 		}
 	}
@@ -496,28 +439,20 @@ func (r *runState) evaluate(edbs map[string]*storage.Relation) error {
 	return evalErr
 }
 
-// collectStats fills the counter-derived Stats fields from the database's
-// accounting. Called once per Run on the success path.
+// collectStats fills the counter-derived Stats fields from the engine's
+// metrics and the database's accounting. Called once per Run, on success and
+// on abort alike.
 func (r *runState) collectStats() {
+	r.stats.Iterations = int(r.em.iterations.Load())
+	r.stats.TmpTuples = r.em.tmpTuples.Load()
+	r.stats.DeltaTuples = r.em.deltaTuples.Load()
+	r.stats.ArmsSkipped = r.em.armsSkipped.Load()
+	r.stats.DiffOPSD = int(r.em.diffOPSD.Load())
+	r.stats.DiffTPSD = int(r.em.diffTPSD.Load())
 	r.stats.Queries = r.db.QueriesIssued()
-	copySnap := r.db.CopySnapshot()
-	r.stats.TuplesScattered = copySnap.Scattered
-	r.stats.TuplesAdopted = copySnap.Adopted
-	r.stats.FlatMaterializations = copySnap.FlatMats
-	r.stats.JoinBuildScatters = copySnap.BuildScatters
-	r.stats.JoinBuildScattersAvoided = copySnap.BuildScattersAvoided
-	r.stats.JoinBuildsByKeyset = copySnap.BuildDetail
-	r.stats.SetDiffRowsScanned = copySnap.SetDiffRowsScanned
-	r.stats.JoinProbeRows = copySnap.JoinProbeRows
-	r.stats.ResidentIndexHits = copySnap.ResidentIndexHits
-	r.stats.ResidentIndexReseeds = copySnap.ResidentIndexReseeds
-	r.stats.CachedBuildHits = copySnap.CachedBuildHits
-	r.stats.JoinRowsExpanded = copySnap.JoinRowsExpanded
-	r.stats.DupSuppressed = copySnap.DupSuppressed
-	r.stats.DupFilterBypassed = copySnap.DupFilterBypassed
-	r.stats.OutputInPlace = copySnap.OutputInPlace
-	r.stats.AggRowsIn = copySnap.AggRowsIn
-	r.stats.AggGroupsOut = copySnap.AggGroupsOut
+	r.stats.Copy = r.db.CopySnapshot()
+	r.stats.TuplesScattered = r.stats.Copy.Scattered
+	r.stats.JoinBuildScatters = r.stats.Copy.BuildScatters
 	r.stats.JoinOrdersByRule = r.db.PlanChoices()
 	for name, pc := range r.stats.JoinOrdersByRule {
 		if pc.Strategy == "wcoj" {
@@ -540,17 +475,12 @@ func (r *runState) collectStats() {
 // snapshot is taken *after* the release, so Stats.Mem.LiveTotal reads zero —
 // the "no leaked blocks" guarantee the chaos suite asserts.
 func (r *runState) abort(cause error) *Result {
-	if r.em != nil && (errors.Is(cause, context.Canceled) || errors.Is(cause, context.DeadlineExceeded)) {
+	if errors.Is(cause, context.Canceled) || errors.Is(cause, context.DeadlineExceeded) {
 		r.em.cancelled.Add(1)
 	}
 	r.db.ReleaseAll()
 	r.stats.Mem = r.db.MemSnapshot()
-	r.stats.Queries = r.db.QueriesIssued()
-	r.stats.PeakJoinIntermediate = r.db.PeakJoinIntermediate()
-	r.stats.Duration = time.Since(r.start)
-	if r.ob != nil && r.ob.Exec != nil {
-		r.stats.PhaseDurations = r.ob.Exec.Phase.Snapshot().Sub(r.phaseBase).Map()
-	}
+	r.collectStats()
 	return &Result{Stats: r.stats}
 }
 
@@ -600,9 +530,9 @@ type runState struct {
 	stats  Stats
 	start  time.Time
 	// ob is the run's observer (possibly engine-private); em holds the
-	// engine-level registry instruments, nil when no registry is attached.
+	// engine-level counters Stats reads, registered when a registry exists.
 	ob *obs.Observer
-	em *engineMetrics
+	em engineMetrics
 	// phaseBase is the phase-timer reading at Run start (a reused Observer
 	// carries earlier runs' time); lastPhase is the reading after the
 	// previous evaluation step, for IterInfo's per-step attribution.
@@ -689,10 +619,8 @@ func (r *runState) evalStratum(s analysis.Stratum) error {
 // Rec units either way.
 func (r *runState) evalStratumWith(s analysis.Stratum, seed map[string]querygen.UnitQueries, onDelta func(pred string, delta *storage.Relation) error) error {
 	stratumStart := time.Now()
-	if r.em != nil {
-		r.em.stratum.Set(int64(s.Index))
-		r.em.iteration.Set(0)
-	}
+	r.em.stratum.Set(int64(s.Index))
+	r.em.iteration.Set(0)
 	endStratum := r.tracer().Span("stratum", 0, obs.Step{Stratum: s.Index}, -1)
 	defer func() {
 		endStratum()
@@ -715,7 +643,7 @@ func (r *runState) evalStratumWith(s analysis.Stratum, seed map[string]querygen.
 		st := &idbState{
 			q:       q,
 			cols:    storage.NumberedColumns(q.Arity),
-			chooser: optimizer.NewDiffChooser(r.opts().Alpha),
+			chooser: optimizer.NewDiffChooser(optimizer.DefaultAlpha),
 		}
 		if err := r.bindStratumUnits(st, seed); err != nil {
 			return err
@@ -791,11 +719,8 @@ func (r *runState) evalStratumWith(s analysis.Stratum, seed map[string]querygen.
 		if iter > r.opts().MaxIterations {
 			return fmt.Errorf("core: stratum %d exceeded %d iterations", s.Index, r.opts().MaxIterations)
 		}
-		r.stats.Iterations++
-		if r.em != nil {
-			r.em.iterations.Add(1)
-			r.em.iteration.Set(int64(iter))
-		}
+		r.em.iterations.Add(1)
+		r.em.iteration.Set(int64(iter))
 		endIter := r.tracer().Span("iteration", 0, obs.Step{Stratum: s.Index, Iteration: iter}, -1)
 		anyDelta := false
 		for i := range queries {
@@ -919,10 +844,7 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit boun
 	// iterations, leaving whole arms firing on nothing every iteration
 	// until the stratum converges.
 	query, skipped := r.liveArms(unit)
-	r.stats.ArmsSkipped += int64(skipped)
-	if r.em != nil {
-		r.em.armsSkipped.Add(int64(skipped))
-	}
+	r.em.armsSkipped.Add(int64(skipped))
 	if query == nil {
 		// Nothing fires this phase; the delta is empty.
 		if err := r.db.InstallReplacing(storage.NewRelation(q.Delta, storage.NumberedColumns(q.Arity))); err != nil {
@@ -982,10 +904,7 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit boun
 	}
 	defer consumeTmp()
 	tmpRows := tmp.NumTuples()
-	r.stats.TmpTuples += int64(tmpRows)
-	if r.em != nil {
-		r.em.tmpTuples.Add(int64(tmpRows))
-	}
+	r.em.tmpTuples.Add(int64(tmpRows))
 
 	// analyze(Rt): OOF collects per-iteration statistics; OOF-NA refreshes
 	// only on the first iteration, leaving later iterations with stale data.
@@ -1049,16 +968,9 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit boun
 			}
 		}
 		if algo == exec.OPSD {
-			r.stats.DiffOPSD++
+			r.em.diffOPSD.Add(1)
 		} else {
-			r.stats.DiffTPSD++
-		}
-		if r.em != nil {
-			if algo == exec.OPSD {
-				r.em.diffOPSD.Add(1)
-			} else {
-				r.em.diffTPSD.Add(1)
-			}
+			r.em.diffTPSD.Add(1)
 		}
 	}
 
@@ -1077,10 +989,7 @@ func (r *runState) evalIDB(s analysis.Stratum, iter int, st *idbState, unit boun
 	}
 	n := delta.NumTuples()
 	st.lastDelta = n
-	r.stats.DeltaTuples += int64(n)
-	if r.em != nil {
-		r.em.deltaTuples.Add(int64(n))
-	}
+	r.em.deltaTuples.Add(int64(n))
 	deltaParts := 0
 	if fuse {
 		deltaParts = part.Parts

@@ -6,8 +6,8 @@ import (
 	"sort"
 	"testing"
 
+	"recstep/internal/obs"
 	"recstep/internal/programs"
-	"recstep/internal/quickstep"
 	"recstep/internal/quickstep/exec"
 	"recstep/internal/quickstep/stats"
 	"recstep/internal/quickstep/storage"
@@ -399,16 +399,15 @@ func TestFixpointBindsEachUnitOnce(t *testing.T) {
 		for i := int32(1); i < n; i++ {
 			arc.Append([]int32{i, i + 1})
 		}
-		var db *quickstep.Database
 		opts := DefaultOptions()
 		opts.Workers = 2
-		opts.OnDB = func(d *quickstep.Database) { db = d }
+		opts.Obs = obs.New()
 		res := runProg(t, opts, programs.CSDA,
 			map[string]*storage.Relation{"nullEdge": nullEdge, "arc": arc})
 		if got := res.Relations["null"].NumTuples(); got != int(n) {
 			t.Fatalf("chain %d: null tuples = %d, want %d", n, got, n)
 		}
-		return db.StatementsPrepared(), res.Stats
+		return int64(opts.Obs.Reg.Snapshot()["recstep_statements_prepared_total"].(float64)), res.Stats
 	}
 	shortPrep, short := run(50)
 	longPrep, long := run(500)

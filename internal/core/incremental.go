@@ -60,7 +60,7 @@ type Database struct {
 	mu      sync.Mutex
 	run     *runState
 	baseCtx context.Context
-	im      *incrMetrics
+	im      incrMetrics
 	stats   Stats
 	// dirty marks a failed update: derived relations may hold a partially
 	// applied state, so further updates are refused until Rederive.
@@ -86,7 +86,6 @@ func (e *Engine) RunIncremental(ctx context.Context, prog *ast.Program, edbs map
 	run.incremental = true
 	d := &Database{run: run, baseCtx: ctx, stats: run.stats}
 	if run.ob != nil && run.ob.Reg != nil {
-		d.im = &incrMetrics{}
 		d.im.register(run.ob.Reg)
 	}
 	return d, nil
@@ -191,18 +190,14 @@ func (d *Database) ApplyDeltaContext(ctx context.Context, rel string, ins, del [
 	us.Duration = time.Since(start)
 	if err != nil {
 		d.dirty = true
-		if d.im != nil {
-			d.im.failed.Add(1)
-		}
+		d.im.failed.Add(1)
 		return us, err
 	}
-	if d.im != nil {
-		d.im.updates.Add(1)
-		d.im.inserted.Add(int64(us.Inserted))
-		d.im.deleted.Add(int64(us.Deleted))
-		d.im.fallback.Add(int64(us.FallbackStrata))
-		d.im.latencyUS.Observe(us.Duration.Microseconds())
-	}
+	d.im.updates.Add(1)
+	d.im.inserted.Add(int64(us.Inserted))
+	d.im.deleted.Add(int64(us.Deleted))
+	d.im.fallback.Add(int64(us.FallbackStrata))
+	d.im.latencyUS.Observe(us.Duration.Microseconds())
 	return us, nil
 }
 

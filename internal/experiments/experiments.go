@@ -20,10 +20,8 @@ import (
 	"recstep/internal/baselines/worklist"
 	"recstep/internal/bitmatrix"
 	"recstep/internal/core"
-	"recstep/internal/metrics"
 	"recstep/internal/obs"
 	"recstep/internal/programs"
-	"recstep/internal/quickstep"
 	"recstep/internal/quickstep/exec"
 	"recstep/internal/quickstep/storage"
 )
@@ -190,15 +188,14 @@ func RunSampled(engine Engine, w Workload, cfg Config) Result {
 		res.Err = err
 		return res
 	}
-	sampler := metrics.NewSampler(2*time.Millisecond, nil)
+	var sampler obs.Sampler
 	runtime.GC() // stable baseline before sampling
 	sampler.Start()
-	start := time.Now()
-	out, err := evaluateWithSampler(engine, w, cfg, sampler)
-	res.Time = time.Since(start)
-	samples := sampler.Stop()
-	res.PeakHeap = metrics.PeakHeap(samples)
-	res.AvgCPU = metrics.AvgCPUUtil(samples)
+	out, err := evaluate(engine, w, cfg)
+	u := sampler.Stop()
+	res.Time = u.Wall
+	res.PeakHeap = u.PeakHeap
+	res.AvgCPU = u.CPUUtil()
 	if err != nil {
 		res.Err = err
 		return res
@@ -290,10 +287,6 @@ func pbmeApplies(w Workload, cfg Config) bool {
 }
 
 func evaluate(engine Engine, w Workload, cfg Config) (*storage.Relation, error) {
-	return evaluateWithSampler(engine, w, cfg, nil)
-}
-
-func evaluateWithSampler(engine Engine, w Workload, cfg Config, sampler *metrics.Sampler) (*storage.Relation, error) {
 	workers := cfg.workers()
 	switch engine {
 	case RecStep, RecStepNoPBME:
@@ -306,9 +299,6 @@ func evaluateWithSampler(engine Engine, w Workload, cfg Config, sampler *metrics
 		opts.MemBudgetBytes = cfg.ManagedBudgetBytes
 		opts.Obs = cfg.Obs
 		opts.DisableObs = cfg.NoObs
-		if sampler != nil {
-			opts.OnDB = func(db *quickstep.Database) { sampler.AttachPool(db.Pool()) }
-		}
 		return runCore(opts, w)
 	case Naive:
 		opts := core.DefaultOptions()
@@ -318,9 +308,6 @@ func evaluateWithSampler(engine Engine, w Workload, cfg Config, sampler *metrics
 		opts.Obs = cfg.Obs
 		opts.DisableObs = cfg.NoObs
 		opts.Naive = true
-		if sampler != nil {
-			opts.OnDB = func(db *quickstep.Database) { sampler.AttachPool(db.Pool()) }
-		}
 		return runCore(opts, w)
 	case Native:
 		return runNative(w, workers)

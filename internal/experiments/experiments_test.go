@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -78,6 +79,9 @@ func TestRunSampledCollectsMetrics(t *testing.T) {
 	if r.PeakHeap == 0 {
 		t.Fatal("no memory sampled")
 	}
+	if r.AvgCPU <= 0 || r.AvgCPU > 1 {
+		t.Fatalf("CPU utilisation %.3f outside (0, 1]", r.AvgCPU)
+	}
 }
 
 func TestFig4SQLForms(t *testing.T) {
@@ -129,6 +133,16 @@ func TestQuickFigures(t *testing.T) {
 		tbl := fn(quick)
 		if len(tbl.Rows) == 0 {
 			t.Fatalf("%s produced no rows", name)
+		}
+		if name != "fig16" {
+			continue
+		}
+		// Utilisation is a share of the machine: no row may exceed 100 %.
+		for _, row := range tbl.Rows {
+			util, err := strconv.ParseFloat(strings.TrimSuffix(row[2], "%"), 64)
+			if err != nil || util < 0 || util > 100 {
+				t.Errorf("fig16 %s/%s: utilisation %q outside [0, 100] %%", row[0], row[1], row[2])
+			}
 		}
 	}
 }

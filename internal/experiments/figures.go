@@ -11,9 +11,8 @@ import (
 	"recstep/internal/core"
 	"recstep/internal/datalog/analysis"
 	"recstep/internal/datalog/querygen"
-	"recstep/internal/metrics"
+	"recstep/internal/obs"
 	"recstep/internal/programs"
-	"recstep/internal/quickstep"
 	"recstep/internal/quickstep/exec"
 	"recstep/internal/quickstep/stats"
 )
@@ -71,15 +70,12 @@ func runAblation(opts core.Options, w Workload) (time.Duration, uint64, error) {
 		defer os.RemoveAll(dir)
 		opts.SpillDir = dir
 	}
-	sampler := metrics.NewSampler(2*time.Millisecond, nil)
-	opts.OnDB = func(db *quickstep.Database) { sampler.AttachPool(db.Pool()) }
+	var sampler obs.Sampler
 	runtime.GC()
 	sampler.Start()
-	start := time.Now()
 	_, err := runCore(opts, w)
-	elapsed := time.Since(start)
-	samples := sampler.Stop()
-	return elapsed, metrics.PeakHeap(samples), err
+	u := sampler.Stop()
+	return u.Wall, u.PeakHeap, err
 }
 
 // Fig2 reproduces the optimization-ablation runtime chart: CSPA on the
@@ -448,13 +444,13 @@ func Fig16(cfg Config) Table {
 		ws = ws[:1]
 	}
 	for _, w := range ws {
-		for _, e := range []Engine{RecStep, Naive} {
+		for _, e := range []Engine{RecStep, Naive, Native} {
 			r := RunSampled(e, w, cfg)
 			tbl.Rows = append(tbl.Rows, []string{
 				w.Name, string(e), fmt.Sprintf("%.0f%%", 100*r.AvgCPU), r.Cell(),
 			})
 		}
 	}
-	tbl.Notes = append(tbl.Notes, "native engine uses raw goroutines (no instrumented pool): utilization not sampled")
+	tbl.Notes = append(tbl.Notes, fmt.Sprintf("avg CPU util: the process's user + system CPU time over wall time × %d cores", runtime.NumCPU()))
 	return tbl
 }

@@ -1,0 +1,18 @@
+//go:build unix
+
+package obs
+
+import (
+	"syscall"
+	"time"
+)
+
+// processCPU returns the user + system CPU time the process has used, across
+// all its threads.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if syscall.Getrusage(syscall.RUSAGE_SELF, &ru) != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}

@@ -37,8 +37,6 @@ type Options struct {
 	EOST bool
 	// SpillDir receives write-back files; empty selects a temp directory.
 	SpillDir string
-	// StatsBudgetTuples caps dedup distinct estimates (0 = unbounded).
-	StatsBudgetTuples int
 	// Partitions fixes the radix partition count for hash builds (joins,
 	// set difference, aggregation): 0 lets the optimizer pick 1/16/64/256
 	// per operator from cardinality estimates, 1 disables partitioning.
@@ -229,7 +227,7 @@ func Open(opts Options) (*Database, error) {
 	db := &Database{
 		opts:  opts,
 		cat:   storage.NewCatalog(),
-		stats: stats.NewCatalog(opts.StatsBudgetTuples),
+		stats: stats.NewCatalog(0),
 		pool:  exec.NewPool(opts.Workers),
 		mem:   memory.NewManager(memory.Config{BudgetBytes: opts.MemBudgetBytes, SpillDir: opts.SpillDir, FaultInject: opts.FaultInject}),
 	}
@@ -281,13 +279,9 @@ func (db *Database) Close() error {
 // Catalog exposes the table catalog.
 func (db *Database) Catalog() *storage.Catalog { return db.cat }
 
-// Pool exposes the worker pool (metrics sampling reads busy counts from it).
+// Pool exposes the worker pool that runs every operator and carries its
+// copy-accounting counters.
 func (db *Database) Pool() *exec.Pool { return db.pool }
-
-// Observer returns the observer wired at Open (nil when observability is
-// off). OnDB consumers use it to reach the same registry and tracer the
-// engine's own counters live on.
-func (db *Database) Observer() *obs.Observer { return db.opts.Obs }
 
 // SetStep publishes the fixpoint position (stratum, iteration, predicate)
 // that subsequent phase spans — pool workers and spill/fault passes — are
@@ -409,9 +403,6 @@ func (db *Database) Txn() *txn.Manager { return db.txn }
 // per-query overhead UIE minimizes. A statement that failed to parse or bind
 // was never issued and is not counted.
 func (db *Database) QueriesIssued() int64 { return db.queries.Load() }
-
-// StatementsPrepared counts the statements Prepare bound (ExecSQL included).
-func (db *Database) StatementsPrepared() int64 { return db.prepared.Load() }
 
 // CopySnapshot reads the copy-accounting counters (tuples scattered, tuples
 // adopted without copy, flat materializations) accumulated by every operator

@@ -325,8 +325,8 @@ func TestQueriesIssuedCounter(t *testing.T) {
 	if got := db.QueriesIssued(); got != 2 {
 		t.Fatalf("QueriesIssued = %d after malformed statements, want 2", got)
 	}
-	if got := db.StatementsPrepared(); got != 2 {
-		t.Fatalf("StatementsPrepared = %d, want 2", got)
+	if got := db.prepared.Load(); got != 2 {
+		t.Fatalf("statements prepared = %d, want 2", got)
 	}
 	// A bound statement runs as often as it is executed and binds once.
 	st, err := db.Prepare("INSERT INTO t VALUES (2)")
@@ -338,8 +338,8 @@ func TestQueriesIssuedCounter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, prep := db.QueriesIssued(), db.StatementsPrepared(); got != 5 || prep != 3 {
-		t.Fatalf("QueriesIssued = %d, StatementsPrepared = %d; want 5 and 3", got, prep)
+	if got, prep := db.QueriesIssued(), db.prepared.Load(); got != 5 || prep != 3 {
+		t.Fatalf("QueriesIssued = %d, statements prepared = %d; want 5 and 3", got, prep)
 	}
 	if got := db.Catalog().MustGet("t").NumTuples(); got != 4 {
 		t.Fatalf("t holds %d tuples, want 4", got)

@@ -157,8 +157,8 @@ func tpsd(pool *Pool, rdelta, r *storage.Relation, outName string) *storage.Rela
 }
 
 // MeasureBuildProbe times one hash-set build over build and one probe pass
-// over probe, returning per-tuple nanosecond costs. The optimizer's offline
-// α calibration (Appendix A, eq. 7) runs this on table pairs of varied size.
+// over probe, returning per-tuple nanosecond costs: the two costs whose
+// ratio is Appendix A's α (eq. 7).
 func MeasureBuildProbe(pool *Pool, build, probe *storage.Relation) (buildNsPerTuple, probeNsPerTuple float64) {
 	t0 := time.Now()
 	set := buildSet(pool, build)

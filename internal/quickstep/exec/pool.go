@@ -271,12 +271,9 @@ func (c *CopyCounters) Register(reg *obs.Registry) {
 }
 
 // Pool is a bounded worker pool for block-parallel operator execution. It
-// tracks how many workers are busy so the metrics sampler can report CPU
-// utilization the way the paper's Figures 7 and 16 do, and carries the
-// copy-accounting counters every operator running on it updates.
+// carries the copy-accounting counters every operator running on it updates.
 type Pool struct {
 	workers int
-	busy    atomic.Int32
 
 	// Copy accumulates the pool's copy-accounting events.
 	Copy CopyCounters
@@ -444,9 +441,6 @@ func (p *Pool) newBlock(arity int, cat storage.Category, rowHint int) *storage.B
 	return storage.NewBlockIn(p.alloc, cat, arity, rowHint)
 }
 
-// BusyWorkers returns how many workers are currently executing tasks.
-func (p *Pool) BusyWorkers() int { return int(p.busy.Load()) }
-
 // SetContext installs the run's cancellation context. Worker task loops poll
 // its Done channel at task boundaries, so a cancel or deadline drains every
 // in-flight operator within one block/partition of work. Nil clears it.
@@ -564,8 +558,6 @@ func (p *Pool) Run(numTasks int, fn func(task int)) {
 		n = numTasks
 	}
 	if n == 1 {
-		p.busy.Add(1)
-		defer p.busy.Add(-1)
 		p.guard(func() {
 			for i := 0; i < numTasks; i++ {
 				if p.Aborted() {
@@ -583,8 +575,6 @@ func (p *Pool) Run(numTasks int, fn func(task int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.busy.Add(1)
-			defer p.busy.Add(-1)
 			p.guard(func() {
 				for {
 					t := int(next.Add(1)) - 1
@@ -621,8 +611,6 @@ func (p *Pool) RunPartitions(parts int, fn func(part int)) {
 		n = parts
 	}
 	if n == 1 {
-		p.busy.Add(1)
-		defer p.busy.Add(-1)
 		p.guard(func() {
 			for q := 0; q < parts; q++ {
 				if p.Aborted() {
@@ -640,8 +628,6 @@ func (p *Pool) RunPartitions(parts int, fn func(part int)) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			p.busy.Add(1)
-			defer p.busy.Add(-1)
 			p.guard(func() {
 				// Own stripe first — the sticky assignment.
 				for q := w; q < parts; q += n {
@@ -702,8 +688,6 @@ func (p *Pool) RunWorkers(maxWorkers int, fn func(worker, numWorkers int)) {
 		n = maxWorkers
 	}
 	if n <= 1 {
-		p.busy.Add(1)
-		defer p.busy.Add(-1)
 		p.guard(func() { fn(0, 1) })
 		return
 	}
@@ -712,8 +696,6 @@ func (p *Pool) RunWorkers(maxWorkers int, fn func(worker, numWorkers int)) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			p.busy.Add(1)
-			defer p.busy.Add(-1)
 			p.guard(func() { fn(w, n) })
 		}(w)
 	}

@@ -1,11 +1,10 @@
 // Package optimizer holds the lightweight cost-based decisions RecStep's
 // Optimization-On-the-Fly refreshes every iteration: hash-join build-side
 // selection and the Dynamic Set Difference (DSD) choice between OPSD and
-// TPSD, including the Appendix A cost model and the offline α calibration.
+// TPSD, including the Appendix A cost model at a fixed α (DefaultAlpha).
 package optimizer
 
 import (
-	"math/rand"
 	"sort"
 
 	"recstep/internal/quickstep/exec"
@@ -337,14 +336,14 @@ func stepDown(parts int) int {
 	return parts / 4
 }
 
-// DefaultAlpha is the build/probe cost ratio used when no calibration has
-// run. Hash-table construction costs roughly twice a probe in this engine.
+// DefaultAlpha is the build/probe cost ratio α = Cb/Cp the engine runs DSD
+// with: hash-table construction costs roughly twice a probe in this engine.
 const DefaultAlpha = 2.0
 
 // DiffChooser implements DSD for one recursive relation. α=Cb/Cp is fixed
-// (offline calibration); µ=|Rδ|/|r| is carried over from the previous
-// iteration, per the paper's heuristic that µ changes slowly between
-// consecutive iterations.
+// (the engine passes DefaultAlpha; the paper's Appendix A trains it offline);
+// µ=|Rδ|/|r| is carried over from the previous iteration, per the paper's
+// heuristic that µ changes slowly between consecutive iterations.
 type DiffChooser struct {
 	Alpha  float64
 	prevMu float64
@@ -352,7 +351,8 @@ type DiffChooser struct {
 }
 
 // NewDiffChooser returns a chooser with the given α (≤0 selects
-// DefaultAlpha).
+// DefaultAlpha). The engine passes DefaultAlpha; other values exist for the
+// cost model's edge-case tests.
 func NewDiffChooser(alpha float64) *DiffChooser {
 	if alpha <= 0 {
 		alpha = DefaultAlpha
@@ -401,55 +401,4 @@ func (c *DiffChooser) Observe(rdeltaTuples, interTuples int) {
 	}
 	c.prevMu = float64(rdeltaTuples) / float64(interTuples)
 	c.hasMu = true
-}
-
-// CalibrateAlpha estimates α = Cb/Cp by the offline training procedure of
-// eq. (7): for each configured pair size it generates a build table R and a
-// probe table S with |R| ≤ |S|, measures build and probe cost over `runs`
-// repetitions, and averages the per-tuple cost ratios.
-func CalibrateAlpha(pool *exec.Pool, pairSizes [][2]int, runs int) float64 {
-	if runs <= 0 {
-		runs = 3
-	}
-	if len(pairSizes) == 0 {
-		pairSizes = [][2]int{{1 << 12, 1 << 14}, {1 << 14, 1 << 16}, {1 << 15, 1 << 15}}
-	}
-	rng := rand.New(rand.NewSource(1))
-	var sum float64
-	var count int
-	for _, ps := range pairSizes {
-		rn, sn := ps[0], ps[1]
-		if rn > sn {
-			rn, sn = sn, rn // ensure the hash table is built on the smaller R
-		}
-		build := synthetic(rng, "calib_r", rn)
-		probe := synthetic(rng, "calib_s", sn)
-		for j := 0; j < runs; j++ {
-			bc, pc := exec.MeasureBuildProbe(pool, build, probe)
-			if bc > 0 && pc > 0 {
-				sum += bc / pc
-				count++
-			}
-		}
-	}
-	if count == 0 {
-		return DefaultAlpha
-	}
-	alpha := sum / float64(count)
-	if alpha < 1.05 {
-		// A degenerate measurement would disable TPSD entirely; clamp to a
-		// mildly build-dominant ratio.
-		alpha = 1.05
-	}
-	return alpha
-}
-
-func synthetic(rng *rand.Rand, name string, n int) *storage.Relation {
-	r := storage.NewRelation(name, []string{"x", "y"})
-	rows := make([]int32, 0, 2*n)
-	for i := 0; i < n; i++ {
-		rows = append(rows, int32(rng.Intn(n)), int32(rng.Intn(n)))
-	}
-	r.AppendRows(rows)
-	return r
 }

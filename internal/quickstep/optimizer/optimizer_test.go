@@ -96,21 +96,6 @@ func TestDiffChooserRegionProperty(t *testing.T) {
 	}
 }
 
-func TestCalibrateAlpha(t *testing.T) {
-	pool := exec.NewPool(2)
-	alpha := CalibrateAlpha(pool, [][2]int{{1 << 10, 1 << 12}}, 2)
-	if alpha < 1.05 {
-		t.Fatalf("alpha = %f, want ≥ 1.05 (clamped)", alpha)
-	}
-	if alpha > 100 {
-		t.Fatalf("alpha = %f looks implausible", alpha)
-	}
-	// Defaults path.
-	if a := CalibrateAlpha(pool, nil, 0); a < 1.05 {
-		t.Fatalf("default calibration alpha = %f", a)
-	}
-}
-
 func TestChoosePartitionsTiers(t *testing.T) {
 	cases := []struct {
 		tuples, workers, want int

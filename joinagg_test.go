@@ -70,9 +70,9 @@ func TestJoinFedAggregatesNeverMaterializeTheJoin(t *testing.T) {
 				t.Fatalf("%s W=%d: %s differs from the baselines/native result", c.program, workers, c.pred)
 			}
 			single := int64(c.singleTable(edbs, res))
-			if s.AggRowsIn != s.JoinRowsExpanded+single {
+			if s.Copy.AggRowsIn != s.Copy.JoinRowsExpanded+single {
 				t.Fatalf("%s W=%d: aggregates folded %d rows, want the %d join rows + %d rows of the single-relation aggregates",
-					c.program, workers, s.AggRowsIn, s.JoinRowsExpanded, single)
+					c.program, workers, s.Copy.AggRowsIn, s.Copy.JoinRowsExpanded, single)
 			}
 			joinBytes := largest * 4 * 4
 			t.Logf("%s W=%d: largest step's join %d rows (%d bytes as four columns), pool peak %d bytes (%s)",
@@ -138,7 +138,7 @@ func TestCrossJoinCountsRowsExpanded(t *testing.T) {
 	if got, want := res.Relations["cnt"].SortedRows(), []int32{1, 2, 2, 2, 3, 2}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("cnt = %v, want %v", got, want)
 	}
-	if s := res.Stats; s.JoinRowsExpanded != 6 || s.AggRowsIn != 6 {
-		t.Fatalf("3 × 2 cross product: %d rows expanded, %d folded; want 6 and 6", s.JoinRowsExpanded, s.AggRowsIn)
+	if s := res.Stats; s.Copy.JoinRowsExpanded != 6 || s.Copy.AggRowsIn != 6 {
+		t.Fatalf("3 × 2 cross product: %d rows expanded, %d folded; want 6 and 6", s.Copy.JoinRowsExpanded, s.Copy.AggRowsIn)
 	}
 }

@@ -42,27 +42,27 @@ func TestCSPAJoinOutputIsMostlySuppressedDuplicates(t *testing.T) {
 		return res.Stats
 	}
 	fused, staged := run(exec.DedupGSCHT), run(exec.DedupLockMap)
-	if staged.DupSuppressed != 0 || staged.DupFilterBypassed != 0 {
+	if staged.Copy.DupSuppressed != 0 || staged.Copy.DupFilterBypassed != 0 {
 		t.Fatalf("staged pipeline is unmarked but its joins filtered: %d suppressed, %d windows bypassed",
-			staged.DupSuppressed, staged.DupFilterBypassed)
+			staged.Copy.DupSuppressed, staged.Copy.DupFilterBypassed)
 	}
 	if fused.DeltaTuples != staged.DeltaTuples || fused.Iterations != staged.Iterations {
 		t.Fatalf("set-valued tmp changed the fixpoint: %d ∆ tuples in %d iterations, staged %d in %d",
 			fused.DeltaTuples, fused.Iterations, staged.DeltaTuples, staged.Iterations)
 	}
-	if fused.JoinRowsExpanded != staged.JoinRowsExpanded {
+	if fused.Copy.JoinRowsExpanded != staged.Copy.JoinRowsExpanded {
 		t.Fatalf("joins expanded %d rows fused, %d staged: the mark changed what the joins compute",
-			fused.JoinRowsExpanded, staged.JoinRowsExpanded)
+			fused.Copy.JoinRowsExpanded, staged.Copy.JoinRowsExpanded)
 	}
-	if fused.DupSuppressed <= fused.TmpTuples {
+	if fused.Copy.DupSuppressed <= fused.TmpTuples {
 		t.Fatalf("filter dropped %d rows and let %d reach tmp (of %d expanded): CSPA's duplicates are not being caught",
-			fused.DupSuppressed, fused.TmpTuples, fused.JoinRowsExpanded)
+			fused.Copy.DupSuppressed, fused.TmpTuples, fused.Copy.JoinRowsExpanded)
 	}
 	if staged.TmpTuples <= 4*fused.TmpTuples {
 		t.Fatalf("tmp tables held %d rows fused against %d staged", fused.TmpTuples, staged.TmpTuples)
 	}
 	t.Logf("expanded %d, suppressed %d, reached tmp %d (staged %d), kept %d",
-		fused.JoinRowsExpanded, fused.DupSuppressed, fused.TmpTuples, staged.TmpTuples, fused.DeltaTuples)
+		fused.Copy.JoinRowsExpanded, fused.Copy.DupSuppressed, fused.TmpTuples, staged.TmpTuples, fused.DeltaTuples)
 }
 
 // A recursive aggregate must see every candidate: MIN over a bag and over
@@ -96,8 +96,8 @@ func TestRecursiveAggregatesNeverSeeTheFilter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if steps == 0 || expanded == 0 || res.Stats.DupSuppressed != 0 {
-			t.Fatalf("%s: %d steps, %d join rows, %d suppressed over the run", name, steps, expanded, res.Stats.DupSuppressed)
+		if steps == 0 || expanded == 0 || res.Stats.Copy.DupSuppressed != 0 {
+			t.Fatalf("%s: %d steps, %d join rows, %d suppressed over the run", name, steps, expanded, res.Stats.Copy.DupSuppressed)
 		}
 	}
 }
@@ -138,8 +138,8 @@ func TestSetValuedJoinOutputMatchesStagedAcrossPrograms(t *testing.T) {
 			return out, res.Stats
 		}
 		want, ref := run(exec.DedupLockMap, 1, 1)
-		if ref.DupSuppressed != 0 {
-			t.Fatalf("%s: the staged reference filtered %d rows", name, ref.DupSuppressed)
+		if ref.Copy.DupSuppressed != 0 {
+			t.Fatalf("%s: the staged reference filtered %d rows", name, ref.Copy.DupSuppressed)
 		}
 		for _, parts := range []int{1, 16, 64} {
 			for _, workers := range []int{1, 4} {
@@ -150,7 +150,7 @@ func TestSetValuedJoinOutputMatchesStagedAcrossPrograms(t *testing.T) {
 							name, parts, workers, rel, len(got[rel]), len(rows))
 					}
 				}
-				suppressed[name] += stats.DupSuppressed
+				suppressed[name] += stats.Copy.DupSuppressed
 			}
 		}
 	}

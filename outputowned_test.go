@@ -47,19 +47,19 @@ func TestOutputOwnedKeysetKeepsTheFilterHitShare(t *testing.T) {
 				t.Fatalf("parts=%d workers=%d: tc diverges from the staged run", parts, workers)
 			}
 			s := res.Stats
-			out[workers] = float64(s.DupSuppressed) / float64(s.JoinRowsExpanded)
+			out[workers] = float64(s.Copy.DupSuppressed) / float64(s.Copy.JoinRowsExpanded)
 			if want := (core.CarryChoice{Keys: []int{0}, Rule: "output"}); !reflect.DeepEqual(s.Carry["tc"], want) {
 				t.Fatalf("parts=%d workers=%d: tc carried %v, want %v", parts, workers, s.Carry["tc"], want)
 			}
 			if workers == 1 {
-				if s.OutputInPlace == 0 {
+				if s.Copy.OutputInPlace == 0 {
 					t.Fatalf("parts=%d: one worker wrote no rows in place", parts)
 				}
 				continue
 			}
-			if s.OutputInPlace == 0 || s.DupFilterBypassed != 0 {
+			if s.Copy.OutputInPlace == 0 || s.Copy.DupFilterBypassed != 0 {
 				t.Fatalf("parts=%d workers=%d: %d rows in place, %d bypassed windows; want some, and none",
-					parts, workers, s.OutputInPlace, s.DupFilterBypassed)
+					parts, workers, s.Copy.OutputInPlace, s.Copy.DupFilterBypassed)
 			}
 		}
 		return out

@@ -60,7 +60,7 @@ func TestCSDAWorkIsDeltaProportional(t *testing.T) {
 		if res.Stats.Iterations < length {
 			t.Fatalf("length %d: %d iterations", length, res.Stats.Iterations)
 		}
-		return res.Stats.SetDiffRowsScanned + res.Stats.JoinProbeRows, res.Stats
+		return res.Stats.Copy.SetDiffRowsScanned + res.Stats.Copy.JoinProbeRows, res.Stats
 	}
 	const length = 400
 	w1, s1 := work(core.DSDDynamic, length)
@@ -70,11 +70,11 @@ func TestCSDAWorkIsDeltaProportional(t *testing.T) {
 			w1, w2, float64(w2)/float64(w1))
 	}
 	for _, s := range []core.Stats{s1, s2} {
-		if s.ResidentIndexReseeds != 1 || s.ResidentIndexHits < int64(s.Iterations)*9/10-70 {
-			t.Fatalf("resident index: %d reseeds, %d hits over %d iterations", s.ResidentIndexReseeds, s.ResidentIndexHits, s.Iterations)
+		if s.Copy.ResidentIndexReseeds != 1 || s.Copy.ResidentIndexHits < int64(s.Iterations)*9/10-70 {
+			t.Fatalf("resident index: %d reseeds, %d hits over %d iterations", s.Copy.ResidentIndexReseeds, s.Copy.ResidentIndexHits, s.Iterations)
 		}
-		if s.CachedBuildHits < int64(s.Iterations)*9/10-40 {
-			t.Fatalf("cached build on arc: %d hits over %d iterations", s.CachedBuildHits, s.Iterations)
+		if s.Copy.CachedBuildHits < int64(s.Iterations)*9/10-40 {
+			t.Fatalf("cached build on arc: %d hits over %d iterations", s.Copy.CachedBuildHits, s.Iterations)
 		}
 		if s.DiffTPSD > 70 {
 			t.Fatalf("%d transient TPSD passes; the index should have taken over within a few dozen iterations", s.DiffTPSD)
@@ -88,11 +88,11 @@ func TestCSDAWorkIsDeltaProportional(t *testing.T) {
 	// not a DSD matter, so compare that half.
 	_, f1 := work(core.DSDAlwaysTPSD, length)
 	_, f2 := work(core.DSDAlwaysTPSD, 2*length)
-	if f1.ResidentIndexHits+f1.ResidentIndexReseeds != 0 {
+	if f1.Copy.ResidentIndexHits+f1.Copy.ResidentIndexReseeds != 0 {
 		t.Fatal("forced TPSD ran against a resident index")
 	}
-	if f2.SetDiffRowsScanned < 3*f1.SetDiffRowsScanned {
-		t.Fatalf("forced TPSD scanned %d then %d rows of R; the transient path should be quadratic", f1.SetDiffRowsScanned, f2.SetDiffRowsScanned)
+	if f2.Copy.SetDiffRowsScanned < 3*f1.Copy.SetDiffRowsScanned {
+		t.Fatalf("forced TPSD scanned %d then %d rows of R; the transient path should be quadratic", f1.Copy.SetDiffRowsScanned, f2.Copy.SetDiffRowsScanned)
 	}
 }
 
@@ -131,10 +131,10 @@ func TestCSDAWorkIsDeltaProportionalAtEveryWorkerCount(t *testing.T) {
 				t.Fatalf("W=%d length %d: derived %d tuples over %d steps, want %d tuples over ≥ %d",
 					workers, length, got, steps, 4*length, length)
 			}
-			if s.ResidentIndexReseeds != 1 {
-				t.Fatalf("W=%d length %d: resident index seeded %d times, want once", workers, length, s.ResidentIndexReseeds)
+			if s.Copy.ResidentIndexReseeds != 1 {
+				t.Fatalf("W=%d length %d: resident index seeded %d times, want once", workers, length, s.Copy.ResidentIndexReseeds)
 			}
-			return s.SetDiffRowsScanned + s.JoinProbeRows
+			return s.Copy.SetDiffRowsScanned + s.Copy.JoinProbeRows
 		}
 		const length = 5000
 		w1, w2 := work(length), work(2*length)
@@ -188,15 +188,15 @@ func TestInvariantProbesAreDeltaProportional(t *testing.T) {
 			if !reflect.DeepEqual(res.Relations[c.pred].SortedRows(), want) {
 				t.Fatalf("%s W=%d: %s differs from the baselines/native result", c.program, workers, c.pred)
 			}
-			if s.CachedBuildHits == 0 {
+			if s.Copy.CachedBuildHits == 0 {
 				t.Fatalf("%s W=%d: no join probed a cached build over %d iterations", c.program, workers, s.Iterations)
 			}
-			if bound := s.DeltaTuples + edbRows; s.JoinProbeRows > bound {
+			if bound := s.DeltaTuples + edbRows; s.Copy.JoinProbeRows > bound {
 				t.Fatalf("%s W=%d: joins probed %d rows, want at most Σ|∆| + the EDB rows = %d + %d",
-					c.program, workers, s.JoinProbeRows, s.DeltaTuples, edbRows)
+					c.program, workers, s.Copy.JoinProbeRows, s.DeltaTuples, edbRows)
 			}
 			t.Logf("%s W=%d: %d iterations, %d rows probed, Σ|∆| %d, EDB rows %d, %d cached-build hits",
-				c.program, workers, s.Iterations, s.JoinProbeRows, s.DeltaTuples, edbRows, s.CachedBuildHits)
+				c.program, workers, s.Iterations, s.Copy.JoinProbeRows, s.DeltaTuples, edbRows, s.Copy.CachedBuildHits)
 		}
 	}
 }
@@ -223,11 +223,11 @@ func TestShortFixpointsKeepNothingResident(t *testing.T) {
 		if s.Iterations >= 32 {
 			t.Fatalf("%s: %d iterations; the instance is not a short fixpoint", name, s.Iterations)
 		}
-		if s.ResidentIndexReseeds+s.ResidentIndexHits != 0 || s.Mem.IndexBytes != 0 {
+		if s.Copy.ResidentIndexReseeds+s.Copy.ResidentIndexHits != 0 || s.Mem.IndexBytes != 0 {
 			t.Fatalf("%s (%d iterations): reseeds=%d hits=%d indexBytes=%d, want no index kept",
-				name, s.Iterations, s.ResidentIndexReseeds, s.ResidentIndexHits, s.Mem.IndexBytes)
+				name, s.Iterations, s.Copy.ResidentIndexReseeds, s.Copy.ResidentIndexHits, s.Mem.IndexBytes)
 		}
-		if s.CachedBuildHits == 0 {
+		if s.Copy.CachedBuildHits == 0 {
 			t.Fatalf("%s (%d iterations): no join probed a cached build over an EDB", name, s.Iterations)
 		}
 	}
@@ -442,7 +442,7 @@ w(s,y) :- w(s,x), hop(x,y).
 	}
 	ref := run(0)
 	want := ref.Relations["w"].SortedRows()
-	if ref.Stats.CachedBuildHits == 0 {
+	if ref.Stats.Copy.CachedBuildHits == 0 {
 		t.Fatal("unbudgeted run kept no build table on hop")
 	}
 	const tight = 20
@@ -451,8 +451,8 @@ w(s,y) :- w(s,x), hop(x,y).
 		if !reflect.DeepEqual(got.Relations["w"].SortedRows(), want) {
 			t.Errorf("budget at %d%% of the unbudgeted peak: w differs from the unbudgeted result", pct)
 		}
-		if s := got.Stats; pct == tight && (s.CachedBuildHits == 0 || s.Mem.Spills == 0) {
-			t.Errorf("budget at %d%%: %d cached-build hits, %d spills; the run no longer mixes the two", pct, s.CachedBuildHits, s.Mem.Spills)
+		if s := got.Stats; pct == tight && (s.Copy.CachedBuildHits == 0 || s.Mem.Spills == 0) {
+			t.Errorf("budget at %d%%: %d cached-build hits, %d spills; the run no longer mixes the two", pct, s.Copy.CachedBuildHits, s.Mem.Spills)
 		}
 	}
 }
@@ -518,7 +518,7 @@ tc(x,y) :- tc(x,z), hop(z,y).
 	if !reflect.DeepEqual(want, native.TC(arc(), 1).SortedRows()) {
 		t.Fatal("unbudgeted tc differs from the baselines/native closure")
 	}
-	if ref.Stats.CachedBuildHits == 0 {
+	if ref.Stats.Copy.CachedBuildHits == 0 {
 		t.Fatal("unbudgeted run kept no build table on hop")
 	}
 	const tightest = 20
@@ -528,8 +528,8 @@ tc(x,y) :- tc(x,z), hop(z,y).
 		if !reflect.DeepEqual(got.Relations["tc"].SortedRows(), want) {
 			t.Errorf("budget at %d%% of the unbudgeted peak: tc differs from the unbudgeted result", pct)
 		}
-		t.Logf("budget at %d%%: %d cached-build hits (%d unbudgeted), %d after the first spill", pct, got.Stats.CachedBuildHits, ref.Stats.CachedBuildHits, after)
-		if got.Stats.CachedBuildHits == 0 {
+		t.Logf("budget at %d%%: %d cached-build hits (%d unbudgeted), %d after the first spill", pct, got.Stats.Copy.CachedBuildHits, ref.Stats.Copy.CachedBuildHits, after)
+		if got.Stats.Copy.CachedBuildHits == 0 {
 			t.Errorf("budget at %d%%: no cached-build hits", pct)
 		}
 		// The table holds no pool bytes, so reclaiming memory never drops
