@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
+	"slices"
 	"time"
 
 	"recstep/internal/core"
@@ -51,13 +53,15 @@ type BenchObsReport struct {
 // the registry, phase timers and histograms attached (the engine default)
 // against DisableObs, interleaving trials so clock drift and cache state hit
 // both arms alike. The tracer stays off in both arms — it is opt-in
-// (-trace) and buffers events, so it is priced separately, not here.
+// (-trace) and buffers events, so it is priced separately, not here. Each
+// trial starts on a collected heap, so no arm's garbage is collected in the
+// other's time. At Quick, trials go on until each arm has run ~1.5 s.
 func BenchObs(cfg Config) (BenchObsReport, error) {
 	spec := GnpSpec{Label: "G1K", N: 1000, P: 0.01}
-	trials := 5
+	trials, armTime := 5, time.Duration(0)
 	if cfg.Quick {
 		spec = GnpSpec{Label: "G300", N: 300, P: 0.02}
-		trials = 3
+		trials, armTime = 3, 1500*time.Millisecond
 	}
 	w := TCWorkload(spec)
 	prog, err := programs.Get(w.Program)
@@ -86,6 +90,7 @@ func BenchObs(cfg Config) (BenchObsReport, error) {
 			ob = obs.New()
 			opts.Obs = ob
 		}
+		runtime.GC()
 		start := time.Now()
 		res, err := core.New(opts).Run(prog, w.EDBs)
 		d := time.Since(start)
@@ -111,7 +116,7 @@ func BenchObs(cfg Config) (BenchObsReport, error) {
 	if err := runArm(&BenchObsArm{}, true); err != nil {
 		return rep, err
 	}
-	for i := 0; i < trials; i++ {
+	for start := time.Now(); len(rep.On.TrialNs) < trials || time.Since(start) < 2*armTime; {
 		if err := runArm(&rep.On, false); err != nil {
 			return rep, err
 		}
@@ -120,17 +125,13 @@ func BenchObs(cfg Config) (BenchObsReport, error) {
 		}
 	}
 	finish := func(arm *BenchObsArm) {
-		sorted := append([]int64{}, arm.TrialNs...)
-		for i := 1; i < len(sorted); i++ {
-			for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-				sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-			}
-		}
+		sorted := slices.Sorted(slices.Values(arm.TrialNs))
 		arm.MinNs = sorted[0]
 		arm.MedianNs = sorted[len(sorted)/2]
 	}
 	finish(&rep.On)
 	finish(&rep.Off)
+	rep.Trials = len(rep.On.TrialNs)
 	rep.OverheadPct = 100 * (float64(rep.On.MinNs) - float64(rep.Off.MinNs)) / float64(rep.Off.MinNs)
 	rep.MedianOverheadPct = 100 * (float64(rep.On.MedianNs) - float64(rep.Off.MedianNs)) / float64(rep.Off.MedianNs)
 	if rep.On.Tuples != rep.Off.Tuples {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -143,6 +144,45 @@ func TestQuickFigures(t *testing.T) {
 			if err != nil || util < 0 || util > 100 {
 				t.Errorf("fig16 %s/%s: utilisation %q outside [0, 100] %%", row[0], row[1], row[2])
 			}
+		}
+	}
+}
+
+// TestPeakMemHeapPeakIsAPeak holds peakmem's heap-peak column to a peak: for
+// every program it is above zero and at most the bytes the run allocated,
+// the "allocated" column beside it.
+func TestPeakMemHeapPeakIsAPeak(t *testing.T) {
+	if testing.Short() {
+		t.Skip("peakmem runs every program")
+	}
+	bytes := func(s string) float64 {
+		for _, u := range []struct {
+			suffix string
+			scale  float64
+		}{{"GiB", 1 << 30}, {"MiB", 1 << 20}, {"KiB", 1 << 10}, {"B", 1}} {
+			if v, ok := strings.CutSuffix(s, u.suffix); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("byte count %q: %v", s, err)
+				}
+				return f * u.scale
+			}
+		}
+		t.Fatalf("byte count %q has no unit", s)
+		return 0
+	}
+	tbl := PeakMem(quick)
+	peakCol, allocCol := slices.Index(tbl.Header, "heap peak"), slices.Index(tbl.Header, "allocated")
+	if peakCol < 0 || allocCol < 0 || len(tbl.Rows) == 0 {
+		t.Fatalf("peakmem table has columns %v and %d rows", tbl.Header, len(tbl.Rows))
+	}
+	for _, row := range tbl.Rows {
+		if row[1] == "error" {
+			t.Errorf("%s: run failed", row[0])
+			continue
+		}
+		if peak, alloc := bytes(row[peakCol]), bytes(row[allocCol]); peak <= 0 || peak > alloc {
+			t.Errorf("%s: heap peak %s, allocated %s; want 0 < peak ≤ allocated", row[0], row[peakCol], row[allocCol])
 		}
 	}
 }

@@ -70,10 +70,13 @@ var edgeValues = []int32{0, -1, math.MinInt32, math.MaxInt32, 1, 7}
 
 // TestHashAggregateMatchesReference runs both aggregate entry points over
 // random inputs with 0–5 group columns at scattered positions and all five
-// functions (one through a computed argument), at 1 and 4 workers and 1, 16
-// and 64 partitions, against the naive map; then over one block whose
-// groups keep opening in later fold windows.
+// functions (one through a computed argument), at 1, 2 and 4 workers and 1,
+// 16, 64 and 256 splits, against the naive map; then over one block whose
+// groups keep opening in later fold windows. Each case also folds its rows
+// into fixed workers' tables (dealtAggregate), so the merge meets groups held
+// by several tables and splits held by one; both must occur.
 func TestHashAggregateMatchesReference(t *testing.T) {
+	var shared, single int
 	for width := 0; width <= 5; width++ {
 		rng := rand.New(rand.NewSource(int64(100 + width)))
 		arity := width + 2
@@ -100,14 +103,14 @@ func TestHashAggregateMatchesReference(t *testing.T) {
 			{Func: AggAvg, Arg: expr.Col{Index: val}},
 			{Func: AggMin, Arg: expr.Arith{Op: expr.Sub, L: expr.Col{Index: val}, R: expr.Col{Index: perm[arity-1]}}},
 		}
-		matchReference(t, fmt.Sprintf("width%d", width), in, groupBy, aggs, []int{1, 16, 64})
+		sh, si := matchReference(t, fmt.Sprintf("width%d", width), in, groupBy, aggs)
+		shared, single = shared+sh, single+si
 	}
 
 	// Groups that first appear in later windows of one fold: one block of
 	// 3,000 rows keyed on column 1, in which every even row opens a group
 	// and every odd row revisits one already open, so the states grow while
-	// one call folds the whole block (one split) or a routed run of it (16
-	// splits, the join-fed aggregate's fold through a selection).
+	// one call folds the whole block.
 	rng := rand.New(rand.NewSource(99))
 	rows := make([]int32, 0, 3*3000)
 	for i := 0; i < 3000; i++ {
@@ -127,24 +130,37 @@ func TestHashAggregateMatchesReference(t *testing.T) {
 		{Func: AggAvg, Arg: expr.Col{Index: 0}},
 		{Func: AggMax, Arg: expr.Arith{Op: expr.Sub, L: expr.Col{Index: 0}, R: expr.Col{Index: 1}}},
 	}
-	matchReference(t, "late-groups", in, []int{1}, aggs, []int{1, 16})
+	sh, si := matchReference(t, "late-groups", in, []int{1}, aggs)
+	if shared+sh == 0 || single+si == 0 {
+		t.Fatalf("the merge saw %d splits held by several tables and %d held by one; want both", shared+sh, single+si)
+	}
 }
 
-// matchReference runs HashAggregatePartitioned at 1 and 4 workers and each
-// split count in parts, and HashAggregate at one split, against the naive
-// map.
-func matchReference(t *testing.T, name string, in *storage.Relation, groupBy []int, aggs []AggSpec, parts []int) {
+// matchReference runs HashAggregatePartitioned and dealtAggregate at 1, 2
+// and 4 workers and 1, 16, 64 and 256 splits, and HashAggregate at one split,
+// against the naive map. It returns the dealt merges' split counts.
+func matchReference(t *testing.T, name string, in *storage.Relation, groupBy []int, aggs []AggSpec) (shared, single int) {
 	t.Helper()
 	want := referenceAggregate(in, groupBy, aggs)
-	for _, workers := range []int{1, 4} {
-		for _, p := range parts {
+	for _, workers := range []int{1, 2, 4} {
+		for _, p := range []int{1, 16, 64, 256} {
 			t.Run(fmt.Sprintf("%s-w%d-parts%d", name, workers, p), func(t *testing.T) {
 				pool, _ := poolOn(workers)
 				got := HashAggregatePartitioned(pool, in, groupBy, aggs, p, "agg", nil)
 				if !reflect.DeepEqual(got.SortedRows(), want) {
 					t.Fatalf("partitioned aggregate diverges from the reference (%d vs %d rows)", got.NumTuples(), len(want)/(len(groupBy)+len(aggs)))
 				}
+				groups := got.NumTuples()
 				got.Release()
+				dealt, sh, si := dealtAggregate(pool, in, groupBy, aggs, p)
+				if !reflect.DeepEqual(dealt.SortedRows(), want) {
+					t.Fatalf("dealt aggregate diverges from the reference (%d vs %d rows)", dealt.NumTuples(), len(want)/(len(groupBy)+len(aggs)))
+				}
+				dealt.Release()
+				if s := pool.Copy.Snapshot(); s.AggRowsIn != 2*int64(in.NumTuples()) || s.AggGroupsOut != 2*int64(groups) {
+					t.Fatalf("two aggregates of %d rows into %d groups counted %d rows in, %d groups out", in.NumTuples(), groups, s.AggRowsIn, s.AggGroupsOut)
+				}
+				shared, single = shared+sh, single+si
 				if p == 1 {
 					serial := HashAggregate(pool, in, groupBy, aggs, "agg", nil)
 					if !reflect.DeepEqual(serial.SortedRows(), want) {
@@ -155,6 +171,44 @@ func matchReference(t *testing.T, name string, in *storage.Relation, groupBy []i
 			})
 		}
 	}
+	return shared, single
+}
+
+// dealtAggregate is HashAggregatePartitioned with each row's worker fixed: a
+// row whose first group column is below 3 goes to worker i mod W, row i of
+// in, so its group lies in several workers' tables, and any other row to
+// worker 0, so its group lies in one. It returns the output and how many
+// splits hold groups of several tables and how many those of one.
+func dealtAggregate(pool *Pool, in *storage.Relation, groupBy []int, aggs []AggSpec, parts int) (out *storage.Relation, shared, single int) {
+	a := newJoinAgg(pool, &GroupAgg{GroupBy: groupBy, Aggs: aggs, Parts: parts})
+	i := 0
+	in.ForEach(func(row []int32) {
+		w := 0
+		if len(groupBy) == 0 || row[groupBy[0]] < 3 {
+			w = i % pool.Workers()
+		}
+		a.fold(w, row, in.Arity())
+		i++
+	})
+	for p := range a.splits() {
+		holders := 0
+		for _, t := range a.tables {
+			if t != nil {
+				t.split(a.splits())
+				if t.ends[p+1] > t.ends[p] {
+					holders++
+				}
+			}
+		}
+		if holders > 1 {
+			shared++
+		} else if holders == 1 && pool.Workers() > 1 {
+			single++
+		}
+	}
+	col := newCollector(pool, storage.CatIntermediate, a.width(), a.splits())
+	a.merge(col)
+	return col.into("agg", nil), shared, single
 }
 
 // TestGroupTableForcedGrowth starts tables of key widths 1–5 at the minimum
@@ -355,5 +409,106 @@ func TestAggregateAllocations(t *testing.T) {
 	if extra := large - small; extra > doublings*perDoubling+outputGrowth {
 		t.Fatalf("16 k groups allocate %.0f times, 1 k groups %.0f: %.0f more, want ≤ %d",
 			large, small, extra, doublings*perDoubling+outputGrowth)
+	}
+}
+
+// TestGroupTableResetIsEmpty grows tables of one and three key columns to
+// 100 k groups and resets them: Len is 0, Find misses every old key, and new
+// inserts number from 0 again. Reset then clears only the slots of the groups
+// the table held: with three groups in the grown slot array and every empty
+// slot marked, a reset must leave every mark in place and zero the three. A
+// global aggregate's zero-column table resets the same way.
+func TestGroupTableResetIsEmpty(t *testing.T) {
+	for _, width := range []int{1, 3} {
+		key := func(i int) []int32 {
+			k := []int32{int32(i) * -7919}
+			for j := 1; j < width; j++ {
+				k = append(k, int32(i%(j+2)))
+			}
+			return k
+		}
+		tab := NewGroupTable(width)
+		const n = 100_000
+		for i := range n {
+			tab.Insert(key(i))
+		}
+		slots := len(tab.slots)
+		tab.reset()
+		if tab.Len() != 0 || len(tab.slots) != slots {
+			t.Fatalf("width %d: reset left %d groups and %d slots, want 0 and %d", width, tab.Len(), len(tab.slots), slots)
+		}
+		for i := range n {
+			if g := tab.Find(key(i), tab.ident); g != -1 {
+				t.Fatalf("width %d: Find(%v) = %d after reset", width, key(i), g)
+			}
+		}
+		for i := range 3 {
+			if g, fresh := tab.Insert(key(n + i)); g != i || !fresh {
+				t.Fatalf("width %d: insert %d after reset: group %d fresh=%v", width, i, g, fresh)
+			}
+		}
+		marked := 0
+		for i, s := range tab.slots {
+			if s == 0 {
+				tab.slots[i] = -1
+				marked++
+			}
+		}
+		tab.reset()
+		for i, s := range tab.slots {
+			switch s {
+			case -1:
+				tab.slots[i] = 0
+				marked--
+			case 0:
+			default:
+				t.Fatalf("width %d: reset left group %d in slot %d", width, s-1, i)
+			}
+		}
+		if marked != 0 {
+			t.Fatalf("width %d: reset cleared %d empty slots; it may clear only the 3 groups' own", width, marked)
+		}
+		if g, fresh := tab.Insert(key(n)); g != 0 || !fresh || tab.Find(key(n+1), tab.ident) != -1 {
+			t.Fatalf("width %d: after the second reset, insert gave group %d fresh=%v", width, g, fresh)
+		}
+	}
+	global := NewGroupTable(0)
+	global.Insert(nil)
+	global.reset()
+	if global.Len() != 0 || global.Find(nil, nil) != -1 {
+		t.Fatal("a zero-column table keeps its group across reset")
+	}
+	if g, fresh := global.Insert(nil); g != 0 || !fresh {
+		t.Fatalf("a zero-column table after reset: group %d fresh=%v", g, fresh)
+	}
+}
+
+// TestAggregateTablesAreRecycled holds aggregates on one pool to the tables
+// an earlier one grew: once a 16 k-group aggregate has run, a second of the
+// same shape may allocate more than a 1 k-group one only by the output
+// block's growth, none of the table's. A fresh table would add the four
+// doublings of its slot array, key arena and states again.
+func TestAggregateTablesAreRecycled(t *testing.T) {
+	pool, _ := poolOn(1)
+	aggs := []AggSpec{{Func: AggMin, Arg: expr.Col{Index: 1}}}
+	rel := func(groups int) *storage.Relation {
+		in := storage.NewRelation("in", storage.NumberedColumns(2))
+		rows := make([]int32, 0, 2<<16)
+		for i := 0; i < 1<<16; i++ {
+			rows = append(rows, int32(i%groups), int32(i))
+		}
+		in.AppendRows(rows)
+		return in
+	}
+	large, small := rel(1<<14), rel(1<<10)
+	run := func(in *storage.Relation) func() {
+		return func() { HashAggregate(pool, in, []int{0}, aggs, "agg", nil).Release() }
+	}
+	run(large)()
+	l, s := testing.AllocsPerRun(5, run(large)), testing.AllocsPerRun(5, run(small))
+	const outputGrowth = 4 // the output block, 1 k → 16 k rows
+	if l-s > outputGrowth {
+		t.Fatalf("a second 16 k-group aggregate allocates %.0f times, a 1 k-group one %.0f: %.0f more, want ≤ %d",
+			l, s, l-s, outputGrowth)
 	}
 }

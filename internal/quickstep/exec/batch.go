@@ -390,7 +390,7 @@ func batchScatterBlock(w *partWriter, data []int32, arity int, buf *batchBuf) {
 // order, and where each partition's run ends — partition p's rows are
 // order[ends[p-1]:ends[p]]. All three are buf's scratch. A consumer that
 // takes one partition's run at a time keeps that partition's table in cache
-// while it folds or inserts the run, where rows in arrival order hit a
+// while it inserts the run, where rows in arrival order hit a
 // different table nearly every time.
 func (buf *batchBuf) route(rows []int32, arity int, keys []int, parts int) (pid []uint8, order, ends []int32) {
 	n := len(rows) / arity

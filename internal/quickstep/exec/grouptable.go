@@ -181,6 +181,20 @@ func (t *GroupTable) resize(size int) {
 	t.keys = growTo(t.keys, t.Cap()*t.width)
 }
 
+// reset empties the table and keeps its size. It clears each group's slot,
+// found through the group's key (groupHash gives hash1's value for one
+// column), so it costs the groups the table held, not its slot array.
+func (t *GroupTable) reset() {
+	for g := range t.n {
+		i := int(groupHash(t.Key(g), t.ident) >> t.shift)
+		for t.slots[i] != int32(g+1) {
+			i = (i + 1) & (len(t.slots) - 1)
+		}
+		t.slots[i] = 0
+	}
+	t.keys, t.n = t.keys[:0], 0
+}
+
 // growTo returns s with capacity for n elements: a table's parallel slices
 // grow to its Cap, so they reallocate only when it doubles.
 func growTo[T any](s []T, n int) []T { return slices.Grow(s, n-len(s)) }

@@ -501,7 +501,7 @@ func HashJoin(pool *Pool, left, right *storage.Relation, spec JoinSpec) *storage
 	agg := jo.finish()
 	endProbe()
 	if agg != nil && !pool.Aborted() {
-		agg.merge(pool, col)
+		agg.merge(col)
 	}
 	return col.into(spec.OutName, spec.OutCols)
 }

@@ -71,10 +71,13 @@ func identityExprs(width int) []expr.Expr {
 // against HashJoin followed by HashAggregate: all five functions, 1–3 group
 // columns from the probe side, from the build side and from a build key
 // column (which the join reads off the probe row), a computed argument and a
-// residual predicate; at build fan-out 1 and 16, one and sixteen group-hash
+// residual predicate; at build fan-out 1 and 16, 1, 16 and 256 group-hash
 // splits, and 1, 2 and 4 workers. Every call must fold exactly the join's
 // rows — AggRowsIn = JoinRowsExpanded = the reference join's size — and emit
-// each group once. Then the shapes the random inputs miss: a cached build
+// each group once. Which worker probes which block is the scheduler's choice,
+// so each case also deals the join's projected rows to fixed workers' tables
+// (dealtAggregate): the merge must meet groups held by several tables and
+// splits held by one. Then the shapes the random inputs miss: a cached build
 // served twice, an empty probe side, a probe side that matches nothing, a
 // join with no key columns, whose cross product is aggregated, and a probe
 // aborted by a worker panic after some windows were folded, which must emit
@@ -105,17 +108,30 @@ func TestJoinFedAggregateMatchesJoinThenAggregate(t *testing.T) {
 		{name: "residual", groupBy: []int{0}, aggs: append(minSum, all[3]),
 			residual: []expr.Cmp{{Op: expr.LT, L: expr.Col{Index: 2}, R: expr.Col{Index: 4}}}},
 	}
+	var shared, single int
 	for _, c := range cases {
 		want, joined := c.joinThenAggregate(left, right)
 		if joined == 0 {
 			t.Fatalf("%s: the reference join is empty; the case tests nothing", c.name)
 		}
 		for _, parts := range []int{1, 16} {
-			for _, aggParts := range []int{1, 16} {
+			for _, aggParts := range []int{1, 16, 256} {
 				for _, workers := range []int{1, 2, 4} {
 					what := fmt.Sprintf("%s, build fan-out %d, %d splits, W=%d", c.name, parts, aggParts, workers)
 					pool := NewPool(workers)
-					got := HashJoin(pool, left, right, c.spec(parts, aggParts))
+					spec := c.spec(parts, aggParts)
+					if parts == 1 {
+						projected := spec
+						projected.Agg = nil
+						rows := HashJoin(pool, left, right, projected)
+						dealt, sh, si := dealtAggregate(pool, rows, spec.Agg.GroupBy, spec.Agg.Aggs, aggParts)
+						if !reflect.DeepEqual(dealt.SortedRows(), want) {
+							t.Fatalf("%s, dealt: %d groups, the reference %d", what, dealt.NumTuples(), len(want)/(len(c.groupBy)+len(c.aggs)))
+						}
+						shared, single = shared+sh, single+si
+						pool = NewPool(workers)
+					}
+					got := HashJoin(pool, left, right, spec)
 					if !reflect.DeepEqual(got.SortedRows(), want) {
 						t.Fatalf("%s: %d groups, the reference %d", what, got.NumTuples(), len(want)/(len(c.groupBy)+len(c.aggs)))
 					}
@@ -130,6 +146,9 @@ func TestJoinFedAggregateMatchesJoinThenAggregate(t *testing.T) {
 				}
 			}
 		}
+	}
+	if shared == 0 || single == 0 {
+		t.Fatalf("the dealt merges saw %d splits held by several tables and %d held by one; want both", shared, single)
 	}
 
 	c := cases[0]

@@ -29,7 +29,7 @@ import (
 // filter and the flush.
 //
 // A join-fed aggregate (JoinSpec.Agg) folds each window into its worker's
-// aggregate tables in place of the write to the collector (see joinAgg); its
+// aggregate table in place of the write to the collector (see joinAgg); its
 // window holds the group columns and the aggregate arguments only.
 
 // colSrc says where one output column comes from.
@@ -65,7 +65,7 @@ type joinOutput struct {
 	// whole.
 	inPlace bool
 	// agg, for a join-fed aggregate, holds the workers' aggregate tables:
-	// flush folds the window into them, and col receives the merged groups.
+	// flush folds a window into its worker's, col receives the merged groups.
 	// It hangs here, not off joinWorker, which fills its cache lines exactly.
 	agg     *joinAgg
 	workers []joinWorker
@@ -78,9 +78,9 @@ type joinOutput struct {
 type joinWorker struct {
 	// probe is the scratch of the probe half (the window's partition hashes)
 	// and lends its otherwise idle scat to the window; out is the scratch of
-	// the partitioned flush and of a split aggregate's fold, which need a
-	// buffer of their own because they too use buf.hash and a window can
-	// flush in the middle of a probed one. A flat output never takes it.
+	// the partitioned flush, which needs a buffer of its own because it too
+	// uses buf.hash and a window can flush in the middle of a probed one. A
+	// flat output and an aggregate never take it.
 	probe, out *batchBuf
 	win        []int32
 	n          int // rows in the window
@@ -175,7 +175,7 @@ func newJoinOutput(pool *Pool, col *collector, spec JoinSpec, la int) *joinOutpu
 		jo.workers[i].flat = bulkSink{c: col, slot: i}
 	}
 	if spec.Agg != nil {
-		jo.agg = newJoinAgg(spec.Agg, len(jo.workers))
+		jo.agg = newJoinAgg(pool, spec.Agg)
 	}
 	return jo
 }
@@ -593,17 +593,14 @@ func (jo *joinOutput) filterWindow(w *joinWorker) {
 }
 
 // flush hands the window's rows to the collector, or folds them into the
-// worker's aggregate tables (the flat sink's slot is the worker's).
+// worker's aggregate table (the flat sink's slot is the worker's).
 func (jo *joinOutput) flush(w *joinWorker) {
 	if w.n == 0 {
 		return
 	}
 	rows := w.win[:w.n*jo.width]
 	if jo.agg != nil {
-		if jo.agg.parts > 1 && w.out == nil {
-			w.out = getBatchBuf()
-		}
-		jo.agg.fold(w.flat.slot, rows, jo.width, w.out)
+		jo.agg.fold(w.flat.slot, rows, jo.width)
 	} else if jo.col.part == nil {
 		w.flat.write(rows)
 	} else {

@@ -313,6 +313,9 @@ type Pool struct {
 	// narrow tables at index 0 and wide ones at 1.
 	dupMu   sync.Mutex
 	dupFree [2][]*dupFilter
+	// gtFree is the free list of aggregate tables (see takeAggTable).
+	aggMu  sync.Mutex
+	gtFree []*aggTable
 }
 
 // runFailure is the first-error-wins record of a failed run.

@@ -117,6 +117,48 @@ func TestWorkersDoNotRaiseThePoolPeak(t *testing.T) {
 	}
 }
 
+// Every aggregate folds each of its rows once and emits each of its groups
+// once, whichever worker folded them: on cc and sssp the rows in and the
+// groups out (Stats.Copy.AggRowsIn, AggGroupsOut) at 2 and 4 workers equal
+// one worker's, and so do the results.
+func TestAggregateCountsDoNotDependOnWorkers(t *testing.T) {
+	rmat := graphs.RMAT(16384, 65536, 45)
+	for _, c := range []struct {
+		program, pred string
+		edbs          map[string]*storage.Relation
+	}{
+		{"cc", "cc2", map[string]*storage.Relation{"arc": graphs.Undirected(rmat)}},
+		{"sssp", "sssp", map[string]*storage.Relation{"arc": graphs.Weighted(rmat, 100, 7), "id": graphs.SingleSource(0)}},
+	} {
+		prog, err := programs.Get(c.program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rowsIn, groupsOut int64
+		var want []int32
+		for _, workers := range []int{1, 2, 4} {
+			opts := core.DefaultOptions()
+			opts.Workers = workers
+			res, err := core.New(opts).Run(prog, c.edbs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, got := res.Stats.Copy, res.Relations[c.pred].SortedRows()
+			if workers == 1 {
+				rowsIn, groupsOut, want = s.AggRowsIn, s.AggGroupsOut, got
+				if rowsIn == 0 || groupsOut == 0 {
+					t.Fatalf("%s W=1: %d rows in, %d groups out; the case tests nothing", c.program, rowsIn, groupsOut)
+				}
+				continue
+			}
+			if s.AggRowsIn != rowsIn || s.AggGroupsOut != groupsOut || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s W=%d: %d rows in, %d groups out, %d result rows; one worker %d, %d, %d",
+					c.program, workers, s.AggRowsIn, s.AggGroupsOut, len(got), rowsIn, groupsOut, len(want))
+			}
+		}
+	}
+}
+
 // A cross product counts toward the join rows expanded like a hash join's
 // matches: every row it emits, before the aggregate over it folds them.
 func TestCrossJoinCountsRowsExpanded(t *testing.T) {
